@@ -141,10 +141,7 @@ def _read(path):
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(
-        max_vertices=getattr(args, "budget", 20),
-        threads=getattr(args, "threads", 1),
-    )
+    return SolverConfig(max_vertices=getattr(args, "budget", 20))
 
 
 def _policy(args):
@@ -263,7 +260,8 @@ def _parser() -> argparse.ArgumentParser:
     solve_p.add_argument("graph")
     solve_p.add_argument("--policy", default="practical:12")
     solve_p.add_argument("--cap", type=int, default=None)
-    solve_p.add_argument("--threads", type=int, default=1)
+    solve_p.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility; ignored")
     solve_p.add_argument("--seed", type=int, default=None,
                          help="reserved for corpus tooling; ignored by solve")
     solve_p.add_argument("--budget", type=int, default=20,
@@ -280,7 +278,8 @@ def _parser() -> argparse.ArgumentParser:
     kern_p.add_argument("graph")
     kern_p.add_argument("--target", choices=("tww2", "general"), default="tww2")
     kern_p.add_argument("--policy", default="practical:12")
-    kern_p.add_argument("--threads", type=int, default=1)
+    kern_p.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; ignored")
     kern_p.add_argument("--budget", type=int, default=20)
     kern_p.add_argument("--trace", default=None)
     kern_p.set_defaults(func=_cmd_kernelize)

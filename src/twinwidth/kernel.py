@@ -7,8 +7,10 @@ that are too short for the configured floor into the core and shortens the
 rest down to exactly the floor; under the theoretical floor the bound is a
 tower function of the core size, computed exactly with big integers, so in
 practice the paths are simply absorbed.  ``solve`` chains the fast width-1
-and width-2 routes, the feedback-edge-one construction, and the general
-kernel with the exact solver as endgame; every emitted sequence is re-verified
+and width-2 routes, the feedback-edge-one construction, and the two kernels
+with the exact solver as endgame; it runs prune and tidy once and derives the
+bikernel and, when that does not close, the general kernel from that one
+tidy decomposition and its lift.  Every emitted sequence is re-verified
 before it is reported.
 """
 
@@ -101,13 +103,12 @@ class KernelOutcome:
 
 
 def _pipeline(g: Trigraph, config: SolverConfig, trace, checked=False):
-    """prune + tidy; returns (solved sequence | None, tidy HPGraph, lift, k)."""
-    fes = feedback_edge_set(g)
+    """prune + tidy; returns (solved sequence | None, tidy HPGraph, lift)."""
     outcome = prune(g, config, trace, _checked=checked)
     if outcome.is_solved:
-        return outcome.solved, None, None, len(fes)
+        return outcome.solved, None, None
     hp, lift = tidy(outcome.instance, trace)
-    return None, hp, compose(lift, outcome.lift), len(fes)
+    return None, hp, compose(lift, outcome.lift)
 
 
 def _shorten_paths(hp: HPGraph, targets):
@@ -143,15 +144,38 @@ def tww2_bikernel(
     g: Trigraph,
     config: SolverConfig = DEFAULT_CONFIG,
     trace=None,
-    _checked=False,
 ) -> KernelOutcome:
     """Reduce the width-2 decision to a kernel of at most 116k vertices by
     collapsing every tidy path to a single vertex."""
     if not is_connected(g):
         raise Disconnected("kernelization expects a connected graph")
-    solved, hp, lift, k = _pipeline(g, config, trace, checked=_checked)
+    k = len(feedback_edge_set(g))
+    solved, hp, lift = _pipeline(g, config, trace)
     if solved is not None:
         return KernelOutcome(solved=solved, meta={"k": k})
+    return _collapse_paths(hp, lift, k)
+
+
+def general_kernel(
+    g: Trigraph,
+    policy=DEFAULT_POLICY,
+    config: SolverConfig = DEFAULT_CONFIG,
+    trace=None,
+) -> KernelOutcome:
+    """Absorb paths shorter than the policy floor into the core (recomputing
+    the floor each round, since it grows with the core) and shorten the rest
+    to exactly the floor."""
+    if not is_connected(g):
+        raise Disconnected("kernelization expects a connected graph")
+    k = len(feedback_edge_set(g))
+    solved, hp, lift = _pipeline(g, config, trace)
+    if solved is not None:
+        return KernelOutcome(solved=solved, meta={"k": k})
+    return _absorb_and_shorten(hp, lift, k, policy, trace)
+
+
+def _collapse_paths(hp: HPGraph, lift, k: int) -> KernelOutcome:
+    """The bikernel of a tidy decomposition: every path becomes one vertex."""
     pairs, new_paths = _shorten_paths(hp, [1] * len(hp.paths))
     out_hp, lift = _finish_kernel(hp, lift, pairs, new_paths)
     kernel = out_hp.g
@@ -166,21 +190,8 @@ def tww2_bikernel(
     return KernelOutcome(kernel=kernel, lift=lift, meta=meta)
 
 
-def general_kernel(
-    g: Trigraph,
-    policy=DEFAULT_POLICY,
-    config: SolverConfig = DEFAULT_CONFIG,
-    trace=None,
-    _checked=False,
-) -> KernelOutcome:
-    """Absorb paths shorter than the policy floor into the core (recomputing
-    the floor each round, since it grows with the core) and shorten the rest
-    to exactly the floor."""
-    if not is_connected(g):
-        raise Disconnected("kernelization expects a connected graph")
-    solved, hp, lift, k = _pipeline(g, config, trace, checked=_checked)
-    if solved is not None:
-        return KernelOutcome(solved=solved, meta={"k": k})
+def _absorb_and_shorten(hp: HPGraph, lift, k: int, policy, trace) -> KernelOutcome:
+    """The general kernel of a tidy decomposition under ``policy``."""
     core = set(hp.core)
     paths = list(hp.paths)
     core_sizes = [len(core)]
@@ -226,8 +237,7 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
         trace.append({"rule": "exact_trigraph", "width": result.width})
         report["status"] = "optimal" if result.optimal else "upper_bound"
         return result.sequence
-    fes = feedback_edge_set(g)
-    k = len(fes)
+    k = len(feedback_edge_set(g))
     report["k"] = k
     checked = False
     if g.n <= config.max_vertices:
@@ -248,10 +258,12 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
         trace.append({"rule": "fen1_construction"})
         report["status"] = "optimal" if checked else "upper_bound"
         return seq
-    outcome = tww2_bikernel(g, config, trace, _checked=checked)
-    if outcome.is_solved:
+    # one prune+tidy pass feeds both kernels
+    solved, hp, lift = _pipeline(g, config, trace, checked)
+    if solved is not None:
         report["status"] = "optimal" if checked else "upper_bound"
-        return outcome.solved
+        return solved
+    outcome = _collapse_paths(hp, lift, k)
     report["bikernel"] = outcome.meta
     if outcome.kernel.n <= config.max_vertices:
         seq2 = decide_width_at_most(outcome.kernel, 2, config)
@@ -261,11 +273,8 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
                 "optimal" if outcome.meta["certified"] else "upper_bound"
             )
             return outcome.lift.apply(seq2)
-    general = general_kernel(g, policy, config, trace, _checked=checked)
+    general = _absorb_and_shorten(hp, lift, k, policy, trace)
     report["general_kernel"] = general.meta
-    if general.is_solved:
-        report["status"] = "upper_bound"
-        return general.solved
     result = optimal_sequence(general.kernel, config)
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
     if not result.optimal:

@@ -294,23 +294,23 @@ def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleO
     raise NoMultipleStumps(f"{u} owns only the allowed black-and-half pair")
 
 
-def _kill_pairs(stumps, owner, emit):
-    """Pairs that contract ``owner``'s stumps down to a single extra neighbor,
-    then merge that neighbor into ``owner``.  Returns the merged owner id."""
+def _stump_remnant(stumps, emit):
+    """Collapse one owner's stumps to a single remnant vertex through
+    ``emit`` and return it: a half stump is its own remnant, a black or red
+    stump contracts its two vertices, and a black-and-half pair first folds
+    the half into the black stump.  Returns None for any other stump set."""
     kinds = sorted(s.kind.value for s in stumps)
     if kinds == [StumpKind.HALF.value]:
-        return emit(owner, stumps[0].vertices[0])
+        return stumps[0].vertices[0]
     if kinds in ([StumpKind.BLACK.value], [StumpKind.RED.value]):
         v, w = stumps[0].vertices
-        x = emit(v, w)
-        return emit(owner, x)
+        return emit(v, w)
     if kinds == sorted([StumpKind.BLACK.value, StumpKind.HALF.value]):
         half = next(s for s in stumps if s.kind is StumpKind.HALF)
         black = next(s for s in stumps if s.kind is StumpKind.BLACK)
         v, w = black.vertices
         z = emit(half.vertices[0], v)
-        x = emit(z, w)
-        return emit(owner, x)
+        return emit(z, w)
     return None
 
 
@@ -329,10 +329,12 @@ def kill_stumps_prefix(g: Trigraph, u) -> ContractionSequence:
         nxt += 1
         return nxt - 1
 
-    if _kill_pairs(stumps, u, emit) is None:
+    x = _stump_remnant(stumps, emit)
+    if x is None:
         raise BadStumpConfig(
             f"{u} must own a single stump or a black-and-half pair"
         )
+    emit(u, x)
     return ContractionSequence.build(g, pairs, partial=True)
 
 
@@ -363,24 +365,13 @@ def _tidy_one_path(cur: Trigraph, path: PseudoPath):
     for idx in range(2, n - 2):
         stumps = path.stumps.get(verts[idx], ())
         if stumps:
-            desc[verts[idx]] = _kill_pairs(stumps, desc[verts[idx]], emit)
+            x = _stump_remnant(stumps, emit)
+            desc[verts[idx]] = emit(desc[verts[idx]], x)
     for idx, inner in ((1, 2), (n - 2, n - 3)):
         stumps = path.stumps.get(verts[idx], ())
-        if not stumps:
-            continue
-        kinds = sorted(s.kind.value for s in stumps)
-        if kinds == [StumpKind.HALF.value]:
-            x = stumps[0].vertices[0]
-        elif kinds in ([StumpKind.BLACK.value], [StumpKind.RED.value]):
-            v, w = stumps[0].vertices
-            x = emit(v, w)
-        else:
-            half = next(s for s in stumps if s.kind is StumpKind.HALF)
-            black = next(s for s in stumps if s.kind is StumpKind.BLACK)
-            v, w = black.vertices
-            z = emit(half.vertices[0], v)
-            x = emit(z, w)
-        desc[verts[inner]] = emit(x, desc[verts[inner]])
+        if stumps:
+            x = _stump_remnant(stumps, emit)
+            desc[verts[inner]] = emit(x, desc[verts[inner]])
     final = _apply_pairs(cur, pairs)
     redden = {}
     for i in range(1, n - 2):
@@ -694,20 +685,8 @@ def fen1_sequence(
     pendant = {}
     for v in sorted(cycle):
         stumps = stumps_map.get(v, ())
-        if not stumps:
-            continue
-        kinds = sorted(s.kind.value for s in stumps)
-        if kinds == [StumpKind.HALF.value]:
-            pendant[v] = stumps[0].vertices[0]
-        elif kinds in ([StumpKind.BLACK.value], [StumpKind.RED.value]):
-            a, b = stumps[0].vertices
-            pendant[v] = emit(a, b)
-        else:
-            half = next(s for s in stumps if s.kind is StumpKind.HALF)
-            black = next(s for s in stumps if s.kind is StumpKind.BLACK)
-            a, b = black.vertices
-            z = emit(half.vertices[0], a)
-            pendant[v] = emit(z, b)
+        if stumps:
+            pendant[v] = _stump_remnant(stumps, emit)
     order = _cycle_order(cyc_g, cycle)
     walker = order[0]
     if order[0] in pendant:

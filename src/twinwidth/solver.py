@@ -15,7 +15,6 @@ is tracked on the side so certificates come back in the caller's labels.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -28,7 +27,9 @@ CanonicalKey = bytes
 @dataclass(frozen=True)
 class SolverConfig:
     """Budget knobs.  ``max_vertices`` is a hard refusal; node and time limits
-    make ``optimal_sequence`` fall back to an unproven greedy certificate."""
+    make ``optimal_sequence`` fall back to an unproven greedy certificate.
+    ``threads`` is accepted for compatibility and ignored: the search always
+    runs in the calling thread."""
 
     max_vertices: int = 20
     max_nodes: int | None = None
@@ -357,22 +358,7 @@ def _decide(g: Trigraph, d: int, config: SolverConfig):
     if g.max_red_degree() > d:
         return None
     state = _Packed.from_trigraph(g)
-    budget = _Budget(config)
-    next_id = g.next_label
-    if config.threads > 1 and state.n_alive() > 2:
-        children = _ordered_children(state, d, next_id)
-
-        def attempt(child):
-            return _decide_rec(child, d, next_id + 1, set(), budget, {})
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(attempt, [c[-1] for c in children]))
-        for (_, _, _, i, j, _), sub in zip(children, results):
-            if sub is not None:
-                slot_steps = [(i, j, state.ids)] + sub
-                return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
-        return None
-    slot_steps = _decide_rec(state, d, next_id, set(), budget, {})
+    slot_steps = _decide_rec(state, d, g.next_label, set(), _Budget(config), {})
     if slot_steps is None:
         return None
     return ContractionSequence.build(g, _slots_to_pairs(slot_steps))

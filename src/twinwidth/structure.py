@@ -58,10 +58,6 @@ def feedback_edge_set(g: Trigraph, ignore_red=False) -> FeedbackEdgeSet:
     return FeedbackEdgeSet(tuple(sorted(fes)))
 
 
-def feedback_edge_number(g: Trigraph, ignore_red=False) -> int:
-    return len(feedback_edge_set(g, ignore_red=ignore_red))
-
-
 def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
     """All bridges (both edge colors count), by iterative low-link."""
     if not is_connected(g):
@@ -214,13 +210,6 @@ def classify_stumps(g: Trigraph) -> dict[int, tuple[Stump, ...]]:
         u: tuple(sorted(stumps, key=lambda s: s.vertices))
         for u, stumps in sorted(found.items())
     }
-
-
-def stump_vertices(stumps) -> set[int]:
-    out = set()
-    for s in stumps:
-        out.update(s.vertices)
-    return out
 
 
 def red_stump_count(g: Trigraph) -> int:

@@ -274,15 +274,7 @@ class Trigraph:
             and self._red == other._red
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
-
-    def same_structure(self, other):
-        """Structural equality ignoring the fresh-label counter."""
-        return self._black == other._black and self._red == other._red
 
     def __repr__(self):
         return (

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twinwidth import kernel as kernel_module
 from twinwidth.corpus import random_connected_graph, random_tree, random_with_dangling_trees
 from twinwidth.errors import BudgetExceeded, Disconnected
 from twinwidth.kernel import (
@@ -242,6 +243,36 @@ class TestSolve:
         assert verify(g, seq) == report["width"]
         assert report["rules"][0]["rule"] == "exact_trigraph"
         assert report["status"] == "optimal"
+
+    def test_one_pipeline_pass_when_bikernel_misses_budget(self, monkeypatch):
+        # fen 2: the bikernel has 36 vertices, over the default budget of 20,
+        # so the general kernel runs too and the endgame refuses it
+        g = random_connected_graph(120, 2, random.Random(10))
+        traces = []
+        real_prune = kernel_module.prune
+
+        def counting_prune(g, config, trace, **kwargs):
+            traces.append(trace)
+            return real_prune(g, config, trace, **kwargs)
+
+        monkeypatch.setattr(kernel_module, "prune", counting_prune)
+        with pytest.raises(BudgetExceeded):
+            solve(g)
+        assert len(traces) == 1
+        assert [e["rule"] for e in traces[0]].count("decomposed") == 1
+
+    def test_kernel_meta_matches_public_kernels(self):
+        # Petersen graph: fen 6, no dangling paths, twin-width above 2, so the
+        # bikernel decision fails and the general kernel goes to the endgame
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        edges += [(i, i + 5) for i in range(5)]
+        g = new_trigraph(10, edges)
+        policy = Practical(12)
+        _, report = solve(g, policy, CFG)
+        assert report["bikernel"] == tww2_bikernel(g, CFG).meta
+        assert report["general_kernel"] == general_kernel(g, policy, CFG).meta
+        assert [e["rule"] for e in report["rules"]].count("decomposed") == 1
 
     def test_report_is_json_ready(self):
         import json
