@@ -102,9 +102,10 @@ class KernelOutcome:
 # -- shared pipeline -----------------------------------------------------------------
 
 
-def _pipeline(g: Trigraph, config: SolverConfig, trace, checked=False):
-    """prune + tidy; returns (solved sequence | None, tidy HPGraph, lift)."""
-    outcome = prune(g, config, trace, _checked=checked)
+def _pipeline(g: Trigraph, config: SolverConfig, trace, fes, checked=False):
+    """prune + tidy of ``g`` with feedback edge set ``fes``; returns
+    (solved sequence | None, tidy HPGraph, lift)."""
+    outcome = prune(g, config, trace, _checked=checked, _fes=fes)
     if outcome.is_solved:
         return outcome.solved, None, None
     hp, lift = tidy(outcome.instance, trace)
@@ -132,9 +133,7 @@ def _shorten_paths(hp: HPGraph, targets):
 
 
 def _finish_kernel(hp: HPGraph, lift, pairs, new_paths):
-    cur = hp.g
-    for a, b in pairs:
-        cur = cur.contract(a, b)
+    cur = hp.g.replay(pairs)[0]
     step = Lift(parent=hp.g, child=cur, prefix=tuple(pairs), bound=bound_at_least_two)
     out_hp = HPGraph(cur, hp.core, new_paths, hp.tww2_certified)
     return out_hp, compose(step, lift)
@@ -149,8 +148,9 @@ def tww2_bikernel(
     collapsing every tidy path to a single vertex."""
     if not is_connected(g):
         raise Disconnected("kernelization expects a connected graph")
-    k = len(feedback_edge_set(g))
-    solved, hp, lift = _pipeline(g, config, trace)
+    fes = feedback_edge_set(g)
+    k = len(fes)
+    solved, hp, lift = _pipeline(g, config, trace, fes)
     if solved is not None:
         return KernelOutcome(solved=solved, meta={"k": k})
     return _collapse_paths(hp, lift, k)
@@ -167,8 +167,9 @@ def general_kernel(
     to exactly the floor."""
     if not is_connected(g):
         raise Disconnected("kernelization expects a connected graph")
-    k = len(feedback_edge_set(g))
-    solved, hp, lift = _pipeline(g, config, trace)
+    fes = feedback_edge_set(g)
+    k = len(fes)
+    solved, hp, lift = _pipeline(g, config, trace, fes)
     if solved is not None:
         return KernelOutcome(solved=solved, meta={"k": k})
     return _absorb_and_shorten(hp, lift, k, policy, trace)
@@ -237,7 +238,8 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
         trace.append({"rule": "exact_trigraph", "width": result.width})
         report["status"] = "optimal" if result.optimal else "upper_bound"
         return result.sequence
-    k = len(feedback_edge_set(g))
+    fes = feedback_edge_set(g)
+    k = len(fes)
     report["k"] = k
     checked = False
     if g.n <= config.max_vertices:
@@ -259,7 +261,7 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
         report["status"] = "optimal" if checked else "upper_bound"
         return seq
     # one prune+tidy pass feeds both kernels
-    solved, hp, lift = _pipeline(g, config, trace, checked)
+    solved, hp, lift = _pipeline(g, config, trace, fes, checked)
     if solved is not None:
         report["status"] = "optimal" if checked else "upper_bound"
         return solved

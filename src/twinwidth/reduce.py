@@ -161,13 +161,6 @@ def tree_sequence(t: Trigraph, root) -> ContractionSequence:
 # -- individual rules -------------------------------------------------------------
 
 
-def _apply_pairs(g: Trigraph, pairs):
-    cur = g
-    for a, b in pairs:
-        cur = cur.contract(a, b)
-    return cur
-
-
 def reduce_star(g: Trigraph, tree) -> RuleOutcome:
     """Replace a dangling black star (>= 2 leaves) by a black stump on its
     attachment vertex.  Lift: contract the leaves (pairwise twins) first, then
@@ -188,7 +181,7 @@ def reduce_star(g: Trigraph, tree) -> RuleOutcome:
         pairs.append((acc, leaf))
         acc = nxt
         nxt += 1
-    reduced = _apply_pairs(g, pairs)
+    reduced = g.replay(pairs)[0]
     lift = Lift(parent=g, child=reduced, prefix=tuple(pairs), bound=bound_identity)
     return RuleOutcome(instance=reduced, lift=lift, certified=False)
 
@@ -224,7 +217,7 @@ def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> Rul
     if all(not children[c] for c in children[v]):
         raise PreconditionViolated("tree has no vertex at distance 2 from its root")
     pairs, acc = _fold_subtree_pairs(children, v, g.next_label)
-    candidate = _apply_pairs(g, pairs)
+    candidate = g.replay(pairs)[0]
     assert candidate.color(v, acc) is EdgeColor.RED, "folded tree must hang red"
     status, onewide = _certify_at_least_two(candidate, config)
     if status == "solved":
@@ -257,7 +250,7 @@ def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleO
         else:
             v0, w0 = victim.vertices
             pairs = [(w0, rw), (v0, rv)]
-        candidate = _apply_pairs(g, pairs)
+        candidate = g.replay(pairs)[0]
         status, onewide = _certify_at_least_two(candidate, config)
         if status == "solved":
             return RuleOutcome(
@@ -275,13 +268,13 @@ def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleO
             pairs.append((acc, s.vertices[0]))
             acc = nxt
             nxt += 1
-        reduced = _apply_pairs(g, pairs)
+        reduced = g.replay(pairs)[0]
         lift = Lift(parent=g, child=reduced, prefix=tuple(pairs), bound=bound_identity)
         return RuleOutcome(instance=reduced, lift=lift, certified=False)
     if len(blacks) >= 2:
         (v1, w1), (v2, w2) = blacks[0].vertices, blacks[1].vertices
         pairs = [(w1, w2), (v1, v2)]
-        candidate = _apply_pairs(g, pairs)
+        candidate = g.replay(pairs)[0]
         status, onewide = _certify_at_least_two(candidate, config)
         if status == "solved":
             return RuleOutcome(
@@ -344,7 +337,7 @@ def kill_stumps_prefix(g: Trigraph, u) -> ContractionSequence:
 def _tidy_one_path(cur: Trigraph, path: PseudoPath):
     """Turn one original pseudo-path into a stump-free red path.
 
-    Returns (pairs, reduced, new_path_vertices, moved_to_core, descendants).
+    Returns (pairs, reduced, new_path_vertices, moved_to_core).
     Interior stumps are contracted onto their path vertex from the leftmost
     stumped vertex outward; the two vertices next to the endpoints instead
     push their last stump remnant onto their inner neighbor, which keeps the
@@ -372,7 +365,7 @@ def _tidy_one_path(cur: Trigraph, path: PseudoPath):
         if stumps:
             x = _stump_remnant(stumps, emit)
             desc[verts[inner]] = emit(x, desc[verts[inner]])
-    final = _apply_pairs(cur, pairs)
+    final = cur.replay(pairs)[0]
     redden = {}
     for i in range(1, n - 2):
         a, b = desc[verts[i]], desc[verts[i + 1]]
@@ -498,6 +491,7 @@ def prune(
     trace=None,
     _checked=False,
     observer=None,
+    _fes=None,
 ) -> RuleOutcome:
     """Exhaustively cut dangling trees down to stumps and assemble the
     core/path decomposition.
@@ -506,7 +500,8 @@ def prune(
     inputs, and whenever a width<=1 decision succeeds along the way) or the
     decomposition plus the composed lift.  With ``k`` feedback edges the core
     has at most ``16k`` vertices and there are at most ``4k`` pseudo-paths.
-    ``_checked=True`` promises the caller already ruled out width <= 1.
+    ``_checked=True`` promises the caller already ruled out width <= 1;
+    ``_fes`` passes the caller's ``feedback_edge_set(g)``.
     """
     if not is_connected(g):
         raise Disconnected("pruning expects a connected graph")
@@ -517,7 +512,7 @@ def prune(
         if trace is not None:
             trace.append(event)
 
-    fes = feedback_edge_set(g)
+    fes = feedback_edge_set(g) if _fes is None else _fes
     k = len(fes)
     certified = _checked
     if not _checked and g.n <= config.max_vertices:
@@ -661,10 +656,10 @@ def fen1_sequence(
     walker that sweeps around once."""
     if not is_connected(g):
         raise Disconnected("expected a connected graph")
-    k = len(feedback_edge_set(g, ignore_red=True))
-    if k > 1:
-        raise FenTooLarge(f"feedback edge number {k} > 1")
-    outcome = prune(g, config, _checked=_checked)
+    fes = feedback_edge_set(g, ignore_red=True)
+    if len(fes) > 1:
+        raise FenTooLarge(f"feedback edge number {len(fes)} > 1")
+    outcome = prune(g, config, _checked=_checked, _fes=fes)
     if outcome.is_solved:
         return outcome.solved
     hp, lift1 = outcome.instance, outcome.lift

@@ -77,10 +77,7 @@ class ContractionSequence:
         return f"ContractionSequence({kind}, {len(self.steps)} steps)"
 
     def final_trigraph(self) -> Trigraph:
-        cur = self.base
-        for s in self.steps:
-            cur = cur.contract(s.a, s.b)
-        return cur
+        return self.base.replay(self.pairs())[0]
 
 
 def _check_base(g: Trigraph, seq: ContractionSequence):
@@ -99,48 +96,11 @@ def verify(g: Trigraph, seq: ContractionSequence, require_full=None) -> int:
     _check_base(g, seq)
     if require_full is None:
         require_full = not seq.partial
-    black = {v: set(g.black_neighbors(v)) for v in g.vertices}
-    red = {v: set(g.red_neighbors(v)) for v in g.vertices}
-    width = max((len(s) for s in red.values()), default=0)
-    for i, step in enumerate(seq.steps):
-        u, v, w = step.a, step.b, step.result
-        if u not in black or v not in black or u == v:
-            raise DeadVertexAtStep(i, v if u in black else u)
-        bu = black.pop(u)
-        bv = black.pop(v)
-        ru = red.pop(u)
-        rv = red.pop(v)
-        bu.discard(v)
-        bv.discard(u)
-        ru.discard(v)
-        rv.discard(u)
-        black_w = bu & bv
-        red_w = (bu | bv | ru | rv) - black_w
-        for x in black_w:
-            bx = black[x]
-            bx.discard(u)
-            bx.discard(v)
-            bx.add(w)
-        for x in red_w:
-            bx = black[x]
-            bx.discard(u)
-            bx.discard(v)
-            rx = red[x]
-            rx.discard(u)
-            rx.discard(v)
-            rx.add(w)
-            if len(rx) > width:
-                width = len(rx)
-        black[w] = black_w
-        red[w] = red_w
-        if len(red_w) > width:
-            width = len(red_w)
-    if require_full:
-        remaining = len(black)
-        if remaining > 1 and remaining != len(connected_components(g)):
-            raise IncompleteSequence(
-                f"{remaining} vertices remain after a supposedly full sequence"
-            )
+    final, width = g.replay(seq.pairs())
+    if require_full and final.n > 1 and final.n != len(connected_components(g)):
+        raise IncompleteSequence(
+            f"{final.n} vertices remain after a supposedly full sequence"
+        )
     return width
 
 

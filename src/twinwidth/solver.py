@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .sequence import ContractionSequence
+from .sequence import ContractionSequence, verify
 from .trigraph import Trigraph
 
 CanonicalKey = bytes
@@ -415,6 +415,4 @@ def optimal_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> Solv
         if exc.kind == "vertices":
             raise
         seq = greedy_sequence(g)
-        from .sequence import verify
-
         return SolveResult(verify(g, seq), seq, False, "not_proven")

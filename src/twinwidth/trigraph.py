@@ -20,6 +20,7 @@ from .errors import (
     BadEndpoint,
     BadVertexSet,
     DeadVertex,
+    DeadVertexAtStep,
     DuplicateEdge,
     IllegalRecolor,
     SameVertex,
@@ -40,7 +41,8 @@ class Trigraph:
     __slots__ = ("_black", "_red", "_next_label")
 
     def __init__(self, black, red, next_label):
-        # Private: callers go through new_trigraph / contract / induce / recolor.
+        # Private: callers go through new_trigraph / contract / replay / induce /
+        # recolor.
         # Maps vertex -> frozenset of neighbors, one map per color; keys are kept
         # in ascending insertion order so iteration is deterministic.
         self._black = black
@@ -171,31 +173,60 @@ class Trigraph:
             raise SameVertex(f"cannot contract {u} with itself")
         self._require_live(u)
         self._require_live(v)
-        bu = self._black[u] - {v}
-        bv = self._black[v] - {u}
-        ru = self._red[u] - {v}
-        rv = self._red[v] - {u}
+        return self.replay(((u, v),))[0]
+
+    def replay(self, pairs):
+        """Play the contractions ``pairs`` in order; returns ``(final, width)``.
+
+        Step ``i`` merges its pair into the fresh vertex ``next_label + i``,
+        which takes the last place in the vertex order; every other vertex
+        keeps its place.  ``width`` is the largest red degree seen, ``self``
+        included.  A step naming a dead or repeated vertex raises
+        :class:`DeadVertexAtStep`.  The adjacency maps are copied once; a
+        vertex's neighbor set is thawed when a step first touches it and
+        frozen again at the end, so each step costs only its degrees.
+        """
+        black = dict(self._black)
+        red = dict(self._red)
+        thawed = set()
+        width = self.max_red_degree()
         w = self._next_label
-        black_w = bu & bv
-        red_w = (bu | bv | ru | rv) - black_w
-        drop = {u, v}
-        black = {}
-        red = {}
-        for x, bx in self._black.items():
-            if x == u or x == v:
-                continue
-            rx = self._red[x]
-            if x in black_w:
-                bx = (bx - drop) | {w}
-            elif x in red_w:
-                if not bx.isdisjoint(drop):
-                    bx = bx - drop
-                rx = (rx - drop) | {w}
-            black[x] = bx
-            red[x] = rx
-        black[w] = frozenset(black_w)
-        red[w] = frozenset(red_w)
-        return Trigraph(black, red, w + 1)
+        for i, (u, v) in enumerate(pairs):
+            if u not in black or v not in black or u == v:
+                raise DeadVertexAtStep(i, v if u in black else u)
+            bu = black.pop(u)
+            bv = black.pop(v)
+            black_w = set(bu & bv)
+            red_w = set().union(bu, bv, red.pop(u), red.pop(v))
+            red_w -= black_w
+            red_w.discard(u)
+            red_w.discard(v)
+            for x in black_w | red_w:
+                if x not in thawed:
+                    thawed.add(x)
+                    black[x] = set(black[x])
+                    red[x] = set(red[x])
+                bx = black[x]
+                rx = red[x]
+                bx.discard(u)
+                bx.discard(v)
+                rx.discard(u)
+                rx.discard(v)
+                if x in black_w:
+                    bx.add(w)
+                else:
+                    rx.add(w)
+                    width = max(width, len(rx))
+            black[w] = black_w
+            red[w] = red_w
+            thawed.add(w)
+            width = max(width, len(red_w))
+            w += 1
+        for x in thawed:
+            if x in black:
+                black[x] = frozenset(black[x])
+                red[x] = frozenset(red[x])
+        return Trigraph(black, red, w), width
 
     def induce(self, subset):
         """Induced subtrigraph on ``subset``, preserving labels and the counter."""

@@ -261,6 +261,27 @@ class TestSolve:
         assert len(traces) == 1
         assert [e["rule"] for e in traces[0]].count("decomposed") == 1
 
+    def test_feedback_edge_set_not_recomputed_by_prune(self, monkeypatch):
+        from twinwidth import reduce as reduce_module
+
+        calls = []
+        real = kernel_module.feedback_edge_set
+
+        def counting(g, **kwargs):
+            calls.append(g.n)
+            return real(g, **kwargs)
+
+        for module in (kernel_module, reduce_module):
+            monkeypatch.setattr(module, "feedback_edge_set", counting)
+        # fen 2: solve computes the set once and prune reuses it
+        with pytest.raises(BudgetExceeded):
+            solve(random_connected_graph(120, 2, random.Random(10)))
+        assert calls == [120]
+        # fen 1: fen1_sequence checks the set itself and hands it to prune
+        calls.clear()
+        solve(random_connected_graph(60, 1, random.Random(3)))
+        assert calls == [60, 60]
+
     def test_kernel_meta_matches_public_kernels(self):
         # Petersen graph: fen 6, no dangling paths, twin-width above 2, so the
         # bikernel decision fails and the general kernel goes to the endgame

@@ -7,6 +7,7 @@ from twinwidth.errors import (
     BadEndpoint,
     BadVertexSet,
     DeadVertex,
+    DeadVertexAtStep,
     DuplicateEdge,
     IllegalRecolor,
     SameVertex,
@@ -160,6 +161,52 @@ class TestContract:
         got = g.contract(u, v)
         assert got.red_degree(g.next_label) == 0
         assert got.red_edge_count() <= g.red_edge_count()
+
+
+class TestReplay:
+    @settings(max_examples=300, derandomize=True)
+    @given(trigraphs(max_n=7), stst.data())
+    def test_replay_matches_chained_oracle(self, g, data):
+        # a random full or partial sequence, checked step by step against
+        # the from-scratch contraction
+        snapshot = new_trigraph(g.n, g.black_edges(), g.red_edges())
+        steps = data.draw(stst.integers(min_value=0, max_value=g.n - 1))
+        pairs = []
+        expected = g
+        width = g.max_red_degree()
+        for _ in range(steps):
+            u, v = data.draw(
+                stst.permutations(sorted(expected.vertices)).map(lambda p: p[:2])
+            )
+            pairs.append((u, v))
+            expected = contract_oracle(expected, u, v)
+            width = max(width, expected.max_red_degree())
+        final, got = g.replay(pairs)
+        assert final == expected
+        assert tuple(final.vertices) == tuple(expected.vertices)
+        assert got == width
+        final.validate()
+        assert g == snapshot
+
+    def test_fig2_full_sequence(self):
+        g = make_fig2()
+        final, width = g.replay(FIG2_PAIRS)
+        assert final.vertices == (10,) and final.next_label == 11
+        assert width == 2
+
+    def test_empty_replay(self):
+        g = new_trigraph(3, [(0, 1)], [(1, 2)])
+        assert g.replay(()) == (g, 1)
+
+    def test_dead_vertex_reports_step(self):
+        g = make_fig2()
+        # step 1 merges 0 away, so step 2 names a dead vertex
+        with pytest.raises(DeadVertexAtStep) as exc:
+            g.replay(FIG2_PAIRS[:2] + [(0, 2)])
+        assert (exc.value.index, exc.value.vertex) == (2, 0)
+        with pytest.raises(DeadVertexAtStep) as exc:
+            g.replay([(4, 5), (3, 3)])
+        assert (exc.value.index, exc.value.vertex) == (1, 3)
 
 
 class TestInduceRecolor:
