@@ -53,10 +53,12 @@ from .structure import (
     PseudoPath,
     StumpKind,
     TIDY,
+    _legal_stump_set,
     classify_stumps,
     feedback_edge_set,
     find_dangling_trees,
     red_stump_count,
+    stumps_at,
     two_core,
     validate_hp,
 )
@@ -186,19 +188,26 @@ def reduce_star(g: Trigraph, tree) -> RuleOutcome:
     return RuleOutcome(instance=reduced, lift=lift, certified=False)
 
 
-def _certify_at_least_two(candidate: Trigraph, config: SolverConfig):
-    """('certified', None) | ('solved', width<=1 sequence) | ('assumed', None)."""
-    if red_stump_count(candidate) >= 2:
-        return "certified", None
-    if candidate.n <= config.max_vertices:
+def _guarded_rule(g: Trigraph, pairs, config: SolverConfig) -> RuleOutcome:
+    """Apply a rule that is safe only at twin-width >= 2: replay ``pairs``
+    into the candidate and certify that bound by two red stumps or a failed
+    width-1 decision.  If the candidate has a width-1 sequence, ``g`` is
+    solved instead by ``pairs`` followed by that sequence.  A candidate over
+    the decision budget gives an uncertified outcome."""
+    candidate = g.replay(pairs)[0]
+    certified = red_stump_count(candidate) >= 2
+    if not certified and candidate.n <= config.max_vertices:
         try:
-            seq = decide_width_at_most(candidate, 1, config)
+            onewide = decide_width_at_most(candidate, 1, config)
         except BudgetExceeded:
-            return "assumed", None
-        if seq is None:
-            return "certified", None
-        return "solved", seq
-    return "assumed", None
+            pass
+        else:
+            if onewide is not None:
+                seq = ContractionSequence.build(g, pairs + onewide.pairs())
+                return RuleOutcome(solved=seq)
+            certified = True
+    lift = Lift(parent=g, child=candidate, prefix=tuple(pairs), bound=bound_at_least_two)
+    return RuleOutcome(instance=candidate, lift=lift, certified=certified)
 
 
 def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
@@ -217,22 +226,18 @@ def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> Rul
     if all(not children[c] for c in children[v]):
         raise PreconditionViolated("tree has no vertex at distance 2 from its root")
     pairs, acc = _fold_subtree_pairs(children, v, g.next_label)
-    candidate = g.replay(pairs)[0]
-    assert candidate.color(v, acc) is EdgeColor.RED, "folded tree must hang red"
-    status, onewide = _certify_at_least_two(candidate, config)
-    if status == "solved":
-        return RuleOutcome(
-            solved=ContractionSequence.build(g, pairs + onewide.pairs())
-        )
-    lift = Lift(parent=g, child=candidate, prefix=tuple(pairs), bound=bound_at_least_two)
-    return RuleOutcome(instance=candidate, lift=lift, certified=status == "certified")
+    outcome = _guarded_rule(g, pairs, config)
+    assert outcome.is_solved or outcome.instance.color(v, acc) is EdgeColor.RED, (
+        "folded tree must hang red"
+    )
+    return outcome
 
 
 def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
     """Merge one excess stump on ``u``: beside a red stump any other stump is
     absorbed into it; half stumps merge pairwise as twins; two black stumps
     become one red stump.  A black-and-half pair is a legal terminal state."""
-    stumps = classify_stumps(g).get(u, ())
+    stumps = stumps_at(g, u)
     if len(stumps) < 2:
         raise NoMultipleStumps(f"{u} owns {len(stumps)} stump(s)")
     reds = [s for s in stumps if s.kind is StumpKind.RED]
@@ -240,26 +245,12 @@ def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleO
     halves = [s for s in stumps if s.kind is StumpKind.HALF]
     if reds:
         keeper = reds[0]
-        others = sorted(
-            (s for s in stumps if s is not keeper), key=lambda s: s.vertices
-        )
-        victim = others[0]
+        victim = next(s for s in stumps if s is not keeper)
         rv, rw = keeper.vertices
         if victim.kind is StumpKind.HALF:
-            pairs = [(victim.vertices[0], rv)]
-        else:
-            v0, w0 = victim.vertices
-            pairs = [(w0, rw), (v0, rv)]
-        candidate = g.replay(pairs)[0]
-        status, onewide = _certify_at_least_two(candidate, config)
-        if status == "solved":
-            return RuleOutcome(
-                solved=ContractionSequence.build(g, pairs + onewide.pairs())
-            )
-        lift = Lift(parent=g, child=candidate, prefix=tuple(pairs), bound=bound_at_least_two)
-        return RuleOutcome(
-            instance=candidate, lift=lift, certified=status == "certified"
-        )
+            return _guarded_rule(g, [(victim.vertices[0], rv)], config)
+        v0, w0 = victim.vertices
+        return _guarded_rule(g, [(w0, rw), (v0, rv)], config)
     if len(halves) >= 2:
         pairs = []
         acc = halves[0].vertices[0]
@@ -273,17 +264,7 @@ def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleO
         return RuleOutcome(instance=reduced, lift=lift, certified=False)
     if len(blacks) >= 2:
         (v1, w1), (v2, w2) = blacks[0].vertices, blacks[1].vertices
-        pairs = [(w1, w2), (v1, v2)]
-        candidate = g.replay(pairs)[0]
-        status, onewide = _certify_at_least_two(candidate, config)
-        if status == "solved":
-            return RuleOutcome(
-                solved=ContractionSequence.build(g, pairs + onewide.pairs())
-            )
-        lift = Lift(parent=g, child=candidate, prefix=tuple(pairs), bound=bound_at_least_two)
-        return RuleOutcome(
-            instance=candidate, lift=lift, certified=status == "certified"
-        )
+        return _guarded_rule(g, [(w1, w2), (v1, v2)], config)
     raise NoMultipleStumps(f"{u} owns only the allowed black-and-half pair")
 
 
@@ -310,7 +291,7 @@ def _stump_remnant(stumps, emit):
 def kill_stumps_prefix(g: Trigraph, u) -> ContractionSequence:
     """Partial sequence that removes ``u``'s stumps and turns all edges at
     ``u`` red; width is max(red_degree(u) + 1, max red degree afterwards)."""
-    stumps = classify_stumps(g).get(u, ())
+    stumps = stumps_at(g, u)
     if not stumps:
         raise BadStumpConfig(f"{u} owns no stumps")
     pairs = []
@@ -539,7 +520,7 @@ def prune(
             observer(rule, before, outcome)
         cur = outcome.instance
         lift_total = compose(outcome.lift, lift_total)
-        certified = certified or outcome.certified or red_stump_count(cur) >= 2
+        certified = certified or outcome.certified
         note({"rule": rule, "site": site})
 
     chunks = find_dangling_trees(cur)
@@ -565,34 +546,25 @@ def prune(
             )
         merge_in(outcome, "reduce_tree", chunk.bridge[0], before)
 
-    while True:
-        owners = classify_stumps(cur)
-        target = None
-        for u in sorted(owners):
-            stumps = owners[u]
-            if len(stumps) < 2:
-                continue
-            kinds = sorted(s.kind.value for s in stumps)
-            if kinds == sorted([StumpKind.BLACK.value, StumpKind.HALF.value]):
-                continue  # legal pair
-            target = u
-            break
-        if target is None:
-            break
-        before = cur
-        outcome = merge_stumps(cur, target, config)
-        if outcome.is_solved:
-            if observer is not None:
-                observer("merge_stumps", before, outcome)
-            note({"rule": "merge_stumps_solved", "site": target})
-            return RuleOutcome(
-                solved=lift_total.apply(outcome.solved), certified=certified
-            )
-        merge_in(outcome, "merge_stumps", target, before)
+    # Every owner is a core vertex and keeps degree >= 3, and a merge on u
+    # contracts only u's stump vertices, so no other owner's stumps change.
+    stumps_map = classify_stumps(cur)
+    for u in list(stumps_map):
+        while not _legal_stump_set(stumps := stumps_at(cur, u)):
+            before = cur
+            outcome = merge_stumps(cur, u, config)
+            if outcome.is_solved:
+                if observer is not None:
+                    observer("merge_stumps", before, outcome)
+                note({"rule": "merge_stumps_solved", "site": u})
+                return RuleOutcome(
+                    solved=lift_total.apply(outcome.solved), certified=certified
+                )
+            merge_in(outcome, "merge_stumps", u, before)
+        stumps_map[u] = stumps
 
     # assemble the decomposition
     core = two_core(cur)
-    stumps_map = classify_stumps(cur)
     hubs = set()
     for a, b in fes:
         hubs.add(a)
@@ -667,7 +639,6 @@ def fen1_sequence(
     cyc_g = hp2.g
     cycle = two_core(cyc_g)
     assert cycle, "feedback edge number 1 leaves a cycle"
-    stumps_map = classify_stumps(cyc_g)
     pairs = []
     nxt = cyc_g.next_label
 
@@ -679,7 +650,7 @@ def fen1_sequence(
 
     pendant = {}
     for v in sorted(cycle):
-        stumps = stumps_map.get(v, ())
+        stumps = stumps_at(cyc_g, v)
         if stumps:
             pendant[v] = _stump_remnant(stumps, emit)
     order = _cycle_order(cyc_g, cycle)

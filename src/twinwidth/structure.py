@@ -176,48 +176,60 @@ class Stump:
     vertices: tuple[int, ...]  # (pendant,) or (inner, outer)
 
 
-def classify_stumps(g: Trigraph) -> dict[int, tuple[Stump, ...]]:
-    """Exhaustive stump classification, owner by owner.
+def _stump_owner(g: Trigraph, v):
+    """The owner of the two-vertex stump whose inner vertex is ``v``, or None.
 
-    Two-vertex stumps are claimed first (ascending owner label, then inner
-    vertex), then half stumps over the unclaimed pendants, so reported stump
-    vertex sets never overlap.
+    ``v`` has degree 2, one neighbour (the outer vertex) is a pendant, and the
+    other (the owner) is a black neighbour that is not a pendant itself.
     """
-    claimed = set()
-    found: dict[int, list[Stump]] = {}
-    for u in g.vertices:
-        for v in sorted(g.black_neighbors(u)):
-            if v in claimed or g.degree(v) != 2:
-                continue
-            others = [w for w in g.neighbors(v) if w != u]
-            if len(others) != 1:
-                continue
-            w = others[0]
-            if w == u or g.degree(w) != 1 or w in claimed:
-                continue
-            kind = (
-                StumpKind.RED if g.color(v, w) is EdgeColor.RED else StumpKind.BLACK
-            )
-            claimed.update((v, w))
-            found.setdefault(u, []).append(Stump(kind, u, (v, w)))
-    for u in g.vertices:
-        for v in sorted(g.black_neighbors(u)):
-            if v in claimed or g.degree(v) != 1:
-                continue
-            claimed.add(v)
-            found.setdefault(u, []).append(Stump(StumpKind.HALF, u, (v,)))
-    return {
-        u: tuple(sorted(stumps, key=lambda s: s.vertices))
-        for u, stumps in sorted(found.items())
-    }
+    if g.degree(v) != 2:
+        return None
+    a, b = g.neighbors(v)
+    for owner, outer in ((a, b), (b, a)):
+        if g.degree(outer) == 1 and g.degree(owner) > 1 and owner in g.black_neighbors(v):
+            return owner
+    return None
+
+
+def stumps_at(g: Trigraph, u) -> tuple[Stump, ...]:
+    """The stumps owned by ``u``, sorted by vertex tuple; a vertex that is not
+    live owns none.  Reads only ``u``'s neighbours and theirs.
+
+    A black neighbour ``v`` of degree 2 whose other neighbour ``w`` is a
+    pendant makes the two-vertex stump ``(v, w)``, black or red by the color
+    of ``vw``.  A black pendant ``v`` is a half stump, unless ``u`` is itself
+    the inner vertex of a neighbour's two-vertex stump.
+    """
+    if u not in g:
+        return ()
+    found = []
+    for v in g.black_neighbors(u):
+        if g.degree(v) == 1:
+            if _stump_owner(g, u) is None:
+                found.append(Stump(StumpKind.HALF, u, (v,)))
+        elif _stump_owner(g, v) == u:
+            (w,) = g.neighbors(v) - {u}
+            kind = StumpKind.RED if w in g.red_neighbors(v) else StumpKind.BLACK
+            found.append(Stump(kind, u, (v, w)))
+    return tuple(sorted(found, key=lambda s: s.vertices))
+
+
+def classify_stumps(g: Trigraph) -> dict[int, tuple[Stump, ...]]:
+    """Every owner's :func:`stumps_at`, by ascending owner label.
+
+    Stump vertex sets never overlap.  An owner of degree 1 owns no two-vertex
+    stump, so on a 3-vertex path the centre owns its black ends as half
+    stumps, whatever the labels.
+    """
+    return {u: s for u in sorted(g.vertices) if (s := stumps_at(g, u))}
 
 
 def red_stump_count(g: Trigraph) -> int:
+    """Number of red stumps, found from the red edges alone: a red edge whose
+    one end is the inner vertex of a two-vertex stump."""
     return sum(
-        1
-        for stumps in classify_stumps(g).values()
-        for s in stumps
-        if s.kind is StumpKind.RED
+        _stump_owner(g, a) is not None or _stump_owner(g, b) is not None
+        for a, b in g.red_edges()
     )
 
 
@@ -313,13 +325,11 @@ def validate_hp(hp: HPGraph) -> None:
         covered.update(pv)
     assert covered == set(g.vertices), "core and paths do not partition V"
 
-    all_stumps = classify_stumps(g)
     for path in hp.paths:
         verts = path.vertices
-        inner = set(verts)
         for v in verts:
             declared = path.stumps.get(v, ())
-            assert tuple(all_stumps.get(v, ())) == tuple(declared), (
+            assert stumps_at(g, v) == tuple(declared), (
                 f"stump annotation mismatch at {v}"
             )
         if path.flavor == ORIGINAL:

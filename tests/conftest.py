@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the package's optimized code paths:
 ``contract_oracle`` rebuilds a contraction from scratch by classifying every
-third vertex by its color pair, and ``naive_optimal_width`` enumerates every
-contraction sequence with no memoization or pruning.
+third vertex by its color pair, ``classify_stumps_oracle`` classifies the
+stumps of the whole trigraph in two claiming passes, and
+``naive_optimal_width`` enumerates every contraction sequence with no
+memoization or pruning.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import pytest
 
 from twinwidth.trigraph import EdgeColor, Trigraph, is_connected, new_trigraph
 from twinwidth.solver import canonical_key
+from twinwidth.structure import Stump, StumpKind
 
 
 # -- fixed instances -----------------------------------------------------------
@@ -124,6 +127,39 @@ def contract_oracle(g: Trigraph, u, v) -> Trigraph:
         radj[a].add(b)
         radj[b].add(a)
     return Trigraph._make(verts + [w], badj, radj, w + 1)
+
+
+def classify_stumps_oracle(g: Trigraph) -> dict:
+    """Whole-graph stump classification with a claimed set: two-vertex stumps
+    are claimed first (owners in vertex order, then inner vertex), then half
+    stumps over the unclaimed pendants.  Agrees with the owner-local rule
+    except on components of exactly three vertices, where the claim order
+    decides the owner."""
+    claimed = set()
+    found = {}
+    for u in g.vertices:
+        for v in sorted(g.black_neighbors(u)):
+            if v in claimed or g.degree(v) != 2:
+                continue
+            others = [w for w in g.neighbors(v) if w != u]
+            if len(others) != 1:
+                continue
+            w = others[0]
+            if w == u or g.degree(w) != 1 or w in claimed:
+                continue
+            kind = StumpKind.RED if g.color(v, w) is EdgeColor.RED else StumpKind.BLACK
+            claimed.update((v, w))
+            found.setdefault(u, []).append(Stump(kind, u, (v, w)))
+    for u in g.vertices:
+        for v in sorted(g.black_neighbors(u)):
+            if v in claimed or g.degree(v) != 1:
+                continue
+            claimed.add(v)
+            found.setdefault(u, []).append(Stump(StumpKind.HALF, u, (v,)))
+    return {
+        u: tuple(sorted(stumps, key=lambda s: s.vertices))
+        for u, stumps in sorted(found.items())
+    }
 
 
 def naive_optimal_width(g: Trigraph) -> int:

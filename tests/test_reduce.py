@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from twinwidth.corpus import random_connected_graph, random_tree, random_with_dangling_trees
+from twinwidth.corpus import (
+    cycle_with_trees,
+    random_connected_graph,
+    random_tree,
+    random_with_dangling_trees,
+)
 from twinwidth.errors import (
     BadStumpConfig,
     Disconnected,
@@ -237,7 +242,8 @@ class TestMergeStumps:
         out = merge_stumps(g, 0, CFG)
         kinds = [s.kind for s in classify_stumps(out.instance)[0]]
         assert kinds == [StumpKind.HALF]
-        assert not out.instance.has_red() or red_stump_count(out.instance) >= 0
+        # twin halves merge without a red edge: only the base's red stump stays
+        assert out.instance.red_edges() == g.red_edges()
         assert verify(g, out.lift.apply(optimal_sequence(out.instance, CFG).sequence)) <= max(
             optimal_sequence(out.instance, CFG).width, 2
         )
@@ -251,6 +257,8 @@ class TestMergeStumps:
         g = stumpy(["half"])
         with pytest.raises(NoMultipleStumps):
             merge_stumps(g, 0, CFG)
+        with pytest.raises(NoMultipleStumps):
+            merge_stumps(g, g.next_label, CFG)  # not a live vertex
 
     def test_equivalence_all_cases(self):
         for pattern in (["red", "half"], ["red", "black"], ["red", "red"],
@@ -303,6 +311,8 @@ class TestKillStumps:
             kill_stumps_prefix(g, 0)
         with pytest.raises(BadStumpConfig):
             kill_stumps_prefix(g, 2)
+        with pytest.raises(BadStumpConfig):
+            kill_stumps_prefix(g, g.next_label)  # not a live vertex
 
 
 class TestPrune:
@@ -384,6 +394,27 @@ class TestPrune:
     def test_disconnected_rejected(self):
         with pytest.raises(Disconnected):
             prune(new_trigraph(4, [(0, 1), (2, 3)]), CFG)
+
+    def test_stumps_classified_a_constant_number_of_times(self, monkeypatch):
+        # the merge loop asks each owner for its own stumps instead of
+        # classifying the whole trigraph again after every merge
+        from twinwidth import reduce as reduce_module, structure
+
+        calls = []
+        real = structure.classify_stumps
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        for module in (reduce_module, structure):
+            monkeypatch.setattr(module, "classify_stumps", counting)
+        g = cycle_with_trees(50, 450, random.Random(4))
+        trace = []
+        out = prune(g, CFG, trace)
+        assert not out.is_solved
+        assert sum(e["rule"] == "merge_stumps" for e in trace) > 10
+        assert len(calls) == 1
 
 
 class TestTidy:

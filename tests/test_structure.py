@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as stst
 
 from twinwidth.corpus import random_connected_graph, random_tree
 from twinwidth.errors import Disconnected, PreconditionViolated
@@ -12,15 +13,34 @@ from twinwidth.structure import (
     find_dangling_paths,
     find_dangling_trees,
     red_stump_count,
+    stumps_at,
     two_core,
 )
-from twinwidth.trigraph import new_trigraph
+from twinwidth.trigraph import connected_components, new_trigraph
 
-from conftest import make_fig3
+from conftest import classify_stumps_oracle, make_fig3
 
 
 def cycle(n):
     return new_trigraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@stst.composite
+def sparse_trigraphs(draw, max_n=14):
+    """A random forest, mostly one tree, plus up to three extra edges; each
+    edge is red with probability 0.3."""
+    n = draw(stst.integers(min_value=1, max_value=max_n))
+    edges = set()
+    for v in range(1, n):
+        u = draw(stst.integers(min_value=0, max_value=v))
+        if u < v:  # u == v starts a new component
+            edges.add((u, v))
+    if n >= 2:
+        for _ in range(draw(stst.integers(min_value=0, max_value=3))):
+            a, b = draw(stst.permutations(range(n)).map(lambda p: sorted(p[:2])))
+            edges.add((a, b))
+    red = {e for e in sorted(edges) if draw(stst.integers(0, 9)) < 3}
+    return new_trigraph(n, sorted(edges - red), sorted(red))
 
 
 class TestFeedbackEdges:
@@ -141,6 +161,38 @@ class TestStumps:
             for s in stumps:
                 assert used.isdisjoint(s.vertices)
                 used.update(s.vertices)
+
+    @pytest.mark.parametrize("centre", [0, 1, 2])
+    def test_three_path_centre_owns_both_ends(self, centre):
+        # an owner of degree 1 owns no two-vertex stump, so whatever the
+        # labels the centre of P3 owns its two ends as half stumps
+        a, b = [x for x in range(3) if x != centre]
+        g = new_trigraph(3, [(centre, a), (centre, b)])
+        stumps = classify_stumps(g)
+        assert list(stumps) == [centre]
+        assert [s.vertices for s in stumps[centre]] == [(a,), (b,)]
+        assert all(s.kind is StumpKind.HALF for s in stumps[centre])
+        # with the edge to b red, a (degree 1) still owns no red stump
+        g = new_trigraph(3, [(centre, a)], [(centre, b)])
+        assert classify_stumps(g) == {centre: (stumps[centre][0],)}
+        assert red_stump_count(g) == 0
+
+    def test_dead_vertex_owns_none(self):
+        g = new_trigraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        assert stumps_at(g, 4) == ()
+
+    @settings(max_examples=1000, derandomize=True)
+    @given(sparse_trigraphs())
+    def test_matches_claiming_oracle(self, g):
+        stumps = classify_stumps(g)
+        reds = sum(s.kind is StumpKind.RED for ss in stumps.values() for s in ss)
+        assert red_stump_count(g) == reds
+        if all(len(c) != 3 for c in connected_components(g)):
+            oracle = classify_stumps_oracle(g)
+            assert stumps == oracle
+            assert red_stump_count(g) == sum(
+                s.kind is StumpKind.RED for ss in oracle.values() for s in ss
+            )
 
 
 class TestDanglingPaths:

@@ -1,0 +1,78 @@
+"""Print one SHA-256 digest per solved instance, to check that a change leaves
+every answer byte-identical.
+
+Run it from the repository root before and after a change and diff the two
+outputs::
+
+    python3 tools/digest.py > before.txt
+    python3 tools/digest.py > after.txt
+    diff before.txt after.txt
+
+Each line is ``<set> <instance> <sha256>``.  An answered instance hashes the
+emitted sequence text followed by ``json.dumps(report, indent=2,
+sort_keys=True)``; an instance that runs out of budget hashes the
+``BudgetExceeded`` kind and message.  The instances are the 50-graph corpus
+of acceptance criterion 9, solved with ``twinwidth solve``'s defaults, and
+every instance of the fen1-deep-trees, fenk-kernel and exact-endgame
+benchmark workloads at seeds 1 and 2, solved as the benchmark solves them.
+Uses only the standard library and the ``src/`` and ``twbench/`` trees next
+to this script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "twbench")]
+
+from twinwidth import cli, corpus, kernel, solver  # noqa: E402
+from twinwidth.errors import BudgetExceeded  # noqa: E402
+
+import workloads  # noqa: E402
+
+WORKLOADS = ("fen1-deep-trees", "fenk-kernel", "exact-endgame")
+SEEDS = (1, 2)
+
+
+def criterion9_corpus():
+    """The graphs of ``tests/test_acceptance.py::test_criterion_9_determinism``."""
+    rng = random.Random(20240007)
+    out = []
+    for i in range(50):
+        n = rng.randrange(3, 10)
+        k = rng.randrange(0, 3)
+        if n - 1 + k > n * (n - 1) // 2:
+            k = 0
+        out.append((f"g{i}", cli.emit_graph(corpus.random_connected_graph(n, k, rng))))
+    return out
+
+
+def digest(text, policy, config):
+    g = cli.parse_graph(text)
+    try:
+        seq, report = kernel.solve(g, policy, config)
+    except BudgetExceeded as exc:
+        blob = f"{exc.kind}\n{exc}"
+    else:
+        blob = cli.emit_sequence(g, seq) + json.dumps(report, indent=2, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def main():
+    policy = kernel.Practical(workloads.PRACTICAL_FLOOR)
+    for name, text in criterion9_corpus():
+        print("criterion-9", name, digest(text, kernel.DEFAULT_POLICY, solver.SolverConfig()))
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for inst in workloads.build(workload, seed):
+                config = solver.SolverConfig(**inst.config)
+                print(f"{workload}/{seed}", inst.name, digest(inst.text, policy, config))
+
+
+if __name__ == "__main__":
+    main()
