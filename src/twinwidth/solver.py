@@ -10,6 +10,8 @@ never explored twice.
 
 Internally the trigraph is packed into per-vertex bitmasks; vertex identity
 is tracked on the side so certificates come back in the caller's labels.
+Each pair's resulting max red degree is computed from the bitmasks alone, so
+no child is built before the search descends into it.
 """
 
 from __future__ import annotations
@@ -77,16 +79,6 @@ class _Packed:
     def n_alive(self):
         return self.alive.bit_count()
 
-    def max_red(self):
-        best = 0
-        alive = self.alive
-        for i, r in enumerate(self.red):
-            if alive >> i & 1:
-                c = r.bit_count()
-                if c > best:
-                    best = c
-        return best
-
     def contract(self, i, j, new_id):
         """Merge slots i and j; the merged vertex lands in slot min(i, j)."""
         k, dead = (i, j) if i < j else (j, i)
@@ -122,100 +114,101 @@ class _Packed:
         return _Packed(tuple(black), tuple(red), self.alive & ~(1 << dead), tuple(ids))
 
     def alive_slots(self):
-        out = []
-        a = self.alive
-        while a:
-            low = a & -a
-            out.append(low.bit_length() - 1)
-            a ^= low
-        return out
+        return _bits(self.alive)
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # -- canonical form ---------------------------------------------------------------
 
 
-def _refine(cells, black, red, nverts):
+def _refine(cells, black, red):
     """Stable color refinement of an ordered partition; isomorphism-invariant.
 
-    Vertex signatures count neighbors per cell and per edge color, which
-    carries the same information as sorted neighbor-cell multisets."""
+    ``black`` and ``red`` list each vertex's neighbours.  A vertex of a cell
+    with more than one vertex is keyed by its black neighbours' cell numbers,
+    then its red neighbours', each negated and sorted high to low; singleton
+    cells cannot split and are skipped.  The partition starts from (black
+    degree, red degree) classes and only ever splits, so within a cell both
+    lists have one length, and the keys sort exactly as the vectors of
+    neighbour counts per cell and color compared lexicographically."""
+    cid = [0] * len(black)
     while True:
         ncells = len(cells)
-        cid = [0] * nverts
         for ci, cell in enumerate(cells):
             for v in cell:
                 cid[v] = ci
-        groups = {}
-        for ci, cell in enumerate(cells):
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
             for v in cell:
-                bcnt = [0] * ncells
-                m = black[v]
-                while m:
-                    low = m & -m
-                    bcnt[cid[low.bit_length() - 1]] += 1
-                    m ^= low
-                rcnt = [0] * ncells
-                m = red[v]
-                while m:
-                    low = m & -m
-                    rcnt[cid[low.bit_length() - 1]] += 1
-                    m ^= low
-                groups.setdefault((ci, tuple(bcnt), tuple(rcnt)), []).append(v)
-        if len(groups) == ncells:
+                key = sorted([-cid[x] for x in black[v]], reverse=True)
+                key += sorted([-cid[x] for x in red[v]], reverse=True)
+                groups.setdefault(tuple(key), []).append(v)
+            out += [groups[k] for k in sorted(groups)]
+        if len(out) == ncells:
             return cells
-        cells = [sorted(groups[s]) for s in sorted(groups)]
+        cells = out
 
 
 def _canon_packed(state: _Packed) -> bytes:
     """Exact canonical encoding of the live subtrigraph up to color-preserving
-    isomorphism: refinement plus backtracking over the first splittable cell."""
+    isomorphism: refinement plus backtracking over the first splittable cell.
+
+    Works on the slots directly: a dead slot has no bits anywhere, and the
+    encoding depends only on the order of the live slots."""
     slots = state.alive_slots()
     m = len(slots)
-    pos = {s: i for i, s in enumerate(slots)}
-    # compress masks to live slots 0..m-1
-    black = []
-    red = []
-    for s in slots:
-        b = 0
-        mask = state.black[s] & state.alive
-        while mask:
-            low = mask & -mask
-            b |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        r = 0
-        mask = state.red[s] & state.alive
-        while mask:
-            low = mask & -mask
-            r |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        black.append(b)
-        red.append(r)
+    if m == 0:
+        return b""
+    black = state.black
+    red = state.red
+    bn = [_bits(b) for b in black]
+    rn = [_bits(r) for r in red]
     # seed the partition with the (black degree, red degree) invariant
     by_deg = {}
-    for v in range(m):
-        by_deg.setdefault((black[v].bit_count(), red[v].bit_count()), []).append(v)
-    start = [sorted(by_deg[k]) for k in sorted(by_deg)]
+    for v in slots:
+        by_deg.setdefault((len(bn[v]), len(rn[v])), []).append(v)
+    start = [by_deg[k] for k in sorted(by_deg)]
 
     best = None
+    size = m * (m - 1) // 2
+    where = [0] * len(black)
 
     def encode(perm):
-        where = {v: i for i, v in enumerate(perm)}
-        buf = bytearray()
-        for i in range(m):
-            v = perm[i]
-            for j in range(i + 1, m):
-                u = perm[j]
-                if black[v] >> u & 1:
-                    buf.append(1)
-                elif red[v] >> u & 1:
-                    buf.append(2)
-                else:
-                    buf.append(0)
+        # the upper triangle row by row: the color (0 none, 1 black, 2 red) of
+        # positions i < j sits at row i's offset + j - i - 1
+        for i, v in enumerate(perm):
+            where[v] = i
+        buf = bytearray(size)
+        off = -1
+        for i, v in enumerate(perm):
+            base = off - i
+            for u in bn[v]:
+                j = where[u]
+                if j > i:
+                    buf[base + j] = 1
+            for u in rn[v]:
+                j = where[u]
+                if j > i:
+                    buf[base + j] = 2
+            off += m - 1 - i
         return bytes(buf)
 
     def rec(cells):
         nonlocal best
-        cells = _refine(cells, black, red, m)
+        cells = _refine(cells, bn, rn)
         target = None
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
@@ -246,10 +239,11 @@ def _canon_packed(state: _Packed) -> bytes:
             rest = [x for x in cell if x != v]
             rec(cells[:target] + [[v], rest] + cells[target + 1 :])
 
-    if m == 0:
-        return b""
     rec(start)
-    return bytes([m]) + best
+    # one byte for m < 255, else an escape byte and m in four bytes, so the
+    # prefix alone tells every m apart
+    head = bytes([m]) if m < 255 else b"\xff" + m.to_bytes(4, "big")
+    return head + best
 
 
 def canonical_key(g: Trigraph) -> CanonicalKey:
@@ -279,53 +273,55 @@ class _Budget:
             raise BudgetExceeded(0, 0, kind="time")
 
 
-def _ordered_children(state: _Packed, d: int, next_id: int):
-    """Children within the cap, ordered by (immediate max red degree, labels).
+def _ordered_children(state: _Packed, d: int):
+    """Pairs whose contraction keeps the max red degree within ``d``, as
+    sorted ``(max red, la, lb, i, j)`` tuples: ordered by the child's max red
+    degree, then by the pair's labels ``la < lb``; ``i``, ``j`` are slots.
 
-    Pairs are vetted with bit arithmetic before any child is materialized:
-    the merged vertex's red set is ``(N(u) | N(v)) - (Nb(u) & Nb(v))`` and
-    only vertices in it change red degree (by one up, minus dropped edges)."""
+    No child is built here; the caller contracts only the pair it searches.
+    The merged vertex's red set is ``nr = (N(u) | N(v)) - (Nb(u) & Nb(v))``,
+    each vertex in ``nr`` ends with red degree ``|red(x) - {u, v}| + 1``, and
+    every other live vertex keeps its own, the largest of which is read from
+    the node's red degrees sorted high to low."""
     slots = state.alive_slots()
     black = state.black
     red = state.red
     ids = state.ids
+    by_red = sorted([(red[x].bit_count(), x) for x in slots], reverse=True)
+    rows = [(x, 1 << x, black[x], black[x] | red[x]) for x in slots]
     out = []
-    for ai in range(len(slots)):
-        i = slots[ai]
-        bit_i = 1 << i
-        for bi in range(ai + 1, len(slots)):
-            j = slots[bi]
-            bit_j = 1 << j
+    for ai, (i, bit_i, bi, ni) in enumerate(rows):
+        for j, bit_j, bj, nj in rows[ai + 1 :]:
             pair = bit_i | bit_j
-            bu = black[i] & ~bit_j
-            bv = black[j] & ~bit_i
-            nb = bu & bv
-            nr = (bu | bv | (red[i] & ~bit_j) | (red[j] & ~bit_i)) & ~nb
-            local = nr.bit_count()
-            if local > d:
+            nr = (ni | nj) & ~(bi & bj | pair)
+            mr = nr.bit_count()
+            if mr > d:
                 continue
             ok = True
             touched = nr
             while touched:
                 low = touched & -touched
-                x = low.bit_length() - 1
-                rx = (red[x] & ~pair).bit_count() + 1
+                rx = (red[low.bit_length() - 1] & ~pair).bit_count() + 1
                 if rx > d:
                     ok = False
                     break
-                if rx > local:
-                    local = rx
+                if rx > mr:
+                    mr = rx
                 touched ^= low
             if not ok:
                 continue
-            child = state.contract(i, j, next_id)
-            mr = child.max_red()
+            skip = nr | pair
+            for rx, x in by_red:
+                if not skip >> x & 1:
+                    if rx > mr:
+                        mr = rx
+                    break
             if mr <= d:
                 la, lb = ids[i], ids[j]
                 if la > lb:
                     la, lb = lb, la
-                out.append((mr, la, lb, i, j, child))
-    out.sort(key=lambda t: t[:3])
+                out.append((mr, la, lb, i, j))
+    out.sort()
     return out
 
 
@@ -340,8 +336,8 @@ def _decide_rec(state: _Packed, d: int, next_id: int, memo: set, budget: _Budget
         cache[raw] = key
     if key in memo:
         return None
-    for _, _, _, i, j, child in _ordered_children(state, d, next_id):
-        sub = _decide_rec(child, d, next_id + 1, memo, budget, cache)
+    for _, _, _, i, j in _ordered_children(state, d):
+        sub = _decide_rec(state.contract(i, j, next_id), d, next_id + 1, memo, budget, cache)
         if sub is not None:
             return [(i, j, state.ids)] + sub
     memo.add(key)
@@ -384,10 +380,9 @@ def greedy_sequence(g: Trigraph) -> ContractionSequence:
     pairs = []
     next_id = g.next_label
     while state.n_alive() > 1:
-        children = _ordered_children(state, state.n_alive(), next_id)
-        _, la, lb, i, j, child = children[0]
+        _, la, lb, i, j = _ordered_children(state, state.n_alive())[0]
         pairs.append((la, lb))
-        state = child
+        state = state.contract(i, j, next_id)
         next_id += 1
     return ContractionSequence.build(g, pairs)
 

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's optimized code paths:
 ``contract_oracle`` rebuilds a contraction from scratch by classifying every
 third vertex by its color pair, ``classify_stumps_oracle`` classifies the
-stumps of the whole trigraph in two claiming passes, and
+stumps of the whole trigraph in two claiming passes,
+``canon_packed_oracle`` compresses the live slots and refines by per-cell
+neighbour counts, ``ordered_children_oracle`` builds every pair's child, and
 ``naive_optimal_width`` enumerates every contraction sequence with no
 memoization or pruning.
 """
@@ -160,6 +162,140 @@ def classify_stumps_oracle(g: Trigraph) -> dict:
         u: tuple(sorted(stumps, key=lambda s: s.vertices))
         for u, stumps in sorted(found.items())
     }
+
+
+def _refine_oracle(cells, black, red, nverts):
+    """Stable color refinement of an ordered partition; isomorphism-invariant.
+
+    Vertex signatures count neighbors per cell and per edge color, which
+    carries the same information as sorted neighbor-cell multisets."""
+    while True:
+        ncells = len(cells)
+        cid = [0] * nverts
+        for ci, cell in enumerate(cells):
+            for v in cell:
+                cid[v] = ci
+        groups = {}
+        for ci, cell in enumerate(cells):
+            for v in cell:
+                bcnt = [0] * ncells
+                m = black[v]
+                while m:
+                    low = m & -m
+                    bcnt[cid[low.bit_length() - 1]] += 1
+                    m ^= low
+                rcnt = [0] * ncells
+                m = red[v]
+                while m:
+                    low = m & -m
+                    rcnt[cid[low.bit_length() - 1]] += 1
+                    m ^= low
+                groups.setdefault((ci, tuple(bcnt), tuple(rcnt)), []).append(v)
+        if len(groups) == ncells:
+            return cells
+        cells = [sorted(groups[s]) for s in sorted(groups)]
+
+
+def canon_packed_oracle(state) -> bytes:
+    """Exact canonical encoding of the live subtrigraph up to color-preserving
+    isomorphism: refinement plus backtracking over the first splittable cell."""
+    slots = state.alive_slots()
+    m = len(slots)
+    pos = {s: i for i, s in enumerate(slots)}
+    # compress masks to live slots 0..m-1
+    black = []
+    red = []
+    for s in slots:
+        b = 0
+        mask = state.black[s] & state.alive
+        while mask:
+            low = mask & -mask
+            b |= 1 << pos[low.bit_length() - 1]
+            mask ^= low
+        r = 0
+        mask = state.red[s] & state.alive
+        while mask:
+            low = mask & -mask
+            r |= 1 << pos[low.bit_length() - 1]
+            mask ^= low
+        black.append(b)
+        red.append(r)
+    # seed the partition with the (black degree, red degree) invariant
+    by_deg = {}
+    for v in range(m):
+        by_deg.setdefault((black[v].bit_count(), red[v].bit_count()), []).append(v)
+    start = [sorted(by_deg[k]) for k in sorted(by_deg)]
+
+    best = None
+
+    def encode(perm):
+        where = {v: i for i, v in enumerate(perm)}
+        buf = bytearray()
+        for i in range(m):
+            v = perm[i]
+            for j in range(i + 1, m):
+                u = perm[j]
+                if black[v] >> u & 1:
+                    buf.append(1)
+                elif red[v] >> u & 1:
+                    buf.append(2)
+                else:
+                    buf.append(0)
+        return bytes(buf)
+
+    def rec(cells):
+        nonlocal best
+        cells = _refine_oracle(cells, black, red, m)
+        target = None
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                target = idx
+                break
+        if target is None:
+            enc = encode([c[0] for c in cells])
+            if best is None or enc < best:
+                best = enc
+            return
+        cell = cells[target]
+        # if swapping u and v (fixing everything else) is an automorphism,
+        # their branches yield the same minimum; keep one representative
+        reps = []
+        for v in cell:
+            dup = False
+            for u in reps:
+                mask = ~((1 << u) | (1 << v))
+                if (
+                    black[u] & mask == black[v] & mask
+                    and red[u] & mask == red[v] & mask
+                ):
+                    dup = True
+                    break
+            if dup:
+                continue
+            reps.append(v)
+            rest = [x for x in cell if x != v]
+            rec(cells[:target] + [[v], rest] + cells[target + 1 :])
+
+    if m == 0:
+        return b""
+    rec(start)
+    return bytes([m]) + best
+
+
+def ordered_children_oracle(state, d):
+    """Every pair's child built with ``contract``; the pairs whose child has
+    max red degree at most ``d`` over its live slots, as sorted
+    ``(max red, la, lb, i, j)`` tuples."""
+    slots = state.alive_slots()
+    out = []
+    for a, i in enumerate(slots):
+        for j in slots[a + 1 :]:
+            child = state.contract(i, j, -1)
+            mr = max(child.red[x].bit_count() for x in child.alive_slots())
+            if mr <= d:
+                la, lb = sorted((state.ids[i], state.ids[j]))
+                out.append((mr, la, lb, i, j))
+    return sorted(out)
 
 
 def naive_optimal_width(g: Trigraph) -> int:

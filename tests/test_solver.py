@@ -2,11 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as stst
 
+from twinwidth.corpus import random_connected_graph
 from twinwidth.errors import BudgetExceeded
 from twinwidth.sequence import verify
 from twinwidth.solver import (
     SolverConfig,
+    _canon_packed,
+    _ordered_children,
+    _Packed,
     canonical_key,
     decide_width_at_most,
     greedy_sequence,
@@ -14,7 +19,60 @@ from twinwidth.solver import (
 )
 from twinwidth.trigraph import new_trigraph
 
-from conftest import connected_graphs_up_to_iso, make_fig2, naive_optimal_width
+from conftest import (
+    canon_packed_oracle,
+    connected_graphs_up_to_iso,
+    make_fig2,
+    make_fig3,
+    make_fig3_middle,
+    make_fig3_tidy,
+    naive_optimal_width,
+    ordered_children_oracle,
+)
+
+
+def petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    return new_trigraph(10, edges)
+
+
+@stst.composite
+def packed_states(draw, max_n=16):
+    """A random trigraph on 1..16 vertices (each pair black with probability
+    0.3, red with 0.1), packed and then contracted at random pairs, so the
+    state carries red edges and dead slots as search states do."""
+    n = draw(stst.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    colors = draw(stst.lists(stst.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    g = new_trigraph(
+        n,
+        [p for p, c in zip(pairs, colors) if c < 3],
+        [p for p, c in zip(pairs, colors) if c == 3],
+    )
+    state = _Packed.from_trigraph(g)
+    next_id = g.next_label
+    for _ in range(draw(stst.integers(min_value=0, max_value=n - 1))):
+        slots = state.alive_slots()
+        i = draw(stst.sampled_from(slots))
+        j = draw(stst.sampled_from([s for s in slots if s != i]))
+        state = state.contract(i, j, next_id)
+        next_id += 1
+    return state
+
+
+def greedy_oracle_pairs(g):
+    """Greedy first descent over ``ordered_children_oracle``."""
+    state = _Packed.from_trigraph(g)
+    next_id = g.next_label
+    pairs = []
+    while state.n_alive() > 1:
+        _, la, lb, i, j = ordered_children_oracle(state, state.n_alive())[0]
+        pairs.append((la, lb))
+        state = state.contract(i, j, next_id)
+        next_id += 1
+    return pairs
 
 
 class TestOptimal:
@@ -112,6 +170,53 @@ class TestCanonicalKey:
         two_triangles = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         assert canonical_key(c6) != canonical_key(two_triangles)
 
+    def test_256_vertices(self):
+        path = new_trigraph(256, [(i, i + 1) for i in range(255)])
+        perm = list(range(256))
+        random.Random(3).shuffle(perm)
+        relabeled = new_trigraph(256, [(perm[i], perm[i + 1]) for i in range(255)])
+        star = new_trigraph(256, [(0, i) for i in range(1, 256)])
+        assert canonical_key(path) == canonical_key(relabeled)
+        assert canonical_key(path) != canonical_key(star)
+
+    def test_vertex_count_prefix_separates_sizes(self):
+        keys = [canonical_key(new_trigraph(n)) for n in (0, 1, 2, 254, 255, 256)]
+        assert len(set(keys)) == len(keys)
+
+
+class TestPackedOracles:
+    @settings(max_examples=300, derandomize=True)
+    @given(packed_states())
+    def test_canon_matches_oracle(self, state):
+        assert _canon_packed(state) == canon_packed_oracle(state)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(packed_states())
+    def test_children_match_oracle(self, state):
+        for d in (0, 1, 2, 3, 4, state.n_alive()):
+            assert _ordered_children(state, d) == ordered_children_oracle(state, d)
+
+    def test_greedy_pairs_unchanged(self):
+        assert greedy_sequence(make_fig2()).pairs() == [(0, 1), (2, 3), (5, 7), (4, 6), (8, 9)]
+        for g in (make_fig2(), make_fig3(), make_fig3_middle(), make_fig3_tidy()):
+            assert greedy_sequence(g).pairs() == greedy_oracle_pairs(g)
+
+
+class TestSearchShape:
+    """The smallest node cap under which the width-2 decision finishes pins
+    the search order, the memo hits and the node count."""
+
+    @pytest.mark.parametrize(
+        "g, nodes",
+        [(petersen(), 1), (random_connected_graph(16, 8, random.Random(2)), 2235)],
+        ids=["petersen", "random16"],
+    )
+    def test_smallest_node_cap(self, g, nodes):
+        assert decide_width_at_most(g, 2, SolverConfig(max_nodes=nodes)) is None
+        with pytest.raises(BudgetExceeded) as exc:
+            decide_width_at_most(g, 2, SolverConfig(max_nodes=nodes - 1))
+        assert exc.value.kind == "nodes"
+
 
 class TestBudgets:
     def test_vertex_cap(self):
@@ -128,6 +233,12 @@ class TestBudgets:
         res = optimal_sequence(c6, SolverConfig(max_nodes=1))
         assert not res.optimal and res.status == "not_proven"
         assert verify(c6, res.sequence) == res.width
+
+    def test_node_budget_at_256_vertices(self):
+        g = random_connected_graph(256, 3, random.Random(1))
+        with pytest.raises(BudgetExceeded) as exc:
+            decide_width_at_most(g, 2, SolverConfig(max_vertices=300, max_nodes=5))
+        assert exc.value.kind == "nodes"
 
     def test_greedy_is_deterministic(self):
         g = make_fig2()
