@@ -25,7 +25,7 @@ from .errors import (
     TwinWidthError,
 )
 from .kernel import Practical, Theory, general_kernel, solve, tww2_bikernel
-from .sequence import ContractionSequence, verify
+from .sequence import ContractionSequence, Emitter, verify
 from .solver import SolverConfig
 from .structure import (
     classify_stumps,
@@ -98,8 +98,7 @@ def emit_graph(g: Trigraph) -> str:
 def parse_sequence(g: Trigraph, text: str) -> ContractionSequence:
     """Read survivor-keeps-label steps against ``g`` (1-based labels)."""
     live = {i + 1: v for i, v in enumerate(sorted(g.vertices))}
-    pairs = []
-    fresh = g.next_label
+    pairs = Emitter(g.next_label)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -113,9 +112,7 @@ def parse_sequence(g: Trigraph, text: str) -> ContractionSequence:
             raise GraphSyntaxError(f"bad step line {line!r}", line=lineno)
         if u not in live or v not in live or u == v:
             raise GraphSyntaxError(f"step {u} {v} references a dead label", line=lineno)
-        pairs.append((live[u], live[v]))
-        live[u] = fresh
-        fresh += 1
+        live[u] = pairs.emit(live[u], live[v])
         del live[v]
     partial = len(pairs) < g.n - 1
     return ContractionSequence.build(g, pairs, partial=partial)

@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, Disconnected
 from .reduce import fen1_sequence, prune, tidy
-from .sequence import (
-    ContractionSequence,
-    Lift,
-    bound_at_least_two,
-    compose,
-    verify,
-)
+from .sequence import ContractionSequence, Emitter, Lift, compose, verify
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -80,11 +74,16 @@ def _floor_for(policy, core_size: int) -> int:
 
 def decimal(value: int) -> str:
     """Exact decimal string of a big integer, lifting the interpreter's
-    conversion-size guard when the value is a tower."""
+    conversion-size guard for this one conversion when the value is a tower."""
     digits = int(value.bit_length() * 0.30103) + 2
-    if hasattr(sys, "get_int_max_str_digits") and digits >= sys.get_int_max_str_digits():
-        sys.set_int_max_str_digits(digits + 10)
-    return str(value)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or digits < limit:
+        return str(value)
+    sys.set_int_max_str_digits(digits + 10)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass
@@ -112,31 +111,24 @@ def _pipeline(g: Trigraph, config: SolverConfig, trace, fes, checked=False):
     return None, hp, compose(lift, outcome.lift)
 
 
-def _shorten_paths(hp: HPGraph, targets):
-    """Contract each path down to its target vertex count; always merges the
-    lowest-labeled consecutive pair.  Returns (pairs, new paths)."""
-    pairs = []
-    nxt = hp.g.next_label
+def _shorten_paths(hp: HPGraph, lift, target: int):
+    """Contract each path down to ``target`` vertices, always merging the
+    lowest-labeled consecutive pair.  Returns the shortened decomposition and
+    ``lift`` extended by those contractions, with a bound of at least 2."""
+    pairs = Emitter(hp.g.next_label)
     new_paths = []
-    for path, target in zip(hp.paths, targets):
+    for path in hp.paths:
         ids = list(path.vertices)
         while len(ids) > target:
             best = min(
                 range(len(ids) - 1),
                 key=lambda i: tuple(sorted((ids[i], ids[i + 1]))),
             )
-            pairs.append((ids[best], ids[best + 1]))
-            ids[best : best + 2] = [nxt]
-            nxt += 1
+            ids[best : best + 2] = [pairs.emit(ids[best], ids[best + 1])]
         new_paths.append(PseudoPath(tuple(ids), {}, TIDY))
-    return pairs, new_paths
-
-
-def _finish_kernel(hp: HPGraph, lift, pairs, new_paths):
     cur = hp.g.replay(pairs)[0]
-    step = Lift(parent=hp.g, child=cur, prefix=tuple(pairs), bound=bound_at_least_two)
-    out_hp = HPGraph(cur, hp.core, new_paths, hp.tww2_certified)
-    return out_hp, compose(step, lift)
+    step = Lift(parent=hp.g, child=cur, prefix=tuple(pairs), at_least_two=True)
+    return HPGraph(cur, hp.core, new_paths, hp.tww2_certified), compose(step, lift)
 
 
 def tww2_bikernel(
@@ -177,8 +169,7 @@ def general_kernel(
 
 def _collapse_paths(hp: HPGraph, lift, k: int) -> KernelOutcome:
     """The bikernel of a tidy decomposition: every path becomes one vertex."""
-    pairs, new_paths = _shorten_paths(hp, [1] * len(hp.paths))
-    out_hp, lift = _finish_kernel(hp, lift, pairs, new_paths)
+    out_hp, lift = _shorten_paths(hp, lift, 1)
     kernel = out_hp.g
     assert kernel.n <= 116 * k, f"kernel size {kernel.n} exceeds 116k = {116 * k}"
     meta = {
@@ -211,16 +202,15 @@ def _absorb_and_shorten(hp: HPGraph, lift, k: int, policy, trace) -> KernelOutco
             trace.append({"rule": "absorb_short_paths", "count": len(short)})
     floor = floors[-1]
     working = HPGraph(hp.g, frozenset(core), paths, hp.tww2_certified)
-    pairs, new_paths = _shorten_paths(working, [floor] * len(paths))
-    out_hp, lift = _finish_kernel(working, lift, pairs, new_paths)
+    out_hp, lift = _shorten_paths(working, lift, floor)
     meta = {
         "k": k,
         "core_trajectory": core_sizes,
         "floors": [decimal(f) for f in floors],
-        "path_lengths": [len(p) for p in new_paths],
+        "path_lengths": [len(p) for p in out_hp.paths],
         "kernel_size": out_hp.g.n,
         "certified": out_hp.tww2_certified,
-        "shortened": bool(pairs),
+        "shortened": out_hp.g.n < working.g.n,
     }
     return KernelOutcome(kernel=out_hp.g, lift=lift, meta=meta)
 

@@ -11,9 +11,10 @@ original, within a certified width bound:
   black-and-half pair) remains,
 * pseudo-paths are cleaned into stump-free red paths ("tidied"),
 
-``prune`` runs the tree rules exhaustively and assembles the core/path
-decomposition.  ``fen1_sequence`` builds a width-2 sequence for any connected
-graph with at most one feedback edge on top of that.
+A tree or stump rule is just its contraction pairs.  ``prune`` plays them all
+on one working copy of its input into one prefix, and assembles the core/path
+decomposition; the public rules play one.  ``fen1_sequence`` builds a width-2
+sequence for any connected graph with at most one feedback edge on top.
 
 Rules that are only safe when the instance has twin-width at least 2 perform
 a width-1 decision as due diligence while the instance carries fewer than two
@@ -26,6 +27,7 @@ optimality claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce as fold
 
 from .errors import (
     BadStumpConfig,
@@ -38,14 +40,7 @@ from .errors import (
     NotOriginal,
     PreconditionViolated,
 )
-from .sequence import (
-    ContractionSequence,
-    Lift,
-    bound_at_least_two,
-    bound_identity,
-    compose,
-    identity_lift,
-)
+from .sequence import ContractionSequence, Emitter, Lift, compose
 from .solver import DEFAULT_CONFIG, SolverConfig, decide_width_at_most
 from .structure import (
     HPGraph,
@@ -54,6 +49,7 @@ from .structure import (
     StumpKind,
     TIDY,
     _legal_stump_set,
+    _stump_owner,
     classify_stumps,
     feedback_edge_set,
     find_dangling_trees,
@@ -104,23 +100,14 @@ def _tree_children(g: Trigraph, root, allowed=None):
     return children, seen
 
 
-def _fold_subtree_pairs(children, root, fresh0):
-    """Contract everything strictly below ``root`` into a single vertex.
+def _fold_subtree(children, root, pairs: Emitter):
+    """Contract everything strictly below ``root`` into a single vertex,
+    emitting the pairs into ``pairs``.
 
     Children are folded in label order; siblings' remnants are merged as soon
     as both exist, which keeps every red degree at 2 or below.  Returns the
-    contraction pairs and the label of the final merged child (None if the
-    root is a leaf).
+    label of the final merged child (None if the root is a leaf).
     """
-    pairs = []
-    fresh = fresh0
-
-    def emit(a, b):
-        nonlocal fresh
-        pairs.append((a, b))
-        fresh += 1
-        return fresh - 1
-
     frames = [[root, 0, None]]
     ret = None
     root_acc = None
@@ -128,7 +115,7 @@ def _fold_subtree_pairs(children, root, fresh0):
         frame = frames[-1]
         v, idx, acc = frame
         if ret is not None:
-            acc = ret if acc is None else emit(acc, ret)
+            acc = ret if acc is None else pairs.emit(acc, ret)
             frame[2] = acc
             ret = None
         kids = children[v]
@@ -142,8 +129,8 @@ def _fold_subtree_pairs(children, root, fresh0):
         elif acc is None:
             ret = v
         else:
-            ret = emit(acc, v)
-    return pairs, root_acc
+            ret = pairs.emit(acc, v)
+    return root_acc
 
 
 def tree_sequence(t: Trigraph, root) -> ContractionSequence:
@@ -154,60 +141,144 @@ def tree_sequence(t: Trigraph, root) -> ContractionSequence:
     children, seen = _tree_children(t, root)
     if len(seen) != t.n or t.black_edge_count() != t.n - 1:
         raise NotATree("input is not a connected acyclic black graph")
-    pairs, acc = _fold_subtree_pairs(children, root, t.next_label)
+    pairs = Emitter(t.next_label)
+    acc = _fold_subtree(children, root, pairs)
     if acc is not None:
-        pairs.append((root, acc))
+        pairs.emit(root, acc)
     return ContractionSequence.build(t, pairs)
 
 
 # -- individual rules -------------------------------------------------------------
 
 
+class _Reduction:
+    """Plays rules on a working copy of ``g`` into one prefix and one lift.
+
+    A guarded rule, safe only at twin-width >= 2, sets ``at_least_two``; it
+    is certified by two red stumps or a failed width-1 decision, and a
+    width-1 sequence found instead becomes ``solved``.
+
+    ``red_stumps`` is kept without a rescan: a tree cut adds one, the folded
+    tree, and a stump merge changes only its owner's stumps (``stumps`` keeps
+    them), as long as the owner keeps degree >= 3 and so never becomes a
+    stump's inner vertex, as every core owner in ``prune`` does.  Star cuts
+    and twin half stumps make no red edge.
+    """
+
+    def __init__(self, g: Trigraph, config: SolverConfig, certified=False):
+        self.g = g
+        self.work = g._frozen()
+        self.config = config
+        self.prefix = []
+        self.at_least_two = False
+        self.certified = certified
+        self.red_stumps = red_stump_count(g)
+        self.stumps = ()
+        self.solved = None
+
+    def _play(self, pairs):
+        self.work._play(pairs)
+        self.prefix += pairs
+        return self
+
+    def _guard(self, red_change):
+        """Finish a guarded rule that changed the red stump count by
+        ``red_change``: certify it, or solve ``g``; returns the runner."""
+        self.red_stumps += red_change
+        self.at_least_two = True
+        if self.red_stumps >= 2:
+            self.certified = True
+        elif self.work.n <= self.config.max_vertices:
+            try:
+                onewide = decide_width_at_most(self.work._frozen(), 1, self.config)
+            except BudgetExceeded:
+                return self
+            if onewide is None:
+                self.certified = True
+            else:
+                pairs = self.prefix + onewide.pairs()
+                self.solved = ContractionSequence.build(self.g, pairs)
+        return self
+
+    def lift(self, child: Trigraph) -> Lift:
+        return Lift(self.g, child, tuple(self.prefix), self.at_least_two)
+
+    def outcome(self) -> RuleOutcome:
+        if self.solved is not None:
+            return RuleOutcome(solved=self.solved, certified=self.certified)
+        cur = self.work._frozen()
+        return RuleOutcome(instance=cur, lift=self.lift(cur), certified=self.certified)
+
+    def reduce_star(self, tree):
+        g = self.work
+        _, v = tree.bridge
+        leaves = sorted(tree.vertices - {v})
+        if len(leaves) < 2:
+            raise NotAStar("star must have at least two leaves beyond its center")
+        for leaf in leaves:
+            if g.neighbors(leaf) != frozenset((v,)) or g.color(leaf, v) is not EdgeColor.BLACK:
+                raise NotAStar(f"{leaf} is not a black pendant of {v}")
+        if not tree.all_black:
+            raise NotAStar("star contains a red edge")
+        pairs = Emitter(g.next_label)
+        fold(pairs.emit, leaves)
+        return self._play(pairs)
+
+    def reduce_tree(self, tree):
+        g = self.work
+        u, v = tree.bridge
+        if not tree.all_black:
+            raise PreconditionViolated("dangling tree must be black")
+        children, seen = _tree_children(g, v, allowed=tree.vertices)
+        if seen != tree.vertices:
+            raise PreconditionViolated("tree vertices are not a dangling black tree")
+        if all(not children[c] for c in children[v]):
+            raise PreconditionViolated("tree has no vertex at distance 2 from its root")
+        pairs = Emitter(g.next_label)
+        acc = _fold_subtree(children, v, pairs)
+        self._play(pairs)._guard(_stump_owner(g, v) == u)
+        assert self.solved is not None or g.color(v, acc) is EdgeColor.RED, (
+            "folded tree must hang red"
+        )
+        return self
+
+    def merge_stumps(self, u, stumps):
+        g = self.work
+        if len(stumps) < 2:
+            raise NoMultipleStumps(f"{u} owns {len(stumps)} stump(s)")
+        reds = [s for s in stumps if s.kind is StumpKind.RED]
+        blacks = [s for s in stumps if s.kind is StumpKind.BLACK]
+        halves = [s for s in stumps if s.kind is StumpKind.HALF]
+        twins = not reds and len(halves) >= 2
+        if reds:
+            keeper = reds[0]
+            victim = next(s for s in stumps if s is not keeper)
+            rv, rw = keeper.vertices
+            if victim.kind is StumpKind.HALF:
+                pairs = [(victim.vertices[0], rv)]
+            else:
+                v0, w0 = victim.vertices
+                pairs = [(w0, rw), (v0, rv)]
+        elif twins:
+            pairs = Emitter(g.next_label)
+            fold(pairs.emit, [s.vertices[0] for s in halves])
+        elif len(blacks) >= 2:
+            (v1, w1), (v2, w2) = blacks[0].vertices, blacks[1].vertices
+            pairs = [(w1, w2), (v1, v2)]
+        else:
+            raise NoMultipleStumps(f"{u} owns only the allowed black-and-half pair")
+        self._play(pairs)
+        self.stumps = stumps_at(g, u)
+        if twins:
+            return self
+        return self._guard(sum(s.kind is StumpKind.RED for s in self.stumps) - len(reds))
+
+
 def reduce_star(g: Trigraph, tree) -> RuleOutcome:
     """Replace a dangling black star (>= 2 leaves) by a black stump on its
     attachment vertex.  Lift: contract the leaves (pairwise twins) first, then
     follow the reduced instance's sequence."""
-    u, v = tree.bridge
-    leaves = sorted(tree.vertices - {v})
-    if len(leaves) < 2:
-        raise NotAStar("star must have at least two leaves beyond its center")
-    for leaf in leaves:
-        if g.neighbors(leaf) != frozenset((v,)) or g.color(leaf, v) is not EdgeColor.BLACK:
-            raise NotAStar(f"{leaf} is not a black pendant of {v}")
-    if not tree.all_black:
-        raise NotAStar("star contains a red edge")
-    pairs = []
-    acc = leaves[0]
-    nxt = g.next_label
-    for leaf in leaves[1:]:
-        pairs.append((acc, leaf))
-        acc = nxt
-        nxt += 1
-    reduced = g.replay(pairs)[0]
-    lift = Lift(parent=g, child=reduced, prefix=tuple(pairs), bound=bound_identity)
-    return RuleOutcome(instance=reduced, lift=lift, certified=False)
-
-
-def _guarded_rule(g: Trigraph, pairs, config: SolverConfig) -> RuleOutcome:
-    """Apply a rule that is safe only at twin-width >= 2: replay ``pairs``
-    into the candidate and certify that bound by two red stumps or a failed
-    width-1 decision.  If the candidate has a width-1 sequence, ``g`` is
-    solved instead by ``pairs`` followed by that sequence.  A candidate over
-    the decision budget gives an uncertified outcome."""
-    candidate = g.replay(pairs)[0]
-    certified = red_stump_count(candidate) >= 2
-    if not certified and candidate.n <= config.max_vertices:
-        try:
-            onewide = decide_width_at_most(candidate, 1, config)
-        except BudgetExceeded:
-            pass
-        else:
-            if onewide is not None:
-                seq = ContractionSequence.build(g, pairs + onewide.pairs())
-                return RuleOutcome(solved=seq)
-            certified = True
-    lift = Lift(parent=g, child=candidate, prefix=tuple(pairs), bound=bound_at_least_two)
-    return RuleOutcome(instance=candidate, lift=lift, certified=certified)
+    return _Reduction(g, DEFAULT_CONFIG).reduce_star(tree).outcome()
 
 
 def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
@@ -217,55 +288,14 @@ def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> Rul
     instead solves the input: contract the tree onto its root, then follow the
     candidate's width-1 sequence.
     """
-    u, v = tree.bridge
-    if not tree.all_black:
-        raise PreconditionViolated("dangling tree must be black")
-    children, seen = _tree_children(g, v, allowed=tree.vertices)
-    if seen != tree.vertices:
-        raise PreconditionViolated("tree vertices are not a dangling black tree")
-    if all(not children[c] for c in children[v]):
-        raise PreconditionViolated("tree has no vertex at distance 2 from its root")
-    pairs, acc = _fold_subtree_pairs(children, v, g.next_label)
-    outcome = _guarded_rule(g, pairs, config)
-    assert outcome.is_solved or outcome.instance.color(v, acc) is EdgeColor.RED, (
-        "folded tree must hang red"
-    )
-    return outcome
+    return _Reduction(g, config).reduce_tree(tree).outcome()
 
 
 def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
     """Merge one excess stump on ``u``: beside a red stump any other stump is
     absorbed into it; half stumps merge pairwise as twins; two black stumps
     become one red stump.  A black-and-half pair is a legal terminal state."""
-    stumps = stumps_at(g, u)
-    if len(stumps) < 2:
-        raise NoMultipleStumps(f"{u} owns {len(stumps)} stump(s)")
-    reds = [s for s in stumps if s.kind is StumpKind.RED]
-    blacks = [s for s in stumps if s.kind is StumpKind.BLACK]
-    halves = [s for s in stumps if s.kind is StumpKind.HALF]
-    if reds:
-        keeper = reds[0]
-        victim = next(s for s in stumps if s is not keeper)
-        rv, rw = keeper.vertices
-        if victim.kind is StumpKind.HALF:
-            return _guarded_rule(g, [(victim.vertices[0], rv)], config)
-        v0, w0 = victim.vertices
-        return _guarded_rule(g, [(w0, rw), (v0, rv)], config)
-    if len(halves) >= 2:
-        pairs = []
-        acc = halves[0].vertices[0]
-        nxt = g.next_label
-        for s in halves[1:]:
-            pairs.append((acc, s.vertices[0]))
-            acc = nxt
-            nxt += 1
-        reduced = g.replay(pairs)[0]
-        lift = Lift(parent=g, child=reduced, prefix=tuple(pairs), bound=bound_identity)
-        return RuleOutcome(instance=reduced, lift=lift, certified=False)
-    if len(blacks) >= 2:
-        (v1, w1), (v2, w2) = blacks[0].vertices, blacks[1].vertices
-        return _guarded_rule(g, [(w1, w2), (v1, v2)], config)
-    raise NoMultipleStumps(f"{u} owns only the allowed black-and-half pair")
+    return _Reduction(g, config).merge_stumps(u, stumps_at(g, u)).outcome()
 
 
 def _stump_remnant(stumps, emit):
@@ -294,21 +324,13 @@ def kill_stumps_prefix(g: Trigraph, u) -> ContractionSequence:
     stumps = stumps_at(g, u)
     if not stumps:
         raise BadStumpConfig(f"{u} owns no stumps")
-    pairs = []
-    nxt = g.next_label
-
-    def emit(a, b):
-        nonlocal nxt
-        pairs.append((a, b))
-        nxt += 1
-        return nxt - 1
-
-    x = _stump_remnant(stumps, emit)
+    pairs = Emitter(g.next_label)
+    x = _stump_remnant(stumps, pairs.emit)
     if x is None:
         raise BadStumpConfig(
             f"{u} must own a single stump or a black-and-half pair"
         )
-    emit(u, x)
+    pairs.emit(u, x)
     return ContractionSequence.build(g, pairs, partial=True)
 
 
@@ -326,26 +348,18 @@ def _tidy_one_path(cur: Trigraph, path: PseudoPath):
     """
     verts = path.vertices
     n = len(verts)
-    pairs = []
-    nxt = cur.next_label
+    pairs = Emitter(cur.next_label)
     desc = {v: v for v in verts}
-
-    def emit(a, b):
-        nonlocal nxt
-        pairs.append((a, b))
-        nxt += 1
-        return nxt - 1
-
     for idx in range(2, n - 2):
         stumps = path.stumps.get(verts[idx], ())
         if stumps:
-            x = _stump_remnant(stumps, emit)
-            desc[verts[idx]] = emit(desc[verts[idx]], x)
+            x = _stump_remnant(stumps, pairs.emit)
+            desc[verts[idx]] = pairs.emit(desc[verts[idx]], x)
     for idx, inner in ((1, 2), (n - 2, n - 3)):
         stumps = path.stumps.get(verts[idx], ())
         if stumps:
-            x = _stump_remnant(stumps, emit)
-            desc[verts[inner]] = emit(x, desc[verts[inner]])
+            x = _stump_remnant(stumps, pairs.emit)
+            desc[verts[inner]] = pairs.emit(x, desc[verts[inner]])
     final = cur.replay(pairs)[0]
     redden = {}
     for i in range(1, n - 2):
@@ -367,13 +381,13 @@ def tidy(hp: HPGraph, trace=None):
     absorbed into the core with their stumps (at most 24 vertices each);
     longer ones become red dangling paths whose 3+3 boundary vertices and
     endpoint stumps move into the core.  Returns the tidy decomposition and
-    the composed lift."""
+    one lift, whose prefix is every path's pairs in turn."""
     for path in hp.paths:
         if path.flavor not in (ORIGINAL, TIDY):
             raise NotOriginal(f"unknown path flavor {path.flavor}")
     cur = hp.g
     core = set(hp.core)
-    lift_total = identity_lift(cur)
+    prefix = []
     new_paths = []
     for path in hp.paths:
         if path.flavor == TIDY:
@@ -386,10 +400,8 @@ def tidy(hp: HPGraph, trace=None):
                     {"rule": "absorb_path", "site": list(path.vertices)}
                 )
             continue
-        pairs, reduced, new_path, moved = _tidy_one_path(cur, path)
-        lift = Lift(parent=cur, child=reduced, prefix=tuple(pairs), bound=bound_identity)
-        lift_total = compose(lift, lift_total)
-        cur = reduced
+        pairs, cur, new_path, moved = _tidy_one_path(cur, path)
+        prefix += pairs
         core.update(moved)
         new_paths.append(PseudoPath(new_path, {}, TIDY))
         if trace is not None:
@@ -401,7 +413,7 @@ def tidy(hp: HPGraph, trace=None):
                 }
             )
     out = HPGraph(cur, frozenset(core), new_paths, hp.tww2_certified)
-    return out, lift_total
+    return out, Lift(hp.g, cur, tuple(prefix))
 
 
 # -- the pruning pipeline ------------------------------------------------------------
@@ -479,10 +491,10 @@ def prune(
 
     Returns either a solved width<=2 sequence of ``g`` (always for acyclic
     inputs, and whenever a width<=1 decision succeeds along the way) or the
-    decomposition plus the composed lift.  With ``k`` feedback edges the core
-    has at most ``16k`` vertices and there are at most ``4k`` pseudo-paths.
-    ``_checked=True`` promises the caller already ruled out width <= 1;
-    ``_fes`` passes the caller's ``feedback_edge_set(g)``.
+    decomposition plus one lift for all its rules.  With ``k`` feedback
+    edges the core has at most ``16k`` vertices and there are at most ``4k``
+    pseudo-paths.  ``_checked=True`` promises the caller already ruled out
+    width <= 1; ``_fes`` passes the caller's ``feedback_edge_set(g)``.
     """
     if not is_connected(g):
         raise Disconnected("pruning expects a connected graph")
@@ -511,59 +523,45 @@ def prune(
         note({"rule": "tree_input", "root": root})
         return RuleOutcome(solved=tree_sequence(g, root), certified=certified)
 
-    cur = g
-    lift_total = identity_lift(g)
+    run = _Reduction(g, config, certified)
 
-    def merge_in(outcome, rule, site, before):
-        nonlocal cur, lift_total, certified
+    def apply(rule, site, *args):
+        # the observer sees the rule played alone on a snapshot, as the public
+        # rule would play it
         if observer is not None:
-            observer(rule, before, outcome)
-        cur = outcome.instance
-        lift_total = compose(outcome.lift, lift_total)
-        certified = certified or outcome.certified
-        note({"rule": rule, "site": site})
+            before = run.work._frozen()
+            observer(rule.__name__, before, rule(_Reduction(before, config), *args).outcome())
+        rule(run, *args)
+        solved = run.solved is not None
+        note({"rule": rule.__name__ + ("_solved" if solved else ""), "site": site})
+        return solved
 
-    chunks = find_dangling_trees(cur)
     stars = []
     trees = []
-    for chunk in chunks:
+    for chunk in find_dangling_trees(g):
         if len(chunk.vertices) <= 2:
             continue  # already a stump
-        (stars if _is_star_at_root(cur, chunk) else trees).append(chunk)
+        (stars if _is_star_at_root(g, chunk) else trees).append(chunk)
     for chunk in stars:
-        before = cur
-        outcome = reduce_star(cur, chunk)
-        merge_in(outcome, "reduce_star", chunk.bridge[0], before)
+        apply(_Reduction.reduce_star, chunk.bridge[0], chunk)
     for chunk in trees:
-        before = cur
-        outcome = reduce_tree(cur, chunk, config)
-        if outcome.is_solved:
-            if observer is not None:
-                observer("reduce_tree", before, outcome)
-            note({"rule": "reduce_tree_solved", "site": chunk.bridge[0]})
-            return RuleOutcome(
-                solved=lift_total.apply(outcome.solved), certified=certified
-            )
-        merge_in(outcome, "reduce_tree", chunk.bridge[0], before)
+        if apply(_Reduction.reduce_tree, chunk.bridge[0], chunk):
+            return run.outcome()
 
     # Every owner is a core vertex and keeps degree >= 3, and a merge on u
-    # contracts only u's stump vertices, so no other owner's stumps change.
-    stumps_map = classify_stumps(cur)
-    for u in list(stumps_map):
-        while not _legal_stump_set(stumps := stumps_at(cur, u)):
-            before = cur
-            outcome = merge_stumps(cur, u, config)
-            if outcome.is_solved:
-                if observer is not None:
-                    observer("merge_stumps", before, outcome)
-                note({"rule": "merge_stumps_solved", "site": u})
-                return RuleOutcome(
-                    solved=lift_total.apply(outcome.solved), certified=certified
-                )
-            merge_in(outcome, "merge_stumps", u, before)
+    # contracts only u's stump vertices, so no other owner's stumps change:
+    # one classification serves every owner until its own merges, each of
+    # which reports the stumps it leaves.
+    stumps_map = classify_stumps(run.work)
+    for u, stumps in list(stumps_map.items()):
+        while not _legal_stump_set(stumps):
+            if apply(_Reduction.merge_stumps, u, u, stumps):
+                return run.outcome()
+            stumps = run.stumps
         stumps_map[u] = stumps
 
     # assemble the decomposition
+    cur = run.work._frozen()
     core = two_core(cur)
     hubs = set()
     for a, b in fes:
@@ -596,10 +594,10 @@ def prune(
         )
         for run in runs
     ]
-    hp = HPGraph(cur, frozenset(h_vertices), paths, certified)
+    hp = HPGraph(cur, frozenset(h_vertices), paths, run.certified)
     validate_hp(hp)
     note({"rule": "decomposed", "core": len(h_vertices), "paths": len(paths)})
-    return RuleOutcome(instance=hp, lift=lift_total, certified=certified)
+    return RuleOutcome(instance=hp, lift=run.lift(cur), certified=run.certified)
 
 
 # -- feedback edge number one ---------------------------------------------------------
@@ -639,27 +637,19 @@ def fen1_sequence(
     cyc_g = hp2.g
     cycle = two_core(cyc_g)
     assert cycle, "feedback edge number 1 leaves a cycle"
-    pairs = []
-    nxt = cyc_g.next_label
-
-    def emit(a, b):
-        nonlocal nxt
-        pairs.append((a, b))
-        nxt += 1
-        return nxt - 1
-
+    pairs = Emitter(cyc_g.next_label)
     pendant = {}
     for v in sorted(cycle):
         stumps = stumps_at(cyc_g, v)
         if stumps:
-            pendant[v] = _stump_remnant(stumps, emit)
+            pendant[v] = _stump_remnant(stumps, pairs.emit)
     order = _cycle_order(cyc_g, cycle)
     walker = order[0]
     if order[0] in pendant:
-        walker = emit(pendant[order[0]], order[0])
+        walker = pairs.emit(pendant[order[0]], order[0])
     for v in order[1:]:
         if v in pendant:
-            walker = emit(pendant[v], walker)
-        walker = emit(walker, v)
+            walker = pairs.emit(pendant[v], walker)
+        walker = pairs.emit(walker, v)
     seq = ContractionSequence.build(cyc_g, pairs)
     return compose(lift2, lift1).apply(seq)

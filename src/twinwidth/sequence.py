@@ -7,17 +7,18 @@ produces vertex ``base.next_label + i``, so sequences can be spliced without
 replaying any graph.
 
 A :class:`Lift` turns a full sequence of a reduced instance back into a full
-sequence of the instance it was derived from, with a certified width bound.
-Every lift here is of prefix form: the reduced instance is reachable from the
-parent by playing ``prefix``, after which the reduced instance's own steps
-apply verbatim (the reduced instance may have some of those edges recolored
-red, which never invalidates a step).
+sequence of the instance it was derived from.  Every lift is of prefix form:
+the reduced instance is reachable from the parent by playing ``prefix``,
+after which the reduced instance's own steps apply verbatim (the reduced
+instance may have some of those edges recolored red, which never invalidates
+a step).  Its bound keeps the width, or raises it to ``max(w, 2)`` when
+``at_least_two`` is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     DeadVertexAtStep,
@@ -104,6 +105,19 @@ def verify(g: Trigraph, seq: ContractionSequence, require_full=None) -> int:
     return width
 
 
+class Emitter(list):
+    """Contraction pairs against a trigraph whose next fresh label is
+    ``first``; ``emit(a, b)`` appends a pair and returns the label it makes."""
+
+    def __init__(self, first: int):
+        super().__init__()
+        self.first = first
+
+    def emit(self, a, b) -> int:
+        self.append((a, b))
+        return self.first + len(self) - 1
+
+
 class BagForest:
     """Maps every vertex that ever existed to its bag of original vertices."""
 
@@ -155,15 +169,12 @@ def restrict(g: Trigraph, seq: ContractionSequence, subset) -> ContractionSequen
     induced = g.induce(keep)
     # live projected vertex for every base vertex whose bag meets the subset
     proj = {v: v for v in keep}
-    pairs = []
-    count = 0
+    pairs = Emitter(induced.next_label)
     for step in seq.steps:
         pa = proj.get(step.a)
         pb = proj.get(step.b)
         if pa is not None and pb is not None:
-            pairs.append((pa, pb))
-            proj[step.result] = induced.next_label + count
-            count += 1
+            proj[step.result] = pairs.emit(pa, pb)
         elif pa is not None:
             proj[step.result] = pa
         elif pb is not None:
@@ -174,14 +185,6 @@ def restrict(g: Trigraph, seq: ContractionSequence, subset) -> ContractionSequen
 # -- lifts ---------------------------------------------------------------------
 
 
-def bound_identity(w: int) -> int:
-    return w
-
-
-def bound_at_least_two(w: int) -> int:
-    return max(w, 2)
-
-
 @dataclass(frozen=True)
 class Lift:
     """Maps full sequences of ``child`` to full sequences of ``parent``.
@@ -189,14 +192,14 @@ class Lift:
     ``apply`` plays ``prefix`` on the parent and then the child sequence's
     steps verbatim; this is valid because ``child`` has the same vertices and
     fresh-label counter as the parent after the prefix (its edges may differ
-    only by recoloring).  ``bound`` certifies the resulting width in terms of
-    the input width; it is validated dynamically wherever lifts are tested.
+    only by recoloring).  ``bound(w)`` is ``max(w, 2)`` if ``at_least_two``,
+    else ``w``; it is validated dynamically wherever lifts are tested.
     """
 
     parent: Trigraph
     child: Trigraph
     prefix: tuple[tuple[int, int], ...]
-    bound: Callable[[int], int] = bound_identity
+    at_least_two: bool = False
 
     def __post_init__(self):
         expect = self.parent.next_label + len(self.prefix)
@@ -205,6 +208,9 @@ class Lift:
                 f"child counter {self.child.next_label} != parent counter after "
                 f"prefix {expect}"
             )
+
+    def bound(self, w: int) -> int:
+        return max(w, 2) if self.at_least_two else w
 
     def apply(self, seq: ContractionSequence) -> ContractionSequence:
         if seq.base != self.child:
@@ -223,10 +229,9 @@ def compose(inner: Lift, outer: Lift) -> Lift:
     intermediate to parent; ``inner.parent`` must equal ``outer.child``."""
     if inner.parent != outer.child:
         raise InstanceMismatch("lifts do not chain: inner.parent != outer.child")
-    ib, ob = inner.bound, outer.bound
     return Lift(
         parent=outer.parent,
         child=inner.child,
         prefix=outer.prefix + inner.prefix,
-        bound=lambda w: ob(ib(w)),
+        at_least_two=outer.at_least_two or inner.at_least_two,
     )

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .sequence import ContractionSequence, verify
+from .sequence import ContractionSequence, Emitter, verify
 from .trigraph import Trigraph
 
 CanonicalKey = bytes
@@ -377,13 +377,10 @@ def greedy_sequence(g: Trigraph) -> ContractionSequence:
     immediate max red degree, ties by labels.  Deterministic, carries no
     optimality proof; used as the budget-exhausted fallback."""
     state = _Packed.from_trigraph(g)
-    pairs = []
-    next_id = g.next_label
+    pairs = Emitter(g.next_label)
     while state.n_alive() > 1:
         _, la, lb, i, j = _ordered_children(state, state.n_alive())[0]
-        pairs.append((la, lb))
-        state = state.contract(i, j, next_id)
-        next_id += 1
+        state = state.contract(i, j, pairs.emit(la, lb))
     return ContractionSequence.build(g, pairs)
 
 

@@ -8,8 +8,8 @@ red-adjacent when it was adjacent to either but the pair was not black-black.
 Vertex labels of retired vertices are never reused: every trigraph carries a
 monotone counter and the contraction result always gets a fresh label.
 
-All operations are pure and return new values, so trigraphs can be shared
-freely between concurrent workers.
+All public operations are pure and return new values; only ``replay`` and the
+reduction runner edit a private working copy, through ``Trigraph._play``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class Trigraph:
     def __init__(self, black, red, next_label):
         # Private: callers go through new_trigraph / contract / replay / induce /
         # recolor.
-        # Maps vertex -> frozenset of neighbors, one map per color; keys are kept
-        # in ascending insertion order so iteration is deterministic.
+        # Maps vertex -> neighbor frozenset (a set once _play thaws it), one map
+        # per color, in ascending insertion order so iteration is deterministic.
         self._black = black
         self._red = red
         self._next_label = next_label
@@ -182,14 +182,31 @@ class Trigraph:
         which takes the last place in the vertex order; every other vertex
         keeps its place.  ``width`` is the largest red degree seen, ``self``
         included.  A step naming a dead or repeated vertex raises
-        :class:`DeadVertexAtStep`.  The adjacency maps are copied once; a
-        vertex's neighbor set is thawed when a step first touches it and
-        frozen again at the end, so each step costs only its degrees.
+        :class:`DeadVertexAtStep`.
         """
-        black = dict(self._black)
-        red = dict(self._red)
-        thawed = set()
-        width = self.max_red_degree()
+        work = self._frozen()
+        width = work._play(pairs)
+        return work._frozen(), max(self.max_red_degree(), width)
+
+    def _frozen(self):
+        """Freeze every neighbour set in place and return a copy with its own
+        vertex maps: an immutable trigraph, and a working copy that
+        :meth:`_play` may edit.  Freezing in place keeps one set per vertex
+        alive, and ``_play`` thaws a set again when a step touches it."""
+        for adj in (self._black, self._red):
+            for v, s in adj.items():
+                if type(s) is not frozenset:
+                    adj[v] = frozenset(s)
+        return Trigraph(dict(self._black), dict(self._red), self._next_label)
+
+    def _play(self, pairs):
+        """The one body that applies the contraction rule: play ``pairs`` in
+        place, as :meth:`replay` describes, and return the largest red degree
+        the steps create.  A neighbour set is thawed when a step first touches
+        it, so each step costs only its degrees."""
+        black = self._black
+        red = self._red
+        width = 0
         w = self._next_label
         for i, (u, v) in enumerate(pairs):
             if u not in black or v not in black or u == v:
@@ -202,12 +219,11 @@ class Trigraph:
             red_w.discard(u)
             red_w.discard(v)
             for x in black_w | red_w:
-                if x not in thawed:
-                    thawed.add(x)
-                    black[x] = set(black[x])
-                    red[x] = set(red[x])
                 bx = black[x]
                 rx = red[x]
+                if type(bx) is frozenset:
+                    bx = black[x] = set(bx)
+                    rx = red[x] = set(rx)
                 bx.discard(u)
                 bx.discard(v)
                 rx.discard(u)
@@ -219,14 +235,10 @@ class Trigraph:
                     width = max(width, len(rx))
             black[w] = black_w
             red[w] = red_w
-            thawed.add(w)
             width = max(width, len(red_w))
             w += 1
-        for x in thawed:
-            if x in black:
-                black[x] = frozenset(black[x])
-                red[x] = frozenset(red[x])
-        return Trigraph(black, red, w), width
+        self._next_label = w
+        return width
 
     def induce(self, subset):
         """Induced subtrigraph on ``subset``, preserving labels and the counter."""

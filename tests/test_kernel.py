@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -143,7 +144,27 @@ class TestGeneralKernel:
         floors = out.meta["floors"]
         assert all(isinstance(f, str) and f.isdigit() for f in floors)
         t0 = out.meta["core_trajectory"][0]
-        assert int(floors[0]) == path_floor(t0)
+        # decimal() lifts the conversion guard only for its own conversion, so
+        # parsing the tower back lifts it here, for this comparison only
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(floors[0]) == path_floor(t0)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_decimal_restores_the_conversion_guard(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+        try:
+            text = decimal(path_floor(16))
+            assert sys.get_int_max_str_digits() == 4300
+            # the same digits as a conversion with no guard at all
+            sys.set_int_max_str_digits(0)
+            assert text == str(path_floor(16))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(text) > 4300
 
     def test_core_trajectory_grows(self):
         g = long_path_instance()

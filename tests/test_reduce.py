@@ -36,7 +36,7 @@ from twinwidth.structure import (
     red_stump_count,
     validate_hp,
 )
-from twinwidth.trigraph import new_trigraph
+from twinwidth.trigraph import Trigraph, new_trigraph
 
 from conftest import make_fig3, make_fig3_middle, make_fig3_tidy
 
@@ -409,12 +409,56 @@ class TestPrune:
 
         for module in (reduce_module, structure):
             monkeypatch.setattr(module, "classify_stumps", counting)
+        # nor does it recount red stumps or recompute the width of the whole
+        # trigraph after every rule
+        scans = {"red_stump_count": 0, "max_red_degree": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                scans[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        red_count = counted("red_stump_count", structure.red_stump_count)
+        for module in (reduce_module, structure):
+            monkeypatch.setattr(module, "red_stump_count", red_count)
+        monkeypatch.setattr(
+            Trigraph, "max_red_degree", counted("max_red_degree", Trigraph.max_red_degree)
+        )
         g = cycle_with_trees(50, 450, random.Random(4))
         trace = []
         out = prune(g, CFG, trace)
         assert not out.is_solved
         assert sum(e["rule"] == "merge_stumps" for e in trace) > 10
         assert len(calls) == 1
+        assert scans["red_stump_count"] <= 1
+        assert scans["max_red_degree"] <= 1
+
+    def test_running_red_stump_count(self):
+        # with no width-1 decision, prune is certified exactly when some rule
+        # leaves two red stumps; the observer's outcomes are recounted over
+        # the whole trigraph, prune's own count only at each rule's owner
+        rng = random.Random(31)
+        certified = 0
+        for _ in range(60):
+            core_n = rng.randrange(4, 8)
+            g = random_with_dangling_trees(
+                core_n, rng.randrange(1, 4), rng.randrange(10, 61), rng
+            )
+            outcomes = []
+            out = prune(
+                g,
+                SolverConfig(max_vertices=0),
+                observer=lambda rule, before, o: outcomes.append(o),
+            )
+            assert not out.is_solved
+            expect = any(
+                red_stump_count(o.instance) >= 2 for o in outcomes if not o.is_solved
+            )
+            assert out.certified == expect
+            certified += expect
+        assert 0 < certified < 60
 
 
 class TestTidy:

@@ -162,12 +162,26 @@ class TestLifts:
     def test_compose_with_identity(self):
         g = make_fig2()
         g1 = g.contract(4, 5)
-        step = Lift(parent=g, child=g1, prefix=((4, 5),), bound=lambda w: max(w, 2))
+        step = Lift(parent=g, child=g1, prefix=((4, 5),), at_least_two=True)
         total = compose(step, identity_lift(g))
         seq1 = optimal_sequence(g1).sequence
         lifted = total.apply(seq1)
         assert lifted.pairs()[0] == (4, 5)
         assert verify(g, lifted) <= total.bound(verify(g1, seq1))
+
+    def test_long_chain_bound(self):
+        # a bound is a flag, so a long chain of lifts evaluates in one step
+        # instead of nesting one call per lift
+        g = new_trigraph(3, [(0, 1), (1, 2)])
+        total = identity_lift(g)
+        for _ in range(1200):
+            total = compose(identity_lift(g), total)
+        assert total.bound(3) == 3
+        total = compose(Lift(parent=g, child=g, prefix=(), at_least_two=True), total)
+        for _ in range(1200):
+            total = compose(identity_lift(g), total)
+        assert total.bound(1) == 2
+        assert total.bound(3) == 3
 
     def test_compose_mismatch(self):
         g = make_fig2()
