@@ -8,9 +8,12 @@ rest down to exactly the floor; under the theoretical floor the bound is a
 tower function of the core size, computed exactly with big integers, so in
 practice the paths are simply absorbed.  ``solve`` chains the fast width-1
 and width-2 routes, the feedback-edge-one construction, and the two kernels
-with the exact solver as endgame; it runs prune and tidy once and derives the
-bikernel and, when that does not close, the general kernel from that one
-tidy decomposition and its lift.  Every emitted sequence is re-verified
+with the exact solver as endgame.  A connected plain-graph solve builds one
+reduction runner (``reduce._Reduction``) and plays every stage on it: the
+up-front width-0/1 check, prune, tidy, and then the feedback-edge-one walk
+or the kernels; the bikernel is shortened on a fork of the runner, and the
+general kernel on the runner itself.  The input's connectivity and feedback
+edge set are established once.  Every emitted sequence is re-verified
 before it is reported.
 """
 
@@ -19,16 +22,16 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, Disconnected
-from .reduce import fen1_sequence, prune, tidy
-from .sequence import ContractionSequence, Emitter, Lift, compose, verify
+from .errors import Disconnected
+from .reduce import _Reduction, _fen1, _prune, _tidy
+from .sequence import ContractionSequence, Emitter, Lift, verify
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
     decide_width_at_most,
     optimal_sequence,
 )
-from .structure import HPGraph, PseudoPath, TIDY, feedback_edge_set
+from .structure import HPGraph, feedback_edge_set
 from .trigraph import Trigraph, connected_components, is_connected
 
 
@@ -101,34 +104,33 @@ class KernelOutcome:
 # -- shared pipeline -----------------------------------------------------------------
 
 
-def _pipeline(g: Trigraph, config: SolverConfig, trace, fes, checked=False):
-    """prune + tidy of ``g`` with feedback edge set ``fes``; returns
-    (solved sequence | None, tidy HPGraph, lift)."""
-    outcome = prune(g, config, trace, _checked=checked, _fes=fes)
-    if outcome.is_solved:
-        return outcome.solved, None, None
-    hp, lift = tidy(outcome.instance, trace)
-    return None, hp, compose(lift, outcome.lift)
-
-
-def _shorten_paths(hp: HPGraph, lift, target: int):
-    """Contract each path down to ``target`` vertices, always merging the
-    lowest-labeled consecutive pair.  Returns the shortened decomposition and
-    ``lift`` extended by those contractions, with a bound of at least 2."""
-    pairs = Emitter(hp.g.next_label)
-    new_paths = []
-    for path in hp.paths:
+def _shorten_paths(run: _Reduction, paths, target: int):
+    """Contract each path down to ``target`` vertices on the runner, always
+    merging the lowest-labeled consecutive pair; the runner's bound becomes
+    at least 2.  Returns the kernel and the new path lengths."""
+    pairs = Emitter(run.work.next_label)
+    lengths = []
+    for path in paths:
         ids = list(path.vertices)
         while len(ids) > target:
-            best = min(
-                range(len(ids) - 1),
-                key=lambda i: tuple(sorted((ids[i], ids[i + 1]))),
-            )
+            best = min(range(len(ids) - 1), key=lambda i: sorted((ids[i], ids[i + 1])))
             ids[best : best + 2] = [pairs.emit(ids[best], ids[best + 1])]
-        new_paths.append(PseudoPath(tuple(ids), {}, TIDY))
-    cur = hp.g.replay(pairs)[0]
-    step = Lift(parent=hp.g, child=cur, prefix=tuple(pairs), at_least_two=True)
-    return HPGraph(cur, hp.core, new_paths, hp.tww2_certified), compose(step, lift)
+        lengths.append(len(ids))
+    run._play(pairs).at_least_two = True
+    return run.work._frozen(), lengths
+
+
+def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
+    """A public kernel: a fresh runner on ``g``, pruned, tidied, and shortened
+    by ``derive(run, hp)``, which returns the kernel and its meta."""
+    if not is_connected(g):
+        raise Disconnected("kernelization expects a connected graph")
+    run = _Reduction(g, config, feedback_edge_set(g), trace)
+    hp = _prune(run)
+    if hp is None:
+        return KernelOutcome(solved=run.solved, meta={"k": len(run.fes)})
+    kernel, meta = derive(run, _tidy(run, hp))
+    return KernelOutcome(kernel=kernel, lift=run.lift(kernel), meta=meta)
 
 
 def tww2_bikernel(
@@ -138,14 +140,7 @@ def tww2_bikernel(
 ) -> KernelOutcome:
     """Reduce the width-2 decision to a kernel of at most 116k vertices by
     collapsing every tidy path to a single vertex."""
-    if not is_connected(g):
-        raise Disconnected("kernelization expects a connected graph")
-    fes = feedback_edge_set(g)
-    k = len(fes)
-    solved, hp, lift = _pipeline(g, config, trace, fes)
-    if solved is not None:
-        return KernelOutcome(solved=solved, meta={"k": k})
-    return _collapse_paths(hp, lift, k)
+    return _kernel(g, config, trace, _collapse_paths)
 
 
 def general_kernel(
@@ -157,33 +152,28 @@ def general_kernel(
     """Absorb paths shorter than the policy floor into the core (recomputing
     the floor each round, since it grows with the core) and shorten the rest
     to exactly the floor."""
-    if not is_connected(g):
-        raise Disconnected("kernelization expects a connected graph")
-    fes = feedback_edge_set(g)
-    k = len(fes)
-    solved, hp, lift = _pipeline(g, config, trace, fes)
-    if solved is not None:
-        return KernelOutcome(solved=solved, meta={"k": k})
-    return _absorb_and_shorten(hp, lift, k, policy, trace)
+    return _kernel(g, config, trace, lambda run, hp: _absorb_and_shorten(run, hp, policy))
 
 
-def _collapse_paths(hp: HPGraph, lift, k: int) -> KernelOutcome:
-    """The bikernel of a tidy decomposition: every path becomes one vertex."""
-    out_hp, lift = _shorten_paths(hp, lift, 1)
-    kernel = out_hp.g
+def _collapse_paths(run: _Reduction, hp: HPGraph):
+    """The bikernel of a tidy decomposition: every path becomes one vertex.
+    Returns the kernel and its meta."""
+    k = len(run.fes)
+    kernel, _ = _shorten_paths(run, hp.paths, 1)
     assert kernel.n <= 116 * k, f"kernel size {kernel.n} exceeds 116k = {116 * k}"
     meta = {
         "k": k,
-        "core_size": len(out_hp.core),
+        "core_size": len(hp.core),
         "path_lengths": [len(p) for p in hp.paths],
         "kernel_size": kernel.n,
-        "certified": out_hp.tww2_certified,
+        "certified": hp.tww2_certified,
     }
-    return KernelOutcome(kernel=kernel, lift=lift, meta=meta)
+    return kernel, meta
 
 
-def _absorb_and_shorten(hp: HPGraph, lift, k: int, policy, trace) -> KernelOutcome:
-    """The general kernel of a tidy decomposition under ``policy``."""
+def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
+    """The general kernel of a tidy decomposition under ``policy``.
+    Returns the kernel and its meta."""
     core = set(hp.core)
     paths = list(hp.paths)
     core_sizes = [len(core)]
@@ -198,21 +188,19 @@ def _absorb_and_shorten(hp: HPGraph, lift, k: int, policy, trace) -> KernelOutco
             core.update(p.all_vertices())
         paths = [p for p in paths if len(p) >= floor]
         core_sizes.append(len(core))
-        if trace is not None:
-            trace.append({"rule": "absorb_short_paths", "count": len(short)})
-    floor = floors[-1]
-    working = HPGraph(hp.g, frozenset(core), paths, hp.tww2_certified)
-    out_hp, lift = _shorten_paths(working, lift, floor)
+        run.trace.append({"rule": "absorb_short_paths", "count": len(short)})
+    n_tidy = run.work.n
+    kernel, lengths = _shorten_paths(run, paths, floors[-1])
     meta = {
-        "k": k,
+        "k": len(run.fes),
         "core_trajectory": core_sizes,
         "floors": [decimal(f) for f in floors],
-        "path_lengths": [len(p) for p in out_hp.paths],
-        "kernel_size": out_hp.g.n,
-        "certified": out_hp.tww2_certified,
-        "shortened": out_hp.g.n < working.g.n,
+        "path_lengths": lengths,
+        "kernel_size": kernel.n,
+        "certified": hp.tww2_certified,
+        "shortened": kernel.n < n_tidy,
     }
-    return KernelOutcome(kernel=out_hp.g, lift=lift, meta=meta)
+    return kernel, meta
 
 
 # -- driver ------------------------------------------------------------------------
@@ -228,57 +216,51 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
         trace.append({"rule": "exact_trigraph", "width": result.width})
         report["status"] = "optimal" if result.optimal else "upper_bound"
         return result.sequence
-    fes = feedback_edge_set(g)
-    k = len(fes)
+    # one runner plays every stage; ``g`` is connected and its feedback edge
+    # set is computed here, once
+    run = _Reduction(g, config, feedback_edge_set(g), trace)
+    k = len(run.fes)
     report["k"] = k
-    checked = False
-    if g.n <= config.max_vertices:
-        for d in (0, 1):
-            try:
-                seq = decide_width_at_most(g, d, config)
-            except BudgetExceeded:
-                break
-            if seq is not None:
-                trace.append({"rule": "solved_by_decision", "width": d})
-                report["status"] = "optimal"
-                return seq
-        else:
-            checked = True
-            report["tww_at_least_2"] = True
+    run.decide()
+    if run.solved is not None:
+        report["status"] = "optimal"
+        return run.solved
+    if run.refuted:
+        report["tww_at_least_2"] = True
+    status = "optimal" if run.refuted else "upper_bound"
     if k <= 1:
-        seq = fen1_sequence(g, config, _checked=checked)
+        seq = _fen1(run)
         trace.append({"rule": "fen1_construction"})
-        report["status"] = "optimal" if checked else "upper_bound"
+        report["status"] = status
         return seq
-    # one prune+tidy pass feeds both kernels
-    solved, hp, lift = _pipeline(g, config, trace, fes, checked)
-    if solved is not None:
-        report["status"] = "optimal" if checked else "upper_bound"
-        return solved
-    outcome = _collapse_paths(hp, lift, k)
-    report["bikernel"] = outcome.meta
-    if outcome.kernel.n <= config.max_vertices:
-        seq2 = decide_width_at_most(outcome.kernel, 2, config)
+    hp = _prune(run)
+    if hp is None:
+        report["status"] = status
+        return run.solved
+    hp = _tidy(run, hp)
+    bi = run.fork()
+    kernel, meta = _collapse_paths(bi, hp)
+    report["bikernel"] = meta
+    if kernel.n <= config.max_vertices:
+        seq2 = decide_width_at_most(kernel, 2, config)
         if seq2 is not None:
             trace.append({"rule": "bikernel_width2"})
-            report["status"] = (
-                "optimal" if outcome.meta["certified"] else "upper_bound"
-            )
-            return outcome.lift.apply(seq2)
-    general = _absorb_and_shorten(hp, lift, k, policy, trace)
-    report["general_kernel"] = general.meta
-    result = optimal_sequence(general.kernel, config)
+            report["status"] = "optimal" if meta["certified"] else "upper_bound"
+            return bi.sequence(seq2.pairs())
+    kernel, meta = _absorb_and_shorten(run, hp, policy)
+    report["general_kernel"] = meta
+    result = optimal_sequence(kernel, config)
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
     if not result.optimal:
         report["status"] = "upper_bound"
-    elif not general.meta["shortened"] and general.meta["certified"]:
+    elif not meta["shortened"] and meta["certified"]:
         # kernel is the reduced instance itself, equivalent to the input
         report["status"] = "optimal"
     elif isinstance(policy, Theory):
         report["status"] = "plus_one"
     else:
         report["status"] = "upper_bound"
-    return general.lift.apply(result.sequence)
+    return run.sequence(result.sequence.pairs())
 
 
 def _offset_pairs(seq: ContractionSequence, base_next: int, offset: int):
@@ -301,22 +283,19 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     comps = connected_components(g)
     if len(comps) <= 1:
         seq = _solve_connected(g, policy, config, report)
-        width = verify(g, seq)
-        report["width"] = width
+        report["width"] = verify(g, seq)
         return seq, report
     report["components"] = len(comps)
     all_pairs = []
     statuses = []
-    for comp in comps:
-        sub = g.induce(comp)
+    for sub in g.split(comps):
         sub_report = {"n": sub.n, "policy": report["policy"]}
         seq = _solve_connected(sub, policy, config, sub_report)
         all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))
         statuses.append(sub_report.get("status", "upper_bound"))
         report.setdefault("rules", []).extend(sub_report.get("rules", []))
     combined = ContractionSequence.build(g, all_pairs)
-    width = verify(g, combined)
-    report["width"] = width
+    report["width"] = verify(g, combined)
     order = {"upper_bound": 0, "plus_one": 1, "optimal": 2}
     report["status"] = min(statuses, key=lambda s: order.get(s, 0))
     return combined, report

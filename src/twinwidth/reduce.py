@@ -11,10 +11,14 @@ original, within a certified width bound:
   black-and-half pair) remains,
 * pseudo-paths are cleaned into stump-free red paths ("tidied"),
 
-A tree or stump rule is just its contraction pairs.  ``prune`` plays them all
-on one working copy of its input into one prefix, and assembles the core/path
-decomposition; the public rules play one.  ``fen1_sequence`` builds a width-2
-sequence for any connected graph with at most one feedback edge on top.
+Every stage is a list of contraction pairs played on one runner,
+:class:`_Reduction`: a working copy of the input, one prefix and one
+at-least-two flag.  A connected plain-graph solve builds one runner and
+hands it to each stage body in turn: the up-front width-0/1 check,
+``_prune`` (tree and stump rules, then the core/path decomposition),
+``_tidy``, and then either the feedback-edge-one walk ``_fen1`` or the
+kernels.  The public functions are a fresh runner plus one body; a
+:class:`~twinwidth.sequence.Lift` is built only where one is returned.
 
 Rules that are only safe when the instance has twin-width at least 2 perform
 a width-1 decision as due diligence while the instance carries fewer than two
@@ -26,6 +30,7 @@ optimality claims.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import reduce as fold
 
@@ -40,7 +45,7 @@ from .errors import (
     NotOriginal,
     PreconditionViolated,
 )
-from .sequence import ContractionSequence, Emitter, Lift, compose
+from .sequence import ContractionSequence, Emitter, Lift
 from .solver import DEFAULT_CONFIG, SolverConfig, decide_width_at_most
 from .structure import (
     HPGraph,
@@ -152,7 +157,13 @@ def tree_sequence(t: Trigraph, root) -> ContractionSequence:
 
 
 class _Reduction:
-    """Plays rules on a working copy of ``g`` into one prefix and one lift.
+    """The runner of one solve: plays every stage's pairs on a working copy
+    of ``g`` into one prefix, with one lift flag.
+
+    ``fes`` is the input's feedback edge set, computed once by the caller,
+    and ``trace`` the list the stages append their rule events to.
+    ``decide`` is the up-front width-0/1 check of ``g``; it runs at most once
+    per runner, and ``refuted`` records that it ruled out width <= 1.
 
     A guarded rule, safe only at twin-width >= 2, sets ``at_least_two``; it
     is certified by two red stumps or a failed width-1 decision, and a
@@ -165,13 +176,17 @@ class _Reduction:
     and twin half stumps make no red edge.
     """
 
-    def __init__(self, g: Trigraph, config: SolverConfig, certified=False):
+    def __init__(self, g: Trigraph, config: SolverConfig, fes=None, trace=None):
         self.g = g
         self.work = g._frozen()
         self.config = config
+        self.fes = fes
+        self.trace = [] if trace is None else trace
         self.prefix = []
         self.at_least_two = False
-        self.certified = certified
+        self.certified = False
+        self.decided = False
+        self.refuted = False
         self.red_stumps = red_stump_count(g)
         self.stumps = ()
         self.solved = None
@@ -180,6 +195,38 @@ class _Reduction:
         self.work._play(pairs)
         self.prefix += pairs
         return self
+
+    def fork(self) -> _Reduction:
+        """An independent runner that has played the same prefix."""
+        twin = copy(self)
+        twin.work = self.work._frozen()
+        twin.prefix = list(self.prefix)
+        return twin
+
+    def sequence(self, pairs) -> ContractionSequence:
+        """The full sequence of ``g``: the prefix, then ``pairs`` of the
+        working trigraph."""
+        return ContractionSequence.build(self.g, self.prefix + list(pairs))
+
+    def decide(self):
+        """The up-front width-0/1 check of ``g``, run at most once and only
+        within the vertex budget: a sequence found becomes ``solved``, and two
+        refutations certify width >= 2.  A budget miss leaves both unset."""
+        if self.decided or self.g.n > self.config.max_vertices:
+            self.decided = True
+            return
+        self.decided = True
+        try:
+            for d in (0, 1):
+                seq = decide_width_at_most(self.g, d, self.config)
+                if seq is not None:
+                    self.trace.append({"rule": "solved_by_decision", "width": d})
+                    self.solved = seq
+                    self.certified = True
+                    return
+        except BudgetExceeded:
+            return
+        self.refuted = self.certified = True
 
     def _guard(self, red_change):
         """Finish a guarded rule that changed the red stump count by
@@ -196,8 +243,7 @@ class _Reduction:
             if onewide is None:
                 self.certified = True
             else:
-                pairs = self.prefix + onewide.pairs()
-                self.solved = ContractionSequence.build(self.g, pairs)
+                self.solved = self.sequence(onewide.pairs())
         return self
 
     def lift(self, child: Trigraph) -> Lift:
@@ -327,9 +373,7 @@ def kill_stumps_prefix(g: Trigraph, u) -> ContractionSequence:
     pairs = Emitter(g.next_label)
     x = _stump_remnant(stumps, pairs.emit)
     if x is None:
-        raise BadStumpConfig(
-            f"{u} must own a single stump or a black-and-half pair"
-        )
+        raise BadStumpConfig(f"{u} must own a single stump or a black-and-half pair")
     pairs.emit(u, x)
     return ContractionSequence.build(g, pairs, partial=True)
 
@@ -337,10 +381,11 @@ def kill_stumps_prefix(g: Trigraph, u) -> ContractionSequence:
 # -- tidying pseudo-paths ----------------------------------------------------------
 
 
-def _tidy_one_path(cur: Trigraph, path: PseudoPath):
-    """Turn one original pseudo-path into a stump-free red path.
+def _tidy_one_path(run: _Reduction, path: PseudoPath):
+    """Turn one original pseudo-path into a stump-free red path on the
+    runner's working trigraph.
 
-    Returns (pairs, reduced, new_path_vertices, moved_to_core).
+    Returns (new_path_vertices, moved_to_core).
     Interior stumps are contracted onto their path vertex from the leftmost
     stumped vertex outward; the two vertices next to the endpoints instead
     push their last stump remnant onto their inner neighbor, which keeps the
@@ -348,7 +393,7 @@ def _tidy_one_path(cur: Trigraph, path: PseudoPath):
     """
     verts = path.vertices
     n = len(verts)
-    pairs = Emitter(cur.next_label)
+    pairs = Emitter(run.work.next_label)
     desc = {v: v for v in verts}
     for idx in range(2, n - 2):
         stumps = path.stumps.get(verts[idx], ())
@@ -360,20 +405,38 @@ def _tidy_one_path(cur: Trigraph, path: PseudoPath):
         if stumps:
             x = _stump_remnant(stumps, pairs.emit)
             desc[verts[inner]] = pairs.emit(x, desc[verts[inner]])
-    final = cur.replay(pairs)[0]
-    redden = {}
-    for i in range(1, n - 2):
-        a, b = desc[verts[i]], desc[verts[i + 1]]
-        if final.color(a, b) is EdgeColor.BLACK:
-            redden[(a, b)] = EdgeColor.RED
-    reduced = final.recolor(redden, unchecked=True)
+    work = run._play(pairs).work
+    edges = [(desc[verts[i]], desc[verts[i + 1]]) for i in range(1, n - 2)]
+    work._redden([e for e in edges if work.color(*e) is EdgeColor.BLACK])
     new_path = tuple(desc[verts[i]] for i in range(3, n - 3))
     moved = {verts[0], verts[n - 1]}
     moved.update(desc[verts[i]] for i in (1, 2, n - 3, n - 2))
     for endpoint in (verts[0], verts[n - 1]):
         for s in path.stumps.get(endpoint, ()):
             moved.update(s.vertices)
-    return pairs, reduced, new_path, moved
+    return new_path, moved
+
+
+def _tidy(run: _Reduction, hp: HPGraph) -> HPGraph:
+    """The body of :func:`tidy`: tidy ``hp``, whose trigraph is the runner's
+    working trigraph, in place."""
+    trace = run.trace
+    core = set(hp.core)
+    new_paths = []
+    for path in hp.paths:
+        if path.flavor == TIDY:
+            new_paths.append(path)
+            continue
+        site = list(path.vertices)
+        if len(site) <= 6:
+            core.update(path.all_vertices())
+            trace.append({"rule": "absorb_path", "site": site})
+            continue
+        new_path, moved = _tidy_one_path(run, path)
+        core.update(moved)
+        new_paths.append(PseudoPath(new_path, {}, TIDY))
+        trace.append({"rule": "tidy_path", "site": site, "kept": list(new_path)})
+    return HPGraph(run.work, frozenset(core), new_paths, hp.tww2_certified)
 
 
 def tidy(hp: HPGraph, trace=None):
@@ -385,35 +448,10 @@ def tidy(hp: HPGraph, trace=None):
     for path in hp.paths:
         if path.flavor not in (ORIGINAL, TIDY):
             raise NotOriginal(f"unknown path flavor {path.flavor}")
-    cur = hp.g
-    core = set(hp.core)
-    prefix = []
-    new_paths = []
-    for path in hp.paths:
-        if path.flavor == TIDY:
-            new_paths.append(path)
-            continue
-        if len(path.vertices) <= 6:
-            core.update(path.all_vertices())
-            if trace is not None:
-                trace.append(
-                    {"rule": "absorb_path", "site": list(path.vertices)}
-                )
-            continue
-        pairs, cur, new_path, moved = _tidy_one_path(cur, path)
-        prefix += pairs
-        core.update(moved)
-        new_paths.append(PseudoPath(new_path, {}, TIDY))
-        if trace is not None:
-            trace.append(
-                {
-                    "rule": "tidy_path",
-                    "site": list(path.vertices),
-                    "kept": list(new_path),
-                }
-            )
-    out = HPGraph(cur, frozenset(core), new_paths, hp.tww2_certified)
-    return out, Lift(hp.g, cur, tuple(prefix))
+    run = _Reduction(hp.g, DEFAULT_CONFIG, trace=trace)
+    out = _tidy(run, hp)
+    out.g = run.work._frozen()
+    return out, run.lift(out.g)
 
 
 # -- the pruning pipeline ------------------------------------------------------------
@@ -421,116 +459,63 @@ def tidy(hp: HPGraph, trace=None):
 
 def _is_star_at_root(g: Trigraph, tree) -> bool:
     _, v = tree.bridge
-    return all(
-        g.neighbors(x) == frozenset((v,)) for x in tree.vertices if x != v
-    )
+    return all(g.neighbors(x) == frozenset((v,)) for x in tree.vertices if x != v)
 
 
 def _component_paths(g: Trigraph, core, hubs):
-    """Split core-minus-hubs into ordered degree-2 runs between hub vertices."""
+    """Split core-minus-hubs into ordered degree-2 runs between hub vertices.
+
+    Each run starts at the end whose smallest hub neighbour (its own label
+    if it has none) is smaller; runs are listed by their first vertex."""
     inner = core - hubs
-    seen = set()
-    comps = []
-    for start in sorted(inner):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.neighbors(v):
-                if u in inner and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(comp)
+    nbrs = {v: [u for u in g.neighbors(v) if u in inner] for v in inner}
+
+    def connector(v):
+        return min((u for u in g.neighbors(v) if u in hubs), default=v)
+
     paths = []
-    for comp in comps:
-        compset = set(comp)
-        if len(comp) == 1:
-            paths.append((comp[0],))
+    seen = set()
+    for end in sorted(inner):
+        if end in seen or len(nbrs[end]) > 1:
             continue
-        ends = []
-        for v in comp:
-            inside = [u for u in g.neighbors(v) if u in compset]
-            if len(inside) == 1:
-                ends.append(v)
-        assert len(ends) == 2, "core leftover is not a path"
-
-        def connector(v):
-            hubs_near = [u for u in g.neighbors(v) if u in hubs]
-            return min(hubs_near) if hubs_near else v
-
-        start = min(ends, key=lambda v: (connector(v), v))
-        run = [start]
-        prev = None
-        curv = start
-        while len(run) < len(comp):
-            nxt = [
-                u for u in g.neighbors(curv) if u in compset and u != prev
-            ]
-            assert len(nxt) == 1
-            prev, curv = curv, nxt[0]
-            run.append(curv)
+        run, prev = [end], None
+        while nxt := [u for u in nbrs[run[-1]] if u != prev]:
+            assert len(nxt) == 1, "core leftover is not a path"
+            prev = run[-1]
+            run.append(nxt[0])
+        seen.update(run)
+        if (connector(run[-1]), run[-1]) < (connector(end), end):
+            run.reverse()
         paths.append(tuple(run))
-    paths.sort(key=lambda p: p[0])
-    return paths
+    assert len(seen) == len(inner), "core leftover is not a path"
+    return sorted(paths)
 
 
-def prune(
-    g: Trigraph,
-    config: SolverConfig = DEFAULT_CONFIG,
-    trace=None,
-    _checked=False,
-    observer=None,
-    _fes=None,
-) -> RuleOutcome:
-    """Exhaustively cut dangling trees down to stumps and assemble the
-    core/path decomposition.
+def _prune(run: _Reduction, observer=None) -> HPGraph | None:
+    """The body of :func:`prune` on a runner that has played nothing yet.
 
-    Returns either a solved width<=2 sequence of ``g`` (always for acyclic
-    inputs, and whenever a width<=1 decision succeeds along the way) or the
-    decomposition plus one lift for all its rules.  With ``k`` feedback
-    edges the core has at most ``16k`` vertices and there are at most ``4k``
-    pseudo-paths.  ``_checked=True`` promises the caller already ruled out
-    width <= 1; ``_fes`` passes the caller's ``feedback_edge_set(g)``.
+    Returns the decomposition, whose trigraph is the runner's working
+    trigraph, or None with ``run.solved`` set.
     """
-    if not is_connected(g):
-        raise Disconnected("pruning expects a connected graph")
-    if g.has_red():
-        raise PreconditionViolated("pruning expects a plain (all-black) graph")
-
-    def note(event):
-        if trace is not None:
-            trace.append(event)
-
-    fes = feedback_edge_set(g) if _fes is None else _fes
+    note = run.trace.append
+    run.decide()
+    if run.solved is not None:
+        return None
+    g = run.work
+    fes = run.fes
     k = len(fes)
-    certified = _checked
-    if not _checked and g.n <= config.max_vertices:
-        try:
-            for d in (0, 1):
-                seq = decide_width_at_most(g, d, config)
-                if seq is not None:
-                    note({"rule": "solved_by_decision", "width": d})
-                    return RuleOutcome(solved=seq, certified=True)
-            certified = True
-        except BudgetExceeded:
-            certified = False
     if k == 0:
         root = min(g.vertices)
         note({"rule": "tree_input", "root": root})
-        return RuleOutcome(solved=tree_sequence(g, root), certified=certified)
-
-    run = _Reduction(g, config, certified)
+        run.solved = tree_sequence(run.g, root)
+        return None
 
     def apply(rule, site, *args):
         # the observer sees the rule played alone on a snapshot, as the public
         # rule would play it
         if observer is not None:
-            before = run.work._frozen()
-            observer(rule.__name__, before, rule(_Reduction(before, config), *args).outcome())
+            before = g._frozen()
+            observer(rule.__name__, before, rule(_Reduction(before, run.config), *args).outcome())
         rule(run, *args)
         solved = run.solved is not None
         note({"rule": rule.__name__ + ("_solved" if solved else ""), "site": site})
@@ -546,36 +531,28 @@ def prune(
         apply(_Reduction.reduce_star, chunk.bridge[0], chunk)
     for chunk in trees:
         if apply(_Reduction.reduce_tree, chunk.bridge[0], chunk):
-            return run.outcome()
+            return None
 
     # Every owner is a core vertex and keeps degree >= 3, and a merge on u
     # contracts only u's stump vertices, so no other owner's stumps change:
     # one classification serves every owner until its own merges, each of
     # which reports the stumps it leaves.
-    stumps_map = classify_stumps(run.work)
+    stumps_map = classify_stumps(g)
     for u, stumps in list(stumps_map.items()):
         while not _legal_stump_set(stumps):
             if apply(_Reduction.merge_stumps, u, u, stumps):
-                return run.outcome()
+                return None
             stumps = run.stumps
         stumps_map[u] = stumps
 
     # assemble the decomposition
-    cur = run.work._frozen()
-    core = two_core(cur)
-    hubs = set()
-    for a, b in fes:
-        hubs.add(a)
-        hubs.add(b)
+    core = two_core(g)
+    hubs = {v for e in fes for v in e}
     assert hubs <= core
-    fes_set = {tuple(sorted(e)) for e in fes}
+    fes_set = set(fes)  # each edge (u, v) with u < v
     for v in core:
-        deg = sum(
-            1
-            for u in cur.neighbors(v)
-            if u in core and tuple(sorted((u, v))) not in fes_set
-        )
-        if deg > 2:
+        inside = [u for u in g.neighbors(v) if u in core and (min(u, v), max(u, v)) not in fes_set]
+        if len(inside) > 2:
             hubs.add(v)
     assert len(hubs) <= 4 * k, "hub bound violated"
     h_vertices = set(hubs)
@@ -584,20 +561,48 @@ def prune(
             h_vertices.update(s.vertices)
     assert len(h_vertices) <= 16 * k, "core size bound violated"
 
-    runs = _component_paths(cur, core, hubs)
+    runs = _component_paths(g, core, hubs)
     assert len(runs) <= 4 * k, "path count bound violated"
     paths = [
         PseudoPath(
-            run,
-            {v: stumps_map[v] for v in run if v in stumps_map},
+            verts,
+            {v: stumps_map[v] for v in verts if v in stumps_map},
             ORIGINAL,
         )
-        for run in runs
+        for verts in runs
     ]
-    hp = HPGraph(cur, frozenset(h_vertices), paths, run.certified)
+    hp = HPGraph(g, frozenset(h_vertices), paths, run.certified)
     validate_hp(hp)
     note({"rule": "decomposed", "core": len(h_vertices), "paths": len(paths)})
-    return RuleOutcome(instance=hp, lift=run.lift(cur), certified=run.certified)
+    return hp
+
+
+def prune(
+    g: Trigraph,
+    config: SolverConfig = DEFAULT_CONFIG,
+    trace=None,
+    observer=None,
+) -> RuleOutcome:
+    """Exhaustively cut dangling trees down to stumps and assemble the
+    core/path decomposition.
+
+    Returns either a solved width<=2 sequence of ``g`` (always for acyclic
+    inputs, and whenever a width<=1 decision succeeds along the way) or the
+    decomposition plus one lift for all its rules.  With ``k`` feedback
+    edges the core has at most ``16k`` vertices and there are at most ``4k``
+    pseudo-paths.  The up-front width-0/1 decision runs first, within the
+    vertex budget; ``solve`` instead runs it once before all stages.
+    """
+    if not is_connected(g):
+        raise Disconnected("pruning expects a connected graph")
+    if g.has_red():
+        raise PreconditionViolated("pruning expects a plain (all-black) graph")
+    run = _Reduction(g, config, feedback_edge_set(g), trace)
+    hp = _prune(run, observer)
+    if hp is None:
+        return RuleOutcome(solved=run.solved, certified=run.certified)
+    hp.g = run.work._frozen()
+    return RuleOutcome(instance=hp, lift=run.lift(hp.g), certified=run.certified)
 
 
 # -- feedback edge number one ---------------------------------------------------------
@@ -615,26 +620,15 @@ def _cycle_order(g: Trigraph, cycle):
     return order
 
 
-def fen1_sequence(
-    g: Trigraph,
-    config: SolverConfig = DEFAULT_CONFIG,
-    _checked=False,
-) -> ContractionSequence:
-    """Full width<=2 sequence for a connected graph with at most one feedback
-    edge: prune and tidy down to a single cycle with stumps, merge each
-    vertex's stumps into one pendant, then fold pendants and cycle with a
-    walker that sweeps around once."""
-    if not is_connected(g):
-        raise Disconnected("expected a connected graph")
-    fes = feedback_edge_set(g, ignore_red=True)
-    if len(fes) > 1:
-        raise FenTooLarge(f"feedback edge number {len(fes)} > 1")
-    outcome = prune(g, config, _checked=_checked, _fes=fes)
-    if outcome.is_solved:
-        return outcome.solved
-    hp, lift1 = outcome.instance, outcome.lift
-    hp2, lift2 = tidy(hp)
-    cyc_g = hp2.g
+def _fen1(run: _Reduction) -> ContractionSequence:
+    """The body of :func:`fen1_sequence` on a runner that has played
+    nothing yet: prune and tidy it, then walk the cycle.  Its rules are not
+    traced; ``solve`` reports the whole construction as one event."""
+    run.trace = []
+    hp = _prune(run)
+    if hp is None:
+        return run.solved
+    cyc_g = _tidy(run, hp).g
     cycle = two_core(cyc_g)
     assert cycle, "feedback edge number 1 leaves a cycle"
     pairs = Emitter(cyc_g.next_label)
@@ -651,5 +645,19 @@ def fen1_sequence(
         if v in pendant:
             walker = pairs.emit(pendant[v], walker)
         walker = pairs.emit(walker, v)
-    seq = ContractionSequence.build(cyc_g, pairs)
-    return compose(lift2, lift1).apply(seq)
+    return run.sequence(pairs)
+
+
+def fen1_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> ContractionSequence:
+    """Full width<=2 sequence for a connected graph with at most one feedback
+    edge: prune and tidy down to a single cycle with stumps, merge each
+    vertex's stumps into one pendant, then fold pendants and cycle with a
+    walker that sweeps around once."""
+    if not is_connected(g):
+        raise Disconnected("expected a connected graph")
+    fes = feedback_edge_set(g, ignore_red=True)
+    if len(fes) > 1:
+        raise FenTooLarge(f"feedback edge number {len(fes)} > 1")
+    if g.has_red():
+        raise PreconditionViolated("pruning expects a plain (all-black) graph")
+    return _fen1(_Reduction(g, config, fes))

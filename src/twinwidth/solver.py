@@ -390,11 +390,9 @@ def optimal_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> Solv
     The first cap that admits a sequence is the twin-width, since the previous
     cap was proven impossible (or equals the input's own max red degree).
     """
-    if g.n == 0:
-        raise BudgetExceeded(0, 1, kind="vertices")
     if g.n > config.max_vertices:
         raise BudgetExceeded(g.n, config.max_vertices, kind="vertices")
-    if g.n == 1:
+    if g.n <= 1:
         return SolveResult(0, ContractionSequence.build(g, []), True, "optimal")
     d = g.max_red_degree()
     try:

@@ -9,7 +9,8 @@ Vertex labels of retired vertices are never reused: every trigraph carries a
 monotone counter and the contraction result always gets a fresh label.
 
 All public operations are pure and return new values; only ``replay`` and the
-reduction runner edit a private working copy, through ``Trigraph._play``.
+reduction runner edit a private working copy, through ``Trigraph._play`` and
+``Trigraph._redden``, which thaw a vertex's neighbour sets on first touch.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class Trigraph:
 
     def __init__(self, black, red, next_label):
         # Private: callers go through new_trigraph / contract / replay / induce /
-        # recolor.
-        # Maps vertex -> neighbor frozenset (a set once _play thaws it), one map
+        # split / recolor.
+        # Maps vertex -> neighbor frozenset (a set once _thaw thaws it), one map
         # per color, in ascending insertion order so iteration is deterministic.
         self._black = black
         self._red = red
@@ -219,11 +220,7 @@ class Trigraph:
             red_w.discard(u)
             red_w.discard(v)
             for x in black_w | red_w:
-                bx = black[x]
-                rx = red[x]
-                if type(bx) is frozenset:
-                    bx = black[x] = set(bx)
-                    rx = red[x] = set(rx)
+                bx, rx = self._thaw(x)
                 bx.discard(u)
                 bx.discard(v)
                 rx.discard(u)
@@ -240,51 +237,67 @@ class Trigraph:
         self._next_label = w
         return width
 
+    def _thaw(self, x):
+        """``x``'s black and red neighbour sets, made editable in place the
+        first time a step touches ``x``."""
+        bx = self._black[x]
+        if type(bx) is frozenset:
+            bx = self._black[x] = set(bx)
+            self._red[x] = set(self._red[x])
+        return bx, self._red[x]
+
+    def _redden(self, edges):
+        """Turn the black edges ``edges`` red in place, as :meth:`_play` edits
+        a working copy."""
+        for u, v in edges:
+            for a, b in ((u, v), (v, u)):
+                ba, ra = self._thaw(a)
+                ba.remove(b)
+                ra.add(b)
+
     def induce(self, subset):
         """Induced subtrigraph on ``subset``, preserving labels and the counter."""
-        keep = frozenset(subset)
-        if not keep <= set(self._black):
-            raise BadVertexSet(f"{sorted(keep - set(self._black))} not live")
-        black = {}
-        red = {}
+        return self.split([subset])[0]
+
+    def split(self, parts):
+        """Induced subtrigraphs on the disjoint vertex sets ``parts``, made in
+        one pass over the vertices; each equals ``induce(part)``, vertex order
+        included."""
+        keeps = [frozenset(part) for part in parts]
+        where = {v: i for i, keep in enumerate(keeps) for v in keep}
+        if not where.keys() <= self._black.keys():
+            raise BadVertexSet(f"{sorted(where.keys() - self._black.keys())} not live")
+        maps = [({}, {}) for _ in keeps]
         for v in self._black:
-            if v in keep:
-                black[v] = self._black[v] & keep
-                red[v] = self._red[v] & keep
-        return Trigraph(black, red, self._next_label)
+            i = where.get(v)
+            if i is not None:
+                black, red = maps[i]
+                black[v] = self._black[v] & keeps[i]
+                red[v] = self._red[v] & keeps[i]
+        return [Trigraph(black, red, self._next_label) for black, red in maps]
 
-    def recolor(self, changes, unchecked=False):
-        """Return a copy with edge colors rewritten.
+    def recolor(self, changes):
+        """Return a copy with red edges turned black or dropped.
 
-        ``changes`` maps an edge ``(u, v)`` to ``EdgeColor.BLACK``,
-        ``EdgeColor.RED`` or ``None`` (remove the edge).  In checked mode only
-        the directions that yield a pseudoinduced subtrigraph are allowed:
-        dropping a red edge or turning it black.  ``unchecked=True`` lifts that
-        restriction for internal constructions.
+        ``changes`` maps a red edge ``(u, v)`` to ``EdgeColor.BLACK`` or
+        ``None`` (remove the edge): the directions that yield a pseudoinduced
+        subtrigraph.  Any other change raises :class:`IllegalRecolor`.
         """
         black = {v: set(s) for v, s in self._black.items()}
         red = {v: set(s) for v, s in self._red.items()}
         for (u, v), new in changes.items():
-            self._require_live(u)
-            self._require_live(v)
             cur = self.color(u, v)
             if cur is None:
                 raise IllegalRecolor(f"({u}, {v}) is not an edge")
-            if not unchecked and not (
-                cur is EdgeColor.RED and new in (EdgeColor.BLACK, None)
-            ):
+            if cur is not EdgeColor.RED or new not in (EdgeColor.BLACK, None):
                 raise IllegalRecolor(
                     f"({u}, {v}): {cur} -> {new} is not a pseudoinduced direction"
                 )
-            src = black if cur is EdgeColor.BLACK else red
-            src[u].discard(v)
-            src[v].discard(u)
+            red[u].discard(v)
+            red[v].discard(u)
             if new is EdgeColor.BLACK:
                 black[u].add(v)
                 black[v].add(u)
-            elif new is EdgeColor.RED:
-                red[u].add(v)
-                red[v].add(u)
         return Trigraph(
             {v: frozenset(black[v]) for v in self._black},
             {v: frozenset(red[v]) for v in self._black},

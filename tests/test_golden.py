@@ -8,6 +8,11 @@ solved-by-decision exits, tidying), the feedback-edge-one construction, both
 kernels, the exact endgame and a vertex-budget miss.  A change that means to
 alter answers updates these hashes and says why; ``tools/digest.py`` checks
 the much larger corpus.
+
+The same instances also pin the public stages one by one: ``prune`` (its
+decomposition, lift prefix, flags and rule trace), ``tidy`` of that
+decomposition, ``fen1_sequence``, and both kernels (kernel, meta and lift
+prefix).
 """
 
 import hashlib
@@ -16,8 +21,8 @@ import random
 
 import pytest
 
-from twinwidth import cli, corpus, kernel
-from twinwidth.errors import BudgetExceeded
+from twinwidth import cli, corpus, kernel, reduce
+from twinwidth.errors import BudgetExceeded, FenTooLarge
 
 INSTANCES = {
     # feedback edge number one: tree cuts, red and half stump merges, tidy
@@ -69,3 +74,130 @@ def answer_digest(g):
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_golden_answer(name):
     assert answer_digest(INSTANCES[name]()) == GOLDEN[name]
+
+
+def _graph(g):
+    return [list(g.vertices), g.next_label, g.black_edges(), g.red_edges()]
+
+
+def _lift(lift, parent, child):
+    return [list(lift.prefix), lift.at_least_two, lift.parent == parent and lift.child == child]
+
+
+def _stumps(stumps):
+    return [[s.kind.value, list(s.vertices)] for s in stumps]
+
+
+def _hp(hp):
+    paths = [
+        [p.flavor, list(p.vertices), [[v, _stumps(ss)] for v, ss in sorted(p.stumps.items())]]
+        for p in hp.paths
+    ]
+    return [_graph(hp.g), sorted(hp.core), paths, hp.tww2_certified]
+
+
+def _kernel(g, outcome):
+    if outcome.is_solved:
+        return ["solved", outcome.solved.pairs(), outcome.meta]
+    return [_graph(outcome.kernel), outcome.meta, _lift(outcome.lift, g, outcome.kernel)]
+
+
+def stage_blobs(g):
+    """One JSON-ready value per public stage run on ``g`` with its defaults."""
+    out = {}
+    trace = []
+    pruned = reduce.prune(g, trace=trace)
+    if pruned.is_solved:
+        out["prune"] = ["solved", pruned.solved.pairs(), pruned.certified, trace]
+    else:
+        hp = pruned.instance
+        out["prune"] = [_hp(hp), _lift(pruned.lift, g, hp.g), pruned.certified, trace]
+        trace = []
+        tidied, lift = reduce.tidy(hp, trace)
+        out["tidy"] = [_hp(tidied), _lift(lift, hp.g, tidied.g), trace]
+    try:
+        out["fen1_sequence"] = reduce.fen1_sequence(g).pairs()
+    except FenTooLarge as exc:
+        out["fen1_sequence"] = str(exc)
+    trace = []
+    out["tww2_bikernel"] = [_kernel(g, kernel.tww2_bikernel(g, trace=trace)), trace]
+    trace = []
+    out["general_kernel"] = [_kernel(g, kernel.general_kernel(g, trace=trace)), trace]
+    return out
+
+
+def stage_digests(g):
+    return {
+        stage: hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+        for stage, blob in stage_blobs(g).items()
+    }
+
+
+STAGE_GOLDEN = {
+    "cwt-12-80": {
+        "fen1_sequence": "704655b3633c32c75fe19c7e231430862c9775a9b904ce4ac13b16d38c59502d",
+        "general_kernel": "10388f3b660a4f3e8e58b62679de9d93fb452dcf7ba7077dbb44df56aafcf29b",
+        "prune": "7abfcd2376557ab2b3fbfd9efc9bded569e99378025a04234ceb06a32078055d",
+        "tidy": "b36131e5f53faa999b02562a0e172c9719072ece88a75aaa384fc42b06f20c58",
+        "tww2_bikernel": "85d4bb4fe14e6e070bb0a86378482e30c858026845505c854bfe71c48d80ca74",
+    },
+    "cwt-40-300": {
+        "fen1_sequence": "42ef788adcb99bf5354ab7166b9fb0d63b283a9ec28f66deaf857666d07c9faf",
+        "general_kernel": "ab37c0848fe89333b26aba9a72311cfa88bb03e97bcf186e8fbdd242cacfc099",
+        "prune": "537ae6145c5a69cc9d4007ece825b97f2a0367c7dde822797ef2633feff5fb37",
+        "tidy": "5e0fd2afd8decbb7d0e1da7f9383e6e2128b11b3c70813d999a71c24f8d937b2",
+        "tww2_bikernel": "019a8c3e881c5ef856f2d55e31ded4b9d3b6a79c32cb17abec3b96760168b828",
+    },
+    "rcg-12-5": {
+        "fen1_sequence": "d77e4e4c216e2cfc1996310fb81356837a4237379a46096a4e22b94d3f708daa",
+        "general_kernel": "ffde5f72f6ebe4d7979ce6d687820666376c227cabd5512af60fa1680ced2286",
+        "prune": "59fd71c7cca654b9b6a1529926f2edde7cdf7ca8f6f88e9b2ee92382a53d6621",
+        "tidy": "3b7e05f2d4daa828d4fe4f44c3bcc7e4b29948b2a989a106d5e4c4f53aec1924",
+        "tww2_bikernel": "c709f4225fea5e7e0606e510ce971dcb2c96107586aec4d900e879a03999f7f1",
+    },
+    "rcg-300-1": {
+        "fen1_sequence": "b41a477a54f2780a37bb10a5ab76fa9394e38b70003497f0cd8260d6e8f183a0",
+        "general_kernel": "84aeb1e5ddce8395cef9019b0c88694f360a0d46a5c9cbaa0343b71a4e4f3932",
+        "prune": "74208ba3595e62e40a0f08d19acf1b1b88da7692f3d17c0c3dff817f4a2e3361",
+        "tidy": "21baa75a8231313ef9d5fb5140e7ada11d79caa48d87fbb3a7aedd3c7810589e",
+        "tww2_bikernel": "65c6ee0089b03933e311c26555b6b7c38ec37dca374493afdbaf5f5d588a68a0",
+    },
+    "rwdt-10-4-150": {
+        "fen1_sequence": "b6388895dd49360da1aa21645134795c664dc632377babd9492e5f0356300df0",
+        "general_kernel": "3f8e8246d75a4e5fbef038d193ccdd286e5a233e45a99328e136b0e477d514c5",
+        "prune": "db675f25946ad2cb6f524b2b9a1553dbe4c15ed39a7c87ddb62468d9b5cfa56d",
+        "tidy": "9337406763255aed2efa1b9b7b72aa28c4ad2499b7fec3ed594683565f49877b",
+        "tww2_bikernel": "17037ed758e8ee39e1c748b68f132604a8a34bb1d61b7c6774d1b39a2a7b9359",
+    },
+    "rwdt-20-4-60": {
+        "fen1_sequence": "b6388895dd49360da1aa21645134795c664dc632377babd9492e5f0356300df0",
+        "general_kernel": "653a2a167b9bbd1b6ebddcf58c58e40b34afb459017da6c958b7411213552a4e",
+        "prune": "880f2bd7c8dc4b60289029cb64e33f7cdc313646fb8df513f1b77fe71cb88e4b",
+        "tidy": "8c962a81cd690d7c6043910241cb7112e63d2e9fb506181ee64b667cda2ab3ea",
+        "tww2_bikernel": "a418f3ef0d835c30e897fbf142bd507fe60cd5cfbca7103cba7823f812dee4ea",
+    },
+    "rwdt-4-2-12-tree-solved": {
+        "fen1_sequence": "c3343c97584f61ba3a996eeab9c9bd3add9611b51c6810a1db5e3c3c65a67c76",
+        "general_kernel": "340b6b76babe32b4f0a0369d79c360106f607c84b6bdff95188c0a23705556fa",
+        "prune": "7f33b91c2427e6f4ac302ef41886a479697c0c40ece4ef9c881a303333a29123",
+        "tww2_bikernel": "340b6b76babe32b4f0a0369d79c360106f607c84b6bdff95188c0a23705556fa",
+    },
+    "rwdt-5-2-30": {
+        "fen1_sequence": "c3343c97584f61ba3a996eeab9c9bd3add9611b51c6810a1db5e3c3c65a67c76",
+        "general_kernel": "8f279952a79862c4227c3595de39b3061dd1abe08d5405f07e57beb604c087c6",
+        "prune": "bc423608c38a58d9390377b9c8ade4df2a550d8ae3f4d8ae861778ef4361a6fb",
+        "tidy": "c50eb6ba02c732a1dbbd44c18e1160c4fc63be399d50157b177e03c6608ed4cf",
+        "tww2_bikernel": "537aebbd13de4e2036f62561dac744b1ac09996a89d6a654619040e03432a071",
+    },
+    "rwdt-5-2-30-merge-solved": {
+        "fen1_sequence": "c3343c97584f61ba3a996eeab9c9bd3add9611b51c6810a1db5e3c3c65a67c76",
+        "general_kernel": "f2bf1bdd51064488af03abfbb023720920b765765d96046fc98aa745c7eed21a",
+        "prune": "fe65a44873ccd155b57e89df198bd84572dc1d50711cbe928f9d2201485b1a70",
+        "tww2_bikernel": "f2bf1bdd51064488af03abfbb023720920b765765d96046fc98aa745c7eed21a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_golden_stages(name):
+    assert stage_digests(INSTANCES[name]()) == STAGE_GOLDEN[name]

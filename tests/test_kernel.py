@@ -270,13 +270,13 @@ class TestSolve:
         # so the general kernel runs too and the endgame refuses it
         g = random_connected_graph(120, 2, random.Random(10))
         traces = []
-        real_prune = kernel_module.prune
+        real_prune = kernel_module._prune
 
-        def counting_prune(g, config, trace, **kwargs):
-            traces.append(trace)
-            return real_prune(g, config, trace, **kwargs)
+        def counting_prune(run, *args):
+            traces.append(run.trace)
+            return real_prune(run, *args)
 
-        monkeypatch.setattr(kernel_module, "prune", counting_prune)
+        monkeypatch.setattr(kernel_module, "_prune", counting_prune)
         with pytest.raises(BudgetExceeded):
             solve(g)
         assert len(traces) == 1
@@ -298,10 +298,69 @@ class TestSolve:
         with pytest.raises(BudgetExceeded):
             solve(random_connected_graph(120, 2, random.Random(10)))
         assert calls == [120]
-        # fen 1: fen1_sequence checks the set itself and hands it to prune
+        # fen 1: the feedback-edge-one walk reuses the set as well
         calls.clear()
         solve(random_connected_graph(60, 1, random.Random(3)))
-        assert calls == [60, 60]
+        assert calls == [60]
+
+    @pytest.mark.parametrize("k, expected", [(6, {(0, 16): 1, (1, 16): 1}), (1, {(0, 16): 1})])
+    def test_up_front_decision_runs_once(self, monkeypatch, k, expected):
+        # three search nodes are not enough for the width-1 decision, so the
+        # up-front check misses its budget; prune must not run it again
+        from collections import Counter
+
+        from twinwidth import solver as solver_module
+
+        calls = []
+        real = solver_module._decide
+
+        def counting(g, d, config):
+            calls.append((d, g.n))
+            return real(g, d, config)
+
+        monkeypatch.setattr(solver_module, "_decide", counting)
+        g = random_connected_graph(16, k, random.Random(3))
+        try:
+            solve(g, Practical(12), SolverConfig(max_vertices=20, max_nodes=3))
+        except BudgetExceeded:
+            pass
+        counts = Counter(c for c in calls if c[1] == 16 and c[0] <= 1)
+        assert counts == expected
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_connectivity_checked_once(self, monkeypatch, k):
+        # solve finds the components; no stage asks again, except
+        # find_dangling_trees, which checks its own input
+        from twinwidth import reduce as reduce_module
+        from twinwidth import sequence as sequence_module
+        from twinwidth import trigraph as trigraph_module
+
+        calls = []
+        inside = []
+        real_components = trigraph_module.connected_components
+        real_trees = reduce_module.find_dangling_trees
+
+        def counting(g):
+            if not inside:
+                calls.append(g.n)
+            return real_components(g)
+
+        def trees(g):
+            inside.append(1)
+            try:
+                return real_trees(g)
+            finally:
+                inside.pop()
+
+        for module in (trigraph_module, kernel_module, sequence_module):
+            monkeypatch.setattr(module, "connected_components", counting)
+        monkeypatch.setattr(reduce_module, "find_dangling_trees", trees)
+        g = random_connected_graph(60, k, random.Random(3))
+        try:
+            solve(g)
+        except BudgetExceeded:
+            pass
+        assert calls == [60]
 
     def test_kernel_meta_matches_public_kernels(self):
         # Petersen graph: fen 6, no dangling paths, twin-width above 2, so the

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as stst
 
 from twinwidth.corpus import random_connected_graph
 from twinwidth.errors import BudgetExceeded
-from twinwidth.sequence import verify
+from twinwidth.sequence import ContractionSequence, verify
 from twinwidth.solver import (
+    SolveResult,
     SolverConfig,
     _canon_packed,
     _ordered_children,
@@ -97,6 +98,11 @@ class TestOptimal:
     def test_single_vertex(self):
         res = optimal_sequence(new_trigraph(1))
         assert res.width == 0 and len(res.sequence) == 0
+
+    def test_empty(self):
+        g = new_trigraph(0)
+        res = optimal_sequence(g)
+        assert res == SolveResult(0, ContractionSequence.build(g, []), True, "optimal")
 
     def test_soundness_random(self):
         rng = random.Random(3)

@@ -13,7 +13,7 @@ from twinwidth.errors import (
     SameVertex,
     SelfLoop,
 )
-from twinwidth.trigraph import EdgeColor, new_trigraph
+from twinwidth.trigraph import EdgeColor, Trigraph, connected_components, new_trigraph
 
 from conftest import all_trigraphs, contract_oracle, make_fig2, FIG2_PAIRS
 
@@ -224,6 +224,49 @@ class TestInduceRecolor:
         with pytest.raises(BadVertexSet):
             make_fig2().induce({0, 99})
 
+    @settings(max_examples=200, derandomize=True)
+    @given(stst.integers(min_value=1, max_value=12), stst.data())
+    def test_split_equals_induce(self, n, data):
+        # a sparse trigraph, so that it has several components, then a few
+        # contractions, so that labels and vertex order are not 0..n-1
+        pairs = list(itertools.combinations(range(n), 2))
+        colors = data.draw(
+            stst.lists(stst.sampled_from((0,) * 6 + (1, 2)), min_size=len(pairs), max_size=len(pairs))
+        )
+        g = new_trigraph(
+            n,
+            [pairs[i] for i in range(len(pairs)) if colors[i] == 1],
+            [pairs[i] for i in range(len(pairs)) if colors[i] == 2],
+        )
+        for _ in range(data.draw(stst.integers(min_value=0, max_value=(n - 1) // 2))):
+            u, v = data.draw(stst.permutations(sorted(g.vertices)).map(lambda p: p[:2]))
+            g = g.contract(u, v)
+        # every public constructor keeps labels ascending; shuffle the order
+        order = data.draw(stst.permutations(g.vertices))
+        g = Trigraph(
+            {v: g.black_neighbors(v) for v in order},
+            {v: g.red_neighbors(v) for v in order},
+            g.next_label,
+        )
+        comps = connected_components(g)
+        parts = g.split(comps)
+        assert len(parts) == len(comps)
+        for comp, part in zip(comps, parts):
+            sub = g.induce(comp)
+            assert part == sub
+            assert part.vertices == sub.vertices
+            # and both are the induced subtrigraph, built here from scratch
+            keep = set(comp)
+            assert part.vertices == tuple(v for v in g.vertices if v in keep)
+            assert part.next_label == g.next_label
+            for v in part.vertices:
+                assert part.black_neighbors(v) == g.black_neighbors(v) & keep
+                assert part.red_neighbors(v) == g.red_neighbors(v) & keep
+
+    def test_split_bad_subset(self):
+        with pytest.raises(BadVertexSet):
+            make_fig2().split([{0, 1}, {99}])
+
     def test_recolor_pseudoinduced(self):
         g = new_trigraph(3, [(0, 1)], [(1, 2)])
         h = g.recolor({(1, 2): EdgeColor.BLACK})
@@ -237,8 +280,6 @@ class TestInduceRecolor:
         g = new_trigraph(2, [(0, 1)])
         with pytest.raises(IllegalRecolor):
             g.recolor({(0, 1): EdgeColor.RED})
-        h = g.recolor({(0, 1): EdgeColor.RED}, unchecked=True)
-        assert h.color(0, 1) is EdgeColor.RED
 
     def test_max_red_degree_empty(self):
         assert new_trigraph(1).max_red_degree() == 0
