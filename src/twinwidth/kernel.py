@@ -104,20 +104,39 @@ class KernelOutcome:
 # -- shared pipeline -----------------------------------------------------------------
 
 
+def _shorten(ids, target: int, pairs: Emitter):
+    """Contract the path ``ids`` down to ``target`` vertices into ``pairs``,
+    always merging the lowest-labeled consecutive pair.
+
+    That pair is the smallest live label and its smaller neighbour, and a
+    fresh label exceeds every older one, so the labels in ascending order,
+    followed by the fresh ones as they are made, give the merges in order."""
+    left = dict(zip(ids[1:], ids))
+    right = dict(zip(ids, ids[1:]))
+    order = sorted(ids)
+    labels = iter(order)  # also yields the fresh labels appended to ``order``
+    for _ in range(len(ids) - target):
+        m = next(x for x in labels if x in left or x in right)
+        a, b = left.get(m), right.get(m)
+        a, b = (a, m) if b is None or (a is not None and a < b) else (m, b)
+        w = pairs.emit(a, b)
+        order.append(w)
+        del right[a], left[b]
+        if (x := left.pop(a, None)) is not None:
+            left[w], right[x] = x, w
+        if (x := right.pop(b, None)) is not None:
+            right[w], left[x] = x, w
+
+
 def _shorten_paths(run: _Reduction, paths, target: int):
-    """Contract each path down to ``target`` vertices on the runner, always
-    merging the lowest-labeled consecutive pair; the runner's bound becomes
-    at least 2.  Returns the kernel and the new path lengths."""
+    """Contract each path down to ``target`` vertices on the runner with
+    :func:`_shorten`; the runner's bound becomes at least 2.  Returns the
+    kernel and the new path lengths."""
     pairs = Emitter(run.work.next_label)
-    lengths = []
     for path in paths:
-        ids = list(path.vertices)
-        while len(ids) > target:
-            best = min(range(len(ids) - 1), key=lambda i: sorted((ids[i], ids[i + 1])))
-            ids[best : best + 2] = [pairs.emit(ids[best], ids[best + 1])]
-        lengths.append(len(ids))
+        _shorten(path.vertices, target, pairs)
     run._play(pairs).at_least_two = True
-    return run.work._frozen(), lengths
+    return run.work._frozen(), [min(len(path), target) for path in paths]
 
 
 def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:

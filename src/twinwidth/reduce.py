@@ -12,13 +12,16 @@ original, within a certified width bound:
 * pseudo-paths are cleaned into stump-free red paths ("tidied"),
 
 Every stage is a list of contraction pairs played on one runner,
-:class:`_Reduction`: a working copy of the input, one prefix and one
+:class:`_Reduction`: a plain working copy of the input, one prefix and one
 at-least-two flag.  A connected plain-graph solve builds one runner and
 hands it to each stage body in turn: the up-front width-0/1 check,
 ``_prune`` (tree and stump rules, then the core/path decomposition),
 ``_tidy``, and then either the feedback-edge-one walk ``_fen1`` or the
 kernels.  The public functions are a fresh runner plus one body; a
 :class:`~twinwidth.sequence.Lift` is built only where one is returned.
+The rules contract only tree vertices, so ``_prune`` looks at its input once:
+one 2-core serves the dangling-tree search and the decomposition, and only
+the trees' owners are asked for their stumps.
 
 Rules that are only safe when the instance has twin-width at least 2 perform
 a width-1 decision as due diligence while the instance carries fewer than two
@@ -54,10 +57,9 @@ from .structure import (
     StumpKind,
     TIDY,
     _legal_stump_set,
+    _dangling_trees,
     _stump_owner,
-    classify_stumps,
     feedback_edge_set,
-    find_dangling_trees,
     red_stump_count,
     stumps_at,
     two_core,
@@ -178,7 +180,7 @@ class _Reduction:
 
     def __init__(self, g: Trigraph, config: SolverConfig, fes=None, trace=None):
         self.g = g
-        self.work = g._frozen()
+        self.work = g._thawed()
         self.config = config
         self.fes = fes
         self.trace = [] if trace is None else trace
@@ -199,7 +201,7 @@ class _Reduction:
     def fork(self) -> _Reduction:
         """An independent runner that has played the same prefix."""
         twin = copy(self)
-        twin.work = self.work._frozen()
+        twin.work = self.work._thawed()
         twin.prefix = list(self.prefix)
         return twin
 
@@ -237,7 +239,7 @@ class _Reduction:
             self.certified = True
         elif self.work.n <= self.config.max_vertices:
             try:
-                onewide = decide_width_at_most(self.work._frozen(), 1, self.config)
+                onewide = decide_width_at_most(self.work, 1, self.config)
             except BudgetExceeded:
                 return self
             if onewide is None:
@@ -521,23 +523,21 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
         note({"rule": rule.__name__ + ("_solved" if solved else ""), "site": site})
         return solved
 
-    stars = []
-    trees = []
-    for chunk in find_dangling_trees(g):
-        if len(chunk.vertices) <= 2:
-            continue  # already a stump
-        (stars if _is_star_at_root(g, chunk) else trees).append(chunk)
-    for chunk in stars:
-        apply(_Reduction.reduce_star, chunk.bridge[0], chunk)
-    for chunk in trees:
-        if apply(_Reduction.reduce_tree, chunk.bridge[0], chunk):
+    core = two_core(g)
+    found = _dangling_trees(g, core)
+    # stars first, then deeper trees; a tree of at most 2 vertices is a stump
+    cuts = [(_is_star_at_root(g, c), c) for c in found if len(c.vertices) > 2]
+    for star, chunk in sorted(cuts, key=lambda cut: not cut[0]):
+        rule = _Reduction.reduce_star if star else _Reduction.reduce_tree
+        if apply(rule, chunk.bridge[0], chunk):
             return None
 
-    # Every owner is a core vertex and keeps degree >= 3, and a merge on u
-    # contracts only u's stump vertices, so no other owner's stumps change:
-    # one classification serves every owner until its own merges, each of
-    # which reports the stumps it leaves.
-    stumps_map = classify_stumps(g)
+    # Every owner is a tree's core vertex and keeps degree >= 3, and a merge
+    # on u contracts only u's stump vertices, so no other owner's stumps
+    # change: one query per owner serves until its own merges, each of which
+    # reports the stumps it leaves.
+    owners = sorted({chunk.bridge[0] for chunk in found})
+    stumps_map = {u: s for u in owners if (s := stumps_at(g, u))}
     for u, stumps in list(stumps_map.items()):
         while not _legal_stump_set(stumps):
             if apply(_Reduction.merge_stumps, u, u, stumps):
@@ -546,7 +546,6 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
         stumps_map[u] = stumps
 
     # assemble the decomposition
-    core = two_core(g)
     hubs = {v for e in fes for v in e}
     assert hubs <= core
     fes_set = set(fes)  # each edge (u, v) with u < v

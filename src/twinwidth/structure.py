@@ -18,20 +18,10 @@ from .errors import Disconnected, PreconditionViolated
 from .trigraph import EdgeColor, Trigraph, is_connected
 
 
-@dataclass(frozen=True)
-class FeedbackEdgeSet:
-    edges: tuple[tuple[int, int], ...]
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
-
-def feedback_edge_set(g: Trigraph, ignore_red=False) -> FeedbackEdgeSet:
-    """Minimum feedback edge set: all non-tree edges of a BFS spanning forest
-    rooted at the smallest label, neighbors visited in label order.
+def feedback_edge_set(g: Trigraph, ignore_red=False) -> tuple[tuple[int, int], ...]:
+    """Minimum feedback edge set, as a sorted tuple of ``(u, v)`` pairs with
+    ``u < v``: all non-tree edges of a BFS spanning forest rooted at the
+    smallest label, neighbors visited in label order.
 
     Works on the black relation; red edges must be absent unless
     ``ignore_red`` is set.
@@ -54,8 +44,7 @@ def feedback_edge_set(g: Trigraph, ignore_red=False) -> FeedbackEdgeSet:
                         tree.add((min(u, v), max(u, v)))
                         nxt.append(u)
             queue = nxt
-    fes = [e for e in g.black_edges() if e not in tree]
-    return FeedbackEdgeSet(tuple(sorted(fes)))
+    return tuple(sorted(e for e in g.black_edges() if e not in tree))
 
 
 def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
@@ -127,7 +116,12 @@ def find_dangling_trees(g: Trigraph) -> tuple[DanglingTree, ...]:
     """
     if not is_connected(g):
         raise Disconnected("dangling-tree detection expects a connected graph")
-    core = two_core(g)
+    return _dangling_trees(g, two_core(g))
+
+
+def _dangling_trees(g: Trigraph, core) -> tuple[DanglingTree, ...]:
+    """The body of :func:`find_dangling_trees` on a connected ``g`` whose
+    2-core is ``core``."""
     if not core:
         return ()
     outside = [v for v in g.vertices if v not in core]
@@ -150,15 +144,9 @@ def find_dangling_trees(g: Trigraph) -> tuple[DanglingTree, ...]:
                     seen.add(u)
                     stack.append(u)
         assert len(attach) == 1, "peeled component with multiple core edges"
-        u, root = attach[0]
-        compset = frozenset(comp)
-        black = g.color(u, root) is EdgeColor.BLACK and all(
-            g.color(a, b) is EdgeColor.BLACK
-            for a in comp
-            for b in g.neighbors(a)
-            if b in compset and a < b
-        )
-        trees.append(DanglingTree((u, root), compset, black))
+        # every edge at a tree vertex lies in the tree or is its bridge
+        black = not any(g.red_neighbors(a) for a in comp)
+        trees.append(DanglingTree(attach[0], frozenset(comp), black))
     trees.sort(key=lambda t: (t.bridge[0], min(t.vertices)))
     return tuple(trees)
 

@@ -8,9 +8,11 @@ red-adjacent when it was adjacent to either but the pair was not black-black.
 Vertex labels of retired vertices are never reused: every trigraph carries a
 monotone counter and the contraction result always gets a fresh label.
 
-All public operations are pure and return new values; only ``replay`` and the
-reduction runner edit a private working copy, through ``Trigraph._play`` and
-``Trigraph._redden``, which thaw a vertex's neighbour sets on first touch.
+All public operations are pure and return new values, whose neighbour sets
+are frozensets.  ``replay``, ``recolor`` and the reduction runner instead edit
+a private working copy made by ``Trigraph._thawed``, which holds its own
+sets, through ``Trigraph._play`` and ``Trigraph._redden``; ``_frozen`` turns
+a working copy back into a new value.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class Trigraph:
     def __init__(self, black, red, next_label):
         # Private: callers go through new_trigraph / contract / replay / induce /
         # split / recolor.
-        # Maps vertex -> neighbor frozenset (a set once _thaw thaws it), one map
+        # Maps vertex -> neighbor frozenset (a set in a working copy), one map
         # per color, in ascending insertion order so iteration is deterministic.
         self._black = black
         self._red = red
@@ -185,26 +187,31 @@ class Trigraph:
         included.  A step naming a dead or repeated vertex raises
         :class:`DeadVertexAtStep`.
         """
-        work = self._frozen()
+        work = self._thawed()
         width = work._play(pairs)
         return work._frozen(), max(self.max_red_degree(), width)
 
+    def _thawed(self):
+        """A working copy with its own neighbour sets, which :meth:`_play`
+        and :meth:`_redden` may edit."""
+        return Trigraph(
+            {v: set(s) for v, s in self._black.items()},
+            {v: set(s) for v, s in self._red.items()},
+            self._next_label,
+        )
+
     def _frozen(self):
-        """Freeze every neighbour set in place and return a copy with its own
-        vertex maps: an immutable trigraph, and a working copy that
-        :meth:`_play` may edit.  Freezing in place keeps one set per vertex
-        alive, and ``_play`` thaws a set again when a step touches it."""
-        for adj in (self._black, self._red):
-            for v, s in adj.items():
-                if type(s) is not frozenset:
-                    adj[v] = frozenset(s)
-        return Trigraph(dict(self._black), dict(self._red), self._next_label)
+        """A new trigraph value equal to this one, which is left as it was."""
+        return Trigraph(
+            {v: frozenset(s) for v, s in self._black.items()},
+            {v: frozenset(s) for v, s in self._red.items()},
+            self._next_label,
+        )
 
     def _play(self, pairs):
-        """The one body that applies the contraction rule: play ``pairs`` in
-        place, as :meth:`replay` describes, and return the largest red degree
-        the steps create.  A neighbour set is thawed when a step first touches
-        it, so each step costs only its degrees."""
+        """The one body that applies the contraction rule: play ``pairs`` on
+        this working copy, as :meth:`replay` describes, and return the largest
+        red degree the steps create.  Each step costs only its degrees."""
         black = self._black
         red = self._red
         width = 0
@@ -214,13 +221,14 @@ class Trigraph:
                 raise DeadVertexAtStep(i, v if u in black else u)
             bu = black.pop(u)
             bv = black.pop(v)
-            black_w = set(bu & bv)
+            black_w = bu & bv
             red_w = set().union(bu, bv, red.pop(u), red.pop(v))
             red_w -= black_w
             red_w.discard(u)
             red_w.discard(v)
             for x in black_w | red_w:
-                bx, rx = self._thaw(x)
+                bx = black[x]
+                rx = red[x]
                 bx.discard(u)
                 bx.discard(v)
                 rx.discard(u)
@@ -237,23 +245,12 @@ class Trigraph:
         self._next_label = w
         return width
 
-    def _thaw(self, x):
-        """``x``'s black and red neighbour sets, made editable in place the
-        first time a step touches ``x``."""
-        bx = self._black[x]
-        if type(bx) is frozenset:
-            bx = self._black[x] = set(bx)
-            self._red[x] = set(self._red[x])
-        return bx, self._red[x]
-
     def _redden(self, edges):
-        """Turn the black edges ``edges`` red in place, as :meth:`_play` edits
-        a working copy."""
+        """Turn the black edges ``edges`` red on this working copy."""
         for u, v in edges:
             for a, b in ((u, v), (v, u)):
-                ba, ra = self._thaw(a)
-                ba.remove(b)
-                ra.add(b)
+                self._black[a].remove(b)
+                self._red[a].add(b)
 
     def induce(self, subset):
         """Induced subtrigraph on ``subset``, preserving labels and the counter."""
@@ -283,8 +280,8 @@ class Trigraph:
         ``None`` (remove the edge): the directions that yield a pseudoinduced
         subtrigraph.  Any other change raises :class:`IllegalRecolor`.
         """
-        black = {v: set(s) for v, s in self._black.items()}
-        red = {v: set(s) for v, s in self._red.items()}
+        work = self._thawed()
+        black, red = work._black, work._red
         for (u, v), new in changes.items():
             cur = self.color(u, v)
             if cur is None:
@@ -298,11 +295,7 @@ class Trigraph:
             if new is EdgeColor.BLACK:
                 black[u].add(v)
                 black[v].add(u)
-        return Trigraph(
-            {v: frozenset(black[v]) for v in self._black},
-            {v: frozenset(red[v]) for v in self._black},
-            self._next_label,
-        )
+        return work._frozen()
 
     def is_pseudoinduced_of(self, other):
         """True if this trigraph is obtained from an induced subtrigraph of

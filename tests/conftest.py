@@ -5,9 +5,10 @@ The oracles here deliberately avoid the package's optimized code paths:
 third vertex by its color pair, ``classify_stumps_oracle`` classifies the
 stumps of the whole trigraph in two claiming passes,
 ``canon_packed_oracle`` compresses the live slots and refines by per-cell
-neighbour counts, ``ordered_children_oracle`` builds every pair's child, and
-``naive_optimal_width`` enumerates every contraction sequence with no
-memoization or pruning.
+neighbour counts, ``ordered_children_oracle`` builds every pair's child,
+``shorten_oracle`` scans every consecutive pair of a path for the lowest
+before each merge, and ``naive_optimal_width`` enumerates every contraction
+sequence with no memoization or pruning.
 """
 
 import itertools
@@ -162,6 +163,20 @@ def classify_stumps_oracle(g: Trigraph) -> dict:
         u: tuple(sorted(stumps, key=lambda s: s.vertices))
         for u, stumps in sorted(found.items())
     }
+
+
+def shorten_oracle(ids, target, first) -> list:
+    """The pairs that contract the path ``ids`` down to ``target`` vertices,
+    each merging the consecutive pair with the lowest sorted labels into the
+    fresh label ``first + i`` at its place; a scan of the whole path per
+    merge."""
+    ids = list(ids)
+    pairs = []
+    while len(ids) > target:
+        best = min(range(len(ids) - 1), key=lambda i: sorted((ids[i], ids[i + 1])))
+        pairs.append((ids[best], ids[best + 1]))
+        ids[best : best + 2] = [first + len(pairs) - 1]
+    return pairs
 
 
 def _refine_oracle(cells, black, red, nverts):

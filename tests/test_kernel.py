@@ -16,11 +16,12 @@ from twinwidth.kernel import (
     tower_bound,
     tww2_bikernel,
 )
-from twinwidth.sequence import verify
+from twinwidth.reduce import _Reduction, prune, tidy
+from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, optimal_sequence
-from twinwidth.trigraph import new_trigraph
+from twinwidth.trigraph import EdgeColor, new_trigraph
 
-from conftest import make_fig3
+from conftest import make_fig3, shorten_oracle
 
 CFG = SolverConfig(max_vertices=25)
 
@@ -111,6 +112,75 @@ def long_path_instance():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
     edges += [(2, 4)] + [(i, i + 1) for i in range(4, 47)] + [(47, 0)]
     return new_trigraph(48, edges)
+
+
+class TestShorten:
+    def test_walk_matches_scan(self):
+        # the walk over ascending labels merges the same pairs, in the same
+        # order, as a scan for the lowest consecutive pair before each merge
+        rng = random.Random(8)
+        for _ in range(500):
+            n = rng.randrange(1, 30)
+            first = rng.randrange(n, 3 * n + 5)
+            ids = tuple(rng.sample(range(first), n))
+            target = rng.randrange(1, n + 3)
+            pairs = Emitter(first)
+            kernel_module._shorten(ids, target, pairs)
+            assert pairs == shorten_oracle(ids, target, first)
+
+    def test_paths_share_one_emitter(self):
+        # a second path's labels lie below the first path's fresh labels
+        rng = random.Random(9)
+        for _ in range(100):
+            labels = rng.sample(range(40), 30)
+            a, b = tuple(labels[:15]), tuple(labels[15:])
+            target = rng.randrange(1, 16)
+            pairs = Emitter(40)
+            kernel_module._shorten(a, target, pairs)
+            first_b = 40 + len(pairs)
+            kernel_module._shorten(b, target, pairs)
+            assert pairs == shorten_oracle(a, target, 40) + shorten_oracle(b, target, first_b)
+
+
+class TestValues:
+    @staticmethod
+    def frozen(g):
+        return all(type(s) is frozenset for adj in (g._black, g._red) for s in adj.values())
+
+    def test_returned_trigraphs_hold_frozensets(self):
+        g = make_fig3()
+        made = [g.replay([(24, 25), (26, 27)])[0], g.contract(24, 25), g.induce(range(20))]
+        made += g.split([range(10), range(10, 30)])
+        made.append(
+            new_trigraph(4, [(0, 1)], [(1, 2), (2, 3)]).recolor(
+                {(1, 2): EdgeColor.BLACK, (2, 3): None}
+            )
+        )
+        pruned = prune(g, CFG)
+        hp, lift = tidy(pruned.instance)
+        made += [pruned.instance.g, pruned.lift.child, hp.g, lift.child]
+        for out in (
+            tww2_bikernel(g, CFG),
+            general_kernel(long_path_instance(), Practical(5), SolverConfig(max_vertices=30)),
+        ):
+            assert not out.is_solved
+            made += [out.kernel, out.lift.child]
+        assert all(self.frozen(h) for h in made)
+
+    def test_freezing_and_forking_leave_the_runner_as_it_was(self):
+        run = _Reduction(make_fig3(), CFG)
+        run._play([(24, 25)])
+        work = run.work
+        held = {v: (work._black[v], work._red[v]) for v in work.vertices}
+        value = work._frozen()
+        twin = run.fork()
+        assert all(
+            work._black[v] is b and work._red[v] is r and type(b) is type(r) is set
+            for v, (b, r) in held.items()
+        )
+        # the fork plays on its own sets
+        twin._play([(26, 27)])
+        assert work == value and twin.work != value
 
 
 class TestGeneralKernel:
@@ -329,32 +399,20 @@ class TestSolve:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_connectivity_checked_once(self, monkeypatch, k):
-        # solve finds the components; no stage asks again, except
-        # find_dangling_trees, which checks its own input
-        from twinwidth import reduce as reduce_module
+        # solve finds the components; no stage asks again, the dangling-tree
+        # search included
         from twinwidth import sequence as sequence_module
         from twinwidth import trigraph as trigraph_module
 
         calls = []
-        inside = []
         real_components = trigraph_module.connected_components
-        real_trees = reduce_module.find_dangling_trees
 
         def counting(g):
-            if not inside:
-                calls.append(g.n)
+            calls.append(g.n)
             return real_components(g)
-
-        def trees(g):
-            inside.append(1)
-            try:
-                return real_trees(g)
-            finally:
-                inside.pop()
 
         for module in (trigraph_module, kernel_module, sequence_module):
             monkeypatch.setattr(module, "connected_components", counting)
-        monkeypatch.setattr(reduce_module, "find_dangling_trees", trees)
         g = random_connected_graph(60, k, random.Random(3))
         try:
             solve(g)

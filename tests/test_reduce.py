@@ -396,8 +396,8 @@ class TestPrune:
             prune(new_trigraph(4, [(0, 1), (2, 3)]), CFG)
 
     def test_stumps_classified_a_constant_number_of_times(self, monkeypatch):
-        # the merge loop asks each owner for its own stumps instead of
-        # classifying the whole trigraph again after every merge
+        # the merge loop asks each tree owner for its own stumps instead of
+        # classifying the whole trigraph, once or again after every merge
         from twinwidth import reduce as reduce_module, structure
 
         calls = []
@@ -408,7 +408,7 @@ class TestPrune:
             return real(g)
 
         for module in (reduce_module, structure):
-            monkeypatch.setattr(module, "classify_stumps", counting)
+            monkeypatch.setattr(module, "classify_stumps", counting, raising=False)
         # nor does it recount red stumps or recompute the width of the whole
         # trigraph after every rule
         scans = {"red_stump_count": 0, "max_red_degree": 0}
@@ -431,7 +431,7 @@ class TestPrune:
         out = prune(g, CFG, trace)
         assert not out.is_solved
         assert sum(e["rule"] == "merge_stumps" for e in trace) > 10
-        assert len(calls) == 1
+        assert calls == []
         assert scans["red_stump_count"] <= 1
         assert scans["max_red_degree"] <= 1
 

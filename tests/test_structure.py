@@ -49,8 +49,8 @@ class TestFeedbackEdges:
         assert len(feedback_edge_set(t)) == 0
 
     def test_c5_single_edge(self):
-        fes = feedback_edge_set(cycle(5))
-        assert len(fes) == 1
+        # the BFS from 0 reaches 2 and 3 last; their edge closes the cycle
+        assert feedback_edge_set(cycle(5)) == ((2, 3),)
 
     def test_fig3_two_edges(self):
         assert len(feedback_edge_set(make_fig3())) == 2
@@ -115,6 +115,19 @@ class TestDanglingTrees:
         assert by_bridge[(0, 23)] == frozenset((23, 24, 25, 26, 27, 28))
         assert by_bridge[(3, 30)] == frozenset((30, 31, 32, 33, 34, 35, 36))
         assert by_bridge[(18, 50)] == frozenset((50,))
+
+    def test_red_edge_inside_a_tree(self):
+        # a C3 with the tree 3-4-5 hanging off 0, its inner edge red
+        g = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)], [(4, 5)])
+        (tree,) = find_dangling_trees(g)
+        assert tree.bridge == (0, 3) and tree.vertices == frozenset((3, 4, 5))
+        assert not tree.all_black
+
+    def test_red_bridge(self):
+        # a C3 with the path 3-4 hanging red off 0 and the pendant 5 off 1
+        g = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (1, 5)], [(0, 3)])
+        trees = find_dangling_trees(g)
+        assert [(t.bridge, t.all_black) for t in trees] == [((0, 3), False), ((1, 5), True)]
 
     def test_exactly_one_leaving_edge_and_removal(self):
         g = make_fig3()
