@@ -141,20 +141,24 @@ def _config(args) -> SolverConfig:
     return SolverConfig(max_vertices=getattr(args, "budget", 20))
 
 
-def _policy(args):
-    text = getattr(args, "policy", "practical:12")
+def _policy(text):
+    """``--policy``: ``theory``, ``practical`` or ``practical:<L>`` with an
+    integer floor L >= 1; anything else is a usage error."""
     if text == "theory":
         return Theory()
-    if text.startswith("practical:"):
-        return Practical(int(text.split(":", 1)[1]))
     if text == "practical":
         return Practical()
+    if text.startswith("practical:"):
+        try:
+            return Practical(int(text.split(":", 1)[1]))
+        except ValueError:
+            pass
     raise argparse.ArgumentTypeError(f"bad policy {text!r}")
 
 
 def _cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
-    seq, report = solve(g, _policy(args), _config(args))
+    seq, report = solve(g, args.policy, _config(args))
     width = report["width"]
     if args.cap is not None and width > args.cap:
         print(f"width {width} exceeds cap {args.cap}", file=sys.stderr)
@@ -186,7 +190,7 @@ def _cmd_kernelize(args) -> int:
     if args.target == "tww2":
         outcome = tww2_bikernel(g, _config(args), trace)
     else:
-        outcome = general_kernel(g, _policy(args), _config(args), trace)
+        outcome = general_kernel(g, args.policy, _config(args), trace)
     if outcome.is_solved:
         width = verify(g, outcome.solved)
         sys.stdout.write(f"c solved width={width}\np tww 1 0\n")
@@ -255,7 +259,7 @@ def _parser() -> argparse.ArgumentParser:
 
     solve_p = sub.add_parser("solve", help="compute a contraction sequence")
     solve_p.add_argument("graph")
-    solve_p.add_argument("--policy", default="practical:12")
+    solve_p.add_argument("--policy", type=_policy, default="practical:12")
     solve_p.add_argument("--cap", type=int, default=None)
     solve_p.add_argument("--threads", type=int, default=1,
                          help="accepted for compatibility; ignored")
@@ -274,7 +278,7 @@ def _parser() -> argparse.ArgumentParser:
     kern_p = sub.add_parser("kernelize", help="write the reduced instance")
     kern_p.add_argument("graph")
     kern_p.add_argument("--target", choices=("tww2", "general"), default="tww2")
-    kern_p.add_argument("--policy", default="practical:12")
+    kern_p.add_argument("--policy", type=_policy, default="practical:12")
     kern_p.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; ignored")
     kern_p.add_argument("--budget", type=int, default=20)

@@ -49,9 +49,14 @@ class Theory:
 class Practical:
     """Use an explicit vertex floor for the dangling paths.  Exercises the
     full shortening pipeline at desk scale; the +1 width guarantee is only
-    proven at Theory floors."""
+    proven at Theory floors.  The floor is at least 1: a path keeps at least
+    one vertex."""
 
     floor: int = 12
+
+    def __post_init__(self):
+        if self.floor < 1:
+            raise ValueError(f"practical floor must be at least 1, got {self.floor}")
 
 
 DEFAULT_POLICY = Practical(12)
@@ -258,17 +263,21 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
         return run.solved
     hp = _tidy(run, hp)
     bi = run.fork()
-    kernel, meta = _collapse_paths(bi, hp)
+    bikernel, meta = _collapse_paths(bi, hp)
     report["bikernel"] = meta
-    if kernel.n <= config.max_vertices:
-        seq2 = decide_width_at_most(kernel, 2, config)
+    refuted = None
+    if bikernel.n <= config.max_vertices:
+        seq2 = decide_width_at_most(bikernel, 2, config)
         if seq2 is not None:
             trace.append({"rule": "bikernel_width2"})
             report["status"] = "optimal" if meta["certified"] else "upper_bound"
             return bi.sequence(seq2.pairs())
+        refuted = bikernel
     kernel, meta = _absorb_and_shorten(run, hp, policy)
     report["general_kernel"] = meta
-    result = optimal_sequence(kernel, config)
+    # when neither kernel shortened a path they are one trigraph, whose
+    # widths up to 2 were just refuted
+    result = optimal_sequence(kernel, config, 3 if kernel == refuted else 0)
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
     if not result.optimal:
         report["status"] = "upper_bound"

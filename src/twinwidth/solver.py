@@ -4,9 +4,11 @@
 most d" with a certificate, and ``optimal_sequence`` wraps it in iterative
 deepening starting from the trivial lower bound (the input's own max red
 degree).  The search branches on all live vertex pairs, preferring pairs that
-minimize the immediate max red degree, and memoizes failed subproblems by an
-exact canonical form of the trigraph, so isomorphic residual instances are
-never explored twice.
+minimize the immediate max red degree, and never explores a state isomorphic
+to one it has refuted.  Refuted states are kept raw, and in a failure memo
+bucketed by an isomorphism invariant, the sorted (black degree, red degree)
+pairs of the live vertices; the exact canonical form is computed only for a
+state whose bucket already holds a refuted state, at most once per state.
 
 Internally the trigraph is packed into per-vertex bitmasks; vertex identity
 is tracked on the side so certificates come back in the caller's labels.
@@ -325,22 +327,56 @@ def _ordered_children(state: _Packed, d: int):
     return out
 
 
-def _decide_rec(state: _Packed, d: int, next_id: int, memo: set, budget: _Budget, cache: dict):
+def _invariant(state: _Packed, d: int):
+    """The sorted (black degree, red degree) pairs of the live slots, each
+    packed as ``black * (d + 1) + red``: equal for isomorphic states.
+
+    A search state's red degrees are at most ``d``, so the packing is exact
+    there; it is a function of the pairs in any case, which is all the memo
+    needs.  Stored as bytes while every code fits in one."""
+    black = state.black
+    red = state.red
+    step = d + 1
+    codes = sorted([black[x].bit_count() * step + red[x].bit_count() for x in _bits(state.alive)])
+    return bytes(codes) if codes[-1] < 256 else tuple(codes)
+
+
+def _decide_rec(state: _Packed, d: int, next_id: int, memo: dict, budget: _Budget, refuted: set):
+    """Search for a width-``d`` finish of ``state``; slot steps or None.
+
+    A success ends the search, so every state met again was refuted: raw
+    states ``(alive, black, red)`` found refuted go in ``refuted``.  The
+    failure memo maps :func:`_invariant` to the refuted states with that
+    invariant: first one raw state, and once a second state looks it up, the
+    set of their canonical forms.  So a canonical form is computed only when
+    a lookup lands in a non-empty bucket, and at most once per state.  A
+    state's descendants have fewer live slots, hence other invariants, so its
+    bucket cannot change while its subtree is searched."""
     if state.n_alive() == 1:
         return []
     budget.tick()
     raw = (state.alive, state.black, state.red)
-    key = cache.get(raw)
-    if key is None:
-        key = _canon_packed(state)
-        cache[raw] = key
-    if key in memo:
+    if raw in refuted:
         return None
+    inv = _invariant(state, d)
+    seen = memo.get(inv)
+    if seen is not None:
+        if type(seen) is tuple:
+            alive, black, red = seen
+            seen = memo[inv] = {_canon_packed(_Packed(black, red, alive, ()))}
+        key = _canon_packed(state)
+        if key in seen:
+            refuted.add(raw)
+            return None
     for _, _, _, i, j in _ordered_children(state, d):
-        sub = _decide_rec(state.contract(i, j, next_id), d, next_id + 1, memo, budget, cache)
+        sub = _decide_rec(state.contract(i, j, next_id), d, next_id + 1, memo, budget, refuted)
         if sub is not None:
             return [(i, j, state.ids)] + sub
-    memo.add(key)
+    refuted.add(raw)
+    if seen is None:
+        memo[inv] = raw
+    else:
+        seen.add(key)
     return None
 
 
@@ -354,7 +390,7 @@ def _decide(g: Trigraph, d: int, config: SolverConfig):
     if g.max_red_degree() > d:
         return None
     state = _Packed.from_trigraph(g)
-    slot_steps = _decide_rec(state, d, g.next_label, set(), _Budget(config), {})
+    slot_steps = _decide_rec(state, d, g.next_label, {}, _Budget(config), set())
     if slot_steps is None:
         return None
     return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
@@ -384,17 +420,21 @@ def greedy_sequence(g: Trigraph) -> ContractionSequence:
     return ContractionSequence.build(g, pairs)
 
 
-def optimal_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+def optimal_sequence(
+    g: Trigraph, config: SolverConfig = DEFAULT_CONFIG, _start: int = 0
+) -> SolveResult:
     """Minimum-width sequence by iterative deepening from the trivial bound.
 
     The first cap that admits a sequence is the twin-width, since the previous
     cap was proven impossible (or equals the input's own max red degree).
+    A caller that has already refuted every cap below ``_start`` on ``g``
+    passes it to begin the deepening there.
     """
     if g.n > config.max_vertices:
         raise BudgetExceeded(g.n, config.max_vertices, kind="vertices")
     if g.n <= 1:
         return SolveResult(0, ContractionSequence.build(g, []), True, "optimal")
-    d = g.max_red_degree()
+    d = max(g.max_red_degree(), _start)
     try:
         while True:
             seq = _decide(g, d, config)

@@ -7,8 +7,9 @@ stumps of the whole trigraph in two claiming passes,
 ``canon_packed_oracle`` compresses the live slots and refines by per-cell
 neighbour counts, ``ordered_children_oracle`` builds every pair's child,
 ``shorten_oracle`` scans every consecutive pair of a path for the lowest
-before each merge, and ``naive_optimal_width`` enumerates every contraction
-sequence with no memoization or pruning.
+before each merge, ``decide_rec_oracle`` memoizes the exact search by a
+canonical form computed at every node, and ``naive_optimal_width``
+enumerates every contraction sequence with no memoization or pruning.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import itertools
 import pytest
 
 from twinwidth.trigraph import EdgeColor, Trigraph, is_connected, new_trigraph
-from twinwidth.solver import canonical_key
+from twinwidth.solver import _ordered_children, canonical_key
 from twinwidth.structure import Stump, StumpKind
 
 
@@ -52,6 +53,14 @@ def make_fig3():
     edges += [(18, 50)]
     edges += [(22, 51), (51, 52), (52, 53)]
     return new_trigraph(54, edges)
+
+
+def petersen():
+    """The Petersen graph: outer 5-cycle 0..4, inner pentagram 5..9."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    return new_trigraph(10, edges)
 
 
 def make_fig3_middle():
@@ -311,6 +320,29 @@ def ordered_children_oracle(state, d):
                 la, lb = sorted((state.ids[i], state.ids[j]))
                 out.append((mr, la, lb, i, j))
     return sorted(out)
+
+
+def decide_rec_oracle(state, d, next_id, memo, budget, cache):
+    """The width-``d`` search keyed by a canonical form at every node:
+    ``cache`` maps each raw state met to its form, ``memo`` holds the forms
+    of refuted states.  Same branching order and budget ticks as the solver's
+    search, so it returns the same slot steps after the same number of
+    ticks."""
+    if state.n_alive() == 1:
+        return []
+    budget.tick()
+    raw = (state.alive, state.black, state.red)
+    key = cache.get(raw)
+    if key is None:
+        key = cache[raw] = canon_packed_oracle(state)
+    if key in memo:
+        return None
+    for _, _, _, i, j in _ordered_children(state, d):
+        sub = decide_rec_oracle(state.contract(i, j, next_id), d, next_id + 1, memo, budget, cache)
+        if sub is not None:
+            return [(i, j, state.ids)] + sub
+    memo.add(key)
+    return None
 
 
 def naive_optimal_width(g: Trigraph) -> int:

@@ -181,6 +181,14 @@ class TestCommands:
         assert run(["solve"]) == 1
         assert run(["bogus"]) == 1
 
+    @pytest.mark.parametrize("policy", ["practical:x", "practical:0", "practical:", "tower"])
+    def test_bad_policy_is_usage_error(self, tmp_path, capsys, policy):
+        graph = tmp_path / "fig2.gr"
+        graph.write_text(FIG2_TEXT)
+        for command in ("solve", "kernelize"):
+            assert run([command, str(graph), "--policy", policy]) == 1
+            assert "bad policy" in capsys.readouterr().err
+
     def test_parse_error_exit_1(self, tmp_path):
         bad = tmp_path / "bad.gr"
         bad.write_text("p tww 2 1\n9 9\n")

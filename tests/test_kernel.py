@@ -18,10 +18,10 @@ from twinwidth.kernel import (
 )
 from twinwidth.reduce import _Reduction, prune, tidy
 from twinwidth.sequence import Emitter, verify
-from twinwidth.solver import SolverConfig, optimal_sequence
+from twinwidth.solver import SolveResult, SolverConfig, optimal_sequence
 from twinwidth.trigraph import EdgeColor, new_trigraph
 
-from conftest import make_fig3, shorten_oracle
+from conftest import make_fig3, petersen, shorten_oracle
 
 CFG = SolverConfig(max_vertices=25)
 
@@ -192,6 +192,12 @@ class TestGeneralKernel:
         assert not out.meta["shortened"]
         # fixpoint: the kernel is the whole reduced graph
         assert out.kernel.n == out.meta["kernel_size"]
+
+    @pytest.mark.parametrize("floor", [0, -3])
+    def test_practical_floor_below_one_rejected(self, floor):
+        # a floor of 0 would ask to shorten a path to no vertices
+        with pytest.raises(ValueError):
+            Practical(floor)
 
     def test_practical_five_shortens_exactly(self):
         from twinwidth.solver import greedy_sequence
@@ -420,13 +426,50 @@ class TestSolve:
             pass
         assert calls == [60]
 
+    def test_width_two_refuted_once(self, monkeypatch):
+        # Petersen graph: the up-front check decides widths 0 and 1, the
+        # bikernel width 2; the general kernel is the bikernel, so the endgame
+        # deepens from 3 instead of deciding 0, 1 and 2 again
+        from twinwidth import solver as solver_module
+
+        calls = []
+        real = solver_module._decide
+
+        def counting(g, d, config):
+            calls.append(d)
+            return real(g, d, config)
+
+        monkeypatch.setattr(solver_module, "_decide", counting)
+        _, report = solve(petersen(), Practical(12), CFG)
+        assert report["width"] == 4 and report["status"] == "optimal"
+        assert calls == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("floor, start", [(1, 3), (2, 0)])
+    def test_endgame_starts_above_the_refuted_bikernel(self, monkeypatch, floor, start):
+        # a 14-vertex path in place of one Petersen edge: at floor 1 both
+        # kernels collapse it to one vertex and are equal, at floor 2 the
+        # general kernel keeps two and nothing is known about it
+        from twinwidth.solver import greedy_sequence
+
+        starts = []
+
+        def recording(g, config, *rest):
+            starts.append(rest)
+            seq = greedy_sequence(g)
+            return SolveResult(verify(g, seq), seq, False, "not_proven")
+
+        monkeypatch.setattr(kernel_module, "decide_width_at_most", lambda g, d, config: None)
+        monkeypatch.setattr(kernel_module, "optimal_sequence", recording)
+        path = list(range(10, 24))
+        edges = [(i, i + 1) for i in range(1, 4)] + [(4, 0)] + list(zip([0] + path, path + [1]))
+        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        solve(new_trigraph(24, edges), Practical(floor), CFG)
+        assert starts == [(start,)]
+
     def test_kernel_meta_matches_public_kernels(self):
         # Petersen graph: fen 6, no dangling paths, twin-width above 2, so the
         # bikernel decision fails and the general kernel goes to the endgame
-        edges = [(i, (i + 1) % 5) for i in range(5)]
-        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        edges += [(i, i + 5) for i in range(5)]
-        g = new_trigraph(10, edges)
+        g = petersen()
         policy = Practical(12)
         _, report = solve(g, policy, CFG)
         assert report["bikernel"] == tww2_bikernel(g, CFG).meta

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as stst
 
+from twinwidth import solver as solver_module
 from twinwidth.corpus import random_connected_graph
 from twinwidth.errors import BudgetExceeded
 from twinwidth.sequence import ContractionSequence, verify
@@ -11,6 +12,8 @@ from twinwidth.solver import (
     SolveResult,
     SolverConfig,
     _canon_packed,
+    _decide_rec,
+    _invariant,
     _ordered_children,
     _Packed,
     canonical_key,
@@ -23,20 +26,15 @@ from twinwidth.trigraph import new_trigraph
 from conftest import (
     canon_packed_oracle,
     connected_graphs_up_to_iso,
+    decide_rec_oracle,
     make_fig2,
     make_fig3,
     make_fig3_middle,
     make_fig3_tidy,
     naive_optimal_width,
     ordered_children_oracle,
+    petersen,
 )
-
-
-def petersen():
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return new_trigraph(10, edges)
 
 
 @stst.composite
@@ -53,14 +51,51 @@ def packed_states(draw, max_n=16):
         [p for p, c in zip(pairs, colors) if c == 3],
     )
     state = _Packed.from_trigraph(g)
-    next_id = g.next_label
-    for _ in range(draw(stst.integers(min_value=0, max_value=n - 1))):
+    return contract_at_random(draw, state, g.next_label, n - 1)
+
+
+@stst.composite
+def search_states(draw):
+    """A connected graph on 8..12 vertices with 0..4 edges beyond a spanning
+    tree, packed and contracted at up to three random pairs: sparse enough
+    that searches below its width meet isomorphic states."""
+    n = draw(stst.integers(min_value=8, max_value=12))
+    k = draw(stst.integers(min_value=0, max_value=4))
+    g = random_connected_graph(n, k, random.Random(draw(stst.integers(0, 2**32))))
+    return contract_at_random(draw, _Packed.from_trigraph(g), g.next_label, 3)
+
+
+def contract_at_random(draw, state, next_id, most):
+    """``state`` contracted at 0..``most`` random pairs of live slots, the
+    merged vertices labeled from ``next_id`` on."""
+    for _ in range(draw(stst.integers(min_value=0, max_value=most))):
         slots = state.alive_slots()
         i = draw(stst.sampled_from(slots))
         j = draw(stst.sampled_from([s for s in slots if s != i]))
         state = state.contract(i, j, next_id)
         next_id += 1
     return state
+
+
+class CountingBudget:
+    """A budget that never runs out and counts its ticks."""
+
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
+def search_and_oracle(state, d):
+    """(slot steps, ticks) of the solver's search and of
+    ``decide_rec_oracle`` from ``state`` at width ``d``, plus the oracle's
+    map of raw states to canonical forms."""
+    next_id = max(state.ids) + 1
+    ours, theirs, cache = CountingBudget(), CountingBudget(), {}
+    got = _decide_rec(state, d, next_id, {}, ours, set())
+    want = decide_rec_oracle(state, d, next_id, set(), theirs, cache)
+    return (got, ours.ticks), (want, theirs.ticks), cache
 
 
 def greedy_oracle_pairs(g):
@@ -208,6 +243,45 @@ class TestPackedOracles:
             assert greedy_sequence(g).pairs() == greedy_oracle_pairs(g)
 
 
+class TestSearchOracle:
+    """The failure memo finds exactly the isomorphic refuted states, so the
+    search takes the oracle's steps in the oracle's number of nodes."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(search_states())
+    def test_matches_oracle(self, state):
+        top = max(state.red[x].bit_count() for x in state.alive_slots())
+        for d in range(top, 4):
+            got, want, _ = search_and_oracle(state, d)
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "g, d",
+        [
+            (random_connected_graph(12, 1, random.Random(3)), 1),
+            (random_connected_graph(16, 8, random.Random(2)), 2),
+        ],
+        ids=["random12", "random16"],
+    )
+    def test_isomorphic_states_that_differ_raw(self, g, d):
+        got, want, cache = search_and_oracle(_Packed.from_trigraph(g), d)
+        assert got == want and got[0] is None
+        # two raw states with one canonical form: isomorphic, not equal
+        assert len(set(cache.values())) < len(cache)
+
+    def test_invariant_past_one_byte(self):
+        # a star's centre packs to 300 * (d + 1), past one byte: the invariant
+        # falls back to a tuple and stays invariant under relabeling
+        perm = list(range(301))
+        random.Random(5).shuffle(perm)
+        star = new_trigraph(301, [(0, i) for i in range(1, 301)])
+        relabeled = new_trigraph(301, [(perm[0], perm[i]) for i in range(1, 301)])
+        path = new_trigraph(301, [(i, i + 1) for i in range(300)])
+        keys = [_invariant(_Packed.from_trigraph(g), 1) for g in (star, relabeled, path)]
+        assert isinstance(keys[0], tuple) and isinstance(keys[2], bytes)
+        assert keys[0] == keys[1] != keys[2]
+
+
 class TestSearchShape:
     """The smallest node cap under which the width-2 decision finishes pins
     the search order, the memo hits and the node count."""
@@ -222,6 +296,22 @@ class TestSearchShape:
         with pytest.raises(BudgetExceeded) as exc:
             decide_width_at_most(g, 2, SolverConfig(max_nodes=nodes - 1))
         assert exc.value.kind == "nodes"
+
+    def test_canonical_forms_on_demand(self, monkeypatch):
+        # a form is computed only for a state whose degree invariant matches
+        # a refuted state's: 510 here, against 790 when every new state got
+        # one
+        calls = []
+        real = solver_module._canon_packed
+
+        def counting(state):
+            calls.append(state.alive)
+            return real(state)
+
+        monkeypatch.setattr(solver_module, "_canon_packed", counting)
+        g = random_connected_graph(16, 8, random.Random(2))
+        assert decide_width_at_most(g, 2) is None
+        assert len(calls) <= 510
 
 
 class TestBudgets:

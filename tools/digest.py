@@ -17,10 +17,16 @@ every instance of the fen1-deep-trees, fenk-kernel and exact-endgame
 benchmark workloads at seeds 1 and 2, solved as the benchmark solves them.
 Uses only the standard library and the ``src/`` and ``twbench/`` trees next
 to this script.
+
+For a change that may alter answers on purpose, ``--summary`` prints
+``<set> <instance> <width> <status> <miss kind>`` instead of the hash:
+``<width> <status> -`` for an answer and ``- - <kind>`` for a budget miss,
+so a diff shows which widths and statuses moved and which misses remain.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -52,26 +58,51 @@ def criterion9_corpus():
     return out
 
 
-def digest(text, policy, config):
-    g = cli.parse_graph(text)
-    try:
-        seq, report = kernel.solve(g, policy, config)
-    except BudgetExceeded as exc:
-        blob = f"{exc.kind}\n{exc}"
+def digest(g, outcome):
+    """SHA-256 of an answer's sequence text and report, or of a miss."""
+    if isinstance(outcome, BudgetExceeded):
+        blob = f"{outcome.kind}\n{outcome}"
     else:
+        seq, report = outcome
         blob = cli.emit_sequence(g, seq) + json.dumps(report, indent=2, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def main():
-    policy = kernel.Practical(workloads.PRACTICAL_FLOOR)
+def summary(g, outcome):
+    """``<width> <status> -`` for an answer, ``- - <kind>`` for a miss."""
+    if isinstance(outcome, BudgetExceeded):
+        return f"- - {outcome.kind}"
+    _, report = outcome
+    return f"{report['width']} {report['status']} -"
+
+
+def instances():
+    """``(set, instance, graph text, policy, config)`` for every instance."""
     for name, text in criterion9_corpus():
-        print("criterion-9", name, digest(text, kernel.DEFAULT_POLICY, solver.SolverConfig()))
+        yield "criterion-9", name, text, kernel.DEFAULT_POLICY, solver.SolverConfig()
+    policy = kernel.Practical(workloads.PRACTICAL_FLOOR)
     for workload in WORKLOADS:
         for seed in SEEDS:
             for inst in workloads.build(workload, seed):
                 config = solver.SolverConfig(**inst.config)
-                print(f"{workload}/{seed}", inst.name, digest(inst.text, policy, config))
+                yield f"{workload}/{seed}", inst.name, inst.text, policy, config
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="One line per solved instance.")
+    parser.add_argument(
+        "--summary",
+        action="store_true",
+        help="print width, status and miss kind instead of a hash",
+    )
+    line = summary if parser.parse_args(argv).summary else digest
+    for set_name, name, text, policy, config in instances():
+        g = cli.parse_graph(text)
+        try:
+            outcome = kernel.solve(g, policy, config)
+        except BudgetExceeded as exc:
+            outcome = exc
+        print(set_name, name, line(g, outcome))
 
 
 if __name__ == "__main__":
