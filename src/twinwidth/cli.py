@@ -53,12 +53,9 @@ def parse_graph(text: str) -> Trigraph:
         if parts[0] == "p":
             if n is not None:
                 raise HeaderMismatch("second header line", line=lineno)
-            if len(parts) != 4 or parts[1] != "tww":
+            if len(parts) != 4 or parts[1] != "tww" or not all(map(str.isdecimal, parts[2:])):
                 raise HeaderMismatch(f"bad header {line!r}", line=lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise HeaderMismatch(f"bad header {line!r}", line=lineno)
+            n, m = int(parts[2]), int(parts[3])
             continue
         if n is None:
             raise GraphSyntaxError("edge line before header", line=lineno)
@@ -133,8 +130,11 @@ def emit_sequence(g: Trigraph, seq: ContractionSequence) -> str:
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphSyntaxError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _config(args) -> SolverConfig:
@@ -174,8 +174,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = parse_graph(_read(args.graph))
+    text = _read(args.sequence)  # an unreadable file is an error, not a failed check
     try:
-        seq = parse_sequence(g, _read(args.sequence))
+        seq = parse_sequence(g, text)
         width = verify(g, seq, require_full=True)
     except TwinWidthError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

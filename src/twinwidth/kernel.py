@@ -145,13 +145,13 @@ def _shorten_paths(run: _Reduction, paths, target: int):
 
 
 def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
-    """A public kernel: a fresh runner on ``g``, pruned, tidied, and shortened
-    by ``derive(run, hp)``, which returns the kernel and its meta."""
+    """A public kernel: a fresh runner on ``g``, decided, pruned, tidied, and
+    shortened by ``derive(run, hp)``, which returns the kernel and its meta."""
     if not is_connected(g):
         raise Disconnected("kernelization expects a connected graph")
     run = _Reduction(g, config, feedback_edge_set(g), trace)
-    hp = _prune(run)
-    if hp is None:
+    run.decide()
+    if run.solved is not None or (hp := _prune(run)) is None:
         return KernelOutcome(solved=run.solved, meta={"k": len(run.fes)})
     kernel, meta = derive(run, _tidy(run, hp))
     return KernelOutcome(kernel=kernel, lift=run.lift(kernel), meta=meta)
@@ -249,9 +249,10 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
     if run.solved is not None:
         report["status"] = "optimal"
         return run.solved
-    if run.refuted:
+    # read before prune, whose guarded rules certify the reduced instance
+    if run.certified:
         report["tww_at_least_2"] = True
-    status = "optimal" if run.refuted else "upper_bound"
+    status = "optimal" if run.certified else "upper_bound"
     if k <= 1:
         seq = _fen1(run)
         trace.append({"rule": "fen1_construction"})

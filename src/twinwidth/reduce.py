@@ -13,12 +13,12 @@ original, within a certified width bound:
 
 Every stage is a list of contraction pairs played on one runner,
 :class:`_Reduction`: a plain working copy of the input, one prefix and one
-at-least-two flag.  A connected plain-graph solve builds one runner and
-hands it to each stage body in turn: the up-front width-0/1 check,
-``_prune`` (tree and stump rules, then the core/path decomposition),
-``_tidy``, and then either the feedback-edge-one walk ``_fen1`` or the
-kernels.  The public functions are a fresh runner plus one body; a
-:class:`~twinwidth.sequence.Lift` is built only where one is returned.
+at-least-two flag.  Each owner of a runner runs its up-front width-0/1 check
+once and then hands it to each stage body in turn: ``_prune`` (tree and stump
+rules, then the core/path decomposition), ``_tidy``, and then either the
+feedback-edge-one walk ``_fen1`` or the kernels.  The public functions are a
+fresh runner plus one body; a :class:`~twinwidth.sequence.Lift` is built
+only where one is returned.
 The rules contract only tree vertices, so ``_prune`` looks at its input once:
 one 2-core serves the dangling-tree search and the decomposition, and only
 the trees' owners are asked for their stumps.
@@ -164,12 +164,12 @@ class _Reduction:
 
     ``fes`` is the input's feedback edge set, computed once by the caller,
     and ``trace`` the list the stages append their rule events to.
-    ``decide`` is the up-front width-0/1 check of ``g``; it runs at most once
-    per runner, and ``refuted`` records that it ruled out width <= 1.
+    ``_decide`` makes every width decision: a sequence found becomes
+    ``solved``, and ``certified`` records a lower bound of 2.  ``decide`` is
+    the up-front width-0/1 check of ``g``, made once before the first stage.
 
     A guarded rule, safe only at twin-width >= 2, sets ``at_least_two``; it
-    is certified by two red stumps or a failed width-1 decision, and a
-    width-1 sequence found instead becomes ``solved``.
+    is certified by two red stumps or a failed width-1 decision.
 
     ``red_stumps`` is kept without a rescan: a tree cut adds one, the folded
     tree, and a stump merge changes only its owner's stumps (``stumps`` keeps
@@ -187,8 +187,6 @@ class _Reduction:
         self.prefix = []
         self.at_least_two = False
         self.certified = False
-        self.decided = False
-        self.refuted = False
         self.red_stumps = red_stump_count(g)
         self.stumps = ()
         self.solved = None
@@ -210,25 +208,31 @@ class _Reduction:
         working trigraph."""
         return ContractionSequence.build(self.g, self.prefix + list(pairs))
 
-    def decide(self):
-        """The up-front width-0/1 check of ``g``, run at most once and only
-        within the vertex budget: a sequence found becomes ``solved``, and two
-        refutations certify width >= 2.  A budget miss leaves both unset."""
-        if self.decided or self.g.n > self.config.max_vertices:
-            self.decided = True
-            return
-        self.decided = True
+    def _decide(self, caps):
+        """Decide width <= d of the working trigraph for each cap ``d`` in
+        turn, within the vertex budget.  Returns the first cap with a
+        sequence, which becomes ``solved``; refuting every cap sets
+        ``certified``, and a budget miss changes nothing."""
+        if self.work.n > self.config.max_vertices:
+            return None
         try:
-            for d in (0, 1):
-                seq = decide_width_at_most(self.g, d, self.config)
+            for d in caps:
+                seq = decide_width_at_most(self.work, d, self.config)
                 if seq is not None:
-                    self.trace.append({"rule": "solved_by_decision", "width": d})
-                    self.solved = seq
-                    self.certified = True
-                    return
+                    self.solved = self.sequence(seq.pairs())
+                    return d
         except BudgetExceeded:
-            return
-        self.refuted = self.certified = True
+            return None
+        self.certified = True
+        return None
+
+    def decide(self):
+        """The up-front width-0/1 check, on a runner that has played nothing;
+        a sequence it finds is optimal, so the outcome is certified."""
+        d = self._decide((0, 1))
+        if d is not None:
+            self.trace.append({"rule": "solved_by_decision", "width": d})
+            self.certified = True
 
     def _guard(self, red_change):
         """Finish a guarded rule that changed the red stump count by
@@ -237,15 +241,8 @@ class _Reduction:
         self.at_least_two = True
         if self.red_stumps >= 2:
             self.certified = True
-        elif self.work.n <= self.config.max_vertices:
-            try:
-                onewide = decide_width_at_most(self.work, 1, self.config)
-            except BudgetExceeded:
-                return self
-            if onewide is None:
-                self.certified = True
-            else:
-                self.solved = self.sequence(onewide.pairs())
+        else:
+            self._decide((1,))
         return self
 
     def lift(self, child: Trigraph) -> Lift:
@@ -494,15 +491,12 @@ def _component_paths(g: Trigraph, core, hubs):
 
 
 def _prune(run: _Reduction, observer=None) -> HPGraph | None:
-    """The body of :func:`prune` on a runner that has played nothing yet.
+    """The body of :func:`prune` on an unsolved runner that has played nothing.
 
     Returns the decomposition, whose trigraph is the runner's working
     trigraph, or None with ``run.solved`` set.
     """
     note = run.trace.append
-    run.decide()
-    if run.solved is not None:
-        return None
     g = run.work
     fes = run.fes
     k = len(fes)
@@ -545,14 +539,11 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
             stumps = run.stumps
         stumps_map[u] = stumps
 
-    # assemble the decomposition
+    # assemble the decomposition; a feedback edge's endpoints are hubs, so
+    # the core degree that makes the other hubs need not leave its edge out
     hubs = {v for e in fes for v in e}
     assert hubs <= core
-    fes_set = set(fes)  # each edge (u, v) with u < v
-    for v in core:
-        inside = [u for u in g.neighbors(v) if u in core and (min(u, v), max(u, v)) not in fes_set]
-        if len(inside) > 2:
-            hubs.add(v)
+    hubs.update(v for v in core if len(g.neighbors(v) & core) > 2)
     assert len(hubs) <= 4 * k, "hub bound violated"
     h_vertices = set(hubs)
     for u in hubs:
@@ -590,18 +581,18 @@ def prune(
     decomposition plus one lift for all its rules.  With ``k`` feedback
     edges the core has at most ``16k`` vertices and there are at most ``4k``
     pseudo-paths.  The up-front width-0/1 decision runs first, within the
-    vertex budget; ``solve`` instead runs it once before all stages.
+    vertex budget.
     """
     if not is_connected(g):
         raise Disconnected("pruning expects a connected graph")
     if g.has_red():
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
     run = _Reduction(g, config, feedback_edge_set(g), trace)
-    hp = _prune(run, observer)
-    if hp is None:
-        return RuleOutcome(solved=run.solved, certified=run.certified)
-    hp.g = run.work._frozen()
-    return RuleOutcome(instance=hp, lift=run.lift(hp.g), certified=run.certified)
+    run.decide()
+    if run.solved is None and (hp := _prune(run, observer)) is not None:
+        hp.g = run.work._frozen()
+        return RuleOutcome(instance=hp, lift=run.lift(hp.g), certified=run.certified)
+    return RuleOutcome(solved=run.solved, certified=run.certified)
 
 
 # -- feedback edge number one ---------------------------------------------------------
@@ -620,8 +611,8 @@ def _cycle_order(g: Trigraph, cycle):
 
 
 def _fen1(run: _Reduction) -> ContractionSequence:
-    """The body of :func:`fen1_sequence` on a runner that has played
-    nothing yet: prune and tidy it, then walk the cycle.  Its rules are not
+    """The body of :func:`fen1_sequence` on an unsolved runner that has
+    played nothing: prune and tidy it, then walk the cycle.  Its rules are not
     traced; ``solve`` reports the whole construction as one event."""
     run.trace = []
     hp = _prune(run)
@@ -659,4 +650,6 @@ def fen1_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> Contrac
         raise FenTooLarge(f"feedback edge number {len(fes)} > 1")
     if g.has_red():
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
-    return _fen1(_Reduction(g, config, fes))
+    run = _Reduction(g, config, fes)
+    run.decide()
+    return _fen1(run) if run.solved is None else run.solved

@@ -262,6 +262,8 @@ class Trigraph:
         included."""
         keeps = [frozenset(part) for part in parts]
         where = {v: i for i, keep in enumerate(keeps) for v in keep}
+        if len(where) < sum(map(len, keeps)):
+            raise BadVertexSet("parts overlap")
         if not where.keys() <= self._black.keys():
             raise BadVertexSet(f"{sorted(where.keys() - self._black.keys())} not live")
         maps = [({}, {}) for _ in keeps]

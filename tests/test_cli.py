@@ -194,6 +194,22 @@ class TestCommands:
         bad.write_text("p tww 2 1\n9 9\n")
         assert run(["solve", str(bad)]) == 1
 
+    @pytest.mark.parametrize("header", ["p tww -3 0", "p tww 2 -1", "p tww 0x2 0"])
+    def test_negative_header_count_exit_1(self, tmp_path, capsys, header):
+        with pytest.raises(HeaderMismatch):
+            parse_graph(header + "\n")
+        bad = tmp_path / "bad.gr"
+        bad.write_text(header + "\n")
+        assert run(["solve", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1: bad header")
+
+    def test_non_utf8_file_exit_1(self, tmp_fig2, tmp_path, capsys):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"p tww 2 1\n1 2\xff\n")
+        for argv in (["solve", str(binary)], ["verify", str(tmp_fig2), str(binary)]):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == f"error: {binary}: not UTF-8 text (byte 13)\n"
+
     def test_solve_emitted_kernel_roundtrip(self, tmp_path, capsys):
         # kernelize writes a trigraph; solving that file must work end to end
         graph = tmp_path / "fig3.gr"

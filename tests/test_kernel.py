@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from twinwidth.kernel import (
     tower_bound,
     tww2_bikernel,
 )
-from twinwidth.reduce import _Reduction, prune, tidy
+from twinwidth.reduce import _Reduction, fen1_sequence, prune, tidy
 from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolveResult, SolverConfig, optimal_sequence
 from twinwidth.trigraph import EdgeColor, new_trigraph
@@ -24,6 +25,23 @@ from twinwidth.trigraph import EdgeColor, new_trigraph
 from conftest import make_fig3, petersen, shorten_oracle
 
 CFG = SolverConfig(max_vertices=25)
+
+
+@pytest.fixture
+def decide_calls(monkeypatch):
+    """The (cap, vertex count) of every call to the exact search's
+    ``solver._decide``, in order."""
+    from twinwidth import solver as solver_module
+
+    calls = []
+    real = solver_module._decide
+
+    def counting(g, d, config):
+        calls.append((d, g.n))
+        return real(g, d, config)
+
+    monkeypatch.setattr(solver_module, "_decide", counting)
+    return calls
 
 
 class TestGrowthBound:
@@ -380,28 +398,57 @@ class TestSolve:
         assert calls == [60]
 
     @pytest.mark.parametrize("k, expected", [(6, {(0, 16): 1, (1, 16): 1}), (1, {(0, 16): 1})])
-    def test_up_front_decision_runs_once(self, monkeypatch, k, expected):
+    def test_up_front_decision_runs_once(self, decide_calls, k, expected):
         # three search nodes are not enough for the width-1 decision, so the
         # up-front check misses its budget; prune must not run it again
-        from collections import Counter
-
-        from twinwidth import solver as solver_module
-
-        calls = []
-        real = solver_module._decide
-
-        def counting(g, d, config):
-            calls.append((d, g.n))
-            return real(g, d, config)
-
-        monkeypatch.setattr(solver_module, "_decide", counting)
         g = random_connected_graph(16, k, random.Random(3))
         try:
             solve(g, Practical(12), SolverConfig(max_vertices=20, max_nodes=3))
         except BudgetExceeded:
             pass
-        counts = Counter(c for c in calls if c[1] == 16 and c[0] <= 1)
+        counts = Counter(c for c in decide_calls if c[1] == 16 and c[0] <= 1)
         assert counts == expected
+
+    @pytest.mark.parametrize("max_nodes", [None, 3])
+    @pytest.mark.parametrize(
+        "entry, k",
+        [
+            (prune, 1),
+            (prune, 6),
+            (fen1_sequence, 1),
+            (tww2_bikernel, 1),
+            (tww2_bikernel, 6),
+            (general_kernel, 1),
+            (general_kernel, 6),
+        ],
+    )
+    def test_entry_point_decides_up_front_once(self, decide_calls, entry, k, max_nodes):
+        # every public owner of a runner makes the up-front decision itself,
+        # once per cap; three search nodes refute width 0 of the fen-6 graph
+        # but miss width 1, and miss width 0 of the fen-1 graph, and a miss
+        # certifies nothing
+        g = random_connected_graph(16, k, random.Random(3))
+        out = entry(g, config=SolverConfig(max_vertices=20, max_nodes=max_nodes))
+        caps = (0,) if max_nodes and k == 1 else (0, 1)
+        counts = Counter(c for c in decide_calls if c[1] == 16 and c[0] <= 1)
+        assert counts == {(d, 16): 1 for d in caps}
+        if entry is prune:
+            assert out.certified == (max_nodes is None)
+        elif entry is not fen1_sequence:
+            assert out.meta["certified"] == (max_nodes is None)
+
+    @pytest.mark.parametrize("k, status", [(1, "upper_bound"), (2, "optimal")])
+    def test_lower_bound_read_before_prune(self, k, status):
+        # 16 vertices are past the budget, so the up-front check is skipped,
+        # while prune's guarded rules certify the smaller reduced instance:
+        # that certificate is not the input's (the bikernel's status rests on
+        # it, as its own meta says)
+        g = random_connected_graph(16, k, random.Random(0))
+        config = SolverConfig(max_vertices=12)
+        assert prune(g, config).certified
+        _, report = solve(g, Practical(12), config)
+        assert "tww_at_least_2" not in report
+        assert report["status"] == status
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_connectivity_checked_once(self, monkeypatch, k):
@@ -426,23 +473,13 @@ class TestSolve:
             pass
         assert calls == [60]
 
-    def test_width_two_refuted_once(self, monkeypatch):
+    def test_width_two_refuted_once(self, decide_calls):
         # Petersen graph: the up-front check decides widths 0 and 1, the
         # bikernel width 2; the general kernel is the bikernel, so the endgame
         # deepens from 3 instead of deciding 0, 1 and 2 again
-        from twinwidth import solver as solver_module
-
-        calls = []
-        real = solver_module._decide
-
-        def counting(g, d, config):
-            calls.append(d)
-            return real(g, d, config)
-
-        monkeypatch.setattr(solver_module, "_decide", counting)
         _, report = solve(petersen(), Practical(12), CFG)
         assert report["width"] == 4 and report["status"] == "optimal"
-        assert calls == [0, 1, 2, 3, 4]
+        assert [d for d, _ in decide_calls] == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("floor, start", [(1, 3), (2, 0)])
     def test_endgame_starts_above_the_refuted_bikernel(self, monkeypatch, floor, start):

@@ -267,6 +267,14 @@ class TestInduceRecolor:
         with pytest.raises(BadVertexSet):
             make_fig2().split([{0, 1}, {99}])
 
+    def test_split_overlapping_parts(self):
+        # a shared vertex would be listed by a part that does not hold it
+        g = new_trigraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(BadVertexSet):
+            g.split([[0, 1], [1, 2]])
+        with pytest.raises(BadVertexSet):
+            g.split([[0], [0]])
+
     def test_recolor_pseudoinduced(self):
         g = new_trigraph(3, [(0, 1)], [(1, 2)])
         h = g.recolor({(1, 2): EdgeColor.BLACK})
