@@ -18,6 +18,7 @@ import json
 import sys
 
 from .errors import (
+    BadStepLine,
     BudgetExceeded,
     GraphSyntaxError,
     HeaderMismatch,
@@ -102,11 +103,11 @@ def parse_sequence(g: Trigraph, text: str) -> ContractionSequence:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphSyntaxError(f"bad step line {line!r}", line=lineno)
+            raise BadStepLine(f"bad step line {line!r}", line=lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphSyntaxError(f"bad step line {line!r}", line=lineno)
+            raise BadStepLine(f"bad step line {line!r}", line=lineno)
         if u not in live or v not in live or u == v:
             raise GraphSyntaxError(f"step {u} {v} references a dead label", line=lineno)
         live[u] = pairs.emit(live[u], live[v])
@@ -178,6 +179,8 @@ def _cmd_verify(args) -> int:
     try:
         seq = parse_sequence(g, text)
         width = verify(g, seq, require_full=True)
+    except BadStepLine:
+        raise  # a file-format problem, not a failed check
     except TwinWidthError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2

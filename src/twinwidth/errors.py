@@ -115,6 +115,10 @@ class GraphSyntaxError(ParseError):
     pass
 
 
+class BadStepLine(GraphSyntaxError):
+    pass
+
+
 class HeaderMismatch(ParseError):
     pass
 

@@ -13,8 +13,9 @@ reduction runner (``reduce._Reduction``) and plays every stage on it: the
 up-front width-0/1 check, prune, tidy, and then the feedback-edge-one walk
 or the kernels; the bikernel is shortened on a fork of the runner, and the
 general kernel on the runner itself.  The input's connectivity and feedback
-edge set are established once.  Every emitted sequence is re-verified
-before it is reported.
+edge set are established once, and so is the exact search: its deadline
+bounds the solve, and the endgame skips caps refuted on the same trigraph.
+Every emitted sequence is re-verified before it is reported.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from dataclasses import dataclass, field
 from .errors import Disconnected
 from .reduce import _Reduction, _fen1, _prune, _tidy
 from .sequence import ContractionSequence, Emitter, Lift, verify
-from .solver import (
-    DEFAULT_CONFIG,
-    SolverConfig,
-    decide_width_at_most,
-    optimal_sequence,
-)
+from .solver import DEFAULT_CONFIG, SolverConfig, _Search
 from .structure import HPGraph, feedback_edge_set
 from .trigraph import Trigraph, connected_components, is_connected
 
@@ -149,7 +145,7 @@ def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
     shortened by ``derive(run, hp)``, which returns the kernel and its meta."""
     if not is_connected(g):
         raise Disconnected("kernelization expects a connected graph")
-    run = _Reduction(g, config, feedback_edge_set(g), trace)
+    run = _Reduction(g, _Search(config), feedback_edge_set(g), trace)
     run.decide()
     if run.solved is not None or (hp := _prune(run)) is None:
         return KernelOutcome(solved=run.solved, meta={"k": len(run.fes)})
@@ -230,19 +226,19 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
 # -- driver ------------------------------------------------------------------------
 
 
-def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
+def _solve_connected(g: Trigraph, policy, search: _Search, report: dict):
     trace = report.setdefault("rules", [])
     if g.has_red():
         # trigraph inputs (e.g. emitted kernels) skip the reduction pipeline,
         # whose rules are stated for plain graphs, and go straight to the
         # exact solver
-        result = optimal_sequence(g, config)
+        result = search.optimal(g)
         trace.append({"rule": "exact_trigraph", "width": result.width})
         report["status"] = "optimal" if result.optimal else "upper_bound"
         return result.sequence
     # one runner plays every stage; ``g`` is connected and its feedback edge
     # set is computed here, once
-    run = _Reduction(g, config, feedback_edge_set(g), trace)
+    run = _Reduction(g, search, feedback_edge_set(g), trace)
     k = len(run.fes)
     report["k"] = k
     run.decide()
@@ -266,19 +262,13 @@ def _solve_connected(g: Trigraph, policy, config: SolverConfig, report: dict):
     bi = run.fork()
     bikernel, meta = _collapse_paths(bi, hp)
     report["bikernel"] = meta
-    refuted = None
-    if bikernel.n <= config.max_vertices:
-        seq2 = decide_width_at_most(bikernel, 2, config)
-        if seq2 is not None:
-            trace.append({"rule": "bikernel_width2"})
-            report["status"] = "optimal" if meta["certified"] else "upper_bound"
-            return bi.sequence(seq2.pairs())
-        refuted = bikernel
+    if bikernel.n <= search.config.max_vertices and (found := search.first(bikernel, (2,))):
+        trace.append({"rule": "bikernel_width2"})
+        report["status"] = "optimal" if meta["certified"] else "upper_bound"
+        return bi.sequence(found[1].pairs())
     kernel, meta = _absorb_and_shorten(run, hp, policy)
     report["general_kernel"] = meta
-    # when neither kernel shortened a path they are one trigraph, whose
-    # widths up to 2 were just refuted
-    result = optimal_sequence(kernel, config, 3 if kernel == refuted else 0)
+    result = search.optimal(kernel)
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
     if not result.optimal:
         report["status"] = "upper_bound"
@@ -309,9 +299,10 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     component-discovery order (twin-width of a disjoint union is the maximum
     over components; no cross-component contractions are emitted)."""
     report = {"n": g.n, "policy": _policy_name(policy)}
+    search = _Search(config)
     comps = connected_components(g)
     if len(comps) <= 1:
-        seq = _solve_connected(g, policy, config, report)
+        seq = _solve_connected(g, policy, search, report)
         report["width"] = verify(g, seq)
         return seq, report
     report["components"] = len(comps)
@@ -319,7 +310,7 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     statuses = []
     for sub in g.split(comps):
         sub_report = {"n": sub.n, "policy": report["policy"]}
-        seq = _solve_connected(sub, policy, config, sub_report)
+        seq = _solve_connected(sub, policy, search, sub_report)
         all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))
         statuses.append(sub_report.get("status", "upper_bound"))
         report.setdefault("rules", []).extend(sub_report.get("rules", []))

@@ -49,7 +49,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .sequence import ContractionSequence, Emitter, Lift
-from .solver import DEFAULT_CONFIG, SolverConfig, decide_width_at_most
+from .solver import DEFAULT_CONFIG, SolverConfig, _Search
 from .structure import (
     HPGraph,
     ORIGINAL,
@@ -162,8 +162,9 @@ class _Reduction:
     """The runner of one solve: plays every stage's pairs on a working copy
     of ``g`` into one prefix, with one lift flag.
 
-    ``fes`` is the input's feedback edge set, computed once by the caller,
-    and ``trace`` the list the stages append their rule events to.
+    ``search`` is the solve's exact search (``solver._Search``), ``fes`` the
+    input's feedback edge set, computed once by the caller, and ``trace`` the
+    list the stages append their rule events to.
     ``_decide`` makes every width decision: a sequence found becomes
     ``solved``, and ``certified`` records a lower bound of 2.  ``decide`` is
     the up-front width-0/1 check of ``g``, made once before the first stage.
@@ -178,10 +179,10 @@ class _Reduction:
     and twin half stumps make no red edge.
     """
 
-    def __init__(self, g: Trigraph, config: SolverConfig, fes=None, trace=None):
+    def __init__(self, g: Trigraph, search: _Search, fes=None, trace=None):
         self.g = g
         self.work = g._thawed()
-        self.config = config
+        self.search = search
         self.fes = fes
         self.trace = [] if trace is None else trace
         self.prefix = []
@@ -210,21 +211,18 @@ class _Reduction:
 
     def _decide(self, caps):
         """Decide width <= d of the working trigraph for each cap ``d`` in
-        turn, within the vertex budget.  Returns the first cap with a
-        sequence, which becomes ``solved``; refuting every cap sets
-        ``certified``, and a budget miss changes nothing."""
-        if self.work.n > self.config.max_vertices:
-            return None
+        turn.  Returns the first cap with a sequence, which becomes
+        ``solved``; refuting every cap sets ``certified``, and a budget miss,
+        the vertex budget's included, changes nothing."""
         try:
-            for d in caps:
-                seq = decide_width_at_most(self.work, d, self.config)
-                if seq is not None:
-                    self.solved = self.sequence(seq.pairs())
-                    return d
+            found = self.search.first(self.work, caps)
         except BudgetExceeded:
             return None
-        self.certified = True
-        return None
+        if found is None:
+            self.certified = True
+            return None
+        self.solved = self.sequence(found[1].pairs())
+        return found[0]
 
     def decide(self):
         """The up-front width-0/1 check, on a runner that has played nothing;
@@ -323,7 +321,7 @@ def reduce_star(g: Trigraph, tree) -> RuleOutcome:
     """Replace a dangling black star (>= 2 leaves) by a black stump on its
     attachment vertex.  Lift: contract the leaves (pairwise twins) first, then
     follow the reduced instance's sequence."""
-    return _Reduction(g, DEFAULT_CONFIG).reduce_star(tree).outcome()
+    return _Reduction(g, _Search()).reduce_star(tree).outcome()
 
 
 def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
@@ -333,14 +331,14 @@ def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> Rul
     instead solves the input: contract the tree onto its root, then follow the
     candidate's width-1 sequence.
     """
-    return _Reduction(g, config).reduce_tree(tree).outcome()
+    return _Reduction(g, _Search(config)).reduce_tree(tree).outcome()
 
 
 def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
     """Merge one excess stump on ``u``: beside a red stump any other stump is
     absorbed into it; half stumps merge pairwise as twins; two black stumps
     become one red stump.  A black-and-half pair is a legal terminal state."""
-    return _Reduction(g, config).merge_stumps(u, stumps_at(g, u)).outcome()
+    return _Reduction(g, _Search(config)).merge_stumps(u, stumps_at(g, u)).outcome()
 
 
 def _stump_remnant(stumps, emit):
@@ -447,7 +445,7 @@ def tidy(hp: HPGraph, trace=None):
     for path in hp.paths:
         if path.flavor not in (ORIGINAL, TIDY):
             raise NotOriginal(f"unknown path flavor {path.flavor}")
-    run = _Reduction(hp.g, DEFAULT_CONFIG, trace=trace)
+    run = _Reduction(hp.g, _Search(), trace=trace)
     out = _tidy(run, hp)
     out.g = run.work._frozen()
     return out, run.lift(out.g)
@@ -511,7 +509,7 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
         # rule would play it
         if observer is not None:
             before = g._frozen()
-            observer(rule.__name__, before, rule(_Reduction(before, run.config), *args).outcome())
+            observer(rule.__name__, before, rule(_Reduction(before, run.search), *args).outcome())
         rule(run, *args)
         solved = run.solved is not None
         note({"rule": rule.__name__ + ("_solved" if solved else ""), "site": site})
@@ -587,7 +585,7 @@ def prune(
         raise Disconnected("pruning expects a connected graph")
     if g.has_red():
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
-    run = _Reduction(g, config, feedback_edge_set(g), trace)
+    run = _Reduction(g, _Search(config), feedback_edge_set(g), trace)
     run.decide()
     if run.solved is None and (hp := _prune(run, observer)) is not None:
         hp.g = run.work._frozen()
@@ -650,6 +648,6 @@ def fen1_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> Contrac
         raise FenTooLarge(f"feedback edge number {len(fes)} > 1")
     if g.has_red():
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
-    run = _Reduction(g, config, fes)
+    run = _Reduction(g, _Search(config), fes)
     run.decide()
     return _fen1(run) if run.solved is None else run.solved

@@ -3,12 +3,14 @@
 ``decide_width_at_most`` answers "is there a contraction sequence of width at
 most d" with a certificate, and ``optimal_sequence`` wraps it in iterative
 deepening starting from the trivial lower bound (the input's own max red
-degree).  The search branches on all live vertex pairs, preferring pairs that
-minimize the immediate max red degree, and never explores a state isomorphic
-to one it has refuted.  Refuted states are kept raw, and in a failure memo
-bucketed by an isomorphism invariant, the sorted (black degree, red degree)
-pairs of the live vertices; the exact canonical form is computed only for a
-state whose bucket already holds a refuted state, at most once per state.
+degree).  ``kernel.solve`` runs every decision on one private ``_Search``,
+which holds the budgets and the caps refuted so far.  The search branches on
+all live vertex pairs, preferring pairs that minimize the immediate max red
+degree, and never explores a state isomorphic to one it has refuted.
+Refuted states are kept raw, and in a failure memo bucketed by an
+isomorphism invariant, the sorted (black degree, red degree) pairs of the
+live vertices; the exact canonical form is computed only for a state whose
+bucket already holds a refuted state, at most once per state.
 
 Internally the trigraph is packed into per-vertex bitmasks; vertex identity
 is tracked on the side so certificates come back in the caller's labels.
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import BudgetExceeded
-from .sequence import ContractionSequence, Emitter, verify
+from .sequence import ContractionSequence, verify
 from .trigraph import Trigraph
 
 CanonicalKey = bytes
@@ -30,15 +33,13 @@ CanonicalKey = bytes
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budget knobs.  ``max_vertices`` is a hard refusal; node and time limits
-    make ``optimal_sequence`` fall back to an unproven greedy certificate.
-    ``threads`` is accepted for compatibility and ignored: the search always
-    runs in the calling thread."""
+    """Budget knobs.  ``max_vertices`` is a hard refusal; ``max_nodes`` caps
+    each width decision and ``time_limit`` (seconds) a whole solve.  Either
+    miss makes ``optimal_sequence`` fall back to an unproven greedy sequence."""
 
     max_vertices: int = 20
     max_nodes: int | None = None
     time_limit: float | None = None
-    threads: int = 1
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -257,24 +258,6 @@ def canonical_key(g: Trigraph) -> CanonicalKey:
 # -- search -----------------------------------------------------------------------
 
 
-class _Budget:
-    __slots__ = ("nodes_left", "deadline")
-
-    def __init__(self, config: SolverConfig):
-        self.nodes_left = config.max_nodes
-        self.deadline = (
-            time.monotonic() + config.time_limit if config.time_limit else None
-        )
-
-    def tick(self):
-        if self.nodes_left is not None:
-            self.nodes_left -= 1
-            if self.nodes_left < 0:
-                raise BudgetExceeded(0, 0, kind="nodes")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(0, 0, kind="time")
-
-
 def _ordered_children(state: _Packed, d: int):
     """Pairs whose contraction keeps the max red degree within ``d``, as
     sorted ``(max red, la, lb, i, j)`` tuples: ordered by the child's max red
@@ -341,7 +324,7 @@ def _invariant(state: _Packed, d: int):
     return bytes(codes) if codes[-1] < 256 else tuple(codes)
 
 
-def _decide_rec(state: _Packed, d: int, next_id: int, memo: dict, budget: _Budget, refuted: set):
+def _decide_rec(state: _Packed, d: int, next_id: int, memo: dict, budget: _Search, refuted: set):
     """Search for a width-``d`` finish of ``state``; slot steps or None.
 
     A success ends the search, so every state met again was refuted: raw
@@ -352,7 +335,7 @@ def _decide_rec(state: _Packed, d: int, next_id: int, memo: dict, budget: _Budge
     a lookup lands in a non-empty bucket, and at most once per state.  A
     state's descendants have fewer live slots, hence other invariants, so its
     bucket cannot change while its subtree is searched."""
-    if state.n_alive() == 1:
+    if state.n_alive() <= 1:
         return []
     budget.tick()
     raw = (state.alive, state.black, state.red)
@@ -384,65 +367,85 @@ def _slots_to_pairs(slot_steps):
     return [(min(ids[i], ids[j]), max(ids[i], ids[j])) for i, j, ids in slot_steps]
 
 
-def _decide(g: Trigraph, d: int, config: SolverConfig):
-    if g.n > config.max_vertices:
-        raise BudgetExceeded(g.n, config.max_vertices, kind="vertices")
+def _decide(g: Trigraph, d: int, search: _Search):
+    """One width decision: a sequence of width <= ``d``, or None iff none."""
     if g.max_red_degree() > d:
         return None
-    state = _Packed.from_trigraph(g)
-    slot_steps = _decide_rec(state, d, g.next_label, {}, _Budget(config), set())
+    slot_steps = _decide_rec(_Packed.from_trigraph(g), d, g.next_label, {}, search, set())
     if slot_steps is None:
         return None
     return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
 
 
-def decide_width_at_most(g: Trigraph, d: int, config: SolverConfig = DEFAULT_CONFIG):
-    """Return a full sequence of width <= d, or None iff none exists.
+class _Search:
+    """The exact search of one solve: one deadline, fixed when it is made, a
+    node count reset for each width decision, and ``refuted``, the highest
+    cap refuted at each packed root ``(ids, black, red)``."""
 
-    Raises :class:`BudgetExceeded` instead of guessing when a budget is hit.
-    """
-    if d < 0:
+    __slots__ = ("config", "deadline", "nodes_left", "refuted")
+
+    def __init__(self, config: SolverConfig = DEFAULT_CONFIG):
+        self.config = config
+        self.deadline = time.monotonic() + config.time_limit if config.time_limit else None
+        self.nodes_left = None
+        self.refuted = {}
+
+    def tick(self):
+        if self.nodes_left is not None:
+            self.nodes_left -= 1
+            if self.nodes_left < 0:
+                raise BudgetExceeded(0, 0, kind="nodes")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded(0, 0, kind="time")
+
+    def first(self, g: Trigraph, caps):
+        """``(d, sequence)`` for the first of the ascending ``caps`` that
+        admits a sequence, or None.  A cap at or below one refuted on ``g`` is
+        refuted, and skipped; a budget miss raises :class:`BudgetExceeded`."""
+        if g.n > self.config.max_vertices:
+            raise BudgetExceeded(g.n, self.config.max_vertices, kind="vertices")
+        packed = _Packed.from_trigraph(g)
+        root = (packed.ids, packed.black, packed.red)
+        for d in caps:
+            if d <= self.refuted.get(root, -1):
+                continue
+            self.nodes_left = self.config.max_nodes
+            seq = _decide(g, d, self)
+            if seq is not None:
+                return d, seq
+            self.refuted[root] = d
         return None
-    if g.n == 0:
-        return ContractionSequence.build(g, [])
-    return _decide(g, d, config)
+
+    def optimal(self, g: Trigraph) -> SolveResult:
+        """Minimum-width sequence by iterative deepening from ``g``'s max red
+        degree: every cap below the first that admits a sequence is refuted.
+        A node or time miss falls back to the greedy sequence, unproven."""
+        try:
+            d, seq = self.first(g, count(g.max_red_degree()))
+        except BudgetExceeded as exc:
+            if exc.kind == "vertices":
+                raise
+            seq = greedy_sequence(g)
+            return SolveResult(verify(g, seq), seq, False, "not_proven")
+        return SolveResult(d, seq, True, "optimal")
+
+
+def decide_width_at_most(g: Trigraph, d: int, config: SolverConfig = DEFAULT_CONFIG):
+    """Return a full sequence of width <= d, or None iff none exists; raises
+    :class:`BudgetExceeded` instead of guessing when a budget is hit."""
+    found = _Search(config).first(g, (d,))
+    return None if found is None else found[1]
 
 
 def greedy_sequence(g: Trigraph) -> ContractionSequence:
     """First-descent sequence: always contract the pair minimizing the
     immediate max red degree, ties by labels.  Deterministic, carries no
-    optimality proof; used as the budget-exhausted fallback."""
-    state = _Packed.from_trigraph(g)
-    pairs = Emitter(g.next_label)
-    while state.n_alive() > 1:
-        _, la, lb, i, j = _ordered_children(state, state.n_alive())[0]
-        state = state.contract(i, j, pairs.emit(la, lb))
-    return ContractionSequence.build(g, pairs)
+    optimality proof; used as the budget-exhausted fallback.  It is the
+    search at cap ``g.n``, where the first child always has a finish."""
+    slot_steps = _decide_rec(_Packed.from_trigraph(g), g.n, g.next_label, {}, _Search(), set())
+    return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
 
 
-def optimal_sequence(
-    g: Trigraph, config: SolverConfig = DEFAULT_CONFIG, _start: int = 0
-) -> SolveResult:
-    """Minimum-width sequence by iterative deepening from the trivial bound.
-
-    The first cap that admits a sequence is the twin-width, since the previous
-    cap was proven impossible (or equals the input's own max red degree).
-    A caller that has already refuted every cap below ``_start`` on ``g``
-    passes it to begin the deepening there.
-    """
-    if g.n > config.max_vertices:
-        raise BudgetExceeded(g.n, config.max_vertices, kind="vertices")
-    if g.n <= 1:
-        return SolveResult(0, ContractionSequence.build(g, []), True, "optimal")
-    d = max(g.max_red_degree(), _start)
-    try:
-        while True:
-            seq = _decide(g, d, config)
-            if seq is not None:
-                return SolveResult(d, seq, True, "optimal")
-            d += 1
-    except BudgetExceeded as exc:
-        if exc.kind == "vertices":
-            raise
-        seq = greedy_sequence(g)
-        return SolveResult(verify(g, seq), seq, False, "not_proven")
+def optimal_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:
+    """Minimum-width sequence by iterative deepening; see :meth:`_Search.optimal`."""
+    return _Search(config).optimal(g)

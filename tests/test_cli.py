@@ -119,6 +119,15 @@ class TestCommands:
         seq.write_text("1 2\n1 2\n")
         assert run(["verify", str(tmp_fig2), str(seq)]) == 2
 
+    @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1"])
+    def test_verify_malformed_step_exit_1(self, tmp_fig2, tmp_path, capsys, line):
+        # a step line that is not two integers is a format error, while a
+        # step naming a dead label (above) fails the check
+        seq = tmp_path / "bad.seq"
+        seq.write_text(line + "\n")
+        assert run(["verify", str(tmp_fig2), str(seq)]) == 1
+        assert capsys.readouterr().err == f"error: line 1: bad step line {line!r}\n"
+
     def test_solve_then_verify(self, tmp_fig2, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert run(["solve", str(tmp_fig2), "--report", str(report)]) == 0

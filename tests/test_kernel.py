@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from twinwidth import kernel as kernel_module
+from twinwidth import solver as solver_module
 from twinwidth.corpus import random_connected_graph, random_tree, random_with_dangling_trees
 from twinwidth.errors import BudgetExceeded, Disconnected
 from twinwidth.kernel import (
@@ -19,7 +20,7 @@ from twinwidth.kernel import (
 )
 from twinwidth.reduce import _Reduction, fen1_sequence, prune, tidy
 from twinwidth.sequence import Emitter, verify
-from twinwidth.solver import SolveResult, SolverConfig, optimal_sequence
+from twinwidth.solver import SolverConfig, _Search, optimal_sequence
 from twinwidth.trigraph import EdgeColor, new_trigraph
 
 from conftest import make_fig3, petersen, shorten_oracle
@@ -31,14 +32,12 @@ CFG = SolverConfig(max_vertices=25)
 def decide_calls(monkeypatch):
     """The (cap, vertex count) of every call to the exact search's
     ``solver._decide``, in order."""
-    from twinwidth import solver as solver_module
-
     calls = []
     real = solver_module._decide
 
-    def counting(g, d, config):
+    def counting(g, d, search):
         calls.append((d, g.n))
-        return real(g, d, config)
+        return real(g, d, search)
 
     monkeypatch.setattr(solver_module, "_decide", counting)
     return calls
@@ -186,7 +185,7 @@ class TestValues:
         assert all(self.frozen(h) for h in made)
 
     def test_freezing_and_forking_leave_the_runner_as_it_was(self):
-        run = _Reduction(make_fig3(), CFG)
+        run = _Reduction(make_fig3(), _Search(CFG))
         run._play([(24, 25)])
         work = run.work
         held = {v: (work._black[v], work._red[v]) for v in work.vertices}
@@ -481,27 +480,31 @@ class TestSolve:
         assert report["width"] == 4 and report["status"] == "optimal"
         assert [d for d, _ in decide_calls] == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("floor, start", [(1, 3), (2, 0)])
+    @pytest.mark.parametrize("floor, start", [(1, 3), (2, 2)])
     def test_endgame_starts_above_the_refuted_bikernel(self, monkeypatch, floor, start):
-        # a 14-vertex path in place of one Petersen edge: at floor 1 both
-        # kernels collapse it to one vertex and are equal, at floor 2 the
-        # general kernel keeps two and nothing is known about it
-        from twinwidth.solver import greedy_sequence
+        # a 14-vertex path in place of one Petersen edge.  The real search
+        # takes tens of seconds on these 23-24 vertex kernels, so a stand-in
+        # refutes every cap up to 2 and misses its node budget above.  After
+        # the up-front caps 0 and 1 and the bikernel's cap 2: at floor 1 both
+        # kernels collapse the path to one vertex and are one trigraph, so the
+        # endgame skips the refuted cap 2 and starts at 3; at floor 2 the
+        # general kernel keeps a red path of two vertices, is another
+        # trigraph, and starts at its own max red degree, 2
+        caps = []
 
-        starts = []
+        def stand_in(g, d, search):
+            caps.append(d)
+            if d > 2:
+                raise BudgetExceeded(0, 0, kind="nodes")
+            return None
 
-        def recording(g, config, *rest):
-            starts.append(rest)
-            seq = greedy_sequence(g)
-            return SolveResult(verify(g, seq), seq, False, "not_proven")
-
-        monkeypatch.setattr(kernel_module, "decide_width_at_most", lambda g, d, config: None)
-        monkeypatch.setattr(kernel_module, "optimal_sequence", recording)
+        monkeypatch.setattr(solver_module, "_decide", stand_in)
         path = list(range(10, 24))
         edges = [(i, i + 1) for i in range(1, 4)] + [(4, 0)] + list(zip([0] + path, path + [1]))
         edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-        solve(new_trigraph(24, edges), Practical(floor), CFG)
-        assert starts == [(start,)]
+        _, report = solve(new_trigraph(24, edges), Practical(floor), CFG)
+        assert caps == [0, 1, 2] + list(range(start, 4))
+        assert report["status"] == "upper_bound"
 
     def test_kernel_meta_matches_public_kernels(self):
         # Petersen graph: fen 6, no dangling paths, twin-width above 2, so the

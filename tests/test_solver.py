@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as stst
 from twinwidth import solver as solver_module
 from twinwidth.corpus import random_connected_graph
 from twinwidth.errors import BudgetExceeded
+from twinwidth.kernel import Practical, solve
 from twinwidth.sequence import ContractionSequence, verify
 from twinwidth.solver import (
     SolveResult,
     SolverConfig,
+    _Search,
     _canon_packed,
     _decide_rec,
     _invariant,
@@ -65,6 +67,15 @@ def search_states(draw):
     return contract_at_random(draw, _Packed.from_trigraph(g), g.next_label, 3)
 
 
+@stst.composite
+def connected_graphs(draw):
+    """A random connected graph on 1..20 vertices with 0..8 edges beyond a
+    spanning tree."""
+    n = draw(stst.integers(min_value=1, max_value=20))
+    k = draw(stst.integers(min_value=0, max_value=min(8, (n - 1) * (n - 2) // 2)))
+    return random_connected_graph(n, k, random.Random(draw(stst.integers(0, 2**32))))
+
+
 def contract_at_random(draw, state, next_id, most):
     """``state`` contracted at 0..``most`` random pairs of live slots, the
     merged vertices labeled from ``next_id`` on."""
@@ -85,6 +96,19 @@ class CountingBudget:
 
     def tick(self):
         self.ticks += 1
+
+
+class Clock:
+    """A stand-in for ``time.monotonic``: 0.0 for the first ``early``
+    readings, 100.0 after."""
+
+    def __init__(self, early):
+        self.early = early
+        self.readings = 0
+
+    def __call__(self):
+        self.readings += 1
+        return 0.0 if self.readings <= self.early else 100.0
 
 
 def search_and_oracle(state, d):
@@ -242,6 +266,11 @@ class TestPackedOracles:
         for g in (make_fig2(), make_fig3(), make_fig3_middle(), make_fig3_tidy()):
             assert greedy_sequence(g).pairs() == greedy_oracle_pairs(g)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(connected_graphs())
+    def test_greedy_matches_oracle_on_random_graphs(self, g):
+        assert greedy_sequence(g).pairs() == greedy_oracle_pairs(g)
+
 
 class TestSearchOracle:
     """The failure memo finds exactly the isomorphic refuted states, so the
@@ -340,19 +369,53 @@ class TestBudgets:
         g = make_fig2()
         assert greedy_sequence(g).pairs() == greedy_sequence(g).pairs()
 
+    def test_one_deadline_per_search(self, monkeypatch):
+        # the deadline is read once, when the search is made.  Petersen's
+        # caps 0 to 3 take one node each, so the clock passes the deadline at
+        # cap 3's node, and the deepening stops at that reading; greedy reads
+        # no clock
+        clock = Clock(early=4)
+        monkeypatch.setattr(solver_module.time, "monotonic", clock)
+        res = optimal_sequence(petersen(), SolverConfig(time_limit=50))
+        assert res.status == "not_proven" and res.width == 4
+        assert clock.readings == 5
+
+    def test_one_deadline_per_solve(self, monkeypatch):
+        # one search per solve: the clock passes the deadline at the first
+        # component's first node, and every later component stops at its own
+        # first reading instead of starting a deadline of its own
+        cycles = [(c + i, c + (i + 1) % 5) for c in (0, 5, 10) for i in range(5)]
+        clock = Clock(early=1)
+        monkeypatch.setattr(solver_module.time, "monotonic", clock)
+        _, report = solve(new_trigraph(15, cycles), Practical(12), SolverConfig(time_limit=50))
+        assert report["status"] == "upper_bound" and report["width"] == 2
+        assert clock.readings == 1 + 3
+
+
+class TestRefutedCaps:
+    def test_deepening_starts_above_the_refuted_cap(self, monkeypatch):
+        # Petersen refuted at cap 2 is refuted at 0 and 1 too, so its
+        # deepening asks caps 3 and 4 only; a trigraph the search has not
+        # refuted starts at its own max red degree
+        caps = []
+        real = solver_module._decide
+
+        def recording(g, d, search):
+            caps.append(d)
+            return real(g, d, search)
+
+        monkeypatch.setattr(solver_module, "_decide", recording)
+        search = _Search(SolverConfig())
+        assert search.first(petersen(), (2,)) is None
+        assert search.optimal(petersen()).width == 4
+        assert caps == [2, 3, 4]
+        red_c5 = new_trigraph(5, [(0, 1), (1, 2), (2, 3)], [(3, 4), (4, 0)])
+        assert red_c5.max_red_degree() == 2
+        assert search.optimal(red_c5).width == 2
+        assert caps == [2, 3, 4, 2]
+
 
 class TestDeterminism:
-    def test_threads_do_not_change_result(self):
-        rng = random.Random(9)
-        for _ in range(10):
-            n = rng.randrange(3, 9)
-            pairs = list(itertools.combinations(range(n), 2))
-            g = new_trigraph(n, [p for p in pairs if rng.random() < 0.4])
-            one = optimal_sequence(g, SolverConfig(threads=1))
-            four = optimal_sequence(g, SolverConfig(threads=4))
-            assert one.width == four.width
-            assert one.sequence.pairs() == four.sequence.pairs()
-
     def test_repeat_runs_identical(self):
         g = make_fig2()
         a = optimal_sequence(g)
