@@ -9,13 +9,18 @@ all live vertex pairs, preferring pairs that minimize the immediate max red
 degree, and never explores a state isomorphic to one it has refuted.
 Refuted states are kept raw, and in a failure memo bucketed by an
 isomorphism invariant, the sorted (black degree, red degree) pairs of the
-live vertices; the exact canonical form is computed only for a state whose
-bucket already holds a refuted state, at most once per state.
+live vertices, and within a bucket by a profile, the degree classes after
+one round of colour refinement.  The exact canonical form is computed only
+for a state whose profile already holds a refuted state, at most once per
+state, and resumes from that round.
 
 Internally the trigraph is packed into per-vertex bitmasks; vertex identity
 is tracked on the side so certificates come back in the caller's labels.
 Each pair's resulting max red degree is computed from the bitmasks alone, so
-no child is built before the search descends into it.
+no child is built before the search descends into it.  A node pays only for
+what its parent's contraction changed: it keeps a near list, the pairs whose
+merged vertex would have at most ``d`` red neighbours, and builds it from its
+parent's, recomputing only the pairs around the contracted pair.
 """
 
 from __future__ import annotations
@@ -138,52 +143,85 @@ def _refine(cells, black, red):
 
     ``black`` and ``red`` list each vertex's neighbours.  A vertex of a cell
     with more than one vertex is keyed by its black neighbours' cell numbers,
-    then its red neighbours', each negated and sorted high to low; singleton
-    cells cannot split and are skipped.  The partition starts from (black
-    degree, red degree) classes and only ever splits, so within a cell both
-    lists have one length, and the keys sort exactly as the vectors of
-    neighbour counts per cell and color compared lexicographically."""
+    then its red neighbours', each sorted low to high; singleton cells cannot
+    split and are skipped.  The partition starts from (black degree, red
+    degree) classes and only ever splits, so within a cell both lists have
+    one length, and the groups are ordered by their keys high to low, exactly
+    as the vectors of neighbour counts per cell and color compared
+    lexicographically."""
     cid = [0] * len(black)
     while True:
-        ncells = len(cells)
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                cid[v] = ci
-        out = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            groups = {}
-            for v in cell:
-                key = sorted([-cid[x] for x in black[v]], reverse=True)
-                key += sorted([-cid[x] for x in red[v]], reverse=True)
-                groups.setdefault(tuple(key), []).append(v)
-            out += [groups[k] for k in sorted(groups)]
-        if len(out) == ncells:
+        out = _refine_round(cells, black, red, cid)
+        if len(out) == len(cells):
             return cells
         cells = out
 
 
-def _canon_packed(state: _Packed) -> bytes:
+def _refine_round(cells, black, red, cid, keys=None):
+    """One round of :func:`_refine`: every cell split by its vertices' keys.
+    Leaves each vertex's number in ``cells`` in ``cid``, and appends each
+    split cell's keys, in the order of their groups, to ``keys`` if given."""
+    for ci, cell in enumerate(cells):
+        for v in cell:
+            cid[v] = ci
+    out = []
+    for cell in cells:
+        if len(cell) == 1:
+            out.append(cell)
+            continue
+        groups = {}
+        for v in cell:
+            key = sorted([cid[x] for x in black[v]])
+            key += sorted([cid[x] for x in red[v]])
+            groups.setdefault(tuple(key), []).append(v)
+        order = sorted(groups, reverse=True)
+        out += [groups[k] for k in order]
+        if keys is not None:
+            keys += order
+    return out
+
+
+def _first_round(state: _Packed):
+    """``(profile, cells, bn, rn)``: the live slots' (black degree, red
+    degree) classes after one round of refinement, and the neighbour lists
+    ``bn``, ``rn`` it read, from which :func:`_canon_packed` resumes.
+
+    The profile is the new cells' sizes and their vertices' keys, the
+    numbers of the classes of their black, then red, neighbours: equal for
+    isomorphic states.  In a bucket of one degree invariant it tells the
+    same as a row for each vertex of a class with more than one, its black
+    and red neighbour counts per class, the rows sorted.  Bytes below 256
+    live slots, where every number fits in one, else a tuple."""
+    slots = state.alive_slots()
+    bn = [_bits(b) for b in state.black]
+    rn = [_bits(r) for r in state.red]
+    by_deg = {}
+    for v in slots:
+        by_deg.setdefault((len(bn[v]), len(rn[v])), []).append(v)
+    keys = []
+    cells = _refine_round([by_deg[k] for k in sorted(by_deg)], bn, rn, [0] * len(bn), keys)
+    sizes = [len(cell) for cell in cells]
+    if len(slots) < 256:
+        profile = bytes(sizes) + b"".join(map(bytes, keys))
+    else:
+        profile = (tuple(sizes), tuple(keys))
+    return profile, cells, bn, rn
+
+
+def _canon_packed(state: _Packed, first=None) -> bytes:
     """Exact canonical encoding of the live subtrigraph up to color-preserving
     isomorphism: refinement plus backtracking over the first splittable cell.
+    ``first`` is the state's :func:`_first_round`, computed here if not
+    given.
 
     Works on the slots directly: a dead slot has no bits anywhere, and the
     encoding depends only on the order of the live slots."""
-    slots = state.alive_slots()
-    m = len(slots)
+    m = state.n_alive()
     if m == 0:
         return b""
     black = state.black
     red = state.red
-    bn = [_bits(b) for b in black]
-    rn = [_bits(r) for r in red]
-    # seed the partition with the (black degree, red degree) invariant
-    by_deg = {}
-    for v in slots:
-        by_deg.setdefault((len(bn[v]), len(rn[v])), []).append(v)
-    start = [by_deg[k] for k in sorted(by_deg)]
+    _, start, bn, rn = first or _first_round(state)
 
     best = None
     size = m * (m - 1) // 2
@@ -258,108 +296,220 @@ def canonical_key(g: Trigraph) -> CanonicalKey:
 # -- search -----------------------------------------------------------------------
 
 
-def _ordered_children(state: _Packed, d: int):
+def _look(state: _Packed, d: int):
+    """One look at a node, shared by its degree invariant and its scoring:
+    the live slots, their red degrees, and their (black, red)-degree codes
+    ``black * (d + 1) + red``."""
+    black = state.black
+    red = state.red
+    slots = _bits(state.alive)
+    reds = [red[x].bit_count() for x in slots]
+    step = d + 1
+    return slots, reds, [black[x].bit_count() * step + r for x, r in zip(slots, reds)]
+
+
+def _near_row(out, black, red, x, ys, d):
+    """Append ``(i, j, nr)``, ``{i, j} = {x, y}`` and ``i < j``, for every
+    slot ``y`` of the mask ``ys`` whose pair with ``x`` would merge into a
+    vertex with a red set ``nr`` of at most ``d`` slots."""
+    bx = black[x]
+    nx = bx | red[x]
+    bit_x = 1 << x
+    while ys:
+        low = ys & -ys
+        y = low.bit_length() - 1
+        ys ^= low
+        by = black[y]
+        nr = (nx | by | red[y]) & ~(bx & by | bit_x | low)
+        if nr.bit_count() <= d:
+            out.append((x, y, nr) if x < y else (y, x, nr))
+
+
+def _near(state: _Packed, slots, d: int):
+    """The node's near list, every pair computed afresh: ``(i, j, nr)`` for
+    the pairs of live slots ``i < j`` whose merged vertex would have at most
+    ``d`` red neighbours, ``nr = (N(i) | N(j)) - (Nb(i) & Nb(j)) - {i, j}``."""
+    black = state.black
+    red = state.red
+    out = []
+    rest = state.alive
+    for x in slots:
+        rest ^= 1 << x
+        _near_row(out, black, red, x, rest, d)
+    return out
+
+
+def _inherit(state: _Packed, origin, d: int):
+    """``state``'s near list from its parent's, ``origin = (near, parent, a,
+    b)`` where ``state`` is ``parent`` with slots ``a`` and ``b`` merged into
+    ``k = min(a, b)``.  With ``A = N(a) - {b}`` and ``B = N(b) - {a}``, a pair
+    outside ``A | B | {a, b}`` keeps its red set, and a pair with one end in
+    ``A ^ B`` and the other outside keeps its size, the dead slot's bit
+    replaced by ``k``'s.  Only the pairs touching ``k`` or ``A & B`` and the
+    pairs inside ``A ^ B`` are computed afresh."""
+    near, parent, a, b = origin
+    k, dead = (a, b) if a < b else (b, a)
+    pb = parent.black
+    pr = parent.red
+    na = (pb[a] | pr[a]) & ~(1 << b)
+    nb = (pb[b] | pr[b]) & ~(1 << a)
+    dead_bit = 1 << dead
+    fresh = na & nb | 1 << k
+    drop = fresh | dead_bit
+    sym = na ^ nb
+    swap = dead_bit | 1 << k
+    out = []
+    for e in near:
+        i, j, nr = e
+        pair = 1 << i | 1 << j
+        if pair & drop or pair & sym == pair:
+            continue
+        if nr & dead_bit:
+            e = (i, j, nr ^ swap)
+        out.append(e)
+    black = state.black
+    red = state.red
+    rest = state.alive
+    for x in _bits(fresh):
+        rest ^= 1 << x
+        _near_row(out, black, red, x, rest, d)
+    for x in _bits(sym):
+        sym ^= 1 << x
+        _near_row(out, black, red, x, sym, d)
+    return out
+
+
+def _ordered_children(state: _Packed, d: int, look=None, near=None):
     """Pairs whose contraction keeps the max red degree within ``d``, as
     sorted ``(max red, la, lb, i, j)`` tuples: ordered by the child's max red
     degree, then by the pair's labels ``la < lb``; ``i``, ``j`` are slots.
 
-    No child is built here; the caller contracts only the pair it searches.
-    The merged vertex's red set is ``nr = (N(u) | N(v)) - (Nb(u) & Nb(v))``,
-    each vertex in ``nr`` ends with red degree ``|red(x) - {u, v}| + 1``, and
-    every other live vertex keeps its own, the largest of which is read from
-    the node's red degrees sorted high to low."""
-    slots = state.alive_slots()
-    black = state.black
+    ``look`` is the node's :func:`_look` and ``near`` its near list, each
+    computed here if not given.  No child is built, and only the pairs of the
+    near list are scored: each vertex in a pair's ``nr`` ends with red degree
+    ``|red(x) - {i, j}| + 1``, and every other live vertex keeps its own, the
+    largest of which is read from the node's red degrees sorted high to
+    low."""
+    slots, reds, _ = look or _look(state, d)
+    if near is None:
+        near = _near(state, slots, d)
     red = state.red
     ids = state.ids
-    by_red = sorted([(red[x].bit_count(), x) for x in slots], reverse=True)
-    rows = [(x, 1 << x, black[x], black[x] | red[x]) for x in slots]
+    by_red = sorted(zip(reds, slots), reverse=True)
     out = []
-    for ai, (i, bit_i, bi, ni) in enumerate(rows):
-        for j, bit_j, bj, nj in rows[ai + 1 :]:
-            pair = bit_i | bit_j
-            nr = (ni | nj) & ~(bi & bj | pair)
-            mr = nr.bit_count()
-            if mr > d:
-                continue
-            ok = True
-            touched = nr
-            while touched:
-                low = touched & -touched
-                rx = (red[low.bit_length() - 1] & ~pair).bit_count() + 1
-                if rx > d:
-                    ok = False
-                    break
+    for i, j, nr in near:
+        pair = 1 << i | 1 << j
+        mr = nr.bit_count()
+        ok = True
+        touched = nr
+        while touched:
+            low = touched & -touched
+            rx = (red[low.bit_length() - 1] & ~pair).bit_count() + 1
+            if rx > d:
+                ok = False
+                break
+            if rx > mr:
+                mr = rx
+            touched ^= low
+        if not ok:
+            continue
+        skip = nr | pair
+        for rx, x in by_red:
+            if not skip >> x & 1:
                 if rx > mr:
                     mr = rx
-                touched ^= low
-            if not ok:
-                continue
-            skip = nr | pair
-            for rx, x in by_red:
-                if not skip >> x & 1:
-                    if rx > mr:
-                        mr = rx
-                    break
-            if mr <= d:
-                la, lb = ids[i], ids[j]
-                if la > lb:
-                    la, lb = lb, la
-                out.append((mr, la, lb, i, j))
+                break
+        if mr <= d:
+            la, lb = ids[i], ids[j]
+            if la > lb:
+                la, lb = lb, la
+            out.append((mr, la, lb, i, j))
     out.sort()
     return out
 
 
-def _invariant(state: _Packed, d: int):
-    """The sorted (black degree, red degree) pairs of the live slots, each
-    packed as ``black * (d + 1) + red``: equal for isomorphic states.
+def _invariant(state: _Packed, d: int, look=None):
+    """The sorted (black degree, red degree) codes of the live slots (see
+    :func:`_look`, computed here if not given): equal for isomorphic states.
 
     A search state's red degrees are at most ``d``, so the packing is exact
     there; it is a function of the pairs in any case, which is all the memo
     needs.  Stored as bytes while every code fits in one."""
-    black = state.black
-    red = state.red
-    step = d + 1
-    codes = sorted([black[x].bit_count() * step + red[x].bit_count() for x in _bits(state.alive)])
+    codes = sorted((look or _look(state, d))[2])
     return bytes(codes) if codes[-1] < 256 else tuple(codes)
 
 
-def _decide_rec(state: _Packed, d: int, next_id: int, memo: dict, budget: _Search, refuted: set):
+def _unpacked(raw):
+    """A raw memo state ``(alive, black, red)`` as a packed state, unlabeled."""
+    alive, black, red = raw
+    return _Packed(black, red, alive, ())
+
+
+def _decide_rec(
+    state: _Packed, d: int, next_id: int, memo: dict, budget: _Search, refuted: set, origin=None
+):
     """Search for a width-``d`` finish of ``state``; slot steps or None.
 
     A success ends the search, so every state met again was refuted: raw
     states ``(alive, black, red)`` found refuted go in ``refuted``.  The
     failure memo maps :func:`_invariant` to the refuted states with that
-    invariant: first one raw state, and once a second state looks it up, the
-    set of their canonical forms.  So a canonical form is computed only when
-    a lookup lands in a non-empty bucket, and at most once per state.  A
-    state's descendants have fewer live slots, hence other invariants, so its
-    bucket cannot change while its subtree is searched."""
+    invariant: first one raw state, and once a second state looks it up, a
+    map from the profile of :func:`_first_round` to the refuted states with
+    that profile, again first one raw state and from a second lookup on the
+    set of their canonical forms.  So a profile is computed only when a
+    lookup lands in a non-empty bucket, and a canonical form only when the
+    profile matches too, resuming from the profile's round of refinement;
+    each form at most once per state.  The profile pays where most lookups
+    miss, as in the benchmark's endgame: it settles most misses without a
+    form, while a true hit needs the form anyway.  A state's descendants
+    have fewer live slots, hence other invariants, so its bucket cannot
+    change while its subtree is searched.
+
+    ``origin`` is ``(near, parent, i, j)`` when ``state`` is ``parent``
+    contracted at slots ``i``, ``j`` and ``near`` is the parent's near list:
+    the state's own is then inherited from it (:func:`_inherit`).  The root
+    computes its near list afresh."""
     if state.n_alive() <= 1:
         return []
     budget.tick()
     raw = (state.alive, state.black, state.red)
     if raw in refuted:
         return None
-    inv = _invariant(state, d)
-    seen = memo.get(inv)
-    if seen is not None:
-        if type(seen) is tuple:
-            alive, black, red = seen
-            seen = memo[inv] = {_canon_packed(_Packed(black, red, alive, ()))}
-        key = _canon_packed(state)
-        if key in seen:
-            refuted.add(raw)
-            return None
-    for _, _, _, i, j in _ordered_children(state, d):
-        sub = _decide_rec(state.contract(i, j, next_id), d, next_id + 1, memo, budget, refuted)
+    look = _look(state, d)
+    inv = _invariant(state, d, look)
+    bucket = memo.get(inv)
+    profile = forms = None
+    if bucket is not None:
+        stored = None
+        if type(bucket) is tuple:
+            stored = _first_round(_unpacked(bucket))
+            bucket = memo[inv] = {stored[0]: bucket}
+        first = _first_round(state)
+        profile = first[0]
+        forms = bucket.get(profile)
+        if forms is not None:
+            if type(forms) is tuple:
+                # the one refuted state; its first round is reused only if
+                # the bucket was made just now, since keeping every stored
+                # state's round costs memory and saved no time
+                forms = bucket[profile] = {_canon_packed(_unpacked(forms), stored)}
+            key = _canon_packed(state, first)
+            if key in forms:
+                refuted.add(raw)
+                return None
+    near = _near(state, look[0], d) if origin is None else _inherit(state, origin, d)
+    for _, _, _, i, j in _ordered_children(state, d, look, near):
+        child = state.contract(i, j, next_id)
+        sub = _decide_rec(child, d, next_id + 1, memo, budget, refuted, (near, state, i, j))
         if sub is not None:
             return [(i, j, state.ids)] + sub
     refuted.add(raw)
-    if seen is None:
+    if bucket is None:
         memo[inv] = raw
+    elif forms is None:
+        bucket[profile] = raw
     else:
-        seen.add(key)
+        forms.add(key)
     return None
 
 

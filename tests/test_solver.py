@@ -13,9 +13,12 @@ from twinwidth.solver import (
     SolveResult,
     SolverConfig,
     _Search,
+    _bits,
     _canon_packed,
     _decide_rec,
+    _first_round,
     _invariant,
+    _near,
     _ordered_children,
     _Packed,
     canonical_key,
@@ -109,6 +112,39 @@ class Clock:
     def __call__(self):
         self.readings += 1
         return 0.0 if self.readings <= self.early else 100.0
+
+
+def relabeled(state, perm):
+    """``state`` with slot ``x`` moved to slot ``perm[x]``."""
+
+    def move(mask):
+        return sum(1 << perm[x] for x in _bits(mask))
+
+    n = len(state.black)
+    black, red, ids = [0] * n, [0] * n, [None] * n
+    for x in range(n):
+        black[perm[x]] = move(state.black[x])
+        red[perm[x]] = move(state.red[x])
+        ids[perm[x]] = state.ids[x]
+    return _Packed(tuple(black), tuple(red), move(state.alive), tuple(ids))
+
+
+def checked_inherit(mp):
+    """Make the search check every near list it inherits: scored, it must
+    give the children that :func:`_ordered_children` finds with every pair
+    computed afresh.  Returns the list of checked (live slots, cap)."""
+    checked = []
+    real = solver_module._inherit
+
+    def checking(state, origin, d):
+        near = real(state, origin, d)
+        assert sorted(near) == sorted(_near(state, state.alive_slots(), d))
+        assert _ordered_children(state, d, None, near) == _ordered_children(state, d)
+        checked.append((state.n_alive(), d))
+        return near
+
+    mp.setattr(solver_module, "_inherit", checking)
+    return checked
 
 
 def search_and_oracle(state, d):
@@ -298,6 +334,54 @@ class TestSearchOracle:
         # two raw states with one canonical form: isomorphic, not equal
         assert len(set(cache.values())) < len(cache)
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(search_states())
+    def test_inherited_children_match_full(self, state):
+        top = max(state.red[x].bit_count() for x in state.alive_slots())
+        with pytest.MonkeyPatch.context() as mp:
+            checked_inherit(mp)
+            for d in range(top, 4):
+                _decide_rec(state, d, max(state.ids) + 1, {}, CountingBudget(), set())
+
+    def test_inherited_children_deep(self):
+        # the random16 refutation below: every node under the root inherits
+        # its near list, down to 8 live slots
+        g = random_connected_graph(16, 8, random.Random(2))
+        with pytest.MonkeyPatch.context() as mp:
+            checked = checked_inherit(mp)
+            assert decide_width_at_most(g, 2) is None
+        assert len(checked) > 500
+        assert {n for n, _ in checked} == set(range(8, 16))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(packed_states(), stst.randoms(use_true_random=False))
+    def test_profile_invariant_under_relabeling(self, state, rng):
+        # and a canonical form resumed from the first round is the one
+        # computed afresh
+        perm = list(range(len(state.black)))
+        rng.shuffle(perm)
+        other = relabeled(state, perm)
+        first = _first_round(other)
+        assert first[0] == _first_round(state)[0]
+        assert _canon_packed(other, first) == _canon_packed(state)
+        for d in (1, 3):
+            assert _invariant(other, d) == _invariant(state, d)
+
+    def test_profile_past_one_byte(self):
+        # a 301-vertex star's leaves make one cell of 300, past one byte: the
+        # profile falls back to a tuple and stays invariant under relabeling.
+        # Below 256 vertices every number fits in a byte
+        perm = list(range(301))
+        random.Random(5).shuffle(perm)
+        star = new_trigraph(301, [(0, i) for i in range(1, 301)])
+        relabeled_star = new_trigraph(301, [(perm[0], perm[i]) for i in range(1, 301)])
+        path = new_trigraph(301, [(i, i + 1) for i in range(300)])
+        keys = [_first_round(_Packed.from_trigraph(g))[0] for g in (star, relabeled_star, path)]
+        assert isinstance(keys[0], tuple)
+        assert keys[0] == keys[1] != keys[2]
+        small = new_trigraph(255, [(0, i) for i in range(1, 255)])
+        assert isinstance(_first_round(_Packed.from_trigraph(small))[0], bytes)
+
     def test_invariant_past_one_byte(self):
         # a star's centre packs to 300 * (d + 1), past one byte: the invariant
         # falls back to a tuple and stays invariant under relabeling
@@ -317,8 +401,12 @@ class TestSearchShape:
 
     @pytest.mark.parametrize(
         "g, nodes",
-        [(petersen(), 1), (random_connected_graph(16, 8, random.Random(2)), 2235)],
-        ids=["petersen", "random16"],
+        [
+            (petersen(), 1),
+            (random_connected_graph(16, 8, random.Random(2)), 2235),
+            (random_connected_graph(20, 10, random.Random(2)), 2901),
+        ],
+        ids=["petersen", "random16", "random20"],
     )
     def test_smallest_node_cap(self, g, nodes):
         assert decide_width_at_most(g, 2, SolverConfig(max_nodes=nodes)) is None
@@ -327,20 +415,20 @@ class TestSearchShape:
         assert exc.value.kind == "nodes"
 
     def test_canonical_forms_on_demand(self, monkeypatch):
-        # a form is computed only for a state whose degree invariant matches
-        # a refuted state's: 510 here, against 790 when every new state got
-        # one
+        # a form is computed only for a state whose degree invariant and
+        # profile match a refuted state's: 434 here, against 510 with the
+        # degree invariant alone and 790 when every new state got one
         calls = []
         real = solver_module._canon_packed
 
-        def counting(state):
+        def counting(state, *first):
             calls.append(state.alive)
-            return real(state)
+            return real(state, *first)
 
         monkeypatch.setattr(solver_module, "_canon_packed", counting)
         g = random_connected_graph(16, 8, random.Random(2))
         assert decide_width_at_most(g, 2) is None
-        assert len(calls) <= 510
+        assert len(calls) <= 434
 
 
 class TestBudgets:
