@@ -19,16 +19,20 @@ rules, then the core/path decomposition), ``_tidy``, and then either the
 feedback-edge-one walk ``_fen1`` or the kernels.  The public functions are a
 fresh runner plus one body; a :class:`~twinwidth.sequence.Lift` is built
 only where one is returned.
-The rules contract only tree vertices, so ``_prune`` looks at its input once:
-one 2-core serves the dangling-tree search and the decomposition, and only
-the trees' owners are asked for their stumps.
+The rules contract only tree vertices, so the input is looked at once: the
+runner's one 2-core serves the up-front check's induced-cycle witness, the
+dangling-tree search and the decomposition, and only the trees' owners are
+asked for their stumps.
 
-Rules that are only safe when the instance has twin-width at least 2 perform
-a width-1 decision as due diligence while the instance carries fewer than two
-red stumps; from two red stumps on, the lower bound is structural and free.
-When the instance is too large for the decision budget the reduction still
-runs, but the outcome is marked uncertified and downstream reports avoid
-optimality claims.
+The up-front check certifies twin-width at least 2 by an induced cycle of
+five or more vertices through a feedback edge, found in linear time at any
+size, and only without one runs the width-0/1 search.  Rules that are only
+safe when the instance has twin-width at least 2 perform a width-1 decision
+as due diligence while the instance carries fewer than two red stumps; from
+two red stumps on, the lower bound is structural and free.  When the
+instance is too large for the decision budget the reduction still runs, but
+the outcome is marked uncertified unless a witness or two red stumps
+certify it, and downstream reports avoid optimality claims.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .structure import (
     _dangling_trees,
     _stump_owner,
     feedback_edge_set,
+    induced_cycle,
     red_stump_count,
     stumps_at,
     two_core,
@@ -163,11 +168,14 @@ class _Reduction:
     of ``g`` into one prefix, with one lift flag.
 
     ``search`` is the solve's exact search (``solver._Search``), ``fes`` the
-    input's feedback edge set, computed once by the caller, and ``trace`` the
-    list the stages append their rule events to.
+    input's feedback edge set, computed once by the caller, ``core`` the
+    input's 2-core, computed once here when ``fes`` is given, and ``trace``
+    the list the stages append their rule events to.
     ``_decide`` makes every width decision: a sequence found becomes
     ``solved``, and ``certified`` records a lower bound of 2.  ``decide`` is
-    the up-front width-0/1 check of ``g``, made once before the first stage.
+    the up-front width-0/1 check of ``g``, made once before the first stage:
+    an induced cycle through a feedback edge certifies it, and only without
+    one does the search run.
 
     A guarded rule, safe only at twin-width >= 2, sets ``at_least_two``; it
     is certified by two red stumps or a failed width-1 decision.
@@ -184,6 +192,7 @@ class _Reduction:
         self.work = g._thawed()
         self.search = search
         self.fes = fes
+        self.core = two_core(g) if fes else frozenset()
         self.trace = [] if trace is None else trace
         self.prefix = []
         self.at_least_two = False
@@ -225,8 +234,18 @@ class _Reduction:
         return found[0]
 
     def decide(self):
-        """The up-front width-0/1 check, on a runner that has played nothing;
-        a sequence it finds is optimal, so the outcome is certified."""
+        """The up-front width-0/1 check, on a runner that has played nothing.
+
+        An induced cycle of five or more vertices closing a feedback edge
+        (:func:`~twinwidth.structure.induced_cycle`) certifies twin-width >= 2
+        at any size, in linear time, and caps 0 and 1 are recorded as refuted
+        on ``g`` for the search.  Only without such a cycle does the search
+        decide caps 0 and 1, within the vertex budget; a sequence it finds is
+        optimal, so the outcome is certified."""
+        if induced_cycle(self.g, self.core, self.fes) is not None:
+            self.certified = True
+            self.search.refute(self.g, 1)
+            return
         d = self._decide((0, 1))
         if d is not None:
             self.trace.append({"rule": "solved_by_decision", "width": d})
@@ -515,7 +534,7 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
         note({"rule": rule.__name__ + ("_solved" if solved else ""), "site": site})
         return solved
 
-    core = two_core(g)
+    core = run.core
     found = _dangling_trees(g, core)
     # stars first, then deeper trees; a tree of at most 2 vertices is a stump
     cuts = [(_is_star_at_root(g, c), c) for c in found if len(c.vertices) > 2]

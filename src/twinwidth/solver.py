@@ -527,6 +527,13 @@ def _decide(g: Trigraph, d: int, search: _Search):
     return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
 
 
+def _root(g: Trigraph):
+    """The packed root ``(ids, black, red)`` under which ``g``'s refuted caps
+    are kept."""
+    packed = _Packed.from_trigraph(g)
+    return packed.ids, packed.black, packed.red
+
+
 class _Search:
     """The exact search of one solve: one deadline, fixed when it is made, a
     node count reset for each width decision, and ``refuted``, the highest
@@ -554,8 +561,7 @@ class _Search:
         refuted, and skipped; a budget miss raises :class:`BudgetExceeded`."""
         if g.n > self.config.max_vertices:
             raise BudgetExceeded(g.n, self.config.max_vertices, kind="vertices")
-        packed = _Packed.from_trigraph(g)
-        root = (packed.ids, packed.black, packed.red)
+        root = _root(g)
         for d in caps:
             if d <= self.refuted.get(root, -1):
                 continue
@@ -565,6 +571,14 @@ class _Search:
                 return d, seq
             self.refuted[root] = d
         return None
+
+    def refute(self, g: Trigraph, d: int):
+        """Record every cap up to ``d`` as refuted on ``g``, by a proof made
+        outside the search.  Only within the vertex budget: ``first`` refuses
+        a larger ``g``, and packing it costs time quadratic in its size."""
+        if g.n <= self.config.max_vertices:
+            root = _root(g)
+            self.refuted[root] = max(d, self.refuted.get(root, -1))
 
     def optimal(self, g: Trigraph) -> SolveResult:
         """Minimum-width sequence by iterative deepening from ``g``'s max red

@@ -101,6 +101,39 @@ def two_core(g: Trigraph) -> frozenset[int]:
     return frozenset(v for v in g.vertices if v not in removed)
 
 
+def induced_cycle(g: Trigraph, core, fes):
+    """An induced cycle of at least five vertices that closes a feedback
+    edge, as its vertices in order, or None if no edge of ``fes`` closes one.
+
+    For a feedback edge ``ab``, a shortest ``a``-``b`` path in the 2-core
+    ``core`` minus ``ab`` closes an induced cycle, since a chord would give a
+    shorter path; a simple ``a``-``b`` path never enters a dangling tree, so
+    the distance is the whole graph's.  Its length is dist(a, b) + 1, and an
+    induced cycle of five or more vertices certifies twin-width >= 2, since
+    twin-width is monotone under induced subgraphs.  Each search stops where
+    it reaches ``b``, so one that finds no cycle ends within distance 3 of
+    ``a``: O(k * (|core| + core edges)) in all."""
+    for a, b in fes:
+        parent = {a: None}
+        layer = [a]
+        depth = 0
+        while layer and b not in parent:
+            depth += 1
+            nxt = []
+            for v in layer:
+                for u in g.neighbors(v):
+                    if u in core and u not in parent and (v != a or u != b):
+                        parent[u] = v
+                        nxt.append(u)
+            layer = nxt
+        if depth >= 4 and b in parent:
+            path = [b]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            return path[::-1]
+    return None
+
+
 @dataclass(frozen=True)
 class DanglingTree:
     bridge: tuple[int, int]  # (core vertex, tree root)

@@ -18,7 +18,7 @@ import pytest
 
 from twinwidth.trigraph import EdgeColor, Trigraph, is_connected, new_trigraph
 from twinwidth.solver import _ordered_children, canonical_key
-from twinwidth.structure import Stump, StumpKind
+from twinwidth.structure import Stump, StumpKind, feedback_edge_set, induced_cycle, two_core
 
 
 # -- fixed instances -----------------------------------------------------------
@@ -61,6 +61,12 @@ def petersen():
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     return new_trigraph(10, edges)
+
+
+def witness(g: Trigraph):
+    """The up-front check's linear witness on the plain graph ``g``: an
+    induced cycle of five or more vertices closing a feedback edge, or None."""
+    return induced_cycle(g, two_core(g), feedback_edge_set(g))
 
 
 def make_fig3_middle():

@@ -28,7 +28,8 @@ INSTANCES = {
     # feedback edge number one: tree cuts, red and half stump merges, tidy
     "cwt-12-80": lambda: corpus.cycle_with_trees(12, 80, random.Random(1)),
     "cwt-40-300": lambda: corpus.cycle_with_trees(40, 300, random.Random(2)),
-    # fen 1 above the vertex budget of the width-1 decision
+    # fen 1 above the vertex budget of the width-1 decision, certified by an
+    # induced cycle
     "rcg-300-1": lambda: corpus.random_connected_graph(300, 1, random.Random(5)),
     # stars, trees and merges into the bikernel's width-2 decision
     "rwdt-5-2-30": lambda: corpus.random_with_dangling_trees(5, 2, 30, random.Random(5)),
@@ -49,10 +50,10 @@ INSTANCES = {
 }
 
 GOLDEN = {
-    "cwt-12-80": "e7798fcaf1f6566f072be666fdcb447b651579d735414e0b9d69948005056864",
-    "cwt-40-300": "50d434f3a7aa503c0939c46a2f8f86e7aaec13064eb42f489a4ef20b58e8d151",
+    "cwt-12-80": "c4efce9070fe010e4c78e76bbd73902f475fdc8ec7e24f844d1f9d8ec3445cb3",
+    "cwt-40-300": "d218174bfc0b1b27b7e41ce1ea15811cbc44e36c19cd7d25eb5b9ee0beec9ba8",
     "rcg-12-5": "179fe75e1d4b60330db5d3a121e8b80845f54e60a07dc17fa5f2022dc9cd0b08",
-    "rcg-300-1": "f736a8fc21044df457dc951af689c72aef84d1d6717459c2a789c33c227bb84e",
+    "rcg-300-1": "291a7fdff23297f5a2d9f4fb1989bc5983ba91977e91d3267d82fc6289cccbab",
     "rwdt-10-4-150": "a7f684d1e52106dd71513bf68e30882a45fff7c018aef37d921f778b39f6cf1e",
     "rwdt-20-4-60": "3da70d58db1c7a7ff96974e72310edd6d8e4136d077f30b978d939a772121e31",
     "rwdt-4-2-12-tree-solved": "55aaa9faff32cb663b11e1ae935b3b58ae240dbc7d3e3525fb6db2ef40c4e840",

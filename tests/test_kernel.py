@@ -6,7 +6,12 @@ import pytest
 
 from twinwidth import kernel as kernel_module
 from twinwidth import solver as solver_module
-from twinwidth.corpus import random_connected_graph, random_tree, random_with_dangling_trees
+from twinwidth.corpus import (
+    cycle_with_trees,
+    random_connected_graph,
+    random_tree,
+    random_with_dangling_trees,
+)
 from twinwidth.errors import BudgetExceeded, Disconnected
 from twinwidth.kernel import (
     Practical,
@@ -23,7 +28,7 @@ from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, optimal_sequence
 from twinwidth.trigraph import EdgeColor, new_trigraph
 
-from conftest import make_fig3, petersen, shorten_oracle
+from conftest import make_fig3, petersen, shorten_oracle, witness
 
 CFG = SolverConfig(max_vertices=25)
 
@@ -399,8 +404,11 @@ class TestSolve:
     @pytest.mark.parametrize("k, expected", [(6, {(0, 16): 1, (1, 16): 1}), (1, {(0, 16): 1})])
     def test_up_front_decision_runs_once(self, decide_calls, k, expected):
         # three search nodes are not enough for the width-1 decision, so the
-        # up-front check misses its budget; prune must not run it again
-        g = random_connected_graph(16, k, random.Random(3))
+        # up-front check misses its budget; prune must not run it again.  No
+        # feedback edge of these graphs closes an induced cycle of five or
+        # more vertices, so the check searches
+        g = random_connected_graph(16, k, random.Random(189))
+        assert witness(g) is None
         try:
             solve(g, Practical(12), SolverConfig(max_vertices=20, max_nodes=3))
         except BudgetExceeded:
@@ -425,8 +433,9 @@ class TestSolve:
         # every public owner of a runner makes the up-front decision itself,
         # once per cap; three search nodes refute width 0 of the fen-6 graph
         # but miss width 1, and miss width 0 of the fen-1 graph, and a miss
-        # certifies nothing
-        g = random_connected_graph(16, k, random.Random(3))
+        # certifies nothing.  Neither graph has an induced-cycle witness
+        g = random_connected_graph(16, k, random.Random(189))
+        assert witness(g) is None
         out = entry(g, config=SolverConfig(max_vertices=20, max_nodes=max_nodes))
         caps = (0,) if max_nodes and k == 1 else (0, 1)
         counts = Counter(c for c in decide_calls if c[1] == 16 and c[0] <= 1)
@@ -436,18 +445,61 @@ class TestSolve:
         elif entry is not fen1_sequence:
             assert out.meta["certified"] == (max_nodes is None)
 
+    @pytest.mark.parametrize("max_nodes", [None, 3])
+    @pytest.mark.parametrize("entry", [prune, fen1_sequence, tww2_bikernel, general_kernel, solve])
+    def test_witness_replaces_the_up_front_search(self, decide_calls, entry, max_nodes):
+        # a feedback edge of this fen-1 graph closes an induced C5: the
+        # up-front check is certified without a width-0 or width-1 decision,
+        # at any node budget
+        g = random_connected_graph(16, 1, random.Random(3))
+        assert witness(g) is not None
+        out = entry(g, config=SolverConfig(max_vertices=20, max_nodes=max_nodes))
+        assert not [c for c in decide_calls if c[1] == 16 and c[0] <= 1]
+        if entry is prune:
+            assert out.certified
+        elif entry is solve:
+            assert out[1]["tww_at_least_2"] and out[1]["status"] == "optimal"
+        elif entry is not fen1_sequence:
+            assert out.meta["certified"]
+
     @pytest.mark.parametrize("k, status", [(1, "upper_bound"), (2, "optimal")])
     def test_lower_bound_read_before_prune(self, k, status):
-        # 16 vertices are past the budget, so the up-front check is skipped,
+        # 16 vertices are past the budget, so the up-front search is skipped
+        # and, with no induced-cycle witness, nothing certifies the input,
         # while prune's guarded rules certify the smaller reduced instance:
         # that certificate is not the input's (the bikernel's status rests on
         # it, as its own meta says)
-        g = random_connected_graph(16, k, random.Random(0))
+        g = random_connected_graph(16, k, random.Random(189))
+        assert witness(g) is None
         config = SolverConfig(max_vertices=12)
         assert prune(g, config).certified
         _, report = solve(g, Practical(12), config)
         assert "tww_at_least_2" not in report
         assert report["status"] == status
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_witness_certifies_past_the_vertex_budget(self, k):
+        # an induced cycle of five or more vertices closing a feedback edge
+        # certifies the input at any size, without a search
+        g = random_connected_graph(16, k, random.Random(0))
+        assert witness(g) is not None
+        _, report = solve(g, Practical(12), SolverConfig(max_vertices=12))
+        assert report["tww_at_least_2"] and report["status"] == "optimal"
+
+    @pytest.mark.parametrize("c", [5, 40, 400])
+    def test_cycle_with_trees_optimal_at_any_size(self, c):
+        g = cycle_with_trees(c, 10 * c, random.Random(c))
+        seq, report = solve(g)
+        assert report["width"] == verify(g, seq) == 2
+        assert report["tww_at_least_2"] and report["status"] == "optimal"
+
+    def test_short_cycle_with_trees_stays_upper_bound(self):
+        # a C4 with trees has no witness, and past the vertex budget the
+        # up-front search does not run
+        g = cycle_with_trees(4, 60, random.Random(4))
+        assert witness(g) is None
+        _, report = solve(g)
+        assert "tww_at_least_2" not in report and report["status"] == "upper_bound"
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_connectivity_checked_once(self, monkeypatch, k):
@@ -472,24 +524,65 @@ class TestSolve:
             pass
         assert calls == [60]
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_two_core_computed_once(self, monkeypatch, k):
+        # the runner takes the input's 2-core once, for the witness search
+        # and for prune; the feedback-edge-one walk takes the 2-core of the
+        # smaller tidied graph as well, so calls are counted by vertex count
+        from twinwidth import reduce as reduce_module
+        from twinwidth import structure as structure_module
+
+        calls = []
+        real = structure_module.two_core
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        for module in (structure_module, reduce_module):
+            monkeypatch.setattr(module, "two_core", counting)
+        g = random_connected_graph(60, k, random.Random(3))
+        try:
+            solve(g)
+        except BudgetExceeded:
+            pass
+        assert calls.count(60) == 1
+
     def test_width_two_refuted_once(self, decide_calls):
-        # Petersen graph: the up-front check decides widths 0 and 1, the
-        # bikernel width 2; the general kernel is the bikernel, so the endgame
-        # deepens from 3 instead of deciding 0, 1 and 2 again
-        _, report = solve(petersen(), Practical(12), CFG)
+        # the 3x3 rook's graph: every edge lies in a triangle, so no feedback
+        # edge closes an induced cycle of five or more vertices.  The up-front
+        # check decides widths 0 and 1, the bikernel width 2; the general
+        # kernel is the bikernel, so the endgame deepens from 3 instead of
+        # deciding 0, 1 and 2 again
+        rows = [(a, b) for a in range(9) for b in range(a + 1, 9) if a // 3 == b // 3]
+        columns = [(a, b) for a in range(9) for b in range(a + 1, 9) if a % 3 == b % 3]
+        rook = new_trigraph(9, rows + columns)
+        assert witness(rook) is None
+        _, report = solve(rook, Practical(12), CFG)
         assert report["width"] == 4 and report["status"] == "optimal"
         assert [d for d, _ in decide_calls] == [0, 1, 2, 3, 4]
 
+    def test_witness_skips_widths_zero_and_one(self, decide_calls):
+        # Petersen graph: girth 5, so every feedback edge closes an induced
+        # C5, which certifies widths 0 and 1 refuted; the bikernel decides
+        # width 2 and the endgame deepens from 3
+        _, report = solve(petersen(), Practical(12), CFG)
+        assert report["width"] == 4 and report["status"] == "optimal"
+        assert [d for d, _ in decide_calls] == [2, 3, 4]
+
     @pytest.mark.parametrize("floor, start", [(1, 3), (2, 2)])
     def test_endgame_starts_above_the_refuted_bikernel(self, monkeypatch, floor, start):
-        # a 14-vertex path in place of one Petersen edge.  The real search
-        # takes tens of seconds on these 23-24 vertex kernels, so a stand-in
-        # refutes every cap up to 2 and misses its node budget above.  After
-        # the up-front caps 0 and 1 and the bikernel's cap 2: at floor 1 both
-        # kernels collapse the path to one vertex and are one trigraph, so the
-        # endgame skips the refuted cap 2 and starts at 3; at floor 2 the
-        # general kernel keeps a red path of two vertices, is another
-        # trigraph, and starts at its own max red degree, 2
+        # a 13-vertex path between two vertices of a K4, labelled so that the
+        # feedback edges, those of a BFS tree from the path's middle vertex 0,
+        # all lie in the K4 and close triangles: no induced-cycle witness.  A
+        # stand-in search refutes every cap up to 2 and misses its node budget
+        # above.  After the up-front caps 0 and 1 and the bikernel's cap 2: at
+        # floor 1 both kernels collapse the path to one vertex and are one
+        # trigraph, so the endgame skips the refuted cap 2 and starts at 3; at
+        # floor 2 the general kernel keeps a red path of two vertices, is
+        # another trigraph, and starts at its own max red degree, 2.  In place
+        # of the K4 a Petersen graph, whose feedback edges close induced C5s,
+        # takes the same course without the up-front caps
         caps = []
 
         def stand_in(g, d, search):
@@ -499,12 +592,19 @@ class TestSolve:
             return None
 
         monkeypatch.setattr(solver_module, "_decide", stand_in)
+        path = list(range(1, 7)) + [0] + list(range(7, 13))
+        k4 = [(a, b) for a in range(13, 17) for b in range(a + 1, 17)]
+        k4_path = new_trigraph(17, k4 + list(zip([13] + path, path + [14])))
+        # a 14-vertex path in place of one Petersen edge
         path = list(range(10, 24))
         edges = [(i, i + 1) for i in range(1, 4)] + [(4, 0)] + list(zip([0] + path, path + [1]))
         edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-        _, report = solve(new_trigraph(24, edges), Practical(floor), CFG)
-        assert caps == [0, 1, 2] + list(range(start, 4))
-        assert report["status"] == "upper_bound"
+        for g, up_front in ((k4_path, [0, 1]), (new_trigraph(24, edges), [])):
+            assert (witness(g) is None) == bool(up_front)
+            caps.clear()
+            _, report = solve(g, Practical(floor), CFG)
+            assert caps == up_front + [2] + list(range(start, 4))
+            assert report["status"] == "upper_bound"
 
     def test_kernel_meta_matches_public_kernels(self):
         # Petersen graph: fen 6, no dangling paths, twin-width above 2, so the

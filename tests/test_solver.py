@@ -471,13 +471,22 @@ class TestBudgets:
     def test_one_deadline_per_solve(self, monkeypatch):
         # one search per solve: the clock passes the deadline at the first
         # component's first node, and every later component stops at its own
-        # first reading instead of starting a deadline of its own
+        # first reading instead of starting a deadline of its own.  Three C4s
+        # have no induced-cycle witness, so each is searched
+        squares = [(c + i, c + (i + 1) % 4) for c in (0, 4, 8) for i in range(4)]
+        clock = Clock(early=1)
+        monkeypatch.setattr(solver_module.time, "monotonic", clock)
+        _, report = solve(new_trigraph(12, squares), Practical(12), SolverConfig(time_limit=50))
+        assert report["status"] == "upper_bound" and report["width"] == 2
+        assert clock.readings == 1 + 3
+        # three C5s are each certified by their own induced cycle, without a
+        # search: the clock is read once, when the search is made
         cycles = [(c + i, c + (i + 1) % 5) for c in (0, 5, 10) for i in range(5)]
         clock = Clock(early=1)
         monkeypatch.setattr(solver_module.time, "monotonic", clock)
         _, report = solve(new_trigraph(15, cycles), Practical(12), SolverConfig(time_limit=50))
-        assert report["status"] == "upper_bound" and report["width"] == 2
-        assert clock.readings == 1 + 3
+        assert report["status"] == "optimal" and report["width"] == 2
+        assert clock.readings == 1
 
 
 class TestRefutedCaps:

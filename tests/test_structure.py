@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as stst
 
-from twinwidth.corpus import random_connected_graph, random_tree
+from twinwidth.corpus import cycle_with_trees, random_connected_graph, random_tree
 from twinwidth.errors import Disconnected, PreconditionViolated
 from twinwidth.structure import (
     StumpKind,
@@ -16,9 +16,10 @@ from twinwidth.structure import (
     stumps_at,
     two_core,
 )
+from twinwidth.solver import decide_width_at_most, optimal_sequence
 from twinwidth.trigraph import connected_components, new_trigraph
 
-from conftest import classify_stumps_oracle, make_fig3
+from conftest import classify_stumps_oracle, make_fig3, witness
 
 
 def cycle(n):
@@ -75,6 +76,77 @@ class TestFeedbackEdges:
         with pytest.raises(PreconditionViolated):
             feedback_edge_set(g)
         assert len(feedback_edge_set(g, ignore_red=True)) == 0
+
+
+def assert_induced_cycle(g, cyc):
+    """``cyc`` lists the vertices of an induced cycle of ``g`` in order, at
+    least five of them: consecutive ones adjacent, no chord."""
+    assert len(cyc) >= 5 and len(set(cyc)) == len(cyc)
+    assert all(g.color(a, b) is not None for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    assert g.induce(cyc).edge_count() == len(cyc)
+
+
+def distance_without(g, a, b):
+    """The distance from ``a`` to ``b`` in ``g`` minus the edge ``ab``."""
+    dist = {a: 0}
+    queue = [a]
+    for v in queue:
+        for u in sorted(g.neighbors(v)):
+            if u not in dist and {u, v} != {a, b}:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist[b]
+
+
+@stst.composite
+def small_connected_graphs(draw):
+    """A random connected graph on 5..12 vertices with 1..4 edges beyond a
+    spanning tree."""
+    n = draw(stst.integers(min_value=5, max_value=12))
+    k = draw(stst.integers(min_value=1, max_value=4))
+    return random_connected_graph(n, k, random.Random(draw(stst.integers(0, 2**32))))
+
+
+class TestInducedCycle:
+    @pytest.mark.parametrize("trees", [0, 6])
+    @pytest.mark.parametrize("length", range(5, 13))
+    def test_long_cycle_found_and_width_two(self, length, trees):
+        g = cycle_with_trees(length, trees, random.Random(length))
+        cyc = witness(g)
+        assert cyc is not None and sorted(cyc) == list(range(length))
+        assert_induced_cycle(g, cyc)
+        assert optimal_sequence(g).width == 2
+
+    @pytest.mark.parametrize("trees", [0, 6, 40])
+    @pytest.mark.parametrize("length", [3, 4])
+    def test_short_cycle_has_none(self, length, trees):
+        assert witness(cycle_with_trees(length, trees, random.Random(length))) is None
+
+    def test_tree_has_none(self):
+        assert witness(random_tree(12, random.Random(0))) is None
+
+    def test_long_cycle_behind_short_ones(self):
+        # a C6 with a long chord splits into two C4s: no witness.  Without
+        # the chord, and beside a triangle whose feedback edge (1, 2) comes
+        # first, the C6 is found
+        c6 = [(0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)]
+        assert witness(new_trigraph(8, c6 + [(0, 5)])) is None
+        g = new_trigraph(8, c6 + [(0, 1), (1, 2), (2, 0)])
+        assert feedback_edge_set(g)[0] == (1, 2)
+        assert sorted(witness(g)) == [0, 3, 4, 5, 6, 7]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(small_connected_graphs())
+    def test_witness_refutes_width_one(self, g):
+        # a witness exists iff some feedback edge ab leaves a and b at
+        # distance >= 4 in the whole graph minus ab
+        cyc = witness(g)
+        far = [e for e in feedback_edge_set(g) if distance_without(g, *e) >= 4]
+        assert (cyc is not None) == bool(far)
+        if cyc is not None:
+            assert len(cyc) == distance_without(g, *far[0]) + 1
+            assert_induced_cycle(g, cyc)
+            assert decide_width_at_most(g, 1) is None
 
 
 class TestBridges:
