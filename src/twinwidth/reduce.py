@@ -28,8 +28,9 @@ The up-front check certifies twin-width at least 2 by an induced cycle of
 five or more vertices through a feedback edge, found in linear time at any
 size, and only without one runs the width-0/1 search.  Rules that are only
 safe when the instance has twin-width at least 2 perform a width-1 decision
-as due diligence while the instance carries fewer than two red stumps; from
-two red stumps on, the lower bound is structural and free.  When the
+as due diligence while the instance carries fewer than two red stumps and
+no such cycle; with the cycle, which tree rules never touch, or from two red
+stumps on, the lower bound is structural and free.  When the
 instance is too large for the decision budget the reduction still runs, but
 the outcome is marked uncertified unless a witness or two red stumps
 certify it, and downstream reports avoid optimality claims.
@@ -91,73 +92,54 @@ class RuleOutcome:
 # -- tree contraction ----------------------------------------------------------
 
 
-def _tree_children(g: Trigraph, root, allowed=None):
-    """Rooted child lists (ascending labels) over black edges."""
-    children = {root: []}
-    seen = {root}
-    queue = [root]
-    while queue:
-        nxt = []
-        for v in queue:
-            for u in sorted(g.black_neighbors(v)):
-                if allowed is not None and u not in allowed:
-                    continue
-                if u in seen:
-                    continue
-                seen.add(u)
-                children[v].append(u)
-                children[u] = []
-                nxt.append(u)
-        queue = nxt
-    return children, seen
+def _fold(g: Trigraph, root, pairs: Emitter, allowed=None):
+    """Contract everything strictly below ``root`` in the black tree it
+    reaches, within ``allowed`` if given, into a single vertex, emitting the
+    pairs into ``pairs``.
 
-
-def _fold_subtree(children, root, pairs: Emitter):
-    """Contract everything strictly below ``root`` into a single vertex,
-    emitting the pairs into ``pairs``.
-
-    Children are folded in label order; siblings' remnants are merged as soon
-    as both exist, which keeps every red degree at 2 or below.  Returns the
-    label of the final merged child (None if the root is a leaf).
+    One depth-first walk takes each vertex's black neighbours in label order
+    and merges a subtree's remnant into its parent's as the subtree returns,
+    so siblings' remnants are merged as soon as both exist, which keeps every
+    red degree at 2 or below.  Returns ``(remnant, reached)``: the label of
+    the final merged child (None if the root is a leaf) and the vertices
+    reached.
     """
-    frames = [[root, 0, None]]
-    ret = None
-    root_acc = None
-    while frames:
-        frame = frames[-1]
-        v, idx, acc = frame
-        if ret is not None:
-            acc = ret if acc is None else pairs.emit(acc, ret)
-            frame[2] = acc
-            ret = None
-        kids = children[v]
-        if idx < len(kids):
-            frame[1] += 1
-            frames.append([kids[idx], 0, None])
-            continue
-        frames.pop()
-        if v == root:
-            root_acc = acc
-        elif acc is None:
-            ret = v
+    reached = {root}
+    frames = [[root, iter(sorted(g.black_neighbors(root))), None]]
+    while True:
+        for u in frames[-1][1]:
+            if u not in reached and (allowed is None or u in allowed):
+                reached.add(u)
+                frames.append([u, iter(sorted(g.black_neighbors(u))), None])
+                break
         else:
-            ret = pairs.emit(acc, v)
-    return root_acc
+            v, _, acc = frames.pop()
+            if not frames:
+                return acc, reached
+            remnant = v if acc is None else pairs.emit(acc, v)
+            parent = frames[-1]
+            parent[2] = remnant if parent[2] is None else pairs.emit(parent[2], remnant)
 
 
 def tree_sequence(t: Trigraph, root) -> ContractionSequence:
     """Full width<=2 sequence of a black tree where the root is touched only
     by the very last contraction."""
+    pairs = Emitter(t.next_label)
+    acc, reached = _fold(t, root, pairs)
     if t.has_red():
         raise NotATree("tree contraction expects a black trigraph")
-    children, seen = _tree_children(t, root)
-    if len(seen) != t.n or t.black_edge_count() != t.n - 1:
+    if len(reached) != t.n or t.black_edge_count() != t.n - 1:
         raise NotATree("input is not a connected acyclic black graph")
-    pairs = Emitter(t.next_label)
-    acc = _fold_subtree(children, root, pairs)
     if acc is not None:
         pairs.emit(root, acc)
     return ContractionSequence.build(t, pairs)
+
+
+def _is_star_at_root(g: Trigraph, tree) -> bool:
+    """Whether every tree vertex but the root is a black child of the root:
+    a pendant whose one edge is black and goes to the root."""
+    _, v = tree.bridge
+    return all(g.degree(x) == 1 and v in g.black_neighbors(x) for x in tree.vertices if x != v)
 
 
 # -- individual rules -------------------------------------------------------------
@@ -178,7 +160,9 @@ class _Reduction:
     one does the search run.
 
     A guarded rule, safe only at twin-width >= 2, sets ``at_least_two``; it
-    is certified by two red stumps or a failed width-1 decision.
+    is certified by two red stumps or a failed width-1 decision.  The rules
+    contract only tree vertices, so the reduced instance keeps the up-front
+    check's induced cycle, ``witness``, and with one no rule decides.
 
     ``red_stumps`` is kept without a rescan: a tree cut adds one, the folded
     tree, and a stump merge changes only its owner's stumps (``stumps`` keeps
@@ -197,6 +181,7 @@ class _Reduction:
         self.prefix = []
         self.at_least_two = False
         self.certified = False
+        self.witness = None
         self.red_stumps = red_stump_count(g)
         self.stumps = ()
         self.solved = None
@@ -241,8 +226,10 @@ class _Reduction:
         at any size, in linear time, and caps 0 and 1 are recorded as refuted
         on ``g`` for the search.  Only without such a cycle does the search
         decide caps 0 and 1, within the vertex budget; a sequence it finds is
-        optimal, so the outcome is certified."""
-        if induced_cycle(self.g, self.core, self.fes) is not None:
+        optimal, so the outcome is certified.  The cycle is kept as
+        ``witness``."""
+        self.witness = induced_cycle(self.g, self.core, self.fes)
+        if self.witness is not None:
             self.certified = True
             self.search.refute(self.g, 1)
             return
@@ -258,7 +245,7 @@ class _Reduction:
         self.at_least_two = True
         if self.red_stumps >= 2:
             self.certified = True
-        else:
+        elif self.witness is None:
             self._decide((1,))
         return self
 
@@ -273,31 +260,25 @@ class _Reduction:
 
     def reduce_star(self, tree):
         g = self.work
-        _, v = tree.bridge
-        leaves = sorted(tree.vertices - {v})
-        if len(leaves) < 2:
-            raise NotAStar("star must have at least two leaves beyond its center")
-        for leaf in leaves:
-            if g.neighbors(leaf) != frozenset((v,)) or g.color(leaf, v) is not EdgeColor.BLACK:
-                raise NotAStar(f"{leaf} is not a black pendant of {v}")
-        if not tree.all_black:
-            raise NotAStar("star contains a red edge")
         pairs = Emitter(g.next_label)
-        fold(pairs.emit, leaves)
+        _fold(g, tree.bridge[1], pairs, tree.vertices)
+        if len(tree.vertices) < 3:
+            raise NotAStar("star must have at least two leaves beyond its center")
+        if not (tree.all_black and _is_star_at_root(g, tree)):
+            raise NotAStar("star leaves must be black pendants of its center")
         return self._play(pairs)
 
     def reduce_tree(self, tree):
         g = self.work
         u, v = tree.bridge
+        pairs = Emitter(g.next_label)
+        acc, reached = _fold(g, v, pairs, tree.vertices)
         if not tree.all_black:
             raise PreconditionViolated("dangling tree must be black")
-        children, seen = _tree_children(g, v, allowed=tree.vertices)
-        if seen != tree.vertices:
+        if reached != tree.vertices:
             raise PreconditionViolated("tree vertices are not a dangling black tree")
-        if all(not children[c] for c in children[v]):
+        if _is_star_at_root(g, tree):
             raise PreconditionViolated("tree has no vertex at distance 2 from its root")
-        pairs = Emitter(g.next_label)
-        acc = _fold_subtree(children, v, pairs)
         self._play(pairs)._guard(_stump_owner(g, v) == u)
         assert self.solved is not None or g.color(v, acc) is EdgeColor.RED, (
             "folded tree must hang red"
@@ -471,11 +452,6 @@ def tidy(hp: HPGraph, trace=None):
 
 
 # -- the pruning pipeline ------------------------------------------------------------
-
-
-def _is_star_at_root(g: Trigraph, tree) -> bool:
-    _, v = tree.bridge
-    return all(g.neighbors(x) == frozenset((v,)) for x in tree.vertices if x != v)
 
 
 def _component_paths(g: Trigraph, core, hubs):

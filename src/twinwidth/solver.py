@@ -26,7 +26,7 @@ parent's, recomputing only the pairs around the contracted pair.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import count
 
 from .errors import BudgetExceeded
@@ -52,10 +52,21 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A sequence of width ``width``; ``status`` is read from ``optimal``, and
+    a status passed as the fourth argument must agree with it."""
+
     width: int
     sequence: ContractionSequence
     optimal: bool
-    status: str  # "optimal" or "not_proven"
+    claimed_status: InitVar[str | None] = None
+
+    def __post_init__(self, claimed_status):
+        if claimed_status not in (None, self.status):
+            raise ValueError(f"status {claimed_status!r} disagrees with optimal={self.optimal}")
+
+    @property
+    def status(self) -> str:
+        return "optimal" if self.optimal else "not_proven"
 
 
 # -- packed representation ------------------------------------------------------
@@ -590,8 +601,8 @@ class _Search:
             if exc.kind == "vertices":
                 raise
             seq = greedy_sequence(g)
-            return SolveResult(verify(g, seq), seq, False, "not_proven")
-        return SolveResult(d, seq, True, "optimal")
+            return SolveResult(verify(g, seq), seq, False)
+        return SolveResult(d, seq, True)
 
 
 def decide_width_at_most(g: Trigraph, d: int, config: SolverConfig = DEFAULT_CONFIG):

@@ -59,33 +59,23 @@ class Trigraph:
         """Build a trigraph on vertices ``0..n-1`` from two edge lists."""
         black = {v: set() for v in range(n)}
         red = {v: set() for v in range(n)}
-        seen = set()
         for edges, adj in ((black_edges, black), (red_edges, red)):
             for u, v in edges:
                 if not (0 <= u < n and 0 <= v < n):
                     raise BadEndpoint(f"edge ({u}, {v}) outside 0..{n - 1}")
                 if u == v:
                     raise SelfLoop(f"self-loop at {u}")
-                key = (min(u, v), max(u, v))
-                if key in seen:
+                if v in black[u] or v in red[u]:
+                    key = (min(u, v), max(u, v))
                     raise DuplicateEdge(f"edge {key} listed twice or in both colors")
-                seen.add(key)
                 adj[u].add(v)
                 adj[v].add(u)
+        # each set is dropped as soon as it is frozen, so the two copies of
+        # the adjacency never coexist whole
         return cls(
-            {v: frozenset(black[v]) for v in range(n)},
-            {v: frozenset(red[v]) for v in range(n)},
+            {v: frozenset(black.pop(v)) for v in range(n)},
+            {v: frozenset(red.pop(v)) for v in range(n)},
             n,
-        )
-
-    @classmethod
-    def _make(cls, vertices, black_adj, red_adj, next_label):
-        """Assemble a trigraph from prebuilt adjacency maps (internal use)."""
-        order = sorted(vertices)
-        return cls(
-            {v: frozenset(black_adj.get(v, ())) for v in order},
-            {v: frozenset(red_adj.get(v, ())) for v in order},
-            next_label,
         )
 
     # -- basic queries ----------------------------------------------------------

@@ -7,8 +7,9 @@ stumps of the whole trigraph in two claiming passes,
 ``canon_packed_oracle`` compresses the live slots and refines by per-cell
 neighbour counts, ``ordered_children_oracle`` builds every pair's child,
 ``shorten_oracle`` scans every consecutive pair of a path for the lowest
-before each merge, ``decide_rec_oracle`` memoizes the exact search by a
-canonical form computed at every node, and ``naive_optimal_width``
+before each merge, ``fold_oracle`` folds a black tree by plain recursion,
+``decide_rec_oracle`` memoizes the exact search by a canonical form computed
+at every node, and ``naive_optimal_width``
 enumerates every contraction sequence with no memoization or pruning.
 """
 
@@ -97,15 +98,7 @@ def make_fig3_tidy():
         | set(range(6, 23))
         | {23, 24, 25, 26, 27, 28, 29, 30, 36, 37}
     )
-    badj = {v: set() for v in verts}
-    radj = {v: set() for v in verts}
-    for a, b in black:
-        badj[a].add(b)
-        badj[b].add(a)
-    for a, b in red:
-        radj[a].add(b)
-        radj[b].add(a)
-    return Trigraph._make(verts, badj, radj, max(verts) + 1)
+    return new_trigraph(max(verts) + 1, black, red).induce(verts)
 
 
 @pytest.fixture
@@ -136,15 +129,7 @@ def contract_oracle(g: Trigraph, u, v) -> Trigraph:
     keep = set(verts)
     blacks = [e for e in g.black_edges() if e[0] in keep and e[1] in keep]
     reds = [e for e in g.red_edges() if e[0] in keep and e[1] in keep]
-    badj = {x: set() for x in verts + [w]}
-    radj = {x: set() for x in verts + [w]}
-    for a, b in blacks + extra_black:
-        badj[a].add(b)
-        badj[b].add(a)
-    for a, b in reds + extra_red:
-        radj[a].add(b)
-        radj[b].add(a)
-    return Trigraph._make(verts + [w], badj, radj, w + 1)
+    return new_trigraph(w + 1, blacks + extra_black, reds + extra_red).induce(verts + [w])
 
 
 def classify_stumps_oracle(g: Trigraph) -> dict:
@@ -178,6 +163,30 @@ def classify_stumps_oracle(g: Trigraph) -> dict:
         u: tuple(sorted(stumps, key=lambda s: s.vertices))
         for u, stumps in sorted(found.items())
     }
+
+
+def fold_oracle(g: Trigraph, root, allowed=None):
+    """The pairs that contract everything below ``root`` in a black tree,
+    within ``allowed`` if given, into one vertex, and that vertex (None if
+    the root is a leaf): each child in label order is folded recursively,
+    contracted onto its own remnant, then merged into its earlier siblings'."""
+    pairs = []
+
+    def emit(a, b):
+        pairs.append((a, b))
+        return g.next_label + len(pairs) - 1
+
+    def below(v, parent):
+        acc = None
+        for u in sorted(g.black_neighbors(v)):
+            if u == parent or (allowed is not None and u not in allowed):
+                continue
+            rem = below(u, v)
+            rem = u if rem is None else emit(rem, u)
+            acc = rem if acc is None else emit(acc, rem)
+        return acc
+
+    return below(root, None), pairs
 
 
 def shorten_oracle(ids, target, first) -> list:

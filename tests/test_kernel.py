@@ -462,6 +462,21 @@ class TestSolve:
         elif entry is not fen1_sequence:
             assert out.meta["certified"]
 
+    @pytest.mark.parametrize("cycle, guard_calls", [(5, 0), (4, 1)])
+    def test_witness_settles_the_guard(self, decide_calls, cycle, guard_calls):
+        # a spider with three two-edge legs hangs from a C5 or a C4, within
+        # the vertex budget.  The tree cut leaves the cycle and a red stump;
+        # its guard decides width 1 of that instance only without the C5's
+        # induced-cycle witness, which the instance keeps
+        edges = [(i, (i + 1) % cycle) for i in range(cycle)] + [(0, cycle)]
+        for leg in range(cycle + 1, cycle + 7, 2):
+            edges += [(cycle, leg), (leg, leg + 1)]
+        g = new_trigraph(cycle + 7, edges)
+        assert (witness(g) is not None) == (cycle == 5)
+        prune(g, CFG)
+        guard = [c for c in decide_calls if c[0] <= 1 and c[1] == cycle + 2]
+        assert guard == [(1, cycle + 2)] * guard_calls
+
     @pytest.mark.parametrize("k, status", [(1, "upper_bound"), (2, "optimal")])
     def test_lower_bound_read_before_prune(self, k, status):
         # 16 vertices are past the budget, so the up-front search is skipped

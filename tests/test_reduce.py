@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as stst
 
 from twinwidth.corpus import (
     cycle_with_trees,
@@ -18,6 +19,7 @@ from twinwidth.errors import (
     PreconditionViolated,
 )
 from twinwidth.reduce import (
+    _Reduction,
     fen1_sequence,
     kill_stumps_prefix,
     merge_stumps,
@@ -28,8 +30,9 @@ from twinwidth.reduce import (
     tree_sequence,
 )
 from twinwidth.sequence import verify
-from twinwidth.solver import SolverConfig, canonical_key, optimal_sequence
+from twinwidth.solver import SolverConfig, _Search, canonical_key, optimal_sequence
 from twinwidth.structure import (
+    DanglingTree,
     StumpKind,
     classify_stumps,
     find_dangling_trees,
@@ -38,7 +41,7 @@ from twinwidth.structure import (
 )
 from twinwidth.trigraph import Trigraph, new_trigraph
 
-from conftest import make_fig3, make_fig3_middle, make_fig3_tidy
+from conftest import fold_oracle, make_fig3, make_fig3_middle, make_fig3_tidy
 
 CFG = SolverConfig(max_vertices=25)
 
@@ -105,6 +108,14 @@ class TestReduceStar:
         g = new_trigraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
         with pytest.raises((NotAStar, AssertionError)):
             reduce_star(g, chunk_at(g, 3))
+
+    def test_deep_tree_rejected(self):
+        # a leaf of the center carries a pendant of its own
+        g = new_trigraph(8, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5), (3, 6), (6, 7)])
+        run = _Reduction(g, _Search())
+        with pytest.raises(NotAStar):
+            run.reduce_star(chunk_at(g, 3))
+        assert run.work == g and not run.prefix
 
     def test_roundtrip_preserves_tww(self):
         g = self.make(4)  # n = 8
@@ -195,6 +206,71 @@ class TestReduceTree:
                 assert after.width == w_g
                 assert verify(g, out.lift.apply(after.sequence)) <= out.lift.bound(after.width)
             done += 1
+
+
+C5 = [(i, (i + 1) % 5) for i in range(5)]
+
+
+@stst.composite
+def labelled_trees(draw, offset=0, max_n=30):
+    """A random tree on 1..30 vertices labelled ``offset`` on in a random
+    order, so that label order and tree shape are independent, and a random
+    root: ``(edges, root)``."""
+    n = draw(stst.integers(min_value=1, max_value=max_n))
+    labels = draw(stst.permutations(range(offset, offset + n)))
+    edges = [(labels[draw(stst.integers(0, i - 1))], labels[i]) for i in range(1, n)]
+    return edges, labels[draw(stst.integers(0, n - 1))]
+
+
+class TestFold:
+    """Every tree rule emits the pairs of the recursive ``fold_oracle``."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(labelled_trees())
+    def test_tree_sequence(self, tree):
+        edges, root = tree
+        t = new_trigraph(len(edges) + 1, edges)
+        acc, pairs = fold_oracle(t, root)
+        if acc is not None:
+            pairs.append((root, acc))
+        assert tree_sequence(t, root).pairs() == pairs
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(stst.integers(2, 29).flatmap(lambda leaves: stst.permutations(range(5, leaves + 6))))
+    def test_reduce_star(self, labels):
+        # a star on a C5, its center and leaves labelled in a random order
+        center = labels[0]
+        g = new_trigraph(len(labels) + 5, C5 + [(0, center)] + [(center, x) for x in labels[1:]])
+        star = chunk_at(g, center)
+        _, pairs = fold_oracle(g, center, star.vertices)
+        assert list(reduce_star(g, star).lift.prefix) == pairs
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(labelled_trees(offset=5))
+    def test_reduce_tree(self, tree):
+        # a tree hung from a C5; a zero vertex budget skips the guard's
+        # decision, so the rule never solves
+        edges, root = tree
+        g = new_trigraph(len(edges) + 6, C5 + [(0, root)] + edges)
+        chunk = chunk_at(g, root)
+        if all(root in e for e in edges):
+            with pytest.raises(PreconditionViolated):
+                reduce_tree(g, chunk)
+            return
+        out = reduce_tree(g, chunk, SolverConfig(max_vertices=0))
+        _, pairs = fold_oracle(g, root, chunk.vertices)
+        assert list(out.lift.prefix) == pairs
+
+    def test_reduce_tree_rejects_unreached_vertices(self):
+        # a vertex set with a core vertex, or without an inner tree vertex,
+        # is not what the root reaches; the runner is left as it was
+        g = new_trigraph(9, C5 + [(0, 5), (5, 6), (6, 7), (7, 8)])
+        tree = chunk_at(g, 5)
+        for vertices in (tree.vertices | {2}, tree.vertices - {6}):
+            run = _Reduction(g, _Search())
+            with pytest.raises(PreconditionViolated):
+                run.reduce_tree(DanglingTree(tree.bridge, vertices, True))
+            assert run.work == g and not run.prefix
 
 
 def stumpy(owner_stumps):

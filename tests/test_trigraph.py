@@ -53,6 +53,8 @@ class TestConstruction:
             new_trigraph(2, [(0, 1)], [(0, 1)])
         with pytest.raises(DuplicateEdge):
             new_trigraph(3, [(0, 1), (1, 0)])
+        with pytest.raises(DuplicateEdge, match=r"edge \(1, 2\) listed twice"):
+            new_trigraph(3, [(2, 1)], [(1, 2)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
