@@ -139,7 +139,25 @@ def _read(path):
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(max_vertices=getattr(args, "budget", 20))
+    return SolverConfig(max_vertices=args.budget, max_nodes=args.nodes, time_limit=args.time)
+
+
+def _count(text):
+    """``--nodes``: a whole number >= 0; anything else is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"bad node count {text!r}")
+    return int(text)
+
+
+def _seconds(text):
+    """``--time``: a number of seconds >= 0; anything else is a usage error."""
+    try:
+        value = float(text)
+        if value >= 0:  # false for NaN too
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad time {text!r}")
 
 
 def _policy(text):
@@ -271,6 +289,10 @@ def _parser() -> argparse.ArgumentParser:
                          help="reserved for corpus tooling; ignored by solve")
     solve_p.add_argument("--budget", type=int, default=20,
                          help="max vertex count for the exact endgame")
+    solve_p.add_argument("--nodes", type=_count, default=None,
+                         help="max search nodes per width decision")
+    solve_p.add_argument("--time", type=_seconds, default=None,
+                         help="max seconds of exact search for the whole solve")
     solve_p.add_argument("--report", default=None)
     solve_p.set_defaults(func=_cmd_solve)
 
@@ -286,6 +308,8 @@ def _parser() -> argparse.ArgumentParser:
     kern_p.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; ignored")
     kern_p.add_argument("--budget", type=int, default=20)
+    kern_p.add_argument("--nodes", type=_count, default=None)
+    kern_p.add_argument("--time", type=_seconds, default=None)
     kern_p.add_argument("--trace", default=None)
     kern_p.set_defaults(func=_cmd_kernelize)
 

@@ -7,20 +7,24 @@ degree).  ``kernel.solve`` runs every decision on one private ``_Search``,
 which holds the budgets and the caps refuted so far.  The search branches on
 all live vertex pairs, preferring pairs that minimize the immediate max red
 degree, and never explores a state isomorphic to one it has refuted.
-Refuted states are kept raw, and in a failure memo bucketed by an
-isomorphism invariant, the sorted (black degree, red degree) pairs of the
-live vertices, and within a bucket by a profile, the degree classes after
-one round of colour refinement.  The exact canonical form is computed only
-for a state whose profile already holds a refuted state, at most once per
-state, and resumes from that round.
+Refuted states are kept three ways: by partition key, raw, and in a failure
+memo bucketed by an isomorphism invariant, the sorted (black degree, red
+degree) pairs of the live vertices, and within a bucket by a profile, the
+degree classes after one round of colour refinement.  The exact canonical
+form is computed only for a state whose profile already holds a refuted
+state, at most once per state, and resumes from that round.
 
 Internally the trigraph is packed into per-vertex bitmasks; vertex identity
 is tracked on the side so certificates come back in the caller's labels.
-Each pair's resulting max red degree is computed from the bitmasks alone, so
-no child is built before the search descends into it.  A node pays only for
-what its parent's contraction changed: it keeps a near list, the pairs whose
-merged vertex would have at most ``d`` red neighbours, and builds it from its
-parent's, recomputing only the pairs around the contracted pair.
+Each pair's resulting max red degree is computed from the bitmasks alone,
+and a state reached by contractions is named by one integer, its partition
+key, the partition of the root's vertices into merged parts, which a child
+gets from its parent in one addition.  So no child is built before the
+search descends into it, and a refuted child is turned away by its key
+before its bitmasks are.  A node pays only for what its parent's
+contraction changed: it keeps a near list, the pairs whose merged vertex
+would have at most ``d`` red neighbours, and builds it from its parent's,
+recomputing only the pairs around the contracted pair.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ CanonicalKey = bytes
 @dataclass(frozen=True)
 class SolverConfig:
     """Budget knobs.  ``max_vertices`` is a hard refusal; ``max_nodes`` caps
-    each width decision and ``time_limit`` (seconds) a whole solve.  Either
-    miss makes ``optimal_sequence`` fall back to an unproven greedy sequence."""
+    each width decision and ``time_limit`` (seconds) a whole solve; None is
+    no limit.  Either miss makes ``optimal_sequence`` fall back to an
+    unproven greedy sequence."""
 
     max_vertices: int = 20
     max_nodes: int | None = None
@@ -73,13 +78,30 @@ class SolveResult:
 
 
 class _Packed:
-    __slots__ = ("black", "red", "alive", "ids")
+    """A search state: per-slot bitmasks, with the partition key of its parts.
 
-    def __init__(self, black, red, alive, ids):
+    A state reached from a root by contractions depends only on the
+    partition of the root's slots into merged parts, each part living in its
+    smallest slot.  ``key`` is ``sum(owner(v) << w * v)`` over the root's
+    slots ``v``, ``owner(v)`` the slot of ``v``'s part and ``w`` wide enough
+    for every slot number, so equal keys from one root mean equal raw
+    states.  ``spread[s]`` is ``sum(1 << w * v)`` over the part in slot
+    ``s``, 0 for a slot merged away.  A state built from its bitmasks alone
+    is its own root, each slot a part."""
+
+    __slots__ = ("black", "red", "alive", "ids", "key", "spread")
+
+    def __init__(self, black, red, alive, ids, key=None, spread=None):
         self.black = black  # tuple of bitmasks, index = slot
         self.red = red
         self.alive = alive  # bitmask of live slots
         self.ids = ids  # tuple: slot -> current vertex label
+        if spread is None:
+            w = (len(black) - 1).bit_length()
+            spread = tuple(1 << w * v for v in range(len(black)))
+            key = sum(v * s for v, s in enumerate(spread))
+        self.key = key
+        self.spread = spread
 
     @classmethod
     def from_trigraph(cls, g: Trigraph):
@@ -98,8 +120,9 @@ class _Packed:
     def n_alive(self):
         return self.alive.bit_count()
 
-    def contract(self, i, j, new_id):
-        """Merge slots i and j; the merged vertex lands in slot min(i, j)."""
+    def merged(self, i, j):
+        """The raw state ``(alive, black, red)`` of slots i and j merged into
+        slot min(i, j), without the labels and the partition key."""
         k, dead = (i, j) if i < j else (j, i)
         bi = self.black[i] & ~(1 << j)
         bj = self.black[j] & ~(1 << i)
@@ -128,9 +151,22 @@ class _Packed:
         red[k] = nr
         black[dead] = 0
         red[dead] = 0
+        return self.alive & ~(1 << dead), tuple(black), tuple(red)
+
+    def contract(self, i, j, new_id, raw=None):
+        """Merge slots i and j; the merged vertex lands in slot min(i, j) and
+        is labeled ``new_id``.  ``raw`` is :meth:`merged`'s result, computed
+        here if not given."""
+        k, dead = (i, j) if i < j else (j, i)
+        alive, black, red = self.merged(i, j) if raw is None else raw
         ids = list(self.ids)
         ids[k] = new_id
-        return _Packed(tuple(black), tuple(red), self.alive & ~(1 << dead), tuple(ids))
+        spread = list(self.spread)
+        moved = spread[dead]
+        spread[k] += moved
+        spread[dead] = 0
+        key = self.key + (k - dead) * moved
+        return _Packed(black, red, alive, tuple(ids), key, tuple(spread))
 
     def alive_slots(self):
         return _bits(self.alive)
@@ -461,9 +497,18 @@ def _decide_rec(
 ):
     """Search for a width-``d`` finish of ``state``; slot steps or None.
 
-    A success ends the search, so every state met again was refuted: raw
-    states ``(alive, black, red)`` found refuted go in ``refuted``.  The
-    failure memo maps :func:`_invariant` to the refuted states with that
+    A success ends the search, so every state met again was refuted.
+    ``refuted`` holds, for each refuted state, its raw form ``(alive, black,
+    red)`` and its partition key (see :class:`_Packed`); a key is added only
+    with its raw state or once that is there, so a key found implies a raw
+    state found.  A node's loop over its children ticks the budget for each
+    and looks the child's key up before building it, from the node's own
+    key and ``spread``, so most refuted children cost one addition; only on
+    a miss is the child built and its raw state looked up, which catches a
+    refuted state reached by another partition.  The root, which no loop
+    checked, ticks and looks its raw state up itself.
+
+    The failure memo maps :func:`_invariant` to the refuted states with that
     invariant: first one raw state, and once a second state looks it up, a
     map from the profile of :func:`_first_round` to the refuted states with
     that profile, again first one raw state and from a second lookup on the
@@ -480,12 +525,13 @@ def _decide_rec(
     contracted at slots ``i``, ``j`` and ``near`` is the parent's near list:
     the state's own is then inherited from it (:func:`_inherit`).  The root
     computes its near list afresh."""
-    if state.n_alive() <= 1:
-        return []
-    budget.tick()
     raw = (state.alive, state.black, state.red)
-    if raw in refuted:
-        return None
+    if origin is None:
+        if state.n_alive() <= 1:
+            return []
+        budget.tick()
+        if raw in refuted:
+            return None
     look = _look(state, d)
     inv = _invariant(state, d, look)
     bucket = memo.get(inv)
@@ -504,23 +550,39 @@ def _decide_rec(
                 # the bucket was made just now, since keeping every stored
                 # state's round costs memory and saved no time
                 forms = bucket[profile] = {_canon_packed(_unpacked(forms), stored)}
-            key = _canon_packed(state, first)
-            if key in forms:
+            form = _canon_packed(state, first)
+            if form in forms:
                 refuted.add(raw)
+                refuted.add(state.key)
                 return None
     near = _near(state, look[0], d) if origin is None else _inherit(state, origin, d)
+    ids = state.ids
+    last = len(look[0]) == 2  # every child has one live slot: a finish
+    key = state.key
+    spread = state.spread
     for _, _, _, i, j in _ordered_children(state, d, look, near):
-        child = state.contract(i, j, next_id)
+        if last:
+            return [(i, j, ids)]
+        budget.tick()
+        child_key = key + (i - j) * spread[j]  # i < j: j's part moves to i
+        if child_key in refuted:
+            continue
+        child_raw = state.merged(i, j)
+        if child_raw in refuted:
+            refuted.add(child_key)
+            continue
+        child = state.contract(i, j, next_id, child_raw)
         sub = _decide_rec(child, d, next_id + 1, memo, budget, refuted, (near, state, i, j))
         if sub is not None:
-            return [(i, j, state.ids)] + sub
+            return [(i, j, ids)] + sub
     refuted.add(raw)
+    refuted.add(key)
     if bucket is None:
         memo[inv] = raw
     elif forms is None:
         bucket[profile] = raw
     else:
-        forms.add(key)
+        forms.add(form)
     return None
 
 
@@ -554,7 +616,8 @@ class _Search:
 
     def __init__(self, config: SolverConfig = DEFAULT_CONFIG):
         self.config = config
-        self.deadline = time.monotonic() + config.time_limit if config.time_limit else None
+        limit = config.time_limit
+        self.deadline = None if limit is None else time.monotonic() + limit
         self.nodes_left = None
         self.refuted = {}
 

@@ -33,6 +33,15 @@ from .errors import (
 VertexId = int
 
 
+# one empty set for every vertex with no neighbours of a colour: a plain
+# graph would otherwise hold one empty red set per vertex
+_EMPTY = frozenset()
+
+
+def _freeze(s):
+    return frozenset(s) if s else _EMPTY
+
+
 class EdgeColor(Enum):
     BLACK = "black"
     RED = "red"
@@ -73,8 +82,8 @@ class Trigraph:
         # each set is dropped as soon as it is frozen, so the two copies of
         # the adjacency never coexist whole
         return cls(
-            {v: frozenset(black.pop(v)) for v in range(n)},
-            {v: frozenset(red.pop(v)) for v in range(n)},
+            {v: _freeze(black.pop(v)) for v in range(n)},
+            {v: _freeze(red.pop(v)) for v in range(n)},
             n,
         )
 
@@ -193,8 +202,8 @@ class Trigraph:
     def _frozen(self):
         """A new trigraph value equal to this one, which is left as it was."""
         return Trigraph(
-            {v: frozenset(s) for v, s in self._black.items()},
-            {v: frozenset(s) for v, s in self._red.items()},
+            {v: _freeze(s) for v, s in self._black.items()},
+            {v: _freeze(s) for v, s in self._red.items()},
             self._next_label,
         )
 
@@ -261,8 +270,8 @@ class Trigraph:
             i = where.get(v)
             if i is not None:
                 black, red = maps[i]
-                black[v] = self._black[v] & keeps[i]
-                red[v] = self._red[v] & keeps[i]
+                black[v] = self._black[v] & keeps[i] or _EMPTY
+                red[v] = self._red[v] & keeps[i] or _EMPTY
         return [Trigraph(black, red, self._next_label) for black, red in maps]
 
     def recolor(self, changes):

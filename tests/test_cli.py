@@ -1,20 +1,25 @@
 import json
+import random
 
 import pytest
 
 from twinwidth.cli import (
+    _config,
+    _parser,
     emit_graph,
     emit_sequence,
     parse_graph,
     parse_sequence,
     run,
 )
+from twinwidth.corpus import random_connected_graph
 from twinwidth.errors import (
     GraphSyntaxError,
     HeaderMismatch,
     IndexOutOfRange,
 )
 from twinwidth.sequence import verify
+from twinwidth.solver import SolverConfig
 from twinwidth.trigraph import EdgeColor, new_trigraph
 
 from conftest import FIG2_PAIRS, make_fig2, make_fig3
@@ -47,10 +52,6 @@ class TestGraphFiles:
             assert parse_graph(emit_graph(g)) == g
 
     def test_roundtrip_corpus(self):
-        import random
-
-        from twinwidth.corpus import random_connected_graph
-
         rng = random.Random(42)
         for _ in range(20):
             n = rng.randrange(1, 40)
@@ -239,14 +240,37 @@ class TestCommands:
         assert run(["kernelize", str(graph)]) == 1
 
     def test_budget_exit_3(self, tmp_path):
-        import random
-
-        from twinwidth.corpus import random_connected_graph
-
         g = random_connected_graph(120, 2, random.Random(0))
         graph = tmp_path / "big.gr"
         graph.write_text(emit_graph(g))
         assert run(["solve", str(graph)]) == 3
+
+    def test_time_budget_exit_3(self, tmp_path, capsys):
+        # a vertex budget this large alone lets the exact search run without
+        # end; a time budget ends it with the budget exit code
+        graph = tmp_path / "big.gr"
+        graph.write_text(emit_graph(random_connected_graph(300, 40, random.Random(1))))
+        assert run(["solve", str(graph), "--budget", "400", "--time", "1"]) == 3
+        assert "time" in capsys.readouterr().err
+        assert run(["solve", str(graph), "--budget", "400", "--nodes", "100"]) == 3
+        assert "nodes" in capsys.readouterr().err
+
+    def test_search_budgets_reach_the_solver(self):
+        for command in ("solve", "kernelize"):
+            args = _parser().parse_args([command, "g.gr", "--nodes", "7", "--time", "2.5"])
+            assert _config(args) == SolverConfig(max_vertices=20, max_nodes=7, time_limit=2.5)
+            args = _parser().parse_args([command, "g.gr"])
+            assert _config(args) == SolverConfig()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nodes", "-1"), ("--nodes", "1.5"), ("--nodes", "x"),
+         ("--time", "-1"), ("--time", "x"), ("--time", "nan")],
+    )
+    def test_bad_search_budget_is_usage_error(self, tmp_fig2, capsys, flag, value):
+        for command in ("solve", "kernelize"):
+            assert run([command, str(tmp_fig2), flag, value]) == 1
+            assert f"argument {flag}" in capsys.readouterr().err
 
     def test_disconnected_solve_verify_roundtrip(self, tmp_path, capsys):
         graph = tmp_path / "two.gr"

@@ -395,6 +395,73 @@ class TestSearchOracle:
         assert keys[0] == keys[1] != keys[2]
 
 
+def partition_key(root, owner):
+    """The key and spread of the partition of ``root``'s slots in which
+    slot ``v``'s part lives in slot ``owner[v]``, recomputed from scratch."""
+    w = (len(root.black) - 1).bit_length()
+    spread = [0] * len(root.black)
+    for v, s in enumerate(owner):
+        spread[s] += 1 << w * v
+    return sum(s << w * v for v, s in enumerate(owner)), tuple(spread)
+
+
+class TestPartitionKey:
+    """A state's partition key names the partition of its root's slots into
+    merged parts, and the search turns a refuted child away by its key."""
+
+    @settings(max_examples=150, derandomize=True)
+    @given(search_states(), stst.data())
+    def test_key_names_the_partition(self, state, data):
+        root = _Packed(state.black, state.red, state.alive, state.ids)
+        live = root.alive_slots()
+        groups = data.draw(stst.lists(stst.integers(0, 3), min_size=len(live), max_size=len(live)))
+        ends = []
+        for _ in range(2):
+            # each group merged into its first member in a random order, the
+            # groups' steps interleaved at random
+            order = data.draw(stst.permutations(live))
+            anchor = {}
+            steps = []
+            for v in order:
+                group = groups[live.index(v)]
+                if group in anchor:
+                    steps.append((anchor[group], v))
+                else:
+                    anchor[group] = v
+            steps = data.draw(stst.permutations(steps))
+            owner = list(range(len(root.black)))
+            cur = root
+            for a, b in steps:
+                i, j = owner[a], owner[b]
+                cur = cur.contract(i, j, -1)
+                k, dead = min(i, j), max(i, j)
+                owner = [k if s == dead else s for s in owner]
+                assert (cur.key, cur.spread) == partition_key(root, owner)
+            ends.append(cur)
+        first, second = ends
+        assert first.key == second.key
+        assert (first.alive, first.black, first.red) == (second.alive, second.black, second.red)
+
+    def test_refuted_children_are_not_built(self, monkeypatch):
+        # the random16 width-2 refutation of TestSearchShape ticks 2,235
+        # nodes; a child whose key is refuted is not merged, and one whose
+        # merged raw state is refuted is not labeled
+        counts = dict.fromkeys(("merged", "contract"), 0)
+        for name in counts:
+            real = getattr(_Packed, name)
+
+            def counting(self, *args, real=real, name=name):
+                counts[name] += 1
+                return real(self, *args)
+
+            monkeypatch.setattr(_Packed, name, counting)
+        g = random_connected_graph(16, 8, random.Random(2))
+        budget = CountingBudget()
+        assert _decide_rec(_Packed.from_trigraph(g), 2, g.next_label, {}, budget, set()) is None
+        assert budget.ticks == 2235
+        assert counts["merged"] <= 856 and counts["contract"] <= 789
+
+
 class TestSearchShape:
     """The smallest node cap under which the width-2 decision finishes pins
     the search order, the memo hits and the node count."""

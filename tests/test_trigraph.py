@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as stst
 
+from twinwidth.cli import emit_graph, parse_graph
 from twinwidth.errors import (
     BadEndpoint,
     BadVertexSet,
@@ -63,6 +64,17 @@ class TestConstruction:
     def test_bad_endpoint_rejected(self):
         with pytest.raises(BadEndpoint):
             new_trigraph(2, [(0, 2)])
+
+    def test_empty_red_sets_shared(self):
+        # a parsed plain graph holds one empty red set, not one per vertex,
+        # and so do a value frozen from a working copy and an induced part
+        path = parse_graph(emit_graph(new_trigraph(50, [(i, i + 1) for i in range(49)])))
+        assert not path.has_red()
+        assert len({id(path.red_neighbors(v)) for v in path.vertices}) == 1
+        merged, _ = path.replay([(0, 1)])
+        for g, empty in ((merged, 47), (merged.induce(range(2, 40)), 38)):
+            reds = [g.red_neighbors(v) for v in g.vertices if not g.red_neighbors(v)]
+            assert len(reds) == empty and len(set(map(id, reds))) == 1
 
 
 class TestContract:
