@@ -16,6 +16,12 @@ general kernel on the runner itself.  The input's connectivity and feedback
 edge set are established once, and so is the exact search: its deadline
 bounds the solve, and the endgame skips caps refuted on the same trigraph.
 Every emitted sequence is re-verified before it is reported.
+
+A status rests on the runner's lower bound, set by the up-front check alone
+(a kernel's meta is ``certified`` when it is 2), and is derived in one place:
+``optimal`` iff the bound, raised to the exact width of an unshortened
+general kernel when it is 2, reaches the verified width; else ``plus_one``
+for an exact kernel under the theory floor; else ``upper_bound``.
 """
 
 from __future__ import annotations
@@ -131,7 +137,7 @@ def _shorten(ids, target: int, pairs: Emitter):
 
 def _shorten_paths(run: _Reduction, paths, target: int):
     """Contract each path down to ``target`` vertices on the runner with
-    :func:`_shorten`; the runner's bound becomes at least 2.  Returns the
+    :func:`_shorten`; the runner's lift bound becomes at least 2.  Returns the
     kernel and the new path lengths."""
     pairs = Emitter(run.work.next_label)
     for path in paths:
@@ -186,7 +192,7 @@ def _collapse_paths(run: _Reduction, hp: HPGraph):
         "core_size": len(hp.core),
         "path_lengths": [len(p) for p in hp.paths],
         "kernel_size": kernel.n,
-        "certified": hp.tww2_certified,
+        "certified": run.lower >= 2,
     }
     return kernel, meta
 
@@ -217,7 +223,7 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
         "floors": [decimal(f) for f in floors],
         "path_lengths": lengths,
         "kernel_size": kernel.n,
-        "certified": hp.tww2_certified,
+        "certified": run.lower >= 2,
         "shortened": kernel.n < n_tidy,
     }
     return kernel, meta
@@ -227,6 +233,17 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
 
 
 def _solve_connected(g: Trigraph, policy, search: _Search, report: dict):
+    """Solve the connected ``g`` into ``report``, its status included;
+    returns the sequence and its verified width."""
+    seq, lower, plus_one = _pipeline(g, policy, search, report)
+    width = verify(g, seq)
+    report["status"] = "optimal" if lower >= width else "plus_one" if plus_one else "upper_bound"
+    return seq, width
+
+
+def _pipeline(g: Trigraph, policy, search: _Search, report: dict):
+    """A sequence of the connected ``g``, a lower bound on its twin-width, and
+    whether the sequence is within one of optimal by the theory floor."""
     trace = report.setdefault("rules", [])
     if g.has_red():
         # trigraph inputs (e.g. emitted kernels) skip the reduction pipeline,
@@ -234,52 +251,35 @@ def _solve_connected(g: Trigraph, policy, search: _Search, report: dict):
         # exact solver
         result = search.optimal(g)
         trace.append({"rule": "exact_trigraph", "width": result.width})
-        report["status"] = "optimal" if result.optimal else "upper_bound"
-        return result.sequence
+        return result.sequence, result.width if result.optimal else 0, False
     # one runner plays every stage; ``g`` is connected and its feedback edge
     # set is computed here, once
     run = _Reduction(g, search, feedback_edge_set(g), trace)
-    k = len(run.fes)
-    report["k"] = k
+    report["k"] = len(run.fes)
     run.decide()
-    if run.solved is not None:
-        report["status"] = "optimal"
-        return run.solved
-    # read before prune, whose guarded rules certify the reduced instance
-    if run.certified:
+    if run.lower >= 2:
         report["tww_at_least_2"] = True
-    status = "optimal" if run.certified else "upper_bound"
-    if k <= 1:
-        seq = _fen1(run)
+    if run.solved is None and len(run.fes) <= 1:
         trace.append({"rule": "fen1_construction"})
-        report["status"] = status
-        return seq
-    hp = _prune(run)
-    if hp is None:
-        report["status"] = status
-        return run.solved
+        return _fen1(run), run.lower, False
+    if run.solved is not None or (hp := _prune(run)) is None:
+        return run.solved, run.lower, False
     hp = _tidy(run, hp)
     bi = run.fork()
     bikernel, meta = _collapse_paths(bi, hp)
     report["bikernel"] = meta
     if bikernel.n <= search.config.max_vertices and (found := search.first(bikernel, (2,))):
         trace.append({"rule": "bikernel_width2"})
-        report["status"] = "optimal" if meta["certified"] else "upper_bound"
-        return bi.sequence(found[1].pairs())
+        return bi.sequence(found[1].pairs()), run.lower, False
     kernel, meta = _absorb_and_shorten(run, hp, policy)
     report["general_kernel"] = meta
     result = search.optimal(kernel)
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
-    if not result.optimal:
-        report["status"] = "upper_bound"
-    elif not meta["shortened"] and meta["certified"]:
-        # kernel is the reduced instance itself, equivalent to the input
-        report["status"] = "optimal"
-    elif isinstance(policy, Theory):
-        report["status"] = "plus_one"
-    else:
-        report["status"] = "upper_bound"
-    return run.sequence(result.sequence.pairs())
+    seq = run.sequence(result.sequence.pairs())
+    if result.optimal and not meta["shortened"] and run.lower >= 2:
+        # the kernel is the reduced instance itself, equivalent to the input
+        return seq, max(run.lower, result.width), False
+    return seq, run.lower, result.optimal and isinstance(policy, Theory)
 
 
 def _offset_pairs(seq: ContractionSequence, base_next: int, offset: int):
@@ -302,22 +302,20 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     search = _Search(config)
     comps = connected_components(g)
     if len(comps) <= 1:
-        seq = _solve_connected(g, policy, search, report)
-        report["width"] = verify(g, seq)
+        seq, report["width"] = _solve_connected(g, policy, search, report)
         return seq, report
     report["components"] = len(comps)
     all_pairs = []
     statuses = []
     for sub in g.split(comps):
         sub_report = {"n": sub.n, "policy": report["policy"]}
-        seq = _solve_connected(sub, policy, search, sub_report)
+        seq, _ = _solve_connected(sub, policy, search, sub_report)
         all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))
-        statuses.append(sub_report.get("status", "upper_bound"))
-        report.setdefault("rules", []).extend(sub_report.get("rules", []))
+        statuses.append(sub_report["status"])
+        report.setdefault("rules", []).extend(sub_report["rules"])
     combined = ContractionSequence.build(g, all_pairs)
     report["width"] = verify(g, combined)
-    order = {"upper_bound": 0, "plus_one": 1, "optimal": 2}
-    report["status"] = min(statuses, key=lambda s: order.get(s, 0))
+    report["status"] = min(statuses, key=["upper_bound", "plus_one", "optimal"].index)
     return combined, report
 
 

@@ -12,32 +12,31 @@ original, within a certified width bound:
 * pseudo-paths are cleaned into stump-free red paths ("tidied"),
 
 Every stage is a list of contraction pairs played on one runner,
-:class:`_Reduction`: a plain working copy of the input, one prefix and one
-at-least-two flag.  Each owner of a runner runs its up-front width-0/1 check
-once and then hands it to each stage body in turn: ``_prune`` (tree and stump
-rules, then the core/path decomposition), ``_tidy``, and then either the
-feedback-edge-one walk ``_fen1`` or the kernels.  The public functions are a
-fresh runner plus one body; a :class:`~twinwidth.sequence.Lift` is built
-only where one is returned.
+:class:`_Reduction`: a plain working copy of the input, one prefix, the
+lift's at-least-two flag and the input's lower bound.  Each owner of a
+runner runs its up-front width-0/1 check once and then hands it to each
+stage body in turn: ``_prune`` (tree and stump rules, then the core/path
+decomposition), ``_tidy``, and then either the feedback-edge-one walk
+``_fen1`` or the kernels.  The public functions are a fresh runner plus one
+body; a :class:`~twinwidth.sequence.Lift` is built only where one is
+returned.
 The rules contract only tree vertices, so the input is looked at once: the
 runner's one 2-core serves the up-front check's induced-cycle witness, the
 dangling-tree search and the decomposition, and only the trees' owners are
 asked for their stumps.
 
-The up-front check certifies twin-width at least 2 by an induced cycle of
-five or more vertices through a feedback edge, found in linear time at any
-size, and only without one runs the width-0/1 search.  Rules that are only
-safe when the instance has twin-width at least 2 perform a width-1 decision
-as due diligence while the instance carries fewer than two red stumps and
-no such cycle; with the cycle, which tree rules never touch, or from two red
-stumps on, the lower bound is structural and free.  When the
-instance is too large for the decision budget the reduction still runs, but
-the outcome is marked uncertified unless a witness or two red stumps
-certify it, and downstream reports avoid optimality claims.
+Only the up-front check bounds the input's twin-width from below, by proofs
+about the input: an induced cycle of five or more vertices, the width-0/1
+search, or, where the search is skipped or misses, an induced S(2,2,2).
+Rules that are only safe at twin-width at least 2 decide width 1 of the
+reduced instance while it carries fewer than two red stumps and no such
+cycle, and a sequence found solves the input; a refutation proves nothing
+about the input, so the guards certify nothing.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from copy import copy
 from dataclasses import dataclass
 from functools import reduce as fold
@@ -66,6 +65,7 @@ from .structure import (
     _stump_owner,
     feedback_edge_set,
     induced_cycle,
+    induced_spider,
     red_stump_count,
     stumps_at,
     two_core,
@@ -82,7 +82,6 @@ class RuleOutcome:
     solved: ContractionSequence | None = None
     instance: object = None  # Trigraph or HPGraph
     lift: Lift | None = None
-    certified: bool = False
 
     @property
     def is_solved(self):
@@ -153,16 +152,14 @@ class _Reduction:
     input's feedback edge set, computed once by the caller, ``core`` the
     input's 2-core, computed once here when ``fes`` is given, and ``trace``
     the list the stages append their rule events to.
-    ``_decide`` makes every width decision: a sequence found becomes
-    ``solved``, and ``certified`` records a lower bound of 2.  ``decide`` is
-    the up-front width-0/1 check of ``g``, made once before the first stage:
-    an induced cycle through a feedback edge certifies it, and only without
-    one does the search run.
+    ``_decide`` makes every width decision, and a sequence found becomes
+    ``solved``.  ``decide``, the up-front width-0/1 check of ``g`` made once
+    before the first stage, alone sets ``lower``, ``g``'s lower bound.
 
-    A guarded rule, safe only at twin-width >= 2, sets ``at_least_two``; it
-    is certified by two red stumps or a failed width-1 decision.  The rules
-    contract only tree vertices, so the reduced instance keeps the up-front
-    check's induced cycle, ``witness``, and with one no rule decides.
+    A guarded rule, safe only at twin-width >= 2, sets ``at_least_two``, the
+    lift's bound, and certifies nothing.  It makes no width-1 decision from
+    two red stumps on or with ``witness``, the up-front check's induced
+    cycle, which the rules keep, as they contract only tree vertices.
 
     ``red_stumps`` is kept without a rescan: a tree cut adds one, the folded
     tree, and a stump merge changes only its owner's stumps (``stumps`` keeps
@@ -180,7 +177,7 @@ class _Reduction:
         self.trace = [] if trace is None else trace
         self.prefix = []
         self.at_least_two = False
-        self.certified = False
+        self.lower = 0
         self.witness = None
         self.red_stumps = red_stump_count(g)
         self.stumps = ()
@@ -204,49 +201,42 @@ class _Reduction:
         return ContractionSequence.build(self.g, self.prefix + list(pairs))
 
     def _decide(self, caps):
-        """Decide width <= d of the working trigraph for each cap ``d`` in
-        turn.  Returns the first cap with a sequence, which becomes
-        ``solved``; refuting every cap sets ``certified``, and a budget miss,
-        the vertex budget's included, changes nothing."""
-        try:
-            found = self.search.first(self.work, caps)
-        except BudgetExceeded:
-            return None
+        """The working trigraph's lower bound by the ascending ``caps``: the
+        first with a sequence, which becomes ``solved``, or one above the last
+        if all are refuted.  A budget miss raises :class:`BudgetExceeded`."""
+        found = self.search.first(self.work, caps)
         if found is None:
-            self.certified = True
-            return None
+            return caps[-1] + 1
         self.solved = self.sequence(found[1].pairs())
         return found[0]
 
     def decide(self):
-        """The up-front width-0/1 check, on a runner that has played nothing.
-
-        An induced cycle of five or more vertices closing a feedback edge
-        (:func:`~twinwidth.structure.induced_cycle`) certifies twin-width >= 2
-        at any size, in linear time, and caps 0 and 1 are recorded as refuted
-        on ``g`` for the search.  Only without such a cycle does the search
-        decide caps 0 and 1, within the vertex budget; a sequence it finds is
-        optimal, so the outcome is certified.  The cycle is kept as
-        ``witness``."""
+        """The up-front width-0/1 check, on a runner that has played nothing,
+        and the one writer of ``lower``: an induced cycle of five or more
+        vertices closing a feedback edge, kept as ``witness``, proves 2 and
+        refutes caps 0 and 1 on ``g`` for the search; without one the search
+        decides them, within the vertex budget; where it is skipped or
+        misses, an induced S(2,2,2) proves 2."""
         self.witness = induced_cycle(self.g, self.core, self.fes)
         if self.witness is not None:
-            self.certified = True
+            self.lower = 2
             self.search.refute(self.g, 1)
             return
-        d = self._decide((0, 1))
-        if d is not None:
-            self.trace.append({"rule": "solved_by_decision", "width": d})
-            self.certified = True
+        try:
+            self.lower = self._decide((0, 1))
+        except BudgetExceeded:
+            self.lower = 0 if induced_spider(self.g) is None else 2
+        if self.solved is not None:
+            self.trace.append({"rule": "solved_by_decision", "width": self.lower})
 
     def _guard(self, red_change):
         """Finish a guarded rule that changed the red stump count by
-        ``red_change``: certify it, or solve ``g``; returns the runner."""
+        ``red_change``; it may solve ``g``, and it certifies nothing."""
         self.red_stumps += red_change
         self.at_least_two = True
-        if self.red_stumps >= 2:
-            self.certified = True
-        elif self.witness is None:
-            self._decide((1,))
+        if self.red_stumps < 2 and self.witness is None:
+            with suppress(BudgetExceeded):
+                self._decide((1,))
         return self
 
     def lift(self, child: Trigraph) -> Lift:
@@ -254,9 +244,9 @@ class _Reduction:
 
     def outcome(self) -> RuleOutcome:
         if self.solved is not None:
-            return RuleOutcome(solved=self.solved, certified=self.certified)
+            return RuleOutcome(solved=self.solved)
         cur = self.work._frozen()
-        return RuleOutcome(instance=cur, lift=self.lift(cur), certified=self.certified)
+        return RuleOutcome(instance=cur, lift=self.lift(cur))
 
     def reduce_star(self, tree):
         g = self.work
@@ -433,7 +423,7 @@ def _tidy(run: _Reduction, hp: HPGraph) -> HPGraph:
         core.update(moved)
         new_paths.append(PseudoPath(new_path, {}, TIDY))
         trace.append({"rule": "tidy_path", "site": site, "kept": list(new_path)})
-    return HPGraph(run.work, frozenset(core), new_paths, hp.tww2_certified)
+    return HPGraph(run.work, frozenset(core), new_paths)
 
 
 def tidy(hp: HPGraph, trace=None):
@@ -554,7 +544,7 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
         )
         for verts in runs
     ]
-    hp = HPGraph(g, frozenset(h_vertices), paths, run.certified)
+    hp = HPGraph(g, frozenset(h_vertices), paths)
     validate_hp(hp)
     note({"rule": "decomposed", "core": len(h_vertices), "paths": len(paths)})
     return hp
@@ -584,8 +574,8 @@ def prune(
     run.decide()
     if run.solved is None and (hp := _prune(run, observer)) is not None:
         hp.g = run.work._frozen()
-        return RuleOutcome(instance=hp, lift=run.lift(hp.g), certified=run.certified)
-    return RuleOutcome(solved=run.solved, certified=run.certified)
+        return RuleOutcome(instance=hp, lift=run.lift(hp.g))
+    return RuleOutcome(solved=run.solved)
 
 
 # -- feedback edge number one ---------------------------------------------------------

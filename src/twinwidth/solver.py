@@ -30,7 +30,7 @@ recomputing only the pairs around the contracted pair.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import count
 
 from .errors import BudgetExceeded
@@ -57,21 +57,11 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A sequence of width ``width``; ``status`` is read from ``optimal``, and
-    a status passed as the fourth argument must agree with it."""
+    """A sequence of width ``width``, of minimum width iff ``optimal``."""
 
     width: int
     sequence: ContractionSequence
     optimal: bool
-    claimed_status: InitVar[str | None] = None
-
-    def __post_init__(self, claimed_status):
-        if claimed_status not in (None, self.status):
-            raise ValueError(f"status {claimed_status!r} disagrees with optimal={self.optimal}")
-
-    @property
-    def status(self) -> str:
-        return "optimal" if self.optimal else "not_proven"
 
 
 # -- packed representation ------------------------------------------------------
@@ -625,9 +615,11 @@ class _Search:
         if self.nodes_left is not None:
             self.nodes_left -= 1
             if self.nodes_left < 0:
-                raise BudgetExceeded(0, 0, kind="nodes")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(0, 0, kind="time")
+                cap = self.config.max_nodes
+                raise BudgetExceeded(cap + 1, cap, kind="nodes")
+        if self.deadline is not None and (now := time.monotonic()) > self.deadline:
+            limit = self.config.time_limit
+            raise BudgetExceeded(round(now - self.deadline + limit, 3), limit, kind="time")
 
     def first(self, g: Trigraph, caps):
         """``(d, sequence)`` for the first of the ascending ``caps`` that

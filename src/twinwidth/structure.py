@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 
 from .errors import Disconnected, PreconditionViolated
 from .trigraph import EdgeColor, Trigraph, is_connected
@@ -131,6 +132,29 @@ def induced_cycle(g: Trigraph, core, fes):
             while path[-1] != a:
                 path.append(parent[path[-1]])
             return path[::-1]
+    return None
+
+
+def induced_spider(g: Trigraph):
+    """An induced S(2,2,2), legs ``c-a-b`` on a centre ``c``, as ``(c, a1, b1,
+    a2, b2, a3, b3)``, or None; it has no width-1 sequence.  Each centre takes
+    the first legs that touch neither it nor an earlier leg, trying two
+    neighbours of each ``a`` as ``b``, so on a tree a spider is found iff there
+    is one.  No neighbourhood is sorted, and each is read once: O(n + m)."""
+    for c in g.vertices:
+        if g.degree(c) < 3:
+            continue
+        near = g.neighbors(c)
+        legs = []
+        for a in near:
+            for b in islice(chain(g.black_neighbors(a), g.red_neighbors(a)), 2):
+                if b != c and b not in near and b not in legs and all(
+                    g.color(x, y) is None for x in (a, b) for y in legs
+                ):
+                    legs += (a, b)
+                    break
+            if len(legs) == 6:
+                return (c, *legs)
     return None
 
 
@@ -313,16 +337,12 @@ class HPGraph:
 
     ``core`` holds the core vertices including the stump vertices attached to
     them; every other vertex belongs to exactly one pseudo-path (or to a stump
-    annotated on one).  ``tww2_certified`` records whether the producing rule
-    established that the twin-width is at least 2 (by a failed width-1
-    decision or by the presence of two red stumps); constructions stay valid
-    without it, but optimality claims depend on it.
+    annotated on one).
     """
 
     g: Trigraph
     core: frozenset[int]
     paths: list[PseudoPath]
-    tww2_certified: bool = False
 
 
 def _legal_stump_set(stumps) -> bool:

@@ -166,7 +166,7 @@ def test_criterion_6_rule_equivalence_suite():
         hp2, lift = tidy(hp)
         res_tidy = optimal_sequence(hp2.g, CFG)
         rule_events += 1
-        if hp.tww2_certified and res_tidy.width != w_before:
+        if w_before >= 2 and res_tidy.width != w_before:
             violations.append(("tidy", "equiv", w_before, res_tidy.width))
         if verify(hp.g, lift.apply(res_tidy.sequence)) > lift.bound(res_tidy.width):
             violations.append(("tidy", "lift"))

@@ -10,7 +10,7 @@ alter answers updates these hashes and says why; ``tools/digest.py`` checks
 the much larger corpus.
 
 The same instances also pin the public stages one by one: ``prune`` (its
-decomposition, lift prefix, flags and rule trace), ``tidy`` of that
+decomposition, lift prefix and flag, and rule trace), ``tidy`` of that
 decomposition, ``fen1_sequence``, and both kernels (kernel, meta and lift
 prefix).
 """
@@ -55,10 +55,10 @@ GOLDEN = {
     "rcg-12-5": "179fe75e1d4b60330db5d3a121e8b80845f54e60a07dc17fa5f2022dc9cd0b08",
     "rcg-300-1": "291a7fdff23297f5a2d9f4fb1989bc5983ba91977e91d3267d82fc6289cccbab",
     "rwdt-10-4-150": "a7f684d1e52106dd71513bf68e30882a45fff7c018aef37d921f778b39f6cf1e",
-    "rwdt-20-4-60": "3da70d58db1c7a7ff96974e72310edd6d8e4136d077f30b978d939a772121e31",
+    "rwdt-20-4-60": "a33633da8e7ce34515157aa56f0bd98411e1277bc7eba90e98f608b78fe4c2b6",
     "rwdt-4-2-12-tree-solved": "55aaa9faff32cb663b11e1ae935b3b58ae240dbc7d3e3525fb6db2ef40c4e840",
-    "rwdt-5-2-30": "46738e472a4dc15e25f2f83f9a81fd14b7529940c4f6a1c6a108ba6aaa9cd309",
-    "rwdt-5-2-30-merge-solved": "1b051b7cf73dd8401a6977ee8a82d8da86d37aee6c4b018cda21ac60ac30635a",
+    "rwdt-5-2-30": "602c6a24ea896e6b3ae91588109a578a5f563771eed1071eec38e099edbede5c",
+    "rwdt-5-2-30-merge-solved": "e8cb71f510a308911d73aabf3917641705bb6f1edcfdb286436999670b50e07f",
 }
 
 
@@ -94,7 +94,7 @@ def _hp(hp):
         [p.flavor, list(p.vertices), [[v, _stumps(ss)] for v, ss in sorted(p.stumps.items())]]
         for p in hp.paths
     ]
-    return [_graph(hp.g), sorted(hp.core), paths, hp.tww2_certified]
+    return [_graph(hp.g), sorted(hp.core), paths]
 
 
 def _kernel(g, outcome):
@@ -109,10 +109,10 @@ def stage_blobs(g):
     trace = []
     pruned = reduce.prune(g, trace=trace)
     if pruned.is_solved:
-        out["prune"] = ["solved", pruned.solved.pairs(), pruned.certified, trace]
+        out["prune"] = ["solved", pruned.solved.pairs(), trace]
     else:
         hp = pruned.instance
-        out["prune"] = [_hp(hp), _lift(pruned.lift, g, hp.g), pruned.certified, trace]
+        out["prune"] = [_hp(hp), _lift(pruned.lift, g, hp.g), trace]
         trace = []
         tidied, lift = reduce.tidy(hp, trace)
         out["tidy"] = [_hp(tidied), _lift(lift, hp.g, tidied.g), trace]
@@ -138,62 +138,62 @@ STAGE_GOLDEN = {
     "cwt-12-80": {
         "fen1_sequence": "704655b3633c32c75fe19c7e231430862c9775a9b904ce4ac13b16d38c59502d",
         "general_kernel": "10388f3b660a4f3e8e58b62679de9d93fb452dcf7ba7077dbb44df56aafcf29b",
-        "prune": "7abfcd2376557ab2b3fbfd9efc9bded569e99378025a04234ceb06a32078055d",
-        "tidy": "b36131e5f53faa999b02562a0e172c9719072ece88a75aaa384fc42b06f20c58",
+        "prune": "c0a9cd8404ccb30dd45aeccfdf2f72359a695574bdf01dff3919b212279950f4",
+        "tidy": "16ca83736192a8b4fae145cce941d5dcc2a097401f6e48e02383a03cd1ab1ca5",
         "tww2_bikernel": "85d4bb4fe14e6e070bb0a86378482e30c858026845505c854bfe71c48d80ca74",
     },
     "cwt-40-300": {
         "fen1_sequence": "42ef788adcb99bf5354ab7166b9fb0d63b283a9ec28f66deaf857666d07c9faf",
         "general_kernel": "ab37c0848fe89333b26aba9a72311cfa88bb03e97bcf186e8fbdd242cacfc099",
-        "prune": "537ae6145c5a69cc9d4007ece825b97f2a0367c7dde822797ef2633feff5fb37",
-        "tidy": "5e0fd2afd8decbb7d0e1da7f9383e6e2128b11b3c70813d999a71c24f8d937b2",
+        "prune": "3449604169550e5091c271895072a9da422de7cd80e980f242c42d14ed56dfb3",
+        "tidy": "80479ec1e9f9469aacde72a93e2a4b100eb7a589fb568dd3a79be25b417e9796",
         "tww2_bikernel": "019a8c3e881c5ef856f2d55e31ded4b9d3b6a79c32cb17abec3b96760168b828",
     },
     "rcg-12-5": {
         "fen1_sequence": "d77e4e4c216e2cfc1996310fb81356837a4237379a46096a4e22b94d3f708daa",
         "general_kernel": "ffde5f72f6ebe4d7979ce6d687820666376c227cabd5512af60fa1680ced2286",
-        "prune": "59fd71c7cca654b9b6a1529926f2edde7cdf7ca8f6f88e9b2ee92382a53d6621",
-        "tidy": "3b7e05f2d4daa828d4fe4f44c3bcc7e4b29948b2a989a106d5e4c4f53aec1924",
+        "prune": "c616b28e67bab3c9869755bb953b3d303cc4dc5fcc60e35958a83e3dcd1d8263",
+        "tidy": "2333bb62c6fdb8fbcb9aae43911c3df63edc28f668c813e6666b6b1d1de00988",
         "tww2_bikernel": "c709f4225fea5e7e0606e510ce971dcb2c96107586aec4d900e879a03999f7f1",
     },
     "rcg-300-1": {
         "fen1_sequence": "b41a477a54f2780a37bb10a5ab76fa9394e38b70003497f0cd8260d6e8f183a0",
         "general_kernel": "84aeb1e5ddce8395cef9019b0c88694f360a0d46a5c9cbaa0343b71a4e4f3932",
-        "prune": "74208ba3595e62e40a0f08d19acf1b1b88da7692f3d17c0c3dff817f4a2e3361",
-        "tidy": "21baa75a8231313ef9d5fb5140e7ada11d79caa48d87fbb3a7aedd3c7810589e",
+        "prune": "cd5fac26b144634d86de0fbc900353f76a59ec12123098d7e67c5ed8b8a808ba",
+        "tidy": "26f0edbdb69dfed4296dd34ce1cbd2bbee4f474e8d11d04fc45edbe9ffa088b1",
         "tww2_bikernel": "65c6ee0089b03933e311c26555b6b7c38ec37dca374493afdbaf5f5d588a68a0",
     },
     "rwdt-10-4-150": {
         "fen1_sequence": "b6388895dd49360da1aa21645134795c664dc632377babd9492e5f0356300df0",
         "general_kernel": "3f8e8246d75a4e5fbef038d193ccdd286e5a233e45a99328e136b0e477d514c5",
-        "prune": "db675f25946ad2cb6f524b2b9a1553dbe4c15ed39a7c87ddb62468d9b5cfa56d",
-        "tidy": "9337406763255aed2efa1b9b7b72aa28c4ad2499b7fec3ed594683565f49877b",
+        "prune": "340c0e7a666a752c16219448610f0049eca21bd108318e6d2d838bc828660157",
+        "tidy": "e2199a36c8dbf1465a2b303463124c0fe6ae580a6a1802f591bc2557e7e4f44e",
         "tww2_bikernel": "17037ed758e8ee39e1c748b68f132604a8a34bb1d61b7c6774d1b39a2a7b9359",
     },
     "rwdt-20-4-60": {
         "fen1_sequence": "b6388895dd49360da1aa21645134795c664dc632377babd9492e5f0356300df0",
         "general_kernel": "653a2a167b9bbd1b6ebddcf58c58e40b34afb459017da6c958b7411213552a4e",
-        "prune": "880f2bd7c8dc4b60289029cb64e33f7cdc313646fb8df513f1b77fe71cb88e4b",
-        "tidy": "8c962a81cd690d7c6043910241cb7112e63d2e9fb506181ee64b667cda2ab3ea",
+        "prune": "f950e6d20285856fea576eaabd7aab5a09f9a512a22bc80dc67fe88f602a7545",
+        "tidy": "74942eda36fac488d527b7caba5654d80d9fdd17e83d786840a050b3f86ab341",
         "tww2_bikernel": "a418f3ef0d835c30e897fbf142bd507fe60cd5cfbca7103cba7823f812dee4ea",
     },
     "rwdt-4-2-12-tree-solved": {
         "fen1_sequence": "c3343c97584f61ba3a996eeab9c9bd3add9611b51c6810a1db5e3c3c65a67c76",
         "general_kernel": "340b6b76babe32b4f0a0369d79c360106f607c84b6bdff95188c0a23705556fa",
-        "prune": "7f33b91c2427e6f4ac302ef41886a479697c0c40ece4ef9c881a303333a29123",
+        "prune": "34389e7b132e23c0319be8a390ad999f930adc07b3fcff6ef85ed15224509a0c",
         "tww2_bikernel": "340b6b76babe32b4f0a0369d79c360106f607c84b6bdff95188c0a23705556fa",
     },
     "rwdt-5-2-30": {
         "fen1_sequence": "c3343c97584f61ba3a996eeab9c9bd3add9611b51c6810a1db5e3c3c65a67c76",
         "general_kernel": "8f279952a79862c4227c3595de39b3061dd1abe08d5405f07e57beb604c087c6",
-        "prune": "bc423608c38a58d9390377b9c8ade4df2a550d8ae3f4d8ae861778ef4361a6fb",
-        "tidy": "c50eb6ba02c732a1dbbd44c18e1160c4fc63be399d50157b177e03c6608ed4cf",
+        "prune": "df9ea08c81753639278468a002f2bbccfcdecaabd347ab64ba64e299e15e67cd",
+        "tidy": "d5265b8489b38b85fbe5577526bed0ea037776e074fe2fb4ade17c38b9f581d0",
         "tww2_bikernel": "537aebbd13de4e2036f62561dac744b1ac09996a89d6a654619040e03432a071",
     },
     "rwdt-5-2-30-merge-solved": {
         "fen1_sequence": "c3343c97584f61ba3a996eeab9c9bd3add9611b51c6810a1db5e3c3c65a67c76",
         "general_kernel": "f2bf1bdd51064488af03abfbb023720920b765765d96046fc98aa745c7eed21a",
-        "prune": "fe65a44873ccd155b57e89df198bd84572dc1d50711cbe928f9d2201485b1a70",
+        "prune": "58d282688029d43cc521b3bb0b4b7f209cc5db96ced028d8f31f8e5a799508d0",
         "tww2_bikernel": "f2bf1bdd51064488af03abfbb023720920b765765d96046fc98aa745c7eed21a",
     },
 }

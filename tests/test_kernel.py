@@ -23,9 +23,10 @@ from twinwidth.kernel import (
     tower_bound,
     tww2_bikernel,
 )
-from twinwidth.reduce import _Reduction, fen1_sequence, prune, tidy
+from twinwidth.reduce import _Reduction, _prune, fen1_sequence, prune, tidy
 from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, optimal_sequence
+from twinwidth.structure import feedback_edge_set, induced_spider
 from twinwidth.trigraph import EdgeColor, new_trigraph
 
 from conftest import make_fig3, petersen, shorten_oracle, witness
@@ -432,18 +433,17 @@ class TestSolve:
     def test_entry_point_decides_up_front_once(self, decide_calls, entry, k, max_nodes):
         # every public owner of a runner makes the up-front decision itself,
         # once per cap; three search nodes refute width 0 of the fen-6 graph
-        # but miss width 1, and miss width 0 of the fen-1 graph, and a miss
-        # certifies nothing.  Neither graph has an induced-cycle witness
+        # but miss width 1, and miss width 0 of the fen-1 graph.  Neither
+        # graph has an induced-cycle witness; after a miss only an induced
+        # S(2,2,2) certifies, and both graphs hold one
         g = random_connected_graph(16, k, random.Random(189))
-        assert witness(g) is None
+        assert witness(g) is None and induced_spider(g) is not None
         out = entry(g, config=SolverConfig(max_vertices=20, max_nodes=max_nodes))
         caps = (0,) if max_nodes and k == 1 else (0, 1)
         counts = Counter(c for c in decide_calls if c[1] == 16 and c[0] <= 1)
         assert counts == {(d, 16): 1 for d in caps}
-        if entry is prune:
-            assert out.certified == (max_nodes is None)
-        elif entry is not fen1_sequence:
-            assert out.meta["certified"] == (max_nodes is None)
+        if entry in (tww2_bikernel, general_kernel):
+            assert out.meta["certified"]
 
     @pytest.mark.parametrize("max_nodes", [None, 3])
     @pytest.mark.parametrize("entry", [prune, fen1_sequence, tww2_bikernel, general_kernel, solve])
@@ -455,11 +455,9 @@ class TestSolve:
         assert witness(g) is not None
         out = entry(g, config=SolverConfig(max_vertices=20, max_nodes=max_nodes))
         assert not [c for c in decide_calls if c[1] == 16 and c[0] <= 1]
-        if entry is prune:
-            assert out.certified
-        elif entry is solve:
+        if entry is solve:
             assert out[1]["tww_at_least_2"] and out[1]["status"] == "optimal"
-        elif entry is not fen1_sequence:
+        elif entry not in (prune, fen1_sequence):
             assert out.meta["certified"]
 
     @pytest.mark.parametrize("cycle, guard_calls", [(5, 0), (4, 1)])
@@ -477,20 +475,53 @@ class TestSolve:
         guard = [c for c in decide_calls if c[0] <= 1 and c[1] == cycle + 2]
         assert guard == [(1, cycle + 2)] * guard_calls
 
-    @pytest.mark.parametrize("k, status", [(1, "upper_bound"), (2, "optimal")])
-    def test_lower_bound_read_before_prune(self, k, status):
-        # 16 vertices are past the budget, so the up-front search is skipped
-        # and, with no induced-cycle witness, nothing certifies the input,
-        # while prune's guarded rules certify the smaller reduced instance:
-        # that certificate is not the input's (the bikernel's status rests on
-        # it, as its own meta says)
-        g = random_connected_graph(16, k, random.Random(189))
-        assert witness(g) is None
+    @pytest.mark.parametrize("k, n, seed", [(1, 14, 242), (2, 13, 269)])
+    def test_lower_bound_read_before_prune(self, decide_calls, k, n, seed):
+        # past the vertex budget the up-front search is skipped, and with no
+        # induced cycle or S(2,2,2) nothing bounds the input.  Prune's rules
+        # leave two red stumps (k = 1) or refute width 1 of a smaller reduced
+        # instance (k = 2), which proves nothing about the input: its
+        # twin-width is 1, and the lower bound stays as the up-front check
+        # left it, for the fen-1 walk and the bikernel alike
+        g = random_connected_graph(n, k, random.Random(seed))
+        assert witness(g) is None and induced_spider(g) is None
         config = SolverConfig(max_vertices=12)
-        assert prune(g, config).certified
+        run = _Reduction(g, _Search(config), feedback_edge_set(g))
+        run.decide()
+        assert run.lower == 0
+        assert _prune(run) is not None and run.lower == 0
+        assert run.red_stumps >= 2 or [c for c in decide_calls if c[0] == 1 and c[1] < n]
         _, report = solve(g, Practical(12), config)
         assert "tww_at_least_2" not in report
-        assert report["status"] == status
+        assert report["status"] == "upper_bound" and report["width"] == 2
+        assert optimal_sequence(g, SolverConfig(max_vertices=n)).width == 1
+
+    def test_reduced_instance_certifies_nothing(self):
+        # past the budget nothing bounds the input, and the guards' width-1
+        # refutation of a reduced instance proves nothing about it: a search
+        # within a larger budget finds a sequence of width 1
+        g = random_connected_graph(13, 2, random.Random(269))
+        _, report = solve(g, config=SolverConfig(max_vertices=12, max_nodes=20000))
+        assert (report["width"], report["status"]) == (2, "upper_bound")
+        _, report = solve(g, config=SolverConfig(max_vertices=30))
+        assert (report["width"], report["status"]) == (1, "optimal")
+
+    def test_no_optimal_claim_below_the_exact_width(self):
+        # with the search's vertex budget one below n, nothing but proofs
+        # about the input may make an answer optimal
+        rng = random.Random(7)
+        claims = 0
+        for _ in range(600):
+            n = rng.randrange(9, 13)
+            g = random_connected_graph(n, rng.randrange(1, 4), rng)
+            try:
+                _, report = solve(g, Practical(12), SolverConfig(max_vertices=n - 1))
+            except BudgetExceeded:
+                continue
+            if report["status"] == "optimal":
+                claims += 1
+                assert optimal_sequence(g, SolverConfig(max_vertices=n)).width == report["width"]
+        assert claims > 100
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_witness_certifies_past_the_vertex_budget(self, k):
@@ -509,10 +540,17 @@ class TestSolve:
         assert report["tww_at_least_2"] and report["status"] == "optimal"
 
     def test_short_cycle_with_trees_stays_upper_bound(self):
-        # a C4 with trees has no witness, and past the vertex budget the
-        # up-front search does not run
+        # a C4 has no cycle witness, and past the vertex budget the up-front
+        # search does not run.  Its trees hold an induced S(2,2,2), which
+        # certifies; a C4 with caterpillars holds neither witness
         g = cycle_with_trees(4, 60, random.Random(4))
-        assert witness(g) is None
+        assert witness(g) is None and induced_spider(g) is not None
+        _, report = solve(g)
+        assert report["tww_at_least_2"] and report["status"] == "optimal"
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)] + [(i, i + 1) for i in range(3, 30)]
+        edges += [(i, i + 27) for i in range(4, 31)]
+        g = new_trigraph(58, edges)
+        assert witness(g) is None and induced_spider(g) is None
         _, report = solve(g)
         assert "tww_at_least_2" not in report and report["status"] == "upper_bound"
 
@@ -597,7 +635,9 @@ class TestSolve:
         # floor 2 the general kernel keeps a red path of two vertices, is
         # another trigraph, and starts at its own max red degree, 2.  In place
         # of the K4 a Petersen graph, whose feedback edges close induced C5s,
-        # takes the same course without the up-front caps
+        # takes the same course without the up-front caps.  After the miss
+        # greedy answers width 2 on the K4 graph, which meets its lower bound
+        # of 2, and width 4 on the Petersen graph, which does not
         caps = []
 
         def stand_in(g, d, search):
@@ -614,12 +654,13 @@ class TestSolve:
         path = list(range(10, 24))
         edges = [(i, i + 1) for i in range(1, 4)] + [(4, 0)] + list(zip([0] + path, path + [1]))
         edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-        for g, up_front in ((k4_path, [0, 1]), (new_trigraph(24, edges), [])):
+        answers = ((k4_path, [0, 1], 2, "optimal"), (new_trigraph(24, edges), [], 4, "upper_bound"))
+        for g, up_front, width, status in answers:
             assert (witness(g) is None) == bool(up_front)
             caps.clear()
             _, report = solve(g, Practical(floor), CFG)
             assert caps == up_front + [2] + list(range(start, 4))
-            assert report["status"] == "upper_bound"
+            assert (report["width"], report["status"]) == (width, status)
 
     def test_kernel_meta_matches_public_kernels(self):
         # Petersen graph: fen 6, no dangling paths, twin-width above 2, so the

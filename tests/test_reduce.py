@@ -20,6 +20,7 @@ from twinwidth.errors import (
 )
 from twinwidth.reduce import (
     _Reduction,
+    _prune,
     fen1_sequence,
     kill_stumps_prefix,
     merge_stumps,
@@ -35,6 +36,7 @@ from twinwidth.structure import (
     DanglingTree,
     StumpKind,
     classify_stumps,
+    feedback_edge_set,
     find_dangling_trees,
     red_stump_count,
     validate_hp,
@@ -158,9 +160,18 @@ class TestReduceTree:
         else:
             assert red_stump_count(out.instance) == 1
 
-    def test_two_red_stumps_certify_without_decision(self):
-        # two deep tails on a C5: after the first cut, the second candidate
-        # carries two red stumps and is certified structurally
+    def test_two_red_stumps_skip_the_decision(self, monkeypatch):
+        # two deep tails on a C5: the first cut's candidate carries one red
+        # stump and its guard decides width 1; the second candidate carries
+        # two, and its guard makes no decision
+        calls = []
+        real = _Search.first
+
+        def counting(search, h, caps):
+            calls.append((h.n, caps))
+            return real(search, h, caps)
+
+        monkeypatch.setattr(_Search, "first", counting)
         g = new_trigraph(
             11,
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -168,12 +179,10 @@ class TestReduceTree:
         )
         first = reduce_tree(g, chunk_at(g, 5), CFG)
         assert not first.is_solved
-        # a zero-budget config forces the decision to be skipped, so the
-        # certification can only come from the two-red-stump criterion
-        starved = SolverConfig(max_vertices=0)
-        second = reduce_tree(first.instance, chunk_at(first.instance, 8), starved)
+        assert calls == [(first.instance.n, (1,))]
+        second = reduce_tree(first.instance, chunk_at(first.instance, 8), CFG)
         assert not second.is_solved
-        assert second.certified
+        assert calls == [(first.instance.n, (1,))]
         assert red_stump_count(second.instance) == 2
 
     def test_star_rejected(self):
@@ -462,7 +471,7 @@ class TestPrune:
                 continue
             hp = out.instance
             w_hp = optimal_sequence(hp.g, CFG).width
-            if hp.tww2_certified:
+            if w_g >= 2:
                 assert w_hp == w_g
             lifted = out.lift.apply(optimal_sequence(hp.g, CFG).sequence)
             assert verify(g, lifted) <= out.lift.bound(w_hp)
@@ -512,29 +521,28 @@ class TestPrune:
         assert scans["max_red_degree"] <= 1
 
     def test_running_red_stump_count(self):
-        # with no width-1 decision, prune is certified exactly when some rule
-        # leaves two red stumps; the observer's outcomes are recounted over
-        # the whole trigraph, prune's own count only at each rule's owner
+        # with no width-1 decision, prune keeps its red-stump count only at
+        # each rule's owner; before every rule and at the end it equals a
+        # recount over the whole trigraph
         rng = random.Random(31)
-        certified = 0
+        reached_two = 0
         for _ in range(60):
             core_n = rng.randrange(4, 8)
             g = random_with_dangling_trees(
                 core_n, rng.randrange(1, 4), rng.randrange(10, 61), rng
             )
-            outcomes = []
-            out = prune(
-                g,
-                SolverConfig(max_vertices=0),
-                observer=lambda rule, before, o: outcomes.append(o),
-            )
-            assert not out.is_solved
-            expect = any(
-                red_stump_count(o.instance) >= 2 for o in outcomes if not o.is_solved
-            )
-            assert out.certified == expect
-            certified += expect
-        assert 0 < certified < 60
+            run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), feedback_edge_set(g))
+            run.decide()
+            counts = []
+
+            def observe(rule, before, outcome):
+                counts.append((run.red_stumps, red_stump_count(before)))
+
+            assert _prune(run, observe) is not None
+            counts.append((run.red_stumps, red_stump_count(run.work)))
+            assert all(kept == recount for kept, recount in counts)
+            reached_two += max(recount for _, recount in counts) >= 2
+        assert 0 < reached_two < 60
 
 
 class TestTidy:
@@ -584,7 +592,7 @@ class TestTidy:
             hp2, lift = tidy(hp)
             validate_hp(hp2)
             after = optimal_sequence(hp2.g, CFG)
-            if hp.tww2_certified:
+            if w_before >= 2:
                 assert after.width == w_before
             lifted = lift.apply(after.sequence)
             assert verify(hp.g, lifted) <= lift.bound(after.width)

@@ -197,7 +197,7 @@ class TestOptimal:
     def test_empty(self):
         g = new_trigraph(0)
         res = optimal_sequence(g)
-        assert res == SolveResult(0, ContractionSequence.build(g, []), True, "optimal")
+        assert res == SolveResult(0, ContractionSequence.build(g, []), True)
 
     def test_soundness_random(self):
         rng = random.Random(3)
@@ -511,7 +511,7 @@ class TestBudgets:
     def test_node_budget_falls_back_to_unproven(self):
         c6 = new_trigraph(6, [(i, (i + 1) % 6) for i in range(6)])
         res = optimal_sequence(c6, SolverConfig(max_nodes=1))
-        assert not res.optimal and res.status == "not_proven"
+        assert not res.optimal
         assert verify(c6, res.sequence) == res.width
 
     def test_node_budget_at_256_vertices(self):
@@ -532,8 +532,22 @@ class TestBudgets:
         clock = Clock(early=4)
         monkeypatch.setattr(solver_module.time, "monotonic", clock)
         res = optimal_sequence(petersen(), SolverConfig(time_limit=50))
-        assert res.status == "not_proven" and res.width == 4
+        assert not res.optimal and res.width == 4
         assert clock.readings == 5
+
+    def test_misses_name_their_amounts(self, monkeypatch):
+        # a node miss names the node that crossed the cap, a time miss the
+        # seconds elapsed since the search was made
+        g = random_connected_graph(16, 8, random.Random(2))
+        with pytest.raises(BudgetExceeded) as exc:
+            decide_width_at_most(g, 2, SolverConfig(max_nodes=100))
+        assert (exc.value.amount, exc.value.limit) == (101, 100)
+        assert str(exc.value) == "nodes budget exceeded: 101 > 100"
+        clock = Clock(early=1)
+        monkeypatch.setattr(solver_module.time, "monotonic", clock)
+        with pytest.raises(BudgetExceeded) as exc:
+            decide_width_at_most(petersen(), 2, SolverConfig(time_limit=2.5))
+        assert str(exc.value) == "time budget exceeded: 100.0 > 2.5"
 
     def test_one_deadline_per_solve(self, monkeypatch):
         # one search per solve: the clock passes the deadline at the first

@@ -12,12 +12,13 @@ from twinwidth.structure import (
     find_bridges,
     find_dangling_paths,
     find_dangling_trees,
+    induced_spider,
     red_stump_count,
     stumps_at,
     two_core,
 )
 from twinwidth.solver import decide_width_at_most, optimal_sequence
-from twinwidth.trigraph import connected_components, new_trigraph
+from twinwidth.trigraph import Trigraph, connected_components, new_trigraph
 
 from conftest import classify_stumps_oracle, make_fig3, witness
 
@@ -147,6 +148,66 @@ class TestInducedCycle:
             assert len(cyc) == distance_without(g, *far[0]) + 1
             assert_induced_cycle(g, cyc)
             assert decide_width_at_most(g, 1) is None
+
+
+def assert_induced_spider(g, spider):
+    """``spider`` is ``(c, a1, b1, a2, b2, a3, b3)``: seven vertices of ``g``
+    whose only edges are the legs ``c-ai-bi``."""
+    c, *legs = spider
+    assert len(set(spider)) == 7
+    steps = [(c, a) for a in legs[::2]] + list(zip(legs[::2], legs[1::2]))
+    assert all(g.color(x, y) is not None for x, y in steps)
+    assert g.induce(spider).edge_count() == 6
+
+
+class TestInducedSpider:
+    def test_spider_alone(self):
+        g = new_trigraph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        assert sorted(induced_spider(g)) == list(range(7))
+        assert decide_width_at_most(g, 1) is None
+        assert induced_spider(g.induce(range(6))) is None
+
+    def test_found_on_trees_iff_no_width_one_sequence(self):
+        rng = random.Random(5)
+        found = 0
+        for _ in range(1500):
+            t = random_tree(rng.randrange(4, 13), rng)
+            spider = induced_spider(t)
+            assert (spider is None) == (decide_width_at_most(t, 1) is not None)
+            if spider is not None:
+                assert_induced_spider(t, spider)
+                found += 1
+        assert 100 < found < 1400
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(small_connected_graphs())
+    def test_spider_refutes_width_one(self, g):
+        spider = induced_spider(g)
+        if spider is not None:
+            assert_induced_spider(g, spider)
+            assert decide_width_at_most(g, 1) is None
+
+    def test_hub_read_once(self, monkeypatch):
+        # d children of degree 3 on a hub labelled last: every child is a
+        # candidate centre beside the hub, and the scan reads each
+        # neighbourhood once, the hub's included, and sorts none
+        d = 2000
+        edges = [e for i in range(d) for e in ((3 * i, 3 * i + 1), (3 * i, 3 * i + 2))]
+        g = new_trigraph(3 * d + 1, edges + [(3 * i, 3 * d) for i in range(d)])
+        reads = []
+        real = Trigraph.neighbors
+
+        def counting(self, u):
+            reads.append(u)
+            return real(self, u)
+
+        def no_sorting(*args, **kwargs):
+            raise AssertionError("a neighbourhood was sorted")
+
+        monkeypatch.setattr(Trigraph, "neighbors", counting)
+        monkeypatch.setattr("builtins.sorted", no_sorting)
+        assert induced_spider(g)[0] == 3 * d
+        assert len(reads) == len(set(reads)) == d + 1
 
 
 class TestBridges:
