@@ -297,7 +297,9 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
 
     Disconnected inputs are solved per component and the sequences spliced in
     component-discovery order (twin-width of a disjoint union is the maximum
-    over components; no cross-component contractions are emitted)."""
+    over components; no cross-component contractions are emitted).  The
+    union's status is the least of its components', or ``optimal`` when an
+    ``optimal`` component's width reaches the union's verified width."""
     report = {"n": g.n, "policy": _policy_name(policy)}
     search = _Search(config)
     comps = connected_components(g)
@@ -307,15 +309,21 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     report["components"] = len(comps)
     all_pairs = []
     statuses = []
+    lower = -1  # the largest width proven optimal on a component
     for sub in g.split(comps):
         sub_report = {"n": sub.n, "policy": report["policy"]}
-        seq, _ = _solve_connected(sub, policy, search, sub_report)
+        seq, width = _solve_connected(sub, policy, search, sub_report)
         all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))
         statuses.append(sub_report["status"])
+        if sub_report["status"] == "optimal":
+            lower = max(lower, width)
         report.setdefault("rules", []).extend(sub_report["rules"])
     combined = ContractionSequence.build(g, all_pairs)
     report["width"] = verify(g, combined)
-    report["status"] = min(statuses, key=["upper_bound", "plus_one", "optimal"].index)
+    if lower >= report["width"]:
+        report["status"] = "optimal"
+    else:
+        report["status"] = min(statuses, key=["upper_bound", "plus_one", "optimal"].index)
     return combined, report
 
 

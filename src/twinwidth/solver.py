@@ -1,18 +1,15 @@
-"""Exact twin-width by memoized width-capped search.
+"""Exact twin-width by width-capped search.
 
 ``decide_width_at_most`` answers "is there a contraction sequence of width at
 most d" with a certificate, and ``optimal_sequence`` wraps it in iterative
 deepening starting from the trivial lower bound (the input's own max red
 degree).  ``kernel.solve`` runs every decision on one private ``_Search``,
-which holds the budgets and the caps refuted so far.  The search branches on
-all live vertex pairs, preferring pairs that minimize the immediate max red
-degree, and never explores a state isomorphic to one it has refuted.
-Refuted states are kept three ways: by partition key, raw, and in a failure
-memo bucketed by an isomorphism invariant, the sorted (black degree, red
-degree) pairs of the live vertices, and within a bucket by a profile, the
-degree classes after one round of colour refinement.  The exact canonical
-form is computed only for a state whose profile already holds a refuted
-state, at most once per state, and resumes from that round.
+which holds the budgets and the caps refuted so far.  A node with twins has
+one child, its twins contracted: the child is an induced subtrigraph of the
+node, so it has a finish iff the node does.  Any other node branches on all
+live vertex pairs, preferring pairs that minimize the immediate max red
+degree.  Refuted states are kept raw and by partition key, and never
+explored twice.
 
 Internally the trigraph is packed into per-vertex bitmasks; vertex identity
 is tracked on the side so certificates come back in the caller's labels.
@@ -188,68 +185,29 @@ def _refine(cells, black, red):
     lexicographically."""
     cid = [0] * len(black)
     while True:
-        out = _refine_round(cells, black, red, cid)
+        for ci, cell in enumerate(cells):
+            for v in cell:
+                cid[v] = ci
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                key = sorted([cid[x] for x in black[v]])
+                key += sorted([cid[x] for x in red[v]])
+                groups.setdefault(tuple(key), []).append(v)
+            out += [groups[k] for k in sorted(groups, reverse=True)]
         if len(out) == len(cells):
             return cells
         cells = out
 
 
-def _refine_round(cells, black, red, cid, keys=None):
-    """One round of :func:`_refine`: every cell split by its vertices' keys.
-    Leaves each vertex's number in ``cells`` in ``cid``, and appends each
-    split cell's keys, in the order of their groups, to ``keys`` if given."""
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            cid[v] = ci
-    out = []
-    for cell in cells:
-        if len(cell) == 1:
-            out.append(cell)
-            continue
-        groups = {}
-        for v in cell:
-            key = sorted([cid[x] for x in black[v]])
-            key += sorted([cid[x] for x in red[v]])
-            groups.setdefault(tuple(key), []).append(v)
-        order = sorted(groups, reverse=True)
-        out += [groups[k] for k in order]
-        if keys is not None:
-            keys += order
-    return out
-
-
-def _first_round(state: _Packed):
-    """``(profile, cells, bn, rn)``: the live slots' (black degree, red
-    degree) classes after one round of refinement, and the neighbour lists
-    ``bn``, ``rn`` it read, from which :func:`_canon_packed` resumes.
-
-    The profile is the new cells' sizes and their vertices' keys, the
-    numbers of the classes of their black, then red, neighbours: equal for
-    isomorphic states.  In a bucket of one degree invariant it tells the
-    same as a row for each vertex of a class with more than one, its black
-    and red neighbour counts per class, the rows sorted.  Bytes below 256
-    live slots, where every number fits in one, else a tuple."""
-    slots = state.alive_slots()
-    bn = [_bits(b) for b in state.black]
-    rn = [_bits(r) for r in state.red]
-    by_deg = {}
-    for v in slots:
-        by_deg.setdefault((len(bn[v]), len(rn[v])), []).append(v)
-    keys = []
-    cells = _refine_round([by_deg[k] for k in sorted(by_deg)], bn, rn, [0] * len(bn), keys)
-    sizes = [len(cell) for cell in cells]
-    if len(slots) < 256:
-        profile = bytes(sizes) + b"".join(map(bytes, keys))
-    else:
-        profile = (tuple(sizes), tuple(keys))
-    return profile, cells, bn, rn
-
-
-def _canon_packed(state: _Packed, first=None) -> bytes:
+def _canon_packed(state: _Packed) -> bytes:
     """Exact canonical encoding of the live subtrigraph up to color-preserving
-    isomorphism: refinement plus backtracking over the first splittable cell.
-    ``first`` is the state's :func:`_first_round`, computed here if not
-    given.
+    isomorphism: refinement from the (black degree, red degree) classes, plus
+    backtracking over the first splittable cell, kept on an explicit stack.
 
     Works on the slots directly: a dead slot has no bits anywhere, and the
     encoding depends only on the order of the live slots."""
@@ -258,45 +216,46 @@ def _canon_packed(state: _Packed, first=None) -> bytes:
         return b""
     black = state.black
     red = state.red
-    _, start, bn, rn = first or _first_round(state)
+    bn = [_bits(b) for b in black]
+    rn = [_bits(r) for r in red]
+    by_deg = {}
+    for v in _bits(state.alive):
+        by_deg.setdefault((len(bn[v]), len(rn[v])), []).append(v)
 
     best = None
     size = m * (m - 1) // 2
     where = [0] * len(black)
-
-    def encode(perm):
-        # the upper triangle row by row: the color (0 none, 1 black, 2 red) of
-        # positions i < j sits at row i's offset + j - i - 1
-        for i, v in enumerate(perm):
-            where[v] = i
-        buf = bytearray(size)
-        off = -1
-        for i, v in enumerate(perm):
-            base = off - i
-            for u in bn[v]:
-                j = where[u]
-                if j > i:
-                    buf[base + j] = 1
-            for u in rn[v]:
-                j = where[u]
-                if j > i:
-                    buf[base + j] = 2
-            off += m - 1 - i
-        return bytes(buf)
-
-    def rec(cells):
-        nonlocal best
-        cells = _refine(cells, bn, rn)
+    stack = [[by_deg[k] for k in sorted(by_deg)]]
+    while stack:
+        cells = _refine(stack.pop(), bn, rn)
         target = None
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 target = idx
                 break
         if target is None:
-            enc = encode([c[0] for c in cells])
-            if best is None or enc < best:
-                best = enc
-            return
+            # a discrete partition: the upper triangle row by row, the color
+            # (0 none, 1 black, 2 red) of positions i < j at row i's offset
+            # + j - i - 1
+            for i, cell in enumerate(cells):
+                where[cell[0]] = i
+            buf = bytearray(size)
+            off = -1
+            for i, cell in enumerate(cells):
+                v = cell[0]
+                base = off - i
+                for u in bn[v]:
+                    j = where[u]
+                    if j > i:
+                        buf[base + j] = 1
+                for u in rn[v]:
+                    j = where[u]
+                    if j > i:
+                        buf[base + j] = 2
+                off += m - 1 - i
+            if best is None or buf < best:
+                best = bytes(buf)
+            continue
         cell = cells[target]
         # if swapping u and v (fixing everything else) is an automorphism,
         # their branches yield the same minimum; keep one representative
@@ -315,9 +274,7 @@ def _canon_packed(state: _Packed, first=None) -> bytes:
                 continue
             reps.append(v)
             rest = [x for x in cell if x != v]
-            rec(cells[:target] + [[v], rest] + cells[target + 1 :])
-
-    rec(start)
+            stack.append(cells[:target] + [[v], rest] + cells[target + 1 :])
     # one byte for m < 255, else an escape byte and m in four bytes, so the
     # prefix alone tells every m apart
     head = bytes([m]) if m < 255 else b"\xff" + m.to_bytes(4, "big")
@@ -333,16 +290,12 @@ def canonical_key(g: Trigraph) -> CanonicalKey:
 # -- search -----------------------------------------------------------------------
 
 
-def _look(state: _Packed, d: int):
-    """One look at a node, shared by its degree invariant and its scoring:
-    the live slots, their red degrees, and their (black, red)-degree codes
-    ``black * (d + 1) + red``."""
-    black = state.black
+def _look(state: _Packed):
+    """One look at a node, shared by its near list and its scoring: the live
+    slots and their red degrees."""
     red = state.red
     slots = _bits(state.alive)
-    reds = [red[x].bit_count() for x in slots]
-    step = d + 1
-    return slots, reds, [black[x].bit_count() * step + r for x, r in zip(slots, reds)]
+    return slots, [red[x].bit_count() for x in slots]
 
 
 def _near_row(out, black, red, x, ys, d):
@@ -421,13 +374,13 @@ def _ordered_children(state: _Packed, d: int, look=None, near=None):
     sorted ``(max red, la, lb, i, j)`` tuples: ordered by the child's max red
     degree, then by the pair's labels ``la < lb``; ``i``, ``j`` are slots.
 
-    ``look`` is the node's :func:`_look` and ``near`` its near list, each
-    computed here if not given.  No child is built, and only the pairs of the
-    near list are scored: each vertex in a pair's ``nr`` ends with red degree
-    ``|red(x) - {i, j}| + 1``, and every other live vertex keeps its own, the
-    largest of which is read from the node's red degrees sorted high to
-    low."""
-    slots, reds, _ = look or _look(state, d)
+    ``look`` is the node's :func:`_look` and ``near`` its near list, or any
+    part of it, each computed here if not given.  No child is built, and only
+    the pairs of ``near`` are scored: each vertex in a pair's ``nr`` ends with
+    red degree ``|red(x) - {i, j}| + 1``, and every other live vertex keeps
+    its own, the largest of which is read from the node's red degrees sorted
+    high to low."""
+    slots, reds = look or _look(state)
     if near is None:
         near = _near(state, slots, d)
     red = state.red
@@ -465,27 +418,28 @@ def _ordered_children(state: _Packed, d: int, look=None, near=None):
     return out
 
 
-def _invariant(state: _Packed, d: int, look=None):
-    """The sorted (black degree, red degree) codes of the live slots (see
-    :func:`_look`, computed here if not given): equal for isomorphic states.
-
-    A search state's red degrees are at most ``d``, so the packing is exact
-    there; it is a function of the pairs in any case, which is all the memo
-    needs.  Stored as bytes while every code fits in one."""
-    codes = sorted((look or _look(state, d))[2])
-    return bytes(codes) if codes[-1] < 256 else tuple(codes)
-
-
-def _unpacked(raw):
-    """A raw memo state ``(alive, black, red)`` as a packed state, unlabeled."""
-    alive, black, red = raw
-    return _Packed(black, red, alive, ())
+def _twins(state: _Packed, near):
+    """The pairs of ``near`` that are twins: slots ``i < j`` with the same
+    black and the same red neighbours outside ``{i, j}``."""
+    black = state.black
+    red = state.red
+    out = []
+    for e in near:
+        i, j, _ = e
+        if not (black[i] ^ black[j] | red[i] ^ red[j]) & ~(1 << i | 1 << j):
+            out.append(e)
+    return out
 
 
-def _decide_rec(
-    state: _Packed, d: int, next_id: int, memo: dict, budget: _Search, refuted: set, origin=None
-):
+def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: set, origin=None):
     """Search for a width-``d`` finish of ``state``; slot steps or None.
+
+    A node with twins has exactly one child, its first twin pair in the
+    order of :func:`_ordered_children`.  Contracting twins adds no red edge
+    and leaves the node minus one twin, an induced subtrigraph, and
+    twin-width is monotone under induced subtrigraphs, so the node has a
+    finish iff that child does.  Any other node branches on all its
+    children.
 
     A success ends the search, so every state met again was refuted.
     ``refuted`` holds, for each refuted state, its raw form ``(alive, black,
@@ -498,19 +452,6 @@ def _decide_rec(
     refuted state reached by another partition.  The root, which no loop
     checked, ticks and looks its raw state up itself.
 
-    The failure memo maps :func:`_invariant` to the refuted states with that
-    invariant: first one raw state, and once a second state looks it up, a
-    map from the profile of :func:`_first_round` to the refuted states with
-    that profile, again first one raw state and from a second lookup on the
-    set of their canonical forms.  So a profile is computed only when a
-    lookup lands in a non-empty bucket, and a canonical form only when the
-    profile matches too, resuming from the profile's round of refinement;
-    each form at most once per state.  The profile pays where most lookups
-    miss, as in the benchmark's endgame: it settles most misses without a
-    form, while a true hit needs the form anyway.  A state's descendants
-    have fewer live slots, hence other invariants, so its bucket cannot
-    change while its subtree is searched.
-
     ``origin`` is ``(near, parent, i, j)`` when ``state`` is ``parent``
     contracted at slots ``i``, ``j`` and ``near`` is the parent's near list:
     the state's own is then inherited from it (:func:`_inherit`).  The root
@@ -522,35 +463,19 @@ def _decide_rec(
         budget.tick()
         if raw in refuted:
             return None
-    look = _look(state, d)
-    inv = _invariant(state, d, look)
-    bucket = memo.get(inv)
-    profile = forms = None
-    if bucket is not None:
-        stored = None
-        if type(bucket) is tuple:
-            stored = _first_round(_unpacked(bucket))
-            bucket = memo[inv] = {stored[0]: bucket}
-        first = _first_round(state)
-        profile = first[0]
-        forms = bucket.get(profile)
-        if forms is not None:
-            if type(forms) is tuple:
-                # the one refuted state; its first round is reused only if
-                # the bucket was made just now, since keeping every stored
-                # state's round costs memory and saved no time
-                forms = bucket[profile] = {_canon_packed(_unpacked(forms), stored)}
-            form = _canon_packed(state, first)
-            if form in forms:
-                refuted.add(raw)
-                refuted.add(state.key)
-                return None
+    look = _look(state)
     near = _near(state, look[0], d) if origin is None else _inherit(state, origin, d)
+    twins = _twins(state, near)
+    # every twin pair is in the near list and within the cap, and scoring a
+    # part of the list keeps its order
+    children = _ordered_children(state, d, look, twins or near)
+    if twins:
+        children = children[:1]
     ids = state.ids
     last = len(look[0]) == 2  # every child has one live slot: a finish
     key = state.key
     spread = state.spread
-    for _, _, _, i, j in _ordered_children(state, d, look, near):
+    for _, _, _, i, j in children:
         if last:
             return [(i, j, ids)]
         budget.tick()
@@ -562,17 +487,11 @@ def _decide_rec(
             refuted.add(child_key)
             continue
         child = state.contract(i, j, next_id, child_raw)
-        sub = _decide_rec(child, d, next_id + 1, memo, budget, refuted, (near, state, i, j))
+        sub = _decide_rec(child, d, next_id + 1, budget, refuted, (near, state, i, j))
         if sub is not None:
             return [(i, j, ids)] + sub
     refuted.add(raw)
     refuted.add(key)
-    if bucket is None:
-        memo[inv] = raw
-    elif forms is None:
-        bucket[profile] = raw
-    else:
-        forms.add(form)
     return None
 
 
@@ -584,7 +503,7 @@ def _decide(g: Trigraph, d: int, search: _Search):
     """One width decision: a sequence of width <= ``d``, or None iff none."""
     if g.max_red_degree() > d:
         return None
-    slot_steps = _decide_rec(_Packed.from_trigraph(g), d, g.next_label, {}, search, set())
+    slot_steps = _decide_rec(_Packed.from_trigraph(g), d, g.next_label, search, set())
     if slot_steps is None:
         return None
     return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
@@ -669,10 +588,11 @@ def decide_width_at_most(g: Trigraph, d: int, config: SolverConfig = DEFAULT_CON
 
 def greedy_sequence(g: Trigraph) -> ContractionSequence:
     """First-descent sequence: always contract the pair minimizing the
-    immediate max red degree, ties by labels.  Deterministic, carries no
-    optimality proof; used as the budget-exhausted fallback.  It is the
-    search at cap ``g.n``, where the first child always has a finish."""
-    slot_steps = _decide_rec(_Packed.from_trigraph(g), g.n, g.next_label, {}, _Search(), set())
+    immediate max red degree, ties by labels, among the twin pairs if there
+    are any.  Deterministic, carries no optimality proof; used as the
+    budget-exhausted fallback.  It is the search at cap ``g.n``, where the
+    first child always has a finish."""
+    slot_steps = _decide_rec(_Packed.from_trigraph(g), g.n, g.next_label, _Search(), set())
     return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
 
 

@@ -8,9 +8,10 @@ stumps of the whole trigraph in two claiming passes,
 neighbour counts, ``ordered_children_oracle`` builds every pair's child,
 ``shorten_oracle`` scans every consecutive pair of a path for the lowest
 before each merge, ``fold_oracle`` folds a black tree by plain recursion,
-``decide_rec_oracle`` memoizes the exact search by a canonical form computed
-at every node, and ``naive_optimal_width``
-enumerates every contraction sequence with no memoization or pruning.
+``twin_pairs_oracle`` finds twins by comparing a contraction with the two
+deletions, ``decide_rec_oracle`` searches with twin-first branching and a
+set of refuted raw states, and ``naive_optimal_width`` tries every
+contraction sequence with no pruning, once per partition into bags.
 """
 
 import itertools
@@ -337,47 +338,94 @@ def ordered_children_oracle(state, d):
     return sorted(out)
 
 
-def decide_rec_oracle(state, d, next_id, memo, budget, cache):
-    """The width-``d`` search keyed by a canonical form at every node:
-    ``cache`` maps each raw state met to its form, ``memo`` holds the forms
-    of refuted states.  Same branching order and budget ticks as the solver's
-    search, so it returns the same slot steps after the same number of
-    ticks."""
+def deleted_raw(state, gone, stay):
+    """The raw state ``(alive, black, red)`` of ``state`` minus slot
+    ``gone``, with slot ``stay``'s vertex moved to slot min(gone, stay)."""
+    k = min(gone, stay)
+
+    def move(mask):
+        mask &= ~(1 << gone)
+        if mask >> stay & 1:
+            mask = mask & ~(1 << stay) | 1 << k
+        return mask
+
+    n = len(state.black)
+    black, red = [0] * n, [0] * n
+    for x in state.alive_slots():
+        if x != gone:
+            y = k if x == stay else x
+            black[y] = move(state.black[x])
+            red[y] = move(state.red[x])
+    return move(state.alive), tuple(black), tuple(red)
+
+
+def twin_pairs_oracle(state):
+    """The pairs of live slots ``i < j`` that are twins: contracting them
+    gives the state minus ``j``, and also the state minus ``i`` with ``j``
+    in slot ``i``."""
+    slots = state.alive_slots()
+    out = []
+    for a, i in enumerate(slots):
+        for j in slots[a + 1 :]:
+            child = state.contract(i, j, -1)
+            got = (child.alive, child.black, child.red)
+            if got == deleted_raw(state, j, i) == deleted_raw(state, i, j):
+                out.append((i, j))
+    return out
+
+
+def decide_rec_oracle(state, d, next_id, refuted, budget):
+    """The width-``d`` search with twin-first branching: a state with twin
+    pairs (``twin_pairs_oracle``) has one child, the first of them in
+    ``_ordered_children`` order.  ``refuted`` holds the raw states refuted so
+    far.  Same branching order and budget ticks as the solver's search, so it
+    returns the same slot steps after the same number of ticks."""
     if state.n_alive() == 1:
         return []
     budget.tick()
     raw = (state.alive, state.black, state.red)
-    key = cache.get(raw)
-    if key is None:
-        key = cache[raw] = canon_packed_oracle(state)
-    if key in memo:
+    if raw in refuted:
         return None
-    for _, _, _, i, j in _ordered_children(state, d):
-        sub = decide_rec_oracle(state.contract(i, j, next_id), d, next_id + 1, memo, budget, cache)
+    children = _ordered_children(state, d)
+    twins = twin_pairs_oracle(state)
+    if twins:
+        children = [c for c in children if (c[3], c[4]) in twins][:1]
+    for _, _, _, i, j in children:
+        sub = decide_rec_oracle(state.contract(i, j, next_id), d, next_id + 1, refuted, budget)
         if sub is not None:
             return [(i, j, state.ids)] + sub
-    memo.add(key)
+    refuted.add(raw)
     return None
 
 
 def naive_optimal_width(g: Trigraph) -> int:
-    """Exhaustive minimum width over all contraction sequences; no pruning,
-    no memoization, independent of the solver."""
+    """Exhaustive minimum width over all contraction sequences, with no
+    pruning and independent of the solver.  A trigraph reached by
+    contractions depends only on the partition of ``g``'s vertices into
+    bags, so each partition's best finish is computed once."""
+    best = {}
 
-    def rec(cur, running):
+    def finish(cur, bags):
+        # the least max red degree over the trigraphs after ``cur`` on a way
+        # down to one vertex
+        key = frozenset(bags.values())
+        if key in best:
+            return best[key]
         verts = sorted(cur.vertices)
-        if len(verts) == 1:
-            return running
-        best = None
+        out = 0 if len(verts) == 1 else None
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
-                child = cur.contract(verts[i], verts[j])
-                r = rec(child, max(running, child.max_red_degree()))
-                if best is None or r < best:
-                    best = r
-        return best
+                u, v = verts[i], verts[j]
+                child_bags = dict(bags)
+                child_bags[cur.next_label] = child_bags.pop(u) | child_bags.pop(v)
+                child = cur.contract(u, v)
+                r = max(child.max_red_degree(), finish(child, child_bags))
+                if out is None or r < out:
+                    out = r
+        best[key] = out
+        return out
 
-    return rec(g, g.max_red_degree())
+    return max(g.max_red_degree(), finish(g, {v: frozenset([v]) for v in g.vertices}))
 
 
 def all_labeled_graphs(n):

@@ -52,12 +52,12 @@ INSTANCES = {
 GOLDEN = {
     "cwt-12-80": "c4efce9070fe010e4c78e76bbd73902f475fdc8ec7e24f844d1f9d8ec3445cb3",
     "cwt-40-300": "d218174bfc0b1b27b7e41ce1ea15811cbc44e36c19cd7d25eb5b9ee0beec9ba8",
-    "rcg-12-5": "179fe75e1d4b60330db5d3a121e8b80845f54e60a07dc17fa5f2022dc9cd0b08",
+    "rcg-12-5": "f06f4c53910edc58b3a08afdef886da876cb188f0d23e9356143d288dde77089",
     "rcg-300-1": "291a7fdff23297f5a2d9f4fb1989bc5983ba91977e91d3267d82fc6289cccbab",
     "rwdt-10-4-150": "a7f684d1e52106dd71513bf68e30882a45fff7c018aef37d921f778b39f6cf1e",
     "rwdt-20-4-60": "a33633da8e7ce34515157aa56f0bd98411e1277bc7eba90e98f608b78fe4c2b6",
-    "rwdt-4-2-12-tree-solved": "55aaa9faff32cb663b11e1ae935b3b58ae240dbc7d3e3525fb6db2ef40c4e840",
-    "rwdt-5-2-30": "602c6a24ea896e6b3ae91588109a578a5f563771eed1071eec38e099edbede5c",
+    "rwdt-4-2-12-tree-solved": "82dd1b7510072e54b6c484e9e88f49be7e4b83594810330a722f99dc626cc50d",
+    "rwdt-5-2-30": "6b29f9108c98d433ae56ce23ae16221cefa5ab983c0e46578e9c9306409e6222",
     "rwdt-5-2-30-merge-solved": "e8cb71f510a308911d73aabf3917641705bb6f1edcfdb286436999670b50e07f",
 }
 
@@ -179,9 +179,9 @@ STAGE_GOLDEN = {
     },
     "rwdt-4-2-12-tree-solved": {
         "fen1_sequence": "c3343c97584f61ba3a996eeab9c9bd3add9611b51c6810a1db5e3c3c65a67c76",
-        "general_kernel": "340b6b76babe32b4f0a0369d79c360106f607c84b6bdff95188c0a23705556fa",
-        "prune": "34389e7b132e23c0319be8a390ad999f930adc07b3fcff6ef85ed15224509a0c",
-        "tww2_bikernel": "340b6b76babe32b4f0a0369d79c360106f607c84b6bdff95188c0a23705556fa",
+        "general_kernel": "588a5991d8db74a6be23a1868b796330c5e8739b61435480856dfe1fa076e72c",
+        "prune": "f628420bdcd555af128162705153d33ef8f740b4ac9db200156001b44d2c555c",
+        "tww2_bikernel": "588a5991d8db74a6be23a1868b796330c5e8739b61435480856dfe1fa076e72c",
     },
     "rwdt-5-2-30": {
         "fen1_sequence": "c3343c97584f61ba3a996eeab9c9bd3add9611b51c6810a1db5e3c3c65a67c76",

@@ -350,6 +350,24 @@ class TestSolve:
             bag = forest[step.result]
             assert bag <= {0, 1, 2} or bag <= {3, 4, 5} or bag <= {6}
 
+    def test_disconnected_status_rests_on_the_widest_component(self):
+        # Petersen is width 4, optimal; the C4 with caterpillars of
+        # test_short_cycle_with_trees_stays_upper_bound is width 1 with no
+        # lower bound.  The union's width is Petersen's, so it is optimal;
+        # next to an edge (width 0, optimal) the caterpillars set the width,
+        # and the union stays an upper bound
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)] + [(i, i + 1) for i in range(3, 30)]
+        edges += [(i, i + 27) for i in range(4, 31)]
+        caterpillars = [(u + 10, v + 10) for u, v in edges]
+        g = new_trigraph(68, petersen().black_edges() + caterpillars)
+        seq, report = solve(g)
+        assert report["components"] == 2
+        assert verify(g, seq) == report["width"] == 4 and report["status"] == "optimal"
+        caterpillars = [(u + 2, v + 2) for u, v in edges]
+        g = new_trigraph(60, [(0, 1)] + caterpillars)
+        seq, report = solve(g)
+        assert verify(g, seq) == report["width"] == 1 and report["status"] == "upper_bound"
+
     def test_budget_exceeded_propagates(self):
         # fen 2 and large: the exact endgame cannot run at the default budget
         rng = random.Random(10)
@@ -408,7 +426,7 @@ class TestSolve:
         # up-front check misses its budget; prune must not run it again.  No
         # feedback edge of these graphs closes an induced cycle of five or
         # more vertices, so the check searches
-        g = random_connected_graph(16, k, random.Random(189))
+        g = random_connected_graph(16, k, random.Random(248))
         assert witness(g) is None
         try:
             solve(g, Practical(12), SolverConfig(max_vertices=20, max_nodes=3))
@@ -436,7 +454,7 @@ class TestSolve:
         # but miss width 1, and miss width 0 of the fen-1 graph.  Neither
         # graph has an induced-cycle witness; after a miss only an induced
         # S(2,2,2) certifies, and both graphs hold one
-        g = random_connected_graph(16, k, random.Random(189))
+        g = random_connected_graph(16, k, random.Random(248))
         assert witness(g) is None and induced_spider(g) is not None
         out = entry(g, config=SolverConfig(max_vertices=20, max_nodes=max_nodes))
         caps = (0,) if max_nodes and k == 1 else (0, 1)

@@ -1,8 +1,9 @@
+import gc
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as stst
+from hypothesis import assume, given, settings, strategies as stst
 
 from twinwidth import solver as solver_module
 from twinwidth.corpus import random_connected_graph
@@ -16,8 +17,6 @@ from twinwidth.solver import (
     _bits,
     _canon_packed,
     _decide_rec,
-    _first_round,
-    _invariant,
     _near,
     _ordered_children,
     _Packed,
@@ -32,6 +31,7 @@ from conftest import (
     canon_packed_oracle,
     connected_graphs_up_to_iso,
     decide_rec_oracle,
+    twin_pairs_oracle,
     make_fig2,
     make_fig3,
     make_fig3_middle,
@@ -77,6 +77,20 @@ def connected_graphs(draw):
     n = draw(stst.integers(min_value=1, max_value=20))
     k = draw(stst.integers(min_value=0, max_value=min(8, (n - 1) * (n - 2) // 2)))
     return random_connected_graph(n, k, random.Random(draw(stst.integers(0, 2**32))))
+
+
+@stst.composite
+def small_trigraphs(draw, max_n=8):
+    """A random trigraph on 1..8 vertices, each pair black with probability
+    0.4 and red with 0.1."""
+    n = draw(stst.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    colors = draw(stst.lists(stst.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    return new_trigraph(
+        n,
+        [p for p, c in zip(pairs, colors) if c < 4],
+        [p for p, c in zip(pairs, colors) if c == 4],
+    )
 
 
 def contract_at_random(draw, state, next_id, most):
@@ -149,22 +163,25 @@ def checked_inherit(mp):
 
 def search_and_oracle(state, d):
     """(slot steps, ticks) of the solver's search and of
-    ``decide_rec_oracle`` from ``state`` at width ``d``, plus the oracle's
-    map of raw states to canonical forms."""
+    ``decide_rec_oracle`` from ``state`` at width ``d``."""
     next_id = max(state.ids) + 1
-    ours, theirs, cache = CountingBudget(), CountingBudget(), {}
-    got = _decide_rec(state, d, next_id, {}, ours, set())
-    want = decide_rec_oracle(state, d, next_id, set(), theirs, cache)
-    return (got, ours.ticks), (want, theirs.ticks), cache
+    ours, theirs = CountingBudget(), CountingBudget()
+    got = _decide_rec(state, d, next_id, ours, set())
+    want = decide_rec_oracle(state, d, next_id, set(), theirs)
+    return (got, ours.ticks), (want, theirs.ticks)
 
 
 def greedy_oracle_pairs(g):
-    """Greedy first descent over ``ordered_children_oracle``."""
+    """Greedy first descent over ``ordered_children_oracle``: the first twin
+    pair (``twin_pairs_oracle``) if the state has one, else the first
+    child."""
     state = _Packed.from_trigraph(g)
     next_id = g.next_label
     pairs = []
     while state.n_alive() > 1:
-        _, la, lb, i, j = ordered_children_oracle(state, state.n_alive())[0]
+        children = ordered_children_oracle(state, state.n_alive())
+        twins = twin_pairs_oracle(state)
+        _, la, lb, i, j = next(c for c in children if not twins or (c[3], c[4]) in twins)
         pairs.append((la, lb))
         state = state.contract(i, j, next_id)
         next_id += 1
@@ -239,6 +256,33 @@ class TestDecide:
         assert decide_width_at_most(make_fig2(), -1) is None
 
 
+def decisions_match_naive(g):
+    """Every cap from 0 to n - 1 is decided as exhaustive search decides it,
+    and every sequence found is within its cap."""
+    w = naive_optimal_width(g)
+    for d in range(g.n):
+        got = decide_width_at_most(g, d)
+        if d < w:
+            assert got is None
+        else:
+            assert got is not None and verify(g, got) <= d
+
+
+class TestTwinFirst:
+    """Contracting twins first loses no finish, at any cap."""
+
+    def test_connected_graphs_to_six(self):
+        graphs = connected_graphs_up_to_iso(6)
+        assert len(graphs) == 143
+        for g in graphs:
+            decisions_match_naive(g)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(small_trigraphs())
+    def test_random_trigraphs_to_eight(self, g):
+        decisions_match_naive(g)
+
+
 class TestCanonicalKey:
     def test_relabeling_invariance(self):
         g = make_fig2()
@@ -284,12 +328,31 @@ class TestCanonicalKey:
         keys = [canonical_key(new_trigraph(n)) for n in (0, 1, 2, 254, 255, 256)]
         assert len(set(keys)) == len(keys)
 
+    @settings(max_examples=300, derandomize=True)
+    @given(packed_states(), stst.randoms(use_true_random=False))
+    def test_invariant_under_relabeling(self, state, rng):
+        perm = list(range(len(state.black)))
+        rng.shuffle(perm)
+        assert _canon_packed(relabeled(state, perm)) == _canon_packed(state)
+
 
 class TestPackedOracles:
     @settings(max_examples=300, derandomize=True)
     @given(packed_states())
     def test_canon_matches_oracle(self, state):
         assert _canon_packed(state) == canon_packed_oracle(state)
+
+    def test_canon_leaves_no_reference_cycle(self):
+        # the backtracking keeps its partitions on a stack, so a form leaves
+        # nothing for the cycle collector
+        state = _Packed.from_trigraph(petersen())
+        gc.collect()
+        gc.disable()
+        try:
+            _canon_packed(state)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @settings(max_examples=300, derandomize=True)
     @given(packed_states())
@@ -309,15 +372,15 @@ class TestPackedOracles:
 
 
 class TestSearchOracle:
-    """The failure memo finds exactly the isomorphic refuted states, so the
-    search takes the oracle's steps in the oracle's number of nodes."""
+    """The search takes the steps of an oracle that finds twins by
+    contracting every pair, in the oracle's number of nodes."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(search_states())
     def test_matches_oracle(self, state):
         top = max(state.red[x].bit_count() for x in state.alive_slots())
         for d in range(top, 4):
-            got, want, _ = search_and_oracle(state, d)
+            got, want = search_and_oracle(state, d)
             assert got == want
 
     @pytest.mark.parametrize(
@@ -328,11 +391,33 @@ class TestSearchOracle:
         ],
         ids=["random12", "random16"],
     )
-    def test_isomorphic_states_that_differ_raw(self, g, d):
-        got, want, cache = search_and_oracle(_Packed.from_trigraph(g), d)
+    def test_refutations_match_oracle(self, g, d):
+        got, want = search_and_oracle(_Packed.from_trigraph(g), d)
         assert got == want and got[0] is None
-        # two raw states with one canonical form: isomorphic, not equal
-        assert len(set(cache.values())) < len(cache)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(search_states())
+    def test_twin_node_gets_one_child(self, state):
+        # the node's loop builds the first twin pair's child and no other
+        twins = twin_pairs_oracle(state)
+        assume(twins and state.n_alive() > 2)
+        top = max(state.red[x].bit_count() for x in state.alive_slots())
+        built = []
+        real = solver_module._decide_rec
+
+        def recording(child, d, next_id, budget, refuted, origin=None):
+            if origin is not None and origin[1] is state:
+                built.append(origin[2:])
+            return real(child, d, next_id, budget, refuted, origin)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_decide_rec", recording)
+            for d in range(top, 4):
+                built.clear()
+                budget = CountingBudget()
+                real(state, d, max(state.ids) + 1, budget, set())
+                first = next(c for c in _ordered_children(state, d) if (c[3], c[4]) in twins)
+                assert built == [first[3:]]
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(search_states())
@@ -341,58 +426,18 @@ class TestSearchOracle:
         with pytest.MonkeyPatch.context() as mp:
             checked_inherit(mp)
             for d in range(top, 4):
-                _decide_rec(state, d, max(state.ids) + 1, {}, CountingBudget(), set())
+                _decide_rec(state, d, max(state.ids) + 1, CountingBudget(), set())
 
     def test_inherited_children_deep(self):
         # the random16 refutation below: every node under the root inherits
-        # its near list, down to 8 live slots
+        # its near list, all 380 built nodes, down to 8 live slots
         g = random_connected_graph(16, 8, random.Random(2))
         with pytest.MonkeyPatch.context() as mp:
             checked = checked_inherit(mp)
             assert decide_width_at_most(g, 2) is None
-        assert len(checked) > 500
+        assert len(checked) == 380
         assert {n for n, _ in checked} == set(range(8, 16))
 
-    @settings(max_examples=300, derandomize=True)
-    @given(packed_states(), stst.randoms(use_true_random=False))
-    def test_profile_invariant_under_relabeling(self, state, rng):
-        # and a canonical form resumed from the first round is the one
-        # computed afresh
-        perm = list(range(len(state.black)))
-        rng.shuffle(perm)
-        other = relabeled(state, perm)
-        first = _first_round(other)
-        assert first[0] == _first_round(state)[0]
-        assert _canon_packed(other, first) == _canon_packed(state)
-        for d in (1, 3):
-            assert _invariant(other, d) == _invariant(state, d)
-
-    def test_profile_past_one_byte(self):
-        # a 301-vertex star's leaves make one cell of 300, past one byte: the
-        # profile falls back to a tuple and stays invariant under relabeling.
-        # Below 256 vertices every number fits in a byte
-        perm = list(range(301))
-        random.Random(5).shuffle(perm)
-        star = new_trigraph(301, [(0, i) for i in range(1, 301)])
-        relabeled_star = new_trigraph(301, [(perm[0], perm[i]) for i in range(1, 301)])
-        path = new_trigraph(301, [(i, i + 1) for i in range(300)])
-        keys = [_first_round(_Packed.from_trigraph(g))[0] for g in (star, relabeled_star, path)]
-        assert isinstance(keys[0], tuple)
-        assert keys[0] == keys[1] != keys[2]
-        small = new_trigraph(255, [(0, i) for i in range(1, 255)])
-        assert isinstance(_first_round(_Packed.from_trigraph(small))[0], bytes)
-
-    def test_invariant_past_one_byte(self):
-        # a star's centre packs to 300 * (d + 1), past one byte: the invariant
-        # falls back to a tuple and stays invariant under relabeling
-        perm = list(range(301))
-        random.Random(5).shuffle(perm)
-        star = new_trigraph(301, [(0, i) for i in range(1, 301)])
-        relabeled = new_trigraph(301, [(perm[0], perm[i]) for i in range(1, 301)])
-        path = new_trigraph(301, [(i, i + 1) for i in range(300)])
-        keys = [_invariant(_Packed.from_trigraph(g), 1) for g in (star, relabeled, path)]
-        assert isinstance(keys[0], tuple) and isinstance(keys[2], bytes)
-        assert keys[0] == keys[1] != keys[2]
 
 
 def partition_key(root, owner):
@@ -443,7 +488,7 @@ class TestPartitionKey:
         assert (first.alive, first.black, first.red) == (second.alive, second.black, second.red)
 
     def test_refuted_children_are_not_built(self, monkeypatch):
-        # the random16 width-2 refutation of TestSearchShape ticks 2,235
+        # the random16 width-2 refutation of TestSearchShape ticks 1,235
         # nodes; a child whose key is refuted is not merged, and one whose
         # merged raw state is refuted is not labeled
         counts = dict.fromkeys(("merged", "contract"), 0)
@@ -457,20 +502,20 @@ class TestPartitionKey:
             monkeypatch.setattr(_Packed, name, counting)
         g = random_connected_graph(16, 8, random.Random(2))
         budget = CountingBudget()
-        assert _decide_rec(_Packed.from_trigraph(g), 2, g.next_label, {}, budget, set()) is None
-        assert budget.ticks == 2235
-        assert counts["merged"] <= 856 and counts["contract"] <= 789
+        assert _decide_rec(_Packed.from_trigraph(g), 2, g.next_label, budget, set()) is None
+        assert budget.ticks == 1235
+        assert counts["merged"] <= 380 and counts["contract"] <= 380
 
 
 class TestSearchShape:
     """The smallest node cap under which the width-2 decision finishes pins
-    the search order, the memo hits and the node count."""
+    the search order, the twin nodes and the node count."""
 
     @pytest.mark.parametrize(
         "g, nodes",
         [
             (petersen(), 1),
-            (random_connected_graph(16, 8, random.Random(2)), 2235),
+            (random_connected_graph(16, 8, random.Random(2)), 1235),
             (random_connected_graph(20, 10, random.Random(2)), 2901),
         ],
         ids=["petersen", "random16", "random20"],
@@ -482,20 +527,20 @@ class TestSearchShape:
         assert exc.value.kind == "nodes"
 
     def test_canonical_forms_on_demand(self, monkeypatch):
-        # a form is computed only for a state whose degree invariant and
-        # profile match a refuted state's: 434 here, against 510 with the
-        # degree invariant alone and 790 when every new state got one
+        # a form is computed only when canonical_key asks for one: a width
+        # decision and an optimal solve compute none
         calls = []
         real = solver_module._canon_packed
 
-        def counting(state, *first):
+        def counting(state):
             calls.append(state.alive)
-            return real(state, *first)
+            return real(state)
 
         monkeypatch.setattr(solver_module, "_canon_packed", counting)
         g = random_connected_graph(16, 8, random.Random(2))
         assert decide_width_at_most(g, 2) is None
-        assert len(calls) <= 434
+        assert optimal_sequence(g).width == 3
+        assert calls == []
 
 
 class TestBudgets:
