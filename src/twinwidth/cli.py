@@ -279,20 +279,24 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="twinwidth")
     sub = top.add_subparsers(dest="command", required=True)
 
-    solve_p = sub.add_parser("solve", help="compute a contraction sequence")
+    # the pipeline's options, shared by solve and kernelize
+    pipeline = argparse.ArgumentParser(add_help=False)
+    pipeline.add_argument("--policy", type=_policy, default="practical:12")
+    pipeline.add_argument("--threads", type=int, default=1,
+                          help="accepted for compatibility; ignored")
+    pipeline.add_argument("--budget", type=int, default=20,
+                          help="max vertex count for the exact endgame")
+    pipeline.add_argument("--nodes", type=_count, default=None,
+                          help="max search nodes per width decision")
+    pipeline.add_argument("--time", type=_seconds, default=None,
+                          help="max seconds of exact search for the whole solve")
+
+    solve_p = sub.add_parser("solve", parents=[pipeline],
+                             help="compute a contraction sequence")
     solve_p.add_argument("graph")
-    solve_p.add_argument("--policy", type=_policy, default="practical:12")
     solve_p.add_argument("--cap", type=int, default=None)
-    solve_p.add_argument("--threads", type=int, default=1,
-                         help="accepted for compatibility; ignored")
     solve_p.add_argument("--seed", type=int, default=None,
                          help="reserved for corpus tooling; ignored by solve")
-    solve_p.add_argument("--budget", type=int, default=20,
-                         help="max vertex count for the exact endgame")
-    solve_p.add_argument("--nodes", type=_count, default=None,
-                         help="max search nodes per width decision")
-    solve_p.add_argument("--time", type=_seconds, default=None,
-                         help="max seconds of exact search for the whole solve")
     solve_p.add_argument("--report", default=None)
     solve_p.set_defaults(func=_cmd_solve)
 
@@ -301,15 +305,10 @@ def _parser() -> argparse.ArgumentParser:
     verify_p.add_argument("sequence")
     verify_p.set_defaults(func=_cmd_verify)
 
-    kern_p = sub.add_parser("kernelize", help="write the reduced instance")
+    kern_p = sub.add_parser("kernelize", parents=[pipeline],
+                            help="write the reduced instance")
     kern_p.add_argument("graph")
     kern_p.add_argument("--target", choices=("tww2", "general"), default="tww2")
-    kern_p.add_argument("--policy", type=_policy, default="practical:12")
-    kern_p.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; ignored")
-    kern_p.add_argument("--budget", type=int, default=20)
-    kern_p.add_argument("--nodes", type=_count, default=None)
-    kern_p.add_argument("--time", type=_seconds, default=None)
     kern_p.add_argument("--trace", default=None)
     kern_p.set_defaults(func=_cmd_kernelize)
 

@@ -18,10 +18,10 @@ bounds the solve, and the endgame skips caps refuted on the same trigraph.
 Every emitted sequence is re-verified before it is reported.
 
 A status rests on the runner's lower bound, set by the up-front check alone
-(a kernel's meta is ``certified`` when it is 2), and is derived in one place:
-``optimal`` iff the bound, raised to the exact width of an unshortened
-general kernel when it is 2, reaches the verified width; else ``plus_one``
-for an exact kernel under the theory floor; else ``upper_bound``.
+(a kernel's meta is ``certified`` when it is 2), and one rule derives it for
+a component or a union: ``optimal`` iff the bound, raised to the exact width
+of an unshortened general kernel when it is 2, reaches the verified width;
+else ``plus_one`` if within one of optimal; else ``upper_bound``.
 """
 
 from __future__ import annotations
@@ -232,13 +232,19 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
 # -- driver ------------------------------------------------------------------------
 
 
+def _status(lower: int, width: int, within_one: bool) -> str:
+    """The status of a verified ``width``, given a sound lower bound and
+    whether the width is known to be within one of optimal."""
+    return "optimal" if lower >= width else "plus_one" if within_one else "upper_bound"
+
+
 def _solve_connected(g: Trigraph, policy, search: _Search, report: dict):
     """Solve the connected ``g`` into ``report``, its status included;
-    returns the sequence and its verified width."""
+    returns the sequence, its verified width and ``g``'s lower bound."""
     seq, lower, plus_one = _pipeline(g, policy, search, report)
     width = verify(g, seq)
-    report["status"] = "optimal" if lower >= width else "plus_one" if plus_one else "upper_bound"
-    return seq, width
+    report["status"] = _status(lower, width, plus_one)
+    return seq, width, lower
 
 
 def _pipeline(g: Trigraph, policy, search: _Search, report: dict):
@@ -298,32 +304,29 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     Disconnected inputs are solved per component and the sequences spliced in
     component-discovery order (twin-width of a disjoint union is the maximum
     over components; no cross-component contractions are emitted).  The
-    union's status is the least of its components', or ``optimal`` when an
-    ``optimal`` component's width reaches the union's verified width."""
+    union's status follows the components' rule, with the largest component
+    bound as its lower bound, and within one of optimal iff no component is
+    ``upper_bound``."""
     report = {"n": g.n, "policy": _policy_name(policy)}
     search = _Search(config)
     comps = connected_components(g)
     if len(comps) <= 1:
-        seq, report["width"] = _solve_connected(g, policy, search, report)
+        seq, report["width"], _ = _solve_connected(g, policy, search, report)
         return seq, report
     report["components"] = len(comps)
     all_pairs = []
     statuses = []
-    lower = -1  # the largest width proven optimal on a component
+    lowers = []
     for sub in g.split(comps):
         sub_report = {"n": sub.n, "policy": report["policy"]}
-        seq, width = _solve_connected(sub, policy, search, sub_report)
+        seq, _, lower = _solve_connected(sub, policy, search, sub_report)
         all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))
         statuses.append(sub_report["status"])
-        if sub_report["status"] == "optimal":
-            lower = max(lower, width)
+        lowers.append(lower)
         report.setdefault("rules", []).extend(sub_report["rules"])
     combined = ContractionSequence.build(g, all_pairs)
     report["width"] = verify(g, combined)
-    if lower >= report["width"]:
-        report["status"] = "optimal"
-    else:
-        report["status"] = min(statuses, key=["upper_bound", "plus_one", "optimal"].index)
+    report["status"] = _status(max(lowers), report["width"], "upper_bound" not in statuses)
     return combined, report
 
 

@@ -11,17 +11,18 @@ live vertex pairs, preferring pairs that minimize the immediate max red
 degree.  Refuted states are kept raw and by partition key, and never
 explored twice.
 
-Internally the trigraph is packed into per-vertex bitmasks; vertex identity
-is tracked on the side so certificates come back in the caller's labels.
-Each pair's resulting max red degree is computed from the bitmasks alone,
-and a state reached by contractions is named by one integer, its partition
-key, the partition of the root's vertices into merged parts, which a child
-gets from its parent in one addition.  So no child is built before the
-search descends into it, and a refuted child is turned away by its key
-before its bitmasks are.  A node pays only for what its parent's
-contraction changed: it keeps a near list, the pairs whose merged vertex
-would have at most ``d`` red neighbours, and builds it from its parent's,
-recomputing only the pairs around the contracted pair.
+Internally a decision packs the trigraph once, into per-vertex bitmasks,
+and runs every cap from that one root; vertex labels ride along, so the
+search returns its steps as label pairs in the caller's labels.  Each pair's
+resulting max red degree is computed from the bitmasks alone, and a state
+reached by contractions is named by one integer, its partition key, the
+partition of the root's vertices into merged parts, which a child gets from
+its parent in one addition.  So no child is built before the search descends
+into it, and a refuted child is turned away by its key before its bitmasks
+are.  Every node keeps a near list, the pairs whose merged vertex would have
+at most ``d`` red neighbours, built by one function: the root, which has no
+parent, computes every pair; any other node builds its list from its
+parent's, recomputing only the pairs around the contracted pair.
 """
 
 from __future__ import annotations
@@ -155,9 +156,6 @@ class _Packed:
         key = self.key + (k - dead) * moved
         return _Packed(black, red, alive, tuple(ids), key, tuple(spread))
 
-    def alive_slots(self):
-        return _bits(self.alive)
-
 
 def _bits(mask):
     """Indices of the set bits of ``mask``, ascending."""
@@ -290,14 +288,6 @@ def canonical_key(g: Trigraph) -> CanonicalKey:
 # -- search -----------------------------------------------------------------------
 
 
-def _look(state: _Packed):
-    """One look at a node, shared by its near list and its scoring: the live
-    slots and their red degrees."""
-    red = state.red
-    slots = _bits(state.alive)
-    return slots, [red[x].bit_count() for x in slots]
-
-
 def _near_row(out, black, red, x, ys, d):
     """Append ``(i, j, nr)``, ``{i, j} = {x, y}`` and ``i < j``, for every
     slot ``y`` of the mask ``ys`` whose pair with ``x`` would merge into a
@@ -315,48 +305,42 @@ def _near_row(out, black, red, x, ys, d):
             out.append((x, y, nr) if x < y else (y, x, nr))
 
 
-def _near(state: _Packed, slots, d: int):
-    """The node's near list, every pair computed afresh: ``(i, j, nr)`` for
-    the pairs of live slots ``i < j`` whose merged vertex would have at most
-    ``d`` red neighbours, ``nr = (N(i) | N(j)) - (Nb(i) & Nb(j)) - {i, j}``."""
-    black = state.black
-    red = state.red
-    out = []
-    rest = state.alive
-    for x in slots:
-        rest ^= 1 << x
-        _near_row(out, black, red, x, rest, d)
-    return out
+def _near(state: _Packed, d: int, origin=None):
+    """The node's near list: ``(i, j, nr)`` for the pairs of live slots
+    ``i < j`` whose merged vertex would have at most ``d`` red neighbours,
+    ``nr = (N(i) | N(j)) - (Nb(i) & Nb(j)) - {i, j}``.
 
-
-def _inherit(state: _Packed, origin, d: int):
-    """``state``'s near list from its parent's, ``origin = (near, parent, a,
-    b)`` where ``state`` is ``parent`` with slots ``a`` and ``b`` merged into
-    ``k = min(a, b)``.  With ``A = N(a) - {b}`` and ``B = N(b) - {a}``, a pair
-    outside ``A | B | {a, b}`` keeps its red set, and a pair with one end in
-    ``A ^ B`` and the other outside keeps its size, the dead slot's bit
-    replaced by ``k``'s.  Only the pairs touching ``k`` or ``A & B`` and the
-    pairs inside ``A ^ B`` are computed afresh."""
-    near, parent, a, b = origin
-    k, dead = (a, b) if a < b else (b, a)
-    pb = parent.black
-    pr = parent.red
-    na = (pb[a] | pr[a]) & ~(1 << b)
-    nb = (pb[b] | pr[b]) & ~(1 << a)
-    dead_bit = 1 << dead
-    fresh = na & nb | 1 << k
-    drop = fresh | dead_bit
-    sym = na ^ nb
-    swap = dead_bit | 1 << k
+    A node with no parent, ``origin`` None, computes every pair afresh.
+    Otherwise ``origin = (near, parent, a, b)``, where ``state`` is
+    ``parent`` with slots ``a`` and ``b`` merged into ``k = min(a, b)`` and
+    ``near`` is the parent's near list.  With ``A = N(a) - {b}`` and ``B =
+    N(b) - {a}``, a pair outside ``A | B | {a, b}`` keeps its red set, and a
+    pair with one end in ``A ^ B`` and the other outside keeps its size, the
+    dead slot's bit replaced by ``k``'s.  Only the pairs touching ``k`` or
+    ``A & B`` and the pairs inside ``A ^ B`` are computed afresh."""
     out = []
-    for e in near:
-        i, j, nr = e
-        pair = 1 << i | 1 << j
-        if pair & drop or pair & sym == pair:
-            continue
-        if nr & dead_bit:
-            e = (i, j, nr ^ swap)
-        out.append(e)
+    if origin is None:
+        fresh, sym = state.alive, 0
+    else:
+        near, parent, a, b = origin
+        k, dead = (a, b) if a < b else (b, a)
+        pb = parent.black
+        pr = parent.red
+        na = (pb[a] | pr[a]) & ~(1 << b)
+        nb = (pb[b] | pr[b]) & ~(1 << a)
+        dead_bit = 1 << dead
+        fresh = na & nb | 1 << k
+        drop = fresh | dead_bit
+        sym = na ^ nb
+        swap = dead_bit | 1 << k
+        for e in near:
+            i, j, nr = e
+            pair = 1 << i | 1 << j
+            if pair & drop or pair & sym == pair:
+                continue
+            if nr & dead_bit:
+                e = (i, j, nr ^ swap)
+            out.append(e)
     black = state.black
     red = state.red
     rest = state.alive
@@ -369,23 +353,21 @@ def _inherit(state: _Packed, origin, d: int):
     return out
 
 
-def _ordered_children(state: _Packed, d: int, look=None, near=None):
+def _ordered_children(state: _Packed, d: int, near=None):
     """Pairs whose contraction keeps the max red degree within ``d``, as
     sorted ``(max red, la, lb, i, j)`` tuples: ordered by the child's max red
     degree, then by the pair's labels ``la < lb``; ``i``, ``j`` are slots.
 
-    ``look`` is the node's :func:`_look` and ``near`` its near list, or any
-    part of it, each computed here if not given.  No child is built, and only
-    the pairs of ``near`` are scored: each vertex in a pair's ``nr`` ends with
-    red degree ``|red(x) - {i, j}| + 1``, and every other live vertex keeps
-    its own, the largest of which is read from the node's red degrees sorted
-    high to low."""
-    slots, reds = look or _look(state)
+    ``near`` is the node's near list, or any part of it, computed here if not
+    given.  No child is built, and only the pairs of ``near`` are scored:
+    each vertex in a pair's ``nr`` ends with red degree ``|red(x) - {i, j}| +
+    1``, and every other live vertex keeps its own, the largest of which is
+    read from the node's red degrees sorted high to low."""
     if near is None:
-        near = _near(state, slots, d)
+        near = _near(state, d)
     red = state.red
     ids = state.ids
-    by_red = sorted(zip(reds, slots), reverse=True)
+    by_red = sorted(((red[x].bit_count(), x) for x in _bits(state.alive)), reverse=True)
     out = []
     for i, j, nr in near:
         pair = 1 << i | 1 << j
@@ -432,7 +414,8 @@ def _twins(state: _Packed, near):
 
 
 def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: set, origin=None):
-    """Search for a width-``d`` finish of ``state``; slot steps or None.
+    """Search for a width-``d`` finish of ``state``: its label pairs ``(la,
+    lb)``, ``la < lb``, in order, or None.
 
     A node with twins has exactly one child, its first twin pair in the
     order of :func:`_ordered_children`.  Contracting twins adds no red edge
@@ -450,34 +433,28 @@ def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: 
     key and ``spread``, so most refuted children cost one addition; only on
     a miss is the child built and its raw state looked up, which catches a
     refuted state reached by another partition.  The root, which no loop
-    checked, ticks and looks its raw state up itself.
+    ticked, ticks itself; its ``refuted`` is fresh, so it looks nothing up.
 
     ``origin`` is ``(near, parent, i, j)`` when ``state`` is ``parent``
-    contracted at slots ``i``, ``j`` and ``near`` is the parent's near list:
-    the state's own is then inherited from it (:func:`_inherit`).  The root
-    computes its near list afresh."""
-    raw = (state.alive, state.black, state.red)
+    contracted at slots ``i``, ``j`` and ``near`` is the parent's near list,
+    and None at the root; :func:`_near` builds the state's own from it."""
     if origin is None:
         if state.n_alive() <= 1:
             return []
         budget.tick()
-        if raw in refuted:
-            return None
-    look = _look(state)
-    near = _near(state, look[0], d) if origin is None else _inherit(state, origin, d)
+    near = _near(state, d, origin)
     twins = _twins(state, near)
     # every twin pair is in the near list and within the cap, and scoring a
     # part of the list keeps its order
-    children = _ordered_children(state, d, look, twins or near)
+    children = _ordered_children(state, d, twins or near)
     if twins:
         children = children[:1]
-    ids = state.ids
-    last = len(look[0]) == 2  # every child has one live slot: a finish
+    last = state.n_alive() == 2  # every child has one live slot: a finish
     key = state.key
     spread = state.spread
-    for _, _, _, i, j in children:
+    for _, la, lb, i, j in children:
         if last:
-            return [(i, j, ids)]
+            return [(la, lb)]
         budget.tick()
         child_key = key + (i - j) * spread[j]  # i < j: j's part moves to i
         if child_key in refuted:
@@ -489,37 +466,25 @@ def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: 
         child = state.contract(i, j, next_id, child_raw)
         sub = _decide_rec(child, d, next_id + 1, budget, refuted, (near, state, i, j))
         if sub is not None:
-            return [(i, j, ids)] + sub
-    refuted.add(raw)
+            return [(la, lb)] + sub
+    refuted.add((state.alive, state.black, state.red))
     refuted.add(key)
     return None
 
 
-def _slots_to_pairs(slot_steps):
-    return [(min(ids[i], ids[j]), max(ids[i], ids[j])) for i, j, ids in slot_steps]
-
-
-def _decide(g: Trigraph, d: int, search: _Search):
-    """One width decision: a sequence of width <= ``d``, or None iff none."""
+def _decide(g: Trigraph, root: _Packed, d: int, search: _Search):
+    """One width decision on ``g``, packed as ``root``: a sequence of width
+    <= ``d``, or None iff none."""
     if g.max_red_degree() > d:
         return None
-    slot_steps = _decide_rec(_Packed.from_trigraph(g), d, g.next_label, search, set())
-    if slot_steps is None:
-        return None
-    return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
-
-
-def _root(g: Trigraph):
-    """The packed root ``(ids, black, red)`` under which ``g``'s refuted caps
-    are kept."""
-    packed = _Packed.from_trigraph(g)
-    return packed.ids, packed.black, packed.red
+    pairs = _decide_rec(root, d, g.next_label, search, set())
+    return None if pairs is None else ContractionSequence.build(g, pairs)
 
 
 class _Search:
     """The exact search of one solve: one deadline, fixed when it is made, a
     node count reset for each width decision, and ``refuted``, the highest
-    cap refuted at each packed root ``(ids, black, red)``."""
+    cap refuted at each packed root, keyed by its ``(ids, black, red)``."""
 
     __slots__ = ("config", "deadline", "nodes_left", "refuted")
 
@@ -546,15 +511,16 @@ class _Search:
         refuted, and skipped; a budget miss raises :class:`BudgetExceeded`."""
         if g.n > self.config.max_vertices:
             raise BudgetExceeded(g.n, self.config.max_vertices, kind="vertices")
-        root = _root(g)
+        root = _Packed.from_trigraph(g)
+        key = root.ids, root.black, root.red
         for d in caps:
-            if d <= self.refuted.get(root, -1):
+            if d <= self.refuted.get(key, -1):
                 continue
             self.nodes_left = self.config.max_nodes
-            seq = _decide(g, d, self)
+            seq = _decide(g, root, d, self)
             if seq is not None:
                 return d, seq
-            self.refuted[root] = d
+            self.refuted[key] = d
         return None
 
     def refute(self, g: Trigraph, d: int):
@@ -562,8 +528,9 @@ class _Search:
         outside the search.  Only within the vertex budget: ``first`` refuses
         a larger ``g``, and packing it costs time quadratic in its size."""
         if g.n <= self.config.max_vertices:
-            root = _root(g)
-            self.refuted[root] = max(d, self.refuted.get(root, -1))
+            root = _Packed.from_trigraph(g)
+            key = root.ids, root.black, root.red
+            self.refuted[key] = max(d, self.refuted.get(key, -1))
 
     def optimal(self, g: Trigraph) -> SolveResult:
         """Minimum-width sequence by iterative deepening from ``g``'s max red
@@ -591,9 +558,8 @@ def greedy_sequence(g: Trigraph) -> ContractionSequence:
     immediate max red degree, ties by labels, among the twin pairs if there
     are any.  Deterministic, carries no optimality proof; used as the
     budget-exhausted fallback.  It is the search at cap ``g.n``, where the
-    first child always has a finish."""
-    slot_steps = _decide_rec(_Packed.from_trigraph(g), g.n, g.next_label, _Search(), set())
-    return ContractionSequence.build(g, _slots_to_pairs(slot_steps))
+    first child always has a finish; its fresh search reads no clock."""
+    return _decide(g, _Packed.from_trigraph(g), g.n, _Search())
 
 
 def optimal_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:

@@ -158,6 +158,29 @@ def induced_spider(g: Trigraph):
     return None
 
 
+def induced_p4(g: Trigraph):
+    """An induced path on four vertices, in order, or None; it has no width-0
+    sequence.  One breadth-first search from the smallest vertex: the first
+    three edges of a shortest path to a vertex at distance 3 or more form an
+    induced P4, since a chord would shorten the path.  Sound but incomplete:
+    it misses every P4 when that vertex's eccentricity is at most 2, as in
+    every graph of diameter 2.  O(n + m)."""
+    if not g.n:
+        return None
+    a = min(g.vertices)
+    parent = {a: None}
+    queue = [a]
+    for v in queue:
+        for u in g.neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    path = [queue[-1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1][:4] if len(path) > 3 else None
+
+
 @dataclass(frozen=True)
 class DanglingTree:
     bridge: tuple[int, int]  # (core vertex, tree root)

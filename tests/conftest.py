@@ -19,7 +19,7 @@ import itertools
 import pytest
 
 from twinwidth.trigraph import EdgeColor, Trigraph, is_connected, new_trigraph
-from twinwidth.solver import _ordered_children, canonical_key
+from twinwidth.solver import _bits, _ordered_children, canonical_key
 from twinwidth.structure import Stump, StumpKind, feedback_edge_set, induced_cycle, two_core
 
 
@@ -239,7 +239,7 @@ def _refine_oracle(cells, black, red, nverts):
 def canon_packed_oracle(state) -> bytes:
     """Exact canonical encoding of the live subtrigraph up to color-preserving
     isomorphism: refinement plus backtracking over the first splittable cell."""
-    slots = state.alive_slots()
+    slots = _bits(state.alive)
     m = len(slots)
     pos = {s: i for i, s in enumerate(slots)}
     # compress masks to live slots 0..m-1
@@ -326,12 +326,12 @@ def ordered_children_oracle(state, d):
     """Every pair's child built with ``contract``; the pairs whose child has
     max red degree at most ``d`` over its live slots, as sorted
     ``(max red, la, lb, i, j)`` tuples."""
-    slots = state.alive_slots()
+    slots = _bits(state.alive)
     out = []
     for a, i in enumerate(slots):
         for j in slots[a + 1 :]:
             child = state.contract(i, j, -1)
-            mr = max(child.red[x].bit_count() for x in child.alive_slots())
+            mr = max(child.red[x].bit_count() for x in _bits(child.alive))
             if mr <= d:
                 la, lb = sorted((state.ids[i], state.ids[j]))
                 out.append((mr, la, lb, i, j))
@@ -351,7 +351,7 @@ def deleted_raw(state, gone, stay):
 
     n = len(state.black)
     black, red = [0] * n, [0] * n
-    for x in state.alive_slots():
+    for x in _bits(state.alive):
         if x != gone:
             y = k if x == stay else x
             black[y] = move(state.black[x])
@@ -363,7 +363,7 @@ def twin_pairs_oracle(state):
     """The pairs of live slots ``i < j`` that are twins: contracting them
     gives the state minus ``j``, and also the state minus ``i`` with ``j``
     in slot ``i``."""
-    slots = state.alive_slots()
+    slots = _bits(state.alive)
     out = []
     for a, i in enumerate(slots):
         for j in slots[a + 1 :]:
@@ -379,7 +379,7 @@ def decide_rec_oracle(state, d, next_id, refuted, budget):
     pairs (``twin_pairs_oracle``) has one child, the first of them in
     ``_ordered_children`` order.  ``refuted`` holds the raw states refuted so
     far.  Same branching order and budget ticks as the solver's search, so it
-    returns the same slot steps after the same number of ticks."""
+    returns the same label pairs after the same number of ticks."""
     if state.n_alive() == 1:
         return []
     budget.tick()
@@ -390,10 +390,10 @@ def decide_rec_oracle(state, d, next_id, refuted, budget):
     twins = twin_pairs_oracle(state)
     if twins:
         children = [c for c in children if (c[3], c[4]) in twins][:1]
-    for _, _, _, i, j in children:
+    for _, la, lb, i, j in children:
         sub = decide_rec_oracle(state.contract(i, j, next_id), d, next_id + 1, refuted, budget)
         if sub is not None:
-            return [(i, j, state.ids)] + sub
+            return [(la, lb)] + sub
     refuted.add(raw)
     return None
 

@@ -26,7 +26,7 @@ from twinwidth.kernel import (
 from twinwidth.reduce import _Reduction, _prune, fen1_sequence, prune, tidy
 from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, optimal_sequence
-from twinwidth.structure import feedback_edge_set, induced_spider
+from twinwidth.structure import feedback_edge_set, induced_p4, induced_spider
 from twinwidth.trigraph import EdgeColor, new_trigraph
 
 from conftest import make_fig3, petersen, shorten_oracle, witness
@@ -41,9 +41,9 @@ def decide_calls(monkeypatch):
     calls = []
     real = solver_module._decide
 
-    def counting(g, d, search):
+    def counting(g, root, d, search):
         calls.append((d, g.n))
-        return real(g, d, search)
+        return real(g, root, d, search)
 
     monkeypatch.setattr(solver_module, "_decide", counting)
     return calls
@@ -351,22 +351,23 @@ class TestSolve:
             assert bag <= {0, 1, 2} or bag <= {3, 4, 5} or bag <= {6}
 
     def test_disconnected_status_rests_on_the_widest_component(self):
-        # Petersen is width 4, optimal; the C4 with caterpillars of
-        # test_short_cycle_with_trees_stays_upper_bound is width 1 with no
-        # lower bound.  The union's width is Petersen's, so it is optimal;
-        # next to an edge (width 0, optimal) the caterpillars set the width,
-        # and the union stays an upper bound
-        edges = [(0, 1), (1, 2), (2, 3), (3, 0)] + [(i, i + 1) for i in range(3, 30)]
-        edges += [(i, i + 27) for i in range(4, 31)]
-        caterpillars = [(u + 10, v + 10) for u, v in edges]
-        g = new_trigraph(68, petersen().black_edges() + caterpillars)
-        seq, report = solve(g)
+        # Petersen is width 4, optimal; the 13-vertex graph of
+        # test_reduced_instance_certifies_nothing ends width 2, upper_bound,
+        # past a vertex budget of 12.  The union's width is Petersen's, so it
+        # is optimal; next to an edge (width 0, optimal) the 13-vertex graph
+        # sets the width, and the union stays an upper bound
+        config = SolverConfig(max_vertices=12)
+        h = random_connected_graph(13, 2, random.Random(269))
+        shifted = [(u + 10, v + 10) for u, v in h.black_edges()]
+        g = new_trigraph(23, petersen().black_edges() + shifted)
+        seq, report = solve(g, Practical(12), config)
         assert report["components"] == 2
         assert verify(g, seq) == report["width"] == 4 and report["status"] == "optimal"
-        caterpillars = [(u + 2, v + 2) for u, v in edges]
-        g = new_trigraph(60, [(0, 1)] + caterpillars)
-        seq, report = solve(g)
-        assert verify(g, seq) == report["width"] == 1 and report["status"] == "upper_bound"
+        shifted = [(u + 2, v + 2) for u, v in h.black_edges()]
+        g = new_trigraph(15, [(0, 1)] + shifted)
+        seq, report = solve(g, Practical(12), config)
+        assert report["components"] == 2
+        assert verify(g, seq) == report["width"] == 2 and report["status"] == "upper_bound"
 
     def test_budget_exceeded_propagates(self):
         # fen 2 and large: the exact endgame cannot run at the default budget
@@ -496,18 +497,18 @@ class TestSolve:
     @pytest.mark.parametrize("k, n, seed", [(1, 14, 242), (2, 13, 269)])
     def test_lower_bound_read_before_prune(self, decide_calls, k, n, seed):
         # past the vertex budget the up-front search is skipped, and with no
-        # induced cycle or S(2,2,2) nothing bounds the input.  Prune's rules
-        # leave two red stumps (k = 1) or refute width 1 of a smaller reduced
-        # instance (k = 2), which proves nothing about the input: its
-        # twin-width is 1, and the lower bound stays as the up-front check
-        # left it, for the fen-1 walk and the bikernel alike
+        # induced cycle or S(2,2,2) only an induced P4 bounds the input, at 1.
+        # Prune's rules leave two red stumps (k = 1) or refute width 1 of a
+        # smaller reduced instance (k = 2), which proves nothing about the
+        # input: its twin-width is 1, and the lower bound stays as the
+        # up-front check left it, for the fen-1 walk and the bikernel alike
         g = random_connected_graph(n, k, random.Random(seed))
         assert witness(g) is None and induced_spider(g) is None
         config = SolverConfig(max_vertices=12)
         run = _Reduction(g, _Search(config), feedback_edge_set(g))
         run.decide()
-        assert run.lower == 0
-        assert _prune(run) is not None and run.lower == 0
+        assert run.lower == 1
+        assert _prune(run) is not None and run.lower == 1
         assert run.red_stumps >= 2 or [c for c in decide_calls if c[0] == 1 and c[1] < n]
         _, report = solve(g, Practical(12), config)
         assert "tww_at_least_2" not in report
@@ -557,10 +558,11 @@ class TestSolve:
         assert report["width"] == verify(g, seq) == 2
         assert report["tww_at_least_2"] and report["status"] == "optimal"
 
-    def test_short_cycle_with_trees_stays_upper_bound(self):
+    def test_short_cycle_with_trees_certified_past_the_budget(self):
         # a C4 has no cycle witness, and past the vertex budget the up-front
         # search does not run.  Its trees hold an induced S(2,2,2), which
-        # certifies; a C4 with caterpillars holds neither witness
+        # certifies 2; a C4 with caterpillars holds neither witness, but an
+        # induced P4 certifies 1, its width
         g = cycle_with_trees(4, 60, random.Random(4))
         assert witness(g) is None and induced_spider(g) is not None
         _, report = solve(g)
@@ -569,8 +571,10 @@ class TestSolve:
         edges += [(i, i + 27) for i in range(4, 31)]
         g = new_trigraph(58, edges)
         assert witness(g) is None and induced_spider(g) is None
+        assert induced_p4(g) is not None
         _, report = solve(g)
-        assert "tww_at_least_2" not in report and report["status"] == "upper_bound"
+        assert "tww_at_least_2" not in report
+        assert (report["width"], report["status"]) == (1, "optimal")
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_connectivity_checked_once(self, monkeypatch, k):
@@ -655,10 +659,14 @@ class TestSolve:
         # of the K4 a Petersen graph, whose feedback edges close induced C5s,
         # takes the same course without the up-front caps.  After the miss
         # greedy answers width 2 on the K4 graph, which meets its lower bound
-        # of 2, and width 4 on the Petersen graph, which does not
+        # of 2, and width 4 on the Petersen graph, which does not.  Greedy,
+        # the search at cap n, runs for real
         caps = []
+        real = solver_module._decide
 
-        def stand_in(g, d, search):
+        def stand_in(g, root, d, search):
+            if d == g.n:
+                return real(g, root, d, search)
             caps.append(d)
             if d > 2:
                 raise BudgetExceeded(0, 0, kind="nodes")

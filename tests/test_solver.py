@@ -17,7 +17,6 @@ from twinwidth.solver import (
     _bits,
     _canon_packed,
     _decide_rec,
-    _near,
     _ordered_children,
     _Packed,
     canonical_key,
@@ -97,7 +96,7 @@ def contract_at_random(draw, state, next_id, most):
     """``state`` contracted at 0..``most`` random pairs of live slots, the
     merged vertices labeled from ``next_id`` on."""
     for _ in range(draw(stst.integers(min_value=0, max_value=most))):
-        slots = state.alive_slots()
+        slots = _bits(state.alive)
         i = draw(stst.sampled_from(slots))
         j = draw(stst.sampled_from([s for s in slots if s != i]))
         state = state.contract(i, j, next_id)
@@ -144,25 +143,27 @@ def relabeled(state, perm):
 
 
 def checked_inherit(mp):
-    """Make the search check every near list it inherits: scored, it must
-    give the children that :func:`_ordered_children` finds with every pair
-    computed afresh.  Returns the list of checked (live slots, cap)."""
+    """Make the search check every near list it inherits from a parent: it
+    must hold the pairs of the list computed afresh and, scored, give the
+    children that :func:`_ordered_children` finds from that list.  Returns
+    the list of checked (live slots, cap)."""
     checked = []
-    real = solver_module._inherit
+    real = solver_module._near
 
-    def checking(state, origin, d):
-        near = real(state, origin, d)
-        assert sorted(near) == sorted(_near(state, state.alive_slots(), d))
-        assert _ordered_children(state, d, None, near) == _ordered_children(state, d)
-        checked.append((state.n_alive(), d))
+    def checking(state, d, origin=None):
+        near = real(state, d, origin)
+        if origin is not None:
+            assert sorted(near) == sorted(real(state, d))
+            assert _ordered_children(state, d, near) == _ordered_children(state, d)
+            checked.append((state.n_alive(), d))
         return near
 
-    mp.setattr(solver_module, "_inherit", checking)
+    mp.setattr(solver_module, "_near", checking)
     return checked
 
 
 def search_and_oracle(state, d):
-    """(slot steps, ticks) of the solver's search and of
+    """(label pairs, ticks) of the solver's search and of
     ``decide_rec_oracle`` from ``state`` at width ``d``."""
     next_id = max(state.ids) + 1
     ours, theirs = CountingBudget(), CountingBudget()
@@ -378,7 +379,7 @@ class TestSearchOracle:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(search_states())
     def test_matches_oracle(self, state):
-        top = max(state.red[x].bit_count() for x in state.alive_slots())
+        top = max(state.red[x].bit_count() for x in _bits(state.alive))
         for d in range(top, 4):
             got, want = search_and_oracle(state, d)
             assert got == want
@@ -401,7 +402,7 @@ class TestSearchOracle:
         # the node's loop builds the first twin pair's child and no other
         twins = twin_pairs_oracle(state)
         assume(twins and state.n_alive() > 2)
-        top = max(state.red[x].bit_count() for x in state.alive_slots())
+        top = max(state.red[x].bit_count() for x in _bits(state.alive))
         built = []
         real = solver_module._decide_rec
 
@@ -422,7 +423,7 @@ class TestSearchOracle:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(search_states())
     def test_inherited_children_match_full(self, state):
-        top = max(state.red[x].bit_count() for x in state.alive_slots())
+        top = max(state.red[x].bit_count() for x in _bits(state.alive))
         with pytest.MonkeyPatch.context() as mp:
             checked_inherit(mp)
             for d in range(top, 4):
@@ -458,7 +459,7 @@ class TestPartitionKey:
     @given(search_states(), stst.data())
     def test_key_names_the_partition(self, state, data):
         root = _Packed(state.black, state.red, state.alive, state.ids)
-        live = root.alive_slots()
+        live = _bits(root.alive)
         groups = data.draw(stst.lists(stst.integers(0, 3), min_size=len(live), max_size=len(live)))
         ends = []
         for _ in range(2):
@@ -623,9 +624,9 @@ class TestRefutedCaps:
         caps = []
         real = solver_module._decide
 
-        def recording(g, d, search):
+        def recording(g, root, d, search):
             caps.append(d)
-            return real(g, d, search)
+            return real(g, root, d, search)
 
         monkeypatch.setattr(solver_module, "_decide", recording)
         search = _Search(SolverConfig())

@@ -12,6 +12,7 @@ from twinwidth.structure import (
     find_bridges,
     find_dangling_paths,
     find_dangling_trees,
+    induced_p4,
     induced_spider,
     red_stump_count,
     stumps_at,
@@ -208,6 +209,51 @@ class TestInducedSpider:
         monkeypatch.setattr("builtins.sorted", no_sorting)
         assert induced_spider(g)[0] == 3 * d
         assert len(reads) == len(set(reads)) == d + 1
+
+
+class TestInducedP4:
+    def test_path_alone(self):
+        g = new_trigraph(4, [(0, 1), (1, 2), (2, 3)])
+        assert induced_p4(g) == [0, 1, 2, 3]
+        assert induced_p4(g.induce(range(3))) is None
+
+    def test_diameter_two_missed(self):
+        # sound but incomplete: the C5 holds an induced P4, but every vertex
+        # reaches every other within two edges
+        assert induced_p4(cycle(5)) is None
+        assert decide_width_at_most(cycle(5), 0) is None
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(sparse_trigraphs())
+    def test_p4_refutes_width_zero(self, g):
+        path = induced_p4(g)
+        if path is not None:
+            assert len(set(path)) == 4 and path[0] == min(g.vertices)
+            assert all(g.color(x, y) is not None for x, y in zip(path, path[1:]))
+            assert g.induce(path).edge_count() == 3
+            assert decide_width_at_most(g, 0) is None
+
+    def test_found_iff_the_smallest_vertex_reaches_distance_three(self):
+        rng = random.Random(6)
+        found = 0
+        for _ in range(200):
+            g = random_connected_graph(rng.randrange(2, 12), 0, rng)
+            far = max(distances_from(g, min(g.vertices)).values())
+            assert (induced_p4(g) is not None) == (far >= 3)
+            found += far >= 3
+        assert 50 < found < 200
+
+
+def distances_from(g, a):
+    """Each vertex's distance from ``a`` in its component."""
+    dist = {a: 0}
+    queue = [a]
+    for v in queue:
+        for u in g.neighbors(v):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
 
 
 class TestBridges:

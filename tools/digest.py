@@ -12,11 +12,13 @@ Each line is ``<set> <instance> <sha256>``.  An answered instance hashes the
 emitted sequence text followed by ``json.dumps(report, indent=2,
 sort_keys=True)``; an instance that runs out of budget hashes the
 ``BudgetExceeded`` kind and message.  The instances are the 50-graph corpus
-of acceptance criterion 9, solved with ``twinwidth solve``'s defaults, and
-every instance of the fen1-deep-trees, fenk-kernel and exact-endgame
-benchmark workloads at seeds 1 and 2, solved as the benchmark solves them.
-Uses only the standard library and the ``src/`` and ``twbench/`` trees next
-to this script.
+of acceptance criterion 9, solved with ``twinwidth solve``'s defaults; every
+instance of the fen1-deep-trees, fenk-kernel and exact-endgame benchmark
+workloads at seeds 1 and 2, solved as the benchmark solves them; and the 49
+disjoint unions of consecutive criterion-9 graphs (set
+``criterion-9-unions``), solved with ``twinwidth solve``'s defaults, so that
+the status of a disconnected input is checked too.  Uses only the standard
+library and the ``src/`` and ``twbench/`` trees next to this script.
 
 For a change that may alter answers on purpose, ``--summary`` prints
 ``<set> <instance> <width> <status> <miss kind>`` instead of the hash:
@@ -38,6 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "twbench")]
 
 from twinwidth import cli, corpus, kernel, solver  # noqa: E402
 from twinwidth.errors import BudgetExceeded  # noqa: E402
+from twinwidth.trigraph import new_trigraph  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -49,13 +52,21 @@ def criterion9_corpus():
     """The graphs of ``tests/test_acceptance.py::test_criterion_9_determinism``."""
     rng = random.Random(20240007)
     out = []
-    for i in range(50):
+    for _ in range(50):
         n = rng.randrange(3, 10)
         k = rng.randrange(0, 3)
         if n - 1 + k > n * (n - 1) // 2:
             k = 0
-        out.append((f"g{i}", cli.emit_graph(corpus.random_connected_graph(n, k, rng))))
+        out.append(corpus.random_connected_graph(n, k, rng))
     return out
+
+
+def disjoint_union(g, h):
+    """The plain graphs ``g`` and ``h`` side by side, ``h`` shifted past
+    ``g``'s labels."""
+    shift = g.next_label
+    edges = [(u + shift, v + shift) for u, v in h.black_edges()]
+    return new_trigraph(shift + h.next_label, g.black_edges() + edges)
 
 
 def digest(g, outcome):
@@ -78,14 +89,19 @@ def summary(g, outcome):
 
 def instances():
     """``(set, instance, graph text, policy, config)`` for every instance."""
-    for name, text in criterion9_corpus():
-        yield "criterion-9", name, text, kernel.DEFAULT_POLICY, solver.SolverConfig()
+    defaults = kernel.DEFAULT_POLICY, solver.SolverConfig()
+    graphs = criterion9_corpus()
+    for i, g in enumerate(graphs):
+        yield "criterion-9", f"g{i}", cli.emit_graph(g), *defaults
     policy = kernel.Practical(workloads.PRACTICAL_FLOOR)
     for workload in WORKLOADS:
         for seed in SEEDS:
             for inst in workloads.build(workload, seed):
                 config = solver.SolverConfig(**inst.config)
                 yield f"{workload}/{seed}", inst.name, inst.text, policy, config
+    for i, (g, h) in enumerate(zip(graphs, graphs[1:])):
+        text = cli.emit_graph(disjoint_union(g, h))
+        yield "criterion-9-unions", f"g{i}+g{i + 1}", text, *defaults
 
 
 def main(argv=None):
