@@ -8,8 +8,9 @@ which holds the budgets and the caps refuted so far.  A node with twins has
 one child, its twins contracted: the child is an induced subtrigraph of the
 node, so it has a finish iff the node does.  Any other node branches on all
 live vertex pairs, preferring pairs that minimize the immediate max red
-degree.  Refuted states are kept raw and by partition key, and never
-explored twice.
+degree.  Refuted states are kept raw and by partition key, in a set that is
+cleared when it reaches a fixed entry cap, so a state is explored twice only
+after a clear.
 
 Internally a decision packs the trigraph once, into per-vertex bitmasks,
 and runs every cap from that one root; vertex labels ride along, so the
@@ -22,7 +23,14 @@ into it, and a refuted child is turned away by its key before its bitmasks
 are.  Every node keeps a near list, the pairs whose merged vertex would have
 at most ``d`` red neighbours, built by one function: the root, which has no
 parent, computes every pair; any other node builds its list from its
-parent's, recomputing only the pairs around the contracted pair.
+parent's, recomputing only the pairs around the contracted pair.  A
+recomputed row for a vertex ``x`` with more than ``d`` neighbours tries only
+``x``'s neighbours and the vertices sharing a black neighbour with it: any
+other partner would leave all of ``x``'s neighbours red.  A node's near list
+is twin-tested and scored in one pass, and scoring a pair reads the largest
+red degree outside it from the state's red-degree buckets, which a
+contraction updates only for the vertices whose red degree it changes, so no
+node sorts its vertices.
 """
 
 from __future__ import annotations
@@ -36,6 +44,12 @@ from .sequence import ContractionSequence, verify
 from .trigraph import Trigraph
 
 CanonicalKey = bytes
+
+# The most entries a width decision's refuted set holds; a refutation that
+# would pass it clears the set first.  Entries took 350-490 bytes each at 22
+# vertices (tracemalloc, sets of 1,000-60,000 entries), so the set stays
+# near 100 MB.  Clearing is sound: the search only prunes less.
+_REFUTED_CAP = 250_000
 
 
 @dataclass(frozen=True)
@@ -75,11 +89,16 @@ class _Packed:
     for every slot number, so equal keys from one root mean equal raw
     states.  ``spread[s]`` is ``sum(1 << w * v)`` over the part in slot
     ``s``, 0 for a slot merged away.  A state built from its bitmasks alone
-    is its own root, each slot a part."""
+    is its own root, each slot a part.
 
-    __slots__ = ("black", "red", "alive", "ids", "key", "spread")
+    ``buckets`` holds the live slots by red degree, one ``n``-bit bucket per
+    degree for ``n`` slots: slot ``x`` with ``r`` red neighbours is bit ``n *
+    r + x``.  So the highest set bit names the state's max red degree, and a
+    contraction moves only the slots whose red degree it changes."""
 
-    def __init__(self, black, red, alive, ids, key=None, spread=None):
+    __slots__ = ("black", "red", "alive", "ids", "key", "spread", "buckets")
+
+    def __init__(self, black, red, alive, ids, key=None, spread=None, buckets=None):
         self.black = black  # tuple of bitmasks, index = slot
         self.red = red
         self.alive = alive  # bitmask of live slots
@@ -90,6 +109,12 @@ class _Packed:
             key = sum(v * s for v, s in enumerate(spread))
         self.key = key
         self.spread = spread
+        if buckets is None:
+            n = len(black)
+            buckets = 0
+            for x in _bits(alive):
+                buckets |= 1 << x << n * red[x].bit_count()
+        self.buckets = buckets
 
     @classmethod
     def from_trigraph(cls, g: Trigraph):
@@ -110,7 +135,8 @@ class _Packed:
 
     def merged(self, i, j):
         """The raw state ``(alive, black, red)`` of slots i and j merged into
-        slot min(i, j), without the labels and the partition key."""
+        slot min(i, j), without the labels, the partition key and the
+        buckets."""
         k, dead = (i, j) if i < j else (j, i)
         bi = self.black[i] & ~(1 << j)
         bj = self.black[j] & ~(1 << i)
@@ -154,7 +180,23 @@ class _Packed:
         spread[k] += moved
         spread[dead] = 0
         key = self.key + (k - dead) * moved
-        return _Packed(black, red, alive, tuple(ids), key, tuple(spread))
+        # i and j leave their buckets and the merged vertex enters its own; a
+        # red neighbour of it gains a red edge if it was red to neither i nor
+        # j, and loses one if it was red to both; no other red degree changes
+        old = self.red
+        n = len(old)
+        ri = old[i]
+        rj = old[j]
+        nr = red[k]
+        buckets = self.buckets ^ (1 << i << n * ri.bit_count() | 1 << j << n * rj.bit_count())
+        buckets |= 1 << k << n * nr.bit_count()
+        for step, xs in ((n, nr & ~(ri | rj)), (-n, nr & ri & rj)):
+            while xs:
+                low = xs & -xs
+                was = n * old[low.bit_length() - 1].bit_count()
+                buckets ^= low << was | low << was + step
+                xs ^= low
+        return _Packed(black, red, alive, tuple(ids), key, tuple(spread), buckets)
 
 
 def _bits(mask):
@@ -317,7 +359,15 @@ def _near(state: _Packed, d: int, origin=None):
     N(b) - {a}``, a pair outside ``A | B | {a, b}`` keeps its red set, and a
     pair with one end in ``A ^ B`` and the other outside keeps its size, the
     dead slot's bit replaced by ``k``'s.  Only the pairs touching ``k`` or
-    ``A & B`` and the pairs inside ``A ^ B`` are computed afresh."""
+    ``A & B`` and the pairs inside ``A ^ B`` are computed afresh.
+
+    Fresh pairs are computed by rows.  The row of a slot ``x`` whose pairs
+    are all fresh (every live slot at the root, ``k`` and ``A & B`` below
+    it) pairs ``x`` with each live slot whose row has not been done, but
+    when ``|N(x)| > d`` only with those in ``N(x)`` or sharing a black
+    neighbour with ``x``: any other partner would leave all of ``N(x)``
+    red.  The row of a slot of ``A ^ B`` pairs it with the later slots of
+    ``A ^ B``."""
     out = []
     if origin is None:
         fresh, sym = state.alive, 0
@@ -344,33 +394,65 @@ def _near(state: _Packed, d: int, origin=None):
     black = state.black
     red = state.red
     rest = state.alive
-    for x in _bits(fresh):
-        rest ^= 1 << x
-        _near_row(out, black, red, x, rest, d)
-    for x in _bits(sym):
-        sym ^= 1 << x
-        _near_row(out, black, red, x, sym, d)
+    while fresh:
+        low = fresh & -fresh
+        fresh ^= low
+        rest ^= low
+        x = low.bit_length() - 1
+        ys = rest
+        bx = black[x]
+        reach = bx | red[x]
+        if reach.bit_count() > d:
+            zs = bx
+            while zs:
+                low = zs & -zs
+                reach |= black[low.bit_length() - 1]
+                zs ^= low
+            ys &= reach
+        _near_row(out, black, red, x, ys, d)
+    while sym:
+        low = sym & -sym
+        sym ^= low
+        if sym:
+            _near_row(out, black, red, low.bit_length() - 1, sym, d)
     return out
 
 
 def _ordered_children(state: _Packed, d: int, near=None):
-    """Pairs whose contraction keeps the max red degree within ``d``, as
-    sorted ``(max red, la, lb, i, j)`` tuples: ordered by the child's max red
-    degree, then by the pair's labels ``la < lb``; ``i``, ``j`` are slots.
+    """The node's children: pairs whose contraction keeps the max red degree
+    within ``d``, as sorted ``(max red, la, lb, i, j)`` tuples, ordered by
+    the child's max red degree, then by the pair's labels ``la < lb``; ``i``,
+    ``j`` are slots.  If ``near`` holds twins, slots ``i < j`` with the same
+    black and the same red neighbours outside ``{i, j}``, only the first
+    twin child is kept (see :func:`_decide_rec`).
 
     ``near`` is the node's near list, or any part of it, computed here if not
-    given.  No child is built, and only the pairs of ``near`` are scored:
-    each vertex in a pair's ``nr`` ends with red degree ``|red(x) - {i, j}| +
-    1``, and every other live vertex keeps its own, the largest of which is
-    read from the node's red degrees sorted high to low."""
+    given.  No child is built, and each pair of ``near`` is twin-tested and
+    scored in one pass, once a twin is found only twins: each vertex in a
+    pair's ``nr`` ends with red degree ``|red(x) - {i, j}| + 1``, and every
+    other live vertex keeps its own, the largest of which is read from the
+    state's red-degree buckets, from its own max red degree down."""
     if near is None:
         near = _near(state, d)
+    if not near:
+        return []
+    black = state.black
     red = state.red
     ids = state.ids
-    by_red = sorted(((red[x].bit_count(), x) for x in _bits(state.alive)), reverse=True)
+    buckets = state.buckets
+    n = len(red)
+    top = (buckets.bit_length() - 1) // n
+    alive = state.alive
+    twin = False
     out = []
     for i, j, nr in near:
         pair = 1 << i | 1 << j
+        if not (black[i] ^ black[j] | red[i] ^ red[j]) & ~pair:
+            if not twin:
+                twin = True
+                out = []
+        elif twin:
+            continue
         mr = nr.bit_count()
         ok = True
         touched = nr
@@ -385,11 +467,10 @@ def _ordered_children(state: _Packed, d: int, near=None):
             touched ^= low
         if not ok:
             continue
-        skip = nr | pair
-        for rx, x in by_red:
-            if not skip >> x & 1:
-                if rx > mr:
-                    mr = rx
+        keep = alive & ~(nr | pair)
+        for r in range(top, mr, -1):
+            if buckets >> n * r & keep:
+                mr = r
                 break
         if mr <= d:
             la, lb = ids[i], ids[j]
@@ -397,20 +478,7 @@ def _ordered_children(state: _Packed, d: int, near=None):
                 la, lb = lb, la
             out.append((mr, la, lb, i, j))
     out.sort()
-    return out
-
-
-def _twins(state: _Packed, near):
-    """The pairs of ``near`` that are twins: slots ``i < j`` with the same
-    black and the same red neighbours outside ``{i, j}``."""
-    black = state.black
-    red = state.red
-    out = []
-    for e in near:
-        i, j, _ = e
-        if not (black[i] ^ black[j] | red[i] ^ red[j]) & ~(1 << i | 1 << j):
-            out.append(e)
-    return out
+    return out[:1] if twin else out
 
 
 def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: set, origin=None):
@@ -434,6 +502,9 @@ def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: 
     a miss is the child built and its raw state looked up, which catches a
     refuted state reached by another partition.  The root, which no loop
     ticked, ticks itself; its ``refuted`` is fresh, so it looks nothing up.
+    ``refuted`` never holds more than ``_REFUTED_CAP`` entries: a refutation
+    that would pass the cap clears the set first, and a child's key is not
+    added to a full set.
 
     ``origin`` is ``(near, parent, i, j)`` when ``state`` is ``parent``
     contracted at slots ``i``, ``j`` and ``near`` is the parent's near list,
@@ -443,12 +514,7 @@ def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: 
             return []
         budget.tick()
     near = _near(state, d, origin)
-    twins = _twins(state, near)
-    # every twin pair is in the near list and within the cap, and scoring a
-    # part of the list keeps its order
-    children = _ordered_children(state, d, twins or near)
-    if twins:
-        children = children[:1]
+    children = _ordered_children(state, d, near)
     last = state.n_alive() == 2  # every child has one live slot: a finish
     key = state.key
     spread = state.spread
@@ -461,12 +527,15 @@ def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: 
             continue
         child_raw = state.merged(i, j)
         if child_raw in refuted:
-            refuted.add(child_key)
+            if len(refuted) < _REFUTED_CAP:
+                refuted.add(child_key)
             continue
         child = state.contract(i, j, next_id, child_raw)
         sub = _decide_rec(child, d, next_id + 1, budget, refuted, (near, state, i, j))
         if sub is not None:
             return [(la, lb)] + sub
+    if len(refuted) > _REFUTED_CAP - 2:
+        refuted.clear()
     refuted.add((state.alive, state.black, state.red))
     refuted.add(key)
     return None

@@ -5,11 +5,13 @@ The oracles here deliberately avoid the package's optimized code paths:
 third vertex by its color pair, ``classify_stumps_oracle`` classifies the
 stumps of the whole trigraph in two claiming passes,
 ``canon_packed_oracle`` compresses the live slots and refines by per-cell
-neighbour counts, ``ordered_children_oracle`` builds every pair's child,
+neighbour counts, ``near_oracle`` computes every pair's red set with no
+filter, ``ordered_children_oracle`` builds every pair's child,
 ``shorten_oracle`` scans every consecutive pair of a path for the lowest
 before each merge, ``fold_oracle`` folds a black tree by plain recursion,
 ``twin_pairs_oracle`` finds twins by comparing a contraction with the two
-deletions, ``decide_rec_oracle`` searches with twin-first branching and a
+deletions, ``node_children_oracle`` keeps a twin node's first twin child
+alone, ``decide_rec_oracle`` searches with twin-first branching and a
 set of refuted raw states, and ``naive_optimal_width`` tries every
 contraction sequence with no pruning, once per partition into bags.
 """
@@ -19,7 +21,7 @@ import itertools
 import pytest
 
 from twinwidth.trigraph import EdgeColor, Trigraph, is_connected, new_trigraph
-from twinwidth.solver import _bits, _ordered_children, canonical_key
+from twinwidth.solver import _bits, canonical_key
 from twinwidth.structure import Stump, StumpKind, feedback_edge_set, induced_cycle, two_core
 
 
@@ -322,6 +324,21 @@ def canon_packed_oracle(state) -> bytes:
     return bytes([m]) + best
 
 
+def near_oracle(state, d):
+    """Every pair of live slots ``i < j`` whose merged vertex would have at
+    most ``d`` red neighbours, as sorted ``(i, j, nr)``, ``nr = (N(i) |
+    N(j)) - (Nb(i) & Nb(j)) - {i, j}``: each pair is computed, none skipped."""
+    slots = _bits(state.alive)
+    out = []
+    for a, i in enumerate(slots):
+        for j in slots[a + 1 :]:
+            bi, bj = state.black[i], state.black[j]
+            nr = (bi | bj | state.red[i] | state.red[j]) & ~(bi & bj) & ~(1 << i | 1 << j)
+            if nr.bit_count() <= d:
+                out.append((i, j, nr))
+    return out
+
+
 def ordered_children_oracle(state, d):
     """Every pair's child built with ``contract``; the pairs whose child has
     max red degree at most ``d`` over its live slots, as sorted
@@ -359,6 +376,18 @@ def deleted_raw(state, gone, stay):
     return move(state.alive), tuple(black), tuple(red)
 
 
+def node_children_oracle(state, d):
+    """The children a search node visits: if the node has twin pairs
+    (``twin_pairs_oracle``), the first twin pair of
+    ``ordered_children_oracle`` alone, or none if no twin pair's child is
+    within ``d``; else every child."""
+    children = ordered_children_oracle(state, d)
+    twins = twin_pairs_oracle(state)
+    if twins:
+        return [c for c in children if c[3:] in twins][:1]
+    return children
+
+
 def twin_pairs_oracle(state):
     """The pairs of live slots ``i < j`` that are twins: contracting them
     gives the state minus ``j``, and also the state minus ``i`` with ``j``
@@ -375,9 +404,9 @@ def twin_pairs_oracle(state):
 
 
 def decide_rec_oracle(state, d, next_id, refuted, budget):
-    """The width-``d`` search with twin-first branching: a state with twin
-    pairs (``twin_pairs_oracle``) has one child, the first of them in
-    ``_ordered_children`` order.  ``refuted`` holds the raw states refuted so
+    """The width-``d`` search with twin-first branching over
+    ``node_children_oracle``: a state with twin pairs has one child, the
+    first of them in child order.  ``refuted`` holds the raw states refuted so
     far.  Same branching order and budget ticks as the solver's search, so it
     returns the same label pairs after the same number of ticks."""
     if state.n_alive() == 1:
@@ -386,10 +415,7 @@ def decide_rec_oracle(state, d, next_id, refuted, budget):
     raw = (state.alive, state.black, state.red)
     if raw in refuted:
         return None
-    children = _ordered_children(state, d)
-    twins = twin_pairs_oracle(state)
-    if twins:
-        children = [c for c in children if (c[3], c[4]) in twins][:1]
+    children = node_children_oracle(state, d)
     for _, la, lb, i, j in children:
         sub = decide_rec_oracle(state.contract(i, j, next_id), d, next_id + 1, refuted, budget)
         if sub is not None:

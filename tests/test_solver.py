@@ -17,6 +17,7 @@ from twinwidth.solver import (
     _bits,
     _canon_packed,
     _decide_rec,
+    _near,
     _ordered_children,
     _Packed,
     canonical_key,
@@ -30,6 +31,8 @@ from conftest import (
     canon_packed_oracle,
     connected_graphs_up_to_iso,
     decide_rec_oracle,
+    near_oracle,
+    node_children_oracle,
     twin_pairs_oracle,
     make_fig2,
     make_fig3,
@@ -105,13 +108,17 @@ def contract_at_random(draw, state, next_id, most):
 
 
 class CountingBudget:
-    """A budget that never runs out and counts its ticks."""
+    """A budget that counts its ticks and, given a ``cap``, raises
+    :class:`BudgetExceeded` at the tick past it."""
 
-    def __init__(self):
+    def __init__(self, cap=None):
         self.ticks = 0
+        self.cap = cap
 
     def tick(self):
         self.ticks += 1
+        if self.cap is not None and self.ticks > self.cap:
+            raise BudgetExceeded(self.ticks, self.cap, kind="nodes")
 
 
 class Clock:
@@ -143,18 +150,22 @@ def relabeled(state, perm):
 
 
 def checked_inherit(mp):
-    """Make the search check every near list it inherits from a parent: it
-    must hold the pairs of the list computed afresh and, scored, give the
-    children that :func:`_ordered_children` finds from that list.  Returns
-    the list of checked (live slots, cap)."""
+    """Make the search check every near list it builds against
+    :func:`near_oracle`: a root's list must equal it, and a list inherited
+    from a parent must hold its pairs and, scored, give the children that
+    :func:`_ordered_children` finds from the oracle's list.  Returns the list
+    of inherited lists checked, as (live slots, cap)."""
     checked = []
     real = solver_module._near
 
     def checking(state, d, origin=None):
         near = real(state, d, origin)
-        if origin is not None:
-            assert sorted(near) == sorted(real(state, d))
-            assert _ordered_children(state, d, near) == _ordered_children(state, d)
+        want = near_oracle(state, d)
+        if origin is None:
+            assert near == want
+        else:
+            assert sorted(near) == want
+            assert _ordered_children(state, d, near) == _ordered_children(state, d, want)
             checked.append((state.n_alive(), d))
         return near
 
@@ -358,8 +369,42 @@ class TestPackedOracles:
     @settings(max_examples=300, derandomize=True)
     @given(packed_states())
     def test_children_match_oracle(self, state):
+        # the node's children, and every pair of a list without twins scored
+        twins = twin_pairs_oracle(state)
         for d in (0, 1, 2, 3, 4, state.n_alive()):
-            assert _ordered_children(state, d) == ordered_children_oracle(state, d)
+            assert _ordered_children(state, d) == node_children_oracle(state, d)
+            plain = [e for e in near_oracle(state, d) if e[:2] not in twins]
+            want = [c for c in ordered_children_oracle(state, d) if c[3:] not in twins]
+            assert _ordered_children(state, d, plain) == want
+
+    @settings(max_examples=300, derandomize=True)
+    @given(packed_states())
+    def test_buckets_hold_the_red_degrees(self, state):
+        # a contracted state's buckets, kept up by each contraction: bucket r
+        # holds the live slots with r red neighbours, and none is above the
+        # state's max red degree
+        n = len(state.black)
+        live = _bits(state.alive)
+        top = max(state.red[x].bit_count() for x in live)
+        for r in range(top + 1):
+            got = _bits(state.buckets >> n * r & (1 << n) - 1)
+            assert got == [x for x in live if state.red[x].bit_count() == r]
+        assert state.buckets >> n * (top + 1) == 0
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(packed_states())
+    def test_near_lists_match_oracle(self, state):
+        # the root's near list, and every list that a search of at most 30
+        # nodes inherits, hold exactly the pairs within the cap, also when
+        # the state's red degree is above it
+        with pytest.MonkeyPatch.context() as mp:
+            checked_inherit(mp)
+            for d in (0, 1, 2, 3, 4, state.n_alive()):
+                assert _near(state, d) == near_oracle(state, d)
+                try:
+                    _decide_rec(state, d, max(state.ids) + 1, CountingBudget(30), set())
+                except BudgetExceeded:
+                    pass
 
     def test_greedy_pairs_unchanged(self):
         assert greedy_sequence(make_fig2()).pairs() == [(0, 1), (2, 3), (5, 7), (4, 6), (8, 9)]
@@ -417,8 +462,7 @@ class TestSearchOracle:
                 built.clear()
                 budget = CountingBudget()
                 real(state, d, max(state.ids) + 1, budget, set())
-                first = next(c for c in _ordered_children(state, d) if (c[3], c[4]) in twins)
-                assert built == [first[3:]]
+                assert built == [c[3:] for c in node_children_oracle(state, d)]
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(search_states())
@@ -438,6 +482,22 @@ class TestSearchOracle:
             assert decide_width_at_most(g, 2) is None
         assert len(checked) == 380
         assert {n for n, _ in checked} == set(range(8, 16))
+
+    def test_nodes_enter_through_the_module_global(self, monkeypatch):
+        # a node counter that rebinds solver._decide_rec sees every built
+        # node: the root entered from _decide, and the 380 others from their
+        # parents' loops
+        g = random_connected_graph(16, 8, random.Random(2))
+        roots = []
+        real = solver_module._decide_rec
+
+        def counting(state, d, next_id, budget, refuted, origin=None):
+            roots.append(origin is None)
+            return real(state, d, next_id, budget, refuted, origin)
+
+        monkeypatch.setattr(solver_module, "_decide_rec", counting)
+        assert decide_width_at_most(g, 2) is None
+        assert len(roots) == 381 and roots.count(True) == 1
 
 
 
@@ -637,6 +697,44 @@ class TestRefutedCaps:
         assert red_c5.max_red_degree() == 2
         assert search.optimal(red_c5).width == 2
         assert caps == [2, 3, 4, 2]
+
+
+class CappedSet(set):
+    """A refuted set that fails a test when it grows past ``cap`` entries
+    and counts how often it is cleared."""
+
+    def __init__(self, cap):
+        super().__init__()
+        self.cap = cap
+        self.clears = 0
+
+    def add(self, entry):
+        super().add(entry)
+        assert len(self) <= self.cap
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+class TestRefutedSetCap:
+    def test_cleared_set_decides_the_same(self, monkeypatch):
+        # with the cap at 4 entries the set is cleared again and again, and
+        # every decision still matches exhaustive search
+        monkeypatch.setattr(solver_module, "_REFUTED_CAP", 4)
+        sets = []
+        real = solver_module._decide_rec
+
+        def capped(state, d, next_id, budget, refuted, origin=None):
+            if origin is None:
+                refuted = CappedSet(4)
+                sets.append(refuted)
+            return real(state, d, next_id, budget, refuted, origin)
+
+        monkeypatch.setattr(solver_module, "_decide_rec", capped)
+        for g in connected_graphs_up_to_iso(6):
+            decisions_match_naive(g)
+        assert sum(s.clears for s in sets) > 0
 
 
 class TestDeterminism:
