@@ -121,9 +121,9 @@ def emit_sequence(g: Trigraph, seq: ContractionSequence) -> str:
     the first listed endpoint's external label."""
     ext = {v: i + 1 for i, v in enumerate(sorted(g.vertices))}
     lines = []
-    for step in seq.steps:
-        lines.append(f"{ext[step.a]} {ext[step.b]}")
-        ext[step.result] = ext[step.a]
+    for result, (a, b) in enumerate(seq.pairs(), seq.base.next_label):
+        lines.append(f"{ext[a]} {ext[b]}")
+        ext[result] = ext[a]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -58,9 +58,10 @@ from .structure import (
     HPGraph,
     ORIGINAL,
     PseudoPath,
+    Stump,
     StumpKind,
+    StumpSet,
     TIDY,
-    _legal_stump_set,
     _dangling_trees,
     _stump_owner,
     feedback_edge_set,
@@ -104,13 +105,15 @@ def _fold(g: Trigraph, root, pairs: Emitter, allowed=None):
     the final merged child (None if the root is a leaf) and the vertices
     reached.
     """
+    black = g.adjacency()[0]
     reached = {root}
+    # the root's query checks that it is live; the walk reads the map
     frames = [[root, iter(sorted(g.black_neighbors(root))), None]]
     while True:
         for u in frames[-1][1]:
             if u not in reached and (allowed is None or u in allowed):
                 reached.add(u)
-                frames.append([u, iter(sorted(g.black_neighbors(u))), None])
+                frames.append([u, iter(sorted(black[u])), None])
                 break
         else:
             v, _, acc = frames.pop()
@@ -163,10 +166,11 @@ class _Reduction:
     cycle, which the rules keep, as they contract only tree vertices.
 
     ``red_stumps`` is kept without a rescan: a tree cut adds one, the folded
-    tree, and a stump merge changes only its owner's stumps (``stumps`` keeps
-    them), as long as the owner keeps degree >= 3 and so never becomes a
-    stump's inner vertex, as every core owner in ``prune`` does.  Star cuts
-    and twin half stumps make no red edge.
+    tree, and a stump merge changes only its owner's stumps (``stumps``
+    keeps them, as a :class:`~twinwidth.structure.StumpSet`), as long as the
+    owner keeps degree >= 3 and so never becomes a stump's inner vertex, as
+    every core owner in ``prune`` does.  Star cuts and twin half stumps make
+    no red edge.
     """
 
     def __init__(self, g: Trigraph, search: _Search, fes=None, trace=None):
@@ -181,7 +185,7 @@ class _Reduction:
         self.lower = 0
         self.witness = None
         self.red_stumps = red_stump_count(g)
-        self.stumps = ()
+        self.stumps = None
         self.solved = None
 
     def _play(self, pairs):
@@ -277,36 +281,52 @@ class _Reduction:
         )
         return self
 
-    def merge_stumps(self, u, stumps):
+    def merge_stumps(self, u, stumps: StumpSet):
+        """Merge one excess stump of ``u``, whose stumps are ``stumps``, and
+        leave its new stumps in ``self.stumps``, derived from the stumps the
+        merge consumed and the labels it emitted: a red keeper absorbing a
+        victim stays red on its new labels, two black stumps become one red
+        stump, and twin halves fold into one half.  Only where ``u`` drops
+        below degree 3, so that it may become a stump vertex itself, are its
+        stumps read off the trigraph."""
         g = self.work
-        if len(stumps) < 2:
-            raise NoMultipleStumps(f"{u} owns {len(stumps)} stump(s)")
-        reds = [s for s in stumps if s.kind is StumpKind.RED]
-        blacks = [s for s in stumps if s.kind is StumpKind.BLACK]
-        halves = [s for s in stumps if s.kind is StumpKind.HALF]
-        twins = not reds and len(halves) >= 2
-        if reds:
-            keeper = reds[0]
-            victim = next(s for s in stumps if s is not keeper)
-            rv, rw = keeper.vertices
+        red, black, half = stumps
+        if (count := len(red) + len(black) + len(half)) < 2:
+            raise NoMultipleStumps(f"{u} owns {count} stump(s)")
+        nxt = g.next_label
+        twins = not red and len(half) >= 2
+        if red:
+            rv, rw = red[0].vertices
+            victim = min(red[1:2] + black[:1] + half[:1], key=lambda s: s.vertices)
             if victim.kind is StumpKind.HALF:
                 pairs = [(victim.vertices[0], rv)]
+                made = Stump(StumpKind.RED, u, (nxt, rw))
             else:
                 v0, w0 = victim.vertices
                 pairs = [(w0, rw), (v0, rv)]
+                made = Stump(StumpKind.RED, u, (nxt + 1, nxt))
+            after = StumpSet(
+                red[1 + (victim.kind is StumpKind.RED):] + (made,),
+                black[victim.kind is StumpKind.BLACK:],
+                half[victim.kind is StumpKind.HALF:],
+            )
         elif twins:
-            pairs = Emitter(g.next_label)
-            fold(pairs.emit, [s.vertices[0] for s in halves])
-        elif len(blacks) >= 2:
-            (v1, w1), (v2, w2) = blacks[0].vertices, blacks[1].vertices
+            pairs = Emitter(nxt)
+            last = fold(pairs.emit, [s.vertices[0] for s in half])
+            after = StumpSet((), black, (Stump(StumpKind.HALF, u, (last,)),))
+        elif len(black) >= 2:
+            (v1, w1), (v2, w2) = black[0].vertices, black[1].vertices
             pairs = [(w1, w2), (v1, v2)]
+            after = StumpSet((Stump(StumpKind.RED, u, (nxt + 1, nxt)),), black[2:], half)
         else:
             raise NoMultipleStumps(f"{u} owns only the allowed black-and-half pair")
         self._play(pairs)
-        self.stumps = stumps_at(g, u)
+        if g.degree(u) < 3:
+            after = StumpSet.of(stumps_at(g, u))
+        self.stumps = after
         if twins:
             return self
-        return self._guard(sum(s.kind is StumpKind.RED for s in self.stumps) - len(reds))
+        return self._guard(len(after.red) - len(red))
 
 
 def reduce_star(g: Trigraph, tree) -> RuleOutcome:
@@ -330,7 +350,8 @@ def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleO
     """Merge one excess stump on ``u``: beside a red stump any other stump is
     absorbed into it; half stumps merge pairwise as twins; two black stumps
     become one red stump.  A black-and-half pair is a legal terminal state."""
-    return _Reduction(g, _Search(config)).merge_stumps(u, stumps_at(g, u)).outcome()
+    run = _Reduction(g, _Search(config))
+    return run.merge_stumps(u, StumpSet.of(stumps_at(g, u))).outcome()
 
 
 def _stump_remnant(stumps, emit):
@@ -518,11 +539,12 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
     owners = sorted({chunk.bridge[0] for chunk in found})
     stumps_map = {u: s for u in owners if (s := stumps_at(g, u))}
     for u, stumps in list(stumps_map.items()):
-        while not _legal_stump_set(stumps):
-            if apply(_Reduction.merge_stumps, u, u, stumps):
+        owned = StumpSet.of(stumps)
+        while not owned.legal():
+            if apply(_Reduction.merge_stumps, u, u, owned):
                 return None
-            stumps = run.stumps
-        stumps_map[u] = stumps
+            owned = run.stumps
+        stumps_map[u] = owned.ordered()
 
     # assemble the decomposition; a feedback edge's endpoints are hubs, so
     # the core degree that makes the other hubs need not leave its edge out

@@ -1,10 +1,11 @@
 """Contraction sequences, the width verifier, bag bookkeeping, and lifts.
 
-A contraction sequence lists (a, b) pairs to merge, in order, against a fixed
-base trigraph.  Its width is the maximum red degree seen in any intermediate
-trigraph, the base included.  Fresh labels are deterministic: step ``i``
-produces vertex ``base.next_label + i``, so sequences can be spliced without
-replaying any graph.
+A contraction sequence keeps the (a, b) pairs to merge, in order, as one
+tuple against a fixed base trigraph.  Its width is the maximum red degree
+seen in any intermediate trigraph, the base included.  Fresh labels are
+deterministic: step ``i`` produces vertex ``base.next_label + i``, so
+sequences can be spliced without replaying any graph, and a step's result is
+derived from its index, never stored.
 
 A :class:`Lift` turns a full sequence of a reduced instance back into a full
 sequence of the instance it was derived from.  Every lift is of prefix form:
@@ -36,38 +37,47 @@ class ContractionStep:
 
 
 class ContractionSequence:
-    """An ordered list of contractions against a specific base trigraph."""
+    """An ordered list of contractions against a specific base trigraph.
 
-    __slots__ = ("base", "steps", "partial")
+    The sequence keeps only its ``(a, b)`` pairs, as one tuple: step ``i``
+    makes the label ``base.next_label + i``, so :attr:`steps` derives each
+    step's result on demand, while :meth:`pairs`, :func:`verify` and the
+    text writer read the pairs alone.
+    """
 
-    def __init__(self, base: Trigraph, steps: tuple[ContractionStep, ...], partial: bool):
+    __slots__ = ("base", "_pairs", "partial")
+
+    def __init__(self, base: Trigraph, pairs: tuple[tuple[int, int], ...], partial: bool):
         self.base = base
-        self.steps = steps
+        self._pairs = pairs
         self.partial = partial
 
     @classmethod
     def build(cls, base: Trigraph, pairs: Iterable[tuple[int, int]], partial=False):
-        nxt = base.next_label
-        steps = tuple(
-            ContractionStep(a, b, nxt + i) for i, (a, b) in enumerate(pairs)
+        return cls(base, tuple([(a, b) for a, b in pairs]), partial)
+
+    @property
+    def steps(self) -> tuple[ContractionStep, ...]:
+        nxt = self.base.next_label
+        return tuple(
+            ContractionStep(a, b, nxt + i) for i, (a, b) in enumerate(self._pairs)
         )
-        return cls(base, steps, partial)
 
     def __len__(self):
-        return len(self.steps)
+        return len(self._pairs)
 
     def __iter__(self):
         return iter(self.steps)
 
     def pairs(self):
-        return [(s.a, s.b) for s in self.steps]
+        return list(self._pairs)
 
     def __eq__(self, other):
         if not isinstance(other, ContractionSequence):
             return NotImplemented
         return (
             self.base == other.base
-            and self.steps == other.steps
+            and self._pairs == other._pairs
             and self.partial == other.partial
         )
 
@@ -75,10 +85,10 @@ class ContractionSequence:
 
     def __repr__(self):
         kind = "partial" if self.partial else "full"
-        return f"ContractionSequence({kind}, {len(self.steps)} steps)"
+        return f"ContractionSequence({kind}, {len(self._pairs)} steps)"
 
     def final_trigraph(self) -> Trigraph:
-        return self.base.replay(self.pairs())[0]
+        return self.base.replay(self._pairs)[0]
 
 
 def _check_base(g: Trigraph, seq: ContractionSequence):
@@ -97,7 +107,7 @@ def verify(g: Trigraph, seq: ContractionSequence, require_full=None) -> int:
     _check_base(g, seq)
     if require_full is None:
         require_full = not seq.partial
-    final, width = g.replay(seq.pairs())
+    final, width = g.replay(seq._pairs)
     if require_full and final.n > 1 and final.n != len(connected_components(g)):
         raise IncompleteSequence(
             f"{final.n} vertices remain after a supposedly full sequence"
@@ -216,7 +226,7 @@ class Lift:
         if seq.base != self.child:
             raise InstanceMismatch("lift input was built against a different instance")
         return ContractionSequence.build(
-            self.parent, list(self.prefix) + seq.pairs(), partial=seq.partial
+            self.parent, (*self.prefix, *seq._pairs), partial=seq.partial
         )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .errors import Disconnected, PreconditionViolated
 from .trigraph import EdgeColor, Trigraph, is_connected
@@ -25,27 +26,31 @@ def feedback_edge_set(g: Trigraph, ignore_red=False) -> tuple[tuple[int, int], .
     smallest label, neighbors visited in label order.
 
     Works on the black relation; red edges must be absent unless
-    ``ignore_red`` is set.
+    ``ignore_red`` is set.  The search records each non-tree edge at its
+    smaller end: an edge to a vertex already reached is a tree edge only
+    when that vertex is the scanned one's parent, since a vertex reached
+    from the scanned one was not reached before.
     """
-    if not ignore_red and g.has_red():
+    black, red = g.adjacency()
+    if not ignore_red and any(red.values()):
         raise PreconditionViolated("input has red edges; pass ignore_red=True")
-    visited = set()
-    tree = set()
-    for root in g.vertices:
-        if root in visited:
+    parent = {}
+    fes = []
+    for root in black:
+        if root in parent:
             continue
-        visited.add(root)
+        parent[root] = None
         queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                for u in sorted(g.black_neighbors(v)):
-                    if u not in visited:
-                        visited.add(u)
-                        tree.add((min(u, v), max(u, v)))
-                        nxt.append(u)
-            queue = nxt
-    return tuple(sorted(e for e in g.black_edges() if e not in tree))
+        for v in queue:
+            up = parent[v]
+            for u in sorted(black[v]):
+                if u not in parent:
+                    parent[u] = v
+                    queue.append(u)
+                elif u > v and u != up:
+                    fes.append((v, u))
+    fes.sort()
+    return tuple(fes)
 
 
 def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
@@ -86,20 +91,22 @@ def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
 
 def two_core(g: Trigraph) -> frozenset[int]:
     """Vertices surviving repeated removal of degree <= 1 vertices."""
-    deg = {v: g.degree(v) for v in g.vertices}
+    black, red = g.adjacency()
+    deg = {v: len(black[v]) + len(red[v]) for v in black}
     removed = set()
-    stack = [v for v in g.vertices if deg[v] <= 1]
+    stack = [v for v, d in deg.items() if d <= 1]
     while stack:
         v = stack.pop()
         if v in removed:
             continue
         removed.add(v)
-        for u in g.neighbors(v):
-            if u not in removed:
-                deg[u] -= 1
-                if deg[u] <= 1:
-                    stack.append(u)
-    return frozenset(v for v in g.vertices if v not in removed)
+        for nbrs in (black[v], red[v]):
+            for u in nbrs:
+                if u not in removed:
+                    deg[u] -= 1
+                    if deg[u] <= 1:
+                        stack.append(u)
+    return frozenset(v for v in black if v not in removed)
 
 
 def induced_cycle(g: Trigraph, core, fes):
@@ -204,29 +211,31 @@ def _dangling_trees(g: Trigraph, core) -> tuple[DanglingTree, ...]:
     2-core is ``core``."""
     if not core:
         return ()
-    outside = [v for v in g.vertices if v not in core]
+    black, red = g.adjacency()
     seen = set()
     trees = []
-    for start in outside:
-        if start in seen:
+    for start in black:
+        if start in core or start in seen:
             continue
         comp = []
         attach = []
+        all_black = True
         stack = [start]
         seen.add(start)
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in g.neighbors(v):
-                if u in core:
-                    attach.append((u, v))
-                elif u not in seen:
-                    seen.add(u)
-                    stack.append(u)
+            # every edge at a tree vertex lies in the tree or is its bridge
+            all_black = all_black and not red[v]
+            for nbrs in (black[v], red[v]):
+                for u in nbrs:
+                    if u in core:
+                        attach.append((u, v))
+                    elif u not in seen:
+                        seen.add(u)
+                        stack.append(u)
         assert len(attach) == 1, "peeled component with multiple core edges"
-        # every edge at a tree vertex lies in the tree or is its bridge
-        black = not any(g.red_neighbors(a) for a in comp)
-        trees.append(DanglingTree(attach[0], frozenset(comp), black))
+        trees.append(DanglingTree(attach[0], frozenset(comp), all_black))
     trees.sort(key=lambda t: (t.bridge[0], min(t.vertices)))
     return tuple(trees)
 
@@ -244,17 +253,55 @@ class Stump:
     vertices: tuple[int, ...]  # (pendant,) or (inner, outer)
 
 
+class StumpSet(NamedTuple):
+    """One owner's stumps split by kind, each kind sorted by vertex tuple.
+
+    A stump merge reads only the kinds' first stumps, and its new stump's
+    fresh labels sort it last, so it derives the owner's next set in a fixed
+    number of steps, with no scan of the owner's neighbourhood; only the
+    tuple slices copy the stumps it leaves.
+    """
+
+    red: tuple[Stump, ...]
+    black: tuple[Stump, ...]
+    half: tuple[Stump, ...]
+
+    @classmethod
+    def of(cls, stumps):
+        """The set of the stumps ``stumps``, sorted by vertex tuple."""
+        return cls(*(
+            tuple(s for s in stumps if s.kind is kind)
+            for kind in (StumpKind.RED, StumpKind.BLACK, StumpKind.HALF)
+        ))
+
+    def legal(self) -> bool:
+        """A lone red stump, or at most one black and one half stump."""
+        if self.red:
+            return len(self.red) == 1 and not self.black and not self.half
+        return len(self.black) <= 1 and len(self.half) <= 1
+
+    def ordered(self) -> tuple[Stump, ...]:
+        """All the stumps, sorted by vertex tuple, as :func:`stumps_at`."""
+        return tuple(sorted(self.red + self.black + self.half, key=lambda s: s.vertices))
+
+
 def _stump_owner(g: Trigraph, v):
     """The owner of the two-vertex stump whose inner vertex is ``v``, or None.
 
     ``v`` has degree 2, one neighbour (the outer vertex) is a pendant, and the
     other (the owner) is a black neighbour that is not a pendant itself.
     """
-    if g.degree(v) != 2:
+    black, red = g.adjacency()
+    bv, rv = black[v], red[v]
+    if len(bv) + len(rv) != 2:
         return None
-    a, b = g.neighbors(v)
+    a, b = (*bv, *rv)
     for owner, outer in ((a, b), (b, a)):
-        if g.degree(outer) == 1 and g.degree(owner) > 1 and owner in g.black_neighbors(v):
+        if (
+            owner in bv
+            and len(black[outer]) + len(red[outer]) == 1
+            and len(black[owner]) + len(red[owner]) > 1
+        ):
             return owner
     return None
 
@@ -270,14 +317,18 @@ def stumps_at(g: Trigraph, u) -> tuple[Stump, ...]:
     """
     if u not in g:
         return ()
+    black, red = g.adjacency()
+    inner = _stump_owner(g, u) is not None
     found = []
-    for v in g.black_neighbors(u):
-        if g.degree(v) == 1:
-            if _stump_owner(g, u) is None:
+    for v in black[u]:
+        bv, rv = black[v], red[v]
+        degree = len(bv) + len(rv)
+        if degree == 1:
+            if not inner:
                 found.append(Stump(StumpKind.HALF, u, (v,)))
-        elif _stump_owner(g, v) == u:
-            (w,) = g.neighbors(v) - {u}
-            kind = StumpKind.RED if w in g.red_neighbors(v) else StumpKind.BLACK
+        elif degree == 2 and _stump_owner(g, v) == u:
+            (w,) = (bv | rv) - {u}
+            kind = StumpKind.RED if w in rv else StumpKind.BLACK
             found.append(Stump(kind, u, (v, w)))
     return tuple(sorted(found, key=lambda s: s.vertices))
 
@@ -368,17 +419,6 @@ class HPGraph:
     paths: list[PseudoPath]
 
 
-def _legal_stump_set(stumps) -> bool:
-    kinds = [s.kind for s in stumps]
-    if kinds.count(StumpKind.RED) == 1 and len(kinds) == 1:
-        return True
-    return (
-        kinds.count(StumpKind.RED) == 0
-        and kinds.count(StumpKind.BLACK) <= 1
-        and kinds.count(StumpKind.HALF) <= 1
-    )
-
-
 def validate_hp(hp: HPGraph) -> None:
     """Re-derive the decomposition invariants from scratch; raises on failure."""
     g = hp.g
@@ -398,7 +438,7 @@ def validate_hp(hp: HPGraph) -> None:
             )
         if path.flavor == ORIGINAL:
             for v in verts:
-                assert _legal_stump_set(path.stumps.get(v, ())), (
+                assert StumpSet.of(path.stumps.get(v, ())).legal(), (
                     f"illegal stump set at {v}"
                 )
             for a, b in zip(verts, verts[1:]):

@@ -12,7 +12,9 @@ All public operations are pure and return new values, whose neighbour sets
 are frozensets.  ``replay``, ``recolor`` and the reduction runner instead edit
 a private working copy made by ``Trigraph._thawed``, which holds its own
 sets, through ``Trigraph._play`` and ``Trigraph._redden``; ``_frozen`` turns
-a working copy back into a new value.
+a working copy back into a new value.  Scans that visit every vertex read
+the maps through the read-only :meth:`Trigraph.adjacency`; no other module
+touches them.
 """
 
 from __future__ import annotations
@@ -116,6 +118,14 @@ class Trigraph:
         self._require_live(u)
         return self._black[u] | self._red[u]
 
+    def adjacency(self):
+        """The neighbour maps ``(black, red)``, each vertex -> its neighbours
+        of that colour, in vertex order, for scans that visit every vertex:
+        they skip the liveness check and the union that :meth:`neighbors`
+        makes.  Read-only: the maps and sets are this trigraph's own, so a
+        caller must not edit them, and a working copy's change as it plays."""
+        return self._black, self._red
+
     def color(self, u, v):
         """Color of the edge ``uv``, or None if the pair is a non-edge."""
         self._require_live(u)
@@ -210,7 +220,9 @@ class Trigraph:
     def _play(self, pairs):
         """The one body that applies the contraction rule: play ``pairs`` on
         this working copy, as :meth:`replay` describes, and return the largest
-        red degree the steps create.  Each step costs only its degrees."""
+        red degree the steps create.  Each step costs only its degrees: a
+        black neighbour of the fresh vertex was black to both ends, so only
+        its black set changes, and only a red neighbour's red degree grows."""
         black = self._black
         red = self._red
         width = 0
@@ -225,21 +237,25 @@ class Trigraph:
             red_w -= black_w
             red_w.discard(u)
             red_w.discard(v)
-            for x in black_w | red_w:
+            for x in black_w:
+                bx = black[x]
+                bx.discard(u)
+                bx.discard(v)
+                bx.add(w)
+            for x in red_w:
                 bx = black[x]
                 rx = red[x]
                 bx.discard(u)
                 bx.discard(v)
                 rx.discard(u)
                 rx.discard(v)
-                if x in black_w:
-                    bx.add(w)
-                else:
-                    rx.add(w)
-                    width = max(width, len(rx))
+                rx.add(w)
+                if len(rx) > width:
+                    width = len(rx)
             black[w] = black_w
             red[w] = red_w
-            width = max(width, len(red_w))
+            if len(red_w) > width:
+                width = len(red_w)
             w += 1
         self._next_label = w
         return width
@@ -356,9 +372,10 @@ def new_trigraph(n, black_edges=(), red_edges=()) -> Trigraph:
 
 def connected_components(g: Trigraph) -> list[list[VertexId]]:
     """Components in discovery order (smallest-label first), each sorted."""
+    black, red = g.adjacency()
     seen = set()
     comps = []
-    for start in g.vertices:
+    for start in black:
         if start in seen:
             continue
         comp = []
@@ -367,10 +384,11 @@ def connected_components(g: Trigraph) -> list[list[VertexId]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for nbrs in (black[v], red[v]):
+                for w in nbrs:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
         comps.append(sorted(comp))
     return comps
 

@@ -2,7 +2,11 @@
 
 The oracles here deliberately avoid the package's optimized code paths:
 ``contract_oracle`` rebuilds a contraction from scratch by classifying every
-third vertex by its color pair, ``classify_stumps_oracle`` classifies the
+third vertex by its color pair, ``replay_oracle`` chains it one pair at a
+time, ``feedback_edge_set_oracle``, ``connected_components_oracle``,
+``two_core_oracle`` and ``find_dangling_trees_oracle`` scan through the
+public per-vertex queries and filter the black edges by a tree-edge set,
+``classify_stumps_oracle`` classifies the
 stumps of the whole trigraph in two claiming passes,
 ``canon_packed_oracle`` compresses the live slots and refines by per-cell
 neighbour counts, ``near_oracle`` computes every pair's red set with no
@@ -20,9 +24,17 @@ import itertools
 
 import pytest
 
+from twinwidth.errors import DeadVertexAtStep, Disconnected, PreconditionViolated
 from twinwidth.trigraph import EdgeColor, Trigraph, is_connected, new_trigraph
 from twinwidth.solver import _bits, canonical_key
-from twinwidth.structure import Stump, StumpKind, feedback_edge_set, induced_cycle, two_core
+from twinwidth.structure import (
+    DanglingTree,
+    Stump,
+    StumpKind,
+    feedback_edge_set,
+    induced_cycle,
+    two_core,
+)
 
 
 # -- fixed instances -----------------------------------------------------------
@@ -133,6 +145,119 @@ def contract_oracle(g: Trigraph, u, v) -> Trigraph:
     blacks = [e for e in g.black_edges() if e[0] in keep and e[1] in keep]
     reds = [e for e in g.red_edges() if e[0] in keep and e[1] in keep]
     return new_trigraph(w + 1, blacks + extra_black, reds + extra_red).induce(verts + [w])
+
+
+def replay_oracle(g: Trigraph, pairs):
+    """``(final, width)`` of playing ``pairs`` on ``g`` by one
+    :func:`contract_oracle` call per pair, the width read off every
+    intermediate trigraph; a step naming a dead or repeated vertex raises
+    :class:`DeadVertexAtStep` with its index and the first dead one, or the
+    repeated one."""
+    width = g.max_red_degree()
+    for i, (u, v) in enumerate(pairs):
+        if u not in g or v not in g or u == v:
+            raise DeadVertexAtStep(i, v if u in g else u)
+        g = contract_oracle(g, u, v)
+        width = max(width, g.max_red_degree())
+    return g, width
+
+
+def feedback_edge_set_oracle(g: Trigraph, ignore_red=False):
+    """The black edges that a label-ordered BFS forest does not use, found by
+    collecting the tree edges and filtering ``black_edges()``."""
+    if not ignore_red and g.has_red():
+        raise PreconditionViolated("input has red edges; pass ignore_red=True")
+    visited = set()
+    tree = set()
+    for root in g.vertices:
+        if root in visited:
+            continue
+        visited.add(root)
+        queue = [root]
+        while queue:
+            nxt = []
+            for v in queue:
+                for u in sorted(g.black_neighbors(v)):
+                    if u not in visited:
+                        visited.add(u)
+                        tree.add((min(u, v), max(u, v)))
+                        nxt.append(u)
+            queue = nxt
+    return tuple(sorted(e for e in g.black_edges() if e not in tree))
+
+
+def connected_components_oracle(g: Trigraph):
+    """Components by depth-first search over ``neighbors()``, in discovery
+    order, each sorted."""
+    seen = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in g.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def two_core_oracle(g: Trigraph) -> frozenset:
+    """Peel degree <= 1 vertices, reading ``degree()`` and ``neighbors()``."""
+    deg = {v: g.degree(v) for v in g.vertices}
+    removed = set()
+    stack = [v for v in g.vertices if deg[v] <= 1]
+    while stack:
+        v = stack.pop()
+        if v in removed:
+            continue
+        removed.add(v)
+        for u in g.neighbors(v):
+            if u not in removed:
+                deg[u] -= 1
+                if deg[u] <= 1:
+                    stack.append(u)
+    return frozenset(v for v in g.vertices if v not in removed)
+
+
+def find_dangling_trees_oracle(g: Trigraph):
+    """The components outside :func:`two_core_oracle`, each with its one edge
+    into the core, sorted by core vertex and smallest tree vertex."""
+    if len(connected_components_oracle(g)) > 1:
+        raise Disconnected("dangling-tree detection expects a connected graph")
+    core = two_core_oracle(g)
+    if not core:
+        return ()
+    outside = [v for v in g.vertices if v not in core]
+    seen = set()
+    trees = []
+    for start in outside:
+        if start in seen:
+            continue
+        comp = []
+        attach = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in g.neighbors(v):
+                if u in core:
+                    attach.append((u, v))
+                elif u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        assert len(attach) == 1, "peeled component with multiple core edges"
+        black = not any(g.red_neighbors(a) for a in comp)
+        trees.append(DanglingTree(attach[0], frozenset(comp), black))
+    trees.sort(key=lambda t: (t.bridge[0], min(t.vertices)))
+    return tuple(trees)
 
 
 def classify_stumps_oracle(g: Trigraph) -> dict:

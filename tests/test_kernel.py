@@ -168,7 +168,7 @@ class TestShorten:
 class TestValues:
     @staticmethod
     def frozen(g):
-        return all(type(s) is frozenset for adj in (g._black, g._red) for s in adj.values())
+        return all(type(s) is frozenset for adj in g.adjacency() for s in adj.values())
 
     def test_returned_trigraphs_hold_frozensets(self):
         g = make_fig3()
@@ -194,11 +194,12 @@ class TestValues:
         run = _Reduction(make_fig3(), _Search(CFG))
         run._play([(24, 25)])
         work = run.work
-        held = {v: (work._black[v], work._red[v]) for v in work.vertices}
+        black, red = work.adjacency()
+        held = {v: (black[v], red[v]) for v in work.vertices}
         value = work._frozen()
         twin = run.fork()
         assert all(
-            work._black[v] is b and work._red[v] is r and type(b) is type(r) is set
+            black[v] is b and red[v] is r and type(b) is type(r) is set
             for v, (b, r) in held.items()
         )
         # the fork plays on its own sets

@@ -35,12 +35,15 @@ from twinwidth.solver import SolverConfig, _Search, canonical_key, optimal_seque
 from twinwidth.structure import (
     DanglingTree,
     StumpKind,
+    StumpSet,
     classify_stumps,
     feedback_edge_set,
     find_dangling_trees,
     red_stump_count,
+    stumps_at,
     validate_hp,
 )
+from twinwidth import reduce as reduce_module
 from twinwidth.trigraph import Trigraph, new_trigraph
 
 from conftest import fold_oracle, make_fig3, make_fig3_middle, make_fig3_tidy
@@ -543,6 +546,95 @@ class TestPrune:
             assert all(kept == recount for kept, recount in counts)
             reached_two += max(recount for _, recount in counts) >= 2
         assert 0 < reached_two < 60
+
+
+def c5_owner(kinds):
+    """A C5 whose vertex 0 owns one dangling tree per entry of ``kinds``:
+    'half' a pendant, 'black' a two-vertex path, 'deep' a three-vertex path,
+    which prune cuts to a red stump."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    nxt = 5
+    for kind in kinds:
+        size = {"half": 1, "black": 2, "deep": 3}[kind]
+        edges.append((0, nxt))
+        edges += [(nxt + i, nxt + i + 1) for i in range(size - 1)]
+        nxt += size
+    return new_trigraph(nxt, edges)
+
+
+class TestDerivedStumps:
+    """A merge derives its owner's next stumps from the stumps it consumed
+    and the labels it emitted; after every merge they equal a fresh
+    ``stumps_at`` on the working trigraph."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        merges = []
+        real = _Reduction.merge_stumps
+
+        def merge(run, u, stumps):
+            assert stumps == StumpSet.of(stumps_at(run.work, u))
+            real(run, u, stumps)
+            if run.solved is None:
+                assert run.stumps.ordered() == stumps_at(run.work, u)
+                assert run.stumps == StumpSet.of(run.stumps.ordered())
+            merges.append(u)
+            return run
+
+        monkeypatch.setattr(_Reduction, "merge_stumps", merge)
+        return merges
+
+    @pytest.mark.parametrize("pattern", [
+        ["black"] * 40,
+        ["half"] * 9 + ["black"] * 3,
+        ["deep", "black", "half", "deep", "half", "black"] * 6,
+        ["deep"] * 12 + ["half"] * 12,
+        ["black", "half"] * 15,
+    ])
+    def test_long_chains_at_one_owner(self, checked, pattern):
+        g = c5_owner(pattern)
+        out = prune(g, CFG)
+        assert not out.is_solved and len(checked) >= 4
+        assert set(checked) == {0}
+        owned = StumpSet.of(stumps_at(out.instance.g, 0))
+        assert owned.legal() and owned.ordered()
+
+    def test_random_owners(self, checked):
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_with_dangling_trees(
+                rng.randrange(4, 8), rng.randrange(1, 4), rng.randrange(10, 61), rng
+            )
+            prune(g, SolverConfig(max_vertices=0))
+        assert len(checked) > 100
+
+    @pytest.mark.parametrize("pattern", [
+        ["red", "half"], ["red", "black"], ["red", "red"], ["black", "black"],
+        ["half", "half", "half"], ["red", "red", "half", "black"],
+        ["half", "half", "black"], ["black", "black", "black", "half"],
+    ])
+    def test_public_rule(self, checked, pattern):
+        merge_stumps(stumpy(pattern), 0, CFG)
+        assert checked == [0]
+
+    def test_low_degree_owner_reads_the_trigraph(self):
+        # 0 owns a red and a black stump and has no other edge: after the
+        # merge it is a pendant, so the red stump left is nobody's
+        g = new_trigraph(5, [(0, 1), (1, 2), (0, 3)], [(3, 4)])
+        run = _Reduction(g, _Search(SolverConfig(max_vertices=0)))
+        run.merge_stumps(0, StumpSet.of(stumps_at(g, 0)))
+        assert run.stumps == StumpSet((), (), ()) == StumpSet.of(stumps_at(run.work, 0))
+
+    def test_one_stump_scan_per_owner(self, monkeypatch):
+        # the owner's stumps are read once; every merge derives the next set
+        calls = []
+        real = reduce_module.stumps_at
+        monkeypatch.setattr(
+            reduce_module, "stumps_at", lambda g, u: calls.append(u) or real(g, u)
+        )
+        out = prune(c5_owner(["black"] * 300), CFG)
+        assert not out.is_solved
+        assert calls == [0]
 
 
 class TestTidy:

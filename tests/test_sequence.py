@@ -2,6 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as stst
+
+from twinwidth.cli import emit_sequence, parse_sequence
 
 from twinwidth.errors import (
     DeadVertexAtStep,
@@ -10,6 +13,7 @@ from twinwidth.errors import (
 )
 from twinwidth.sequence import (
     ContractionSequence,
+    ContractionStep,
     Lift,
     bags,
     compose,
@@ -64,6 +68,60 @@ class TestVerify:
         seq = ContractionSequence.build(other, [(0, 1)])
         with pytest.raises(InstanceMismatch):
             verify(g, seq)
+
+
+def emit_sequence_oracle(g, seq):
+    """Survivor-keeps-label text written from the derived steps."""
+    ext = {v: i + 1 for i, v in enumerate(sorted(g.vertices))}
+    lines = []
+    for step in seq.steps:
+        lines.append(f"{ext[step.a]} {ext[step.b]}")
+        ext[step.result] = ext[step.a]
+    return "".join(line + "\n" for line in lines)
+
+
+@stst.composite
+def played_pairs(draw, max_n=8):
+    """A random plain graph with a gap in its labels, and a random sequence of
+    live pairs on it, full or partial."""
+    n = draw(stst.integers(min_value=2, max_value=max_n))
+    edges = [e for e in itertools.combinations(range(n + 1), 2) if draw(stst.booleans())]
+    g = new_trigraph(n + 1, edges).induce(range(1, n + 1))
+    live = list(g.vertices)
+    pairs = []
+    for nxt in range(g.next_label, g.next_label + draw(stst.integers(0, n - 1))):
+        a, b = draw(stst.permutations(live).map(lambda p: p[:2]))
+        pairs.append((a, b))
+        live = [v for v in live if v not in (a, b)] + [nxt]
+    return g, pairs
+
+
+class TestPairStorage:
+    @settings(max_examples=200, derandomize=True)
+    @given(played_pairs())
+    def test_steps_derived_from_pairs(self, case):
+        g, pairs = case
+        seq = ContractionSequence.build(g, pairs, partial=len(pairs) < g.n - 1)
+        assert seq.steps == tuple(
+            ContractionStep(a, b, g.next_label + i) for i, (a, b) in enumerate(pairs)
+        )
+        assert list(seq) == list(seq.steps)
+        assert len(seq) == len(pairs)
+        assert seq.pairs() == pairs
+        assert seq == ContractionSequence.build(g, [list(p) for p in pairs], seq.partial)
+        assert seq != ContractionSequence.build(g, pairs, not seq.partial)
+        if pairs:
+            assert seq != ContractionSequence.build(g, pairs[:-1], seq.partial)
+        text = emit_sequence(g, seq)
+        assert text == emit_sequence_oracle(g, seq)
+        assert parse_sequence(g, text) == seq
+        assert verify(g, seq) == g.replay(pairs)[1]
+
+    def test_build_takes_any_iterable_once(self):
+        g = make_fig2()
+        seq = ContractionSequence.build(g, iter(FIG2_PAIRS))
+        assert seq.pairs() == FIG2_PAIRS and len(seq) == 5
+        assert seq.steps[-1] == ContractionStep(7, 9, 10)
 
 
 class TestBags:

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as stst
 from twinwidth.corpus import cycle_with_trees, random_connected_graph, random_tree
 from twinwidth.errors import Disconnected, PreconditionViolated
 from twinwidth.structure import (
+    Stump,
     StumpKind,
+    StumpSet,
     classify_stumps,
     feedback_edge_set,
     find_bridges,
@@ -21,7 +23,15 @@ from twinwidth.structure import (
 from twinwidth.solver import decide_width_at_most, optimal_sequence
 from twinwidth.trigraph import Trigraph, connected_components, new_trigraph
 
-from conftest import classify_stumps_oracle, make_fig3, witness
+from conftest import (
+    classify_stumps_oracle,
+    connected_components_oracle,
+    feedback_edge_set_oracle,
+    find_dangling_trees_oracle,
+    make_fig3,
+    two_core_oracle,
+    witness,
+)
 
 
 def cycle(n):
@@ -401,3 +411,119 @@ class TestDanglingPaths:
         g = make_fig3()
         core = two_core(g)
         assert core == frozenset(range(23))
+
+
+@stst.composite
+def scan_trigraphs(draw, max_n=12, connected=False):
+    """A random forest (one tree if ``connected``) plus up to ``n`` extra
+    edges, a drawn share of them red (none, 30% or all), then up to three
+    random contractions, which add red edges and put fresh labels at the
+    end of the vertex order."""
+    n = draw(stst.integers(min_value=1, max_value=max_n))
+    edges = set()
+    for v in range(1, n):
+        u = draw(stst.integers(min_value=0, max_value=v - 1 if connected else v))
+        if u < v:  # u == v starts a new component
+            edges.add((u, v))
+    for _ in range(draw(stst.integers(min_value=0, max_value=n))):
+        a, b = draw(stst.integers(0, n - 1)), draw(stst.integers(0, n - 1))
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    share = draw(stst.sampled_from((0, 3, 10)))
+    red = {e for e in sorted(edges) if draw(stst.integers(0, 9)) < share}
+    g = new_trigraph(n, sorted(edges - red), sorted(red))
+    for _ in range(draw(stst.integers(min_value=0, max_value=min(3, n - 1)))):
+        u, v = draw(stst.permutations(sorted(g.vertices)).map(lambda p: p[:2]))
+        g = g.contract(u, v)
+    return g
+
+
+class TestScansMatchOracles:
+    """The scans read the adjacency maps; the oracles are the bodies that
+    went through the per-vertex queries.  Outputs match exactly, order
+    included."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(scan_trigraphs())
+    def test_feedback_edge_set(self, g):
+        got = feedback_edge_set(g, ignore_red=True)
+        assert got == feedback_edge_set_oracle(g, ignore_red=True)
+        assert list(got) == sorted(got)
+        if g.has_red():
+            for scan in (feedback_edge_set, feedback_edge_set_oracle):
+                with pytest.raises(PreconditionViolated):
+                    scan(g)
+        else:
+            assert feedback_edge_set(g) == got
+
+    @settings(max_examples=300, derandomize=True)
+    @given(scan_trigraphs())
+    def test_connected_components(self, g):
+        assert connected_components(g) == connected_components_oracle(g)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(scan_trigraphs())
+    def test_two_core(self, g):
+        core = two_core(g)
+        assert core == two_core_oracle(g)
+        assert list(core) == list(two_core_oracle(g))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(stst.one_of(scan_trigraphs(connected=True), scan_trigraphs()))
+    def test_dangling_trees(self, g):
+        if len(connected_components_oracle(g)) > 1:
+            for scan in (find_dangling_trees, find_dangling_trees_oracle):
+                with pytest.raises(Disconnected):
+                    scan(g)
+            return
+        got = find_dangling_trees(g)
+        assert got == find_dangling_trees_oracle(g)
+        assert [(t.bridge, sorted(t.vertices), t.all_black) for t in got] == [
+            (t.bridge, sorted(t.vertices), t.all_black)
+            for t in find_dangling_trees_oracle(g)
+        ]
+
+    def test_scans_skip_the_per_vertex_queries(self, monkeypatch):
+        # the scans read the adjacency maps, never the checked queries
+        g = cycle_with_trees(20, 200, random.Random(3))
+        for name in ("neighbors", "degree", "black_neighbors", "red_neighbors"):
+            def refuse(self, u, name=name):
+                raise AssertionError(f"{name} called")
+
+            monkeypatch.setattr(Trigraph, name, refuse)
+        feedback_edge_set(g)
+        connected_components(g)
+        find_dangling_trees(g)
+        classify_stumps(g)
+
+
+class TestStumpSet:
+    def test_split_by_kind_and_back(self):
+        g = make_fig3()
+        for u in g.vertices:
+            stumps = stumps_at(g, u)
+            owned = StumpSet.of(stumps)
+            assert owned.ordered() == stumps
+            assert [s.kind for s in owned.red] == [StumpKind.RED] * len(owned.red)
+            assert [s.kind for s in owned.half] == [StumpKind.HALF] * len(owned.half)
+
+    @pytest.mark.parametrize(
+        "kinds, legal",
+        [
+            ((), True),
+            (("red",), True),
+            (("black",), True),
+            (("half",), True),
+            (("black", "half"), True),
+            (("red", "half"), False),
+            (("red", "red"), False),
+            (("black", "black"), False),
+            (("half", "half"), False),
+        ],
+    )
+    def test_legal(self, kinds, legal):
+        stumps = [
+            Stump(StumpKind(kind), 0, (i,) if kind == "half" else (2 * i, 2 * i + 1))
+            for i, kind in enumerate(kinds, 1)
+        ]
+        assert StumpSet.of(stumps).legal() is legal

@@ -16,7 +16,9 @@ from twinwidth.errors import (
 )
 from twinwidth.trigraph import EdgeColor, Trigraph, connected_components, new_trigraph
 
-from conftest import all_trigraphs, contract_oracle, make_fig2, FIG2_PAIRS
+from twinwidth.sequence import ContractionSequence, verify
+
+from conftest import all_trigraphs, contract_oracle, make_fig2, replay_oracle, FIG2_PAIRS
 
 
 def trigraphs(max_n=7):
@@ -178,29 +180,49 @@ class TestContract:
 
 
 class TestReplay:
-    @settings(max_examples=300, derandomize=True)
+    @settings(max_examples=400, derandomize=True)
     @given(trigraphs(max_n=7), stst.data())
     def test_replay_matches_chained_oracle(self, g, data):
-        # a random full or partial sequence, checked step by step against
-        # the from-scratch contraction
+        # a random full or partial sequence of live pairs, with one step of
+        # any two labels spliced in about half the time, so that it may name
+        # a merged-away vertex, a label not made yet, or one vertex twice:
+        # replay and verify end as the one-pair-at-a-time oracle does, in
+        # the same trigraph and width or at the same step and vertex
         snapshot = new_trigraph(g.n, g.black_edges(), g.red_edges())
         steps = data.draw(stst.integers(min_value=0, max_value=g.n - 1))
+        live = list(g.vertices)
         pairs = []
-        expected = g
-        width = g.max_red_degree()
-        for _ in range(steps):
-            u, v = data.draw(
-                stst.permutations(sorted(expected.vertices)).map(lambda p: p[:2])
-            )
+        for nxt in range(g.next_label, g.next_label + steps):
+            u, v = data.draw(stst.permutations(live).map(lambda p: p[:2]))
             pairs.append((u, v))
-            expected = contract_oracle(expected, u, v)
-            width = max(width, expected.max_red_degree())
-        final, got = g.replay(pairs)
-        assert final == expected
-        assert tuple(final.vertices) == tuple(expected.vertices)
-        assert got == width
-        final.validate()
+            live = [x for x in live if x not in (u, v)] + [nxt]
+        if data.draw(stst.booleans()):
+            labels = stst.integers(min_value=0, max_value=g.next_label + steps)
+            at = data.draw(stst.integers(min_value=0, max_value=steps))
+            pairs.insert(at, data.draw(stst.tuples(labels, labels)))
+        try:
+            expected = replay_oracle(g, pairs)
+        except DeadVertexAtStep as exc:
+            expected = (exc.index, exc.vertex)
+        seq = ContractionSequence.build(g, pairs, partial=True)
+        for play in (g.replay, lambda p: (seq.final_trigraph(), verify(g, seq))):
+            try:
+                final, width = play(pairs)
+            except DeadVertexAtStep as exc:
+                assert (exc.index, exc.vertex) == expected
+                continue
+            assert (final, width) == expected
+            assert final.vertices == expected[0].vertices
+            final.validate()
         assert g == snapshot
+
+    def test_width_read_at_a_red_neighbour(self):
+        # step 1 leaves 4 red to 5, step 2 makes it red to 6 too: width 2
+        # comes from 4's red degree alone, never from a fresh vertex's
+        g = new_trigraph(5, [(2, 4), (3, 4)])
+        pairs = [(1, 3), (2, 0), (5, 6), (7, 4)]
+        assert g.replay(pairs)[1] == replay_oracle(g, pairs)[1] == 2
+        assert g.replay(pairs[:1])[1] == 1
 
     def test_fig2_full_sequence(self):
         g = make_fig2()

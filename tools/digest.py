@@ -14,10 +14,13 @@ sort_keys=True)``; an instance that runs out of budget hashes the
 ``BudgetExceeded`` kind and message.  The instances are the 50-graph corpus
 of acceptance criterion 9, solved with ``twinwidth solve``'s defaults; every
 instance of the fen1-deep-trees, fenk-kernel and exact-endgame benchmark
-workloads at seeds 1 and 2, solved as the benchmark solves them; and the 49
+workloads at seeds 1 and 2, solved as the benchmark solves them; the 49
 disjoint unions of consecutive criterion-9 graphs (set
 ``criterion-9-unions``), solved with ``twinwidth solve``'s defaults, so that
-the status of a disconnected input is checked too.  Uses only the standard
+the status of a disconnected input is checked too; and stump-heavy owners
+(set ``stump-owners``): a C5 whose vertex 0 owns up to 200 dangling trees, so
+that prune merges one owner's stumps in a long chain, also solved with the
+defaults.  Uses only the standard
 library and the ``src/`` and ``twbench/`` trees next to this script.
 
 For a change that may alter answers on purpose, ``--summary`` prints
@@ -61,6 +64,26 @@ def criterion9_corpus():
     return out
 
 
+# the dangling trees of a stump-heavy owner, cycled through: a pendant (a half
+# stump), a two-vertex path (a black stump) and a three-vertex path, which
+# prune cuts to a red stump
+STUMP_MIXES = {"black": (2,), "half": (1,), "mixed": (3, 2, 1)}
+STUMP_COUNTS = (25, 50, 100, 200)
+
+
+def stump_owner(d, sizes):
+    """A C5 whose vertex 0 owns ``d`` dangling paths, of the lengths ``sizes``
+    in turn."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    nxt = 5
+    for i in range(d):
+        size = sizes[i % len(sizes)]
+        edges.append((0, nxt))
+        edges += [(v, v + 1) for v in range(nxt, nxt + size - 1)]
+        nxt += size
+    return new_trigraph(nxt, edges)
+
+
 def disjoint_union(g, h):
     """The plain graphs ``g`` and ``h`` side by side, ``h`` shifted past
     ``g``'s labels."""
@@ -102,6 +125,10 @@ def instances():
     for i, (g, h) in enumerate(zip(graphs, graphs[1:])):
         text = cli.emit_graph(disjoint_union(g, h))
         yield "criterion-9-unions", f"g{i}+g{i + 1}", text, *defaults
+    for mix, sizes in STUMP_MIXES.items():
+        for d in STUMP_COUNTS:
+            text = cli.emit_graph(stump_owner(d, sizes))
+            yield "stump-owners", f"c5+{d}x{mix}", text, *defaults
 
 
 def main(argv=None):
