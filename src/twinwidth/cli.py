@@ -35,46 +35,52 @@ from .structure import (
     find_dangling_paths,
     find_dangling_trees,
 )
-from .trigraph import Trigraph, new_trigraph
+from .trigraph import Trigraph
 
 
 # -- graph files -----------------------------------------------------------------
 
 
 def parse_graph(text: str) -> Trigraph:
-    n = m = None
-    black = []
-    red = []
-    edge_lines = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    """Read a PACE graph in one pass: the edge lines go straight into the
+    trigraph builder, which checks each edge as it comes, so the first
+    faulty line, in file order, is the one reported."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise HeaderMismatch("second header line", line=lineno)
-            if len(parts) != 4 or parts[1] != "tww" or not all(map(str.isdecimal, parts[2:])):
-                raise HeaderMismatch(f"bad header {line!r}", line=lineno)
-            n, m = int(parts[2]), int(parts[3])
-            continue
-        if n is None:
+        if parts[0] != "p":
             raise GraphSyntaxError("edge line before header", line=lineno)
-        if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "r"):
-            raise GraphSyntaxError(f"bad edge line {line!r}", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphSyntaxError(f"bad edge line {line!r}", line=lineno)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise IndexOutOfRange(f"endpoint outside 1..{n}", line=lineno)
-        (red if len(parts) == 3 else black).append((u - 1, v - 1))
-        edge_lines += 1
-    if n is None:
+        if len(parts) != 4 or parts[1] != "tww" or not all(map(str.isdecimal, parts[2:])):
+            raise HeaderMismatch(f"bad header {raw.strip()!r}", line=lineno)
+        n, m = int(parts[2]), int(parts[3])
+        break
+    else:
         raise HeaderMismatch("missing 'p tww <n> <m>' header")
-    if edge_lines != m:
-        raise HeaderMismatch(f"header declares {m} edges, found {edge_lines}")
-    return new_trigraph(n, black, red)
+
+    def edges():
+        count = 0
+        for lineno, raw in lines:
+            parts = raw.split()
+            if not parts or parts[0].startswith("c"):
+                continue
+            if parts[0] == "p":
+                raise HeaderMismatch("second header line", line=lineno)
+            if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "r"):
+                raise GraphSyntaxError(f"bad edge line {raw.strip()!r}", line=lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphSyntaxError(f"bad edge line {raw.strip()!r}", line=lineno)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise IndexOutOfRange(f"endpoint outside 1..{n}", line=lineno)
+            count += 1
+            yield (u - 1, v - 1), len(parts) == 3
+        if count != m:
+            raise HeaderMismatch(f"header declares {m} edges, found {count}")
+
+    return Trigraph._build(n, edges())
 
 
 def emit_graph(g: Trigraph) -> str:

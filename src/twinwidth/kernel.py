@@ -12,9 +12,10 @@ with the exact solver as endgame.  A connected plain-graph solve builds one
 reduction runner (``reduce._Reduction``) and plays every stage on it: the
 up-front width-0/1 check, prune, tidy, and then the feedback-edge-one walk
 or the kernels; the bikernel is shortened on a fork of the runner, and the
-general kernel on the runner itself.  The input's connectivity and feedback
-edge set are established once, and so is the exact search: its deadline
-bounds the solve, and the endgame skips caps refuted on the same trigraph.
+general kernel on the runner itself.  A plain input's components and
+feedback edge sets come from one scan, and the exact search is made once:
+its deadline bounds the solve, and the endgame skips caps refuted on the
+same trigraph.
 Every emitted sequence is re-verified before it is reported.
 
 A status rests on the runner's lower bound, set by the up-front check alone
@@ -33,8 +34,8 @@ from .errors import Disconnected
 from .reduce import _Reduction, _fen1, _prune, _tidy
 from .sequence import ContractionSequence, Emitter, Lift, verify
 from .solver import DEFAULT_CONFIG, SolverConfig, _Search
-from .structure import HPGraph, feedback_edge_set
-from .trigraph import Trigraph, connected_components, is_connected
+from .structure import HPGraph, spanning_forest
+from .trigraph import Trigraph, connected_components
 
 
 # -- bound policies ------------------------------------------------------------------
@@ -149,9 +150,10 @@ def _shorten_paths(run: _Reduction, paths, target: int):
 def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
     """A public kernel: a fresh runner on ``g``, decided, pruned, tidied, and
     shortened by ``derive(run, hp)``, which returns the kernel and its meta."""
-    if not is_connected(g):
+    forest = spanning_forest(g)
+    if len(forest) > 1:
         raise Disconnected("kernelization expects a connected graph")
-    run = _Reduction(g, _Search(config), feedback_edge_set(g), trace)
+    run = _Reduction(g, _Search(config), forest[0][1] if forest else (), trace)
     run.decide()
     if run.solved is not None or (hp := _prune(run)) is None:
         return KernelOutcome(solved=run.solved, meta={"k": len(run.fes)})
@@ -238,18 +240,20 @@ def _status(lower: int, width: int, within_one: bool) -> str:
     return "optimal" if lower >= width else "plus_one" if within_one else "upper_bound"
 
 
-def _solve_connected(g: Trigraph, policy, search: _Search, report: dict):
-    """Solve the connected ``g`` into ``report``, its status included;
-    returns the sequence, its verified width and ``g``'s lower bound."""
-    seq, lower, plus_one = _pipeline(g, policy, search, report)
+def _solve_connected(g: Trigraph, policy, search: _Search, report: dict, fes):
+    """Solve the connected ``g``, whose feedback edge set is ``fes`` (None if
+    ``g`` has red edges), into ``report``, its status included; returns the
+    sequence, its verified width and ``g``'s lower bound."""
+    seq, lower, plus_one = _pipeline(g, policy, search, report, fes)
     width = verify(g, seq)
     report["status"] = _status(lower, width, plus_one)
     return seq, width, lower
 
 
-def _pipeline(g: Trigraph, policy, search: _Search, report: dict):
+def _pipeline(g: Trigraph, policy, search: _Search, report: dict, fes):
     """A sequence of the connected ``g``, a lower bound on its twin-width, and
-    whether the sequence is within one of optimal by the theory floor."""
+    whether the sequence is within one of optimal by the theory floor; ``fes``
+    is ``g``'s feedback edge set, unused when ``g`` has red edges."""
     trace = report.setdefault("rules", [])
     if g.has_red():
         # trigraph inputs (e.g. emitted kernels) skip the reduction pipeline,
@@ -258,9 +262,9 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict):
         result = search.optimal(g)
         trace.append({"rule": "exact_trigraph", "width": result.width})
         return result.sequence, result.width if result.optimal else 0, False
-    # one runner plays every stage; ``g`` is connected and its feedback edge
-    # set is computed here, once
-    run = _Reduction(g, search, feedback_edge_set(g), trace)
+    # one runner plays every stage; ``g`` is connected, and ``solve`` found
+    # its feedback edge set in the same scan as its components
+    run = _Reduction(g, search, fes, trace)
     report["k"] = len(run.fes)
     run.decide()
     if run.lower >= 2:
@@ -309,17 +313,23 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     ``upper_bound``."""
     report = {"n": g.n, "policy": _policy_name(policy)}
     search = _Search(config)
-    comps = connected_components(g)
-    if len(comps) <= 1:
-        seq, report["width"], _ = _solve_connected(g, policy, search, report)
+    if g.has_red():
+        # a red edge joins a component too, which the black forest misses
+        forest = [(comp, None) for comp in connected_components(g)]
+    else:
+        forest = spanning_forest(g)
+    if len(forest) <= 1:
+        fes = forest[0][1] if forest else ()
+        seq, report["width"], _ = _solve_connected(g, policy, search, report, fes)
         return seq, report
-    report["components"] = len(comps)
+    report["components"] = len(forest)
     all_pairs = []
     statuses = []
     lowers = []
-    for sub in g.split(comps):
+    comps, fess = zip(*forest)
+    for sub, fes in zip(g.split(comps), fess):
         sub_report = {"n": sub.n, "policy": report["policy"]}
-        seq, _, lower = _solve_connected(sub, policy, search, sub_report)
+        seq, _, lower = _solve_connected(sub, policy, search, sub_report, fes)
         all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))
         statuses.append(sub_report["status"])
         lowers.append(lower)

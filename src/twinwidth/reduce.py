@@ -194,9 +194,10 @@ class _Reduction:
         return self
 
     def fork(self) -> _Reduction:
-        """An independent runner that has played the same prefix."""
+        """An independent runner that has played the same prefix: its working
+        copy shares only frozensets with this one's."""
         twin = copy(self)
-        twin.work = self.work._thawed()
+        twin.work = self.work._frozen()._thawed()
         twin.prefix = list(self.prefix)
         return twin
 

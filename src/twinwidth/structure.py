@@ -22,25 +22,40 @@ from .trigraph import EdgeColor, Trigraph, is_connected
 
 def feedback_edge_set(g: Trigraph, ignore_red=False) -> tuple[tuple[int, int], ...]:
     """Minimum feedback edge set, as a sorted tuple of ``(u, v)`` pairs with
-    ``u < v``: all non-tree edges of a BFS spanning forest rooted at the
-    smallest label, neighbors visited in label order.
+    ``u < v``: all non-tree edges of :func:`spanning_forest`'s BFS forest.
 
     Works on the black relation; red edges must be absent unless
-    ``ignore_red`` is set.  The search records each non-tree edge at its
-    smaller end: an edge to a vertex already reached is a tree edge only
-    when that vertex is the scanned one's parent, since a vertex reached
-    from the scanned one was not reached before.
+    ``ignore_red`` is set.
+    """
+    return tuple(sorted(chain.from_iterable(fes for _, fes in spanning_forest(g, ignore_red))))
+
+
+def spanning_forest(g: Trigraph, ignore_red=False):
+    """The components of ``g``'s black relation and their feedback edges, from
+    one BFS: a list of ``(component, fes)``, in discovery order (on a plain
+    graph, the order of :func:`~twinwidth.trigraph.connected_components`).
+    Each BFS tree is rooted at its component's smallest label and visits
+    neighbours in label order; ``component`` is its vertices in that order,
+    and ``fes`` its non-tree edges, a sorted tuple of ``(u, v)`` with
+    ``u < v``.
+
+    Red edges must be absent unless ``ignore_red`` is set.  The search
+    records each non-tree edge at its smaller end: an edge to a vertex
+    already reached is a tree edge only when that vertex is the scanned
+    one's parent, since a vertex reached from the scanned one was not
+    reached before.
     """
     black, red = g.adjacency()
     if not ignore_red and any(red.values()):
         raise PreconditionViolated("input has red edges; pass ignore_red=True")
     parent = {}
-    fes = []
+    forest = []
     for root in black:
         if root in parent:
             continue
         parent[root] = None
         queue = [root]
+        fes = []
         for v in queue:
             up = parent[v]
             for u in sorted(black[v]):
@@ -49,8 +64,9 @@ def feedback_edge_set(g: Trigraph, ignore_red=False) -> tuple[tuple[int, int], .
                     queue.append(u)
                 elif u > v and u != up:
                     fes.append((v, u))
-    fes.sort()
-    return tuple(fes)
+        fes.sort()
+        forest.append((queue, tuple(fes)))
+    return forest
 
 
 def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:

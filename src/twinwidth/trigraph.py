@@ -10,16 +10,19 @@ monotone counter and the contraction result always gets a fresh label.
 
 All public operations are pure and return new values, whose neighbour sets
 are frozensets.  ``replay``, ``recolor`` and the reduction runner instead edit
-a private working copy made by ``Trigraph._thawed``, which holds its own
-sets, through ``Trigraph._play`` and ``Trigraph._redden``; ``_frozen`` turns
-a working copy back into a new value.  Scans that visit every vertex read
-the maps through the read-only :meth:`Trigraph.adjacency`; no other module
-touches them.
+a private working copy made by ``Trigraph._thawed``, which shares the value's
+frozensets until it writes: ``Trigraph._play`` and ``Trigraph._redden`` swap
+a vertex's frozenset for a private set the first time they change it, so a
+copy costs only the vertices it touches.  ``_frozen`` turns a working copy
+back into a new value, freezing only its private sets.  Scans that visit
+every vertex read the maps through the read-only :meth:`Trigraph.adjacency`;
+no other module touches them.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain, repeat
 
 from .errors import (
     BadEndpoint,
@@ -41,6 +44,7 @@ _EMPTY = frozenset()
 
 
 def _freeze(s):
+    # a frozenset is its own frozenset: only a private set is copied
     return frozenset(s) if s else _EMPTY
 
 
@@ -68,26 +72,39 @@ class Trigraph:
     @classmethod
     def from_edges(cls, n, black_edges=(), red_edges=()):
         """Build a trigraph on vertices ``0..n-1`` from two edge lists."""
+        return cls._build(
+            n, chain(zip(black_edges, repeat(False)), zip(red_edges, repeat(True)))
+        )
+
+    @classmethod
+    def _build(cls, n, edges):
+        """The one trigraph builder: vertices ``0..n-1`` and the items
+        ``((u, v), red)`` of ``edges``, each checked as it comes, so that a
+        parser can feed its lines straight in.  Only a vertex with a red edge
+        gets a red set."""
         black = {v: set() for v in range(n)}
-        red = {v: set() for v in range(n)}
-        for edges, adj in ((black_edges, black), (red_edges, red)):
-            for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise BadEndpoint(f"edge ({u}, {v}) outside 0..{n - 1}")
-                if u == v:
-                    raise SelfLoop(f"self-loop at {u}")
-                if v in black[u] or v in red[u]:
-                    key = (min(u, v), max(u, v))
-                    raise DuplicateEdge(f"edge {key} listed twice or in both colors")
-                adj[u].add(v)
-                adj[v].add(u)
+        red = {}
+        for (u, v), is_red in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise BadEndpoint(f"edge ({u}, {v}) outside 0..{n - 1}")
+            if u == v:
+                raise SelfLoop(f"self-loop at {u}")
+            bu = black[u]
+            if v in bu or (u in red and v in red[u]):
+                key = (min(u, v), max(u, v))
+                raise DuplicateEdge(f"edge {key} listed twice or in both colors")
+            if is_red:
+                red.setdefault(u, set()).add(v)
+                red.setdefault(v, set()).add(u)
+            else:
+                bu.add(v)
+                black[v].add(u)
         # each set is dropped as soon as it is frozen, so the two copies of
         # the adjacency never coexist whole
-        return cls(
-            {v: _freeze(black.pop(v)) for v in range(n)},
-            {v: _freeze(red.pop(v)) for v in range(n)},
-            n,
-        )
+        frozen_red = dict.fromkeys(range(n), _EMPTY)
+        for v in list(red):
+            frozen_red[v] = frozenset(red.pop(v))
+        return cls({v: _freeze(black.pop(v)) for v in range(n)}, frozen_red, n)
 
     # -- basic queries ----------------------------------------------------------
 
@@ -149,7 +166,7 @@ class Trigraph:
         return len(self._red[u])
 
     def max_red_degree(self):
-        return max((len(s) for s in self._red.values()), default=0)
+        return max(map(len, self._red.values()), default=0)
 
     def black_edge_count(self):
         return sum(len(s) for s in self._black.values()) // 2
@@ -165,10 +182,10 @@ class Trigraph:
 
     def black_edges(self):
         """Sorted (u, v) pairs with u < v."""
-        return [(u, v) for u in self._black for v in sorted(self._black[u]) if u < v]
+        return _edges(self._black)
 
     def red_edges(self):
-        return [(u, v) for u in self._red for v in sorted(self._red[u]) if u < v]
+        return _edges(self._red)
 
     def _require_live(self, u):
         if u not in self._black:
@@ -201,16 +218,16 @@ class Trigraph:
         return work._frozen(), max(self.max_red_degree(), width)
 
     def _thawed(self):
-        """A working copy with its own neighbour sets, which :meth:`_play`
-        and :meth:`_redden` may edit."""
-        return Trigraph(
-            {v: set(s) for v, s in self._black.items()},
-            {v: set(s) for v, s in self._red.items()},
-            self._next_label,
-        )
+        """A working copy of this value, which :meth:`_play` and
+        :meth:`_redden` may edit: it shares this value's frozensets, and a
+        write to a vertex first swaps its frozenset for a private set.  The
+        receiver must be a value, whose sets are all frozen; a working copy
+        is first made one with :meth:`_frozen`."""
+        return Trigraph(dict(self._black), dict(self._red), self._next_label)
 
     def _frozen(self):
-        """A new trigraph value equal to this one, which is left as it was."""
+        """A new trigraph value equal to this one, which is left as it was:
+        the frozensets are shared, and only private sets are frozen."""
         return Trigraph(
             {v: _freeze(s) for v, s in self._black.items()},
             {v: _freeze(s) for v, s in self._red.items()},
@@ -222,7 +239,9 @@ class Trigraph:
         this working copy, as :meth:`replay` describes, and return the largest
         red degree the steps create.  Each step costs only its degrees: a
         black neighbour of the fresh vertex was black to both ends, so only
-        its black set changes, and only a red neighbour's red degree grows."""
+        its black set changes, and only a red neighbour's red degree grows.
+        The merged pair's own sets are only read, and a neighbour's set is
+        made private the first time a step writes to it."""
         black = self._black
         red = self._red
         width = 0
@@ -239,12 +258,18 @@ class Trigraph:
             red_w.discard(v)
             for x in black_w:
                 bx = black[x]
+                if type(bx) is frozenset:
+                    bx = black[x] = set(bx)
                 bx.discard(u)
                 bx.discard(v)
                 bx.add(w)
             for x in red_w:
                 bx = black[x]
+                if type(bx) is frozenset:
+                    bx = black[x] = set(bx)
                 rx = red[x]
+                if type(rx) is frozenset:
+                    rx = red[x] = set(rx)
                 bx.discard(u)
                 bx.discard(v)
                 rx.discard(u)
@@ -264,8 +289,8 @@ class Trigraph:
         """Turn the black edges ``edges`` red on this working copy."""
         for u, v in edges:
             for a, b in ((u, v), (v, u)):
-                self._black[a].remove(b)
-                self._red[a].add(b)
+                _private(self._black, a).remove(b)
+                _private(self._red, a).add(b)
 
     def induce(self, subset):
         """Induced subtrigraph on ``subset``, preserving labels and the counter."""
@@ -307,11 +332,11 @@ class Trigraph:
                 raise IllegalRecolor(
                     f"({u}, {v}): {cur} -> {new} is not a pseudoinduced direction"
                 )
-            red[u].discard(v)
-            red[v].discard(u)
+            _private(red, u).discard(v)
+            _private(red, v).discard(u)
             if new is EdgeColor.BLACK:
-                black[u].add(v)
-                black[v].add(u)
+                _private(black, u).add(v)
+                _private(black, v).add(u)
         return work._frozen()
 
     def is_pseudoinduced_of(self, other):
@@ -334,7 +359,7 @@ class Trigraph:
     def __eq__(self, other):
         if not isinstance(other, Trigraph):
             return NotImplemented
-        return (
+        return self is other or (
             self._next_label == other._next_label
             and self._black == other._black
             and self._red == other._red
@@ -360,6 +385,21 @@ class Trigraph:
                 assert v in self._red and u in self._red[v], "asymmetric red"
             assert u < self._next_label, "label above counter"
         return True
+
+
+def _edges(adj):
+    """The sorted pairs ``(u, v)``, ``u < v``, of one neighbour map; a vertex
+    with no neighbours of that colour costs no sort."""
+    return [(u, v) for u, nbrs in adj.items() if nbrs for v in sorted(nbrs) if u < v]
+
+
+def _private(adj, v):
+    """``v``'s neighbour set in the working map ``adj``, made private first
+    if it is still a shared frozenset."""
+    s = adj[v]
+    if type(s) is frozenset:
+        s = adj[v] = set(s)
+    return s
 
 
 def new_trigraph(n, black_edges=(), red_edges=()) -> Trigraph:

@@ -15,9 +15,12 @@ from twinwidth.cli import (
 )
 from twinwidth.corpus import random_connected_graph
 from twinwidth.errors import (
+    DuplicateEdge,
     GraphSyntaxError,
     HeaderMismatch,
     IndexOutOfRange,
+    SelfLoop,
+    TwinWidthError,
 )
 from twinwidth.sequence import verify
 from twinwidth.solver import SolverConfig
@@ -82,6 +85,42 @@ class TestGraphFiles:
             parse_graph("")
         with pytest.raises(GraphSyntaxError):
             parse_graph("p tww 2 1\n1 x\n")
+
+    # the parser reads the text once and checks each edge as it comes, so a
+    # text with two faults reports the first in file order
+    @pytest.mark.parametrize(
+        "text, error, message, line",
+        [
+            (
+                "p tww 3 3\n1 2\n2 1\n2 x\n",
+                DuplicateEdge,
+                "edge (0, 1) listed twice or in both colors",
+                None,
+            ),
+            ("p tww 3 1\n2 2\n", SelfLoop, "self-loop at 1", None),
+            (
+                "p tww 3 2\n1 2\n2 1 r\n",
+                DuplicateEdge,
+                "edge (0, 1) listed twice or in both colors",
+                None,
+            ),
+            (
+                "p tww 3 3\n1 2\n1 2\n",
+                DuplicateEdge,
+                "edge (0, 1) listed twice or in both colors",
+                None,
+            ),
+            ("p tww 3 1\n1 4\n", IndexOutOfRange, "line 2: endpoint outside 1..3", 2),
+        ],
+        ids=["duplicate-then-bad-line", "self-loop", "black-red-duplicate",
+             "duplicate-and-count", "endpoint-out-of-range"],
+    )
+    def test_parse_error_reported(self, text, error, message, line):
+        with pytest.raises(TwinWidthError) as exc:
+            parse_graph(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert getattr(exc.value, "line", None) == line
 
 
 class TestSequenceFiles:

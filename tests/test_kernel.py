@@ -165,6 +165,33 @@ class TestShorten:
             assert pairs == shorten_oracle(a, target, 40) + shorten_oracle(b, target, first_b)
 
 
+def count_scans(monkeypatch):
+    """The list each component scan appends ``(kind, n)`` to, ``kind`` being
+    ``forest`` for the BFS forest (feedback edges and plain components) and
+    ``components`` for the two-colour component search."""
+    from twinwidth import sequence as sequence_module
+    from twinwidth import structure as structure_module
+    from twinwidth import trigraph as trigraph_module
+
+    calls = []
+    real_forest = structure_module.spanning_forest
+    real_components = trigraph_module.connected_components
+
+    def forest(g, *args, **kwargs):
+        calls.append(("forest", g.n))
+        return real_forest(g, *args, **kwargs)
+
+    def components(g):
+        calls.append(("components", g.n))
+        return real_components(g)
+
+    for module in (structure_module, kernel_module):
+        monkeypatch.setattr(module, "spanning_forest", forest)
+    for module in (trigraph_module, kernel_module, sequence_module):
+        monkeypatch.setattr(module, "connected_components", components)
+    return calls
+
+
 class TestValues:
     @staticmethod
     def frozen(g):
@@ -191,18 +218,29 @@ class TestValues:
         assert all(self.frozen(h) for h in made)
 
     def test_freezing_and_forking_leave_the_runner_as_it_was(self):
-        run = _Reduction(make_fig3(), _Search(CFG))
+        g = make_fig3()
+        run = _Reduction(g, _Search(CFG))
         run._play([(24, 25)])
         work = run.work
         black, red = work.adjacency()
         held = {v: (black[v], red[v]) for v in work.vertices}
         value = work._frozen()
         twin = run.fork()
-        assert all(
-            black[v] is b and red[v] is r and type(b) is type(r) is set
-            for v, (b, r) in held.items()
-        )
-        # the fork plays on its own sets
+        # neither swaps a set of the runner, private or shared
+        assert all(black[v] is b and red[v] is r for v, (b, r) in held.items())
+        # the step wrote only the black sets of the pair's neighbours and the
+        # red sets of the fresh vertex's red neighbours; every other set is
+        # still the input's frozenset
+        touched = (g.neighbors(24) | g.neighbors(25)) - {24, 25}
+        gb, gr = g.adjacency()
+        fresh = g.next_label
+        for v in work.vertices:
+            if v != fresh:
+                assert (black[v] is not gb[v]) == (type(black[v]) is set) == (v in touched)
+                assert (red[v] is not gr[v]) == (type(red[v]) is set) == (v in red[fresh])
+        # the fork shares no mutable set with the runner, and plays on its own
+        tb, tr = twin.work.adjacency()
+        assert all(type(tb[v]) is type(tr[v]) is frozenset for v in work.vertices)
         twin._play([(26, 27)])
         assert work == value and twin.work != value
 
@@ -402,25 +440,16 @@ class TestSolve:
         assert [e["rule"] for e in traces[0]].count("decomposed") == 1
 
     def test_feedback_edge_set_not_recomputed_by_prune(self, monkeypatch):
-        from twinwidth import reduce as reduce_module
-
-        calls = []
-        real = kernel_module.feedback_edge_set
-
-        def counting(g, **kwargs):
-            calls.append(g.n)
-            return real(g, **kwargs)
-
-        for module in (kernel_module, reduce_module):
-            monkeypatch.setattr(module, "feedback_edge_set", counting)
-        # fen 2: solve computes the set once and prune reuses it
+        calls = count_scans(monkeypatch)
+        # fen 2: solve scans once, for components and feedback edges, and
+        # prune reuses the set
         with pytest.raises(BudgetExceeded):
             solve(random_connected_graph(120, 2, random.Random(10)))
-        assert calls == [120]
+        assert calls == [("forest", 120)]
         # fen 1: the feedback-edge-one walk reuses the set as well
         calls.clear()
         solve(random_connected_graph(60, 1, random.Random(3)))
-        assert calls == [60]
+        assert calls == [("forest", 60)]
 
     @pytest.mark.parametrize("k, expected", [(6, {(0, 16): 1, (1, 16): 1}), (1, {(0, 16): 1})])
     def test_up_front_decision_runs_once(self, decide_calls, k, expected):
@@ -580,25 +609,24 @@ class TestSolve:
     @pytest.mark.parametrize("k", [1, 2])
     def test_connectivity_checked_once(self, monkeypatch, k):
         # solve finds the components; no stage asks again, the dangling-tree
-        # search included
-        from twinwidth import sequence as sequence_module
-        from twinwidth import trigraph as trigraph_module
-
-        calls = []
-        real_components = trigraph_module.connected_components
-
-        def counting(g):
-            calls.append(g.n)
-            return real_components(g)
-
-        for module in (trigraph_module, kernel_module, sequence_module):
-            monkeypatch.setattr(module, "connected_components", counting)
+        # search and the verifier included
+        calls = count_scans(monkeypatch)
         g = random_connected_graph(60, k, random.Random(3))
         try:
             solve(g)
         except BudgetExceeded:
             pass
-        assert calls == [60]
+        assert calls == [("forest", 60)]
+        # a union's components share that one scan, and only the check that
+        # its spliced sequence is full counts them again; a red edge joins
+        # components too, so a trigraph input is split by both colours
+        calls.clear()
+        union = new_trigraph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 8)])
+        solve(union)
+        assert calls == [("forest", 9), ("components", 9)]
+        calls.clear()
+        solve(new_trigraph(4, [(0, 1)], [(1, 2), (2, 3)]))
+        assert calls == [("components", 4)]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_two_core_computed_once(self, monkeypatch, k):

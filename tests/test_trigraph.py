@@ -328,3 +328,66 @@ class TestInduceRecolor:
     def test_max_red_degree_empty(self):
         assert new_trigraph(1).max_red_degree() == 0
         assert new_trigraph(0).max_red_degree() == 0
+
+
+class TestCopyOnWrite:
+    """A working copy shares its value's frozensets until it writes, and a
+    write swaps in a private set: no write ever reaches the value, nor one
+    working copy's write another's."""
+
+    @staticmethod
+    def held(g):
+        black, red = g.adjacency()
+        return {v: (black[v], red[v], set(black[v]), set(red[v])) for v in black}
+
+    @staticmethod
+    def unchanged(g, held):
+        black, red = g.adjacency()
+        return black.keys() == held.keys() and all(
+            black[v] is b and red[v] is r and b == bs and r == rs
+            for v, (b, r, bs, rs) in held.items()
+        )
+
+    @staticmethod
+    def draw_pairs(data, g, live):
+        live = list(live)
+        steps = data.draw(stst.integers(min_value=0, max_value=len(live) - 1))
+        pairs = []
+        for nxt in range(g.next_label, g.next_label + steps):
+            u, v = data.draw(stst.permutations(live).map(lambda p: p[:2]))
+            pairs.append((u, v))
+            live = [x for x in live if x not in (u, v)] + [nxt]
+        return pairs
+
+    @settings(max_examples=300, derandomize=True)
+    @given(trigraphs(max_n=8), stst.data())
+    def test_writes_never_reach_the_value(self, g, data):
+        from twinwidth.reduce import _Reduction
+        from twinwidth.solver import _Search
+
+        value = self.held(g)
+        g.replay(self.draw_pairs(data, g, g.vertices))
+        changes = {
+            e: data.draw(stst.sampled_from((EdgeColor.BLACK, None)))
+            for e in g.red_edges()
+            if data.draw(stst.booleans())
+        }
+        g.recolor(changes)
+        assert self.unchanged(g, value)
+        # the runner plays and reddens on its working copy, then forks; the
+        # fork and the runner then each write on their own
+        run = _Reduction(g, _Search())
+        run._play(self.draw_pairs(data, run.work, run.work.vertices))
+        reddened = run.work.black_edges()[: data.draw(stst.integers(0, 2))]
+        run.work._redden(reddened)
+        assert self.unchanged(g, value)
+        runner = self.held(run.work)
+        twin = run.fork()
+        twin._play(self.draw_pairs(data, twin.work, twin.work.vertices))
+        twin.work._redden(twin.work.black_edges()[:1])
+        assert self.unchanged(run.work, runner)
+        forked = self.held(twin.work)
+        run._play(self.draw_pairs(data, run.work, run.work.vertices))
+        run.work._redden(run.work.black_edges()[:1])
+        assert self.unchanged(twin.work, forked)
+        assert self.unchanged(g, value)

@@ -20,13 +20,17 @@ disjoint unions of consecutive criterion-9 graphs (set
 the status of a disconnected input is checked too; and stump-heavy owners
 (set ``stump-owners``): a C5 whose vertex 0 owns up to 200 dangling trees, so
 that prune merges one owner's stumps in a long chain, also solved with the
-defaults.  Uses only the standard
-library and the ``src/`` and ``twbench/`` trees next to this script.
+defaults.  The last set, ``parse-errors``, solves nothing: each line hashes
+the error class, message and line number that ``cli.parse_graph`` raises on
+one of a fixed list of malformed PACE texts, so that a parser change is
+diffed the same way.  Uses only the standard library and the ``src/`` and
+``twbench/`` trees next to this script.
 
 For a change that may alter answers on purpose, ``--summary`` prints
 ``<set> <instance> <width> <status> <miss kind>`` instead of the hash:
 ``<width> <status> -`` for an answer and ``- - <kind>`` for a budget miss,
-so a diff shows which widths and statuses moved and which misses remain.
+so a diff shows which widths and statuses moved and which misses remain;
+a ``parse-errors`` line reads ``<error class> <line or None>``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "twbench")]
 
 from twinwidth import cli, corpus, kernel, solver  # noqa: E402
-from twinwidth.errors import BudgetExceeded  # noqa: E402
+from twinwidth.errors import BudgetExceeded, TwinWidthError  # noqa: E402
 from twinwidth.trigraph import new_trigraph  # noqa: E402
 
 import workloads  # noqa: E402
@@ -92,6 +96,45 @@ def disjoint_union(g, h):
     return new_trigraph(shift + h.next_label, g.black_edges() + edges)
 
 
+# malformed PACE texts, each faulty in a way parse_graph checks; some hold
+# two faults, so that the line shows which one is reported first
+MALFORMED = {
+    "empty": "",
+    "no-header": "c only a comment\n",
+    "edge-before-header": "1 2\np tww 2 1\n",
+    "bad-header": "p tw 2 1\n1 2\n",
+    "header-count-sign": "p tww 2 -1\n",
+    "second-header": "p tww 2 1\np tww 2 1\n1 2\n",
+    "bad-token": "p tww 3 1\n1 x\n",
+    "three-tokens": "p tww 3 1\n1 2 b\n",
+    "one-token": "p tww 3 1\n1\n",
+    "endpoint-zero": "p tww 3 1\n0 2\n",
+    "endpoint-above-n": "p tww 3 1\n1 4\n",
+    "self-loop": "p tww 3 1\n2 2\n",
+    "red-self-loop": "p tww 3 2\n1 2\n3 3 r\n",
+    "duplicate": "p tww 3 2\n1 2\n2 1\n",
+    "black-red-duplicate": "p tww 3 2\n1 2\n2 1 r\n",
+    "red-black-duplicate": "p tww 3 2\n1 2 r\n1 2\n",
+    "count-low": "p tww 3 3\n1 2\n2 3\n",
+    "count-high": "p tww 3 1\n1 2\n2 3\n",
+    "duplicate-then-bad-line": "p tww 3 3\n1 2\n2 1\n2 x\n",
+    "duplicate-and-count": "p tww 3 3\n1 2\n1 2\n",
+    "self-loop-then-range": "p tww 3 2\n1 1\n1 5\n",
+    "red-loop-then-black-duplicate": "p tww 3 3\n2 2 r\n1 2\n2 1\n",
+}
+
+
+def parse_error(text):
+    """``<error class>\n<message>\n<line>`` for the error ``parse_graph``
+    raises on ``text`` (the line is None where the error names none), or
+    ``parsed`` if it raises none."""
+    try:
+        cli.parse_graph(text)
+    except TwinWidthError as exc:
+        return f"{type(exc).__name__}\n{exc}\n{getattr(exc, 'line', None)}"
+    return "parsed"
+
+
 def digest(g, outcome):
     """SHA-256 of an answer's sequence text and report, or of a miss."""
     if isinstance(outcome, BudgetExceeded):
@@ -138,7 +181,8 @@ def main(argv=None):
         action="store_true",
         help="print width, status and miss kind instead of a hash",
     )
-    line = summary if parser.parse_args(argv).summary else digest
+    summary_only = parser.parse_args(argv).summary
+    line = summary if summary_only else digest
     for set_name, name, text, policy, config in instances():
         g = cli.parse_graph(text)
         try:
@@ -146,6 +190,13 @@ def main(argv=None):
         except BudgetExceeded as exc:
             outcome = exc
         print(set_name, name, line(g, outcome))
+    for name, text in MALFORMED.items():
+        error = parse_error(text)
+        if summary_only:
+            shown = " ".join(error.split("\n")[::2])
+        else:
+            shown = hashlib.sha256(error.encode()).hexdigest()
+        print("parse-errors", name, shown)
 
 
 if __name__ == "__main__":
