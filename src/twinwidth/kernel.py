@@ -34,7 +34,7 @@ from .errors import Disconnected
 from .reduce import _Reduction, _fen1, _prune, _tidy
 from .sequence import ContractionSequence, Emitter, Lift, verify
 from .solver import DEFAULT_CONFIG, SolverConfig, _Search
-from .structure import HPGraph, spanning_forest
+from .structure import HPGraph, feedback_edge_set, spanning_forest
 from .trigraph import Trigraph, connected_components
 
 
@@ -242,7 +242,7 @@ def _status(lower: int, width: int, within_one: bool) -> str:
 
 def _solve_connected(g: Trigraph, policy, search: _Search, report: dict, fes):
     """Solve the connected ``g``, whose feedback edge set is ``fes`` (None if
-    ``g`` has red edges), into ``report``, its status included; returns the
+    not yet known), into ``report``, its status included; returns the
     sequence, its verified width and ``g``'s lower bound."""
     seq, lower, plus_one = _pipeline(g, policy, search, report, fes)
     width = verify(g, seq)
@@ -253,7 +253,9 @@ def _solve_connected(g: Trigraph, policy, search: _Search, report: dict, fes):
 def _pipeline(g: Trigraph, policy, search: _Search, report: dict, fes):
     """A sequence of the connected ``g``, a lower bound on its twin-width, and
     whether the sequence is within one of optimal by the theory floor; ``fes``
-    is ``g``'s feedback edge set, unused when ``g`` has red edges."""
+    is ``g``'s feedback edge set, or None if not yet known (a component of a
+    trigraph input, which was split by both colours), and is unused when
+    ``g`` has red edges."""
     trace = report.setdefault("rules", [])
     if g.has_red():
         # trigraph inputs (e.g. emitted kernels) skip the reduction pipeline,
@@ -263,7 +265,10 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, fes):
         trace.append({"rule": "exact_trigraph", "width": result.width})
         return result.sequence, result.width if result.optimal else 0, False
     # one runner plays every stage; ``g`` is connected, and ``solve`` found
-    # its feedback edge set in the same scan as its components
+    # its feedback edge set in the same scan as its components unless the
+    # input had red edges elsewhere
+    if fes is None:
+        fes = feedback_edge_set(g)
     run = _Reduction(g, search, fes, trace)
     report["k"] = len(run.fes)
     run.decide()

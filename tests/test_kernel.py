@@ -628,6 +628,16 @@ class TestSolve:
         solve(new_trigraph(4, [(0, 1)], [(1, 2), (2, 3)]))
         assert calls == [("components", 4)]
 
+    def test_trigraph_input_with_a_plain_component(self, monkeypatch):
+        # a trigraph input is split by both colours, so a component without
+        # red edges gets its feedback edge set from its own scan
+        calls = count_scans(monkeypatch)
+        seq, report = solve(new_trigraph(4, [(0, 1)], [(2, 3)]))
+        assert calls == [("components", 4), ("forest", 2), ("components", 4)]
+        assert (report["width"], report["status"]) == (1, "optimal")
+        assert report["components"] == 2
+        assert verify(seq.base, seq) == 1
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_two_core_computed_once(self, monkeypatch, k):
         # the runner takes the input's 2-core once, for the witness search
