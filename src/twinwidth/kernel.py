@@ -34,7 +34,7 @@ from .errors import Disconnected
 from .reduce import _Reduction, _fen1, _prune, _tidy
 from .sequence import ContractionSequence, Emitter, Lift, verify
 from .solver import DEFAULT_CONFIG, SolverConfig, _Search
-from .structure import HPGraph, feedback_edge_set, spanning_forest
+from .structure import HPGraph, spanning_forest
 from .trigraph import Trigraph, connected_components
 
 
@@ -153,7 +153,7 @@ def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
     forest = spanning_forest(g)
     if len(forest) > 1:
         raise Disconnected("kernelization expects a connected graph")
-    run = _Reduction(g, _Search(config), forest[0][1] if forest else (), trace)
+    run = _Reduction(g, _Search(config), forest[0] if forest else None, trace)
     run.decide()
     if run.solved is not None or (hp := _prune(run)) is None:
         return KernelOutcome(solved=run.solved, meta={"k": len(run.fes)})
@@ -240,22 +240,22 @@ def _status(lower: int, width: int, within_one: bool) -> str:
     return "optimal" if lower >= width else "plus_one" if within_one else "upper_bound"
 
 
-def _solve_connected(g: Trigraph, policy, search: _Search, report: dict, fes):
-    """Solve the connected ``g``, whose feedback edge set is ``fes`` (None if
-    not yet known), into ``report``, its status included; returns the
-    sequence, its verified width and ``g``'s lower bound."""
-    seq, lower, plus_one = _pipeline(g, policy, search, report, fes)
+def _solve_connected(g: Trigraph, policy, search: _Search, report: dict, scan):
+    """Solve the connected ``g``, whose scan is ``scan`` (None if not yet
+    made), into ``report``, its status included; returns the sequence, its
+    verified width and ``g``'s lower bound."""
+    seq, lower, plus_one = _pipeline(g, policy, search, report, scan)
     width = verify(g, seq)
     report["status"] = _status(lower, width, plus_one)
     return seq, width, lower
 
 
-def _pipeline(g: Trigraph, policy, search: _Search, report: dict, fes):
+def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     """A sequence of the connected ``g``, a lower bound on its twin-width, and
-    whether the sequence is within one of optimal by the theory floor; ``fes``
-    is ``g``'s feedback edge set, or None if not yet known (a component of a
-    trigraph input, which was split by both colours), and is unused when
-    ``g`` has red edges."""
+    whether the sequence is within one of optimal by the theory floor;
+    ``scan`` is ``g``'s :class:`~twinwidth.structure.ComponentScan`, or None
+    if not yet made (a component of a trigraph input, which was split by both
+    colours), and is unused when ``g`` has red edges."""
     trace = report.setdefault("rules", [])
     if g.has_red():
         # trigraph inputs (e.g. emitted kernels) skip the reduction pipeline,
@@ -264,12 +264,12 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, fes):
         result = search.optimal(g)
         trace.append({"rule": "exact_trigraph", "width": result.width})
         return result.sequence, result.width if result.optimal else 0, False
-    # one runner plays every stage; ``g`` is connected, and ``solve`` found
-    # its feedback edge set in the same scan as its components unless the
-    # input had red edges elsewhere
-    if fes is None:
-        fes = feedback_edge_set(g)
-    run = _Reduction(g, search, fes, trace)
+    # one runner plays every stage; ``g`` is connected, and ``solve`` made
+    # its scan, which yields its feedback edges, 2-core and dangling trees,
+    # with its components unless the input had red edges elsewhere
+    if scan is None:
+        scan = next(iter(spanning_forest(g)), None)
+    run = _Reduction(g, search, scan, trace)
     report["k"] = len(run.fes)
     run.decide()
     if run.lower >= 2:
@@ -320,21 +320,22 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     search = _Search(config)
     if g.has_red():
         # a red edge joins a component too, which the black forest misses
-        forest = [(comp, None) for comp in connected_components(g)]
+        comps = connected_components(g)
+        scans = [None] * len(comps)
     else:
-        forest = spanning_forest(g)
-    if len(forest) <= 1:
-        fes = forest[0][1] if forest else ()
-        seq, report["width"], _ = _solve_connected(g, policy, search, report, fes)
+        scans = spanning_forest(g)
+        comps = [scan.order for scan in scans]
+    if len(comps) <= 1:
+        scan = scans[0] if scans else None
+        seq, report["width"], _ = _solve_connected(g, policy, search, report, scan)
         return seq, report
-    report["components"] = len(forest)
+    report["components"] = len(comps)
     all_pairs = []
     statuses = []
     lowers = []
-    comps, fess = zip(*forest)
-    for sub, fes in zip(g.split(comps), fess):
+    for sub, scan in zip(g.split(comps), scans):
         sub_report = {"n": sub.n, "policy": report["policy"]}
-        seq, _, lower = _solve_connected(sub, policy, search, sub_report, fes)
+        seq, _, lower = _solve_connected(sub, policy, search, sub_report, scan)
         all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))
         statuses.append(sub_report["status"])
         lowers.append(lower)

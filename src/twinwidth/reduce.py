@@ -21,9 +21,11 @@ decomposition), ``_tidy``, and then either the feedback-edge-one walk
 body; a :class:`~twinwidth.sequence.Lift` is built only where one is
 returned.
 The rules contract only tree vertices, so the input is looked at once: the
-runner's one 2-core serves the up-front check's induced-cycle witness, the
-dangling-tree search and the decomposition, and only the trees' owners are
-asked for their stumps.
+runner holds the input's one forest scan
+(:class:`~twinwidth.structure.ComponentScan`), whose 2-core serves the
+up-front check's induced-cycle witness and the decomposition, whose
+dangling trees prune cuts, folding each along the scan's child lists, and
+only the trees' owners are asked for their stumps.
 
 Only the up-front check bounds the input's twin-width from below, by proofs
 about the input: an induced cycle of five or more vertices, the width-0/1
@@ -62,15 +64,13 @@ from .structure import (
     StumpKind,
     StumpSet,
     TIDY,
-    _dangling_trees,
     _stump_owner,
-    feedback_edge_set,
     induced_cycle,
     induced_p4,
     induced_spider,
     red_stump_count,
+    spanning_forest,
     stumps_at,
-    two_core,
     validate_hp,
 )
 from .trigraph import EdgeColor, Trigraph, is_connected
@@ -93,46 +93,56 @@ class RuleOutcome:
 # -- tree contraction ----------------------------------------------------------
 
 
-def _fold(g: Trigraph, root, pairs: Emitter, allowed=None):
-    """Contract everything strictly below ``root`` in the black tree it
-    reaches, within ``allowed`` if given, into a single vertex, emitting the
-    pairs into ``pairs``.
+def _fold(kids, root, pairs: Emitter):
+    """Contract everything below ``root`` in the tree that the child lists
+    ``kids`` (a scan's, vertex -> children in label order) hang from it into
+    a single vertex, emitting the pairs into ``pairs``.
 
-    One depth-first walk takes each vertex's black neighbours in label order
-    and merges a subtree's remnant into its parent's as the subtree returns,
-    so siblings' remnants are merged as soon as both exist, which keeps every
-    red degree at 2 or below.  Returns ``(remnant, reached)``: the label of
-    the final merged child (None if the root is a leaf) and the vertices
-    reached.
+    One depth-first walk takes each vertex's children in order and merges a
+    subtree's remnant into its parent's as the subtree returns, so siblings'
+    remnants are merged as soon as both exist, which keeps every red degree
+    at 2 or below; a leaf is its own remnant.  Returns ``(remnant,
+    reached)``: the label of the final merged child (None if the root is a
+    leaf) and the vertices reached, in walk order.
     """
-    black = g.adjacency()[0]
-    reached = {root}
-    # the root's query checks that it is live; the walk reads the map
-    frames = [[root, iter(sorted(g.black_neighbors(root))), None]]
+    reached = [root]
+    frames = [[root, iter(kids.get(root, ())), None]]
     while True:
-        for u in frames[-1][1]:
-            if u not in reached and (allowed is None or u in allowed):
-                reached.add(u)
-                frames.append([u, iter(sorted(black[u])), None])
+        top = frames[-1]
+        for u in top[1]:
+            reached.append(u)
+            if below := kids.get(u):
+                frames.append([u, iter(below), None])
                 break
+            top[2] = u if top[2] is None else pairs.emit(top[2], u)
         else:
             v, _, acc = frames.pop()
             if not frames:
                 return acc, reached
             remnant = v if acc is None else pairs.emit(acc, v)
-            parent = frames[-1]
-            parent[2] = remnant if parent[2] is None else pairs.emit(parent[2], remnant)
+            top = frames[-1]
+            top[2] = remnant if top[2] is None else pairs.emit(top[2], remnant)
 
 
 def tree_sequence(t: Trigraph, root) -> ContractionSequence:
     """Full width<=2 sequence of a black tree where the root is touched only
-    by the very last contraction."""
-    pairs = Emitter(t.next_label)
-    acc, reached = _fold(t, root, pairs)
+    by the very last contraction: the tree's scan, rerooted at ``root``,
+    folded."""
+    t._require_live(root)
     if t.has_red():
         raise NotATree("tree contraction expects a black trigraph")
-    if len(reached) != t.n or t.black_edge_count() != t.n - 1:
+    forest = spanning_forest(t)
+    if len(forest) > 1 or forest[0].fes:
         raise NotATree("input is not a connected acyclic black graph")
+    forest[0].reroot(root)
+    return _tree_sequence(t, forest[0].kids, root)
+
+
+def _tree_sequence(t: Trigraph, kids, root) -> ContractionSequence:
+    """The body of :func:`tree_sequence`, on the child lists ``kids`` of
+    ``t`` rooted at ``root``."""
+    pairs = Emitter(t.next_label)
+    acc, _ = _fold(kids, root, pairs)
     if acc is not None:
         pairs.emit(root, acc)
     return ContractionSequence.build(t, pairs)
@@ -145,6 +155,12 @@ def _is_star_at_root(g: Trigraph, tree) -> bool:
     return all(g.degree(x) == 1 and v in g.black_neighbors(x) for x in tree.vertices if x != v)
 
 
+def _reaches(reached, tree) -> bool:
+    """Whether a fold of ``tree`` reached exactly its vertices: ``reached``
+    lists each vertex once."""
+    return len(reached) == len(tree.vertices) and tree.vertices.issuperset(reached)
+
+
 # -- individual rules -------------------------------------------------------------
 
 
@@ -152,10 +168,13 @@ class _Reduction:
     """The runner of one solve: plays every stage's pairs on a working copy
     of ``g`` into one prefix, with one lift flag.
 
-    ``search`` is the solve's exact search (``solver._Search``), ``fes`` the
-    input's feedback edge set, computed once by the caller, ``core`` the
-    input's 2-core, computed once here when ``fes`` is given, and ``trace``
-    the list the stages append their rule events to.
+    ``search`` is the solve's exact search (``solver._Search``), ``scan``
+    the input's :class:`~twinwidth.structure.ComponentScan`, made once by
+    the caller (None for a runner of one public rule), ``fes`` and ``core``
+    the input's feedback edge set and 2-core, read off the scan, and
+    ``trace`` the list the stages append their rule events to.  ``_prune``
+    takes the dangling trees from the scan and folds them along its child
+    lists, dropping the scan's maps as it goes.
     ``_decide`` makes every width decision, and a sequence found becomes
     ``solved``.  ``decide``, the up-front width-0/1 check of ``g`` made once
     before the first stage, alone sets ``lower``, ``g``'s lower bound.
@@ -173,12 +192,13 @@ class _Reduction:
     no red edge.
     """
 
-    def __init__(self, g: Trigraph, search: _Search, fes=None, trace=None):
+    def __init__(self, g: Trigraph, search: _Search, scan=None, trace=None):
         self.g = g
         self.work = g._thawed()
         self.search = search
-        self.fes = fes
-        self.core = two_core(g) if fes else frozenset()
+        self.scan = scan
+        self.fes = scan.fes if scan is not None else ()
+        self.core = scan.core() if self.fes else frozenset()
         self.trace = [] if trace is None else trace
         self.prefix = []
         self.at_least_two = False
@@ -255,13 +275,27 @@ class _Reduction:
         cur = self.work._frozen()
         return RuleOutcome(instance=cur, lift=self.lift(cur))
 
+    def _kids(self, tree):
+        """Child lists under which ``tree`` hangs from its bridge: the
+        solve's scan, whose trees hang from the core already, or else a scan
+        of the working trigraph rerooted at the bridge's core vertex."""
+        if self.scan is not None:
+            return self.scan.kids
+        u, v = tree.bridge
+        self.work._require_live(v)
+        for scan in spanning_forest(self.work, walk_red=True):
+            if u in scan.parent:
+                scan.reroot(u)
+                return scan.kids
+        return {}
+
     def reduce_star(self, tree):
         g = self.work
         pairs = Emitter(g.next_label)
-        _fold(g, tree.bridge[1], pairs, tree.vertices)
+        _, reached = _fold(self._kids(tree), tree.bridge[1], pairs)
         if len(tree.vertices) < 3:
             raise NotAStar("star must have at least two leaves beyond its center")
-        if not (tree.all_black and _is_star_at_root(g, tree)):
+        if not (tree.all_black and _is_star_at_root(g, tree) and _reaches(reached, tree)):
             raise NotAStar("star leaves must be black pendants of its center")
         return self._play(pairs)
 
@@ -269,10 +303,10 @@ class _Reduction:
         g = self.work
         u, v = tree.bridge
         pairs = Emitter(g.next_label)
-        acc, reached = _fold(g, v, pairs, tree.vertices)
+        acc, reached = _fold(self._kids(tree), v, pairs)
         if not tree.all_black:
             raise PreconditionViolated("dangling tree must be black")
-        if reached != tree.vertices:
+        if not _reaches(reached, tree):
             raise PreconditionViolated("tree vertices are not a dangling black tree")
         if _is_star_at_root(g, tree):
             raise PreconditionViolated("tree has no vertex at distance 2 from its root")
@@ -498,19 +532,26 @@ def _component_paths(g: Trigraph, core, hubs):
 
 
 def _prune(run: _Reduction, observer=None) -> HPGraph | None:
-    """The body of :func:`prune` on an unsolved runner that has played nothing.
+    """The body of :func:`prune` on an unsolved runner that has played nothing
+    and holds the input's scan.
 
     Returns the decomposition, whose trigraph is the runner's working
-    trigraph, or None with ``run.solved`` set.
+    trigraph, or None with ``run.solved`` set.  The trees and their folds
+    come from the scan, and each of its maps is dropped once it has been
+    read for the last time: the parent map once the trees are found, the
+    child lists once they are cut.
     """
     note = run.trace.append
     g = run.work
+    scan = run.scan
     fes = run.fes
     k = len(fes)
     if k == 0:
-        root = min(g.vertices)
+        # the scan's root is the smallest label
+        root = scan.order[0]
         note({"rule": "tree_input", "root": root})
-        run.solved = tree_sequence(run.g, root)
+        run.solved = _tree_sequence(run.g, scan.kids, root)
+        scan.parent = scan.kids = None
         return None
 
     def apply(rule, site, *args):
@@ -525,13 +566,17 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
         return solved
 
     core = run.core
-    found = _dangling_trees(g, core)
+    found = scan.trees(core)
+    scan.parent = None
     # stars first, then deeper trees; a tree of at most 2 vertices is a stump
     cuts = [(_is_star_at_root(g, c), c) for c in found if len(c.vertices) > 2]
     for star, chunk in sorted(cuts, key=lambda cut: not cut[0]):
         rule = _Reduction.reduce_star if star else _Reduction.reduce_tree
         if apply(rule, chunk.bridge[0], chunk):
-            return None
+            break
+    scan.kids = None
+    if run.solved is not None:
+        return None
 
     # Every owner is a tree's core vertex and keeps degree >= 3, and a merge
     # on u contracts only u's stump vertices, so no other owner's stumps
@@ -575,6 +620,18 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
     return hp
 
 
+def _connected_forest(g: Trigraph, message):
+    """The one scan of a public entry point: ``g``'s black BFS forest, which
+    is one component's scan or none.  Raises :class:`Disconnected` with
+    ``message`` unless ``g`` is connected; a red edge joins black components
+    too, so only a trigraph whose black relation is split is searched
+    again, by both colours."""
+    forest = spanning_forest(g, ignore_red=True)
+    if len(forest) > 1 and not (g.has_red() and is_connected(g)):
+        raise Disconnected(message)
+    return forest
+
+
 def prune(
     g: Trigraph,
     config: SolverConfig = DEFAULT_CONFIG,
@@ -591,11 +648,10 @@ def prune(
     pseudo-paths.  The up-front width-0/1 decision runs first, within the
     vertex budget.
     """
-    if not is_connected(g):
-        raise Disconnected("pruning expects a connected graph")
+    forest = _connected_forest(g, "pruning expects a connected graph")
     if g.has_red():
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
-    run = _Reduction(g, _Search(config), feedback_edge_set(g), trace)
+    run = _Reduction(g, _Search(config), forest[0] if forest else None, trace)
     run.decide()
     if run.solved is None and (hp := _prune(run, observer)) is not None:
         hp.g = run.work._frozen()
@@ -604,18 +660,6 @@ def prune(
 
 
 # -- feedback edge number one ---------------------------------------------------------
-
-
-def _cycle_order(g: Trigraph, cycle):
-    start = min(cycle)
-    nbrs = sorted(u for u in g.neighbors(start) if u in cycle)
-    order = [start, nbrs[0]]
-    while len(order) < len(cycle):
-        prev, curv = order[-2], order[-1]
-        nxt = [u for u in g.neighbors(curv) if u in cycle and u != prev]
-        assert len(nxt) == 1, "not a simple cycle"
-        order.append(nxt[0])
-    return order
 
 
 def _fen1(run: _Reduction) -> ContractionSequence:
@@ -627,15 +671,24 @@ def _fen1(run: _Reduction) -> ContractionSequence:
     if hp is None:
         return run.solved
     cyc_g = _tidy(run, hp).g
-    cycle = two_core(cyc_g)
-    assert cycle, "feedback edge number 1 leaves a cycle"
+    # the input's one feedback edge ab lies on the cycle, and no rule
+    # contracts its ends, the hubs: walk the cycle from b away from a, past
+    # each vertex's stumps
+    a, b = run.fes[0]
+    stumps = {}
+    prev, v = a, b
+    while v not in stumps:
+        owned = stumps[v] = stumps_at(cyc_g, v)
+        (nxt,) = cyc_g.neighbors(v) - {prev}.union(*(s.vertices for s in owned))
+        prev, v = v, nxt
     pairs = Emitter(cyc_g.next_label)
-    pendant = {}
-    for v in sorted(cycle):
-        stumps = stumps_at(cyc_g, v)
-        if stumps:
-            pendant[v] = _stump_remnant(stumps, pairs.emit)
-    order = _cycle_order(cyc_g, cycle)
+    pendant = {v: _stump_remnant(stumps[v], pairs.emit) for v in sorted(stumps) if stumps[v]}
+    # start at the smallest label, towards its smaller neighbour
+    order = list(stumps)
+    i = order.index(min(order))
+    order = order[i:] + order[:i]
+    if order[-1] < order[1]:
+        order[1:] = order[:0:-1]
     walker = order[0]
     if order[0] in pendant:
         walker = pairs.emit(pendant[order[0]], order[0])
@@ -651,13 +704,11 @@ def fen1_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> Contrac
     edge: prune and tidy down to a single cycle with stumps, merge each
     vertex's stumps into one pendant, then fold pendants and cycle with a
     walker that sweeps around once."""
-    if not is_connected(g):
-        raise Disconnected("expected a connected graph")
-    fes = feedback_edge_set(g, ignore_red=True)
-    if len(fes) > 1:
-        raise FenTooLarge(f"feedback edge number {len(fes)} > 1")
+    forest = _connected_forest(g, "expected a connected graph")
+    if (k := sum(len(scan.fes) for scan in forest)) > 1:
+        raise FenTooLarge(f"feedback edge number {k} > 1")
     if g.has_red():
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
-    run = _Reduction(g, _Search(config), fes)
+    run = _Reduction(g, _Search(config), forest[0] if forest else None)
     run.decide()
     return _fen1(run) if run.solved is None else run.solved

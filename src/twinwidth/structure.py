@@ -1,5 +1,13 @@
-"""Structural analysis: feedback edges, bridges, dangling trees and paths,
-stump recognition, and the core/path decomposition bookkeeping.
+"""Structural analysis: the one forest scan, feedback edges, bridges,
+dangling trees and paths, stump recognition, and the core/path decomposition
+bookkeeping.
+
+One label-ordered BFS (:func:`spanning_forest`) gives each component its
+feedback edges and keeps every vertex's parent and children in label order
+(:class:`ComponentScan`).  Two sweeps over that tree yield the 2-core, the
+least subtree that spans every feedback edge's ends, and the dangling trees,
+the non-core vertices grouped under the core vertex they hang from; the
+reduction rules fold each tree along the same child lists.
 
 A stump is the 1- or 2-vertex remnant left behind when a dangling tree is cut
 down: a half stump is a pendant vertex behind a black edge, a black (red)
@@ -11,6 +19,7 @@ stumps.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
@@ -27,45 +36,155 @@ def feedback_edge_set(g: Trigraph, ignore_red=False) -> tuple[tuple[int, int], .
     Works on the black relation; red edges must be absent unless
     ``ignore_red`` is set.
     """
-    return tuple(sorted(chain.from_iterable(fes for _, fes in spanning_forest(g, ignore_red))))
+    return tuple(sorted(chain.from_iterable(c.fes for c in spanning_forest(g, ignore_red))))
 
 
-def spanning_forest(g: Trigraph, ignore_red=False):
-    """The components of ``g``'s black relation and their feedback edges, from
-    one BFS: a list of ``(component, fes)``, in discovery order (on a plain
-    graph, the order of :func:`~twinwidth.trigraph.connected_components`).
-    Each BFS tree is rooted at its component's smallest label and visits
-    neighbours in label order; ``component`` is its vertices in that order,
-    and ``fes`` its non-tree edges, a sorted tuple of ``(u, v)`` with
-    ``u < v``.
+@dataclass(frozen=True)
+class DanglingTree:
+    bridge: tuple[int, int]  # (core vertex, tree root)
+    vertices: frozenset[int]
+    all_black: bool
 
-    Red edges must be absent unless ``ignore_red`` is set.  The search
-    records each non-tree edge at its smaller end: an edge to a vertex
-    already reached is a tree edge only when that vertex is the scanned
-    one's parent, since a vertex reached from the scanned one was not
+
+@dataclass(eq=False, slots=True)
+class ComponentScan:
+    """One component's tree of :func:`spanning_forest`'s BFS forest.
+
+    ``order`` is the component's vertices in BFS order, ``fes`` its non-tree
+    edges, a sorted tuple of ``(u, v)`` with ``u < v``, ``parent`` maps each
+    vertex to its tree parent (None at the root) and ``kids`` maps each vertex
+    with children to them, in label order.  ``red`` is the red map when the
+    scan walked red edges, else None.  The 2-core and the dangling trees are
+    derived from the tree, and every dangling tree is folded along ``kids``;
+    only :meth:`core`, :meth:`trees`, :meth:`reroot` and the folds read
+    ``parent`` and ``kids``, so a holder done with them may drop them.
+    """
+
+    order: list
+    fes: tuple
+    parent: dict
+    kids: dict
+    red: dict | None
+
+    def core(self) -> frozenset[int]:
+        """The component's 2-core: the least subtree of the BFS tree that
+        spans every feedback edge's ends, empty if there are none.
+
+        Outside it every vertex lies in a subtree that no non-tree edge
+        touches, which repeated removal of leaves deletes; inside it every
+        leaf ends a non-tree edge, so no vertex has degree below 2.  One sweep up the BFS order counts the ends below each
+        vertex and stops at the deepest vertex that has them all; every
+        vertex counted on the way, that one included, is in the core.  The
+        set is built in label order, the order of the vertices."""
+        below = dict.fromkeys(chain.from_iterable(self.fes), 1)
+        if not below:
+            return frozenset()
+        ends = len(below)
+        parent = self.parent
+        for v in reversed(self.order):
+            count = below.get(v)
+            if count == ends:
+                break
+            if count:
+                p = parent[v]
+                below[p] = below.get(p, 0) + count
+        return frozenset(sorted(below))
+
+    def reroot(self, x):
+        """Make ``x`` the root of the BFS tree: each vertex on the path from
+        ``x`` up to the old root takes its parent as a child, in label order,
+        and gives up the child on the path.  Costs only the path."""
+        kids, parent = self.kids, self.parent
+        below = None
+        while x is not None:
+            up = parent[x]
+            row = [c for c in kids.get(x, ()) if c != below]
+            if up is not None:
+                insort(row, up)
+            kids[x] = row
+            parent[x] = below
+            below, x = x, up
+
+    def trees(self, core) -> tuple[DanglingTree, ...]:
+        """The dangling trees off the component's 2-core ``core``, sorted by
+        core vertex and smallest tree vertex; none if the core is empty.
+
+        A tree is a non-core child of a core vertex with everything below it.
+        The tree that holds the BFS root hangs from the topmost core vertex,
+        so the BFS tree is first rerooted there, which turns only the path
+        between the two; after that ``kids`` lists every tree vertex's
+        children in the tree rooted at its bridge vertex."""
+        if not core:
+            return ()
+        kids, parent, red = self.kids, self.parent, self.red
+        if self.order[0] not in core:
+            top = next(iter(core))
+            while parent[top] in core:
+                top = parent[top]
+            self.reroot(top)
+        found = []
+        for u in core:
+            for v in kids.get(u, ()):
+                if v not in core:
+                    tree = [v]
+                    for x in tree:
+                        tree.extend(kids.get(x, ()))
+                    # every edge at a tree vertex lies in the tree or is its bridge
+                    all_black = red is None or not any(red[x] for x in tree)
+                    found.append(DanglingTree((u, v), frozenset(tree), all_black))
+        found.sort(key=lambda t: (t.bridge[0], min(t.vertices)))
+        return tuple(found)
+
+
+def spanning_forest(g: Trigraph, ignore_red=False, walk_red=False) -> list[ComponentScan]:
+    """The components of ``g``'s black relation, from one BFS: a list of
+    :class:`ComponentScan`, in discovery order (on a plain graph, the order
+    of :func:`~twinwidth.trigraph.connected_components`).  Each BFS tree is
+    rooted at its component's smallest label and visits neighbours in label
+    order.
+
+    Red edges must be absent unless ``ignore_red`` is set; with
+    ``walk_red`` the search walks them as well, and the components are those
+    of both colours.  A plain graph's red map is only checked for edges.
+    The search records each non-tree edge at its smaller end: an edge to a
+    vertex already reached is a tree edge only when that vertex is the
+    scanned one's parent, since a vertex reached from the scanned one was not
     reached before.
     """
     black, red = g.adjacency()
-    if not ignore_red and any(red.values()):
-        raise PreconditionViolated("input has red edges; pass ignore_red=True")
-    parent = {}
+    adj, walked = black, None
+    if any(red.values()):
+        if walk_red:
+            adj = {v: black[v] | red[v] for v in black}
+            walked = red
+        elif not ignore_red:
+            raise PreconditionViolated("input has red edges; pass ignore_red=True")
     forest = []
-    for root in black:
-        if root in parent:
+    seen = set()
+    for root in adj:
+        if root in seen:
             continue
-        parent[root] = None
-        queue = [root]
+        parent = {root: None}
+        kids = {}
+        order = [root]
         fes = []
-        for v in queue:
+        for v in order:
             up = parent[v]
-            for u in sorted(black[v]):
+            row = []
+            for u in sorted(adj[v]):
                 if u not in parent:
                     parent[u] = v
-                    queue.append(u)
+                    row.append(u)
                 elif u > v and u != up:
                     fes.append((v, u))
+            if row:
+                kids[v] = row
+                order += row
         fes.sort()
-        forest.append((queue, tuple(fes)))
+        forest.append(ComponentScan(order, tuple(fes), parent, kids, walked))
+        if len(order) == len(adj):
+            break
+        seen.update(order)
     return forest
 
 
@@ -106,23 +225,9 @@ def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
 
 
 def two_core(g: Trigraph) -> frozenset[int]:
-    """Vertices surviving repeated removal of degree <= 1 vertices."""
-    black, red = g.adjacency()
-    deg = {v: len(black[v]) + len(red[v]) for v in black}
-    removed = set()
-    stack = [v for v, d in deg.items() if d <= 1]
-    while stack:
-        v = stack.pop()
-        if v in removed:
-            continue
-        removed.add(v)
-        for nbrs in (black[v], red[v]):
-            for u in nbrs:
-                if u not in removed:
-                    deg[u] -= 1
-                    if deg[u] <= 1:
-                        stack.append(u)
-    return frozenset(v for v in black if v not in removed)
+    """Vertices surviving repeated removal of degree <= 1 vertices: the
+    union of :meth:`ComponentScan.core` over a scan of both colours."""
+    return frozenset(sorted(chain.from_iterable(c.core() for c in spanning_forest(g, walk_red=True))))
 
 
 def induced_cycle(g: Trigraph, core, fes):
@@ -204,56 +309,17 @@ def induced_p4(g: Trigraph):
     return path[::-1][:4] if len(path) > 3 else None
 
 
-@dataclass(frozen=True)
-class DanglingTree:
-    bridge: tuple[int, int]  # (core vertex, tree root)
-    vertices: frozenset[int]
-    all_black: bool
-
-
 def find_dangling_trees(g: Trigraph) -> tuple[DanglingTree, ...]:
-    """Maximal trees hanging off the 2-core, each with its attachment bridge.
+    """Maximal trees hanging off the 2-core, each with its attachment bridge,
+    from one scan of both colours (:meth:`ComponentScan.trees`).
 
-    Every peeled component attaches to the core by exactly one edge.  Empty
-    when the graph is acyclic (a tree has no proper "rest" to dangle from).
+    Every tree attaches to the core by exactly one edge.  Empty when the
+    graph is acyclic (a tree has no proper "rest" to dangle from).
     """
-    if not is_connected(g):
+    forest = spanning_forest(g, walk_red=True)
+    if len(forest) > 1:
         raise Disconnected("dangling-tree detection expects a connected graph")
-    return _dangling_trees(g, two_core(g))
-
-
-def _dangling_trees(g: Trigraph, core) -> tuple[DanglingTree, ...]:
-    """The body of :func:`find_dangling_trees` on a connected ``g`` whose
-    2-core is ``core``."""
-    if not core:
-        return ()
-    black, red = g.adjacency()
-    seen = set()
-    trees = []
-    for start in black:
-        if start in core or start in seen:
-            continue
-        comp = []
-        attach = []
-        all_black = True
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            # every edge at a tree vertex lies in the tree or is its bridge
-            all_black = all_black and not red[v]
-            for nbrs in (black[v], red[v]):
-                for u in nbrs:
-                    if u in core:
-                        attach.append((u, v))
-                    elif u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-        assert len(attach) == 1, "peeled component with multiple core edges"
-        trees.append(DanglingTree(attach[0], frozenset(comp), all_black))
-    trees.sort(key=lambda t: (t.bridge[0], min(t.vertices)))
-    return tuple(trees)
+    return forest[0].trees(forest[0].core()) if forest else ()
 
 
 class StumpKind(Enum):

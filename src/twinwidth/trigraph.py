@@ -15,8 +15,9 @@ frozensets until it writes: ``Trigraph._play`` and ``Trigraph._redden`` swap
 a vertex's frozenset for a private set the first time they change it, so a
 copy costs only the vertices it touches.  ``_frozen`` turns a working copy
 back into a new value, freezing only its private sets.  Scans that visit
-every vertex read the maps through the read-only :meth:`Trigraph.adjacency`;
-no other module touches them.
+every vertex, such as the one BFS forest scan of ``structure`` that yields
+the feedback edges, the 2-core and the dangling trees, read the maps through
+the read-only :meth:`Trigraph.adjacency`; no other module touches them.
 """
 
 from __future__ import annotations

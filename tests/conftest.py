@@ -12,7 +12,8 @@ stumps of the whole trigraph in two claiming passes,
 neighbour counts, ``near_oracle`` computes every pair's red set with no
 filter, ``ordered_children_oracle`` builds every pair's child,
 ``shorten_oracle`` scans every consecutive pair of a path for the lowest
-before each merge, ``fold_oracle`` folds a black tree by plain recursion,
+before each merge, ``fold_oracle`` folds a black tree by a depth-first walk
+that sorts every neighbourhood and keeps a reached set,
 ``twin_pairs_oracle`` finds twins by comparing a contraction with the two
 deletions, ``node_children_oracle`` keeps a twin node's first twin child
 alone, ``decide_rec_oracle`` searches with twin-first branching and a
@@ -25,6 +26,7 @@ import itertools
 import pytest
 
 from twinwidth.errors import DeadVertexAtStep, Disconnected, PreconditionViolated
+from twinwidth.sequence import Emitter
 from twinwidth.trigraph import EdgeColor, Trigraph, is_connected, new_trigraph
 from twinwidth.solver import _bits, canonical_key
 from twinwidth.structure import (
@@ -124,6 +126,36 @@ def fig2():
 @pytest.fixture
 def fig3():
     return make_fig3()
+
+
+def count_scans(monkeypatch):
+    """The list each component scan appends ``(kind, n)`` to, ``kind`` being
+    ``forest`` for the BFS forest (feedback edges, 2-core, dangling trees and
+    plain components) and ``components`` for the two-colour component
+    search."""
+    from twinwidth import kernel as kernel_module
+    from twinwidth import reduce as reduce_module
+    from twinwidth import sequence as sequence_module
+    from twinwidth import structure as structure_module
+    from twinwidth import trigraph as trigraph_module
+
+    calls = []
+    real_forest = structure_module.spanning_forest
+    real_components = trigraph_module.connected_components
+
+    def forest(g, *args, **kwargs):
+        calls.append(("forest", g.n))
+        return real_forest(g, *args, **kwargs)
+
+    def components(g):
+        calls.append(("components", g.n))
+        return real_components(g)
+
+    for module in (structure_module, kernel_module, reduce_module):
+        monkeypatch.setattr(module, "spanning_forest", forest)
+    for module in (trigraph_module, kernel_module, sequence_module):
+        monkeypatch.setattr(module, "connected_components", components)
+    return calls
 
 
 # -- independent oracles ----------------------------------------------------------
@@ -294,27 +326,27 @@ def classify_stumps_oracle(g: Trigraph) -> dict:
 
 
 def fold_oracle(g: Trigraph, root, allowed=None):
-    """The pairs that contract everything below ``root`` in a black tree,
-    within ``allowed`` if given, into one vertex, and that vertex (None if
-    the root is a leaf): each child in label order is folded recursively,
-    contracted onto its own remnant, then merged into its earlier siblings'."""
-    pairs = []
-
-    def emit(a, b):
-        pairs.append((a, b))
-        return g.next_label + len(pairs) - 1
-
-    def below(v, parent):
-        acc = None
-        for u in sorted(g.black_neighbors(v)):
-            if u == parent or (allowed is not None and u not in allowed):
-                continue
-            rem = below(u, v)
-            rem = u if rem is None else emit(rem, u)
-            acc = rem if acc is None else emit(acc, rem)
-        return acc
-
-    return below(root, None), pairs
+    """The pairs that contract everything below ``root`` in the black tree it
+    reaches, within ``allowed`` if given, into one vertex, and that vertex
+    (None if the root is a leaf): a depth-first walk that sorts each vertex's
+    black neighbours, skips those in its reached set, and merges a subtree's
+    remnant into its parent's as the subtree returns."""
+    pairs = Emitter(g.next_label)
+    reached = {root}
+    frames = [[root, iter(sorted(g.black_neighbors(root))), None]]
+    while True:
+        for u in frames[-1][1]:
+            if u not in reached and (allowed is None or u in allowed):
+                reached.add(u)
+                frames.append([u, iter(sorted(g.black_neighbors(u))), None])
+                break
+        else:
+            v, _, acc = frames.pop()
+            if not frames:
+                return acc, list(pairs)
+            remnant = v if acc is None else pairs.emit(acc, v)
+            parent = frames[-1]
+            parent[2] = remnant if parent[2] is None else pairs.emit(parent[2], remnant)
 
 
 def shorten_oracle(ids, target, first) -> list:

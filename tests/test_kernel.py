@@ -26,10 +26,10 @@ from twinwidth.kernel import (
 from twinwidth.reduce import _Reduction, _prune, fen1_sequence, prune, tidy
 from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, optimal_sequence
-from twinwidth.structure import feedback_edge_set, induced_p4, induced_spider
+from twinwidth.structure import induced_p4, induced_spider, spanning_forest
 from twinwidth.trigraph import EdgeColor, new_trigraph
 
-from conftest import make_fig3, petersen, shorten_oracle, witness
+from conftest import count_scans, make_fig3, petersen, shorten_oracle, witness
 
 CFG = SolverConfig(max_vertices=25)
 
@@ -163,33 +163,6 @@ class TestShorten:
             first_b = 40 + len(pairs)
             kernel_module._shorten(b, target, pairs)
             assert pairs == shorten_oracle(a, target, 40) + shorten_oracle(b, target, first_b)
-
-
-def count_scans(monkeypatch):
-    """The list each component scan appends ``(kind, n)`` to, ``kind`` being
-    ``forest`` for the BFS forest (feedback edges and plain components) and
-    ``components`` for the two-colour component search."""
-    from twinwidth import sequence as sequence_module
-    from twinwidth import structure as structure_module
-    from twinwidth import trigraph as trigraph_module
-
-    calls = []
-    real_forest = structure_module.spanning_forest
-    real_components = trigraph_module.connected_components
-
-    def forest(g, *args, **kwargs):
-        calls.append(("forest", g.n))
-        return real_forest(g, *args, **kwargs)
-
-    def components(g):
-        calls.append(("components", g.n))
-        return real_components(g)
-
-    for module in (structure_module, kernel_module):
-        monkeypatch.setattr(module, "spanning_forest", forest)
-    for module in (trigraph_module, kernel_module, sequence_module):
-        monkeypatch.setattr(module, "connected_components", components)
-    return calls
 
 
 class TestValues:
@@ -535,7 +508,8 @@ class TestSolve:
         g = random_connected_graph(n, k, random.Random(seed))
         assert witness(g) is None and induced_spider(g) is None
         config = SolverConfig(max_vertices=12)
-        run = _Reduction(g, _Search(config), feedback_edge_set(g))
+        (scan,) = spanning_forest(g)
+        run = _Reduction(g, _Search(config), scan)
         run.decide()
         assert run.lower == 1
         assert _prune(run) is not None and run.lower == 1
@@ -640,27 +614,45 @@ class TestSolve:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_two_core_computed_once(self, monkeypatch, k):
-        # the runner takes the input's 2-core once, for the witness search
-        # and for prune; the feedback-edge-one walk takes the 2-core of the
-        # smaller tidied graph as well, so calls are counted by vertex count
-        from twinwidth import reduce as reduce_module
+        # the input is never peeled: the runner reads its 2-core off the one
+        # forest scan that solve makes, once per component, and prune its
+        # dangling trees, then drops the scan's maps; the feedback-edge-one
+        # walk follows the tidied cycle without taking a 2-core at all
         from twinwidth import structure as structure_module
 
-        calls = []
-        real = structure_module.two_core
+        def refuse(g):
+            raise AssertionError("two_core called")
 
-        def counting(g):
-            calls.append(g.n)
-            return real(g)
+        cores = []
+        real_core = structure_module.ComponentScan.core
 
-        for module in (structure_module, reduce_module):
-            monkeypatch.setattr(module, "two_core", counting)
-        g = random_connected_graph(60, k, random.Random(3))
+        def core(scan):
+            cores.append(len(scan.order))
+            return real_core(scan)
+
+        monkeypatch.setattr(structure_module, "two_core", refuse)
+        monkeypatch.setattr(structure_module.ComponentScan, "core", core)
+        calls = count_scans(monkeypatch)
+        made = []
+        counted = kernel_module.spanning_forest
+
+        def keep(g, *args, **kwargs):
+            made.extend(forest := counted(g, *args, **kwargs))
+            return forest
+
+        monkeypatch.setattr(kernel_module, "spanning_forest", keep)
         try:
-            solve(g)
+            solve(random_connected_graph(60, k, random.Random(3)))
         except BudgetExceeded:
             pass
-        assert calls.count(60) == 1
+        assert calls == [("forest", 60)] and cores == [60]
+        assert [(scan.parent, scan.kids) for scan in made] == [(None, None)]
+        # a union's components share one scan, and each takes its own core
+        calls.clear()
+        cores.clear()
+        cycles = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4), (7, 8)]
+        solve(new_trigraph(9, cycles))
+        assert calls == [("forest", 9), ("components", 9)] and cores == [4, 5]
 
     def test_width_two_refuted_once(self, decide_calls):
         # the 3x3 rook's graph: every edge lies in a triangle, so no feedback

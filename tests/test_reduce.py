@@ -20,6 +20,7 @@ from twinwidth.errors import (
 )
 from twinwidth.reduce import (
     _Reduction,
+    _fold,
     _prune,
     fen1_sequence,
     kill_stumps_prefix,
@@ -30,23 +31,30 @@ from twinwidth.reduce import (
     tidy,
     tree_sequence,
 )
-from twinwidth.sequence import verify
+from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, canonical_key, optimal_sequence
 from twinwidth.structure import (
     DanglingTree,
     StumpKind,
     StumpSet,
     classify_stumps,
-    feedback_edge_set,
     find_dangling_trees,
     red_stump_count,
+    spanning_forest,
     stumps_at,
     validate_hp,
 )
 from twinwidth import reduce as reduce_module
 from twinwidth.trigraph import Trigraph, new_trigraph
 
-from conftest import fold_oracle, make_fig3, make_fig3_middle, make_fig3_tidy
+from conftest import (
+    count_scans,
+    find_dangling_trees_oracle,
+    fold_oracle,
+    make_fig3,
+    make_fig3_middle,
+    make_fig3_tidy,
+)
 
 CFG = SolverConfig(max_vertices=25)
 
@@ -234,12 +242,52 @@ def labelled_trees(draw, offset=0, max_n=30):
     return edges, labels[draw(stst.integers(0, n - 1))]
 
 
+@stst.composite
+def hung_trees(draw, max_n=30):
+    """A C5 with random trees hung from its vertices, all labelled in a
+    random order, so that the smallest label, the BFS root, lies in a
+    dangling tree about as often as not."""
+    n = draw(stst.integers(min_value=6, max_value=max_n))
+    labels = draw(stst.permutations(range(n)))
+    edges = [(labels[i], labels[(i + 1) % 5]) for i in range(5)]
+    edges += [(labels[draw(stst.integers(0, i - 1))], labels[i]) for i in range(5, n)]
+    return new_trigraph(n, edges)
+
+
 class TestFold:
-    """Every tree rule emits the pairs of the recursive ``fold_oracle``."""
+    """Every tree rule emits the pairs of ``fold_oracle``, the depth-first
+    walk over sorted black neighbourhoods that the scan's child lists
+    replace."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(hung_trees())
+    def test_scan_folds_every_dangling_tree(self, g):
+        # the trees of the scan, the root's rerooted included, fold along
+        # the child lists to the oracle's pairs and remnant, as do the public
+        # rules, which scan the trigraph themselves
+        (scan,) = spanning_forest(g)
+        trees = scan.trees(scan.core())
+        assert trees == find_dangling_trees_oracle(g)
+        for tree in trees:
+            root = tree.bridge[1]
+            pairs = Emitter(g.next_label)
+            acc, reached = _fold(scan.kids, root, pairs)
+            assert (acc, pairs) == fold_oracle(g, root, tree.vertices)
+            assert sorted(reached) == sorted(tree.vertices)
+            if len(tree.vertices) < 3:
+                continue
+            if all(x == root or g.degree(x) == 1 for x in tree.vertices):
+                out = reduce_star(g, tree)
+            else:
+                out = reduce_tree(g, tree, SolverConfig(max_vertices=0))
+            assert list(out.lift.prefix) == pairs
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(labelled_trees())
     def test_tree_sequence(self, tree):
+        # the scan's root is vertex 0, and the drawn root is mostly another:
+        # the path between them is rerooted, and the fold ends on the
+        # oracle's remnant, which the last pair contracts into the root
         edges, root = tree
         t = new_trigraph(len(edges) + 1, edges)
         acc, pairs = fold_oracle(t, root)
@@ -483,6 +531,25 @@ class TestPrune:
         with pytest.raises(Disconnected):
             prune(new_trigraph(4, [(0, 1), (2, 3)]), CFG)
 
+    @pytest.mark.parametrize(
+        "red, error",
+        [([(1, 2)], PreconditionViolated), ([(2, 4)], Disconnected)],
+    )
+    def test_red_edges_that_join_components(self, red, error):
+        # the black relation has two components; a red edge that joins them
+        # makes the input connected, so the red edges are the fault, and one
+        # that does not leaves it disconnected, which wins
+        g = new_trigraph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)], red)
+        with pytest.raises(error):
+            prune(g, CFG)
+
+    def test_one_scan(self, monkeypatch):
+        # connectivity, feedback edges, 2-core and dangling trees all come
+        # from one forest scan
+        calls = count_scans(monkeypatch)
+        prune(random_connected_graph(60, 2, random.Random(3)), CFG)
+        assert calls == [("forest", 60)]
+
     def test_stumps_classified_a_constant_number_of_times(self, monkeypatch):
         # the merge loop asks each tree owner for its own stumps instead of
         # classifying the whole trigraph, once or again after every merge
@@ -534,7 +601,8 @@ class TestPrune:
             g = random_with_dangling_trees(
                 core_n, rng.randrange(1, 4), rng.randrange(10, 61), rng
             )
-            run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), feedback_edge_set(g))
+            (scan,) = spanning_forest(g)
+            run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), scan)
             run.decide()
             counts = []
 
@@ -713,6 +781,26 @@ class TestFen1:
         g = new_trigraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)])
         with pytest.raises(FenTooLarge):
             fen1_sequence(g, CFG)
+
+    @pytest.mark.parametrize(
+        "black, red, error",
+        [
+            # black components joined by a red edge: the black feedback edge
+            # number is counted over both, then the red edges are the fault
+            ([(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)], [(1, 2)], PreconditionViolated),
+            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], [(2, 3)], FenTooLarge),
+            # a red edge that joins nothing: disconnected wins
+            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)], [(3, 5)], Disconnected),
+        ],
+    )
+    def test_red_edges_that_join_components(self, black, red, error):
+        with pytest.raises(error):
+            fen1_sequence(new_trigraph(6, black, red), CFG)
+
+    def test_one_scan(self, monkeypatch):
+        calls = count_scans(monkeypatch)
+        fen1_sequence(random_connected_graph(60, 1, random.Random(3)), CFG)
+        assert calls == [("forest", 60)]
 
     def test_random_battery(self):
         rng = random.Random(31)

@@ -26,6 +26,14 @@ one of a fixed list of malformed PACE texts, so that a parser change is
 diffed the same way.  Uses only the standard library and the ``src/`` and
 ``twbench/`` trees next to this script.
 
+``--check FILE`` compares the lines with a digest saved in ``FILE`` instead
+of printing them: it prints only the lines that differ (``differs <set>
+<instance>: <saved> -> <now>``), are missing (``missing <saved line>``) or
+are extra (``extra <line>``), and exits 1 if there are any::
+
+    python3 tools/digest.py > before.txt
+    python3 tools/digest.py --check before.txt
+
 For a change that may alter answers on purpose, ``--summary`` prints
 ``<set> <instance> <width> <status> <miss kind>`` instead of the hash:
 ``<width> <status> -`` for an answer and ``- - <kind>`` for a budget miss,
@@ -174,6 +182,49 @@ def instances():
             yield "stump-owners", f"c5+{d}x{mix}", text, *defaults
 
 
+def lines(line):
+    """The digest's lines, each instance's outcome shown by ``line``."""
+    for set_name, name, text, policy, config in instances():
+        g = cli.parse_graph(text)
+        try:
+            outcome = kernel.solve(g, policy, config)
+        except BudgetExceeded as exc:
+            outcome = exc
+        yield f"{set_name} {name} {line(g, outcome)}"
+    for name, text in MALFORMED.items():
+        error = parse_error(text)
+        if line is summary:
+            shown = " ".join(error.split("\n")[::2])
+        else:
+            shown = hashlib.sha256(error.encode()).hexdigest()
+        yield f"parse-errors {name} {shown}"
+
+
+def check(saved_lines, got):
+    """Print each line of ``got`` that differs from, is missing from or is
+    extra to ``saved_lines``, matched by ``<set> <instance>``; returns how
+    many were printed."""
+
+    def keyed(rows):
+        return {" ".join(row.split(" ", 2)[:2]): row for row in rows}
+
+    saved = keyed(saved_lines)
+    now = keyed(got)
+    faults = 0
+    for key, row in now.items():
+        old = saved.pop(key, None)
+        if old is None:
+            print("extra", row)
+        elif old != row:
+            print(f"differs {key}: {old[len(key) + 1:]} -> {row[len(key) + 1:]}")
+        else:
+            continue
+        faults += 1
+    for row in saved.values():
+        print("missing", row)
+    return faults + len(saved)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="One line per solved instance.")
     parser.add_argument(
@@ -181,23 +232,20 @@ def main(argv=None):
         action="store_true",
         help="print width, status and miss kind instead of a hash",
     )
-    summary_only = parser.parse_args(argv).summary
-    line = summary if summary_only else digest
-    for set_name, name, text, policy, config in instances():
-        g = cli.parse_graph(text)
-        try:
-            outcome = kernel.solve(g, policy, config)
-        except BudgetExceeded as exc:
-            outcome = exc
-        print(set_name, name, line(g, outcome))
-    for name, text in MALFORMED.items():
-        error = parse_error(text)
-        if summary_only:
-            shown = " ".join(error.split("\n")[::2])
-        else:
-            shown = hashlib.sha256(error.encode()).hexdigest()
-        print("parse-errors", name, shown)
+    parser.add_argument(
+        "--check",
+        metavar="FILE",
+        help="print only the lines that differ from the saved digest FILE; exit 1 if any",
+    )
+    args = parser.parse_args(argv)
+    got = lines(summary if args.summary else digest)
+    if args.check is None:
+        for row in got:
+            print(row)
+        return 0
+    saved = Path(args.check).read_text(encoding="utf-8").splitlines()
+    return 1 if check(saved, got) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
