@@ -41,6 +41,12 @@ from .trigraph import Trigraph
 # -- graph files -----------------------------------------------------------------
 
 
+def _whole(token):
+    """Whether ``token`` is a whole number in ASCII digits; ``int`` alone
+    also reads signs, underscores and other scripts' digits."""
+    return token.isascii() and token.isdecimal()
+
+
 def parse_graph(text: str) -> Trigraph:
     """Read a PACE graph in one pass: the edge lines go straight into the
     trigraph builder, which checks each edge as it comes, so the first
@@ -52,7 +58,7 @@ def parse_graph(text: str) -> Trigraph:
             continue
         if parts[0] != "p":
             raise GraphSyntaxError("edge line before header", line=lineno)
-        if len(parts) != 4 or parts[1] != "tww" or not all(map(str.isdecimal, parts[2:])):
+        if len(parts) != 4 or parts[1] != "tww" or not all(map(_whole, parts[2:])):
             raise HeaderMismatch(f"bad header {raw.strip()!r}", line=lineno)
         n, m = int(parts[2]), int(parts[3])
         break
@@ -67,12 +73,10 @@ def parse_graph(text: str) -> Trigraph:
                 continue
             if parts[0] == "p":
                 raise HeaderMismatch("second header line", line=lineno)
-            if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "r"):
+            bad = len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "r")
+            if bad or not (_whole(parts[0]) and _whole(parts[1])):
                 raise GraphSyntaxError(f"bad edge line {raw.strip()!r}", line=lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphSyntaxError(f"bad edge line {raw.strip()!r}", line=lineno)
+            u, v = int(parts[0]), int(parts[1])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise IndexOutOfRange(f"endpoint outside 1..{n}", line=lineno)
             count += 1
@@ -108,12 +112,9 @@ def parse_sequence(g: Trigraph, text: str) -> ContractionSequence:
         if not line or line.startswith("c"):
             continue
         parts = line.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(map(_whole, parts)):
             raise BadStepLine(f"bad step line {line!r}", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise BadStepLine(f"bad step line {line!r}", line=lineno)
+        u, v = int(parts[0]), int(parts[1])
         if u not in live or v not in live or u == v:
             raise GraphSyntaxError(f"step {u} {v} references a dead label", line=lineno)
         live[u] = pairs.emit(live[u], live[v])
@@ -150,7 +151,7 @@ def _config(args) -> SolverConfig:
 
 def _count(text):
     """``--nodes``: a whole number >= 0; anything else is a usage error."""
-    if not text.isdecimal():
+    if not _whole(text):
         raise argparse.ArgumentTypeError(f"bad node count {text!r}")
     return int(text)
 

@@ -12,10 +12,10 @@ with the exact solver as endgame.  A connected plain-graph solve builds one
 reduction runner (``reduce._Reduction``) and plays every stage on it: the
 up-front width-0/1 check, prune, tidy, and then the feedback-edge-one walk
 or the kernels; the bikernel is shortened on a fork of the runner, and the
-general kernel on the runner itself.  A plain input's components and
-feedback edge sets come from one scan, and the exact search is made once:
-its deadline bounds the solve, and the endgame skips caps refuted on the
-same trigraph.
+general kernel on the runner itself.  One scan of every input, red edges
+or not, yields its components and each one's feedback edges, 2-core and
+dangling trees, and the exact search is made once: its deadline bounds the
+solve, and the endgame skips caps refuted on the same trigraph.
 Every emitted sequence is re-verified before it is reported.
 
 A status rests on the runner's lower bound, set by the up-front check alone
@@ -30,12 +30,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .errors import Disconnected
-from .reduce import _Reduction, _fen1, _prune, _tidy
+from .errors import PreconditionViolated
+from .reduce import _Reduction, _connected_forest, _fen1, _prune, _tidy
 from .sequence import ContractionSequence, Emitter, Lift, verify
 from .solver import DEFAULT_CONFIG, SolverConfig, _Search
 from .structure import HPGraph, spanning_forest
-from .trigraph import Trigraph, connected_components
+from .trigraph import Trigraph
 
 
 # -- bound policies ------------------------------------------------------------------
@@ -150,9 +150,9 @@ def _shorten_paths(run: _Reduction, paths, target: int):
 def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
     """A public kernel: a fresh runner on ``g``, decided, pruned, tidied, and
     shortened by ``derive(run, hp)``, which returns the kernel and its meta."""
-    forest = spanning_forest(g)
-    if len(forest) > 1:
-        raise Disconnected("kernelization expects a connected graph")
+    forest = _connected_forest(g, "kernelization expects a connected graph")
+    if g.has_red():
+        raise PreconditionViolated("kernelization expects a plain (all-black) graph")
     run = _Reduction(g, _Search(config), forest[0] if forest else None, trace)
     run.decide()
     if run.solved is not None or (hp := _prune(run)) is None:
@@ -241,9 +241,9 @@ def _status(lower: int, width: int, within_one: bool) -> str:
 
 
 def _solve_connected(g: Trigraph, policy, search: _Search, report: dict, scan):
-    """Solve the connected ``g``, whose scan is ``scan`` (None if not yet
-    made), into ``report``, its status included; returns the sequence, its
-    verified width and ``g``'s lower bound."""
+    """Solve the connected ``g``, whose scan is ``scan``, into ``report``,
+    its status included; returns the sequence, its verified width and
+    ``g``'s lower bound."""
     seq, lower, plus_one = _pipeline(g, policy, search, report, scan)
     width = verify(g, seq)
     report["status"] = _status(lower, width, plus_one)
@@ -253,9 +253,8 @@ def _solve_connected(g: Trigraph, policy, search: _Search, report: dict, scan):
 def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     """A sequence of the connected ``g``, a lower bound on its twin-width, and
     whether the sequence is within one of optimal by the theory floor;
-    ``scan`` is ``g``'s :class:`~twinwidth.structure.ComponentScan`, or None
-    if not yet made (a component of a trigraph input, which was split by both
-    colours), and is unused when ``g`` has red edges."""
+    ``scan`` is ``g``'s :class:`~twinwidth.structure.ComponentScan` (None if
+    ``g`` is empty), unused when ``g`` has red edges."""
     trace = report.setdefault("rules", [])
     if g.has_red():
         # trigraph inputs (e.g. emitted kernels) skip the reduction pipeline,
@@ -265,10 +264,7 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
         trace.append({"rule": "exact_trigraph", "width": result.width})
         return result.sequence, result.width if result.optimal else 0, False
     # one runner plays every stage; ``g`` is connected, and ``solve`` made
-    # its scan, which yields its feedback edges, 2-core and dangling trees,
-    # with its components unless the input had red edges elsewhere
-    if scan is None:
-        scan = next(iter(spanning_forest(g)), None)
+    # its scan, which yields its feedback edges, 2-core and dangling trees
     run = _Reduction(g, search, scan, trace)
     report["k"] = len(run.fes)
     run.decide()
@@ -318,22 +314,16 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     ``upper_bound``."""
     report = {"n": g.n, "policy": _policy_name(policy)}
     search = _Search(config)
-    if g.has_red():
-        # a red edge joins a component too, which the black forest misses
-        comps = connected_components(g)
-        scans = [None] * len(comps)
-    else:
-        scans = spanning_forest(g)
-        comps = [scan.order for scan in scans]
-    if len(comps) <= 1:
+    scans = spanning_forest(g)
+    if len(scans) <= 1:
         scan = scans[0] if scans else None
         seq, report["width"], _ = _solve_connected(g, policy, search, report, scan)
         return seq, report
-    report["components"] = len(comps)
+    report["components"] = len(scans)
     all_pairs = []
     statuses = []
     lowers = []
-    for sub, scan in zip(g.split(comps), scans):
+    for sub, scan in zip(g.split(s.order for s in scans), scans):
         sub_report = {"n": sub.n, "policy": report["policy"]}
         seq, _, lower = _solve_connected(sub, policy, search, sub_report, scan)
         all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))

@@ -25,7 +25,8 @@ runner holds the input's one forest scan
 (:class:`~twinwidth.structure.ComponentScan`), whose 2-core serves the
 up-front check's induced-cycle witness and the decomposition, whose
 dangling trees prune cuts, folding each along the scan's child lists, and
-only the trees' owners are asked for their stumps.
+only the trees' owners are asked for their stumps.  A public entry point
+checks connectivity with that scan, whose edges are of both colours.
 
 Only the up-front check bounds the input's twin-width from below, by proofs
 about the input: an induced cycle of five or more vertices, the width-0/1
@@ -65,6 +66,7 @@ from .structure import (
     StumpSet,
     TIDY,
     _stump_owner,
+    feedback_edge_set,
     induced_cycle,
     induced_p4,
     induced_spider,
@@ -73,7 +75,7 @@ from .structure import (
     stumps_at,
     validate_hp,
 )
-from .trigraph import EdgeColor, Trigraph, is_connected
+from .trigraph import EdgeColor, Trigraph
 
 
 @dataclass
@@ -283,7 +285,7 @@ class _Reduction:
             return self.scan.kids
         u, v = tree.bridge
         self.work._require_live(v)
-        for scan in spanning_forest(self.work, walk_red=True):
+        for scan in spanning_forest(self.work):
             if u in scan.parent:
                 scan.reroot(u)
                 return scan.kids
@@ -621,13 +623,12 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
 
 
 def _connected_forest(g: Trigraph, message):
-    """The one scan of a public entry point: ``g``'s black BFS forest, which
-    is one component's scan or none.  Raises :class:`Disconnected` with
-    ``message`` unless ``g`` is connected; a red edge joins black components
-    too, so only a trigraph whose black relation is split is searched
-    again, by both colours."""
-    forest = spanning_forest(g, ignore_red=True)
-    if len(forest) > 1 and not (g.has_red() and is_connected(g)):
+    """The one scan of a public entry point: ``g``'s BFS forest, which is one
+    component's scan or none.  Raises :class:`Disconnected` with ``message``
+    unless ``g`` is connected, a red edge joining components as a black one
+    does."""
+    forest = spanning_forest(g)
+    if len(forest) > 1:
         raise Disconnected(message)
     return forest
 
@@ -705,9 +706,13 @@ def fen1_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> Contrac
     vertex's stumps into one pendant, then fold pendants and cycle with a
     walker that sweeps around once."""
     forest = _connected_forest(g, "expected a connected graph")
-    if (k := sum(len(scan.fes) for scan in forest)) > 1:
+    # a trigraph's black feedback edges are counted before its red edges
+    # are the fault
+    red = g.has_red()
+    k = len(feedback_edge_set(g, ignore_red=True)) if red else sum(len(s.fes) for s in forest)
+    if k > 1:
         raise FenTooLarge(f"feedback edge number {k} > 1")
-    if g.has_red():
+    if red:
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
     run = _Reduction(g, _Search(config), forest[0] if forest else None)
     run.decide()

@@ -26,7 +26,8 @@ from .errors import (
     IncompleteSequence,
     InstanceMismatch,
 )
-from .trigraph import Trigraph, connected_components
+from .structure import spanning_forest
+from .trigraph import Trigraph
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def verify(g: Trigraph, seq: ContractionSequence, require_full=None) -> int:
     if require_full is None:
         require_full = not seq.partial
     final, width = g.replay(seq._pairs)
-    if require_full and final.n > 1 and final.n != len(connected_components(g)):
+    if require_full and final.n > 1 and final.n != len(spanning_forest(g)):
         raise IncompleteSequence(
             f"{final.n} vertices remain after a supposedly full sequence"
         )

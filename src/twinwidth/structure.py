@@ -2,7 +2,8 @@
 dangling trees and paths, stump recognition, and the core/path decomposition
 bookkeeping.
 
-One label-ordered BFS (:func:`spanning_forest`) gives each component its
+One label-ordered BFS over both colours (:func:`spanning_forest`) is the
+package's only component search: it gives each component its vertices and
 feedback edges and keeps every vertex's parent and children in label order
 (:class:`ComponentScan`).  Two sweeps over that tree yield the 2-core, the
 least subtree that spans every feedback edge's ends, and the dangling trees,
@@ -26,17 +27,19 @@ from itertools import chain, islice
 from typing import NamedTuple
 
 from .errors import Disconnected, PreconditionViolated
-from .trigraph import EdgeColor, Trigraph, is_connected
+from .trigraph import EdgeColor, Trigraph
 
 
 def feedback_edge_set(g: Trigraph, ignore_red=False) -> tuple[tuple[int, int], ...]:
     """Minimum feedback edge set, as a sorted tuple of ``(u, v)`` pairs with
-    ``u < v``: all non-tree edges of :func:`spanning_forest`'s BFS forest.
+    ``u < v``: all non-tree edges of the black :func:`spanning_forest`.
 
     Works on the black relation; red edges must be absent unless
     ``ignore_red`` is set.
     """
-    return tuple(sorted(chain.from_iterable(c.fes for c in spanning_forest(g, ignore_red))))
+    if not ignore_red and g.has_red():
+        raise PreconditionViolated("input has red edges; pass ignore_red=True")
+    return tuple(sorted(chain.from_iterable(c.fes for c in spanning_forest(g, black_only=True))))
 
 
 @dataclass(frozen=True)
@@ -136,29 +139,24 @@ class ComponentScan:
         return tuple(found)
 
 
-def spanning_forest(g: Trigraph, ignore_red=False, walk_red=False) -> list[ComponentScan]:
-    """The components of ``g``'s black relation, from one BFS: a list of
-    :class:`ComponentScan`, in discovery order (on a plain graph, the order
-    of :func:`~twinwidth.trigraph.connected_components`).  Each BFS tree is
-    rooted at its component's smallest label and visits neighbours in label
-    order.
+def spanning_forest(g: Trigraph, black_only=False) -> list[ComponentScan]:
+    """The components of ``g``, edges of both colours joining them, from one
+    BFS: a list of :class:`ComponentScan`, in discovery order, the order of
+    ``g``'s vertices.  Each BFS tree is rooted at its component's smallest
+    label and visits neighbours in label order.
 
-    Red edges must be absent unless ``ignore_red`` is set; with
-    ``walk_red`` the search walks them as well, and the components are those
-    of both colours.  A plain graph's red map is only checked for edges.
-    The search records each non-tree edge at its smaller end: an edge to a
-    vertex already reached is a tree edge only when that vertex is the
-    scanned one's parent, since a vertex reached from the scanned one was not
-    reached before.
+    With ``black_only`` the search walks the black edges alone, and the
+    components are those of the black relation.  A plain graph's red map is
+    only checked for edges.  The search records each non-tree edge at its
+    smaller end: an edge to a vertex already reached is a tree edge only when
+    that vertex is the scanned one's parent, since a vertex reached from the
+    scanned one was not reached before.
     """
     black, red = g.adjacency()
     adj, walked = black, None
-    if any(red.values()):
-        if walk_red:
-            adj = {v: black[v] | red[v] for v in black}
-            walked = red
-        elif not ignore_red:
-            raise PreconditionViolated("input has red edges; pass ignore_red=True")
+    if not black_only and any(red.values()):
+        adj = {v: black[v] | red[v] for v in black}
+        walked = red
     forest = []
     seen = set()
     for root in adj:
@@ -189,9 +187,8 @@ def spanning_forest(g: Trigraph, ignore_red=False, walk_red=False) -> list[Compo
 
 
 def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
-    """All bridges (both edge colors count), by iterative low-link."""
-    if not is_connected(g):
-        raise Disconnected("bridge computation expects a connected graph")
+    """All bridges (both edge colors count), by iterative low-link; the
+    search must reach every vertex from its first root."""
     preorder = {}
     low = {}
     bridges = []
@@ -199,6 +196,8 @@ def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
     for root in g.vertices:
         if root in preorder:
             continue
+        if preorder:
+            raise Disconnected("bridge computation expects a connected graph")
         stack = [(root, None, iter(sorted(g.neighbors(root))))]
         preorder[root] = low[root] = counter
         counter += 1
@@ -227,7 +226,7 @@ def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
 def two_core(g: Trigraph) -> frozenset[int]:
     """Vertices surviving repeated removal of degree <= 1 vertices: the
     union of :meth:`ComponentScan.core` over a scan of both colours."""
-    return frozenset(sorted(chain.from_iterable(c.core() for c in spanning_forest(g, walk_red=True))))
+    return frozenset(sorted(chain.from_iterable(c.core() for c in spanning_forest(g))))
 
 
 def induced_cycle(g: Trigraph, core, fes):
@@ -316,7 +315,7 @@ def find_dangling_trees(g: Trigraph) -> tuple[DanglingTree, ...]:
     Every tree attaches to the core by exactly one edge.  Empty when the
     graph is acyclic (a tree has no proper "rest" to dangle from).
     """
-    forest = spanning_forest(g, walk_red=True)
+    forest = spanning_forest(g)
     if len(forest) > 1:
         raise Disconnected("dangling-tree detection expects a connected graph")
     return forest[0].trees(forest[0].core()) if forest else ()

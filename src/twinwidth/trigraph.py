@@ -16,8 +16,9 @@ a vertex's frozenset for a private set the first time they change it, so a
 copy costs only the vertices it touches.  ``_frozen`` turns a working copy
 back into a new value, freezing only its private sets.  Scans that visit
 every vertex, such as the one BFS forest scan of ``structure`` that yields
-the feedback edges, the 2-core and the dangling trees, read the maps through
-the read-only :meth:`Trigraph.adjacency`; no other module touches them.
+the components, the feedback edges, the 2-core and the dangling trees, read
+the maps through the read-only :meth:`Trigraph.adjacency`; no other module
+touches them.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .errors import (
     SameVertex,
     SelfLoop,
 )
-
-VertexId = int
 
 
 # one empty set for every vertex with no neighbours of a colour: a plain
@@ -409,30 +408,3 @@ def new_trigraph(n, black_edges=(), red_edges=()) -> Trigraph:
     A plain graph is a trigraph with no red edges.
     """
     return Trigraph.from_edges(n, black_edges, red_edges)
-
-
-def connected_components(g: Trigraph) -> list[list[VertexId]]:
-    """Components in discovery order (smallest-label first), each sorted."""
-    black, red = g.adjacency()
-    seen = set()
-    comps = []
-    for start in black:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for nbrs in (black[v], red[v]):
-                for w in nbrs:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def is_connected(g: Trigraph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1

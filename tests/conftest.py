@@ -27,7 +27,7 @@ import pytest
 
 from twinwidth.errors import DeadVertexAtStep, Disconnected, PreconditionViolated
 from twinwidth.sequence import Emitter
-from twinwidth.trigraph import EdgeColor, Trigraph, is_connected, new_trigraph
+from twinwidth.trigraph import EdgeColor, Trigraph, new_trigraph
 from twinwidth.solver import _bits, canonical_key
 from twinwidth.structure import (
     DanglingTree,
@@ -129,32 +129,23 @@ def fig3():
 
 
 def count_scans(monkeypatch):
-    """The list each component scan appends ``(kind, n)`` to, ``kind`` being
-    ``forest`` for the BFS forest (feedback edges, 2-core, dangling trees and
-    plain components) and ``components`` for the two-colour component
-    search."""
+    """The list each component scan appends ``("forest", n)`` to: the BFS
+    forest, the package's one component search, which also yields feedback
+    edges, 2-cores and dangling trees."""
     from twinwidth import kernel as kernel_module
     from twinwidth import reduce as reduce_module
     from twinwidth import sequence as sequence_module
     from twinwidth import structure as structure_module
-    from twinwidth import trigraph as trigraph_module
 
     calls = []
     real_forest = structure_module.spanning_forest
-    real_components = trigraph_module.connected_components
 
     def forest(g, *args, **kwargs):
         calls.append(("forest", g.n))
         return real_forest(g, *args, **kwargs)
 
-    def components(g):
-        calls.append(("components", g.n))
-        return real_components(g)
-
-    for module in (structure_module, kernel_module, reduce_module):
+    for module in (structure_module, kernel_module, reduce_module, sequence_module):
         monkeypatch.setattr(module, "spanning_forest", forest)
-    for module in (trigraph_module, kernel_module, sequence_module):
-        monkeypatch.setattr(module, "connected_components", components)
     return calls
 
 
@@ -624,7 +615,7 @@ def connected_graphs_up_to_iso(max_n):
     for n in range(1, max_n + 1):
         seen = set()
         for g in all_labeled_graphs(n):
-            if not is_connected(g):
+            if len(connected_components_oracle(g)) > 1:
                 continue
             key = canonical_key(g)
             if key not in seen:

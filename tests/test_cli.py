@@ -111,9 +111,20 @@ class TestGraphFiles:
                 None,
             ),
             ("p tww 3 1\n1 4\n", IndexOutOfRange, "line 2: endpoint outside 1..3", 2),
+            # a number is ASCII digits alone, though int() reads all of these
+            (
+                "p tww \u0663 0\n",
+                HeaderMismatch,
+                "line 1: bad header 'p tww \u0663 0'",
+                1,
+            ),
+            ("p tww 12 1\n1_0 2\n", GraphSyntaxError, "line 2: bad edge line '1_0 2'", 2),
+            ("p tww 3 1\n+1 2\n", GraphSyntaxError, "line 2: bad edge line '+1 2'", 2),
+            ("p tww 3 1\n\u0663 2\n", GraphSyntaxError, "line 2: bad edge line '\u0663 2'", 2),
         ],
         ids=["duplicate-then-bad-line", "self-loop", "black-red-duplicate",
-             "duplicate-and-count", "endpoint-out-of-range"],
+             "duplicate-and-count", "endpoint-out-of-range", "header-arabic-indic-digit",
+             "edge-underscore", "edge-plus-sign", "edge-arabic-indic-digit"],
     )
     def test_parse_error_reported(self, text, error, message, line):
         with pytest.raises(TwinWidthError) as exc:
@@ -160,10 +171,11 @@ class TestCommands:
         seq.write_text("1 2\n1 2\n")
         assert run(["verify", str(tmp_fig2), str(seq)]) == 2
 
-    @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1"])
+    @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1", "1_0 2", "+1 2", "\u0663 2"])
     def test_verify_malformed_step_exit_1(self, tmp_fig2, tmp_path, capsys, line):
-        # a step line that is not two integers is a format error, while a
-        # step naming a dead label (above) fails the check
+        # a step line that is not two whole numbers in ASCII digits is a
+        # format error, while a step naming a dead label (above) fails the
+        # check
         seq = tmp_path / "bad.seq"
         seq.write_text(line + "\n")
         assert run(["verify", str(tmp_fig2), str(seq)]) == 1
@@ -274,10 +286,11 @@ class TestCommands:
         assert run(["verify", str(kernel_file), str(seq_file)]) == 0
         assert capsys.readouterr().out == "width 2\n"
 
-    def test_kernelize_trigraph_input_exit_1(self, tmp_path):
+    def test_kernelize_trigraph_input_exit_1(self, tmp_path, capsys):
         graph = tmp_path / "tri.gr"
         graph.write_text("p tww 3 2\n1 2\n2 3 r\n")
         assert run(["kernelize", str(graph)]) == 1
+        assert capsys.readouterr().err == "error: kernelization expects a plain (all-black) graph\n"
 
     def test_budget_exit_3(self, tmp_path):
         g = random_connected_graph(120, 2, random.Random(0))
@@ -305,7 +318,7 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--nodes", "-1"), ("--nodes", "1.5"), ("--nodes", "x"),
+        [("--nodes", "-1"), ("--nodes", "1.5"), ("--nodes", "x"), ("--nodes", "\u0663"),
          ("--time", "-1"), ("--time", "x"), ("--time", "nan")],
     )
     def test_bad_search_budget_is_usage_error(self, tmp_fig2, capsys, flag, value):

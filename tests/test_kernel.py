@@ -592,22 +592,23 @@ class TestSolve:
             pass
         assert calls == [("forest", 60)]
         # a union's components share that one scan, and only the check that
-        # its spliced sequence is full counts them again; a red edge joins
-        # components too, so a trigraph input is split by both colours
+        # its spliced sequence is full counts them again; the scan walks red
+        # edges too, which join components as black ones do
         calls.clear()
         union = new_trigraph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 8)])
         solve(union)
-        assert calls == [("forest", 9), ("components", 9)]
+        assert calls == [("forest", 9), ("forest", 9)]
         calls.clear()
         solve(new_trigraph(4, [(0, 1)], [(1, 2), (2, 3)]))
-        assert calls == [("components", 4)]
+        assert calls == [("forest", 4)]
 
     def test_trigraph_input_with_a_plain_component(self, monkeypatch):
-        # a trigraph input is split by both colours, so a component without
-        # red edges gets its feedback edge set from its own scan
+        # a trigraph input is split by the one scan of both colours, and a
+        # component without red edges takes its feedback edge set from its
+        # share of that scan
         calls = count_scans(monkeypatch)
         seq, report = solve(new_trigraph(4, [(0, 1)], [(2, 3)]))
-        assert calls == [("components", 4), ("forest", 2), ("components", 4)]
+        assert calls == [("forest", 4), ("forest", 4)]
         assert (report["width"], report["status"]) == (1, "optimal")
         assert report["components"] == 2
         assert verify(seq.base, seq) == 1
@@ -652,7 +653,7 @@ class TestSolve:
         cores.clear()
         cycles = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4), (7, 8)]
         solve(new_trigraph(9, cycles))
-        assert calls == [("forest", 9), ("components", 9)] and cores == [4, 5]
+        assert calls == [("forest", 9), ("forest", 9)] and cores == [4, 5]
 
     def test_width_two_refuted_once(self, decide_calls):
         # the 3x3 rook's graph: every edge lies in a triangle, so no feedback

@@ -18,6 +18,7 @@ from twinwidth.errors import (
     NotATree,
     PreconditionViolated,
 )
+from twinwidth.kernel import general_kernel, tww2_bikernel
 from twinwidth.reduce import (
     _Reduction,
     _fold,
@@ -538,10 +539,12 @@ class TestPrune:
     def test_red_edges_that_join_components(self, red, error):
         # the black relation has two components; a red edge that joins them
         # makes the input connected, so the red edges are the fault, and one
-        # that does not leaves it disconnected, which wins
+        # that does not leaves it disconnected, which wins; the kernels check
+        # their input the same way
         g = new_trigraph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)], red)
-        with pytest.raises(error):
-            prune(g, CFG)
+        for entry in (prune, tww2_bikernel, general_kernel):
+            with pytest.raises(error):
+                entry(g, config=CFG)
 
     def test_one_scan(self, monkeypatch):
         # connectivity, feedback edges, 2-core and dangling trees all come

@@ -14,11 +14,18 @@ from twinwidth.errors import (
     SameVertex,
     SelfLoop,
 )
-from twinwidth.trigraph import EdgeColor, Trigraph, connected_components, new_trigraph
+from twinwidth.trigraph import EdgeColor, Trigraph, new_trigraph
 
 from twinwidth.sequence import ContractionSequence, verify
 
-from conftest import all_trigraphs, contract_oracle, make_fig2, replay_oracle, FIG2_PAIRS
+from conftest import (
+    all_trigraphs,
+    connected_components_oracle,
+    contract_oracle,
+    make_fig2,
+    replay_oracle,
+    FIG2_PAIRS,
+)
 
 
 def trigraphs(max_n=7):
@@ -284,7 +291,7 @@ class TestInduceRecolor:
             {v: g.red_neighbors(v) for v in order},
             g.next_label,
         )
-        comps = connected_components(g)
+        comps = connected_components_oracle(g)
         parts = g.split(comps)
         assert len(parts) == len(comps)
         for comp, part in zip(comps, parts):

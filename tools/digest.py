@@ -17,14 +17,17 @@ instance of the fen1-deep-trees, fenk-kernel and exact-endgame benchmark
 workloads at seeds 1 and 2, solved as the benchmark solves them; the 49
 disjoint unions of consecutive criterion-9 graphs (set
 ``criterion-9-unions``), solved with ``twinwidth solve``'s defaults, so that
-the status of a disconnected input is checked too; and stump-heavy owners
+the status of a disconnected input is checked too; stump-heavy owners
 (set ``stump-owners``): a C5 whose vertex 0 owns up to 200 dangling trees, so
 that prune merges one owner's stumps in a long chain, also solved with the
-defaults.  The last set, ``parse-errors``, solves nothing: each line hashes
-the error class, message and line number that ``cli.parse_graph`` raises on
-one of a fixed list of malformed PACE texts, so that a parser change is
-diffed the same way.  Uses only the standard library and the ``src/`` and
-``twbench/`` trees next to this script.
+defaults; and trigraph inputs (set ``trigraph-inputs``): each criterion-9
+graph with its smallest edge red, and each of those beside the next plain
+criterion-9 graph, solved with the defaults, so that the path a red edge
+takes is diffed too.  The last set, ``parse-errors``, solves nothing: each
+line hashes the error class, message and line number that
+``cli.parse_graph`` raises on one of a fixed list of malformed PACE texts,
+so that a parser change is diffed the same way.  Uses only the standard
+library and the ``src/`` and ``twbench/`` trees next to this script.
 
 ``--check FILE`` compares the lines with a digest saved in ``FILE`` instead
 of printing them: it prints only the lines that differ (``differs <set>
@@ -97,11 +100,24 @@ def stump_owner(d, sizes):
 
 
 def disjoint_union(g, h):
-    """The plain graphs ``g`` and ``h`` side by side, ``h`` shifted past
-    ``g``'s labels."""
+    """The trigraphs ``g`` and ``h`` side by side, ``h`` shifted past ``g``'s
+    labels."""
     shift = g.next_label
-    edges = [(u + shift, v + shift) for u, v in h.black_edges()]
-    return new_trigraph(shift + h.next_label, g.black_edges() + edges)
+
+    def shifted(edges):
+        return [(u + shift, v + shift) for u, v in edges]
+
+    return new_trigraph(
+        shift + h.next_label,
+        g.black_edges() + shifted(h.black_edges()),
+        g.red_edges() + shifted(h.red_edges()),
+    )
+
+
+def with_red_edge(g):
+    """The plain graph ``g`` with its smallest edge turned red."""
+    first, *rest = g.black_edges()
+    return new_trigraph(g.next_label, rest, [first])
 
 
 # malformed PACE texts, each faulty in a way parse_graph checks; some hold
@@ -129,6 +145,11 @@ MALFORMED = {
     "duplicate-and-count": "p tww 3 3\n1 2\n1 2\n",
     "self-loop-then-range": "p tww 3 2\n1 1\n1 5\n",
     "red-loop-then-black-duplicate": "p tww 3 3\n2 2 r\n1 2\n2 1\n",
+    # int() alone would read these as numbers
+    "header-arabic-indic-digit": "p tww \u0663 0\n",
+    "edge-underscore": "p tww 12 1\n1_0 2\n",
+    "edge-plus-sign": "p tww 3 1\n+1 2\n",
+    "edge-arabic-indic-digit": "p tww 3 1\n\u0663 2\n",
 }
 
 
@@ -180,6 +201,12 @@ def instances():
         for d in STUMP_COUNTS:
             text = cli.emit_graph(stump_owner(d, sizes))
             yield "stump-owners", f"c5+{d}x{mix}", text, *defaults
+    reddened = [with_red_edge(g) for g in graphs]
+    for i, g in enumerate(reddened):
+        yield "trigraph-inputs", f"g{i}", cli.emit_graph(g), *defaults
+    for i, (g, h) in enumerate(zip(reddened, graphs[1:])):
+        text = cli.emit_graph(disjoint_union(g, h))
+        yield "trigraph-inputs", f"g{i}+g{i + 1}", text, *defaults
 
 
 def lines(line):
