@@ -119,8 +119,7 @@ def parse_sequence(g: Trigraph, text: str) -> ContractionSequence:
             raise GraphSyntaxError(f"step {u} {v} references a dead label", line=lineno)
         live[u] = pairs.emit(live[u], live[v])
         del live[v]
-    partial = len(pairs) < g.n - 1
-    return ContractionSequence.build(g, pairs, partial=partial)
+    return ContractionSequence.build(g, pairs)
 
 
 def emit_sequence(g: Trigraph, seq: ContractionSequence) -> str:
@@ -203,7 +202,7 @@ def _cmd_verify(args) -> int:
     text = _read(args.sequence)  # an unreadable file is an error, not a failed check
     try:
         seq = parse_sequence(g, text)
-        width = verify(g, seq, require_full=True)
+        width = verify(g, seq)
     except BadStepLine:
         raise  # a file-format problem, not a failed check
     except TwinWidthError as exc:

@@ -422,7 +422,7 @@ def kill_stumps_prefix(g: Trigraph, u) -> ContractionSequence:
     if x is None:
         raise BadStumpConfig(f"{u} must own a single stump or a black-and-half pair")
     pairs.emit(u, x)
-    return ContractionSequence.build(g, pairs, partial=True)
+    return ContractionSequence.build(g, pairs)
 
 
 # -- tidying pseudo-paths ----------------------------------------------------------

@@ -1,11 +1,14 @@
 """Contraction sequences, the width verifier, bag bookkeeping, and lifts.
 
-A contraction sequence keeps the (a, b) pairs to merge, in order, as one
-tuple against a fixed base trigraph.  Its width is the maximum red degree
-seen in any intermediate trigraph, the base included.  Fresh labels are
+A contraction sequence is its base trigraph and the (a, b) pairs to merge,
+in order, as one tuple.  Its width is the maximum red degree seen in any
+intermediate trigraph, the base included.  Whether it is full, i.e. leaves
+one vertex per component of the base, is not stored with it: :func:`verify`
+asks that of the base, unless told to accept a prefix.  Fresh labels are
 deterministic: step ``i`` produces vertex ``base.next_label + i``, so
 sequences can be spliced without replaying any graph, and a step's result is
-derived from its index, never stored.
+derived from its index, never stored.  :func:`bags` maps every vertex that
+ever existed to the original vertices merged into it.
 
 A :class:`Lift` turns a full sequence of a reduced instance back into a full
 sequence of the instance it was derived from.  Every lift is of prefix form:
@@ -46,16 +49,15 @@ class ContractionSequence:
     text writer read the pairs alone.
     """
 
-    __slots__ = ("base", "_pairs", "partial")
+    __slots__ = ("base", "_pairs")
 
-    def __init__(self, base: Trigraph, pairs: tuple[tuple[int, int], ...], partial: bool):
+    def __init__(self, base: Trigraph, pairs: tuple[tuple[int, int], ...]):
         self.base = base
         self._pairs = pairs
-        self.partial = partial
 
     @classmethod
-    def build(cls, base: Trigraph, pairs: Iterable[tuple[int, int]], partial=False):
-        return cls(base, tuple([(a, b) for a, b in pairs]), partial)
+    def build(cls, base: Trigraph, pairs: Iterable[tuple[int, int]]):
+        return cls(base, tuple([(a, b) for a, b in pairs]))
 
     @property
     def steps(self) -> tuple[ContractionStep, ...]:
@@ -67,26 +69,18 @@ class ContractionSequence:
     def __len__(self):
         return len(self._pairs)
 
-    def __iter__(self):
-        return iter(self.steps)
-
     def pairs(self):
         return list(self._pairs)
 
     def __eq__(self, other):
         if not isinstance(other, ContractionSequence):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self._pairs == other._pairs
-            and self.partial == other.partial
-        )
+        return self.base == other.base and self._pairs == other._pairs
 
     __hash__ = None
 
     def __repr__(self):
-        kind = "partial" if self.partial else "full"
-        return f"ContractionSequence({kind}, {len(self._pairs)} steps)"
+        return f"ContractionSequence({len(self._pairs)} steps)"
 
     def final_trigraph(self) -> Trigraph:
         return self.base.replay(self._pairs)[0]
@@ -97,17 +91,15 @@ def _check_base(g: Trigraph, seq: ContractionSequence):
         raise InstanceMismatch("sequence was built against a different trigraph")
 
 
-def verify(g: Trigraph, seq: ContractionSequence, require_full=None) -> int:
+def verify(g: Trigraph, seq: ContractionSequence, require_full=True) -> int:
     """Replay ``seq`` on ``g`` and return its exact width.
 
     The width is the maximum red degree over all vertices of all intermediate
-    trigraphs, including ``g`` itself.  ``require_full`` defaults to the
-    sequence's own flag; a full sequence must end with one live vertex per
-    connected component of ``g``, or a single vertex overall.
+    trigraphs, including ``g`` itself.  Unless ``require_full`` is false, the
+    sequence must be full: it must end with one live vertex per connected
+    component of ``g``, or a single vertex overall.
     """
     _check_base(g, seq)
-    if require_full is None:
-        require_full = not seq.partial
     final, width = g.replay(seq._pairs)
     if require_full and final.n > 1 and final.n != len(spanning_forest(g)):
         raise IncompleteSequence(
@@ -129,31 +121,11 @@ class Emitter(list):
         return self.first + len(self) - 1
 
 
-class BagForest:
-    """Maps every vertex that ever existed to its bag of original vertices."""
-
-    def __init__(self, bags: dict[int, frozenset[int]]):
-        self._bags = bags
-
-    def bag(self, u) -> frozenset[int]:
-        return self._bags[u]
-
-    def __getitem__(self, u):
-        return self._bags[u]
-
-    def __contains__(self, u):
-        return u in self._bags
-
-    def __len__(self):
-        return len(self._bags)
-
-    def is_ancestor_of(self, u, v) -> bool:
-        return self._bags[u] <= self._bags[v]
-
-
-def bags(g: Trigraph, seq: ContractionSequence) -> BagForest:
-    """Full bag mapping for ``seq``: originals map to singletons, every
-    contraction result to the union of its parents' bags."""
+def bags(g: Trigraph, seq: ContractionSequence) -> dict[int, frozenset[int]]:
+    """Every vertex that ever existed mapped to its bag of original vertices:
+    originals map to singletons, every contraction result to the union of
+    its parents' bags, so ``u`` is ``v`` or was merged into it iff
+    ``bags[u] <= bags[v]``."""
     _check_base(g, seq)
     forest = {v: frozenset((v,)) for v in g.vertices}
     alive = set(g.vertices)
@@ -164,7 +136,7 @@ def bags(g: Trigraph, seq: ContractionSequence) -> BagForest:
         alive.discard(step.a)
         alive.discard(step.b)
         alive.add(step.result)
-    return BagForest(forest)
+    return forest
 
 
 def restrict(g: Trigraph, seq: ContractionSequence, subset) -> ContractionSequence:
@@ -190,7 +162,7 @@ def restrict(g: Trigraph, seq: ContractionSequence, subset) -> ContractionSequen
             proj[step.result] = pa
         elif pb is not None:
             proj[step.result] = pb
-    return ContractionSequence.build(induced, pairs, partial=seq.partial)
+    return ContractionSequence.build(induced, pairs)
 
 
 # -- lifts ---------------------------------------------------------------------
@@ -226,9 +198,7 @@ class Lift:
     def apply(self, seq: ContractionSequence) -> ContractionSequence:
         if seq.base != self.child:
             raise InstanceMismatch("lift input was built against a different instance")
-        return ContractionSequence.build(
-            self.parent, (*self.prefix, *seq._pairs), partial=seq.partial
-        )
+        return ContractionSequence.build(self.parent, (*self.prefix, *seq._pairs))
 
 
 def identity_lift(g: Trigraph) -> Lift:

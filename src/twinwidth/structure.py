@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import chain, islice
 from typing import NamedTuple
 
-from .errors import Disconnected, PreconditionViolated
+from .errors import PreconditionViolated
 from .trigraph import EdgeColor, Trigraph
 
 
@@ -143,7 +143,7 @@ def spanning_forest(g: Trigraph, black_only=False) -> list[ComponentScan]:
     """The components of ``g``, edges of both colours joining them, from one
     BFS: a list of :class:`ComponentScan`, in discovery order, the order of
     ``g``'s vertices.  Each BFS tree is rooted at its component's smallest
-    label and visits neighbours in label order.
+    label and lists each vertex's children in label order.
 
     With ``black_only`` the search walks the black edges alone, and the
     components are those of the black relation.  A plain graph's red map is
@@ -169,13 +169,14 @@ def spanning_forest(g: Trigraph, black_only=False) -> list[ComponentScan]:
         for v in order:
             up = parent[v]
             row = []
-            for u in sorted(adj[v]):
+            for u in adj[v]:
                 if u not in parent:
                     parent[u] = v
                     row.append(u)
                 elif u > v and u != up:
                     fes.append((v, u))
             if row:
+                row.sort()
                 kids[v] = row
                 order += row
         fes.sort()
@@ -187,8 +188,8 @@ def spanning_forest(g: Trigraph, black_only=False) -> list[ComponentScan]:
 
 
 def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
-    """All bridges (both edge colors count), by iterative low-link; the
-    search must reach every vertex from its first root."""
+    """All bridges (both edge colors count), by iterative low-link, one
+    search from each component's first vertex."""
     preorder = {}
     low = {}
     bridges = []
@@ -196,8 +197,6 @@ def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
     for root in g.vertices:
         if root in preorder:
             continue
-        if preorder:
-            raise Disconnected("bridge computation expects a connected graph")
         stack = [(root, None, iter(sorted(g.neighbors(root))))]
         preorder[root] = low[root] = counter
         counter += 1
@@ -310,15 +309,15 @@ def induced_p4(g: Trigraph):
 
 def find_dangling_trees(g: Trigraph) -> tuple[DanglingTree, ...]:
     """Maximal trees hanging off the 2-core, each with its attachment bridge,
-    from one scan of both colours (:meth:`ComponentScan.trees`).
+    from one scan of both colours (:meth:`ComponentScan.trees`), sorted by
+    core vertex and smallest tree vertex.
 
-    Every tree attaches to the core by exactly one edge.  Empty when the
-    graph is acyclic (a tree has no proper "rest" to dangle from).
+    Every tree attaches to its component's core by exactly one edge.  An
+    acyclic component has none (a tree has no proper "rest" to dangle from).
     """
-    forest = spanning_forest(g)
-    if len(forest) > 1:
-        raise Disconnected("dangling-tree detection expects a connected graph")
-    return forest[0].trees(forest[0].core()) if forest else ()
+    found = [t for c in spanning_forest(g) for t in c.trees(c.core())]
+    found.sort(key=lambda t: (t.bridge[0], min(t.vertices)))
+    return tuple(found)
 
 
 class StumpKind(Enum):

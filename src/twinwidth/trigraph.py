@@ -54,7 +54,7 @@ class EdgeColor(Enum):
 
 
 class Trigraph:
-    """A trigraph value.  Use :func:`new_trigraph` or the classmethods to build one."""
+    """A trigraph value.  Use :func:`new_trigraph` to build one."""
 
     __slots__ = ("_black", "_red", "_next_label")
 
@@ -68,13 +68,6 @@ class Trigraph:
         self._next_label = next_label
 
     # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def from_edges(cls, n, black_edges=(), red_edges=()):
-        """Build a trigraph on vertices ``0..n-1`` from two edge lists."""
-        return cls._build(
-            n, chain(zip(black_edges, repeat(False)), zip(red_edges, repeat(True)))
-        )
 
     @classmethod
     def _build(cls, n, edges):
@@ -407,4 +400,6 @@ def new_trigraph(n, black_edges=(), red_edges=()) -> Trigraph:
 
     A plain graph is a trigraph with no red edges.
     """
-    return Trigraph.from_edges(n, black_edges, red_edges)
+    return Trigraph._build(
+        n, chain(zip(black_edges, repeat(False)), zip(red_edges, repeat(True)))
+    )

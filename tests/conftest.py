@@ -25,7 +25,7 @@ import itertools
 
 import pytest
 
-from twinwidth.errors import DeadVertexAtStep, Disconnected, PreconditionViolated
+from twinwidth.errors import DeadVertexAtStep, PreconditionViolated
 from twinwidth.sequence import Emitter
 from twinwidth.trigraph import EdgeColor, Trigraph, new_trigraph
 from twinwidth.solver import _bits, canonical_key
@@ -249,11 +249,40 @@ def two_core_oracle(g: Trigraph) -> frozenset:
     return frozenset(v for v in g.vertices if v not in removed)
 
 
+def _component_count(vertices, edges):
+    """The number of components of the graph ``vertices`` and ``edges``, by
+    union-find."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    count = len(root)
+    for u, v in edges:
+        a, b = find(u), find(v)
+        if a != b:
+            root[a] = b
+            count -= 1
+    return count
+
+
+def find_bridges_oracle(g: Trigraph):
+    """The edges, both colours, whose removal raises the component count,
+    as a sorted tuple of ``(u, v)`` with ``u < v``."""
+    edges = sorted(g.black_edges() + g.red_edges())
+    whole = _component_count(g.vertices, edges)
+    return tuple(
+        e for e in edges
+        if _component_count(g.vertices, [f for f in edges if f != e]) > whole
+    )
+
+
 def find_dangling_trees_oracle(g: Trigraph):
     """The components outside :func:`two_core_oracle`, each with its one edge
-    into the core, sorted by core vertex and smallest tree vertex."""
-    if len(connected_components_oracle(g)) > 1:
-        raise Disconnected("dangling-tree detection expects a connected graph")
+    into the core, sorted by core vertex and smallest tree vertex; a
+    component of ``g`` without a core has none."""
     core = two_core_oracle(g)
     if not core:
         return ()
@@ -276,6 +305,8 @@ def find_dangling_trees_oracle(g: Trigraph):
                 elif u not in seen:
                     seen.add(u)
                     stack.append(u)
+        if not attach:
+            continue  # a whole acyclic component of g
         assert len(attach) == 1, "peeled component with multiple core edges"
         black = not any(g.red_neighbors(a) for a in comp)
         trees.append(DanglingTree(attach[0], frozenset(comp), black))

@@ -171,6 +171,13 @@ class TestCommands:
         seq.write_text("1 2\n1 2\n")
         assert run(["verify", str(tmp_fig2), str(seq)]) == 2
 
+    def test_verify_prefix_exit_2(self, tmp_fig2, tmp_path, capsys):
+        # a valid prefix of a full sequence is not a full sequence
+        seq = tmp_path / "prefix.seq"
+        seq.write_text("".join(FIG2_SEQ.splitlines(keepends=True)[:2]))
+        assert run(["verify", str(tmp_fig2), str(seq)]) == 2
+        assert capsys.readouterr().err.startswith("verification failed: 4 vertices remain")
+
     @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1", "1_0 2", "+1 2", "\u0663 2"])
     def test_verify_malformed_step_exit_1(self, tmp_fig2, tmp_path, capsys, line):
         # a step line that is not two whole numbers in ASCII digits is a
@@ -238,6 +245,17 @@ class TestCommands:
         assert out["n"] == 54
         assert out["feedback_edge_number"] == 2
         assert len(out["dangling_trees"]) == 11
+
+    def test_info_disconnected(self, tmp_path, capsys):
+        # a path beside a triangle: the path's edges are bridges, and no
+        # tree dangles, since the path has no core to hang from
+        graph = tmp_path / "two.gr"
+        graph.write_text("p tww 6 5\n1 2\n2 3\n4 5\n5 6\n6 4\n")
+        assert run(["info", str(graph)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["feedback_edge_number"] == 1
+        assert out["bridges"] == [[1, 2], [2, 3]]
+        assert out["dangling_trees"] == []
 
     def test_usage_error(self):
         assert run(["solve"]) == 1

@@ -13,6 +13,7 @@ from twinwidth.errors import (
     BadStumpConfig,
     Disconnected,
     FenTooLarge,
+    IncompleteSequence,
     NoMultipleStumps,
     NotAStar,
     NotATree,
@@ -441,6 +442,15 @@ class TestKillStumps:
         final = seq.final_trigraph()
         w = verify(g, seq, require_full=False)
         assert w <= max(g.red_degree(0) + 1, final.max_red_degree())
+
+    def test_prefix_is_not_full(self):
+        # the prefix leaves the rest of the graph uncontracted: verify
+        # rejects it as a full sequence and accepts it as a prefix
+        g = new_trigraph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (0, 5), (1, 6)])
+        seq = kill_stumps_prefix(g, 0)
+        with pytest.raises(IncompleteSequence):
+            verify(g, seq)
+        assert verify(g, seq, require_full=False) <= 2
 
     def test_rejects_bad_configs(self):
         g = stumpy(["black", "black"])

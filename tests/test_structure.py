@@ -3,8 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as stst
 
-from twinwidth.corpus import cycle_with_trees, random_connected_graph, random_tree
-from twinwidth.errors import Disconnected, PreconditionViolated
+from twinwidth.corpus import (
+    cycle_with_trees,
+    random_connected_graph,
+    random_tree,
+    random_with_dangling_trees,
+)
+from twinwidth.errors import PreconditionViolated
 from twinwidth.structure import (
     Stump,
     StumpKind,
@@ -28,6 +33,7 @@ from conftest import (
     classify_stumps_oracle,
     connected_components_oracle,
     feedback_edge_set_oracle,
+    find_bridges_oracle,
     find_dangling_trees_oracle,
     make_fig3,
     two_core_oracle,
@@ -281,10 +287,24 @@ class TestBridges:
         assert (0, 23) in bridges and (3, 30) in bridges
         assert (0, 1) not in bridges  # on a cycle
 
-    def test_disconnected_rejected(self):
-        g = new_trigraph(4, [(0, 1), (2, 3)])
-        with pytest.raises(Disconnected):
-            find_bridges(g)
+    def test_disconnected_matches_oracle(self):
+        # one low-link search per component: on random graphs of several
+        # components, some edges red and some labels fresh, the bridges are
+        # the edges whose removal splits a component
+        assert find_bridges(new_trigraph(4, [(0, 1), (2, 3)])) == ((0, 1), (2, 3))
+        rng = random.Random(24)
+        checked = 0
+        for _ in range(300):
+            n = rng.randrange(2, 13)
+            edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(n))}
+            red = {e for e in edges if rng.random() < 0.3}
+            g = new_trigraph(n, sorted(edges - red), sorted(red))
+            if n > 2 and rng.random() < 0.5:
+                g = g.contract(*rng.sample(sorted(g.vertices), 2))
+            if len(connected_components_oracle(g)) > 1:
+                assert find_bridges(g) == find_bridges_oracle(g)
+                checked += 1
+        assert checked > 200
 
 
 class TestDanglingTrees:
@@ -294,6 +314,27 @@ class TestDanglingTrees:
     def test_acyclic_none(self):
         star = new_trigraph(5, [(0, i) for i in range(1, 5)])
         assert find_dangling_trees(star) == ()
+
+    def test_every_component(self):
+        # a tree beside two graphs with a cycle and trees, in random order:
+        # each cyclic component's trees are listed, as one sorted list, and
+        # the tree component has none
+        rng = random.Random(7)
+        for _ in range(50):
+            parts = [random_tree(rng.randrange(1, 6), rng)] + [
+                random_with_dangling_trees(rng.randrange(3, 6), 1, rng.randrange(1, 6), rng)
+                for _ in range(2)
+            ]
+            rng.shuffle(parts)
+            edges, shift = [], 0
+            for h in parts:
+                edges += [(u + shift, v + shift) for u, v in h.black_edges()]
+                shift += h.n
+            g = new_trigraph(shift, edges)
+            got = find_dangling_trees(g)
+            assert got == find_dangling_trees_oracle(g)
+            assert len(got) == sum(len(find_dangling_trees(h)) for h in parts)
+            assert all(find_dangling_trees(h) for h in parts if h.edge_count() >= h.n)
 
     def test_fig3_blue_vertex_sets(self):
         g = make_fig3()
@@ -472,11 +513,6 @@ class TestScansMatchOracles:
     @settings(max_examples=300, derandomize=True)
     @given(stst.one_of(scan_trigraphs(connected=True), scan_trigraphs()))
     def test_dangling_trees(self, g):
-        if len(connected_components_oracle(g)) > 1:
-            for scan in (find_dangling_trees, find_dangling_trees_oracle):
-                with pytest.raises(Disconnected):
-                    scan(g)
-            return
         got = find_dangling_trees(g)
         assert got == find_dangling_trees_oracle(g)
         assert [(t.bridge, sorted(t.vertices), t.all_black) for t in got] == [

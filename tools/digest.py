@@ -23,11 +23,15 @@ that prune merges one owner's stumps in a long chain, also solved with the
 defaults; and trigraph inputs (set ``trigraph-inputs``): each criterion-9
 graph with its smallest edge red, and each of those beside the next plain
 criterion-9 graph, solved with the defaults, so that the path a red edge
-takes is diffed too.  The last set, ``parse-errors``, solves nothing: each
+takes is diffed too.  Two sets solve nothing.  In ``parse-errors`` each
 line hashes the error class, message and line number that
 ``cli.parse_graph`` raises on one of a fixed list of malformed PACE texts,
-so that a parser change is diffed the same way.  Uses only the standard
-library and the ``src/`` and ``twbench/`` trees next to this script.
+so that a parser change is diffed the same way.  In ``structure-info`` each
+line hashes ``twinwidth info``'s output, or the class and message of the
+error it raises, on a criterion-9 graph or one of the 49 unions, so that
+the structural queries are diffed on connected and disconnected inputs
+alike.  Uses only the standard library and the ``src/`` and ``twbench/``
+trees next to this script.
 
 ``--check FILE`` compares the lines with a digest saved in ``FILE`` instead
 of printing them: it prints only the lines that differ (``differs <set>
@@ -41,16 +45,21 @@ For a change that may alter answers on purpose, ``--summary`` prints
 ``<set> <instance> <width> <status> <miss kind>`` instead of the hash:
 ``<width> <status> -`` for an answer and ``- - <kind>`` for a budget miss,
 so a diff shows which widths and statuses moved and which misses remain;
-a ``parse-errors`` line reads ``<error class> <line or None>``.
+a ``parse-errors`` line reads ``<error class> <line or None>``, and a
+``structure-info`` line ``<bridges> <dangling trees> -`` or ``- - <error
+class>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,6 +173,27 @@ def parse_error(text):
     return "parsed"
 
 
+def info_output(path):
+    """``twinwidth info``'s output on the graph file ``path``, or
+    ``<error class>\n<message>`` for the error it raises."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            cli._cmd_info(argparse.Namespace(graph=path))
+    except TwinWidthError as exc:
+        return f"{type(exc).__name__}\n{exc}"
+    return out.getvalue()
+
+
+def info_summary(output):
+    """``<bridges> <dangling trees> -`` for an answer, ``- - <class>`` for
+    an error."""
+    if not output.startswith("{"):
+        return "- - " + output.partition("\n")[0]
+    info = json.loads(output)
+    return f"{len(info['bridges'])} {len(info['dangling_trees'])} -"
+
+
 def digest(g, outcome):
     """SHA-256 of an answer's sequence text and report, or of a miss."""
     if isinstance(outcome, BudgetExceeded):
@@ -209,6 +239,16 @@ def instances():
         yield "trigraph-inputs", f"g{i}+g{i + 1}", text, *defaults
 
 
+def info_graphs():
+    """``(instance, graph)`` for each criterion-9 graph and each union of
+    two consecutive ones."""
+    graphs = criterion9_corpus()
+    for i, g in enumerate(graphs):
+        yield f"g{i}", g
+    for i, (g, h) in enumerate(zip(graphs, graphs[1:])):
+        yield f"g{i}+g{i + 1}", disjoint_union(g, h)
+
+
 def lines(line):
     """The digest's lines, each instance's outcome shown by ``line``."""
     for set_name, name, text, policy, config in instances():
@@ -225,6 +265,16 @@ def lines(line):
         else:
             shown = hashlib.sha256(error.encode()).hexdigest()
         yield f"parse-errors {name} {shown}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.gr"
+        for name, g in info_graphs():
+            path.write_text(cli.emit_graph(g), encoding="utf-8")
+            output = info_output(str(path))
+            if line is summary:
+                shown = info_summary(output)
+            else:
+                shown = hashlib.sha256(output.encode()).hexdigest()
+            yield f"structure-info {name} {shown}"
 
 
 def check(saved_lines, got):
