@@ -149,9 +149,9 @@ def _config(args) -> SolverConfig:
 
 
 def _count(text):
-    """``--nodes``: a whole number >= 0; anything else is a usage error."""
+    """A count flag: a whole number >= 0; anything else is a usage error."""
     if not _whole(text):
-        raise argparse.ArgumentTypeError(f"bad node count {text!r}")
+        raise argparse.ArgumentTypeError(f"bad count {text!r}")
     return int(text)
 
 
@@ -290,7 +290,7 @@ def _parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--policy", type=_policy, default="practical:12")
     pipeline.add_argument("--threads", type=int, default=1,
                           help="accepted for compatibility; ignored")
-    pipeline.add_argument("--budget", type=int, default=20,
+    pipeline.add_argument("--budget", type=_count, default=20,
                           help="max vertex count for the exact endgame")
     pipeline.add_argument("--nodes", type=_count, default=None,
                           help="max search nodes per width decision")
@@ -300,7 +300,7 @@ def _parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", parents=[pipeline],
                              help="compute a contraction sequence")
     solve_p.add_argument("graph")
-    solve_p.add_argument("--cap", type=int, default=None)
+    solve_p.add_argument("--cap", type=_count, default=None)
     solve_p.add_argument("--seed", type=int, default=None,
                          help="reserved for corpus tooling; ignored by solve")
     solve_p.add_argument("--report", default=None)

@@ -68,7 +68,6 @@ from .structure import (
     _stump_owner,
     feedback_edge_set,
     induced_cycle,
-    induced_p4,
     induced_spider,
     red_stump_count,
     spanning_forest,
@@ -244,8 +243,8 @@ class _Reduction:
         vertices closing a feedback edge, kept as ``witness``, proves 2 and
         refutes caps 0 and 1 on ``g`` for the search; without one the search
         decides them, within the vertex budget; where it is skipped or
-        misses, an induced S(2,2,2) proves 2, and without one an induced P4
-        proves 1."""
+        misses, an induced S(2,2,2) proves 2, and without one an induced P4,
+        read off the scan (an empty input has none), proves 1."""
         self.witness = induced_cycle(self.g, self.core, self.fes)
         if self.witness is not None:
             self.lower = 2
@@ -254,7 +253,7 @@ class _Reduction:
         try:
             self.lower = self._decide((0, 1))
         except BudgetExceeded:
-            self.lower = 2 if induced_spider(self.g) else 1 if induced_p4(self.g) else 0
+            self.lower = 2 if induced_spider(self.g) else 1 if self.scan and self.scan.p4() else 0
         if self.solved is not None:
             self.trace.append({"rule": "solved_by_decision", "width": self.lower})
 

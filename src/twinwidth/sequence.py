@@ -3,8 +3,8 @@
 A contraction sequence is its base trigraph and the (a, b) pairs to merge,
 in order, as one tuple.  Its width is the maximum red degree seen in any
 intermediate trigraph, the base included.  Whether it is full, i.e. leaves
-one vertex per component of the base, is not stored with it: :func:`verify`
-asks that of the base, unless told to accept a prefix.  Fresh labels are
+no edge, is not stored with it: :func:`verify` asks that of the final
+trigraph, unless told to accept a prefix.  Fresh labels are
 deterministic: step ``i`` produces vertex ``base.next_label + i``, so
 sequences can be spliced without replaying any graph, and a step's result is
 derived from its index, never stored.  :func:`bags` maps every vertex that
@@ -29,7 +29,6 @@ from .errors import (
     IncompleteSequence,
     InstanceMismatch,
 )
-from .structure import spanning_forest
 from .trigraph import Trigraph
 
 
@@ -96,12 +95,12 @@ def verify(g: Trigraph, seq: ContractionSequence, require_full=True) -> int:
 
     The width is the maximum red degree over all vertices of all intermediate
     trigraphs, including ``g`` itself.  Unless ``require_full`` is false, the
-    sequence must be full: it must end with one live vertex per connected
-    component of ``g``, or a single vertex overall.
+    sequence must be full: its final trigraph must have no edge, so that every
+    vertex left is isolated and contracting them makes no red edge.
     """
     _check_base(g, seq)
     final, width = g.replay(seq._pairs)
-    if require_full and final.n > 1 and final.n != len(spanning_forest(g)):
+    if require_full and final.edge_count():
         raise IncompleteSequence(
             f"{final.n} vertices remain after a supposedly full sequence"
         )

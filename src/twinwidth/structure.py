@@ -8,7 +8,8 @@ feedback edges and keeps every vertex's parent and children in label order
 (:class:`ComponentScan`).  Two sweeps over that tree yield the 2-core, the
 least subtree that spans every feedback edge's ends, and the dangling trees,
 the non-core vertices grouped under the core vertex they hang from; the
-reduction rules fold each tree along the same child lists.
+reduction rules fold each tree along the same child lists, and the bridges
+and the up-front check's induced P4 are read off the same tree.
 
 A stump is the 1- or 2-vertex remnant left behind when a dangling tree is cut
 down: a half stump is a pendant vertex behind a black edge, a black (red)
@@ -59,8 +60,8 @@ class ComponentScan:
     with children to them, in label order.  ``red`` is the red map when the
     scan walked red edges, else None.  The 2-core and the dangling trees are
     derived from the tree, and every dangling tree is folded along ``kids``;
-    only :meth:`core`, :meth:`trees`, :meth:`reroot` and the folds read
-    ``parent`` and ``kids``, so a holder done with them may drop them.
+    only the methods, the folds and :func:`find_bridges` read ``parent`` and
+    ``kids``, so a holder done with them may drop them.
     """
 
     order: list
@@ -92,6 +93,19 @@ class ComponentScan:
                 p = parent[v]
                 below[p] = below.get(p, 0) + count
         return frozenset(sorted(below))
+
+    def p4(self):
+        """An induced path on four vertices, in order, or None; it has no
+        width-0 sequence.  The first three edges of the BFS path from the root
+        to the last vertex form one, since a chord would shorten the path.
+        Sound but incomplete: it misses every P4 when the root's eccentricity
+        is at most 2, as in a C5.  Reads ``parent``, so it runs before
+        ``_prune`` drops the map."""
+        parent = self.parent
+        path = [self.order[-1]]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1][:4] if len(path) > 3 else None
 
     def reroot(self, x):
         """Make ``x`` the root of the BFS tree: each vertex on the path from
@@ -188,44 +202,32 @@ def spanning_forest(g: Trigraph, black_only=False) -> list[ComponentScan]:
 
 
 def find_bridges(g: Trigraph) -> tuple[tuple[int, int], ...]:
-    """All bridges (both edge colors count), by iterative low-link, one
-    search from each component's first vertex."""
-    preorder = {}
-    low = {}
+    """All bridges (both edge colors count), read off one scan of both
+    colours.  Numbered in a depth-first preorder along ``kids``, each
+    subtree holds an interval of numbers, and the tree edge into ``v`` is a
+    bridge iff no non-tree edge at ``v``'s subtree reaches a number outside
+    ``v``'s interval (Tarjan 1974)."""
     bridges = []
-    counter = 0
-    for root in g.vertices:
-        if root in preorder:
-            continue
-        stack = [(root, None, iter(sorted(g.neighbors(root))))]
-        preorder[root] = low[root] = counter
-        counter += 1
+    for scan in spanning_forest(g):
+        kids, parent = scan.kids, scan.parent
+        pre, stack = [], [scan.order[0]]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u not in preorder:
-                    preorder[u] = low[u] = counter
-                    counter += 1
-                    stack.append((u, v, iter(sorted(g.neighbors(u)))))
-                    advanced = True
-                    break
-                elif u != parent:
-                    low[v] = min(low[v], preorder[u])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] == preorder[v]:
-                        bridges.append((min(p, v), max(p, v)))
+            v = stack.pop()
+            pre.append(v)
+            stack += kids.get(v, ())
+        num = {v: i for i, v in enumerate(pre)}
+        lo, hi = dict(num), dict(num)
+        for a, b in scan.fes:
+            lo[a], hi[a] = min(lo[a], num[b]), max(hi[a], num[b])
+            lo[b], hi[b] = min(lo[b], num[a]), max(hi[b], num[a])
+        size = dict.fromkeys(pre, 1)
+        for v in reversed(pre[1:]):
+            p = parent[v]
+            if lo[v] == num[v] and hi[v] < num[v] + size[v]:
+                bridges.append((min(p, v), max(p, v)))
+            size[p] += size[v]
+            lo[p], hi[p] = min(lo[p], lo[v]), max(hi[p], hi[v])
     return tuple(sorted(bridges))
-
-
-def two_core(g: Trigraph) -> frozenset[int]:
-    """Vertices surviving repeated removal of degree <= 1 vertices: the
-    union of :meth:`ComponentScan.core` over a scan of both colours."""
-    return frozenset(sorted(chain.from_iterable(c.core() for c in spanning_forest(g))))
 
 
 def induced_cycle(g: Trigraph, core, fes):
@@ -282,29 +284,6 @@ def induced_spider(g: Trigraph):
             if len(legs) == 6:
                 return (c, *legs)
     return None
-
-
-def induced_p4(g: Trigraph):
-    """An induced path on four vertices, in order, or None; it has no width-0
-    sequence.  One breadth-first search from the smallest vertex: the first
-    three edges of a shortest path to a vertex at distance 3 or more form an
-    induced P4, since a chord would shorten the path.  Sound but incomplete:
-    it misses every P4 when that vertex's eccentricity is at most 2, as in
-    every graph of diameter 2.  O(n + m)."""
-    if not g.n:
-        return None
-    a = min(g.vertices)
-    parent = {a: None}
-    queue = [a]
-    for v in queue:
-        for u in g.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                queue.append(u)
-    path = [queue[-1]]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1][:4] if len(path) > 3 else None
 
 
 def find_dangling_trees(g: Trigraph) -> tuple[DanglingTree, ...]:

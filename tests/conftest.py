@@ -35,7 +35,7 @@ from twinwidth.structure import (
     StumpKind,
     feedback_edge_set,
     induced_cycle,
-    two_core,
+    spanning_forest,
 )
 
 
@@ -83,8 +83,10 @@ def petersen():
 
 def witness(g: Trigraph):
     """The up-front check's linear witness on the plain graph ``g``: an
-    induced cycle of five or more vertices closing a feedback edge, or None."""
-    return induced_cycle(g, two_core(g), feedback_edge_set(g))
+    induced cycle of five or more vertices closing a feedback edge, or None.
+    The 2-core is the union of the scanned components' cores."""
+    core = frozenset().union(*(scan.core() for scan in spanning_forest(g)))
+    return induced_cycle(g, core, feedback_edge_set(g))
 
 
 def make_fig3_middle():
@@ -134,7 +136,6 @@ def count_scans(monkeypatch):
     edges, 2-cores and dangling trees."""
     from twinwidth import kernel as kernel_module
     from twinwidth import reduce as reduce_module
-    from twinwidth import sequence as sequence_module
     from twinwidth import structure as structure_module
 
     calls = []
@@ -144,7 +145,7 @@ def count_scans(monkeypatch):
         calls.append(("forest", g.n))
         return real_forest(g, *args, **kwargs)
 
-    for module in (structure_module, kernel_module, reduce_module, sequence_module):
+    for module in (structure_module, kernel_module, reduce_module):
         monkeypatch.setattr(module, "spanning_forest", forest)
     return calls
 

@@ -178,6 +178,17 @@ class TestCommands:
         assert run(["verify", str(tmp_fig2), str(seq)]) == 2
         assert capsys.readouterr().err.startswith("verification failed: 4 vertices remain")
 
+    def test_verify_uncontracted_component_exit_2(self, tmp_path, capsys):
+        # a P4 beside four isolated vertices, whose sequence merges only the
+        # isolated ones: one vertex per component remains, but the P4 keeps
+        # its edges, so the sequence is not full
+        graph = tmp_path / "p4.gr"
+        graph.write_text("p tww 8 3\n1 2\n2 3\n3 4\n")
+        seq = tmp_path / "p4.seq"
+        seq.write_text("5 6\n7 8\n5 7\n")
+        assert run(["verify", str(graph), str(seq)]) == 2
+        assert capsys.readouterr().err.startswith("verification failed: 5 vertices remain")
+
     @pytest.mark.parametrize("line", ["1 x", "1 2 3", "1", "1_0 2", "+1 2", "\u0663 2"])
     def test_verify_malformed_step_exit_1(self, tmp_fig2, tmp_path, capsys, line):
         # a step line that is not two whole numbers in ASCII digits is a
@@ -337,10 +348,13 @@ class TestCommands:
     @pytest.mark.parametrize(
         "flag, value",
         [("--nodes", "-1"), ("--nodes", "1.5"), ("--nodes", "x"), ("--nodes", "\u0663"),
-         ("--time", "-1"), ("--time", "x"), ("--time", "nan")],
+         ("--time", "-1"), ("--time", "x"), ("--time", "nan"),
+         ("--budget", "-1"), ("--budget", "1_0"), ("--budget", "+5"), ("--budget", "\u0663"),
+         ("--cap", "-1"), ("--cap", "1_0")],
     )
     def test_bad_search_budget_is_usage_error(self, tmp_fig2, capsys, flag, value):
-        for command in ("solve", "kernelize"):
+        # --cap belongs to solve alone
+        for command in ("solve",) if flag == "--cap" else ("solve", "kernelize"):
             assert run([command, str(tmp_fig2), flag, value]) == 1
             assert f"argument {flag}" in capsys.readouterr().err
 

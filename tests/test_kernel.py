@@ -26,7 +26,7 @@ from twinwidth.kernel import (
 from twinwidth.reduce import _Reduction, _prune, fen1_sequence, prune, tidy
 from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, optimal_sequence
-from twinwidth.structure import induced_p4, induced_spider, spanning_forest
+from twinwidth.structure import induced_spider, spanning_forest
 from twinwidth.trigraph import EdgeColor, new_trigraph
 
 from conftest import count_scans, make_fig3, petersen, shorten_oracle, witness
@@ -575,7 +575,7 @@ class TestSolve:
         edges += [(i, i + 27) for i in range(4, 31)]
         g = new_trigraph(58, edges)
         assert witness(g) is None and induced_spider(g) is None
-        assert induced_p4(g) is not None
+        assert spanning_forest(g)[0].p4() is not None
         _, report = solve(g)
         assert "tww_at_least_2" not in report
         assert (report["width"], report["status"]) == (1, "optimal")
@@ -591,13 +591,14 @@ class TestSolve:
         except BudgetExceeded:
             pass
         assert calls == [("forest", 60)]
-        # a union's components share that one scan, and only the check that
-        # its spliced sequence is full counts them again; the scan walks red
-        # edges too, which join components as black ones do
+        # a union's components share that one scan, and the check that its
+        # spliced sequence is full reads the final trigraph, not the
+        # components; the scan walks red edges too, which join components as
+        # black ones do
         calls.clear()
         union = new_trigraph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7), (7, 8)])
         solve(union)
-        assert calls == [("forest", 9), ("forest", 9)]
+        assert calls == [("forest", 9)]
         calls.clear()
         solve(new_trigraph(4, [(0, 1)], [(1, 2), (2, 3)]))
         assert calls == [("forest", 4)]
@@ -608,7 +609,7 @@ class TestSolve:
         # share of that scan
         calls = count_scans(monkeypatch)
         seq, report = solve(new_trigraph(4, [(0, 1)], [(2, 3)]))
-        assert calls == [("forest", 4), ("forest", 4)]
+        assert calls == [("forest", 4)]
         assert (report["width"], report["status"]) == (1, "optimal")
         assert report["components"] == 2
         assert verify(seq.base, seq) == 1
@@ -621,9 +622,6 @@ class TestSolve:
         # walk follows the tidied cycle without taking a 2-core at all
         from twinwidth import structure as structure_module
 
-        def refuse(g):
-            raise AssertionError("two_core called")
-
         cores = []
         real_core = structure_module.ComponentScan.core
 
@@ -631,7 +629,6 @@ class TestSolve:
             cores.append(len(scan.order))
             return real_core(scan)
 
-        monkeypatch.setattr(structure_module, "two_core", refuse)
         monkeypatch.setattr(structure_module.ComponentScan, "core", core)
         calls = count_scans(monkeypatch)
         made = []
@@ -653,7 +650,7 @@ class TestSolve:
         cores.clear()
         cycles = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4), (7, 8)]
         solve(new_trigraph(9, cycles))
-        assert calls == [("forest", 9), ("forest", 9)] and cores == [4, 5]
+        assert calls == [("forest", 9)] and cores == [4, 5]
 
     def test_width_two_refuted_once(self, decide_calls):
         # the 3x3 rook's graph: every edge lies in a triangle, so no feedback

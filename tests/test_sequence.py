@@ -48,6 +48,22 @@ class TestVerify:
         seq = ContractionSequence.build(g, [(0, 2), (1, 3)])
         assert verify(g, seq) == 2
 
+    def test_uncontracted_component_is_not_full(self):
+        # a P4 beside four isolated vertices: merging the isolated ones
+        # leaves one vertex per component, but the P4 keeps its edges, and
+        # contracting them would take width 1
+        g = new_trigraph(8, [(0, 1), (1, 2), (2, 3)])
+        seq = ContractionSequence.build(g, [(4, 5), (6, 7), (8, 9)])
+        with pytest.raises(IncompleteSequence):
+            verify(g, seq)
+        assert verify(g, seq, require_full=False) == 0
+
+    def test_isolated_vertices_left_are_full(self):
+        # with no edge left, contracting the rest makes no red edge: one step
+        # on three isolated vertices is full, though two vertices remain
+        g = new_trigraph(3)
+        assert verify(g, ContractionSequence.build(g, [(0, 1)])) == 0
+
     def test_dead_vertex_step(self):
         g = make_fig2()
         seq = ContractionSequence.build(g, [(0, 1), (0, 2)])

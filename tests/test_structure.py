@@ -19,12 +19,10 @@ from twinwidth.structure import (
     find_bridges,
     find_dangling_paths,
     find_dangling_trees,
-    induced_p4,
     induced_spider,
     red_stump_count,
     spanning_forest,
     stumps_at,
-    two_core,
 )
 from twinwidth.solver import decide_width_at_most, optimal_sequence
 from twinwidth.trigraph import Trigraph, new_trigraph
@@ -228,22 +226,30 @@ class TestInducedSpider:
         assert len(reads) == len(set(reads)) == d + 1
 
 
+def p4(g):
+    """The P4 certificate of ``g``'s first scanned component, the one of its
+    smallest label, or None if ``g`` is empty."""
+    forest = spanning_forest(g)
+    return forest[0].p4() if forest else None
+
+
 class TestInducedP4:
     def test_path_alone(self):
         g = new_trigraph(4, [(0, 1), (1, 2), (2, 3)])
-        assert induced_p4(g) == [0, 1, 2, 3]
-        assert induced_p4(g.induce(range(3))) is None
+        assert p4(g) == [0, 1, 2, 3]
+        assert p4(g.induce(range(3))) is None
+        assert p4(g.induce(())) is None
 
     def test_diameter_two_missed(self):
         # sound but incomplete: the C5 holds an induced P4, but every vertex
         # reaches every other within two edges
-        assert induced_p4(cycle(5)) is None
+        assert p4(cycle(5)) is None
         assert decide_width_at_most(cycle(5), 0) is None
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(sparse_trigraphs())
     def test_p4_refutes_width_zero(self, g):
-        path = induced_p4(g)
+        path = p4(g)
         if path is not None:
             assert len(set(path)) == 4 and path[0] == min(g.vertices)
             assert all(g.color(x, y) is not None for x, y in zip(path, path[1:]))
@@ -256,7 +262,7 @@ class TestInducedP4:
         for _ in range(200):
             g = random_connected_graph(rng.randrange(2, 12), 0, rng)
             far = max(distances_from(g, min(g.vertices)).values())
-            assert (induced_p4(g) is not None) == (far >= 3)
+            assert (p4(g) is not None) == (far >= 3)
             found += far >= 3
         assert 50 < found < 200
 
@@ -288,7 +294,7 @@ class TestBridges:
         assert (0, 1) not in bridges  # on a cycle
 
     def test_disconnected_matches_oracle(self):
-        # one low-link search per component: on random graphs of several
+        # one scan finds every component's bridges: on random graphs of several
         # components, some edges red and some labels fresh, the bridges are
         # the edges whose removal splits a component
         assert find_bridges(new_trigraph(4, [(0, 1), (2, 3)])) == ((0, 1), (2, 3))
@@ -450,9 +456,8 @@ class TestDanglingPaths:
         assert (7, 8, 9) in paths
 
     def test_two_core(self):
-        g = make_fig3()
-        core = two_core(g)
-        assert core == frozenset(range(23))
+        (scan,) = spanning_forest(make_fig3())
+        assert scan.core() == frozenset(range(23))
 
 
 @stst.composite
@@ -506,9 +511,20 @@ class TestScansMatchOracles:
     @settings(max_examples=300, derandomize=True)
     @given(scan_trigraphs())
     def test_two_core(self, g):
-        core = two_core(g)
-        assert core == two_core_oracle(g)
-        assert list(core) == list(two_core_oracle(g))
+        # each component's core is its share of the peeled core, built in
+        # label order, the order of the vertices
+        oracle = two_core_oracle(g)
+        for scan in spanning_forest(g):
+            core = scan.core()
+            assert core == oracle & frozenset(scan.order)
+            assert list(core) == list(frozenset(v for v in g.vertices if v in core))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(scan_trigraphs())
+    def test_bridges(self, g):
+        got = find_bridges(g)
+        assert got == find_bridges_oracle(g)
+        assert list(got) == sorted(got)
 
     @settings(max_examples=300, derandomize=True)
     @given(stst.one_of(scan_trigraphs(connected=True), scan_trigraphs()))
