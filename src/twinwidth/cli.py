@@ -188,11 +188,12 @@ def _cmd_solve(args) -> int:
     if args.cap is not None and width > args.cap:
         print(f"width {width} exceeds cap {args.cap}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_sequence(g, seq))
-    if args.report:
+    text = emit_sequence(g, seq)
+    if args.report:  # written first, so that a failed write leaves stdout empty
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    sys.stdout.write(text)
     print(f"width {width}", file=sys.stderr)
     return 0
 
@@ -221,7 +222,7 @@ def _cmd_kernelize(args) -> int:
         outcome = general_kernel(g, args.policy, _config(args), trace)
     if outcome.is_solved:
         width = verify(g, outcome.solved)
-        sys.stdout.write(f"c solved width={width}\np tww 1 0\n")
+        text = f"c solved width={width}\np tww 1 0\n"
         payload = {
             "solved": True,
             "width": width,
@@ -229,12 +230,13 @@ def _cmd_kernelize(args) -> int:
             "rules": trace,
         }
     else:
-        sys.stdout.write(emit_graph(outcome.kernel))
+        text = emit_graph(outcome.kernel)
         payload = {"solved": False, "meta": outcome.meta, "rules": trace}
-    if args.trace:
+    if args.trace:  # written first, so that a failed write leaves stdout empty
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    sys.stdout.write(text)
     return 0
 
 
@@ -291,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--threads", type=int, default=1,
                           help="accepted for compatibility; ignored")
     pipeline.add_argument("--budget", type=_count, default=20,
-                          help="max vertex count for the exact endgame")
+                          help="max vertex count of every exact width decision")
     pipeline.add_argument("--nodes", type=_count, default=None,
                           help="max search nodes per width decision")
     pipeline.add_argument("--time", type=_seconds, default=None,

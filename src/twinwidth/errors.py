@@ -31,10 +31,6 @@ class BadVertexSet(TwinWidthError):
     pass
 
 
-class IllegalRecolor(TwinWidthError):
-    pass
-
-
 # -- sequences and lifts -----------------------------------------------------
 
 class DeadVertexAtStep(TwinWidthError):
@@ -86,10 +82,6 @@ class PreconditionViolated(TwinWidthError):
 
 
 class NoMultipleStumps(TwinWidthError):
-    pass
-
-
-class BadStumpConfig(TwinWidthError):
     pass
 
 

@@ -9,7 +9,7 @@ original, within a certified width bound:
 * deeper dangling black trees are cut down to a red stump,
 * stump clusters on one vertex are merged until at most one stump (or a
   black-and-half pair) remains,
-* pseudo-paths are cleaned into stump-free red paths ("tidied"),
+* pseudo-paths are cleaned into stump-free red paths ("tidied").
 
 Every stage is a list of contraction pairs played on one runner,
 :class:`_Reduction`: a plain working copy of the input, one prefix, the
@@ -20,6 +20,7 @@ decomposition), ``_tidy``, and then either the feedback-edge-one walk
 ``_fen1`` or the kernels.  The public functions are a fresh runner plus one
 body; a :class:`~twinwidth.sequence.Lift` is built only where one is
 returned.
+
 The rules contract only tree vertices, so the input is looked at once: the
 runner holds the input's one forest scan
 (:class:`~twinwidth.structure.ComponentScan`), whose 2-core serves the
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 from functools import reduce as fold
 
 from .errors import (
-    BadStumpConfig,
     BudgetExceeded,
     Disconnected,
     FenTooLarge,
@@ -410,20 +410,6 @@ def _stump_remnant(stumps, emit):
     return None
 
 
-def kill_stumps_prefix(g: Trigraph, u) -> ContractionSequence:
-    """Partial sequence that removes ``u``'s stumps and turns all edges at
-    ``u`` red; width is max(red_degree(u) + 1, max red degree afterwards)."""
-    stumps = stumps_at(g, u)
-    if not stumps:
-        raise BadStumpConfig(f"{u} owns no stumps")
-    pairs = Emitter(g.next_label)
-    x = _stump_remnant(stumps, pairs.emit)
-    if x is None:
-        raise BadStumpConfig(f"{u} must own a single stump or a black-and-half pair")
-    pairs.emit(u, x)
-    return ContractionSequence.build(g, pairs)
-
-
 # -- tidying pseudo-paths ----------------------------------------------------------
 
 
@@ -532,7 +518,7 @@ def _component_paths(g: Trigraph, core, hubs):
     return sorted(paths)
 
 
-def _prune(run: _Reduction, observer=None) -> HPGraph | None:
+def _prune(run: _Reduction) -> HPGraph | None:
     """The body of :func:`prune` on an unsolved runner that has played nothing
     and holds the input's scan.
 
@@ -556,11 +542,6 @@ def _prune(run: _Reduction, observer=None) -> HPGraph | None:
         return None
 
     def apply(rule, site, *args):
-        # the observer sees the rule played alone on a snapshot, as the public
-        # rule would play it
-        if observer is not None:
-            before = g._frozen()
-            observer(rule.__name__, before, rule(_Reduction(before, run.search), *args).outcome())
         rule(run, *args)
         solved = run.solved is not None
         note({"rule": rule.__name__ + ("_solved" if solved else ""), "site": site})
@@ -632,12 +613,7 @@ def _connected_forest(g: Trigraph, message):
     return forest
 
 
-def prune(
-    g: Trigraph,
-    config: SolverConfig = DEFAULT_CONFIG,
-    trace=None,
-    observer=None,
-) -> RuleOutcome:
+def prune(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG, trace=None) -> RuleOutcome:
     """Exhaustively cut dangling trees down to stumps and assemble the
     core/path decomposition.
 
@@ -653,7 +629,7 @@ def prune(
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
     run = _Reduction(g, _Search(config), forest[0] if forest else None, trace)
     run.decide()
-    if run.solved is None and (hp := _prune(run, observer)) is not None:
+    if run.solved is None and (hp := _prune(run)) is not None:
         hp.g = run.work._frozen()
         return RuleOutcome(instance=hp, lift=run.lift(hp.g))
     return RuleOutcome(solved=run.solved)

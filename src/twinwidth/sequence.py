@@ -1,14 +1,12 @@
-"""Contraction sequences, the width verifier, bag bookkeeping, and lifts.
+"""Contraction sequences, the width verifier, and lifts.
 
 A contraction sequence is its base trigraph and the (a, b) pairs to merge,
 in order, as one tuple.  Its width is the maximum red degree seen in any
 intermediate trigraph, the base included.  Whether it is full, i.e. leaves
 no edge, is not stored with it: :func:`verify` asks that of the final
-trigraph, unless told to accept a prefix.  Fresh labels are
-deterministic: step ``i`` produces vertex ``base.next_label + i``, so
-sequences can be spliced without replaying any graph, and a step's result is
-derived from its index, never stored.  :func:`bags` maps every vertex that
-ever existed to the original vertices merged into it.
+trigraph.  Fresh labels are deterministic: step ``i`` produces vertex
+``base.next_label + i``, so sequences can be spliced without replaying any
+graph, and a step's result is derived from its index, never stored.
 
 A :class:`Lift` turns a full sequence of a reduced instance back into a full
 sequence of the instance it was derived from.  Every lift is of prefix form:
@@ -24,28 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    DeadVertexAtStep,
-    IncompleteSequence,
-    InstanceMismatch,
-)
+from .errors import IncompleteSequence, InstanceMismatch
 from .trigraph import Trigraph
-
-
-@dataclass(frozen=True)
-class ContractionStep:
-    a: int
-    b: int
-    result: int
 
 
 class ContractionSequence:
     """An ordered list of contractions against a specific base trigraph.
 
     The sequence keeps only its ``(a, b)`` pairs, as one tuple: step ``i``
-    makes the label ``base.next_label + i``, so :attr:`steps` derives each
-    step's result on demand, while :meth:`pairs`, :func:`verify` and the
-    text writer read the pairs alone.
+    makes the label ``base.next_label + i``, so :meth:`pairs`,
+    :func:`verify` and the text writer read the pairs alone.
     """
 
     __slots__ = ("base", "_pairs")
@@ -57,13 +43,6 @@ class ContractionSequence:
     @classmethod
     def build(cls, base: Trigraph, pairs: Iterable[tuple[int, int]]):
         return cls(base, tuple([(a, b) for a, b in pairs]))
-
-    @property
-    def steps(self) -> tuple[ContractionStep, ...]:
-        nxt = self.base.next_label
-        return tuple(
-            ContractionStep(a, b, nxt + i) for i, (a, b) in enumerate(self._pairs)
-        )
 
     def __len__(self):
         return len(self._pairs)
@@ -81,26 +60,19 @@ class ContractionSequence:
     def __repr__(self):
         return f"ContractionSequence({len(self._pairs)} steps)"
 
-    def final_trigraph(self) -> Trigraph:
-        return self.base.replay(self._pairs)[0]
 
-
-def _check_base(g: Trigraph, seq: ContractionSequence):
-    if seq.base != g:
-        raise InstanceMismatch("sequence was built against a different trigraph")
-
-
-def verify(g: Trigraph, seq: ContractionSequence, require_full=True) -> int:
+def verify(g: Trigraph, seq: ContractionSequence) -> int:
     """Replay ``seq`` on ``g`` and return its exact width.
 
     The width is the maximum red degree over all vertices of all intermediate
-    trigraphs, including ``g`` itself.  Unless ``require_full`` is false, the
-    sequence must be full: its final trigraph must have no edge, so that every
-    vertex left is isolated and contracting them makes no red edge.
+    trigraphs, including ``g`` itself.  The sequence must be full: its final
+    trigraph must have no edge, so that every vertex left is isolated and
+    contracting them makes no red edge.
     """
-    _check_base(g, seq)
+    if seq.base != g:
+        raise InstanceMismatch("sequence was built against a different trigraph")
     final, width = g.replay(seq._pairs)
-    if require_full and final.edge_count():
+    if final.edge_count():
         raise IncompleteSequence(
             f"{final.n} vertices remain after a supposedly full sequence"
         )
@@ -118,50 +90,6 @@ class Emitter(list):
     def emit(self, a, b) -> int:
         self.append((a, b))
         return self.first + len(self) - 1
-
-
-def bags(g: Trigraph, seq: ContractionSequence) -> dict[int, frozenset[int]]:
-    """Every vertex that ever existed mapped to its bag of original vertices:
-    originals map to singletons, every contraction result to the union of
-    its parents' bags, so ``u`` is ``v`` or was merged into it iff
-    ``bags[u] <= bags[v]``."""
-    _check_base(g, seq)
-    forest = {v: frozenset((v,)) for v in g.vertices}
-    alive = set(g.vertices)
-    for i, step in enumerate(seq.steps):
-        if step.a not in alive or step.b not in alive or step.a == step.b:
-            raise DeadVertexAtStep(i, step.b if step.a in alive else step.a)
-        forest[step.result] = forest[step.a] | forest[step.b]
-        alive.discard(step.a)
-        alive.discard(step.b)
-        alive.add(step.result)
-    return forest
-
-
-def restrict(g: Trigraph, seq: ContractionSequence, subset) -> ContractionSequence:
-    """Project a full sequence of ``g`` onto ``g.induce(subset)``.
-
-    A contraction contributes a step exactly when both merged bags intersect
-    ``subset``; when only one does, the surviving projected bag is unchanged
-    and the step is skipped.  The result has ``len(subset) - 1`` steps and
-    never exceeds the width of ``seq``.
-    """
-    _check_base(g, seq)
-    keep = frozenset(subset)
-    induced = g.induce(keep)
-    # live projected vertex for every base vertex whose bag meets the subset
-    proj = {v: v for v in keep}
-    pairs = Emitter(induced.next_label)
-    for step in seq.steps:
-        pa = proj.get(step.a)
-        pb = proj.get(step.b)
-        if pa is not None and pb is not None:
-            proj[step.result] = pairs.emit(pa, pb)
-        elif pa is not None:
-            proj[step.result] = pa
-        elif pb is not None:
-            proj[step.result] = pb
-    return ContractionSequence.build(induced, pairs)
 
 
 # -- lifts ---------------------------------------------------------------------
@@ -198,10 +126,6 @@ class Lift:
         if seq.base != self.child:
             raise InstanceMismatch("lift input was built against a different instance")
         return ContractionSequence.build(self.parent, (*self.prefix, *seq._pairs))
-
-
-def identity_lift(g: Trigraph) -> Lift:
-    return Lift(parent=g, child=g, prefix=())
 
 
 def compose(inner: Lift, outer: Lift) -> Lift:

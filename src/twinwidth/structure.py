@@ -76,10 +76,12 @@ class ComponentScan:
 
         Outside it every vertex lies in a subtree that no non-tree edge
         touches, which repeated removal of leaves deletes; inside it every
-        leaf ends a non-tree edge, so no vertex has degree below 2.  One sweep up the BFS order counts the ends below each
-        vertex and stops at the deepest vertex that has them all; every
-        vertex counted on the way, that one included, is in the core.  The
-        set is built in label order, the order of the vertices."""
+        leaf ends a non-tree edge, so no vertex has degree below 2.
+
+        One sweep up the BFS order counts the ends below each vertex and
+        stops at the deepest vertex that has them all; every vertex counted
+        on the way, that one included, is in the core.  The set is built in
+        label order, the order of the vertices."""
         below = dict.fromkeys(chain.from_iterable(self.fes), 1)
         if not below:
             return frozenset()

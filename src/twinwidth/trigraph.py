@@ -9,8 +9,8 @@ Vertex labels of retired vertices are never reused: every trigraph carries a
 monotone counter and the contraction result always gets a fresh label.
 
 All public operations are pure and return new values, whose neighbour sets
-are frozensets.  ``replay``, ``recolor`` and the reduction runner instead edit
-a private working copy made by ``Trigraph._thawed``, which shares the value's
+are frozensets.  ``replay`` and the reduction runner instead edit a private
+working copy made by ``Trigraph._thawed``, which shares the value's
 frozensets until it writes: ``Trigraph._play`` and ``Trigraph._redden`` swap
 a vertex's frozenset for a private set the first time they change it, so a
 copy costs only the vertices it touches.  ``_frozen`` turns a working copy
@@ -32,7 +32,6 @@ from .errors import (
     DeadVertex,
     DeadVertexAtStep,
     DuplicateEdge,
-    IllegalRecolor,
     SameVertex,
     SelfLoop,
 )
@@ -60,7 +59,7 @@ class Trigraph:
 
     def __init__(self, black, red, next_label):
         # Private: callers go through new_trigraph / contract / replay / induce /
-        # split / recolor.
+        # split.
         # Maps vertex -> neighbor frozenset (a set in a working copy), one map
         # per color, in ascending insertion order so iteration is deterministic.
         self._black = black
@@ -307,45 +306,6 @@ class Trigraph:
                 black[v] = self._black[v] & keeps[i] or _EMPTY
                 red[v] = self._red[v] & keeps[i] or _EMPTY
         return [Trigraph(black, red, self._next_label) for black, red in maps]
-
-    def recolor(self, changes):
-        """Return a copy with red edges turned black or dropped.
-
-        ``changes`` maps a red edge ``(u, v)`` to ``EdgeColor.BLACK`` or
-        ``None`` (remove the edge): the directions that yield a pseudoinduced
-        subtrigraph.  Any other change raises :class:`IllegalRecolor`.
-        """
-        work = self._thawed()
-        black, red = work._black, work._red
-        for (u, v), new in changes.items():
-            cur = self.color(u, v)
-            if cur is None:
-                raise IllegalRecolor(f"({u}, {v}) is not an edge")
-            if cur is not EdgeColor.RED or new not in (EdgeColor.BLACK, None):
-                raise IllegalRecolor(
-                    f"({u}, {v}): {cur} -> {new} is not a pseudoinduced direction"
-                )
-            _private(red, u).discard(v)
-            _private(red, v).discard(u)
-            if new is EdgeColor.BLACK:
-                _private(black, u).add(v)
-                _private(black, v).add(u)
-        return work._frozen()
-
-    def is_pseudoinduced_of(self, other):
-        """True if this trigraph is obtained from an induced subtrigraph of
-        ``other`` by dropping red edges or turning them black."""
-        mine = set(self._black)
-        if not mine <= set(other._black):
-            return False
-        for u in mine:
-            ob = other._black[u] & mine
-            orr = other._red[u] & mine
-            if not self._black[u] <= (ob | orr) or not ob <= self._black[u]:
-                return False
-            if not self._red[u] <= orr:
-                return False
-        return True
 
     # -- value semantics --------------------------------------------------------
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's optimized code paths:
 ``contract_oracle`` rebuilds a contraction from scratch by classifying every
 third vertex by its color pair, ``replay_oracle`` chains it one pair at a
-time, ``feedback_edge_set_oracle``, ``connected_components_oracle``,
+time, ``bags`` maps each vertex of a sequence's play to the original
+vertices merged into it, ``feedback_edge_set_oracle``, ``connected_components_oracle``,
 ``two_core_oracle`` and ``find_dangling_trees_oracle`` scan through the
 public per-vertex queries and filter the black edges by a tree-edge set,
 ``classify_stumps_oracle`` classifies the
@@ -21,6 +22,7 @@ set of refuted raw states, and ``naive_optimal_width`` tries every
 contraction sequence with no pruning, once per partition into bags.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -150,6 +152,24 @@ def count_scans(monkeypatch):
     return calls
 
 
+def observe_rules(monkeypatch, hook):
+    """Call ``hook(run, rule, args)`` before each call of a tree or stump rule
+    on a runner, ``rule`` being the unwrapped method, so that a test can
+    snapshot the runner and replay the rule alone on a fresh one."""
+    from twinwidth.reduce import _Reduction
+
+    def observed(rule):
+        @functools.wraps(rule)
+        def call(run, *args):
+            hook(run, rule, args)
+            return rule(run, *args)
+
+        return call
+
+    for name in ("reduce_star", "reduce_tree", "merge_stumps"):
+        monkeypatch.setattr(_Reduction, name, observed(getattr(_Reduction, name)))
+
+
 # -- independent oracles ----------------------------------------------------------
 
 
@@ -184,6 +204,24 @@ def replay_oracle(g: Trigraph, pairs):
         g = contract_oracle(g, u, v)
         width = max(width, g.max_red_degree())
     return g, width
+
+
+def bags(g: Trigraph, seq) -> dict:
+    """Every vertex that ever existed while ``seq`` plays on ``g`` mapped to
+    its bag of original vertices: originals map to singletons, and step
+    ``i``'s fresh vertex ``g.next_label + i`` to the union of its pair's
+    bags, so ``u`` is ``v`` or was merged into it iff ``bags[u] <= bags[v]``.
+    A step naming a dead or repeated vertex raises :class:`DeadVertexAtStep`."""
+    assert seq.base == g
+    forest = {v: frozenset((v,)) for v in g.vertices}
+    alive = set(g.vertices)
+    for i, (a, b) in enumerate(seq.pairs(), g.next_label):
+        if a not in alive or b not in alive or a == b:
+            raise DeadVertexAtStep(i - g.next_label, b if a in alive else a)
+        forest[i] = forest[a] | forest[b]
+        alive -= {a, b}
+        alive.add(i)
+    return forest
 
 
 def feedback_edge_set_oracle(g: Trigraph, ignore_red=False):

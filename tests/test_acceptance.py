@@ -13,15 +13,16 @@ from twinwidth.corpus import (
     random_with_dangling_trees,
 )
 from twinwidth.kernel import Practical, solve, tower_bound, tww2_bikernel
-from twinwidth.reduce import fen1_sequence, prune, tidy, tree_sequence
+from twinwidth.reduce import _Reduction, fen1_sequence, prune, tidy, tree_sequence
 from twinwidth.sequence import ContractionSequence, verify
-from twinwidth.solver import SolverConfig, optimal_sequence
+from twinwidth.solver import SolverConfig, _Search, optimal_sequence
 from twinwidth.structure import find_dangling_trees
 from conftest import (
     FIG2_PAIRS,
     connected_graphs_up_to_iso,
     make_fig2,
     naive_optimal_width,
+    observe_rules,
 )
 
 CFG = SolverConfig(max_vertices=25)
@@ -65,7 +66,7 @@ def test_criterion_3_tree_bound():
         root = rng.randrange(n)
         ts = tree_sequence(t, root)
         assert verify(t, ts) <= 2
-        assert all(root not in (s.a, s.b) for s in ts.steps[:-1]), i
+        assert all(root not in pair for pair in ts.pairs()[:-1]), i
     elapsed = time.perf_counter() - t0
     assert elapsed < 30, f"took {elapsed:.1f} s"
     print(f"PASS criterion 3: 500 random trees (n <= 200) solved at width "
@@ -104,13 +105,21 @@ def test_criterion_5_fen_plus_one_bound():
           f"(fen in 1..3, n <= 9), zero violations")
 
 
-def test_criterion_6_rule_equivalence_suite():
+def test_criterion_6_rule_equivalence_suite(monkeypatch):
     rng = random.Random(20240004)
     t0 = time.perf_counter()
     instances = 0
     rule_events = 0
     lift_checks = 0
     violations = []
+
+    # each rule call of prune's runner is recorded with the trigraph it
+    # started from and its arguments, and replayed afterwards alone on a
+    # fresh runner, as the public rule would play it
+    calls = []
+    observe_rules(
+        monkeypatch, lambda run, rule, args: calls.append((rule, run.work._frozen(), args))
+    )
 
     def check_event(rule, before, outcome):
         nonlocal rule_events, lift_checks
@@ -146,10 +155,11 @@ def test_criterion_6_rule_equivalence_suite():
         if g.n > 9 or not find_dangling_trees(g):
             continue
         instances += 1
-        events = []
-        out = prune(g, CFG, observer=lambda r, b, o: events.append((r, b, o)))
-        for rule, before, outcome in events:
-            check_event(rule, before, outcome)
+        calls.clear()
+        out = prune(g, CFG)
+        for rule, before, args in calls:
+            outcome = rule(_Reduction(before, _Search(CFG)), *args).outcome()
+            check_event(rule.__name__, before, outcome)
         if out.is_solved:
             w = verify(g, out.solved)
             if w > 2:

@@ -240,6 +240,17 @@ class TestCommands:
         payload = json.loads(trace.read_text())
         assert payload["solved"] and payload["width"] <= 2
 
+    @pytest.mark.parametrize("command, flag", [("solve", "--report"), ("kernelize", "--trace")])
+    def test_unwritable_output_file_leaves_stdout_empty(self, tmp_fig2, tmp_path, capsys,
+                                                        command, flag):
+        # the JSON file is written before stdout, so a run that fails on it
+        # prints no answer beside its exit code 1
+        target = tmp_path / "missing" / "out.json"
+        assert run([command, str(tmp_fig2), flag, str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "missing" in err
+
     def test_fes(self, tmp_path, capsys):
         graph = tmp_path / "c5.gr"
         graph.write_text("p tww 5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n")

@@ -27,9 +27,9 @@ from twinwidth.reduce import _Reduction, _prune, fen1_sequence, prune, tidy
 from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, optimal_sequence
 from twinwidth.structure import induced_spider, spanning_forest
-from twinwidth.trigraph import EdgeColor, new_trigraph
+from twinwidth.trigraph import new_trigraph
 
-from conftest import count_scans, make_fig3, petersen, shorten_oracle, witness
+from conftest import bags, count_scans, make_fig3, petersen, shorten_oracle, witness
 
 CFG = SolverConfig(max_vertices=25)
 
@@ -174,11 +174,7 @@ class TestValues:
         g = make_fig3()
         made = [g.replay([(24, 25), (26, 27)])[0], g.contract(24, 25), g.induce(range(20))]
         made += g.split([range(10), range(10, 30)])
-        made.append(
-            new_trigraph(4, [(0, 1)], [(1, 2), (2, 3)]).recolor(
-                {(1, 2): EdgeColor.BLACK, (2, 3): None}
-            )
-        )
+        made.append(new_trigraph(4, [(0, 1)], [(1, 2), (2, 3)]))
         pruned = prune(g, CFG)
         hp, lift = tidy(pruned.instance)
         made += [pruned.instance.g, pruned.lift.child, hp.g, lift.child]
@@ -355,11 +351,9 @@ class TestSolve:
         assert verify(g, seq) == report["width"]
         assert len(seq) == g.n - 3
         # no step merges the two components
-        from twinwidth.sequence import bags
-
         forest = bags(g, seq)
-        for step in seq.steps:
-            bag = forest[step.result]
+        for i in range(len(seq)):
+            bag = forest[g.next_label + i]
             assert bag <= {0, 1, 2} or bag <= {3, 4, 5} or bag <= {6}
 
     def test_disconnected_status_rests_on_the_widest_component(self):

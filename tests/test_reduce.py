@@ -10,13 +10,12 @@ from twinwidth.corpus import (
     random_with_dangling_trees,
 )
 from twinwidth.errors import (
-    BadStumpConfig,
     Disconnected,
     FenTooLarge,
-    IncompleteSequence,
     NoMultipleStumps,
     NotAStar,
     NotATree,
+    NotOriginal,
     PreconditionViolated,
 )
 from twinwidth.kernel import general_kernel, tww2_bikernel
@@ -25,7 +24,6 @@ from twinwidth.reduce import (
     _fold,
     _prune,
     fen1_sequence,
-    kill_stumps_prefix,
     merge_stumps,
     prune,
     reduce_star,
@@ -37,6 +35,7 @@ from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, canonical_key, optimal_sequence
 from twinwidth.structure import (
     DanglingTree,
+    PseudoPath,
     StumpKind,
     StumpSet,
     classify_stumps,
@@ -56,6 +55,7 @@ from conftest import (
     make_fig3,
     make_fig3_middle,
     make_fig3_tidy,
+    observe_rules,
 )
 
 CFG = SolverConfig(max_vertices=25)
@@ -73,14 +73,14 @@ class TestTreeSequence:
         star = new_trigraph(4, [(0, 1), (0, 2), (0, 3)])
         seq = tree_sequence(star, 0)
         assert verify(star, seq) <= 2
-        assert all(0 not in (s.a, s.b) for s in seq.steps[:-1])
-        assert 0 in (seq.steps[-1].a, seq.steps[-1].b)
+        assert all(0 not in pair for pair in seq.pairs()[:-1])
+        assert 0 in seq.pairs()[-1]
 
     def test_p5_rooted_at_endpoint(self):
         p5 = new_trigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         seq = tree_sequence(p5, 0)
         assert verify(p5, seq) <= 2
-        assert all(0 not in (s.a, s.b) for s in seq.steps[:-1])
+        assert all(0 not in pair for pair in seq.pairs()[:-1])
 
     def test_single_vertex(self):
         t = new_trigraph(1)
@@ -100,7 +100,7 @@ class TestTreeSequence:
             root = rng.randrange(n)
             seq = tree_sequence(t, root)
             assert verify(t, seq) <= 2
-            assert all(root not in (s.a, s.b) for s in seq.steps[:-1])
+            assert all(root not in pair for pair in seq.pairs()[:-1])
 
 
 class TestReduceStar:
@@ -413,55 +413,6 @@ class TestMergeStumps:
             assert verify(g, lifted) <= out.lift.bound(after.width)
 
 
-class TestKillStumps:
-    def test_red_stump_owner(self):
-        # red stump on 0 (red degree 1 via another red edge)
-        g = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (0, 3)], [(3, 4), (0, 5)])
-        # 0 has red degree 1 (edge to 5) plus a red stump (3, 4)? vertex 5
-        # has degree 1 though, making (5,) a half stump of... red edges never
-        # make stumps; keep it: stump of 0 is (3, 4).
-        d1 = g.red_degree(0)
-        seq = kill_stumps_prefix(g, 0)
-        w = verify(g, seq, require_full=False)
-        final = seq.final_trigraph()
-        assert w <= max(d1 + 1, final.max_red_degree())
-        desc = seq.steps[-1].result
-        assert final.black_degree(desc) == 0
-
-    def test_half_plus_black(self):
-        g = new_trigraph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (0, 5), (1, 6)])
-        seq = kill_stumps_prefix(g, 0)
-        assert seq.pairs()[0] == (5, 3)  # half contracted with the black inner
-        assert verify(g, seq, require_full=False) <= 2
-        desc = seq.steps[-1].result
-        assert seq.final_trigraph().black_degree(desc) == 0
-
-    def test_replay_on_seven_vertices(self):
-        g = new_trigraph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (0, 4), (4, 5), (0, 6)])
-        seq = kill_stumps_prefix(g, 0)
-        final = seq.final_trigraph()
-        w = verify(g, seq, require_full=False)
-        assert w <= max(g.red_degree(0) + 1, final.max_red_degree())
-
-    def test_prefix_is_not_full(self):
-        # the prefix leaves the rest of the graph uncontracted: verify
-        # rejects it as a full sequence and accepts it as a prefix
-        g = new_trigraph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (0, 5), (1, 6)])
-        seq = kill_stumps_prefix(g, 0)
-        with pytest.raises(IncompleteSequence):
-            verify(g, seq)
-        assert verify(g, seq, require_full=False) <= 2
-
-    def test_rejects_bad_configs(self):
-        g = stumpy(["black", "black"])
-        with pytest.raises(BadStumpConfig):
-            kill_stumps_prefix(g, 0)
-        with pytest.raises(BadStumpConfig):
-            kill_stumps_prefix(g, 2)
-        with pytest.raises(BadStumpConfig):
-            kill_stumps_prefix(g, g.next_label)  # not a live vertex
-
-
 class TestPrune:
     def test_tree_input_solved(self):
         t = random_tree(30, random.Random(2))
@@ -603,12 +554,17 @@ class TestPrune:
         assert scans["red_stump_count"] <= 1
         assert scans["max_red_degree"] <= 1
 
-    def test_running_red_stump_count(self):
+    def test_running_red_stump_count(self, monkeypatch):
         # with no width-1 decision, prune keeps its red-stump count only at
         # each rule's owner; before every rule and at the end it equals a
         # recount over the whole trigraph
         rng = random.Random(31)
         reached_two = 0
+        counts = []
+        observe_rules(
+            monkeypatch,
+            lambda run, rule, args: counts.append((run.red_stumps, red_stump_count(run.work))),
+        )
         for _ in range(60):
             core_n = rng.randrange(4, 8)
             g = random_with_dangling_trees(
@@ -617,12 +573,8 @@ class TestPrune:
             (scan,) = spanning_forest(g)
             run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), scan)
             run.decide()
-            counts = []
-
-            def observe(rule, before, outcome):
-                counts.append((run.red_stumps, red_stump_count(before)))
-
-            assert _prune(run, observe) is not None
+            counts.clear()
+            assert _prune(run) is not None
             counts.append((run.red_stumps, red_stump_count(run.work)))
             assert all(kept == recount for kept, recount in counts)
             reached_two += max(recount for _, recount in counts) >= 2
@@ -746,6 +698,14 @@ class TestTidy:
         hp2, _ = tidy(hp)
         assert len(hp2.core) <= len(hp.core) + 24 * len(hp.paths)
         assert len(hp2.paths) <= len(hp.paths)
+
+    def test_unknown_path_flavor_rejected(self):
+        # a path that is neither original nor tidy is refused before any
+        # pair is played
+        hp = prune(make_fig3(), CFG).instance
+        hp.paths[0] = PseudoPath(hp.paths[0].vertices, hp.paths[0].stumps, "bent")
+        with pytest.raises(NotOriginal, match="unknown path flavor bent"):
+            tidy(hp)
 
     def test_equivalence_oracle_random(self):
         rng = random.Random(99)

@@ -11,20 +11,17 @@ from twinwidth.errors import (
     IncompleteSequence,
     InstanceMismatch,
 )
-from twinwidth.sequence import (
-    ContractionSequence,
-    ContractionStep,
-    Lift,
-    bags,
-    compose,
-    identity_lift,
-    restrict,
-    verify,
-)
+from twinwidth.sequence import ContractionSequence, Lift, compose, verify
 from twinwidth.solver import optimal_sequence
 from twinwidth.trigraph import new_trigraph
 
-from conftest import FIG2_PAIRS, connected_graphs_up_to_iso, make_fig2, naive_optimal_width
+from conftest import (
+    FIG2_PAIRS,
+    bags,
+    connected_graphs_up_to_iso,
+    make_fig2,
+    naive_optimal_width,
+)
 
 
 class TestVerify:
@@ -56,7 +53,6 @@ class TestVerify:
         seq = ContractionSequence.build(g, [(4, 5), (6, 7), (8, 9)])
         with pytest.raises(IncompleteSequence):
             verify(g, seq)
-        assert verify(g, seq, require_full=False) == 0
 
     def test_isolated_vertices_left_are_full(self):
         # with no edge left, contracting the rest makes no red edge: one step
@@ -68,15 +64,14 @@ class TestVerify:
         g = make_fig2()
         seq = ContractionSequence.build(g, [(0, 1), (0, 2)])
         with pytest.raises(DeadVertexAtStep) as exc:
-            verify(g, seq, require_full=False)
+            verify(g, seq)
         assert exc.value.index == 1
 
     def test_incomplete_full_sequence(self):
         g = make_fig2()
         seq = ContractionSequence.build(g, [(0, 1)])
         with pytest.raises(IncompleteSequence):
-            verify(g, seq, require_full=True)
-        assert verify(g, seq, require_full=False) == 1
+            verify(g, seq)
 
     def test_instance_mismatch(self):
         g = make_fig2()
@@ -87,12 +82,13 @@ class TestVerify:
 
 
 def emit_sequence_oracle(g, seq):
-    """Survivor-keeps-label text written from the derived steps."""
+    """Survivor-keeps-label text written pair by pair, step ``i`` making the
+    label ``base.next_label + i``."""
     ext = {v: i + 1 for i, v in enumerate(sorted(g.vertices))}
     lines = []
-    for step in seq.steps:
-        lines.append(f"{ext[step.a]} {ext[step.b]}")
-        ext[step.result] = ext[step.a]
+    for i, (a, b) in enumerate(seq.pairs()):
+        lines.append(f"{ext[a]} {ext[b]}")
+        ext[seq.base.next_label + i] = ext[a]
     return "".join(line + "\n" for line in lines)
 
 
@@ -118,9 +114,6 @@ class TestPairStorage:
     def test_steps_derived_from_pairs(self, case):
         g, pairs = case
         seq = ContractionSequence.build(g, pairs)
-        assert seq.steps == tuple(
-            ContractionStep(a, b, g.next_label + i) for i, (a, b) in enumerate(pairs)
-        )
         assert len(seq) == len(pairs)
         assert seq.pairs() == pairs
         assert seq == ContractionSequence.build(g, [list(p) for p in pairs])
@@ -129,13 +122,11 @@ class TestPairStorage:
         text = emit_sequence(g, seq)
         assert text == emit_sequence_oracle(g, seq)
         assert parse_sequence(g, text) == seq
-        assert verify(g, seq, require_full=False) == g.replay(pairs)[1]
 
     def test_build_takes_any_iterable_once(self):
         g = make_fig2()
         seq = ContractionSequence.build(g, iter(FIG2_PAIRS))
         assert seq.pairs() == FIG2_PAIRS and len(seq) == 5
-        assert seq.steps[-1] == ContractionStep(7, 9, 10)
 
 
 class TestBags:
@@ -146,8 +137,9 @@ class TestBags:
         assert forest[6] == frozenset((4, 5))  # EF
         for v in g.vertices:
             assert forest[v] == frozenset((v,))
-        assert forest[seq.steps[-1].result] == frozenset(range(6))
-        assert forest[6] <= forest[seq.steps[-1].result]
+        last = g.next_label + len(seq) - 1
+        assert forest[last] == frozenset(range(6))
+        assert forest[6] <= forest[last]
 
     def test_partition_invariant_along_replay(self):
         rng = random.Random(11)
@@ -159,9 +151,9 @@ class TestBags:
             res = optimal_sequence(g)
             forest = bags(g, res.sequence)
             alive = set(g.vertices)
-            for step in res.sequence.steps:
-                alive -= {step.a, step.b}
-                alive.add(step.result)
+            for i, (a, b) in enumerate(res.sequence.pairs()):
+                alive -= {a, b}
+                alive.add(g.next_label + i)
                 union = set()
                 for v in alive:
                     assert union.isdisjoint(forest[v])
@@ -169,65 +161,11 @@ class TestBags:
                 assert union == set(g.vertices)
 
 
-class TestRestrict:
-    def test_restrict_to_everything(self):
-        g = make_fig2()
-        seq = ContractionSequence.build(g, FIG2_PAIRS)
-        r = restrict(g, seq, g.vertices)
-        assert r.pairs() == seq.pairs()
-
-    def test_restrict_fig2_to_abcd(self):
-        g = make_fig2()
-        seq = ContractionSequence.build(g, FIG2_PAIRS)
-        sub = {0, 1, 2, 3}
-        r = restrict(g, seq, sub)
-        assert len(r) == 3
-        assert r.pairs() == [(0, 1), (2, 3), (6, 7)]  # (A,B), (C,D), (AB,CD)
-        assert verify(g.induce(sub), r) <= verify(g, seq)
-
-    def test_restrict_to_singleton(self):
-        g = make_fig2()
-        seq = ContractionSequence.build(g, FIG2_PAIRS)
-        r = restrict(g, seq, {3})
-        assert len(r) == 0
-        assert verify(g.induce({3}), r) == 0
-
-    def test_restriction_width_monotone_random(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            n = rng.randrange(2, 9)
-            pairs = list(itertools.combinations(range(n), 2))
-            blacks, reds = [], []
-            for p in pairs:
-                roll = rng.random()
-                if roll < 0.35:
-                    blacks.append(p)
-                elif roll < 0.5:
-                    reds.append(p)
-            g = new_trigraph(n, blacks, reds)
-            # a random full sequence
-            cur, live = g, sorted(g.vertices)
-            steps = []
-            while len(live) > 1:
-                a, b = rng.sample(live, 2)
-                steps.append((a, b))
-                w = cur.next_label
-                cur = cur.contract(a, b)
-                live = sorted(cur.vertices)
-            seq = ContractionSequence.build(g, steps)
-            sub = [v for v in g.vertices if rng.random() < 0.6]
-            if not sub:
-                continue
-            r = restrict(g, seq, sub)
-            assert len(r) == len(sub) - 1
-            assert verify(g.induce(sub), r) <= verify(g, seq)
-
-
 class TestLifts:
     def test_identity_lift(self):
         g = make_fig2()
         seq = ContractionSequence.build(g, FIG2_PAIRS)
-        lift = identity_lift(g)
+        lift = Lift(g, g, ())
         assert lift.apply(seq).pairs() == seq.pairs()
         assert lift.bound(3) == 3
 
@@ -235,7 +173,7 @@ class TestLifts:
         g = make_fig2()
         g1 = g.contract(4, 5)
         step = Lift(parent=g, child=g1, prefix=((4, 5),), at_least_two=True)
-        total = compose(step, identity_lift(g))
+        total = compose(step, Lift(g, g, ()))
         seq1 = optimal_sequence(g1).sequence
         lifted = total.apply(seq1)
         assert lifted.pairs()[0] == (4, 5)
@@ -245,13 +183,13 @@ class TestLifts:
         # a bound is a flag, so a long chain of lifts evaluates in one step
         # instead of nesting one call per lift
         g = new_trigraph(3, [(0, 1), (1, 2)])
-        total = identity_lift(g)
+        total = Lift(g, g, ())
         for _ in range(1200):
-            total = compose(identity_lift(g), total)
+            total = compose(Lift(g, g, ()), total)
         assert total.bound(3) == 3
         total = compose(Lift(parent=g, child=g, prefix=(), at_least_two=True), total)
         for _ in range(1200):
-            total = compose(identity_lift(g), total)
+            total = compose(Lift(g, g, ()), total)
         assert total.bound(1) == 2
         assert total.bound(3) == 3
 
@@ -259,11 +197,11 @@ class TestLifts:
         g = make_fig2()
         h = new_trigraph(3, [(0, 1)])
         with pytest.raises(InstanceMismatch):
-            compose(identity_lift(g), identity_lift(h))
+            compose(Lift(g, g, ()), Lift(h, h, ()))
 
     def test_apply_rejects_wrong_base(self):
         g = make_fig2()
-        lift = identity_lift(g)
+        lift = Lift(g, g, ())
         other = new_trigraph(6, [(0, 1)])
         seq = ContractionSequence.build(other, [(0, 1)])
         with pytest.raises(InstanceMismatch):

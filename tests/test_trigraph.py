@@ -10,11 +10,11 @@ from twinwidth.errors import (
     DeadVertex,
     DeadVertexAtStep,
     DuplicateEdge,
-    IllegalRecolor,
+    IncompleteSequence,
     SameVertex,
     SelfLoop,
 )
-from twinwidth.trigraph import EdgeColor, Trigraph, new_trigraph
+from twinwidth.trigraph import Trigraph, new_trigraph
 
 from twinwidth.sequence import ContractionSequence, verify
 
@@ -193,8 +193,10 @@ class TestReplay:
         # a random full or partial sequence of live pairs, with one step of
         # any two labels spliced in about half the time, so that it may name
         # a merged-away vertex, a label not made yet, or one vertex twice:
-        # replay and verify end as the one-pair-at-a-time oracle does, in
-        # the same trigraph and width or at the same step and vertex
+        # replay ends as the one-pair-at-a-time oracle does, in the same
+        # trigraph and width or at the same step and vertex, and verify
+        # answers that width, refuses a sequence that is not full, or stops
+        # at that step
         snapshot = new_trigraph(g.n, g.black_edges(), g.red_edges())
         steps = data.draw(stst.integers(min_value=0, max_value=g.n - 1))
         live = list(g.vertices)
@@ -212,18 +214,22 @@ class TestReplay:
         except DeadVertexAtStep as exc:
             expected = (exc.index, exc.vertex)
         seq = ContractionSequence.build(g, pairs)
-        for play in (
-            g.replay,
-            lambda p: (seq.final_trigraph(), verify(g, seq, require_full=False)),
-        ):
-            try:
-                final, width = play(pairs)
-            except DeadVertexAtStep as exc:
-                assert (exc.index, exc.vertex) == expected
-                continue
+        try:
+            final, width = g.replay(pairs)
+        except DeadVertexAtStep as exc:
+            assert (exc.index, exc.vertex) == expected
+            with pytest.raises(DeadVertexAtStep) as again:
+                verify(g, seq)
+            assert (again.value.index, again.value.vertex) == expected
+        else:
             assert (final, width) == expected
             assert final.vertices == expected[0].vertices
             final.validate()
+            if final.edge_count():
+                with pytest.raises(IncompleteSequence):
+                    verify(g, seq)
+            else:
+                assert verify(g, seq) == width
         assert g == snapshot
 
     def test_width_read_at_a_red_neighbour(self):
@@ -321,20 +327,6 @@ class TestInduceRecolor:
         with pytest.raises(BadVertexSet):
             g.split([[0], [0]])
 
-    def test_recolor_pseudoinduced(self):
-        g = new_trigraph(3, [(0, 1)], [(1, 2)])
-        h = g.recolor({(1, 2): EdgeColor.BLACK})
-        assert h.color(1, 2) is EdgeColor.BLACK
-        assert h.is_pseudoinduced_of(g)
-        dropped = g.recolor({(1, 2): None})
-        assert dropped.color(1, 2) is None
-        assert dropped.is_pseudoinduced_of(g)
-
-    def test_recolor_checked_rejects_black_to_red(self):
-        g = new_trigraph(2, [(0, 1)])
-        with pytest.raises(IllegalRecolor):
-            g.recolor({(0, 1): EdgeColor.RED})
-
     def test_max_red_degree_empty(self):
         assert new_trigraph(1).max_red_degree() == 0
         assert new_trigraph(0).max_red_degree() == 0
@@ -377,12 +369,6 @@ class TestCopyOnWrite:
 
         value = self.held(g)
         g.replay(self.draw_pairs(data, g, g.vertices))
-        changes = {
-            e: data.draw(stst.sampled_from((EdgeColor.BLACK, None)))
-            for e in g.red_edges()
-            if data.draw(stst.booleans())
-        }
-        g.recolor(changes)
         assert self.unchanged(g, value)
         # the runner plays and reddens on its working copy, then forks; the
         # fork and the runner then each write on their own
