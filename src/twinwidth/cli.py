@@ -243,7 +243,7 @@ def _cmd_kernelize(args) -> int:
 def _cmd_fes(args) -> int:
     g = parse_graph(_read(args.graph))
     index = {v: i + 1 for i, v in enumerate(sorted(g.vertices))}
-    fes = feedback_edge_set(g, ignore_red=True)
+    fes = feedback_edge_set(g)
     out = {
         "feedback_edge_number": len(fes),
         "edges": [[index[u], index[v]] for u, v in fes],
@@ -256,7 +256,7 @@ def _cmd_fes(args) -> int:
 def _cmd_info(args) -> int:
     g = parse_graph(_read(args.graph))
     index = {v: i + 1 for i, v in enumerate(sorted(g.vertices))}
-    fes = feedback_edge_set(g, ignore_red=True)
+    fes = feedback_edge_set(g)
     trees = find_dangling_trees(g)
     stumps = classify_stumps(g)
     out = {
@@ -303,8 +303,6 @@ def _parser() -> argparse.ArgumentParser:
                              help="compute a contraction sequence")
     solve_p.add_argument("graph")
     solve_p.add_argument("--cap", type=_count, default=None)
-    solve_p.add_argument("--seed", type=int, default=None,
-                         help="reserved for corpus tooling; ignored by solve")
     solve_p.add_argument("--report", default=None)
     solve_p.set_defaults(func=_cmd_solve)
 

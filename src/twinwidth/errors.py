@@ -69,27 +69,7 @@ class Disconnected(TwinWidthError):
     pass
 
 
-class NotATree(TwinWidthError):
-    pass
-
-
-class NotAStar(TwinWidthError):
-    pass
-
-
 class PreconditionViolated(TwinWidthError):
-    pass
-
-
-class NoMultipleStumps(TwinWidthError):
-    pass
-
-
-class NotOriginal(TwinWidthError):
-    pass
-
-
-class FenTooLarge(TwinWidthError):
     pass
 
 

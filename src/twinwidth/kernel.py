@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
-from .reduce import _Reduction, _connected_forest, _fen1, _prune, _tidy
+from .reduce import _Reduction, _connected_scan, _fen1, _prune, _tidy
 from .sequence import ContractionSequence, Emitter, Lift, verify
 from .solver import DEFAULT_CONFIG, SolverConfig, _Search
 from .structure import HPGraph, spanning_forest
@@ -150,10 +150,10 @@ def _shorten_paths(run: _Reduction, paths, target: int):
 def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
     """A public kernel: a fresh runner on ``g``, decided, pruned, tidied, and
     shortened by ``derive(run, hp)``, which returns the kernel and its meta."""
-    forest = _connected_forest(g, "kernelization expects a connected graph")
+    scan = _connected_scan(g, "kernelization expects a connected graph")
     if g.has_red():
         raise PreconditionViolated("kernelization expects a plain (all-black) graph")
-    run = _Reduction(g, _Search(config), forest[0] if forest else None, trace)
+    run = _Reduction(g, _Search(config), scan, trace)
     run.decide()
     if run.solved is not None or (hp := _prune(run)) is None:
         return KernelOutcome(solved=run.solved, meta={"k": len(run.fes)})

@@ -45,16 +45,7 @@ from copy import copy
 from dataclasses import dataclass
 from functools import reduce as fold
 
-from .errors import (
-    BudgetExceeded,
-    Disconnected,
-    FenTooLarge,
-    NoMultipleStumps,
-    NotAStar,
-    NotATree,
-    NotOriginal,
-    PreconditionViolated,
-)
+from .errors import BudgetExceeded, Disconnected, PreconditionViolated
 from .sequence import ContractionSequence, Emitter, Lift
 from .solver import DEFAULT_CONFIG, SolverConfig, _Search
 from .structure import (
@@ -131,10 +122,10 @@ def tree_sequence(t: Trigraph, root) -> ContractionSequence:
     folded."""
     t._require_live(root)
     if t.has_red():
-        raise NotATree("tree contraction expects a black trigraph")
+        raise PreconditionViolated("tree contraction expects a black trigraph")
     forest = spanning_forest(t)
     if len(forest) > 1 or forest[0].fes:
-        raise NotATree("input is not a connected acyclic black graph")
+        raise PreconditionViolated("input is not a connected acyclic black graph")
     forest[0].reroot(root)
     return _tree_sequence(t, forest[0].kids, root)
 
@@ -295,9 +286,9 @@ class _Reduction:
         pairs = Emitter(g.next_label)
         _, reached = _fold(self._kids(tree), tree.bridge[1], pairs)
         if len(tree.vertices) < 3:
-            raise NotAStar("star must have at least two leaves beyond its center")
+            raise PreconditionViolated("star must have at least two leaves beyond its center")
         if not (tree.all_black and _is_star_at_root(g, tree) and _reaches(reached, tree)):
-            raise NotAStar("star leaves must be black pendants of its center")
+            raise PreconditionViolated("star leaves must be black pendants of its center")
         return self._play(pairs)
 
     def reduce_tree(self, tree):
@@ -328,7 +319,7 @@ class _Reduction:
         g = self.work
         red, black, half = stumps
         if (count := len(red) + len(black) + len(half)) < 2:
-            raise NoMultipleStumps(f"{u} owns {count} stump(s)")
+            raise PreconditionViolated(f"{u} owns {count} stump(s)")
         nxt = g.next_label
         twins = not red and len(half) >= 2
         if red:
@@ -336,11 +327,11 @@ class _Reduction:
             victim = min(red[1:2] + black[:1] + half[:1], key=lambda s: s.vertices)
             if victim.kind is StumpKind.HALF:
                 pairs = [(victim.vertices[0], rv)]
-                made = Stump(StumpKind.RED, u, (nxt, rw))
+                made = Stump(StumpKind.RED, (nxt, rw))
             else:
                 v0, w0 = victim.vertices
                 pairs = [(w0, rw), (v0, rv)]
-                made = Stump(StumpKind.RED, u, (nxt + 1, nxt))
+                made = Stump(StumpKind.RED, (nxt + 1, nxt))
             after = StumpSet(
                 red[1 + (victim.kind is StumpKind.RED):] + (made,),
                 black[victim.kind is StumpKind.BLACK:],
@@ -349,13 +340,13 @@ class _Reduction:
         elif twins:
             pairs = Emitter(nxt)
             last = fold(pairs.emit, [s.vertices[0] for s in half])
-            after = StumpSet((), black, (Stump(StumpKind.HALF, u, (last,)),))
+            after = StumpSet((), black, (Stump(StumpKind.HALF, (last,)),))
         elif len(black) >= 2:
             (v1, w1), (v2, w2) = black[0].vertices, black[1].vertices
             pairs = [(w1, w2), (v1, v2)]
-            after = StumpSet((Stump(StumpKind.RED, u, (nxt + 1, nxt)),), black[2:], half)
+            after = StumpSet((Stump(StumpKind.RED, (nxt + 1, nxt)),), black[2:], half)
         else:
-            raise NoMultipleStumps(f"{u} owns only the allowed black-and-half pair")
+            raise PreconditionViolated(f"{u} owns only the allowed black-and-half pair")
         self._play(pairs)
         if g.degree(u) < 3:
             after = StumpSet.of(stumps_at(g, u))
@@ -391,23 +382,17 @@ def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleO
 
 
 def _stump_remnant(stumps, emit):
-    """Collapse one owner's stumps to a single remnant vertex through
-    ``emit`` and return it: a half stump is its own remnant, a black or red
-    stump contracts its two vertices, and a black-and-half pair first folds
-    the half into the black stump.  Returns None for any other stump set."""
-    kinds = sorted(s.kind.value for s in stumps)
-    if kinds == [StumpKind.HALF.value]:
-        return stumps[0].vertices[0]
-    if kinds in ([StumpKind.BLACK.value], [StumpKind.RED.value]):
-        v, w = stumps[0].vertices
-        return emit(v, w)
-    if kinds == sorted([StumpKind.BLACK.value, StumpKind.HALF.value]):
-        half = next(s for s in stumps if s.kind is StumpKind.HALF)
-        black = next(s for s in stumps if s.kind is StumpKind.BLACK)
-        v, w = black.vertices
-        z = emit(half.vertices[0], v)
-        return emit(z, w)
-    return None
+    """Collapse one owner's non-empty, legal stumps to a single remnant
+    vertex through ``emit`` and return it: a half stump is its own remnant,
+    a black or red stump contracts its two vertices, and a black-and-half
+    pair first folds the half into the black stump."""
+    red, black, half = StumpSet.of(stumps)
+    if not (red or black):
+        return half[0].vertices[0]
+    v, w = (red or black)[0].vertices
+    if half:
+        v = emit(half[0].vertices[0], v)
+    return emit(v, w)
 
 
 # -- tidying pseudo-paths ----------------------------------------------------------
@@ -451,14 +436,11 @@ def _tidy_one_path(run: _Reduction, path: PseudoPath):
 
 def _tidy(run: _Reduction, hp: HPGraph) -> HPGraph:
     """The body of :func:`tidy`: tidy ``hp``, whose trigraph is the runner's
-    working trigraph, in place."""
+    working trigraph and whose paths are all original, in place."""
     trace = run.trace
     core = set(hp.core)
     new_paths = []
     for path in hp.paths:
-        if path.flavor == TIDY:
-            new_paths.append(path)
-            continue
         site = list(path.vertices)
         if len(site) <= 6:
             core.update(path.all_vertices())
@@ -476,10 +458,11 @@ def tidy(hp: HPGraph, trace=None):
     absorbed into the core with their stumps (at most 24 vertices each);
     longer ones become red dangling paths whose 3+3 boundary vertices and
     endpoint stumps move into the core.  Returns the tidy decomposition and
-    one lift, whose prefix is every path's pairs in turn."""
+    one lift, whose prefix is every path's pairs in turn.  A path of any
+    other flavor, an already tidy one included, is refused."""
     for path in hp.paths:
-        if path.flavor not in (ORIGINAL, TIDY):
-            raise NotOriginal(f"unknown path flavor {path.flavor}")
+        if path.flavor != ORIGINAL:
+            raise PreconditionViolated(f"unknown path flavor {path.flavor}")
     run = _Reduction(hp.g, _Search(), trace=trace)
     out = _tidy(run, hp)
     out.g = run.work._frozen()
@@ -602,15 +585,15 @@ def _prune(run: _Reduction) -> HPGraph | None:
     return hp
 
 
-def _connected_forest(g: Trigraph, message):
-    """The one scan of a public entry point: ``g``'s BFS forest, which is one
-    component's scan or none.  Raises :class:`Disconnected` with ``message``
-    unless ``g`` is connected, a red edge joining components as a black one
-    does."""
+def _connected_scan(g: Trigraph, message):
+    """The one scan of a public entry point: the scan of ``g``'s one
+    component, or None if ``g`` is empty.  Raises :class:`Disconnected` with
+    ``message`` unless ``g`` is connected, a red edge joining components as a
+    black one does."""
     forest = spanning_forest(g)
     if len(forest) > 1:
         raise Disconnected(message)
-    return forest
+    return forest[0] if forest else None
 
 
 def prune(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG, trace=None) -> RuleOutcome:
@@ -624,10 +607,10 @@ def prune(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG, trace=None) -> Rul
     pseudo-paths.  The up-front width-0/1 decision runs first, within the
     vertex budget.
     """
-    forest = _connected_forest(g, "pruning expects a connected graph")
+    scan = _connected_scan(g, "pruning expects a connected graph")
     if g.has_red():
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
-    run = _Reduction(g, _Search(config), forest[0] if forest else None, trace)
+    run = _Reduction(g, _Search(config), scan, trace)
     run.decide()
     if run.solved is None and (hp := _prune(run)) is not None:
         hp.g = run.work._frozen()
@@ -680,15 +663,15 @@ def fen1_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> Contrac
     edge: prune and tidy down to a single cycle with stumps, merge each
     vertex's stumps into one pendant, then fold pendants and cycle with a
     walker that sweeps around once."""
-    forest = _connected_forest(g, "expected a connected graph")
+    scan = _connected_scan(g, "expected a connected graph")
     # a trigraph's black feedback edges are counted before its red edges
     # are the fault
     red = g.has_red()
-    k = len(feedback_edge_set(g, ignore_red=True)) if red else sum(len(s.fes) for s in forest)
+    k = len(feedback_edge_set(g)) if red else len(scan.fes) if scan else 0
     if k > 1:
-        raise FenTooLarge(f"feedback edge number {k} > 1")
+        raise PreconditionViolated(f"feedback edge number {k} > 1")
     if red:
         raise PreconditionViolated("pruning expects a plain (all-black) graph")
-    run = _Reduction(g, _Search(config), forest[0] if forest else None)
+    run = _Reduction(g, _Search(config), scan)
     run.decide()
     return _fen1(run) if run.solved is None else run.solved

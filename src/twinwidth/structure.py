@@ -27,19 +27,13 @@ from enum import Enum
 from itertools import chain, islice
 from typing import NamedTuple
 
-from .errors import PreconditionViolated
 from .trigraph import EdgeColor, Trigraph
 
 
-def feedback_edge_set(g: Trigraph, ignore_red=False) -> tuple[tuple[int, int], ...]:
-    """Minimum feedback edge set, as a sorted tuple of ``(u, v)`` pairs with
-    ``u < v``: all non-tree edges of the black :func:`spanning_forest`.
-
-    Works on the black relation; red edges must be absent unless
-    ``ignore_red`` is set.
-    """
-    if not ignore_red and g.has_red():
-        raise PreconditionViolated("input has red edges; pass ignore_red=True")
+def feedback_edge_set(g: Trigraph) -> tuple[tuple[int, int], ...]:
+    """Minimum feedback edge set of the black relation, as a sorted tuple of
+    ``(u, v)`` pairs with ``u < v``: all non-tree edges of the black
+    :func:`spanning_forest`.  Red edges are not read."""
     return tuple(sorted(chain.from_iterable(c.fes for c in spanning_forest(g, black_only=True))))
 
 
@@ -310,7 +304,6 @@ class StumpKind(Enum):
 @dataclass(frozen=True)
 class Stump:
     kind: StumpKind
-    owner: int
     vertices: tuple[int, ...]  # (pendant,) or (inner, outer)
 
 
@@ -386,11 +379,11 @@ def stumps_at(g: Trigraph, u) -> tuple[Stump, ...]:
         degree = len(bv) + len(rv)
         if degree == 1:
             if not inner:
-                found.append(Stump(StumpKind.HALF, u, (v,)))
+                found.append(Stump(StumpKind.HALF, (v,)))
         elif degree == 2 and _stump_owner(g, v) == u:
             (w,) = (bv | rv) - {u}
             kind = StumpKind.RED if w in rv else StumpKind.BLACK
-            found.append(Stump(kind, u, (v, w)))
+            found.append(Stump(kind, (v, w)))
     return tuple(sorted(found, key=lambda s: s.vertices))
 
 
@@ -430,10 +423,7 @@ def find_dangling_paths(g: Trigraph) -> tuple[tuple[int, ...], ...]:
             used.add(b)
             prev, cur = a, b
             while True:
-                nxt = [x for x in g.neighbors(cur) if x != prev]
-                if len(nxt) != 1:
-                    break
-                nxt = nxt[0]
+                (nxt,) = g.neighbors(cur) - {prev}
                 if g.degree(nxt) != 2 or nxt in used:
                     break
                 run.append(nxt)

@@ -27,7 +27,7 @@ import itertools
 
 import pytest
 
-from twinwidth.errors import DeadVertexAtStep, PreconditionViolated
+from twinwidth.errors import DeadVertexAtStep
 from twinwidth.sequence import Emitter
 from twinwidth.trigraph import EdgeColor, Trigraph, new_trigraph
 from twinwidth.solver import _bits, canonical_key
@@ -224,11 +224,10 @@ def bags(g: Trigraph, seq) -> dict:
     return forest
 
 
-def feedback_edge_set_oracle(g: Trigraph, ignore_red=False):
-    """The black edges that a label-ordered BFS forest does not use, found by
-    collecting the tree edges and filtering ``black_edges()``."""
-    if not ignore_red and g.has_red():
-        raise PreconditionViolated("input has red edges; pass ignore_red=True")
+def feedback_edge_set_oracle(g: Trigraph):
+    """The black edges that a label-ordered BFS forest of the black relation
+    does not use, found by collecting the tree edges and filtering
+    ``black_edges()``."""
     visited = set()
     tree = set()
     for root in g.vertices:
@@ -373,13 +372,13 @@ def classify_stumps_oracle(g: Trigraph) -> dict:
                 continue
             kind = StumpKind.RED if g.color(v, w) is EdgeColor.RED else StumpKind.BLACK
             claimed.update((v, w))
-            found.setdefault(u, []).append(Stump(kind, u, (v, w)))
+            found.setdefault(u, []).append(Stump(kind, (v, w)))
     for u in g.vertices:
         for v in sorted(g.black_neighbors(u)):
             if v in claimed or g.degree(v) != 1:
                 continue
             claimed.add(v)
-            found.setdefault(u, []).append(Stump(StumpKind.HALF, u, (v,)))
+            found.setdefault(u, []).append(Stump(StumpKind.HALF, (v,)))
     return {
         u: tuple(sorted(stumps, key=lambda s: s.vertices))
         for u, stumps in sorted(found.items())

@@ -65,6 +65,11 @@ class TestGraphFiles:
             g = random_connected_graph(n, k, rng)
             assert parse_graph(emit_graph(g)) == g
 
+    def test_comments_and_blank_lines_among_edges(self):
+        text = FIG2_TEXT.replace("2 3\n", "2 3\n\nc between edges\n   \n")
+        assert text.count("\n") == FIG2_TEXT.count("\n") + 3
+        assert parse_graph(text) == make_fig2()
+
     def test_red_edge_token(self):
         g = parse_graph("p tww 3 2\n1 2\n2 3 r\n")
         assert g.color(0, 1) is EdgeColor.BLACK
@@ -146,6 +151,10 @@ class TestSequenceFiles:
         seq = parse_sequence(g, FIG2_SEQ)
         assert emit_sequence(g, seq) == FIG2_SEQ
 
+    def test_comments_and_blank_lines_skipped(self):
+        text = "c a sequence\n" + FIG2_SEQ.replace("3 4\n", "3 4\n\nc midway\n  \n")
+        assert parse_sequence(make_fig2(), text).pairs() == FIG2_PAIRS
+
     def test_bad_step(self):
         g = make_fig2()
         with pytest.raises(GraphSyntaxError):
@@ -210,6 +219,19 @@ class TestCommands:
         rep = json.loads(report.read_text())
         assert rep["width"] == 2 and rep["status"] == "optimal"
 
+    def test_solve_theory_policy(self, tmp_fig2, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert run(["solve", str(tmp_fig2), "--policy", "theory", "--report", str(report)]) == 0
+        g = make_fig2()
+        assert verify(g, parse_sequence(g, capsys.readouterr().out)) == 2
+        rep = json.loads(report.read_text())
+        assert rep["policy"] == "theory"
+        assert rep["width"] == 2 and rep["status"] == "optimal"
+
+    def test_solve_seed_is_usage_error(self, tmp_fig2, capsys):
+        assert run(["solve", str(tmp_fig2), "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_solve_cap_exceeded(self, tmp_fig2):
         assert run(["solve", str(tmp_fig2), "--cap", "1"]) == 2
         assert run(["solve", str(tmp_fig2), "--cap", "2"]) == 0
@@ -229,6 +251,24 @@ class TestCommands:
         assert not payload["solved"]
         assert payload["meta"]["k"] == 2
         assert any(e["rule"] == "reduce_tree" for e in payload["rules"])
+
+    @pytest.mark.parametrize("policy, lengths", [("practical:12", []), ("practical:4", [4])])
+    def test_kernelize_general(self, tmp_path, capsys, policy, lengths):
+        # Fig. 3's one tidy path has 11 vertices: floor 12 absorbs it into
+        # the core, floor 4 shortens it to 4
+        graph = tmp_path / "fig3.gr"
+        graph.write_text(emit_graph(make_fig3()))
+        trace = tmp_path / "trace.json"
+        assert run(
+            ["kernelize", "--target", "general", "--policy", policy, "--budget", "25",
+             "--trace", str(trace), str(graph)]
+        ) == 0
+        kernel = parse_graph(capsys.readouterr().out)
+        meta = json.loads(trace.read_text())["meta"]
+        assert meta["path_lengths"] == lengths
+        assert meta["shortened"] is bool(lengths)
+        assert meta["floors"][-1] == policy.split(":")[1]
+        assert kernel.n == meta["kernel_size"]
 
     def test_kernelize_solved_instance(self, tmp_path, capsys):
         graph = tmp_path / "tree.gr"

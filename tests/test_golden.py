@@ -22,7 +22,7 @@ import random
 import pytest
 
 from twinwidth import cli, corpus, kernel, reduce
-from twinwidth.errors import BudgetExceeded, FenTooLarge
+from twinwidth.errors import BudgetExceeded, PreconditionViolated
 
 INSTANCES = {
     # feedback edge number one: tree cuts, red and half stump merges, tidy
@@ -118,7 +118,7 @@ def stage_blobs(g):
         out["tidy"] = [_hp(tidied), _lift(lift, hp.g, tidied.g), trace]
     try:
         out["fen1_sequence"] = reduce.fen1_sequence(g).pairs()
-    except FenTooLarge as exc:
+    except PreconditionViolated as exc:
         out["fen1_sequence"] = str(exc)
     trace = []
     out["tww2_bikernel"] = [_kernel(g, kernel.tww2_bikernel(g, trace=trace)), trace]

@@ -9,15 +9,7 @@ from twinwidth.corpus import (
     random_tree,
     random_with_dangling_trees,
 )
-from twinwidth.errors import (
-    Disconnected,
-    FenTooLarge,
-    NoMultipleStumps,
-    NotAStar,
-    NotATree,
-    NotOriginal,
-    PreconditionViolated,
-)
+from twinwidth.errors import Disconnected, PreconditionViolated
 from twinwidth.kernel import general_kernel, tww2_bikernel
 from twinwidth.reduce import (
     _Reduction,
@@ -87,9 +79,9 @@ class TestTreeSequence:
         assert len(tree_sequence(t, 0)) == 0
 
     def test_rejects_non_trees(self):
-        with pytest.raises(NotATree):
+        with pytest.raises(PreconditionViolated, match="not a connected acyclic black graph"):
             tree_sequence(new_trigraph(3, [(0, 1), (1, 2), (2, 0)]), 0)
-        with pytest.raises(NotATree):
+        with pytest.raises(PreconditionViolated, match="expects a black trigraph"):
             tree_sequence(new_trigraph(3, [(0, 1)], [(1, 2)]), 0)
 
     def test_random_trees_width_two_root_last(self):
@@ -121,14 +113,14 @@ class TestReduceStar:
     def test_single_edge_rejected(self):
         # star with 0 extra leaves beyond the bridge endpoint
         g = new_trigraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-        with pytest.raises((NotAStar, AssertionError)):
+        with pytest.raises(PreconditionViolated, match="at least two leaves beyond its center"):
             reduce_star(g, chunk_at(g, 3))
 
     def test_deep_tree_rejected(self):
         # a leaf of the center carries a pendant of its own
         g = new_trigraph(8, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5), (3, 6), (6, 7)])
         run = _Reduction(g, _Search())
-        with pytest.raises(NotAStar):
+        with pytest.raises(PreconditionViolated, match="black pendants of its center"):
             run.reduce_star(chunk_at(g, 3))
         assert run.work == g and not run.prefix
 
@@ -202,6 +194,15 @@ class TestReduceTree:
         g = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5)])
         with pytest.raises(PreconditionViolated):
             reduce_tree(g, chunk_at(g, 3), CFG)
+
+    def test_red_tree_rejected(self):
+        # a dangling path whose last edge is red is refused before any pair
+        # is played
+        g = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)], [(4, 5)])
+        run = _Reduction(g, _Search(CFG))
+        with pytest.raises(PreconditionViolated, match="dangling tree must be black"):
+            run.reduce_tree(chunk_at(g, 3))
+        assert run.work == g and not run.prefix
 
     def test_equivalence_random(self):
         rng = random.Random(21)
@@ -388,14 +389,14 @@ class TestMergeStumps:
 
     def test_black_half_pair_is_terminal(self):
         g = stumpy(["black", "half"])
-        with pytest.raises(NoMultipleStumps):
+        with pytest.raises(PreconditionViolated, match="0 owns only the allowed black-and-half pair"):
             merge_stumps(g, 0, CFG)
 
     def test_single_stump_rejected(self):
         g = stumpy(["half"])
-        with pytest.raises(NoMultipleStumps):
+        with pytest.raises(PreconditionViolated, match=r"0 owns 1 stump\(s\)"):
             merge_stumps(g, 0, CFG)
-        with pytest.raises(NoMultipleStumps):
+        with pytest.raises(PreconditionViolated, match=r"owns 0 stump\(s\)"):
             merge_stumps(g, g.next_label, CFG)  # not a live vertex
 
     def test_equivalence_all_cases(self):
@@ -704,8 +705,14 @@ class TestTidy:
         # pair is played
         hp = prune(make_fig3(), CFG).instance
         hp.paths[0] = PseudoPath(hp.paths[0].vertices, hp.paths[0].stumps, "bent")
-        with pytest.raises(NotOriginal, match="unknown path flavor bent"):
+        with pytest.raises(PreconditionViolated, match="unknown path flavor bent"):
             tidy(hp)
+
+    def test_tidy_paths_rejected(self):
+        # tidy takes only original paths: a tidy decomposition is refused
+        hp2, _ = tidy(prune(make_fig3(), CFG).instance)
+        with pytest.raises(PreconditionViolated, match="path flavor tidy"):
+            tidy(hp2)
 
     def test_equivalence_oracle_random(self):
         rng = random.Random(99)
@@ -752,22 +759,30 @@ class TestFen1:
 
     def test_fen_two_rejected(self):
         g = new_trigraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)])
-        with pytest.raises(FenTooLarge):
+        with pytest.raises(PreconditionViolated, match="feedback edge number 2 > 1"):
             fen1_sequence(g, CFG)
 
     @pytest.mark.parametrize(
-        "black, red, error",
+        "black, red, error, message",
         [
             # black components joined by a red edge: the black feedback edge
             # number is counted over both, then the red edges are the fault
-            ([(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)], [(1, 2)], PreconditionViolated),
-            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], [(2, 3)], FenTooLarge),
+            ([(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)], [(1, 2)], PreconditionViolated,
+             "expects a plain"),
+            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], [(2, 3)], PreconditionViolated,
+             "feedback edge number 2 > 1"),
             # a red edge that joins nothing: disconnected wins
-            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)], [(3, 5)], Disconnected),
+            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)], [(3, 5)], Disconnected,
+             "expected a connected graph"),
+        ],
+        ids=[
+            "black0-red0-PreconditionViolated",
+            "black1-red1-PreconditionViolated",
+            "black2-red2-Disconnected",
         ],
     )
-    def test_red_edges_that_join_components(self, black, red, error):
-        with pytest.raises(error):
+    def test_red_edges_that_join_components(self, black, red, error, message):
+        with pytest.raises(error, match=message):
             fen1_sequence(new_trigraph(6, black, red), CFG)
 
     def test_one_scan(self, monkeypatch):

@@ -199,6 +199,13 @@ class TestLifts:
         with pytest.raises(InstanceMismatch):
             compose(Lift(g, g, ()), Lift(h, h, ()))
 
+    def test_counter_mismatch(self):
+        # the child must have the parent's fresh-label counter after the
+        # prefix: one pair advances it by one
+        g = make_fig2()
+        with pytest.raises(InstanceMismatch, match="child counter 6 != parent counter after prefix 7"):
+            Lift(g, g, ((4, 5),))
+
     def test_apply_rejects_wrong_base(self):
         g = make_fig2()
         lift = Lift(g, g, ())

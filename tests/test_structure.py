@@ -9,7 +9,6 @@ from twinwidth.corpus import (
     random_tree,
     random_with_dangling_trees,
 )
-from twinwidth.errors import PreconditionViolated
 from twinwidth.structure import (
     Stump,
     StumpKind,
@@ -87,12 +86,6 @@ class TestFeedbackEdges:
             remaining = [e for e in g.black_edges() if e not in set(fes)]
             h = new_trigraph(g.n, remaining)
             assert len(feedback_edge_set(h)) == 0
-
-    def test_red_edges_guarded(self):
-        g = new_trigraph(3, [(0, 1)], [(1, 2)])
-        with pytest.raises(PreconditionViolated):
-            feedback_edge_set(g)
-        assert len(feedback_edge_set(g, ignore_red=True)) == 0
 
 
 def assert_induced_cycle(g, cyc):
@@ -493,15 +486,9 @@ class TestScansMatchOracles:
     @settings(max_examples=300, derandomize=True)
     @given(scan_trigraphs())
     def test_feedback_edge_set(self, g):
-        got = feedback_edge_set(g, ignore_red=True)
-        assert got == feedback_edge_set_oracle(g, ignore_red=True)
+        got = feedback_edge_set(g)
+        assert got == feedback_edge_set_oracle(g)
         assert list(got) == sorted(got)
-        if g.has_red():
-            for scan in (feedback_edge_set, feedback_edge_set_oracle):
-                with pytest.raises(PreconditionViolated):
-                    scan(g)
-        else:
-            assert feedback_edge_set(g) == got
 
     @settings(max_examples=300, derandomize=True)
     @given(scan_trigraphs())
@@ -576,7 +563,7 @@ class TestStumpSet:
     )
     def test_legal(self, kinds, legal):
         stumps = [
-            Stump(StumpKind(kind), 0, (i,) if kind == "half" else (2 * i, 2 * i + 1))
+            Stump(StumpKind(kind), (i,) if kind == "half" else (2 * i, 2 * i + 1))
             for i, kind in enumerate(kinds, 1)
         ]
         assert StumpSet.of(stumps).legal() is legal

@@ -30,8 +30,15 @@ so that a parser change is diffed the same way.  In ``structure-info`` each
 line hashes ``twinwidth info``'s output, or the class and message of the
 error it raises, on a criterion-9 graph or one of the 49 unions, so that
 the structural queries are diffed on connected and disconnected inputs
-alike.  Uses only the standard library and the ``src/`` and ``twbench/``
-trees next to this script.
+alike.  In ``kernels`` each line hashes ``twinwidth kernelize``'s exit code,
+stdout and ``--trace`` JSON on a cycle with dangling trees and one chord
+(``cycle_with_trees(c, t)`` at seeds 1 and 2 plus the edge ``0 c//2``, for
+(c, t) = (60, 100), (200, 400) and (400, 1600)), at ``--target tww2`` and
+at ``--target general`` with floors 12 and 4.  Their 2-cores keep four long
+paths, 7 to 93 vertices, so the bikernel collapses paths and the general
+kernel absorbs or shortens them, which no other set's instance does.  Uses
+only the standard library and the ``src/`` and ``twbench/`` trees next to
+this script.
 
 ``--check FILE`` compares the lines with a digest saved in ``FILE`` instead
 of printing them: it prints only the lines that differ (``differs <set>
@@ -45,9 +52,11 @@ For a change that may alter answers on purpose, ``--summary`` prints
 ``<set> <instance> <width> <status> <miss kind>`` instead of the hash:
 ``<width> <status> -`` for an answer and ``- - <kind>`` for a budget miss,
 so a diff shows which widths and statuses moved and which misses remain;
-a ``parse-errors`` line reads ``<error class> <line or None>``, and a
+a ``parse-errors`` line reads ``<error class> <line or None>``, a
 ``structure-info`` line ``<bridges> <dangling trees> -`` or ``- - <error
-class>``.
+class>``, and a ``kernels`` line ``<kernel vertices> <path lengths> -``
+(the lengths comma-separated, ``none`` if no path is left), ``solved
+<width> -`` or ``- - exit <code>``.
 """
 
 from __future__ import annotations
@@ -194,6 +203,44 @@ def info_summary(output):
     return f"{len(info['bridges'])} {len(info['dangling_trees'])} -"
 
 
+# cycles with dangling trees and one chord, ``(c, t)`` as in
+# ``corpus.cycle_with_trees(c, t)``, and the kernelize runs made on each
+KERNEL_GRAPHS = ((60, 100), (200, 400), (400, 1600))
+KERNEL_RUNS = (("tww2", "practical:12"), ("general", "practical:12"), ("general", "practical:4"))
+
+
+def chorded_cycle(c, t, seed):
+    """``cycle_with_trees(c, t)`` seeded with ``seed``, plus the chord ``0
+    c//2``: the cycle's two halves become four paths between hubs."""
+    g = corpus.cycle_with_trees(c, t, random.Random(seed))
+    return new_trigraph(g.next_label, g.black_edges() + [(0, c // 2)])
+
+
+def kernelize_output(path, target, policy, trace):
+    """``twinwidth kernelize``'s exit code, stdout and the JSON it writes to
+    the file ``trace`` (empty if it writes none), on the graph file
+    ``path``."""
+    out = io.StringIO()
+    trace.unlink(missing_ok=True)
+    argv = ["kernelize", path, "--target", target, "--policy", policy, "--trace", str(trace)]
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue(), trace.read_text(encoding="utf-8") if trace.exists() else ""
+
+
+def kernel_summary(code, written):
+    """``<kernel vertices> <path lengths> -``, ``solved <width> -`` or ``- -
+    exit <code>``, from the exit code and the ``--trace`` JSON."""
+    if code != 0:
+        return f"- - exit {code}"
+    payload = json.loads(written)
+    if payload["solved"]:
+        return f"solved {payload['width']} -"
+    meta = payload["meta"]
+    lengths = ",".join(map(str, meta["path_lengths"])) or "none"
+    return f"{meta['kernel_size']} {lengths} -"
+
+
 def digest(g, outcome):
     """SHA-256 of an answer's sequence text and report, or of a miss."""
     if isinstance(outcome, BudgetExceeded):
@@ -275,6 +322,18 @@ def lines(line):
             else:
                 shown = hashlib.sha256(output.encode()).hexdigest()
             yield f"structure-info {name} {shown}"
+        trace = Path(tmp) / "trace.json"
+        for c, t in KERNEL_GRAPHS:
+            for seed in SEEDS:
+                path.write_text(cli.emit_graph(chorded_cycle(c, t, seed)), encoding="utf-8")
+                for target, policy in KERNEL_RUNS:
+                    code, out, written = kernelize_output(str(path), target, policy, trace)
+                    if line is summary:
+                        shown = kernel_summary(code, written)
+                    else:
+                        blob = f"{code}\n{out}{written}"
+                        shown = hashlib.sha256(blob.encode()).hexdigest()
+                    yield f"kernels c{c}+{t}/{seed}/{target}:{policy} {shown}"
 
 
 def check(saved_lines, got):
