@@ -65,7 +65,7 @@ from .structure import (
     stumps_at,
     validate_hp,
 )
-from .trigraph import EdgeColor, Trigraph
+from .trigraph import _EMPTY, EdgeColor, Trigraph
 
 
 @dataclass
@@ -153,12 +153,35 @@ def _reaches(reached, tree) -> bool:
     return len(reached) == len(tree.vertices) and tree.vertices.issuperset(reached)
 
 
+def _require_dangling(g: Trigraph, tree, reached):
+    """Refuse ``tree`` unless it is a black tree that hangs from the rest of
+    ``g`` by its bridge alone, in O(|T|).  ``reached`` is what the fold
+    along the rescan rooted at the core vertex reached from the root; if
+    that is exactly the tree, the core vertex lies outside it.  The core
+    vertex must be adjacent to the root, and the degree sum over the tree
+    must count its tree edges twice and the bridge once, so that no other
+    edge leaves it.  Then no red edge may touch it."""
+    u, v = tree.bridge
+    t = tree.vertices
+    if not (
+        _reaches(reached, tree)
+        and u in g.neighbors(v)
+        and sum(map(g.degree, t)) == 2 * len(t) - 1
+    ):
+        raise PreconditionViolated("tree vertices are not a dangling black tree")
+    if any(map(g.red_degree, t)):
+        raise PreconditionViolated("dangling tree must be black")
+
+
 # -- individual rules -------------------------------------------------------------
 
 
 class _Reduction:
     """The runner of one solve: plays every stage's pairs on a working copy
-    of ``g`` into one prefix, with one lift flag.
+    of ``g`` into one prefix, with one lift flag.  A tree cut emits its
+    fold's pairs into the prefix but does not play them: it applies their
+    known end state with ``Trigraph._collapse``, and the verifier's replay
+    of the whole sequence is the one full replay of those pairs.
 
     ``search`` is the solve's exact search (``solver._Search``), ``scan``
     the input's :class:`~twinwidth.structure.ComponentScan`, made once by
@@ -292,21 +315,22 @@ class _Reduction:
         return self._play(pairs)
 
     def reduce_tree(self, tree):
+        """Cut ``tree`` to a red stump: emit its fold's pairs into the prefix
+        and apply their end state, the tree below the root merged into the
+        fold's last label, red-adjacent to the root alone.  A scan's tree
+        dangles by construction; a tree of the rescan is checked first."""
         g = self.work
         u, v = tree.bridge
         pairs = Emitter(g.next_label)
         acc, reached = _fold(self._kids(tree), v, pairs)
-        if not tree.all_black:
-            raise PreconditionViolated("dangling tree must be black")
-        if not _reaches(reached, tree):
-            raise PreconditionViolated("tree vertices are not a dangling black tree")
+        if self.scan is None:
+            _require_dangling(g, tree, reached)
         if _is_star_at_root(g, tree):
             raise PreconditionViolated("tree has no vertex at distance 2 from its root")
-        self._play(pairs)._guard(_stump_owner(g, v) == u)
-        assert self.solved is not None or g.color(v, acc) is EdgeColor.RED, (
-            "folded tree must hang red"
-        )
-        return self
+        self.prefix += pairs
+        w = g._collapse(tree.vertices - {v}, _EMPTY, frozenset((v,)), len(pairs))
+        assert w == acc, "the fold must end on its last pair"
+        return self._guard(_stump_owner(g, v) == u)
 
     def merge_stumps(self, u, stumps: StumpSet):
         """Merge one excess stump of ``u``, whose stumps are ``stumps``, and

@@ -11,14 +11,17 @@ monotone counter and the contraction result always gets a fresh label.
 All public operations are pure and return new values, whose neighbour sets
 are frozensets.  ``replay`` and the reduction runner instead edit a private
 working copy made by ``Trigraph._thawed``, which shares the value's
-frozensets until it writes: ``Trigraph._play`` and ``Trigraph._redden`` swap
-a vertex's frozenset for a private set the first time they change it, so a
-copy costs only the vertices it touches.  ``_frozen`` turns a working copy
-back into a new value, freezing only its private sets.  Scans that visit
-every vertex, such as the one BFS forest scan of ``structure`` that yields
-the components, the feedback edges, the 2-core and the dangling trees, read
-the maps through the read-only :meth:`Trigraph.adjacency`; no other module
-touches them.
+frozensets until it writes: ``Trigraph._play``, ``Trigraph._collapse`` and
+``Trigraph._redden`` swap a vertex's frozenset for a private set the first
+time they change it, so a copy costs only the vertices it touches.
+``_play`` is the one body of the contraction rule.  The runner's tree cuts
+do not play their pairs: ``_collapse`` applies the state they end in, and a
+sequence's verifier is the one full replay of them.  ``_frozen`` turns a
+working copy back into a new value, freezing only its private sets.  Scans
+that visit every vertex, such as the one BFS forest scan of ``structure``
+that yields the components, the feedback edges, the 2-core and the dangling
+trees, read the maps through the read-only :meth:`Trigraph.adjacency`; no
+other module touches them.
 """
 
 from __future__ import annotations
@@ -210,11 +213,11 @@ class Trigraph:
         return work._frozen(), max(self.max_red_degree(), width)
 
     def _thawed(self):
-        """A working copy of this value, which :meth:`_play` and
-        :meth:`_redden` may edit: it shares this value's frozensets, and a
-        write to a vertex first swaps its frozenset for a private set.  The
-        receiver must be a value, whose sets are all frozen; a working copy
-        is first made one with :meth:`_frozen`."""
+        """A working copy of this value, which :meth:`_play`,
+        :meth:`_collapse` and :meth:`_redden` may edit: it shares this
+        value's frozensets, and a write to a vertex first swaps its frozenset
+        for a private set.  The receiver must be a value, whose sets are all
+        frozen; a working copy is first made one with :meth:`_frozen`."""
         return Trigraph(dict(self._black), dict(self._red), self._next_label)
 
     def _frozen(self):
@@ -276,6 +279,28 @@ class Trigraph:
             w += 1
         self._next_label = w
         return width
+
+    def _collapse(self, gone, black, red, steps):
+        """Apply the known end state of ``steps`` contractions that merge the
+        vertex set ``gone`` into one vertex, without playing them: on this
+        working copy, ``gone`` gives way to the fresh vertex
+        ``next_label + steps - 1``, whose neighbour sets become ``black``
+        and ``red``, and the counter moves past it, as :meth:`_play` would
+        leave them.  Only the neighbours of ``gone`` and of the fresh vertex
+        are written.  The caller vouches for the end state; a sequence's
+        verifier replays the steps themselves.  Returns the fresh label."""
+        for adj in (self._black, self._red):
+            for x in gone:
+                for y in adj.pop(x):
+                    if y not in gone:
+                        _private(adj, y).discard(x)
+        w = self._next_label + steps - 1
+        for adj, nbrs in ((self._black, black), (self._red, red)):
+            for y in nbrs:
+                _private(adj, y).add(w)
+            adj[w] = nbrs
+        self._next_label = w + 1
+        return w
 
     def _redden(self, edges):
         """Turn the black edges ``edges`` red on this working copy."""

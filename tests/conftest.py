@@ -206,6 +206,12 @@ def replay_oracle(g: Trigraph, pairs):
     return g, width
 
 
+def same_state(a: Trigraph, b: Trigraph) -> bool:
+    """Equal trigraph values whose vertex maps list the vertices in the same
+    order."""
+    return a == b and [list(m) for m in a.adjacency()] == [list(m) for m in b.adjacency()]
+
+
 def bags(g: Trigraph, seq) -> dict:
     """Every vertex that ever existed while ``seq`` plays on ``g`` mapped to
     its bag of original vertices: originals map to singletons, and step

@@ -15,6 +15,7 @@ from twinwidth.reduce import (
     _Reduction,
     _fold,
     _prune,
+    _tidy,
     fen1_sequence,
     merge_stumps,
     prune,
@@ -48,6 +49,7 @@ from conftest import (
     make_fig3_middle,
     make_fig3_tidy,
     observe_rules,
+    same_state,
 )
 
 CFG = SolverConfig(max_vertices=25)
@@ -202,6 +204,27 @@ class TestReduceTree:
         run = _Reduction(g, _Search(CFG))
         with pytest.raises(PreconditionViolated, match="dangling tree must be black"):
             run.reduce_tree(chunk_at(g, 3))
+        assert run.work == g and not run.prefix
+
+    @pytest.mark.parametrize("n, edges, tree", [
+        # the fold from 2 reaches {2, 3, 4}, but 3 and 4 have edges to 6 and 5
+        (7, [(0, 1), (0, 2), (0, 6), (1, 2), (2, 3), (3, 4), (3, 6), (4, 5), (5, 6)],
+         DanglingTree((0, 2), frozenset({2, 3, 4}), True)),
+        # 7 and 6 lie on the cycle 0-1-5-6-7, so 6 has an edge to 5
+        (9, [(0, 1), (0, 7), (1, 2), (1, 5), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)],
+         DanglingTree((0, 7), frozenset({6, 7, 8}), True)),
+        # the tree hangs from 0, not from the core vertex 1 it is given
+        (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 7)],
+         DanglingTree((1, 5), frozenset({5, 6, 7}), True)),
+    ])
+    def test_non_dangling_vertices_rejected(self, n, edges, tree):
+        # the fold reaches exactly the given vertices, but they do not hang
+        # from the core vertex by the bridge alone: refused before anything
+        # is applied
+        g = new_trigraph(n, edges)
+        run = _Reduction(g, _Search(CFG))
+        with pytest.raises(PreconditionViolated, match="not a dangling black tree"):
+            run.reduce_tree(tree)
         assert run.work == g and not run.prefix
 
     def test_equivalence_random(self):
@@ -580,6 +603,37 @@ class TestPrune:
             assert all(kept == recount for kept, recount in counts)
             reached_two += max(recount for _, recount in counts) >= 2
         assert 0 < reached_two < 60
+
+
+class TestEndState:
+    """The runner applies its tree cuts' end states instead of playing their
+    pairs: after prune, its working copy is the input with the prefix
+    played, vertex order included, and after tidy the same up to the path
+    edges that tidy reddens."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_working_copy_is_the_played_prefix(self, seed):
+        rng = random.Random(seed)
+        for g in (
+            cycle_with_trees(rng.randrange(5, 12), rng.randrange(20, 200), rng),
+            random_with_dangling_trees(
+                rng.randrange(4, 8), rng.randrange(1, 4), rng.randrange(10, 80), rng
+            ),
+        ):
+            (scan,) = spanning_forest(g)
+            run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), scan)
+            run.decide()
+            hp = _prune(run)
+            assert hp is not None
+            played = run.g.replay(run.prefix)[0]
+            assert same_state(played, run.work._frozen())
+            _tidy(run, hp)
+            # tidy also reddens path edges, which its lift allows: the
+            # played state with those edges reddened is the working copy
+            work = run.work._frozen()
+            played = run.g.replay(run.prefix)[0]._thawed()
+            played._redden(sorted(set(played.black_edges()) - set(work.black_edges())))
+            assert same_state(played._frozen(), work)
 
 
 def c5_owner(kinds):

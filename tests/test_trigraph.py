@@ -14,9 +14,10 @@ from twinwidth.errors import (
     SameVertex,
     SelfLoop,
 )
-from twinwidth.trigraph import Trigraph, new_trigraph
+from twinwidth.structure import DanglingTree
+from twinwidth.trigraph import _EMPTY, Trigraph, new_trigraph
 
-from twinwidth.sequence import ContractionSequence, verify
+from twinwidth.sequence import ContractionSequence, Emitter, verify
 
 from conftest import (
     all_trigraphs,
@@ -24,6 +25,7 @@ from conftest import (
     contract_oracle,
     make_fig2,
     replay_oracle,
+    same_state,
     FIG2_PAIRS,
 )
 
@@ -45,6 +47,26 @@ def trigraphs(max_n=7):
         return new_trigraph(n, blacks, reds)
 
     return build()
+
+
+@stst.composite
+def bridged_trees(draw, max_host=7, max_tree=10):
+    """A random trigraph with a random black tree of at least three vertices
+    hung from one of its vertices by one black bridge, the tree labelled
+    after the host in a random order: ``(g, tree, kids)``, where ``kids``
+    maps each tree vertex to its children in label order, as a scan lists
+    them."""
+    host = draw(trigraphs(max_n=max_host))
+    n = host.n
+    m = draw(stst.integers(min_value=3, max_value=max_tree))
+    labels = draw(stst.permutations(range(n, n + m)))
+    edges = [(labels[draw(stst.integers(0, i - 1))], labels[i]) for i in range(1, m)]
+    u, root = draw(stst.integers(0, n - 1)), labels[0]
+    g = new_trigraph(n + m, host.black_edges() + [(u, root)] + edges, host.red_edges())
+    kids = {}
+    for parent, child in sorted(edges, key=lambda e: e[1]):
+        kids.setdefault(parent, []).append(child)
+    return g, DanglingTree((u, root), frozenset(labels), True), kids
 
 
 class TestConstruction:
@@ -387,3 +409,54 @@ class TestCopyOnWrite:
         run.work._redden(run.work.black_edges()[:1])
         assert self.unchanged(twin.work, forked)
         assert self.unchanged(g, value)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(bridged_trees())
+    def test_tree_cuts_never_reach_the_value(self, drawn):
+        # a tree cut applies its end state on the runner and on its fork,
+        # each on its own working copy
+        from twinwidth.reduce import _Reduction
+        from twinwidth.solver import SolverConfig, _Search
+
+        g, tree, kids = drawn
+        if kids.keys() == {tree.bridge[1]}:
+            return  # a star is not the tree cut's
+        value = self.held(g)
+        run = _Reduction(g, _Search(SolverConfig(max_vertices=0)))
+        twin = run.fork()
+        forked = self.held(twin.work)
+        run.reduce_tree(tree)
+        assert self.unchanged(g, value)
+        assert self.unchanged(twin.work, forked)
+        runner = self.held(run.work)
+        twin.reduce_tree(tree)
+        assert self.unchanged(run.work, runner)
+        assert self.unchanged(g, value)
+        assert same_state(run.work._frozen(), twin.work._frozen())
+
+
+class TestCollapse:
+    """A tree's fold applied as its end state is the state its pairs play
+    to: the tree below the root becomes the fold's last label, red to the
+    root if the tree is deeper than a star, else black."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(bridged_trees())
+    def test_end_state_equals_the_played_state(self, drawn):
+        from twinwidth.reduce import _fold
+
+        g, tree, kids = drawn
+        root = tree.bridge[1]
+        pairs = Emitter(g.next_label)
+        _fold(kids, root, pairs)
+        played = g._thawed()
+        played._play(pairs)
+        cut = g._thawed()
+        to_root = frozenset((root,))
+        star = kids.keys() == {root}
+        black, red = (to_root, _EMPTY) if star else (_EMPTY, to_root)
+        w = cut._collapse(tree.vertices - {root}, black, red, len(pairs))
+        assert w == g.next_label + len(pairs) - 1
+        assert same_state(cut._frozen(), played._frozen())
+        assert cut.next_label == played.next_label == w + 1
+        assert cut._frozen().validate()
