@@ -65,7 +65,7 @@ from .structure import (
     stumps_at,
     validate_hp,
 )
-from .trigraph import _EMPTY, EdgeColor, Trigraph
+from .trigraph import EdgeColor, Trigraph
 
 
 @dataclass
@@ -153,21 +153,16 @@ def _reaches(reached, tree) -> bool:
     return len(reached) == len(tree.vertices) and tree.vertices.issuperset(reached)
 
 
-def _require_dangling(g: Trigraph, tree, reached):
-    """Refuse ``tree`` unless it is a black tree that hangs from the rest of
-    ``g`` by its bridge alone, in O(|T|).  ``reached`` is what the fold
-    along the rescan rooted at the core vertex reached from the root; if
-    that is exactly the tree, the core vertex lies outside it.  The core
-    vertex must be adjacent to the root, and the degree sum over the tree
-    must count its tree edges twice and the bridge once, so that no other
-    edge leaves it.  Then no red edge may touch it."""
+def _require_dangling(g: Trigraph, tree):
+    """Refuse ``tree``, which a fold along the rescan rooted at the core
+    vertex reached exactly, unless it is a black tree that hangs from the
+    rest of ``g`` by its bridge alone, in O(|T|).  The fold puts the core
+    vertex outside the tree; it must be adjacent to the root, and the degree
+    sum over the tree must count its tree edges twice and the bridge once,
+    so that no other edge leaves it.  Then no red edge may touch it."""
     u, v = tree.bridge
     t = tree.vertices
-    if not (
-        _reaches(reached, tree)
-        and u in g.neighbors(v)
-        and sum(map(g.degree, t)) == 2 * len(t) - 1
-    ):
+    if not (u in g.neighbors(v) and sum(map(g.degree, t)) == 2 * len(t) - 1):
         raise PreconditionViolated("tree vertices are not a dangling black tree")
     if any(map(g.red_degree, t)):
         raise PreconditionViolated("dangling tree must be black")
@@ -322,14 +317,15 @@ class _Reduction:
         g = self.work
         u, v = tree.bridge
         pairs = Emitter(g.next_label)
-        acc, reached = _fold(self._kids(tree), v, pairs)
+        _, reached = _fold(self._kids(tree), v, pairs)
+        if not _reaches(reached, tree):
+            raise PreconditionViolated("tree vertices are not a dangling black tree")
         if self.scan is None:
-            _require_dangling(g, tree, reached)
+            _require_dangling(g, tree)
         if _is_star_at_root(g, tree):
             raise PreconditionViolated("tree has no vertex at distance 2 from its root")
         self.prefix += pairs
-        w = g._collapse(tree.vertices - {v}, _EMPTY, frozenset((v,)), len(pairs))
-        assert w == acc, "the fold must end on its last pair"
+        g._collapse(tree.vertices - {v}, v, len(pairs))
         return self._guard(_stump_owner(g, v) == u)
 
     def merge_stumps(self, u, stumps: StumpSet):

@@ -280,27 +280,25 @@ class Trigraph:
         self._next_label = w
         return width
 
-    def _collapse(self, gone, black, red, steps):
+    def _collapse(self, gone, root, steps):
         """Apply the known end state of ``steps`` contractions that merge the
-        vertex set ``gone`` into one vertex, without playing them: on this
-        working copy, ``gone`` gives way to the fresh vertex
-        ``next_label + steps - 1``, whose neighbour sets become ``black``
-        and ``red``, and the counter moves past it, as :meth:`_play` would
-        leave them.  Only the neighbours of ``gone`` and of the fresh vertex
-        are written.  The caller vouches for the end state; a sequence's
-        verifier replays the steps themselves.  Returns the fresh label."""
+        vertex set ``gone``, which hangs from ``root`` alone, into one vertex,
+        without playing them: on this working copy, ``gone`` gives way to the
+        fresh vertex ``next_label + steps - 1``, red to ``root`` alone, and
+        the counter moves past it, as :meth:`_play` would leave them.  Only
+        the neighbours of ``gone`` and of the fresh vertex are written.  The
+        caller vouches for the end state; a sequence's verifier replays the
+        steps themselves."""
         for adj in (self._black, self._red):
             for x in gone:
                 for y in adj.pop(x):
                     if y not in gone:
                         _private(adj, y).discard(x)
         w = self._next_label + steps - 1
-        for adj, nbrs in ((self._black, black), (self._red, red)):
-            for y in nbrs:
-                _private(adj, y).add(w)
-            adj[w] = nbrs
+        self._black[w] = _EMPTY
+        self._red[w] = frozenset((root,))
+        _private(self._red, root).add(w)
         self._next_label = w + 1
-        return w
 
     def _redden(self, edges):
         """Turn the black edges ``edges`` red on this working copy."""

@@ -15,7 +15,7 @@ from twinwidth.errors import (
     SelfLoop,
 )
 from twinwidth.structure import DanglingTree
-from twinwidth.trigraph import _EMPTY, Trigraph, new_trigraph
+from twinwidth.trigraph import Trigraph, new_trigraph
 
 from twinwidth.sequence import ContractionSequence, Emitter, verify
 
@@ -438,7 +438,7 @@ class TestCopyOnWrite:
 class TestCollapse:
     """A tree's fold applied as its end state is the state its pairs play
     to: the tree below the root becomes the fold's last label, red to the
-    root if the tree is deeper than a star, else black."""
+    root alone."""
 
     @settings(max_examples=300, derandomize=True)
     @given(bridged_trees())
@@ -447,16 +447,14 @@ class TestCollapse:
 
         g, tree, kids = drawn
         root = tree.bridge[1]
+        if kids.keys() == {root}:
+            return  # a star's fold ends black to the root
         pairs = Emitter(g.next_label)
         _fold(kids, root, pairs)
         played = g._thawed()
         played._play(pairs)
         cut = g._thawed()
-        to_root = frozenset((root,))
-        star = kids.keys() == {root}
-        black, red = (to_root, _EMPTY) if star else (_EMPTY, to_root)
-        w = cut._collapse(tree.vertices - {root}, black, red, len(pairs))
-        assert w == g.next_label + len(pairs) - 1
+        cut._collapse(tree.vertices - {root}, root, len(pairs))
         assert same_state(cut._frozen(), played._frozen())
-        assert cut.next_label == played.next_label == w + 1
+        assert cut.next_label == played.next_label == g.next_label + len(pairs)
         assert cut._frozen().validate()
