@@ -12,25 +12,26 @@ degree.  Refuted states are kept raw and by partition key, in a set that is
 cleared when it reaches a fixed entry cap, so a state is explored twice only
 after a clear.
 
-Internally a decision packs the trigraph once, into per-vertex bitmasks,
-and runs every cap from that one root; vertex labels ride along, so the
-search returns its steps as label pairs in the caller's labels.  Each pair's
-resulting max red degree is computed from the bitmasks alone, and a state
-reached by contractions is named by one integer, its partition key, the
-partition of the root's vertices into merged parts, which a child gets from
-its parent in one addition.  So no child is built before the search descends
-into it, and a refuted child is turned away by its key before its bitmasks
-are.  Every node keeps a near list, the pairs whose merged vertex would have
-at most ``d`` red neighbours, built by one function: the root, which has no
-parent, computes every pair; any other node builds its list from its
-parent's, recomputing only the pairs around the contracted pair.  A
-recomputed row for a vertex ``x`` with more than ``d`` neighbours tries only
+A decision packs the trigraph once, into per-vertex bitmasks, and runs every
+cap from that one root, each as one loop over an explicit stack that no
+recursion limit bounds, expanding every node it builds by one call; vertex
+labels ride along, so the search returns its steps as label pairs in the
+caller's labels.  Each pair's resulting max red degree is computed from the
+bitmasks alone, and a state reached by contractions is named by one integer,
+its partition key, the partition of the root's vertices into merged parts,
+which a child gets from its parent in one addition.  So no child is built
+before the search descends into it, and a refuted child is turned away by its
+key before its bitmasks are.  Every node keeps a near list, the pairs whose
+merged vertex would have at most ``d`` red neighbours, built by one function:
+the root, which has no parent, computes every pair; any other node builds its
+list from its parent's, recomputing only the pairs around the contracted pair.
+A recomputed row for a vertex ``x`` with more than ``d`` neighbours tries only
 ``x``'s neighbours and the vertices sharing a black neighbour with it: any
-other partner would leave all of ``x``'s neighbours red.  A node's near list
-is twin-tested and scored in one pass, and scoring a pair reads the largest
-red degree outside it from the state's red-degree buckets, which a
-contraction updates only for the vertices whose red degree it changes, so no
-node sorts its vertices.
+other partner would leave all of ``x``'s neighbours red.  A node's near list is
+twin-tested and scored in one pass, and scoring a pair reads the largest red
+degree outside it from the state's red-degree buckets, which a contraction
+updates only for the vertices whose red degree it changes, so no node sorts its
+vertices.
 """
 
 from __future__ import annotations
@@ -167,12 +168,11 @@ class _Packed:
         red[dead] = 0
         return self.alive & ~(1 << dead), tuple(black), tuple(red)
 
-    def contract(self, i, j, new_id, raw=None):
+    def contract(self, i, j, new_id, raw):
         """Merge slots i and j; the merged vertex lands in slot min(i, j) and
-        is labeled ``new_id``.  ``raw`` is :meth:`merged`'s result, computed
-        here if not given."""
+        is labeled ``new_id``.  ``raw`` is ``self.merged(i, j)``."""
         k, dead = (i, j) if i < j else (j, i)
-        alive, black, red = self.merged(i, j) if raw is None else raw
+        alive, black, red = raw
         ids = list(self.ids)
         ids[k] = new_id
         spread = list(self.spread)
@@ -418,22 +418,20 @@ def _near(state: _Packed, d: int, origin=None):
     return out
 
 
-def _ordered_children(state: _Packed, d: int, near=None):
+def _ordered_children(state: _Packed, d: int, near):
     """The node's children: pairs whose contraction keeps the max red degree
     within ``d``, as sorted ``(max red, la, lb, i, j)`` tuples, ordered by
     the child's max red degree, then by the pair's labels ``la < lb``; ``i``,
     ``j`` are slots.  If ``near`` holds twins, slots ``i < j`` with the same
     black and the same red neighbours outside ``{i, j}``, only the first
-    twin child is kept (see :func:`_decide_rec`).
+    twin child is kept, which has a finish iff the node does.
 
-    ``near`` is the node's near list, or any part of it, computed here if not
-    given.  No child is built, and each pair of ``near`` is twin-tested and
-    scored in one pass, once a twin is found only twins: each vertex in a
-    pair's ``nr`` ends with red degree ``|red(x) - {i, j}| + 1``, and every
-    other live vertex keeps its own, the largest of which is read from the
-    state's red-degree buckets, from its own max red degree down."""
-    if near is None:
-        near = _near(state, d)
+    ``near`` is the node's near list, or any part of it.  No child is built,
+    and each pair of ``near`` is twin-tested and scored in one pass, once a
+    twin is found only twins: each vertex in a pair's ``nr`` ends with red
+    degree ``|red(x) - {i, j}| + 1``, and every other live vertex keeps its
+    own, the largest of which is read from the state's red-degree buckets,
+    from its own max red degree down."""
     if not near:
         return []
     black = state.black
@@ -481,73 +479,75 @@ def _ordered_children(state: _Packed, d: int, near=None):
     return out[:1] if twin else out
 
 
-def _decide_rec(state: _Packed, d: int, next_id: int, budget: _Search, refuted: set, origin=None):
-    """Search for a width-``d`` finish of ``state``: its label pairs ``(la,
-    lb)``, ``la < lb``, in order, or None.
-
-    A node with twins has exactly one child, its first twin pair in the
-    order of :func:`_ordered_children`.  Contracting twins adds no red edge
-    and leaves the node minus one twin, an induced subtrigraph, and
-    twin-width is monotone under induced subtrigraphs, so the node has a
-    finish iff that child does.  Any other node branches on all its
-    children.
-
-    A success ends the search, so every state met again was refuted.
-    ``refuted`` holds, for each refuted state, its raw form ``(alive, black,
-    red)`` and its partition key (see :class:`_Packed`); a key is added only
-    with its raw state or once that is there, so a key found implies a raw
-    state found.  A node's loop over its children ticks the budget for each
-    and looks the child's key up before building it, from the node's own
-    key and ``spread``, so most refuted children cost one addition; only on
-    a miss is the child built and its raw state looked up, which catches a
-    refuted state reached by another partition.  The root, which no loop
-    ticked, ticks itself; its ``refuted`` is fresh, so it looks nothing up.
-    ``refuted`` never holds more than ``_REFUTED_CAP`` entries: a refutation
-    that would pass the cap clears the set first, and a child's key is not
-    added to a full set.
-
-    ``origin`` is ``(near, parent, i, j)`` when ``state`` is ``parent``
-    contracted at slots ``i``, ``j`` and ``near`` is the parent's near list,
-    and None at the root; :func:`_near` builds the state's own from it."""
-    if origin is None:
-        if state.n_alive() <= 1:
-            return []
-        budget.tick()
+def _decide_rec(state: _Packed, d: int, origin=None):
+    """Expand one node: ``(near, children)``, its near list (``origin`` as
+    for :func:`_near`) and its :func:`_ordered_children`.  The search makes
+    every such call, the root's included, through this module global, so
+    rebinding the name sees each built node: ``twbench/tracing.py`` counts
+    ``solver.nodes`` by this name, which is why the search keeps it."""
     near = _near(state, d, origin)
-    children = _ordered_children(state, d, near)
-    last = state.n_alive() == 2  # every child has one live slot: a finish
-    key = state.key
-    spread = state.spread
-    for _, la, lb, i, j in children:
-        if last:
-            return [(la, lb)]
-        budget.tick()
-        child_key = key + (i - j) * spread[j]  # i < j: j's part moves to i
-        if child_key in refuted:
-            continue
-        child_raw = state.merged(i, j)
-        if child_raw in refuted:
-            if len(refuted) < _REFUTED_CAP:
-                refuted.add(child_key)
-            continue
-        child = state.contract(i, j, next_id, child_raw)
-        sub = _decide_rec(child, d, next_id + 1, budget, refuted, (near, state, i, j))
-        if sub is not None:
-            return [(la, lb)] + sub
-    if len(refuted) > _REFUTED_CAP - 2:
-        refuted.clear()
-    refuted.add((state.alive, state.black, state.red))
-    refuted.add(key)
-    return None
+    return near, _ordered_children(state, d, near)
 
 
-def _decide(g: Trigraph, root: _Packed, d: int, search: _Search):
+def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
     """One width decision on ``g``, packed as ``root``: a sequence of width
-    <= ``d``, or None iff none."""
+    <= ``d``, or None iff none.
+
+    One loop walks the tree.  ``stack`` holds the current node's ancestors,
+    each as a frame of its state, near list, iterator of children left, key
+    and spread, and the label pair ``(la, lb)``, ``la < lb``, of the child
+    it descended into, so the frames' pairs are the current node's path.  A
+    built child becomes the current node; a node whose children run out is
+    refuted, and its parent resumes.  A success ends the search, so every
+    state met again was refuted.
+
+    ``refuted`` holds each refuted state's raw form ``(alive, black, red)``
+    and its partition key (see :class:`_Packed`), a key only with or after
+    its raw state.  Each child tried ticks ``budget`` and is looked up by
+    its key, from the node's key and ``spread``; only on a miss is it built
+    and its raw state looked up, which catches a refuted state reached by
+    another partition.  The root ticks itself.  A refutation that would
+    pass ``_REFUTED_CAP`` entries clears the set first, and a child's key
+    is not added to a full set."""
     if g.max_red_degree() > d:
         return None
-    pairs = _decide_rec(root, d, g.next_label, search, set())
-    return None if pairs is None else ContractionSequence.build(g, pairs)
+    if root.n_alive() <= 1:
+        return ContractionSequence.build(g, [])
+    budget.tick()
+    refuted, stack = set(), []
+    next_id = g.next_label
+    state, key, spread = root, root.key, root.spread
+    last = root.n_alive() == 2  # every child has one live slot: a finish
+    near, children = _decide_rec(root, d)
+    children = iter(children)
+    while True:
+        for _, la, lb, i, j in children:
+            if last:
+                return ContractionSequence.build(g, [f[-1] for f in stack] + [(la, lb)])
+            budget.tick()
+            child_key = key + (i - j) * spread[j]  # i < j: j's part moves to i
+            if child_key in refuted:
+                continue
+            child_raw = state.merged(i, j)
+            if child_raw in refuted:
+                if len(refuted) < _REFUTED_CAP:
+                    refuted.add(child_key)
+                continue
+            child = state.contract(i, j, next_id + len(stack), child_raw)
+            stack.append((state, near, children, key, spread, (la, lb)))
+            near, children = _decide_rec(child, d, (near, state, i, j))
+            state, key, spread, last = child, child.key, child.spread, child.n_alive() == 2
+            children = iter(children)
+            break
+        else:
+            if len(refuted) > _REFUTED_CAP - 2:
+                refuted.clear()
+            refuted.add((state.alive, state.black, state.red))
+            refuted.add(key)
+            if not stack:
+                return None
+            state, near, children, key, spread, _ = stack.pop()
+            last = False  # it built a child, so it has three live slots or more
 
 
 class _Search:
@@ -586,7 +586,7 @@ class _Search:
             if d <= self.refuted.get(key, -1):
                 continue
             self.nodes_left = self.config.max_nodes
-            seq = _decide(g, root, d, self)
+            seq = _search_cap(g, root, d, self)
             if seq is not None:
                 return d, seq
             self.refuted[key] = d
@@ -628,7 +628,7 @@ def greedy_sequence(g: Trigraph) -> ContractionSequence:
     are any.  Deterministic, carries no optimality proof; used as the
     budget-exhausted fallback.  It is the search at cap ``g.n``, where the
     first child always has a finish; its fresh search reads no clock."""
-    return _decide(g, _Packed.from_trigraph(g), g.n, _Search())
+    return _search_cap(g, _Packed.from_trigraph(g), g.n, _Search())
 
 
 def optimal_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:

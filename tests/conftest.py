@@ -570,7 +570,7 @@ def ordered_children_oracle(state, d):
     out = []
     for a, i in enumerate(slots):
         for j in slots[a + 1 :]:
-            child = state.contract(i, j, -1)
+            child = state.contract(i, j, -1, state.merged(i, j))
             mr = max(child.red[x].bit_count() for x in _bits(child.alive))
             if mr <= d:
                 la, lb = sorted((state.ids[i], state.ids[j]))
@@ -619,7 +619,7 @@ def twin_pairs_oracle(state):
     out = []
     for a, i in enumerate(slots):
         for j in slots[a + 1 :]:
-            child = state.contract(i, j, -1)
+            child = state.contract(i, j, -1, state.merged(i, j))
             got = (child.alive, child.black, child.red)
             if got == deleted_raw(state, j, i) == deleted_raw(state, i, j):
                 out.append((i, j))
@@ -640,7 +640,8 @@ def decide_rec_oracle(state, d, next_id, refuted, budget):
         return None
     children = node_children_oracle(state, d)
     for _, la, lb, i, j in children:
-        sub = decide_rec_oracle(state.contract(i, j, next_id), d, next_id + 1, refuted, budget)
+        child = state.contract(i, j, next_id, state.merged(i, j))
+        sub = decide_rec_oracle(child, d, next_id + 1, refuted, budget)
         if sub is not None:
             return [(la, lb)] + sub
     refuted.add(raw)

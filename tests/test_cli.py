@@ -389,6 +389,19 @@ class TestCommands:
         assert run(["solve", str(graph), "--budget", "400", "--nodes", "100"]) == 3
         assert "nodes budget exceeded: 101 > 100" in capsys.readouterr().err
 
+    def test_deep_search_answers(self, tmp_path, capsys):
+        # the search of an 1100-vertex path with one red edge goes 1099
+        # contractions deep
+        edges = [f"{i} {i + 1}" + (" r" if i == 2 else "") for i in range(1, 1100)]
+        text = "\n".join(["p tww 1100 1099"] + edges) + "\n"
+        graph = tmp_path / "path.gr"
+        graph.write_text(text)
+        assert run(["solve", str(graph), "--budget", "2000", "--time", "60"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "width 1\n"
+        g = parse_graph(text)
+        assert verify(g, parse_sequence(g, out)) == 1
+
     def test_search_budgets_reach_the_solver(self):
         for command in ("solve", "kernelize"):
             args = _parser().parse_args([command, "g.gr", "--nodes", "7", "--time", "2.5"])

@@ -37,15 +37,15 @@ CFG = SolverConfig(max_vertices=25)
 @pytest.fixture
 def decide_calls(monkeypatch):
     """The (cap, vertex count) of every call to the exact search's
-    ``solver._decide``, in order."""
+    ``solver._search_cap``, in order."""
     calls = []
-    real = solver_module._decide
+    real = solver_module._search_cap
 
-    def counting(g, root, d, search):
+    def counting(g, root, d, budget):
         calls.append((d, g.n))
-        return real(g, root, d, search)
+        return real(g, root, d, budget)
 
-    monkeypatch.setattr(solver_module, "_decide", counting)
+    monkeypatch.setattr(solver_module, "_search_cap", counting)
     return calls
 
 
@@ -685,17 +685,17 @@ class TestSolve:
         # of 2, and width 4 on the Petersen graph, which does not.  Greedy,
         # the search at cap n, runs for real
         caps = []
-        real = solver_module._decide
+        real = solver_module._search_cap
 
-        def stand_in(g, root, d, search):
+        def stand_in(g, root, d, budget):
             if d == g.n:
-                return real(g, root, d, search)
+                return real(g, root, d, budget)
             caps.append(d)
             if d > 2:
                 raise BudgetExceeded(0, 0, kind="nodes")
             return None
 
-        monkeypatch.setattr(solver_module, "_decide", stand_in)
+        monkeypatch.setattr(solver_module, "_search_cap", stand_in)
         path = list(range(1, 7)) + [0] + list(range(7, 13))
         k4 = [(a, b) for a in range(13, 17) for b in range(a + 1, 17)]
         k4_path = new_trigraph(17, k4 + list(zip([13] + path, path + [14])))

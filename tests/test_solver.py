@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as stst
@@ -16,10 +17,10 @@ from twinwidth.solver import (
     _Search,
     _bits,
     _canon_packed,
-    _decide_rec,
     _near,
     _ordered_children,
     _Packed,
+    _search_cap,
     canonical_key,
     decide_width_at_most,
     greedy_sequence,
@@ -102,7 +103,7 @@ def contract_at_random(draw, state, next_id, most):
         slots = _bits(state.alive)
         i = draw(stst.sampled_from(slots))
         j = draw(stst.sampled_from([s for s in slots if s != i]))
-        state = state.contract(i, j, next_id)
+        state = state.contract(i, j, next_id, state.merged(i, j))
         next_id += 1
     return state
 
@@ -173,13 +174,33 @@ def checked_inherit(mp):
     return checked
 
 
+def unpacked(state):
+    """The trigraph of ``state``'s live slots, labeled by ``state.ids``, with
+    its counter one past the largest label: the trigraph whose sequence a
+    search from ``state`` builds."""
+    live = _bits(state.alive)
+    ids = state.ids
+
+    def edges(masks):
+        return [(ids[x], ids[y]) for x in live for y in _bits(masks[x]) if x < y]
+
+    g = new_trigraph(max(ids) + 1, edges(state.black), edges(state.red))
+    return g.induce([ids[x] for x in live])
+
+
+def search(state, d, budget):
+    """The label pairs of the solver's width-``d`` search from ``state``, or
+    None."""
+    seq = _search_cap(unpacked(state), state, d, budget)
+    return None if seq is None else seq.pairs()
+
+
 def search_and_oracle(state, d):
     """(label pairs, ticks) of the solver's search and of
     ``decide_rec_oracle`` from ``state`` at width ``d``."""
-    next_id = max(state.ids) + 1
     ours, theirs = CountingBudget(), CountingBudget()
-    got = _decide_rec(state, d, next_id, ours, set())
-    want = decide_rec_oracle(state, d, next_id, set(), theirs)
+    got = search(state, d, ours)
+    want = decide_rec_oracle(state, d, max(state.ids) + 1, set(), theirs)
     return (got, ours.ticks), (want, theirs.ticks)
 
 
@@ -195,7 +216,7 @@ def greedy_oracle_pairs(g):
         twins = twin_pairs_oracle(state)
         _, la, lb, i, j = next(c for c in children if not twins or (c[3], c[4]) in twins)
         pairs.append((la, lb))
-        state = state.contract(i, j, next_id)
+        state = state.contract(i, j, next_id, state.merged(i, j))
         next_id += 1
     return pairs
 
@@ -372,7 +393,7 @@ class TestPackedOracles:
         # the node's children, and every pair of a list without twins scored
         twins = twin_pairs_oracle(state)
         for d in (0, 1, 2, 3, 4, state.n_alive()):
-            assert _ordered_children(state, d) == node_children_oracle(state, d)
+            assert _ordered_children(state, d, _near(state, d)) == node_children_oracle(state, d)
             plain = [e for e in near_oracle(state, d) if e[:2] not in twins]
             want = [c for c in ordered_children_oracle(state, d) if c[3:] not in twins]
             assert _ordered_children(state, d, plain) == want
@@ -394,15 +415,19 @@ class TestPackedOracles:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(packed_states())
     def test_near_lists_match_oracle(self, state):
-        # the root's near list, and every list that a search of at most 30
-        # nodes inherits, hold exactly the pairs within the cap, also when
-        # the state's red degree is above it
+        # the root's near list, the list each of its pairs' merges inherits,
+        # and every list that a search of at most 30 nodes inherits hold
+        # exactly the pairs within the cap, the first two also when the
+        # state's red degree is above it and no search starts
         with pytest.MonkeyPatch.context() as mp:
             checked_inherit(mp)
             for d in (0, 1, 2, 3, 4, state.n_alive()):
-                assert _near(state, d) == near_oracle(state, d)
+                near = _near(state, d)
+                assert near == near_oracle(state, d)
+                for i, j, _ in near:
+                    _near(state.contract(i, j, -1, state.merged(i, j)), d, (near, state, i, j))
                 try:
-                    _decide_rec(state, d, max(state.ids) + 1, CountingBudget(30), set())
+                    search(state, d, CountingBudget(30))
                 except BudgetExceeded:
                     pass
 
@@ -412,9 +437,15 @@ class TestPackedOracles:
             assert greedy_sequence(g).pairs() == greedy_oracle_pairs(g)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(connected_graphs())
-    def test_greedy_matches_oracle_on_random_graphs(self, g):
-        assert greedy_sequence(g).pairs() == greedy_oracle_pairs(g)
+    @given(connected_graphs(), stst.randoms(use_true_random=False))
+    def test_greedy_matches_oracle_on_random_graphs(self, g, rng):
+        # each graph as drawn, and as a trigraph with about a third of its
+        # edges red
+        edges = g.black_edges()
+        red = [e for e in edges if rng.random() < 1 / 3]
+        reddened = new_trigraph(g.n, [e for e in edges if e not in red], red)
+        for t in (g, reddened):
+            assert greedy_sequence(t).pairs() == greedy_oracle_pairs(t)
 
 
 class TestSearchOracle:
@@ -451,17 +482,16 @@ class TestSearchOracle:
         built = []
         real = solver_module._decide_rec
 
-        def recording(child, d, next_id, budget, refuted, origin=None):
+        def recording(child, d, origin=None):
             if origin is not None and origin[1] is state:
                 built.append(origin[2:])
-            return real(child, d, next_id, budget, refuted, origin)
+            return real(child, d, origin)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver_module, "_decide_rec", recording)
             for d in range(top, 4):
                 built.clear()
-                budget = CountingBudget()
-                real(state, d, max(state.ids) + 1, budget, set())
+                search(state, d, CountingBudget())
                 assert built == [c[3:] for c in node_children_oracle(state, d)]
 
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -471,7 +501,7 @@ class TestSearchOracle:
         with pytest.MonkeyPatch.context() as mp:
             checked_inherit(mp)
             for d in range(top, 4):
-                _decide_rec(state, d, max(state.ids) + 1, CountingBudget(), set())
+                search(state, d, CountingBudget())
 
     def test_inherited_children_deep(self):
         # the random16 refutation below: every node under the root inherits
@@ -485,20 +515,45 @@ class TestSearchOracle:
 
     def test_nodes_enter_through_the_module_global(self, monkeypatch):
         # a node counter that rebinds solver._decide_rec sees every built
-        # node: the root entered from _decide, and the 380 others from their
-        # parents' loops
+        # node: the root, expanded first, and the 380 others, each expanded
+        # as the search descends into it
         g = random_connected_graph(16, 8, random.Random(2))
         roots = []
         real = solver_module._decide_rec
 
-        def counting(state, d, next_id, budget, refuted, origin=None):
+        def counting(state, d, origin=None):
             roots.append(origin is None)
-            return real(state, d, next_id, budget, refuted, origin)
+            return real(state, d, origin)
 
         monkeypatch.setattr(solver_module, "_decide_rec", counting)
         assert decide_width_at_most(g, 2) is None
         assert len(roots) == 381 and roots.count(True) == 1
 
+
+
+def red_edge_path(n):
+    """The path ``0 - 1 - ... - n-1`` with the edge ``2 3`` red."""
+    return new_trigraph(n, [(i, i + 1) for i in range(n - 1) if i != 2], [(2, 3)])
+
+
+class TestDeepDecisions:
+    """A decision's search goes as deep as its trigraph has vertices, with no
+    frame of the interpreter's stack per contraction."""
+
+    def test_1100_vertex_path(self):
+        g = red_edge_path(1100)
+        seq = decide_width_at_most(g, 1, SolverConfig(max_vertices=2000))
+        assert len(seq) == 1099 and verify(g, seq) == 1
+
+    def test_under_a_low_recursion_limit(self):
+        g = red_edge_path(300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            seq = decide_width_at_most(g, 1, SolverConfig(max_vertices=300))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verify(g, seq) == 1
 
 
 def partition_key(root, owner):
@@ -539,7 +594,7 @@ class TestPartitionKey:
             cur = root
             for a, b in steps:
                 i, j = owner[a], owner[b]
-                cur = cur.contract(i, j, -1)
+                cur = cur.contract(i, j, -1, cur.merged(i, j))
                 k, dead = min(i, j), max(i, j)
                 owner = [k if s == dead else s for s in owner]
                 assert (cur.key, cur.spread) == partition_key(root, owner)
@@ -563,7 +618,7 @@ class TestPartitionKey:
             monkeypatch.setattr(_Packed, name, counting)
         g = random_connected_graph(16, 8, random.Random(2))
         budget = CountingBudget()
-        assert _decide_rec(_Packed.from_trigraph(g), 2, g.next_label, budget, set()) is None
+        assert _search_cap(g, _Packed.from_trigraph(g), 2, budget) is None
         assert budget.ticks == 1235
         assert counts["merged"] <= 380 and counts["contract"] <= 380
 
@@ -682,13 +737,13 @@ class TestRefutedCaps:
         # deepening asks caps 3 and 4 only; a trigraph the search has not
         # refuted starts at its own max red degree
         caps = []
-        real = solver_module._decide
+        real = solver_module._search_cap
 
-        def recording(g, root, d, search):
+        def recording(g, root, d, budget):
             caps.append(d)
-            return real(g, root, d, search)
+            return real(g, root, d, budget)
 
-        monkeypatch.setattr(solver_module, "_decide", recording)
+        monkeypatch.setattr(solver_module, "_search_cap", recording)
         search = _Search(SolverConfig())
         assert search.first(petersen(), (2,)) is None
         assert search.optimal(petersen()).width == 4
@@ -720,18 +775,17 @@ class CappedSet(set):
 class TestRefutedSetCap:
     def test_cleared_set_decides_the_same(self, monkeypatch):
         # with the cap at 4 entries the set is cleared again and again, and
-        # every decision still matches exhaustive search
+        # every decision still matches exhaustive search.  The search makes
+        # its refuted set by calling ``set``, which a module global of that
+        # name shadows
         monkeypatch.setattr(solver_module, "_REFUTED_CAP", 4)
         sets = []
-        real = solver_module._decide_rec
 
-        def capped(state, d, next_id, budget, refuted, origin=None):
-            if origin is None:
-                refuted = CappedSet(4)
-                sets.append(refuted)
-            return real(state, d, next_id, budget, refuted, origin)
+        def capped():
+            sets.append(CappedSet(4))
+            return sets[-1]
 
-        monkeypatch.setattr(solver_module, "_decide_rec", capped)
+        monkeypatch.setattr(solver_module, "set", capped, raising=False)
         for g in connected_graphs_up_to_iso(6):
             decisions_match_naive(g)
         assert sum(s.clears for s in sets) > 0
