@@ -495,8 +495,8 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
 
     One loop walks the tree.  ``stack`` holds the current node's ancestors,
     each as a frame of its state, near list, iterator of children left, key
-    and spread, and the label pair ``(la, lb)``, ``la < lb``, of the child
-    it descended into, so the frames' pairs are the current node's path.  A
+    and spread, and the labels ``la < lb`` of the child it descended into,
+    so the frames' label pairs are the current node's path.  A
     built child becomes the current node; a node whose children run out is
     refuted, and its parent resumes.  A success ends the search, so every
     state met again was refuted.
@@ -523,7 +523,7 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
     while True:
         for _, la, lb, i, j in children:
             if last:
-                return ContractionSequence.build(g, [f[-1] for f in stack] + [(la, lb)])
+                return ContractionSequence.build(g, [(f[5], f[6]) for f in stack] + [(la, lb)])
             budget.tick()
             child_key = key + (i - j) * spread[j]  # i < j: j's part moves to i
             if child_key in refuted:
@@ -534,9 +534,9 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
                     refuted.add(child_key)
                 continue
             child = state.contract(i, j, next_id + len(stack), child_raw)
-            stack.append((state, near, children, key, spread, (la, lb)))
+            stack.append((state, near, children, key, spread, la, lb))
             near, children = _decide_rec(child, d, (near, state, i, j))
-            state, key, spread, last = child, child.key, child.spread, child.n_alive() == 2
+            state, key, spread, last = child, child_key, child.spread, child.alive.bit_count() == 2
             children = iter(children)
             break
         else:
@@ -546,7 +546,7 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
             refuted.add(key)
             if not stack:
                 return None
-            state, near, children, key, spread, _ = stack.pop()
+            state, near, children, key, spread, _, _ = stack.pop()
             last = False  # it built a child, so it has three live slots or more
 
 

@@ -418,14 +418,18 @@ class TestPackedOracles:
         # the root's near list, the list each of its pairs' merges inherits,
         # and every list that a search of at most 30 nodes inherits hold
         # exactly the pairs within the cap, the first two also when the
-        # state's red degree is above it and no search starts
+        # state's red degree is above it and no search starts.  The lists
+        # are made through the module global, which ``checked_inherit``
+        # rebinds to check them
         with pytest.MonkeyPatch.context() as mp:
-            checked_inherit(mp)
+            checked = checked_inherit(mp)
             for d in (0, 1, 2, 3, 4, state.n_alive()):
-                near = _near(state, d)
-                assert near == near_oracle(state, d)
+                near = solver_module._near(state, d)
+                inherited = len(checked)
                 for i, j, _ in near:
-                    _near(state.contract(i, j, -1, state.merged(i, j)), d, (near, state, i, j))
+                    child = state.contract(i, j, -1, state.merged(i, j))
+                    solver_module._near(child, d, (near, state, i, j))
+                assert len(checked) == inherited + len(near)
                 try:
                     search(state, d, CountingBudget(30))
                 except BudgetExceeded:
@@ -777,17 +781,30 @@ class TestRefutedSetCap:
         # with the cap at 4 entries the set is cleared again and again, and
         # every decision still matches exhaustive search.  The search makes
         # its refuted set by calling ``set``, which a module global of that
-        # name shadows
+        # name shadows; each search past its root check must make exactly
+        # one, and nothing else in the module any, so the sets counted are
+        # the refuted sets
         monkeypatch.setattr(solver_module, "_REFUTED_CAP", 4)
         sets = []
+        made = []
+        real = solver_module._search_cap
 
         def capped():
             sets.append(CappedSet(4))
             return sets[-1]
 
+        def counting(g, root, d, budget):
+            before = len(sets)
+            seq = real(g, root, d, budget)
+            made.append(len(sets) - before)
+            assert made[-1] == (g.max_red_degree() <= d and root.n_alive() > 1)
+            return seq
+
         monkeypatch.setattr(solver_module, "set", capped, raising=False)
+        monkeypatch.setattr(solver_module, "_search_cap", counting)
         for g in connected_graphs_up_to_iso(6):
             decisions_match_naive(g)
+        assert sum(made) == len(sets) > 0
         assert sum(s.clears for s in sets) > 0
 
 
