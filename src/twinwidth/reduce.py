@@ -26,8 +26,9 @@ runner holds the input's one forest scan
 (:class:`~twinwidth.structure.ComponentScan`), whose 2-core serves the
 up-front check's induced-cycle witness and the decomposition, whose
 dangling trees prune cuts, folding each along the scan's child lists, and
-only the trees' owners are asked for their stumps.  A public entry point
-checks connectivity with that scan, whose edges are of both colours.
+only the trees' owners are asked for their stumps.  A public tree rule cuts
+only its own scan's trees, and ``prune`` and ``fen1_sequence`` check
+connectivity with their scan, whose edges are of both colours.
 
 Only the up-front check bounds the input's twin-width from below, by proofs
 about the input: an induced cycle of five or more vertices, the width-0/1
@@ -153,21 +154,6 @@ def _reaches(reached, tree) -> bool:
     return len(reached) == len(tree.vertices) and tree.vertices.issuperset(reached)
 
 
-def _require_dangling(g: Trigraph, tree):
-    """Refuse ``tree``, which a fold along the rescan rooted at the core
-    vertex reached exactly, unless it is a black tree that hangs from the
-    rest of ``g`` by its bridge alone, in O(|T|).  The fold puts the core
-    vertex outside the tree; it must be adjacent to the root, and the degree
-    sum over the tree must count its tree edges twice and the bridge once,
-    so that no other edge leaves it.  Then no red edge may touch it."""
-    u, v = tree.bridge
-    t = tree.vertices
-    if not (u in g.neighbors(v) and sum(map(g.degree, t)) == 2 * len(t) - 1):
-        raise PreconditionViolated("tree vertices are not a dangling black tree")
-    if any(map(g.red_degree, t)):
-        raise PreconditionViolated("dangling tree must be black")
-
-
 # -- individual rules -------------------------------------------------------------
 
 
@@ -179,12 +165,12 @@ class _Reduction:
     of the whole sequence is the one full replay of those pairs.
 
     ``search`` is the solve's exact search (``solver._Search``), ``scan``
-    the input's :class:`~twinwidth.structure.ComponentScan`, made once by
-    the caller (None for a runner of one public rule), ``fes`` and ``core``
-    the input's feedback edge set and 2-core, read off the scan, and
-    ``trace`` the list the stages append their rule events to.  ``_prune``
-    takes the dangling trees from the scan and folds them along its child
-    lists, dropping the scan's maps as it goes.
+    the :class:`~twinwidth.structure.ComponentScan` made once by the caller
+    (of the tree's component for a public tree rule, None for public
+    ``merge_stumps`` and ``tidy``), ``fes`` and ``core`` its feedback edge
+    set and 2-core, and ``trace`` the list the stages append their rule
+    events to.  ``_prune`` takes the dangling trees from the scan, and both
+    cuts fold along its child lists, which prune drops as it goes.
     ``_decide`` makes every width decision, and a sequence found becomes
     ``solved``.  ``decide``, the up-front width-0/1 check of ``g`` made once
     before the first stage, alone sets ``lower``, ``g``'s lower bound.
@@ -285,24 +271,10 @@ class _Reduction:
         cur = self.work._frozen()
         return RuleOutcome(instance=cur, lift=self.lift(cur))
 
-    def _kids(self, tree):
-        """Child lists under which ``tree`` hangs from its bridge: the
-        solve's scan, whose trees hang from the core already, or else a scan
-        of the working trigraph rerooted at the bridge's core vertex."""
-        if self.scan is not None:
-            return self.scan.kids
-        u, v = tree.bridge
-        self.work._require_live(v)
-        for scan in spanning_forest(self.work):
-            if u in scan.parent:
-                scan.reroot(u)
-                return scan.kids
-        return {}
-
     def reduce_star(self, tree):
         g = self.work
         pairs = Emitter(g.next_label)
-        _, reached = _fold(self._kids(tree), tree.bridge[1], pairs)
+        _, reached = _fold(self.scan.kids, tree.bridge[1], pairs)
         if len(tree.vertices) < 3:
             raise PreconditionViolated("star must have at least two leaves beyond its center")
         if not (tree.all_black and _is_star_at_root(g, tree) and _reaches(reached, tree)):
@@ -310,18 +282,18 @@ class _Reduction:
         return self._play(pairs)
 
     def reduce_tree(self, tree):
-        """Cut ``tree`` to a red stump: emit its fold's pairs into the prefix
-        and apply their end state, the tree below the root merged into the
-        fold's last label, red-adjacent to the root alone.  A scan's tree
-        dangles by construction; a tree of the rescan is checked first."""
+        """Cut ``tree``, one of the scan's trees, to a red stump: emit its
+        fold's pairs into the prefix and apply their end state, the tree
+        below the root merged into the fold's last label, red-adjacent to the
+        root alone, as a scan's tree dangles by construction."""
         g = self.work
         u, v = tree.bridge
         pairs = Emitter(g.next_label)
-        _, reached = _fold(self._kids(tree), v, pairs)
+        _, reached = _fold(self.scan.kids, v, pairs)
         if not _reaches(reached, tree):
             raise PreconditionViolated("tree vertices are not a dangling black tree")
-        if self.scan is None:
-            _require_dangling(g, tree)
+        if not tree.all_black:
+            raise PreconditionViolated("dangling tree must be black")
         if _is_star_at_root(g, tree):
             raise PreconditionViolated("tree has no vertex at distance 2 from its root")
         self.prefix += pairs
@@ -376,21 +348,39 @@ class _Reduction:
         return self._guard(len(after.red) - len(red))
 
 
+def _public_cut(rule, g: Trigraph, tree, search: _Search) -> RuleOutcome:
+    """Apply the tree cut ``rule`` to the scan's copy of ``tree``, matched by
+    bridge and vertices among the trees of a scan of its root's component,
+    on a runner made before ``trees`` reroots the scan, since the 2-core is
+    read off the BFS rooting; the copy's black flag is the scan's."""
+    v = tree.bridge[1]
+    g._require_live(v)
+    scan = next(s for s in spanning_forest(g) if v in s.parent)
+    run = _Reduction(g, search, scan)
+    for own in scan.trees(run.core):
+        if (own.bridge, own.vertices) == (tree.bridge, tree.vertices):
+            return rule(run, own).outcome()
+    raise PreconditionViolated("tree vertices are not a dangling black tree")
+
+
 def reduce_star(g: Trigraph, tree) -> RuleOutcome:
     """Replace a dangling black star (>= 2 leaves) by a black stump on its
     attachment vertex.  Lift: contract the leaves (pairwise twins) first, then
     follow the reduced instance's sequence."""
-    return _Reduction(g, _Search()).reduce_star(tree).outcome()
+    return _public_cut(_Reduction.reduce_star, g, tree, _Search())
 
 
 def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
     """Cut a dangling black tree with depth >= 2 down to a red stump.
 
+    ``tree``, as for :func:`reduce_star`, must be one of the trees that
+    :func:`~twinwidth.structure.find_dangling_trees` returns; any other is
+    refused before anything is applied.
     If the candidate trigraph turns out to have twin-width below 2, the rule
     instead solves the input: contract the tree onto its root, then follow the
     candidate's width-1 sequence.
     """
-    return _Reduction(g, _Search(config)).reduce_tree(tree).outcome()
+    return _public_cut(_Reduction.reduce_tree, g, tree, _Search(config))
 
 
 def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
@@ -479,10 +469,15 @@ def tidy(hp: HPGraph, trace=None):
     longer ones become red dangling paths whose 3+3 boundary vertices and
     endpoint stumps move into the core.  Returns the tidy decomposition and
     one lift, whose prefix is every path's pairs in turn.  A path of any
-    other flavor, an already tidy one included, is refused."""
+    other flavor, an already tidy one included, is refused, as is a
+    decomposition that ``validate_hp`` rejects, before any pair is played."""
     for path in hp.paths:
         if path.flavor != ORIGINAL:
             raise PreconditionViolated(f"unknown path flavor {path.flavor}")
+    try:
+        validate_hp(hp)
+    except AssertionError as exc:
+        raise PreconditionViolated(f"invalid decomposition: {exc}") from None
     run = _Reduction(hp.g, _Search(), trace=trace)
     out = _tidy(run, hp)
     out.g = run.work._frozen()

@@ -470,56 +470,50 @@ class HPGraph:
     paths: list[PseudoPath]
 
 
+def _check(ok, message):
+    """Raise :class:`AssertionError` with ``message`` unless ``ok``; unlike
+    ``assert``, it also runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def validate_hp(hp: HPGraph) -> None:
     """Re-derive the decomposition invariants from scratch; raises on failure."""
     g = hp.g
     covered = set(hp.core)
     for path in hp.paths:
         pv = path.all_vertices()
-        assert covered.isdisjoint(pv), "path overlaps core or another path"
+        _check(covered.isdisjoint(pv), "path overlaps core or another path")
         covered.update(pv)
-    assert covered == set(g.vertices), "core and paths do not partition V"
+    _check(covered == set(g.vertices), "core and paths do not partition V")
 
     for path in hp.paths:
         verts = path.vertices
         for v in verts:
             declared = path.stumps.get(v, ())
-            assert stumps_at(g, v) == tuple(declared), (
-                f"stump annotation mismatch at {v}"
-            )
+            _check(stumps_at(g, v) == tuple(declared), f"stump annotation mismatch at {v}")
         if path.flavor == ORIGINAL:
             for v in verts:
-                assert StumpSet.of(path.stumps.get(v, ())).legal(), (
-                    f"illegal stump set at {v}"
-                )
+                _check(StumpSet.of(path.stumps.get(v, ())).legal(), f"illegal stump set at {v}")
             for a, b in zip(verts, verts[1:]):
-                assert g.color(a, b) is EdgeColor.BLACK, "original path edge not black"
+                _check(g.color(a, b) is EdgeColor.BLACK, "original path edge not black")
             for end in (verts[0], verts[-1]):
-                for u in g.neighbors(end):
-                    if u in hp.core:
-                        assert g.color(end, u) is EdgeColor.BLACK, (
-                            "original connector edge not black"
-                        )
+                for u in g.neighbors(end) & hp.core:
+                    _check(g.color(end, u) is EdgeColor.BLACK, "original connector edge not black")
         elif path.flavor == TIDY:
-            assert not path.stumps or all(not v for v in path.stumps.values()), (
-                "tidy path carries stumps"
-            )
+            _check(not any(path.stumps.values()), "tidy path carries stumps")
             for a, b in zip(verts, verts[1:]):
-                assert g.color(a, b) is EdgeColor.RED, "tidy path edge not red"
+                _check(g.color(a, b) is EdgeColor.RED, "tidy path edge not red")
             for end in (verts[0], verts[-1]):
-                connectors = [u for u in g.neighbors(end) if u in hp.core]
-                for u in connectors:
-                    assert g.black_degree(u) == 0, "tidy connector has black edges"
-                    nbrs_outside = [
-                        x for x in g.neighbors(u) if x not in hp.core
-                    ]
-                    assert nbrs_outside == [end] or set(nbrs_outside) == {end}, (
-                        "tidy connector touches more than one path vertex"
-                    )
+                for u in g.neighbors(end) & hp.core:
+                    _check(g.black_degree(u) == 0, "tidy connector has black edges")
+                    outside = [x for x in g.neighbors(u) if x not in hp.core]
+                    _check(outside == [end], "tidy connector touches more than one path vertex")
                     in_core = [x for x in g.neighbors(u) if x in hp.core]
-                    assert len(in_core) == 1, "tidy connector needs one core neighbor"
-                    assert g.black_degree(in_core[0]) > 0, (
-                        "tidy connector's core neighbor has no black edge"
+                    _check(len(in_core) == 1, "tidy connector needs one core neighbor")
+                    _check(
+                        g.black_degree(in_core[0]) > 0,
+                        "tidy connector's core neighbor has no black edge",
                     )
         else:
             raise AssertionError(f"unknown path flavor {path.flavor}")

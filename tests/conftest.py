@@ -10,8 +10,9 @@ public per-vertex queries and filter the black edges by a tree-edge set,
 ``classify_stumps_oracle`` classifies the
 stumps of the whole trigraph in two claiming passes,
 ``canon_packed_oracle`` compresses the live slots and refines by per-cell
-neighbour counts, ``near_oracle`` computes every pair's red set with no
-filter, ``ordered_children_oracle`` builds every pair's child,
+neighbour counts (``iso_key`` is its isomorphism key of a trigraph),
+``near_oracle`` computes every pair's red set with no filter,
+``ordered_children_oracle`` builds every pair's child,
 ``shorten_oracle`` scans every consecutive pair of a path for the lowest
 before each merge, ``fold_oracle`` folds a black tree by a depth-first walk
 that sorts every neighbourhood and keeps a reached set,
@@ -30,7 +31,7 @@ import pytest
 from twinwidth.errors import DeadVertexAtStep
 from twinwidth.sequence import Emitter
 from twinwidth.trigraph import EdgeColor, Trigraph, new_trigraph
-from twinwidth.solver import _bits, canonical_key
+from twinwidth.solver import _Packed, _bits
 from twinwidth.structure import (
     DanglingTree,
     Stump,
@@ -544,7 +545,15 @@ def canon_packed_oracle(state) -> bytes:
     if m == 0:
         return b""
     rec(start)
-    return bytes([m]) + best
+    # one byte for m < 255, else an escape byte and m in four bytes
+    head = bytes([m]) if m < 255 else b"\xff" + m.to_bytes(4, "big")
+    return head + best
+
+
+def iso_key(g: Trigraph) -> bytes:
+    """``canon_packed_oracle`` of ``g``'s packed state: equal keys iff the
+    trigraphs are isomorphic as trigraphs, edge colours respected."""
+    return canon_packed_oracle(_Packed.from_trigraph(g))
 
 
 def near_oracle(state, d):
@@ -693,7 +702,7 @@ def connected_graphs_up_to_iso(max_n):
         for g in all_labeled_graphs(n):
             if len(connected_components_oracle(g)) > 1:
                 continue
-            key = canonical_key(g)
+            key = iso_key(g)
             if key not in seen:
                 seen.add(key)
                 reps.append(g)

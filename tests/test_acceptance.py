@@ -13,9 +13,17 @@ from twinwidth.corpus import (
     random_with_dangling_trees,
 )
 from twinwidth.kernel import Practical, solve, tower_bound, tww2_bikernel
-from twinwidth.reduce import _Reduction, fen1_sequence, prune, tidy, tree_sequence
+from twinwidth.reduce import (
+    fen1_sequence,
+    merge_stumps,
+    prune,
+    reduce_star,
+    reduce_tree,
+    tidy,
+    tree_sequence,
+)
 from twinwidth.sequence import ContractionSequence, verify
-from twinwidth.solver import SolverConfig, _Search, optimal_sequence
+from twinwidth.solver import SolverConfig, optimal_sequence
 from twinwidth.structure import find_dangling_trees
 from conftest import (
     FIG2_PAIRS,
@@ -114,9 +122,15 @@ def test_criterion_6_rule_equivalence_suite(monkeypatch):
     violations = []
 
     # each rule call of prune's runner is recorded with the trigraph it
-    # started from and its arguments, and replayed afterwards alone on a
-    # fresh runner, as the public rule would play it
+    # started from and its arguments, and replayed afterwards alone through
+    # the public rule, which records its own call too: the replay loops over
+    # a copy of the recorded calls
     calls = []
+    public = {
+        "reduce_star": reduce_star,
+        "reduce_tree": lambda g, tree: reduce_tree(g, tree, CFG),
+        "merge_stumps": lambda g, u, _: merge_stumps(g, u, CFG),
+    }
     observe_rules(
         monkeypatch, lambda run, rule, args: calls.append((rule, run.work._frozen(), args))
     )
@@ -157,8 +171,8 @@ def test_criterion_6_rule_equivalence_suite(monkeypatch):
         instances += 1
         calls.clear()
         out = prune(g, CFG)
-        for rule, before, args in calls:
-            outcome = rule(_Reduction(before, _Search(CFG)), *args).outcome()
+        for rule, before, args in list(calls):
+            outcome = public[rule.__name__](before, *args)
             check_event(rule.__name__, before, outcome)
         if out.is_solved:
             w = verify(g, out.solved)

@@ -25,7 +25,7 @@ from twinwidth.reduce import (
     tree_sequence,
 )
 from twinwidth.sequence import Emitter, verify
-from twinwidth.solver import SolverConfig, _Search, canonical_key, optimal_sequence
+from twinwidth.solver import SolverConfig, _Search, optimal_sequence
 from twinwidth.structure import (
     DanglingTree,
     PseudoPath,
@@ -45,6 +45,7 @@ from conftest import (
     count_scans,
     find_dangling_trees_oracle,
     fold_oracle,
+    iso_key,
     make_fig3,
     make_fig3_middle,
     make_fig3_tidy,
@@ -60,6 +61,30 @@ def chunk_at(g, root):
         if t.bridge[1] == root:
             return t
     raise AssertionError(f"no dangling tree rooted at {root}")
+
+
+def scan_runner(g):
+    """A runner of the connected ``g`` made as a public tree rule makes
+    its own: it holds ``g``'s scan, which ``trees`` reroots once the runner
+    has read the 2-core off it."""
+    (scan,) = spanning_forest(g)
+    run = _Reduction(g, _Search(CFG), scan)
+    scan.trees(run.core)
+    return run
+
+
+@pytest.fixture
+def runners(monkeypatch):
+    """Every runner made while the test runs, in order."""
+    made = []
+    real = _Reduction.__init__
+
+    def init(run, *args, **kwargs):
+        real(run, *args, **kwargs)
+        made.append(run)
+
+    monkeypatch.setattr(_Reduction, "__init__", init)
+    return made
 
 
 class TestTreeSequence:
@@ -121,7 +146,7 @@ class TestReduceStar:
     def test_deep_tree_rejected(self):
         # a leaf of the center carries a pendant of its own
         g = new_trigraph(8, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5), (3, 6), (6, 7)])
-        run = _Reduction(g, _Search())
+        run = scan_runner(g)
         with pytest.raises(PreconditionViolated, match="black pendants of its center"):
             run.reduce_star(chunk_at(g, 3))
         assert run.work == g and not run.prefix
@@ -201,7 +226,7 @@ class TestReduceTree:
         # a dangling path whose last edge is red is refused before any pair
         # is played
         g = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)], [(4, 5)])
-        run = _Reduction(g, _Search(CFG))
+        run = scan_runner(g)
         with pytest.raises(PreconditionViolated, match="dangling tree must be black"):
             run.reduce_tree(chunk_at(g, 3))
         assert run.work == g and not run.prefix
@@ -217,14 +242,15 @@ class TestReduceTree:
         (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 7)],
          DanglingTree((1, 5), frozenset({5, 6, 7}), True)),
     ])
-    def test_non_dangling_vertices_rejected(self, n, edges, tree):
-        # the fold reaches exactly the given vertices, but they do not hang
-        # from the core vertex by the bridge alone: refused before anything
-        # is applied
+    def test_non_dangling_vertices_rejected(self, runners, n, edges, tree):
+        # a fold from the root could reach exactly the given vertices, but
+        # they do not hang from the core vertex by the bridge alone, so they
+        # are no tree of the scan: the public rule refuses them before its
+        # runner applies anything
         g = new_trigraph(n, edges)
-        run = _Reduction(g, _Search(CFG))
         with pytest.raises(PreconditionViolated, match="not a dangling black tree"):
-            run.reduce_tree(tree)
+            reduce_tree(g, tree, CFG)
+        (run,) = runners
         assert run.work == g and not run.prefix
 
     def test_equivalence_random(self):
@@ -353,10 +379,68 @@ class TestFold:
         g = new_trigraph(9, C5 + [(0, 5), (5, 6), (6, 7), (7, 8)])
         tree = chunk_at(g, 5)
         for vertices in (tree.vertices | {2}, tree.vertices - {6}):
-            run = _Reduction(g, _Search())
+            run = scan_runner(g)
             with pytest.raises(PreconditionViolated):
                 run.reduce_tree(DanglingTree(tree.bridge, vertices, True))
             assert run.work == g and not run.prefix
+
+
+class TestPublicTreeRules:
+    """The public tree rules cut exactly the trees that
+    ``find_dangling_trees`` returns: any other vertex set is refused before
+    anything is applied."""
+
+    @pytest.mark.parametrize("rule, edges, tree", [
+        # a pendant path below the tree vertex 5 of the path 5-6-7-8 on a C5
+        (reduce_tree, C5 + [(0, 5), (5, 6), (6, 7), (7, 8)],
+         DanglingTree((5, 6), frozenset({6, 7, 8}), True)),
+        # a pendant star below the tree vertex 5
+        (reduce_star, C5 + [(0, 5), (5, 6), (6, 7), (6, 8)],
+         DanglingTree((5, 6), frozenset({6, 7, 8}), True)),
+        # a path and a star hung from a vertex of the acyclic host 0-1-2-3
+        (reduce_tree, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6)],
+         DanglingTree((1, 4), frozenset({4, 5, 6}), True)),
+        (reduce_star, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (4, 6)],
+         DanglingTree((1, 4), frozenset({4, 5, 6}), True)),
+    ])
+    def test_refuses_what_no_scan_finds(self, runners, rule, edges, tree):
+        # each vertex set hangs from the rest by one black edge, but is no
+        # tree off a 2-core
+        g = new_trigraph(max(map(max, edges)) + 1, edges)
+        assert tree not in find_dangling_trees(g)
+        with pytest.raises(PreconditionViolated, match="not a dangling black tree"):
+            rule(g, tree)
+        (run,) = runners
+        assert run.work == g and not run.prefix
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cuts_every_dangling_tree(self, seed):
+        # a host with dangling trees beside a cycle with trees: every tree of
+        # three or more vertices is cut, in either component, and the lift's
+        # prefix is the fold oracle's pairs
+        rng = random.Random(seed)
+        host = random_with_dangling_trees(
+            rng.randrange(4, 8), rng.randrange(1, 4), rng.randrange(10, 40), rng
+        )
+        other = cycle_with_trees(5, 20, rng)
+        shift = host.next_label
+        g = new_trigraph(
+            shift + other.next_label,
+            host.black_edges() + [(u + shift, v + shift) for u, v in other.black_edges()],
+        )
+        cut = set()
+        for tree in find_dangling_trees(g):
+            if len(tree.vertices) < 3:
+                continue
+            root = tree.bridge[1]
+            if all(x == root or g.degree(x) == 1 for x in tree.vertices):
+                out = reduce_star(g, tree)
+            else:
+                out = reduce_tree(g, tree, SolverConfig(max_vertices=0))
+            _, pairs = fold_oracle(g, root, tree.vertices)
+            assert list(out.lift.prefix) == pairs
+            cut.add(root >= shift)
+        assert cut == {False, True}
 
 
 def stumpy(owner_stumps):
@@ -449,7 +533,7 @@ class TestPrune:
         out = prune(g, CFG)
         assert not out.is_solved
         hp = out.instance
-        assert canonical_key(hp.g) == canonical_key(make_fig3_middle())
+        assert iso_key(hp.g) == iso_key(make_fig3_middle())
         k = 2
         assert len(hp.core) <= 16 * k
         assert len(hp.paths) <= 4 * k
@@ -730,7 +814,7 @@ class TestTidy:
         g = make_fig3()
         out = prune(g, CFG)
         hp2, lift = tidy(out.instance)
-        assert canonical_key(hp2.g) == canonical_key(make_fig3_tidy())
+        assert iso_key(hp2.g) == iso_key(make_fig3_tidy())
         assert [len(p) for p in hp2.paths] == [11]
         assert all(p.flavor == "tidy" for p in hp2.paths)
         assert len(hp2.core) == len(hp2.g.vertices) - 11
@@ -767,6 +851,19 @@ class TestTidy:
         hp2, _ = tidy(prune(make_fig3(), CFG).instance)
         with pytest.raises(PreconditionViolated, match="path flavor tidy"):
             tidy(hp2)
+
+    def test_invalid_decomposition_rejected(self, runners):
+        # a path stripped of its stump annotations leaves its stumps in no
+        # part of the decomposition: refused before a runner plays any pair
+        g = cycle_with_trees(30, 40, random.Random(3))
+        g = new_trigraph(g.next_label, g.black_edges() + [(0, 15)])
+        hp = prune(g, CFG).instance
+        runners.clear()
+        i = next(i for i, path in enumerate(hp.paths) if path.stumps)
+        hp.paths[i] = PseudoPath(hp.paths[i].vertices, {}, hp.paths[i].flavor)
+        with pytest.raises(PreconditionViolated, match="core and paths do not partition V"):
+            tidy(hp)
+        assert not runners
 
     def test_equivalence_oracle_random(self):
         rng = random.Random(99)

@@ -21,7 +21,6 @@ from twinwidth.solver import (
     _ordered_children,
     _Packed,
     _search_cap,
-    canonical_key,
     decide_width_at_most,
     greedy_sequence,
     optimal_sequence,
@@ -32,6 +31,7 @@ from conftest import (
     canon_packed_oracle,
     connected_graphs_up_to_iso,
     decide_rec_oracle,
+    iso_key,
     near_oracle,
     node_children_oracle,
     twin_pairs_oracle,
@@ -317,17 +317,20 @@ class TestTwinFirst:
 
 
 class TestCanonicalKey:
+    """The isomorphism key of the tests, ``iso_key``, the oracle's canonical
+    form; ``TestPackedOracles`` checks the package's copy against it."""
+
     def test_relabeling_invariance(self):
         g = make_fig2()
         perm = [3, 5, 0, 2, 4, 1]
         edges = [(perm[u], perm[v]) for u, v in g.black_edges()]
         h = new_trigraph(6, edges)
-        assert canonical_key(g) == canonical_key(h)
+        assert iso_key(g) == iso_key(h)
 
     def test_colors_distinguish(self):
         black_p3 = new_trigraph(3, [(0, 1), (1, 2)])
         red_p3 = new_trigraph(3, [], [(0, 1), (1, 2)])
-        assert canonical_key(black_p3) != canonical_key(red_p3)
+        assert iso_key(black_p3) != iso_key(red_p3)
 
     def test_recolored_edge_distinguishes(self):
         g = make_fig2()
@@ -336,17 +339,17 @@ class TestCanonicalKey:
             [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4)],
             [(4, 5)],
         )
-        assert canonical_key(g) != canonical_key(h)
+        assert iso_key(g) != iso_key(h)
 
     def test_separates_nonisomorphic(self):
         p4 = new_trigraph(4, [(0, 1), (1, 2), (2, 3)])
         star = new_trigraph(4, [(0, 1), (0, 2), (0, 3)])
-        assert canonical_key(p4) != canonical_key(star)
+        assert iso_key(p4) != iso_key(star)
 
     def test_regular_graphs(self):
         c6 = new_trigraph(6, [(i, (i + 1) % 6) for i in range(6)])
         two_triangles = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert canonical_key(c6) != canonical_key(two_triangles)
+        assert iso_key(c6) != iso_key(two_triangles)
 
     def test_256_vertices(self):
         path = new_trigraph(256, [(i, i + 1) for i in range(255)])
@@ -354,11 +357,11 @@ class TestCanonicalKey:
         random.Random(3).shuffle(perm)
         relabeled = new_trigraph(256, [(perm[i], perm[i + 1]) for i in range(255)])
         star = new_trigraph(256, [(0, i) for i in range(1, 256)])
-        assert canonical_key(path) == canonical_key(relabeled)
-        assert canonical_key(path) != canonical_key(star)
+        assert iso_key(path) == iso_key(relabeled)
+        assert iso_key(path) != iso_key(star)
 
     def test_vertex_count_prefix_separates_sizes(self):
-        keys = [canonical_key(new_trigraph(n)) for n in (0, 1, 2, 254, 255, 256)]
+        keys = [iso_key(new_trigraph(n)) for n in (0, 1, 2, 254, 255, 256)]
         assert len(set(keys)) == len(keys)
 
     @settings(max_examples=300, derandomize=True)
@@ -366,7 +369,7 @@ class TestCanonicalKey:
     def test_invariant_under_relabeling(self, state, rng):
         perm = list(range(len(state.black)))
         rng.shuffle(perm)
-        assert _canon_packed(relabeled(state, perm)) == _canon_packed(state)
+        assert canon_packed_oracle(relabeled(state, perm)) == canon_packed_oracle(state)
 
 
 class TestPackedOracles:

@@ -14,7 +14,7 @@ from twinwidth.errors import (
     SameVertex,
     SelfLoop,
 )
-from twinwidth.structure import DanglingTree
+from twinwidth.structure import DanglingTree, spanning_forest
 from twinwidth.trigraph import Trigraph, new_trigraph
 
 from twinwidth.sequence import ContractionSequence, Emitter, verify
@@ -23,6 +23,7 @@ from conftest import (
     all_trigraphs,
     connected_components_oracle,
     contract_oracle,
+    iso_key,
     make_fig2,
     replay_oracle,
     same_state,
@@ -181,8 +182,6 @@ class TestContract:
     @settings(max_examples=200, derandomize=True)
     @given(trigraphs(max_n=7), stst.data())
     def test_disjoint_contractions_commute(self, g, data):
-        from twinwidth.solver import canonical_key
-
         verts = sorted(g.vertices)
         if len(verts) < 4:
             return
@@ -191,7 +190,7 @@ class TestContract:
         )
         a = g.contract(u, v).contract(x, y)
         b = g.contract(x, y).contract(u, v)
-        assert canonical_key(a) == canonical_key(b)
+        assert iso_key(a) == iso_key(b)
 
     @settings(max_examples=200, derandomize=True)
     @given(trigraphs(max_n=7), stst.data())
@@ -414,7 +413,8 @@ class TestCopyOnWrite:
     @given(bridged_trees())
     def test_tree_cuts_never_reach_the_value(self, drawn):
         # a tree cut applies its end state on the runner and on its fork,
-        # each on its own working copy
+        # each on its own working copy; the runner folds along the scan of
+        # the bridge's component, rerooted at its core vertex
         from twinwidth.reduce import _Reduction
         from twinwidth.solver import SolverConfig, _Search
 
@@ -422,7 +422,10 @@ class TestCopyOnWrite:
         if kids.keys() == {tree.bridge[1]}:
             return  # a star is not the tree cut's
         value = self.held(g)
-        run = _Reduction(g, _Search(SolverConfig(max_vertices=0)))
+        u = tree.bridge[0]
+        scan = next(s for s in spanning_forest(g) if u in s.parent)
+        run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), scan)
+        scan.reroot(u)
         twin = run.fork()
         forked = self.held(twin.work)
         run.reduce_tree(tree)

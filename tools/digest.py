@@ -36,9 +36,15 @@ stdout and ``--trace`` JSON on a cycle with dangling trees and one chord
 (c, t) = (60, 100), (200, 400) and (400, 1600)), at ``--target tww2`` and
 at ``--target general`` with floors 12 and 4.  Their 2-cores keep four long
 paths, 7 to 93 vertices, so the bikernel collapses paths and the general
-kernel absorbs or shortens them, which no other set's instance does.  Uses
-only the standard library and the ``src/`` and ``twbench/`` trees next to
-this script.
+kernel absorbs or shortens them, which no other set's instance does.  In
+``certificates`` each line hashes the answer with the defaults, or its
+miss, on a graph past the default 20-vertex budget, so that the up-front
+check's width-0/1 search is skipped and its lower bound comes from one
+certificate in turn: an induced cycle of five or more vertices (cycles with
+trees), an induced S(2,2,2) (a C4 with trees), an induced P4 read off the
+scan (a C4 with a caterpillar) and none (a star, and K(2,20), which misses
+on vertices).  Uses only the standard library and the ``src/`` and
+``twbench/`` trees next to this script.
 
 ``--check FILE`` compares the lines with a digest saved in ``FILE`` instead
 of printing them: it prints only the lines that differ (``differs <set>
@@ -47,6 +53,10 @@ are extra (``extra <line>``), and exits 1 if there are any::
 
     python3 tools/digest.py > before.txt
     python3 tools/digest.py --check before.txt
+
+``tools/digest.txt`` holds the digest of the committed tree, and CI runs
+``python3 tools/digest.py --check tools/digest.txt``.  A change that moves
+answers on purpose regenerates that file, so its diff lists the moved lines.
 
 For a change that may alter answers on purpose, ``--summary`` prints
 ``<set> <instance> <width> <status> <miss kind>`` instead of the hash:
@@ -259,6 +269,29 @@ def summary(g, outcome):
     return f"{report['width']} {report['status']} -"
 
 
+def c4_caterpillar(spine):
+    """A C4 ``0-1-2-3`` with the path ``3-4-...-spine`` hung from 3, each
+    path vertex past 3 carrying one leg: no induced cycle of five or more
+    vertices and no induced S(2,2,2), but an induced P4 off the scan."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0)] + [(i, i + 1) for i in range(3, spine)]
+    edges += [(i, i + spine - 3) for i in range(4, spine + 1)]
+    return new_trigraph(2 * spine - 2, edges)
+
+
+def certificate_graphs():
+    """``(instance, graph)`` for each instance of the ``certificates`` set:
+    past the default 20-vertex budget, where the up-front check bounds the
+    input by the certificate that names the instance."""
+    for c, t in ((5, 60), (9, 200)):
+        yield f"cycle/c{c}+{t}", corpus.cycle_with_trees(c, t, random.Random(c))
+    for t in (60, 200):
+        yield f"spider/c4+{t}", corpus.cycle_with_trees(4, t, random.Random(4))
+    for spine in (30, 100):
+        yield f"p4/c4-caterpillar{spine}", c4_caterpillar(spine)
+    yield "none/star30", new_trigraph(31, [(0, i) for i in range(1, 31)])
+    yield "none/k2,20", new_trigraph(22, [(a, b) for a in (0, 1) for b in range(2, 22)])
+
+
 def instances():
     """``(set, instance, graph text, policy, config)`` for every instance."""
     defaults = kernel.DEFAULT_POLICY, solver.SolverConfig()
@@ -284,6 +317,8 @@ def instances():
     for i, (g, h) in enumerate(zip(reddened, graphs[1:])):
         text = cli.emit_graph(disjoint_union(g, h))
         yield "trigraph-inputs", f"g{i}+g{i + 1}", text, *defaults
+    for name, g in certificate_graphs():
+        yield "certificates", name, cli.emit_graph(g), *defaults
 
 
 def info_graphs():
