@@ -180,7 +180,12 @@ def general_kernel(
     """Absorb paths shorter than the policy floor into the core (recomputing
     the floor each round, since it grows with the core) and shorten the rest
     to exactly the floor."""
-    return _kernel(g, config, trace, lambda run, hp: _absorb_and_shorten(run, hp, policy))
+
+    def derive(run, hp):
+        kernel, meta = _absorb_and_shorten(run, hp, policy)
+        return kernel, _write_floors(meta)
+
+    return _kernel(g, config, trace, derive)
 
 
 def _collapse_paths(run: _Reduction, hp: HPGraph):
@@ -201,7 +206,8 @@ def _collapse_paths(run: _Reduction, hp: HPGraph):
 
 def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
     """The general kernel of a tidy decomposition under ``policy``.
-    Returns the kernel and its meta."""
+    Returns the kernel and its meta, whose floors are still ints: see
+    :func:`_write_floors`."""
     core = set(hp.core)
     paths = list(hp.paths)
     core_sizes = [len(core)]
@@ -222,13 +228,21 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
     meta = {
         "k": len(run.fes),
         "core_trajectory": core_sizes,
-        "floors": [decimal(f) for f in floors],
+        "floors": floors,
         "path_lengths": lengths,
         "kernel_size": kernel.n,
         "certified": run.lower >= 2,
         "shortened": kernel.n < n_tidy,
     }
     return kernel, meta
+
+
+def _write_floors(meta: dict) -> dict:
+    """Write a general kernel's floors in ``meta`` as exact decimal strings;
+    returns ``meta``.  A theory floor's string takes time quadratic in its
+    digits, so a solve writes them only once its endgame has answered."""
+    meta["floors"] = [decimal(f) for f in meta["floors"]]
+    return meta
 
 
 # -- driver ------------------------------------------------------------------------
@@ -285,6 +299,7 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     kernel, meta = _absorb_and_shorten(run, hp, policy)
     report["general_kernel"] = meta
     result = search.optimal(kernel)
+    _write_floors(meta)
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
     seq = run.sequence(result.sequence.pairs())
     if result.optimal and not meta["shortened"] and run.lower >= 2:
@@ -293,22 +308,13 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     return seq, run.lower, result.optimal and isinstance(policy, Theory)
 
 
-def _offset_pairs(seq: ContractionSequence, base_next: int, offset: int):
-    """Remap a component sequence's fresh labels for splicing at ``offset``."""
-    remap = {}
-    out = []
-    for i, (a, b) in enumerate(seq.pairs()):
-        out.append((remap.get(a, a), remap.get(b, b)))
-        remap[seq.base.next_label + i] = base_next + offset + i
-    return out
-
-
 def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CONFIG):
     """Compute a verified contraction sequence for ``g`` plus a report.
 
     Disconnected inputs are solved per component and the sequences spliced in
     component-discovery order (twin-width of a disjoint union is the maximum
-    over components; no cross-component contractions are emitted).  The
+    over components; no cross-component contractions are emitted); each
+    component's fresh labels are those its pairs take in the union.  The
     union's status follows the components' rule, with the largest component
     bound as its lower bound, and within one of optimal iff no component is
     ``upper_bound``."""
@@ -324,9 +330,10 @@ def solve(g: Trigraph, policy=DEFAULT_POLICY, config: SolverConfig = DEFAULT_CON
     statuses = []
     lowers = []
     for sub, scan in zip(g.split(s.order for s in scans), scans):
+        sub = sub._counted_from(g.next_label + len(all_pairs))
         sub_report = {"n": sub.n, "policy": report["policy"]}
         seq, _, lower = _solve_connected(sub, policy, search, sub_report, scan)
-        all_pairs.extend(_offset_pairs(seq, g.next_label, len(all_pairs)))
+        all_pairs.extend(seq.pairs())
         statuses.append(sub_report["status"])
         lowers.append(lower)
         report.setdefault("rules", []).extend(sub_report["rules"])

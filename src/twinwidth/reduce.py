@@ -235,15 +235,16 @@ class _Reduction:
     def decide(self):
         """The up-front width-0/1 check, on a runner that has played nothing,
         and the one writer of ``lower``: an induced cycle of five or more
-        vertices closing a feedback edge, kept as ``witness``, proves 2 and
-        refutes caps 0 and 1 on ``g`` for the search; without one the search
-        decides them, within the vertex budget; where it is skipped or
-        misses, an induced S(2,2,2) proves 2, and without one an induced P4,
-        read off the scan (an empty input has none), proves 1."""
+        vertices closing a feedback edge, kept as ``witness``, proves 2;
+        without one the search decides caps 0 and 1, within the vertex
+        budget; where it is skipped or misses, an induced S(2,2,2) proves 2,
+        and without one an induced P4, read off the scan (an empty input has
+        none), proves 1.  A witness records nothing for the search: a
+        later search on ``g`` itself, an unshortened kernel, follows the
+        bikernel's cap-2 decision on it, which records its own refutation."""
         self.witness = induced_cycle(self.g, self.core, self.fes)
         if self.witness is not None:
             self.lower = 2
-            self.search.refute(self.g, 1)
             return
         try:
             self.lower = self._decide((0, 1))

@@ -19,9 +19,9 @@ labels ride along, so the search returns its steps as label pairs in the
 caller's labels.  Each pair's resulting max red degree is computed from the
 bitmasks alone, and a state reached by contractions is named by one integer,
 its partition key, the partition of the root's vertices into merged parts,
-which a child gets from its parent in one addition.  So no child is built
-before the search descends into it, and a refuted child is turned away by its
-key before its bitmasks are.  Every node keeps a near list, the pairs whose
+which a child gets from its parent in one addition.  So a child is built
+only when the search tries it, and one refuted by its key is turned away
+before its bitmasks are built.  Every node keeps a near list, the pairs whose
 merged vertex would have at most ``d`` red neighbours, built by one function:
 the root, which has no parent, computes every pair; any other node builds its
 list from its parent's, recomputing only the pairs around the contracted pair.
@@ -43,8 +43,6 @@ from itertools import count
 from .errors import BudgetExceeded
 from .sequence import ContractionSequence, verify
 from .trigraph import Trigraph
-
-CanonicalKey = bytes
 
 # The most entries a width decision's refuted set holds; a refutation that
 # would pass it clears the set first.  Entries took 350-490 bytes each at 22
@@ -134,21 +132,21 @@ class _Packed:
     def n_alive(self):
         return self.alive.bit_count()
 
-    def merged(self, i, j):
-        """The raw state ``(alive, black, red)`` of slots i and j merged into
-        slot min(i, j), without the labels, the partition key and the
-        buckets."""
+    def contract(self, i, j, new_id):
+        """Merge slots i and j; the merged vertex lands in slot min(i, j) and
+        is labeled ``new_id``."""
         k, dead = (i, j) if i < j else (j, i)
+        old = self.red
         bi = self.black[i] & ~(1 << j)
         bj = self.black[j] & ~(1 << i)
-        ri = self.red[i] & ~(1 << j)
-        rj = self.red[j] & ~(1 << i)
-        nb = bi & bj
-        nr = (bi | bj | ri | rj) & ~nb
+        ri = old[i]
+        rj = old[j]
         pair = (1 << i) | (1 << j)
+        nb = bi & bj
+        nr = (bi | bj | ri | rj) & ~(nb | pair)
         kbit = 1 << k
         black = list(self.black)
-        red = list(self.red)
+        red = list(old)
         touched = nb
         while touched:
             low = touched & -touched
@@ -166,13 +164,6 @@ class _Packed:
         red[k] = nr
         black[dead] = 0
         red[dead] = 0
-        return self.alive & ~(1 << dead), tuple(black), tuple(red)
-
-    def contract(self, i, j, new_id, raw):
-        """Merge slots i and j; the merged vertex lands in slot min(i, j) and
-        is labeled ``new_id``.  ``raw`` is ``self.merged(i, j)``."""
-        k, dead = (i, j) if i < j else (j, i)
-        alive, black, red = raw
         ids = list(self.ids)
         ids[k] = new_id
         spread = list(self.spread)
@@ -183,11 +174,7 @@ class _Packed:
         # i and j leave their buckets and the merged vertex enters its own; a
         # red neighbour of it gains a red edge if it was red to neither i nor
         # j, and loses one if it was red to both; no other red degree changes
-        old = self.red
         n = len(old)
-        ri = old[i]
-        rj = old[j]
-        nr = red[k]
         buckets = self.buckets ^ (1 << i << n * ri.bit_count() | 1 << j << n * rj.bit_count())
         buckets |= 1 << k << n * nr.bit_count()
         for step, xs in ((n, nr & ~(ri | rj)), (-n, nr & ri & rj)):
@@ -196,7 +183,8 @@ class _Packed:
                 was = n * old[low.bit_length() - 1].bit_count()
                 buckets ^= low << was | low << was + step
                 xs ^= low
-        return _Packed(black, red, alive, tuple(ids), key, tuple(spread), buckets)
+        alive = self.alive & ~(1 << dead)
+        return _Packed(tuple(black), tuple(red), alive, tuple(ids), key, tuple(spread), buckets)
 
 
 def _bits(mask):
@@ -319,12 +307,6 @@ def _canon_packed(state: _Packed) -> bytes:
     # prefix alone tells every m apart
     head = bytes([m]) if m < 255 else b"\xff" + m.to_bytes(4, "big")
     return head + best
-
-
-def canonical_key(g: Trigraph) -> CanonicalKey:
-    """Isomorphism-invariant key: equal keys iff the trigraphs are isomorphic
-    as trigraphs (edge colors respected)."""
-    return _canon_packed(_Packed.from_trigraph(g))
 
 
 # -- search -----------------------------------------------------------------------
@@ -504,11 +486,11 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
     ``refuted`` holds each refuted state's raw form ``(alive, black, red)``
     and its partition key (see :class:`_Packed`), a key only with or after
     its raw state.  Each child tried ticks ``budget`` and is looked up by
-    its key, from the node's key and ``spread``; only on a miss is it built
-    and its raw state looked up, which catches a refuted state reached by
-    another partition.  The root ticks itself.  A refutation that would
-    pass ``_REFUTED_CAP`` entries clears the set first, and a child's key
-    is not added to a full set."""
+    its key, from the node's key and ``spread``; only on a miss is it built,
+    in one step, and its raw state looked up, which catches a refuted state
+    reached by another partition.  The root ticks itself.  A refutation that
+    would pass ``_REFUTED_CAP`` entries clears the set first, and a child's
+    key is not added to a full set."""
     if g.max_red_degree() > d:
         return None
     if root.n_alive() <= 1:
@@ -528,12 +510,11 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
             child_key = key + (i - j) * spread[j]  # i < j: j's part moves to i
             if child_key in refuted:
                 continue
-            child_raw = state.merged(i, j)
-            if child_raw in refuted:
+            child = state.contract(i, j, next_id + len(stack))
+            if (child.alive, child.black, child.red) in refuted:
                 if len(refuted) < _REFUTED_CAP:
                     refuted.add(child_key)
                 continue
-            child = state.contract(i, j, next_id + len(stack), child_raw)
             stack.append((state, near, children, key, spread, la, lb))
             near, children = _decide_rec(child, d, (near, state, i, j))
             state, key, spread, last = child, child_key, child.spread, child.alive.bit_count() == 2
@@ -553,7 +534,8 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
 class _Search:
     """The exact search of one solve: one deadline, fixed when it is made, a
     node count reset for each width decision, and ``refuted``, the highest
-    cap refuted at each packed root, keyed by its ``(ids, black, red)``."""
+    cap its own searches refuted at each packed root, keyed by its ``(ids,
+    black, red)``, so a later decision on the same trigraph skips them."""
 
     __slots__ = ("config", "deadline", "nodes_left", "refuted")
 
@@ -591,15 +573,6 @@ class _Search:
                 return d, seq
             self.refuted[key] = d
         return None
-
-    def refute(self, g: Trigraph, d: int):
-        """Record every cap up to ``d`` as refuted on ``g``, by a proof made
-        outside the search.  Only within the vertex budget: ``first`` refuses
-        a larger ``g``, and packing it costs time quadratic in its size."""
-        if g.n <= self.config.max_vertices:
-            root = _Packed.from_trigraph(g)
-            key = root.ids, root.black, root.red
-            self.refuted[key] = max(d, self.refuted.get(key, -1))
 
     def optimal(self, g: Trigraph) -> SolveResult:
         """Minimum-width sequence by iterative deepening from ``g``'s max red

@@ -330,6 +330,11 @@ class Trigraph:
                 red[v] = self._red[v] & keeps[i] or _EMPTY
         return [Trigraph(black, red, self._next_label) for black, red in maps]
 
+    def _counted_from(self, next_label):
+        """This value with its label counter at ``next_label``, which is at
+        least the current counter; the neighbour maps are shared."""
+        return Trigraph(self._black, self._red, next_label)
+
     # -- value semantics --------------------------------------------------------
 
     def __eq__(self, other):
@@ -348,19 +353,6 @@ class Trigraph:
             f"Trigraph(n={self.n}, black={self.black_edge_count()}, "
             f"red={self.red_edge_count()})"
         )
-
-    def validate(self):
-        """Check internal invariants; raises AssertionError on violation."""
-        assert set(self._black) == set(self._red)
-        for u in self._black:
-            assert u not in self._black[u] and u not in self._red[u], "self-loop"
-            assert self._black[u].isdisjoint(self._red[u]), "color overlap"
-            for v in self._black[u]:
-                assert v in self._black and u in self._black[v], "asymmetric black"
-            for v in self._red[u]:
-                assert v in self._red and u in self._red[v], "asymmetric red"
-            assert u < self._next_label, "label above counter"
-        return True
 
 
 def _edges(adj):

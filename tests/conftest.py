@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the package's optimized code paths:
 ``contract_oracle`` rebuilds a contraction from scratch by classifying every
 third vertex by its color pair, ``replay_oracle`` chains it one pair at a
-time, ``bags`` maps each vertex of a sequence's play to the original
-vertices merged into it, ``feedback_edge_set_oracle``, ``connected_components_oracle``,
+time, ``validate`` checks a trigraph's invariants, ``bags`` maps each vertex
+of a sequence's play to the original vertices merged into it, ``feedback_edge_set_oracle``, ``connected_components_oracle``,
 ``two_core_oracle`` and ``find_dangling_trees_oracle`` scan through the
 public per-vertex queries and filter the black edges by a tree-edge set,
 ``classify_stumps_oracle`` classifies the
@@ -205,6 +205,23 @@ def replay_oracle(g: Trigraph, pairs):
         g = contract_oracle(g, u, v)
         width = max(width, g.max_red_degree())
     return g, width
+
+
+def validate(g: Trigraph) -> bool:
+    """Check a trigraph's invariants: one vertex set in both colour maps, no
+    self-loop, no pair in both colours, symmetric edges and every label
+    below the counter; raises AssertionError on a violation."""
+    black, red = g.adjacency()
+    assert set(black) == set(red)
+    for u in black:
+        assert u not in black[u] and u not in red[u], "self-loop"
+        assert black[u].isdisjoint(red[u]), "color overlap"
+        for v in black[u]:
+            assert v in black and u in black[v], "asymmetric black"
+        for v in red[u]:
+            assert v in red and u in red[v], "asymmetric red"
+        assert u < g.next_label, "label above counter"
+    return True
 
 
 def same_state(a: Trigraph, b: Trigraph) -> bool:
@@ -579,7 +596,7 @@ def ordered_children_oracle(state, d):
     out = []
     for a, i in enumerate(slots):
         for j in slots[a + 1 :]:
-            child = state.contract(i, j, -1, state.merged(i, j))
+            child = state.contract(i, j, -1)
             mr = max(child.red[x].bit_count() for x in _bits(child.alive))
             if mr <= d:
                 la, lb = sorted((state.ids[i], state.ids[j]))
@@ -628,7 +645,7 @@ def twin_pairs_oracle(state):
     out = []
     for a, i in enumerate(slots):
         for j in slots[a + 1 :]:
-            child = state.contract(i, j, -1, state.merged(i, j))
+            child = state.contract(i, j, -1)
             got = (child.alive, child.black, child.red)
             if got == deleted_raw(state, j, i) == deleted_raw(state, i, j):
                 out.append((i, j))
@@ -649,7 +666,7 @@ def decide_rec_oracle(state, d, next_id, refuted, budget):
         return None
     children = node_children_oracle(state, d)
     for _, la, lb, i, j in children:
-        child = state.contract(i, j, next_id, state.merged(i, j))
+        child = state.contract(i, j, next_id)
         sub = decide_rec_oracle(child, d, next_id + 1, refuted, budget)
         if sub is not None:
             return [(la, lb)] + sub

@@ -260,6 +260,23 @@ class TestGeneralKernel:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_theory_floor_miss_writes_no_decimal(self, monkeypatch):
+        # the endgame misses on vertices, so solve never writes its tower
+        # floor's digits, which would take seconds
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return decimal(value)
+
+        monkeypatch.setattr(kernel_module, "decimal", counting)
+        g = random_connected_graph(400, 4, random.Random(1))
+        with pytest.raises(BudgetExceeded) as exc:
+            solve(g, Theory())
+        assert exc.value.kind == "vertices"
+        assert str(exc.value) == "vertices budget exceeded: 91 > 20"
+        assert calls == []
+
     def test_decimal_restores_the_conversion_guard(self):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)  # the interpreter's default
@@ -355,6 +372,38 @@ class TestSolve:
         for i in range(len(seq)):
             bag = forest[g.next_label + i]
             assert bag <= {0, 1, 2} or bag <= {3, 4, 5} or bag <= {6}
+
+    def test_union_report_names_its_own_vertices(self):
+        # two thetas, each two hubs joined by three 20-vertex paths, with a
+        # 2-vertex stump on the 9th-11th vertices of one path: each copy's
+        # tidy_path event keeps fresh labels, and every label an event names
+        # is made from the vertices of that event's component
+        edges = []
+        n = 0
+        for _ in range(2):
+            a, b = n, n + 1
+            n += 2
+            for k in range(3):
+                path = list(range(n, n + 20))
+                n += 20
+                edges += [(a, path[0]), (path[-1], b)] + list(zip(path, path[1:]))
+                if k == 0:
+                    for p in path[8:11]:
+                        edges += [(p, n), (n, n + 1)]
+                        n += 2
+        g = new_trigraph(n, edges)
+        seq, report = solve(g, Practical(12), SolverConfig(max_vertices=30))
+        assert report["components"] == 2
+        assert verify(g, seq) == report["width"]
+        forest = bags(g, seq)
+        half = set(range(n // 2))
+        fresh = 0
+        for event in report["rules"]:
+            labels = [x for v in event.values() if isinstance(v, list) for x in v]
+            fresh += sum(x >= g.next_label for x in labels)
+            made = set().union(*(forest[x] for x in labels))
+            assert made <= half or not made & half, event
+        assert fresh > 0
 
     def test_disconnected_status_rests_on_the_widest_component(self):
         # Petersen is width 4, optimal; the 13-vertex graph of

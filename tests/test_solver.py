@@ -31,7 +31,6 @@ from conftest import (
     canon_packed_oracle,
     connected_graphs_up_to_iso,
     decide_rec_oracle,
-    iso_key,
     near_oracle,
     node_children_oracle,
     twin_pairs_oracle,
@@ -103,7 +102,7 @@ def contract_at_random(draw, state, next_id, most):
         slots = _bits(state.alive)
         i = draw(stst.sampled_from(slots))
         j = draw(stst.sampled_from([s for s in slots if s != i]))
-        state = state.contract(i, j, next_id, state.merged(i, j))
+        state = state.contract(i, j, next_id)
         next_id += 1
     return state
 
@@ -216,7 +215,7 @@ def greedy_oracle_pairs(g):
         twins = twin_pairs_oracle(state)
         _, la, lb, i, j = next(c for c in children if not twins or (c[3], c[4]) in twins)
         pairs.append((la, lb))
-        state = state.contract(i, j, next_id, state.merged(i, j))
+        state = state.contract(i, j, next_id)
         next_id += 1
     return pairs
 
@@ -316,21 +315,27 @@ class TestTwinFirst:
         decisions_match_naive(g)
 
 
+def canon(g):
+    return _canon_packed(_Packed.from_trigraph(g))
+
+
 class TestCanonicalKey:
-    """The isomorphism key of the tests, ``iso_key``, the oracle's canonical
-    form; ``TestPackedOracles`` checks the package's copy against it."""
+    """The package's canonical form of a trigraph's packed state: equal forms
+    iff the trigraphs are isomorphic, edge colours respected.  The packed
+    states' relabeling test checks the oracle's form, which
+    ``TestPackedOracles`` checks the package's against."""
 
     def test_relabeling_invariance(self):
         g = make_fig2()
         perm = [3, 5, 0, 2, 4, 1]
         edges = [(perm[u], perm[v]) for u, v in g.black_edges()]
         h = new_trigraph(6, edges)
-        assert iso_key(g) == iso_key(h)
+        assert canon(g) == canon(h)
 
     def test_colors_distinguish(self):
         black_p3 = new_trigraph(3, [(0, 1), (1, 2)])
         red_p3 = new_trigraph(3, [], [(0, 1), (1, 2)])
-        assert iso_key(black_p3) != iso_key(red_p3)
+        assert canon(black_p3) != canon(red_p3)
 
     def test_recolored_edge_distinguishes(self):
         g = make_fig2()
@@ -339,17 +344,17 @@ class TestCanonicalKey:
             [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4)],
             [(4, 5)],
         )
-        assert iso_key(g) != iso_key(h)
+        assert canon(g) != canon(h)
 
     def test_separates_nonisomorphic(self):
         p4 = new_trigraph(4, [(0, 1), (1, 2), (2, 3)])
         star = new_trigraph(4, [(0, 1), (0, 2), (0, 3)])
-        assert iso_key(p4) != iso_key(star)
+        assert canon(p4) != canon(star)
 
     def test_regular_graphs(self):
         c6 = new_trigraph(6, [(i, (i + 1) % 6) for i in range(6)])
         two_triangles = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert iso_key(c6) != iso_key(two_triangles)
+        assert canon(c6) != canon(two_triangles)
 
     def test_256_vertices(self):
         path = new_trigraph(256, [(i, i + 1) for i in range(255)])
@@ -357,11 +362,11 @@ class TestCanonicalKey:
         random.Random(3).shuffle(perm)
         relabeled = new_trigraph(256, [(perm[i], perm[i + 1]) for i in range(255)])
         star = new_trigraph(256, [(0, i) for i in range(1, 256)])
-        assert iso_key(path) == iso_key(relabeled)
-        assert iso_key(path) != iso_key(star)
+        assert canon(path) == canon(relabeled)
+        assert canon(path) != canon(star)
 
     def test_vertex_count_prefix_separates_sizes(self):
-        keys = [iso_key(new_trigraph(n)) for n in (0, 1, 2, 254, 255, 256)]
+        keys = [canon(new_trigraph(n)) for n in (0, 1, 2, 254, 255, 256)]
         assert len(set(keys)) == len(keys)
 
     @settings(max_examples=300, derandomize=True)
@@ -430,7 +435,7 @@ class TestPackedOracles:
                 near = solver_module._near(state, d)
                 inherited = len(checked)
                 for i, j, _ in near:
-                    child = state.contract(i, j, -1, state.merged(i, j))
+                    child = state.contract(i, j, -1)
                     solver_module._near(child, d, (near, state, i, j))
                 assert len(checked) == inherited + len(near)
                 try:
@@ -601,7 +606,7 @@ class TestPartitionKey:
             cur = root
             for a, b in steps:
                 i, j = owner[a], owner[b]
-                cur = cur.contract(i, j, -1, cur.merged(i, j))
+                cur = cur.contract(i, j, -1)
                 k, dead = min(i, j), max(i, j)
                 owner = [k if s == dead else s for s in owner]
                 assert (cur.key, cur.spread) == partition_key(root, owner)
@@ -612,22 +617,21 @@ class TestPartitionKey:
 
     def test_refuted_children_are_not_built(self, monkeypatch):
         # the random16 width-2 refutation of TestSearchShape ticks 1,235
-        # nodes; a child whose key is refuted is not merged, and one whose
-        # merged raw state is refuted is not labeled
-        counts = dict.fromkeys(("merged", "contract"), 0)
-        for name in counts:
-            real = getattr(_Packed, name)
+        # nodes; a child whose key is refuted is not built, and one built
+        # whose raw state is refuted is dropped
+        calls = []
+        real = _Packed.contract
 
-            def counting(self, *args, real=real, name=name):
-                counts[name] += 1
-                return real(self, *args)
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
 
-            monkeypatch.setattr(_Packed, name, counting)
+        monkeypatch.setattr(_Packed, "contract", counting)
         g = random_connected_graph(16, 8, random.Random(2))
         budget = CountingBudget()
         assert _search_cap(g, _Packed.from_trigraph(g), 2, budget) is None
         assert budget.ticks == 1235
-        assert counts["merged"] <= 380 and counts["contract"] <= 380
+        assert len(calls) <= 380
 
 
 class TestSearchShape:
@@ -650,7 +654,7 @@ class TestSearchShape:
         assert exc.value.kind == "nodes"
 
     def test_canonical_forms_on_demand(self, monkeypatch):
-        # a form is computed only when canonical_key asks for one: a width
+        # a form is computed only when a caller asks for one: a width
         # decision and an optimal solve compute none
         calls = []
         real = solver_module._canon_packed

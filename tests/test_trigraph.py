@@ -27,6 +27,7 @@ from conftest import (
     make_fig2,
     replay_oracle,
     same_state,
+    validate,
     FIG2_PAIRS,
 )
 
@@ -167,7 +168,7 @@ class TestContract:
                     for v in range(u + 1, n):
                         got = g.contract(u, v)
                         assert got == contract_oracle(g, u, v)
-                        got.validate()
+                        validate(got)
 
     @settings(max_examples=300, derandomize=True)
     @given(trigraphs(max_n=7), stst.data())
@@ -177,7 +178,7 @@ class TestContract:
         v = data.draw(stst.sampled_from([x for x in verts if x != u]))
         got = g.contract(u, v)
         assert got == contract_oracle(g, u, v)
-        got.validate()
+        validate(got)
 
     @settings(max_examples=200, derandomize=True)
     @given(trigraphs(max_n=7), stst.data())
@@ -245,7 +246,7 @@ class TestReplay:
         else:
             assert (final, width) == expected
             assert final.vertices == expected[0].vertices
-            final.validate()
+            validate(final)
             if final.edge_count():
                 with pytest.raises(IncompleteSequence):
                     verify(g, seq)
@@ -460,4 +461,4 @@ class TestCollapse:
         cut._collapse(tree.vertices - {root}, root, len(pairs))
         assert same_state(cut._frozen(), played._frozen())
         assert cut.next_label == played.next_label == g.next_label + len(pairs)
-        assert cut._frozen().validate()
+        assert validate(cut._frozen())

@@ -17,7 +17,9 @@ instance of the fen1-deep-trees, fenk-kernel and exact-endgame benchmark
 workloads at seeds 1 and 2, solved as the benchmark solves them; the 49
 disjoint unions of consecutive criterion-9 graphs (set
 ``criterion-9-unions``), solved with ``twinwidth solve``'s defaults, so that
-the status of a disconnected input is checked too; stump-heavy owners
+the status of a disconnected input is checked too, and in the same set two
+stumped thetas side by side (``stumped_thetas``), solved at floor 12 and a
+30-vertex budget, so that a union's report names fresh labels; stump-heavy owners
 (set ``stump-owners``): a C5 whose vertex 0 owns up to 200 dangling trees, so
 that prune merges one owner's stumps in a long chain, also solved with the
 defaults; and trigraph inputs (set ``trigraph-inputs``): each criterion-9
@@ -140,6 +142,26 @@ def disjoint_union(g, h):
         g.black_edges() + shifted(h.black_edges()),
         g.red_edges() + shifted(h.red_edges()),
     )
+
+
+def stumped_thetas():
+    """Two thetas side by side, each two hubs joined by three 20-vertex
+    paths, with a 2-vertex stump on the 9th-11th vertices of one path: both
+    copies' ``tidy_path`` events name fresh labels."""
+    edges = []
+    n = 0
+    for _ in range(2):
+        a, b = n, n + 1
+        n += 2
+        for k in range(3):
+            path = list(range(n, n + 20))
+            n += 20
+            edges += [(a, path[0]), (path[-1], b)] + list(zip(path, path[1:]))
+            if k == 0:
+                for p in path[8:11]:
+                    edges += [(p, n), (n, n + 1)]
+                    n += 2
+    return new_trigraph(n, edges)
 
 
 def with_red_edge(g):
@@ -307,6 +329,9 @@ def instances():
     for i, (g, h) in enumerate(zip(graphs, graphs[1:])):
         text = cli.emit_graph(disjoint_union(g, h))
         yield "criterion-9-unions", f"g{i}+g{i + 1}", text, *defaults
+    config = solver.SolverConfig(max_vertices=30)
+    text = cli.emit_graph(stumped_thetas())
+    yield "criterion-9-unions", "theta+theta", text, kernel.Practical(12), config
     for mix, sizes in STUMP_MIXES.items():
         for d in STUMP_COUNTS:
             text = cli.emit_graph(stump_owner(d, sizes))
