@@ -4,9 +4,10 @@
 116k vertices (k = feedback edge number) by pruning, tidying, and collapsing
 every tidy path to a single vertex.  ``general_kernel`` instead absorbs paths
 that are too short for the configured floor into the core and shortens the
-rest down to exactly the floor; under the theoretical floor the bound is a
-tower function of the core size, computed exactly with big integers, so in
-practice the paths are simply absorbed.  ``solve`` chains the fast width-1
+rest down to exactly the floor.  The theoretical floor is a tower in the
+core size, longer than every path once 2t^2 reaches the longest path's bit
+length, so the paths are absorbed by that bound; its exact value is built
+only where a report prints it.  ``solve`` chains the fast width-1
 and width-2 routes, the feedback-edge-one construction, and the two kernels
 with the exact solver as endgame.  A connected plain-graph solve builds one
 reduction runner (``reduce._Reduction``) and plays every stage on it: the
@@ -27,7 +28,6 @@ else ``plus_one`` if within one of optimal; else ``upper_bound``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
@@ -44,7 +44,7 @@ from .trigraph import Trigraph
 @dataclass(frozen=True)
 class Theory:
     """Use the proven path floor, 3 * tower_bound(t, 2*t^2) + 9 for core size
-    t, evaluated exactly.  Kernels stay equivalent but are astronomically
+    t, reported exactly.  Kernels stay equivalent but are astronomically
     large, so in practice every path gets absorbed into the core."""
 
 
@@ -52,14 +52,14 @@ class Theory:
 class Practical:
     """Use an explicit vertex floor for the dangling paths.  Exercises the
     full shortening pipeline at desk scale; the +1 width guarantee is only
-    proven at Theory floors.  The floor is at least 1: a path keeps at least
-    one vertex."""
+    proven at Theory floors.  The floor is an int (not a bool) of at least 1:
+    a path keeps at least one vertex."""
 
     floor: int = 12
 
     def __post_init__(self):
-        if self.floor < 1:
-            raise ValueError(f"practical floor must be at least 1, got {self.floor}")
+        if type(self.floor) is not int or self.floor < 1:
+            raise ValueError(f"practical floor must be an int of at least 1, got {self.floor!r}")
 
 
 DEFAULT_POLICY = Practical(12)
@@ -84,17 +84,11 @@ def _floor_for(policy, core_size: int) -> int:
 
 
 def decimal(value: int) -> str:
-    """Exact decimal string of a big integer, lifting the interpreter's
-    conversion-size guard for this one conversion when the value is a tower."""
-    digits = int(value.bit_length() * 0.30103) + 2
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if not limit or digits < limit:
-        return str(value)
-    sys.set_int_max_str_digits(digits + 10)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    """Exact decimal string of a big integer, which a ``Decimal`` writes
+    without the interpreter's int-to-str size guard."""
+    from decimal import Decimal  # on first use: most runs print no floor
+
+    return str(Decimal(value))
 
 
 @dataclass
@@ -183,7 +177,7 @@ def general_kernel(
 
     def derive(run, hp):
         kernel, meta = _absorb_and_shorten(run, hp, policy)
-        return kernel, _write_floors(meta)
+        return kernel, _write_floors(meta, policy)
 
     return _kernel(g, config, trace, derive)
 
@@ -205,30 +199,33 @@ def _collapse_paths(run: _Reduction, hp: HPGraph):
 
 
 def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
-    """The general kernel of a tidy decomposition under ``policy``.
-    Returns the kernel and its meta, whose floors are still ints: see
-    :func:`_write_floors`."""
+    """The general kernel of a tidy decomposition under ``policy``; returns
+    the kernel and its meta, whose floors :func:`_write_floors` adds.  A
+    theory floor exceeds 2^(2t^2) at core size t, so once 2t^2 reaches the
+    longest path's bit length every path is absorbed without building it."""
     core = set(hp.core)
     paths = list(hp.paths)
     core_sizes = [len(core)]
-    floors = []
-    while True:
-        floor = _floor_for(policy, max(1, len(core)))
-        floors.append(floor)
-        short = [p for p in paths if len(p) < floor]
-        if not short:
-            break
+    floor = 1  # unused if no path is left
+    while paths:
+        t = max(1, len(core))
+        if isinstance(policy, Theory) and 2 * t * t >= max(map(len, paths)).bit_length():
+            short, paths = paths, []
+        else:
+            floor = _floor_for(policy, t)
+            short = [p for p in paths if len(p) < floor]
+            if not short:
+                break
+            paths = [p for p in paths if len(p) >= floor]
         for p in short:
             core.update(p.all_vertices())
-        paths = [p for p in paths if len(p) >= floor]
         core_sizes.append(len(core))
         run.trace.append({"rule": "absorb_short_paths", "count": len(short)})
     n_tidy = run.work.n
-    kernel, lengths = _shorten_paths(run, paths, floors[-1])
+    kernel, lengths = _shorten_paths(run, paths, floor)
     meta = {
         "k": len(run.fes),
         "core_trajectory": core_sizes,
-        "floors": floors,
         "path_lengths": lengths,
         "kernel_size": kernel.n,
         "certified": run.lower >= 2,
@@ -237,11 +234,12 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
     return kernel, meta
 
 
-def _write_floors(meta: dict) -> dict:
-    """Write a general kernel's floors in ``meta`` as exact decimal strings;
-    returns ``meta``.  A theory floor's string takes time quadratic in its
-    digits, so a solve writes them only once its endgame has answered."""
-    meta["floors"] = [decimal(f) for f in meta["floors"]]
+def _write_floors(meta: dict, policy) -> dict:
+    """Add to a general kernel's ``meta`` the floor of each core size in its
+    trajectory, as an exact decimal string; returns ``meta``.  At a few
+    hundred core vertices a theory floor takes seconds to build and longer
+    to write, so a solve adds them only once its endgame has answered."""
+    meta["floors"] = [decimal(_floor_for(policy, max(1, t))) for t in meta["core_trajectory"]]
     return meta
 
 
@@ -299,7 +297,7 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     kernel, meta = _absorb_and_shorten(run, hp, policy)
     report["general_kernel"] = meta
     result = search.optimal(kernel)
-    _write_floors(meta)
+    _write_floors(meta, policy)
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
     seq = run.sequence(result.sequence.pairs())
     if result.optimal and not meta["shortened"] and run.lower >= 2:

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
@@ -230,6 +231,13 @@ class TestGeneralKernel:
         with pytest.raises(ValueError):
             Practical(floor)
 
+    @pytest.mark.parametrize("floor", [True, 2.5, "12", 0])
+    def test_practical_floor_must_be_a_whole_int(self, floor):
+        # a bool would be reported as the floor 1, a float or a string would
+        # fail later, in the shortening or in the comparison
+        with pytest.raises(ValueError, match="practical floor must be an int"):
+            Practical(floor)
+
     def test_practical_five_shortens_exactly(self):
         from twinwidth.solver import greedy_sequence
 
@@ -244,21 +252,39 @@ class TestGeneralKernel:
         assert verify(g, lifted) <= out.lift.bound(w)
 
     def test_theory_floor_reported_exactly(self):
-        g = make_fig3()
-        out = general_kernel(g, Theory(), CFG)
-        assert not out.is_solved
-        assert out.meta["path_lengths"] == []  # floor astronomically large
-        floors = out.meta["floors"]
-        assert all(isinstance(f, str) and f.isdigit() for f in floors)
-        t0 = out.meta["core_trajectory"][0]
-        # decimal() lifts the conversion guard only for its own conversion, so
-        # parsing the tower back lifts it here, for this comparison only
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            assert int(floors[0]) == path_floor(t0)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        # a cycle with trees and one chord: four paths, absorbed in one round
+        c = cycle_with_trees(30, 40, random.Random(1))
+        chorded = new_trigraph(c.next_label, c.black_edges() + [(0, 15)])
+        trajectories = []
+        for g in (make_fig3(), chorded):
+            out = general_kernel(g, Theory(), CFG)
+            assert not out.is_solved
+            assert out.meta["path_lengths"] == []  # floor astronomically large
+            floors = out.meta["floors"]
+            assert all(isinstance(f, str) and f.isdigit() for f in floors)
+            traj = out.meta["core_trajectory"]
+            trajectories.append(traj)
+            # a Decimal parses the tower back without the int-to-str guard
+            assert [Decimal(f) for f in floors] == [path_floor(max(1, t)) for t in traj]
+        assert trajectories[1] == [43, 44]
+
+    def test_theory_absorb_builds_no_tower_above_the_paths(self, monkeypatch):
+        # the absorb loop compares the floor with the paths by size, so it
+        # builds no tower above the longest path's bit length, which is at
+        # most the vertex count's
+        levels = []
+        real = kernel_module.tower_bound
+
+        def recording(core_size, level):
+            levels.append(level)
+            return real(core_size, level)
+
+        monkeypatch.setattr(kernel_module, "tower_bound", recording)
+        g = random_connected_graph(2000, 8, random.Random(8000))
+        with pytest.raises(BudgetExceeded) as exc:
+            solve(g, Theory())
+        assert str(exc.value) == "vertices budget exceeded: 212 > 20"
+        assert all(level <= g.n.bit_length() for level in levels)
 
     def test_theory_floor_miss_writes_no_decimal(self, monkeypatch):
         # the endgame misses on vertices, so solve never writes its tower

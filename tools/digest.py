@@ -45,8 +45,13 @@ check's width-0/1 search is skipped and its lower bound comes from one
 certificate in turn: an induced cycle of five or more vertices (cycles with
 trees), an induced S(2,2,2) (a C4 with trees), an induced P4 read off the
 scan (a C4 with a caterpillar) and none (a star, and K(2,20), which misses
-on vertices).  Uses only the standard library and the ``src/`` and
-``twbench/`` trees next to this script.
+on vertices).  In ``theory`` each line hashes the answer, or its miss, of
+an exact-endgame seed-1 instance solved with the ``theory`` floor policy and
+its workload config, and, as in ``kernels``, ``twinwidth kernelize --target
+general --policy theory`` on ``cycle_with_trees(30, 40)`` plus its chord at
+seeds 1 and 2, so that the exact theory floors a report prints are diffed.
+Uses only the standard library and the ``src/`` and ``twbench/`` trees next
+to this script.
 
 ``--check FILE`` compares the lines with a digest saved in ``FILE`` instead
 of printing them: it prints only the lines that differ (``differs <set>
@@ -235,10 +240,17 @@ def info_summary(output):
     return f"{len(info['bridges'])} {len(info['dangling_trees'])} -"
 
 
-# cycles with dangling trees and one chord, ``(c, t)`` as in
-# ``corpus.cycle_with_trees(c, t)``, and the kernelize runs made on each
-KERNEL_GRAPHS = ((60, 100), (200, 400), (400, 1600))
-KERNEL_RUNS = (("tww2", "practical:12"), ("general", "practical:12"), ("general", "practical:4"))
+# per set, cycles with dangling trees and one chord, ``(c, t)`` as in
+# ``corpus.cycle_with_trees(c, t)``, and the kernelize runs made on each; the
+# ``theory`` cycle is small enough that its exact floors print in 0.3 s
+KERNEL_SETS = (
+    (
+        "kernels",
+        ((60, 100), (200, 400), (400, 1600)),
+        (("tww2", "practical:12"), ("general", "practical:12"), ("general", "practical:4")),
+    ),
+    ("theory", ((30, 40),), (("general", "theory"),)),
+)
 
 
 def chorded_cycle(c, t, seed):
@@ -344,6 +356,9 @@ def instances():
         yield "trigraph-inputs", f"g{i}+g{i + 1}", text, *defaults
     for name, g in certificate_graphs():
         yield "certificates", name, cli.emit_graph(g), *defaults
+    for inst in workloads.build("exact-endgame", 1):
+        config = solver.SolverConfig(**inst.config)
+        yield "theory", f"exact-endgame/1/{inst.name}", inst.text, kernel.Theory(), config
 
 
 def info_graphs():
@@ -383,17 +398,18 @@ def lines(line):
                 shown = hashlib.sha256(output.encode()).hexdigest()
             yield f"structure-info {name} {shown}"
         trace = Path(tmp) / "trace.json"
-        for c, t in KERNEL_GRAPHS:
-            for seed in SEEDS:
-                path.write_text(cli.emit_graph(chorded_cycle(c, t, seed)), encoding="utf-8")
-                for target, policy in KERNEL_RUNS:
-                    code, out, written = kernelize_output(str(path), target, policy, trace)
-                    if line is summary:
-                        shown = kernel_summary(code, written)
-                    else:
-                        blob = f"{code}\n{out}{written}"
-                        shown = hashlib.sha256(blob.encode()).hexdigest()
-                    yield f"kernels c{c}+{t}/{seed}/{target}:{policy} {shown}"
+        for set_name, graphs, runs in KERNEL_SETS:
+            for c, t in graphs:
+                for seed in SEEDS:
+                    path.write_text(cli.emit_graph(chorded_cycle(c, t, seed)), encoding="utf-8")
+                    for target, policy in runs:
+                        code, out, written = kernelize_output(str(path), target, policy, trace)
+                        if line is summary:
+                            shown = kernel_summary(code, written)
+                        else:
+                            blob = f"{code}\n{out}{written}"
+                            shown = hashlib.sha256(blob.encode()).hexdigest()
+                        yield f"{set_name} c{c}+{t}/{seed}/{target}:{policy} {shown}"
 
 
 def check(saved_lines, got):
