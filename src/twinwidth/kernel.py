@@ -83,12 +83,36 @@ def _floor_for(policy, core_size: int) -> int:
     return policy.floor
 
 
+# values up to this many bits go through ``Decimal(value)`` directly
+_DIRECT_BITS = 4096
+
+
 def decimal(value: int) -> str:
     """Exact decimal string of a big integer, which a ``Decimal`` writes
-    without the interpreter's int-to-str size guard."""
-    from decimal import Decimal  # on first use: most runs print no floor
+    without the interpreter's int-to-str size guard.  ``Decimal(value)``
+    takes time quadratic in the digits, so a longer value is split by a power
+    of two into halves, converted alone, and joined by ``Decimal``
+    arithmetic, whose products are subquadratic."""
+    # on first use: most runs print no floor
+    from decimal import MAX_EMAX, Decimal, Rounded, localcontext
 
-    return str(Decimal(value))
+    powers = {}
+
+    def convert(v, bits):
+        if bits <= _DIRECT_BITS:
+            return Decimal(v)
+        low = bits // 2
+        high = v >> low
+        if low not in powers:
+            powers[low] = Decimal(2) ** low
+        return convert(high, bits - low) * powers[low] + convert(v - (high << low), low)
+
+    with localcontext() as ctx:
+        # room for every digit and exponent, and an error rather than a rounded result
+        ctx.prec = value.bit_length() // 3 + 2
+        ctx.Emax = MAX_EMAX
+        ctx.traps[Rounded] = True
+        return str(convert(value, value.bit_length()))
 
 
 @dataclass

@@ -21,10 +21,13 @@ deletions, ``node_children_oracle`` keeps a twin node's first twin child
 alone, ``decide_rec_oracle`` searches with twin-first branching and a
 set of refuted raw states, and ``naive_optimal_width`` tries every
 contraction sequence with no pruning, once per partition into bags.
+``load_script`` loads a script of the repository by its path.
 """
 
 import functools
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +172,17 @@ def observe_rules(monkeypatch, hook):
 
     for name in ("reduce_star", "reduce_tree", "merge_stumps"):
         monkeypatch.setattr(_Reduction, name, observed(getattr(_Reduction, name)))
+
+
+@functools.cache
+def load_script(relative):
+    """The module in the file ``relative`` to the repository root, run once
+    per session."""
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- independent oracles ----------------------------------------------------------

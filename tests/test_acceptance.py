@@ -28,6 +28,7 @@ from twinwidth.structure import find_dangling_trees
 from conftest import (
     FIG2_PAIRS,
     connected_graphs_up_to_iso,
+    load_script,
     make_fig2,
     naive_optimal_width,
     observe_rules,
@@ -251,14 +252,8 @@ def test_criterion_8_near_optimal_pipeline():
 
 
 def test_criterion_9_determinism(tmp_path, capsys):
-    rng = random.Random(20240007)
     corpus = []
-    for i in range(50):
-        n = rng.randrange(3, 10)
-        k = rng.randrange(0, 3)
-        if n - 1 + k > n * (n - 1) // 2:
-            k = 0
-        g = random_connected_graph(n, k, rng)
+    for i, g in enumerate(load_script("tools/digest.py").criterion9_corpus()):
         path = tmp_path / f"g{i}.gr"
         path.write_text(emit_graph(g))
         corpus.append(path)

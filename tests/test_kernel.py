@@ -74,6 +74,19 @@ class TestGrowthBound:
         assert s[0] != "0" and s.isdigit()
         assert int(s) == v
 
+    def test_decimal_is_exact_around_each_split(self):
+        # bit lengths at which decimal() converts directly, splits once and
+        # splits twice; halves all ones, all zeros but one bit, and random
+        rng = random.Random(7)
+        direct = kernel_module._DIRECT_BITS
+        for top in (direct, 2 * direct, 4 * direct):
+            for bits in (top - 1, top, top + 1):
+                first = 1 << (bits - 1)
+                for v in (2 * first - 1, first, first + 1, first | rng.getrandbits(bits - 1)):
+                    assert decimal(v) == str(Decimal(v))
+        v = path_floor(43)  # 95,009 digits
+        assert decimal(v) == str(Decimal(v))
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             tower_bound(0, 1)

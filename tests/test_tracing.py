@@ -3,20 +3,11 @@ functions by name, so a renamed or deleted function breaks it.  This loads
 ``twbench/tracing.py`` by file path, installs and uninstalls its tracer, and
 checks that every name it looks up resolves and is put back."""
 
-import importlib.util
 import sys
-from pathlib import Path
 
 from twinwidth import cli, kernel, reduce, sequence, solver, structure, trigraph  # noqa: F401
 
-TRACING = Path(__file__).resolve().parent.parent / "twbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("twbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def bindings():
@@ -46,7 +37,7 @@ def resolve(tracing):
 
 
 def test_every_traced_name_resolves_and_is_restored():
-    tracing = load_tracing()
+    tracing = load_script("twbench/tracing.py")
     before = bindings()
     originals = resolve(tracing)
     tracer = tracing.Tracer("twinwidth").install()

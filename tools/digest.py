@@ -50,6 +50,15 @@ an exact-endgame seed-1 instance solved with the ``theory`` floor policy and
 its workload config, and, as in ``kernels``, ``twinwidth kernelize --target
 general --policy theory`` on ``cycle_with_trees(30, 40)`` plus its chord at
 seeds 1 and 2, so that the exact theory floors a report prints are diffed.
+In ``golden`` each line hashes the answer, or its miss, with the defaults
+on one of nine small instances that between them fire every reduction rule,
+both kernels, the exact endgame and a vertex miss; in ``stages`` each line
+hashes, as sorted JSON, what one public stage returns on one of those
+instances with its defaults (``<instance>/<stage>``): ``prune`` (its
+decomposition, lift and rule trace), ``tidy`` of that decomposition when
+prune leaves one, ``fen1_sequence`` (or its refusal), ``tww2_bikernel`` and
+``general_kernel`` (kernel, meta, lift and trace), so that a stage's change
+is diffed even where the answer stays.
 Uses only the standard library and the ``src/`` and ``twbench/`` trees next
 to this script.
 
@@ -61,9 +70,10 @@ are extra (``extra <line>``), and exits 1 if there are any::
     python3 tools/digest.py > before.txt
     python3 tools/digest.py --check before.txt
 
-``tools/digest.txt`` holds the digest of the committed tree, and CI runs
-``python3 tools/digest.py --check tools/digest.txt``.  A change that moves
-answers on purpose regenerates that file, so its diff lists the moved lines.
+``tools/digest.txt`` holds the digest of the committed tree, and
+``tests/test_digest.py`` runs that check in ``pytest``.  A change that moves
+answers on purpose regenerates the file (``python3 tools/digest.py >
+tools/digest.txt``), so its diff lists the moved lines.
 
 For a change that may alter answers on purpose, ``--summary`` prints
 ``<set> <instance> <width> <status> <miss kind>`` instead of the hash:
@@ -71,9 +81,11 @@ For a change that may alter answers on purpose, ``--summary`` prints
 so a diff shows which widths and statuses moved and which misses remain;
 a ``parse-errors`` line reads ``<error class> <line or None>``, a
 ``structure-info`` line ``<bridges> <dangling trees> -`` or ``- - <error
-class>``, and a ``kernels`` line ``<kernel vertices> <path lengths> -``
+class>``, a ``kernels`` line ``<kernel vertices> <path lengths> -``
 (the lengths comma-separated, ``none`` if no path is left), ``solved
-<width> -`` or ``- - exit <code>``.
+<width> -`` or ``- - exit <code>``, and a ``stages`` line ``<vertices> <rule
+events> -`` for the graph a stage returns, ``solved <pairs> -`` for a stage
+that solves its input, or ``- - PreconditionViolated``.
 """
 
 from __future__ import annotations
@@ -91,8 +103,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "twbench")]
 
-from twinwidth import cli, corpus, kernel, solver  # noqa: E402
-from twinwidth.errors import BudgetExceeded, TwinWidthError  # noqa: E402
+from twinwidth import cli, corpus, kernel, reduce, solver  # noqa: E402
+from twinwidth.errors import BudgetExceeded, PreconditionViolated, TwinWidthError  # noqa: E402
 from twinwidth.trigraph import new_trigraph  # noqa: E402
 
 import workloads  # noqa: E402
@@ -102,7 +114,8 @@ SEEDS = (1, 2)
 
 
 def criterion9_corpus():
-    """The graphs of ``tests/test_acceptance.py::test_criterion_9_determinism``."""
+    """The 50 graphs of acceptance criterion 9, which
+    ``tests/test_acceptance.py::test_criterion_9_determinism`` solves too."""
     rng = random.Random(20240007)
     out = []
     for _ in range(50):
@@ -303,6 +316,99 @@ def summary(g, outcome):
     return f"{report['width']} {report['status']} -"
 
 
+# small instances that between them fire every reduction rule (star and tree
+# cuts, every stump merge, both solved-by-decision exits, tidying), the
+# feedback-edge-one construction, both kernels, the exact endgame and a
+# vertex-budget miss
+GOLDEN = {
+    # feedback edge number one: tree cuts, red and half stump merges, tidy
+    "cwt-12-80": lambda: corpus.cycle_with_trees(12, 80, random.Random(1)),
+    "cwt-40-300": lambda: corpus.cycle_with_trees(40, 300, random.Random(2)),
+    # fen 1 above the vertex budget of the width-1 decision, certified by an
+    # induced cycle
+    "rcg-300-1": lambda: corpus.random_connected_graph(300, 1, random.Random(5)),
+    # stars, trees and merges into the bikernel's width-2 decision
+    "rwdt-5-2-30": lambda: corpus.random_with_dangling_trees(5, 2, 30, random.Random(5)),
+    # a merge whose candidate has a width-1 sequence solves the input
+    "rwdt-5-2-30-merge-solved": lambda: corpus.random_with_dangling_trees(
+        5, 2, 30, random.Random(23)
+    ),
+    # within the vertex budget: a tree cut whose candidate has width 1
+    "rwdt-4-2-12-tree-solved": lambda: corpus.random_with_dangling_trees(
+        4, 2, 12, random.Random(6)
+    ),
+    # the general kernel and the exact endgame
+    "rwdt-20-4-60": lambda: corpus.random_with_dangling_trees(20, 4, 60, random.Random(4)),
+    # a kernel over the vertex budget
+    "rwdt-10-4-150": lambda: corpus.random_with_dangling_trees(10, 4, 150, random.Random(4)),
+    # exact-sized: decided outright
+    "rcg-12-5": lambda: corpus.random_connected_graph(12, 5, random.Random(6)),
+}
+
+
+def _graph(g):
+    return [list(g.vertices), g.next_label, g.black_edges(), g.red_edges()]
+
+
+def _lift(lift, parent, child):
+    return [list(lift.prefix), lift.at_least_two, lift.parent == parent and lift.child == child]
+
+
+def _stumps(stumps):
+    return [[s.kind.value, list(s.vertices)] for s in stumps]
+
+
+def _hp(hp):
+    paths = [
+        [p.flavor, list(p.vertices), [[v, _stumps(ss)] for v, ss in sorted(p.stumps.items())]]
+        for p in hp.paths
+    ]
+    return [_graph(hp.g), sorted(hp.core), paths]
+
+
+def _kernel(g, outcome):
+    if outcome.is_solved:
+        return ["solved", outcome.solved.pairs(), outcome.meta]
+    return [_graph(outcome.kernel), outcome.meta, _lift(outcome.lift, g, outcome.kernel)]
+
+
+def stage_blobs(g):
+    """One JSON-ready value per public stage run on ``g`` with its defaults."""
+    out = {}
+    trace = []
+    pruned = reduce.prune(g, trace=trace)
+    if pruned.is_solved:
+        out["prune"] = ["solved", pruned.solved.pairs(), trace]
+    else:
+        hp = pruned.instance
+        out["prune"] = [_hp(hp), _lift(pruned.lift, g, hp.g), trace]
+        trace = []
+        tidied, lift = reduce.tidy(hp, trace)
+        out["tidy"] = [_hp(tidied), _lift(lift, hp.g, tidied.g), trace]
+    try:
+        out["fen1_sequence"] = reduce.fen1_sequence(g).pairs()
+    except PreconditionViolated as exc:
+        out["fen1_sequence"] = str(exc)
+    trace = []
+    out["tww2_bikernel"] = [_kernel(g, kernel.tww2_bikernel(g, trace=trace)), trace]
+    trace = []
+    out["general_kernel"] = [_kernel(g, kernel.general_kernel(g, trace=trace)), trace]
+    return out
+
+
+def stage_summary(stage, blob):
+    """``solved <pairs> -`` for a stage that solved its input, ``<vertices>
+    <rule events> -`` for one that returned a graph, ``- -
+    PreconditionViolated`` for a refused ``fen1_sequence``."""
+    if stage == "fen1_sequence":
+        return "- - PreconditionViolated" if isinstance(blob, str) else f"solved {len(blob)} -"
+    result, trace = blob if stage.endswith("kernel") else (blob, blob[2])
+    if result[0] == "solved":
+        return f"solved {len(result[1])} -"
+    graph = result[0] if stage.endswith("kernel") else result[0][0]
+    return f"{len(graph[0])} {len(trace)} -"
+
+
 def c4_caterpillar(spine):
     """A C4 ``0-1-2-3`` with the path ``3-4-...-spine`` hung from 3, each
     path vertex past 3 carrying one leg: no induced cycle of five or more
@@ -359,6 +465,8 @@ def instances():
     for inst in workloads.build("exact-endgame", 1):
         config = solver.SolverConfig(**inst.config)
         yield "theory", f"exact-endgame/1/{inst.name}", inst.text, kernel.Theory(), config
+    for name, build in GOLDEN.items():
+        yield "golden", name, cli.emit_graph(build()), *defaults
 
 
 def info_graphs():
@@ -410,6 +518,13 @@ def lines(line):
                             blob = f"{code}\n{out}{written}"
                             shown = hashlib.sha256(blob.encode()).hexdigest()
                         yield f"{set_name} c{c}+{t}/{seed}/{target}:{policy} {shown}"
+    for name, build in GOLDEN.items():
+        for stage, blob in stage_blobs(build()).items():
+            if line is summary:
+                shown = stage_summary(stage, blob)
+            else:
+                shown = hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+            yield f"stages {name}/{stage} {shown}"
 
 
 def check(saved_lines, got):
