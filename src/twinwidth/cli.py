@@ -115,7 +115,9 @@ def parse_sequence(g: Trigraph, text: str) -> ContractionSequence:
         if len(parts) != 2 or not all(map(_whole, parts)):
             raise BadStepLine(f"bad step line {line!r}", line=lineno)
         u, v = int(parts[0]), int(parts[1])
-        if u not in live or v not in live or u == v:
+        if u == v:
+            raise GraphSyntaxError(f"step {u} {v} contracts a label with itself", line=lineno)
+        if u not in live or v not in live:
             raise GraphSyntaxError(f"step {u} {v} references a dead label", line=lineno)
         live[u] = pairs.emit(live[u], live[v])
         del live[v]

@@ -17,7 +17,8 @@ general kernel on the runner itself.  One scan of every input, red edges
 or not, yields its components and each one's feedback edges, 2-core and
 dangling trees, and the exact search is made once: its deadline bounds the
 solve, and the endgame skips caps refuted on the same trigraph.
-Every emitted sequence is re-verified before it is reported.
+Every emitted sequence is re-verified before it is reported, and a printed
+theory floor is built as a ``Decimal`` in an exact context.
 
 A status rests on the runner's lower bound, set by the up-front check alone
 (a kernel's meta is ``certified`` when it is 2), and one rule derives it for
@@ -73,46 +74,10 @@ def tower_bound(core_size: int, level: int) -> int:
 
 
 def path_floor(core_size: int) -> int:
-    """Minimum path length (in vertices) the theory-backed shortening keeps."""
+    """Minimum path length (in vertices) the theory-backed shortening keeps.
+    A ``Decimal`` core size gives a ``Decimal`` floor, exact in an exact
+    context."""
     return 3 * tower_bound(core_size, 2 * core_size * core_size) + 9
-
-
-def _floor_for(policy, core_size: int) -> int:
-    if isinstance(policy, Theory):
-        return path_floor(core_size)
-    return policy.floor
-
-
-# values up to this many bits go through ``Decimal(value)`` directly
-_DIRECT_BITS = 4096
-
-
-def decimal(value: int) -> str:
-    """Exact decimal string of a big integer, which a ``Decimal`` writes
-    without the interpreter's int-to-str size guard.  ``Decimal(value)``
-    takes time quadratic in the digits, so a longer value is split by a power
-    of two into halves, converted alone, and joined by ``Decimal``
-    arithmetic, whose products are subquadratic."""
-    # on first use: most runs print no floor
-    from decimal import MAX_EMAX, Decimal, Rounded, localcontext
-
-    powers = {}
-
-    def convert(v, bits):
-        if bits <= _DIRECT_BITS:
-            return Decimal(v)
-        low = bits // 2
-        high = v >> low
-        if low not in powers:
-            powers[low] = Decimal(2) ** low
-        return convert(high, bits - low) * powers[low] + convert(v - (high << low), low)
-
-    with localcontext() as ctx:
-        # room for every digit and exponent, and an error rather than a rounded result
-        ctx.prec = value.bit_length() // 3 + 2
-        ctx.Emax = MAX_EMAX
-        ctx.traps[Rounded] = True
-        return str(convert(value, value.bit_length()))
 
 
 @dataclass
@@ -236,7 +201,7 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
         if isinstance(policy, Theory) and 2 * t * t >= max(map(len, paths)).bit_length():
             short, paths = paths, []
         else:
-            floor = _floor_for(policy, t)
+            floor = path_floor(t) if isinstance(policy, Theory) else policy.floor
             short = [p for p in paths if len(p) < floor]
             if not short:
                 break
@@ -260,10 +225,24 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
 
 def _write_floors(meta: dict, policy) -> dict:
     """Add to a general kernel's ``meta`` the floor of each core size in its
-    trajectory, as an exact decimal string; returns ``meta``.  At a few
-    hundred core vertices a theory floor takes seconds to build and longer
-    to write, so a solve adds them only once its endgame has answered."""
-    meta["floors"] = [decimal(_floor_for(policy, max(1, t))) for t in meta["core_trajectory"]]
+    trajectory, as an exact decimal string; returns ``meta``.  A theory floor
+    is built as a ``Decimal``, whose products are subquadratic and whose
+    digits the interpreter's int-to-str size guard does not limit.  Its
+    digits grow as the cube of the core size, so a solve adds the floors only
+    once its endgame has answered."""
+    trajectory = meta["core_trajectory"]
+    if not isinstance(policy, Theory):
+        meta["floors"] = [str(policy.floor)] * len(trajectory)
+        return meta
+    # on first use: most runs print no theory floor
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+
+    with localcontext() as ctx:
+        # room for every digit and exponent, and an error rather than a rounded result
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.traps[Inexact] = True
+        meta["floors"] = [str(path_floor(Decimal(max(1, t)))) for t in trajectory]
     return meta
 
 

@@ -180,6 +180,19 @@ class TestCommands:
         seq.write_text("1 2\n1 2\n")
         assert run(["verify", str(tmp_fig2), str(seq)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2\n2 3\n", "step 2 3 references a dead label"),
+            ("1 2\n1 1\n", "step 1 1 contracts a label with itself"),
+        ],
+    )
+    def test_verify_bad_step_names_its_fault(self, tmp_fig2, tmp_path, capsys, text, message):
+        seq = tmp_path / "bad.seq"
+        seq.write_text(text)
+        assert run(["verify", str(tmp_fig2), str(seq)]) == 2
+        assert capsys.readouterr().err == f"verification failed: line 2: {message}\n"
+
     def test_verify_prefix_exit_2(self, tmp_fig2, tmp_path, capsys):
         # a valid prefix of a full sequence is not a full sequence
         seq = tmp_path / "prefix.seq"

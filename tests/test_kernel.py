@@ -1,7 +1,10 @@
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,7 @@ from twinwidth.errors import BudgetExceeded, Disconnected
 from twinwidth.kernel import (
     Practical,
     Theory,
-    decimal,
+    _write_floors,
     general_kernel,
     path_floor,
     solve,
@@ -66,26 +69,21 @@ class TestGrowthBound:
     def test_exactness_is_integer(self):
         v = path_floor(5)
         assert isinstance(v, int)
-        assert decimal(v) == str(v)
+        meta = _write_floors({"core_trajectory": [5]}, Theory())
+        assert meta["floors"] == [str(v)]
 
     def test_decimal_handles_towers(self):
-        v = path_floor(12)  # tens of thousands of digits
-        s = decimal(v)
+        v = path_floor(12)  # thousands of digits
+        (s,) = _write_floors({"core_trajectory": [12]}, Theory())["floors"]
         assert s[0] != "0" and s.isdigit()
         assert int(s) == v
 
-    def test_decimal_is_exact_around_each_split(self):
-        # bit lengths at which decimal() converts directly, splits once and
-        # splits twice; halves all ones, all zeros but one bit, and random
-        rng = random.Random(7)
-        direct = kernel_module._DIRECT_BITS
-        for top in (direct, 2 * direct, 4 * direct):
-            for bits in (top - 1, top, top + 1):
-                first = 1 << (bits - 1)
-                for v in (2 * first - 1, first, first + 1, first | rng.getrandbits(bits - 1)):
-                    assert decimal(v) == str(Decimal(v))
-        v = path_floor(43)  # 95,009 digits
-        assert decimal(v) == str(Decimal(v))
+    def test_written_floor_is_exact_for_each_core_size(self):
+        # the core sizes up to 50 and the digest's 73 (431,277 digits); a
+        # Decimal parses each floor back without the int-to-str guard
+        sizes = list(range(1, 51)) + [73]
+        floors = _write_floors({"core_trajectory": sizes}, Theory())["floors"]
+        assert [Decimal(f) for f in floors] == [path_floor(t) for t in sizes]
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -303,12 +301,13 @@ class TestGeneralKernel:
         # the endgame misses on vertices, so solve never writes its tower
         # floor's digits, which would take seconds
         calls = []
+        real = kernel_module._write_floors
 
-        def counting(value):
-            calls.append(value)
-            return decimal(value)
+        def counting(meta, policy):
+            calls.append(meta["core_trajectory"])
+            return real(meta, policy)
 
-        monkeypatch.setattr(kernel_module, "decimal", counting)
+        monkeypatch.setattr(kernel_module, "_write_floors", counting)
         g = random_connected_graph(400, 4, random.Random(1))
         with pytest.raises(BudgetExceeded) as exc:
             solve(g, Theory())
@@ -316,11 +315,11 @@ class TestGeneralKernel:
         assert str(exc.value) == "vertices budget exceeded: 91 > 20"
         assert calls == []
 
-    def test_decimal_restores_the_conversion_guard(self):
+    def test_writer_keeps_the_conversion_guard(self):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)  # the interpreter's default
         try:
-            text = decimal(path_floor(16))
+            (text,) = _write_floors({"core_trajectory": [16]}, Theory())["floors"]
             assert sys.get_int_max_str_digits() == 4300
             # the same digits as a conversion with no guard at all
             sys.set_int_max_str_digits(0)
@@ -328,6 +327,27 @@ class TestGeneralKernel:
         finally:
             sys.set_int_max_str_digits(limit)
         assert len(text) > 4300
+
+    def test_practical_solve_loads_no_decimal(self):
+        # in a fresh interpreter, since pytest and hypothesis load decimal:
+        # the Petersen graph goes to the general kernel's endgame, and its
+        # practical floors are written without the decimal module
+        script = (
+            "import sys\n"
+            "from twinwidth.kernel import solve\n"
+            "from twinwidth.trigraph import new_trigraph\n"
+            "edges = [(i, (i + 1) % 5) for i in range(5)]\n"
+            "edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]\n"
+            "edges += [(i, i + 5) for i in range(5)]\n"
+            "_, report = solve(new_trigraph(10, edges))\n"
+            "print(report['general_kernel']['floors'], 'decimal' in sys.modules)\n"
+        )
+        src = str(Path(kernel_module.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "['12'] False\n"
 
     def test_core_trajectory_grows(self):
         g = long_path_instance()
