@@ -292,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
     # the pipeline's options, shared by solve and kernelize
     pipeline = argparse.ArgumentParser(add_help=False)
     pipeline.add_argument("--policy", type=_policy, default="practical:12")
-    pipeline.add_argument("--threads", type=int, default=1,
+    pipeline.add_argument("--threads", type=_count, default=1,
                           help="accepted for compatibility; ignored")
     pipeline.add_argument("--budget", type=_count, default=20,
                           help="max vertex count of every exact width decision")

@@ -8,9 +8,9 @@ which holds the budgets and the caps refuted so far.  A node with twins has
 one child, its twins contracted: the child is an induced subtrigraph of the
 node, so it has a finish iff the node does.  Any other node branches on all
 live vertex pairs, preferring pairs that minimize the immediate max red
-degree.  Refuted states are kept raw and by partition key, in a set that is
-cleared when it reaches a fixed entry cap, so a state is explored twice only
-after a clear.
+degree.  Refuted states are kept by partition key, in a set that is cleared
+when it reaches a fixed entry cap, so a partition is explored twice only
+after a clear; a state that two partitions reach is explored once for each.
 
 A decision packs the trigraph once, into per-vertex bitmasks, and runs every
 cap from that one root, each as one loop over an explicit stack that no
@@ -45,9 +45,10 @@ from .sequence import ContractionSequence, verify
 from .trigraph import Trigraph
 
 # The most entries a width decision's refuted set holds; a refutation that
-# would pass it clears the set first.  Entries took 350-490 bytes each at 22
-# vertices (tracemalloc, sets of 1,000-60,000 entries), so the set stays
-# near 100 MB.  Clearing is sound: the search only prunes less.
+# would pass it clears the set first.  Entries, partition keys, took 74-133
+# bytes each at 22 vertices (tracemalloc, sets of 1,400-34,000 entries), so
+# the set stays under about 35 MB.  Clearing is sound: the search only
+# prunes less.
 _REFUTED_CAP = 250_000
 
 
@@ -483,14 +484,11 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
     refuted, and its parent resumes.  A success ends the search, so every
     state met again was refuted.
 
-    ``refuted`` holds each refuted state's raw form ``(alive, black, red)``
-    and its partition key (see :class:`_Packed`), a key only with or after
-    its raw state.  Each child tried ticks ``budget`` and is looked up by
+    ``refuted`` holds the partition key (see :class:`_Packed`) of each
+    refuted state.  Each child tried ticks ``budget`` and is looked up by
     its key, from the node's key and ``spread``; only on a miss is it built,
-    in one step, and its raw state looked up, which catches a refuted state
-    reached by another partition.  The root ticks itself.  A refutation that
-    would pass ``_REFUTED_CAP`` entries clears the set first, and a child's
-    key is not added to a full set."""
+    in one step.  The root ticks itself.  A refutation that would pass
+    ``_REFUTED_CAP`` entries clears the set first."""
     if g.max_red_degree() > d:
         return None
     if root.n_alive() <= 1:
@@ -511,19 +509,14 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
             if child_key in refuted:
                 continue
             child = state.contract(i, j, next_id + len(stack))
-            if (child.alive, child.black, child.red) in refuted:
-                if len(refuted) < _REFUTED_CAP:
-                    refuted.add(child_key)
-                continue
             stack.append((state, near, children, key, spread, la, lb))
             near, children = _decide_rec(child, d, (near, state, i, j))
             state, key, spread, last = child, child_key, child.spread, child.alive.bit_count() == 2
             children = iter(children)
             break
         else:
-            if len(refuted) > _REFUTED_CAP - 2:
+            if len(refuted) >= _REFUTED_CAP:
                 refuted.clear()
-            refuted.add((state.alive, state.black, state.red))
             refuted.add(key)
             if not stack:
                 return None

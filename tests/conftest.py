@@ -19,8 +19,9 @@ that sorts every neighbourhood and keeps a reached set,
 ``twin_pairs_oracle`` finds twins by comparing a contraction with the two
 deletions, ``node_children_oracle`` keeps a twin node's first twin child
 alone, ``decide_rec_oracle`` searches with twin-first branching and a
-set of refuted raw states, and ``naive_optimal_width`` tries every
-contraction sequence with no pruning, once per partition into bags.
+set of refuted partitions of the root's slots, and
+``naive_optimal_width`` tries every contraction sequence with no pruning,
+once per partition into bags.
 ``load_script`` loads a script of the repository by its path.
 """
 
@@ -666,25 +667,29 @@ def twin_pairs_oracle(state):
     return out
 
 
-def decide_rec_oracle(state, d, next_id, refuted, budget):
+def decide_rec_oracle(state, d, next_id, refuted, budget, parts=None):
     """The width-``d`` search with twin-first branching over
     ``node_children_oracle``: a state with twin pairs has one child, the
-    first of them in child order.  ``refuted`` holds the raw states refuted so
-    far.  Same branching order and budget ticks as the solver's search, so it
+    first of them in child order.  ``parts`` maps each slot of the search's
+    root to the smallest slot of its merged part, the root's own slots if
+    None, and ``refuted`` holds the ``parts`` of the states refuted so far.
+    Same branching order and budget ticks as the solver's search, so it
     returns the same label pairs after the same number of ticks."""
     if state.n_alive() == 1:
         return []
+    if parts is None:
+        parts = tuple(range(len(state.black)))
     budget.tick()
-    raw = (state.alive, state.black, state.red)
-    if raw in refuted:
+    if parts in refuted:
         return None
     children = node_children_oracle(state, d)
     for _, la, lb, i, j in children:
         child = state.contract(i, j, next_id)
-        sub = decide_rec_oracle(child, d, next_id + 1, refuted, budget)
+        merged = tuple(i if p == j else p for p in parts)
+        sub = decide_rec_oracle(child, d, next_id + 1, refuted, budget, merged)
         if sub is not None:
             return [(la, lb)] + sub
-    refuted.add(raw)
+    refuted.add(parts)
     return None
 
 

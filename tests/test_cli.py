@@ -427,7 +427,8 @@ class TestCommands:
         [("--nodes", "-1"), ("--nodes", "1.5"), ("--nodes", "x"), ("--nodes", "\u0663"),
          ("--time", "-1"), ("--time", "x"), ("--time", "nan"),
          ("--budget", "-1"), ("--budget", "1_0"), ("--budget", "+5"), ("--budget", "\u0663"),
-         ("--cap", "-1"), ("--cap", "1_0")],
+         ("--cap", "-1"), ("--cap", "1_0"),
+         ("--threads", "-1"), ("--threads", "+3"), ("--threads", "1_0"), ("--threads", "\u0663")],
     )
     def test_bad_search_budget_is_usage_error(self, tmp_fig2, capsys, flag, value):
         # --cap belongs to solve alone

@@ -617,8 +617,7 @@ class TestPartitionKey:
 
     def test_refuted_children_are_not_built(self, monkeypatch):
         # the random16 width-2 refutation of TestSearchShape ticks 1,235
-        # nodes; a child whose key is refuted is not built, and one built
-        # whose raw state is refuted is dropped
+        # nodes; a child whose partition key is refuted is not built
         calls = []
         real = _Packed.contract
 
@@ -775,6 +774,7 @@ class CappedSet(set):
         self.clears = 0
 
     def add(self, entry):
+        assert type(entry) is int
         super().add(entry)
         assert len(self) <= self.cap
 
@@ -785,19 +785,19 @@ class CappedSet(set):
 
 class TestRefutedSetCap:
     def test_cleared_set_decides_the_same(self, monkeypatch):
-        # with the cap at 4 entries the set is cleared again and again, and
+        # with the cap at 2 entries the set is cleared again and again, and
         # every decision still matches exhaustive search.  The search makes
         # its refuted set by calling ``set``, which a module global of that
         # name shadows; each search past its root check must make exactly
         # one, and nothing else in the module any, so the sets counted are
         # the refuted sets
-        monkeypatch.setattr(solver_module, "_REFUTED_CAP", 4)
+        monkeypatch.setattr(solver_module, "_REFUTED_CAP", 2)
         sets = []
         made = []
         real = solver_module._search_cap
 
         def capped():
-            sets.append(CappedSet(4))
+            sets.append(CappedSet(2))
             return sets[-1]
 
         def counting(g, root, d, budget):
