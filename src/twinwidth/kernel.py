@@ -6,19 +6,19 @@ every tidy path to a single vertex.  ``general_kernel`` instead absorbs paths
 that are too short for the configured floor into the core and shortens the
 rest down to exactly the floor.  The theoretical floor is a tower in the
 core size, longer than every path once 2t^2 reaches the longest path's bit
-length, so the paths are absorbed by that bound; its exact value is built
-only where a report prints it.  ``solve`` chains the fast width-1
-and width-2 routes, the feedback-edge-one construction, and the two kernels
-with the exact solver as endgame.  A connected plain-graph solve builds one
-reduction runner (``reduce._Reduction``) and plays every stage on it: the
-up-front width-0/1 check, prune, tidy, and then the feedback-edge-one walk
-or the kernels; the bikernel is shortened on a fork of the runner, and the
-general kernel on the runner itself.  One scan of every input, red edges
-or not, yields its components and each one's feedback edges, 2-core and
-dangling trees, and the exact search is made once: its deadline bounds the
-solve, and the endgame skips caps refuted on the same trigraph.
-Every emitted sequence is re-verified before it is reported, and a printed
-theory floor is built as a ``Decimal`` in an exact context.
+length, so the paths are absorbed by that bound, and a report prints it as
+its closed form, whose digits are never built.  ``solve`` chains the fast
+width-1 and width-2 routes, the feedback-edge-one construction, and the two
+kernels with the exact solver as endgame.  A connected plain-graph solve
+builds one reduction runner (``reduce._Reduction``) and plays every stage on
+it: the up-front width-0/1 check, prune, tidy, and then the
+feedback-edge-one walk or the kernels; the bikernel is shortened on a fork
+of the runner, and the general kernel on the runner itself.  One scan of
+every input, red edges or not, yields its components and each one's
+feedback edges, 2-core and dangling trees, and the exact search is made
+once: its deadline bounds the solve, and the endgame skips caps refuted on
+the same trigraph.  Every emitted sequence is re-verified before it is
+reported.
 
 A status rests on the runner's lower bound, set by the up-front check alone
 (a kernel's meta is ``certified`` when it is 2), and one rule derives it for
@@ -45,7 +45,8 @@ from .trigraph import Trigraph
 @dataclass(frozen=True)
 class Theory:
     """Use the proven path floor, 3 * tower_bound(t, 2*t^2) + 9 for core size
-    t, reported exactly.  Kernels stay equivalent but are astronomically
+    t, reported exactly as its closed form ``3*(3**a*b)**c+9`` with a = t+4,
+    b = t^2 and c = 2t^2.  Kernels stay equivalent but are astronomically
     large, so in practice every path gets absorbed into the core."""
 
 
@@ -74,10 +75,15 @@ def tower_bound(core_size: int, level: int) -> int:
 
 
 def path_floor(core_size: int) -> int:
-    """Minimum path length (in vertices) the theory-backed shortening keeps.
-    A ``Decimal`` core size gives a ``Decimal`` floor, exact in an exact
-    context."""
+    """Minimum path length (in vertices) the theory-backed shortening keeps."""
     return 3 * tower_bound(core_size, 2 * core_size * core_size) + 9
+
+
+def _theory_floor(core_size: int) -> str:
+    """``path_floor(core_size)`` as its exact closed form, with the core size
+    substituted; none of its digits are built."""
+    t = core_size
+    return f"3*(3**{t + 4}*{t * t})**{2 * t * t}+9"
 
 
 @dataclass
@@ -163,12 +169,7 @@ def general_kernel(
     """Absorb paths shorter than the policy floor into the core (recomputing
     the floor each round, since it grows with the core) and shorten the rest
     to exactly the floor."""
-
-    def derive(run, hp):
-        kernel, meta = _absorb_and_shorten(run, hp, policy)
-        return kernel, _write_floors(meta, policy)
-
-    return _kernel(g, config, trace, derive)
+    return _kernel(g, config, trace, lambda run, hp: _absorb_and_shorten(run, hp, policy))
 
 
 def _collapse_paths(run: _Reduction, hp: HPGraph):
@@ -189,9 +190,11 @@ def _collapse_paths(run: _Reduction, hp: HPGraph):
 
 def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
     """The general kernel of a tidy decomposition under ``policy``; returns
-    the kernel and its meta, whose floors :func:`_write_floors` adds.  A
-    theory floor exceeds 2^(2t^2) at core size t, so once 2t^2 reaches the
-    longest path's bit length every path is absorbed without building it."""
+    the kernel and its meta.  A theory floor exceeds 2^(2t^2) at core size t,
+    so once 2t^2 reaches the longest path's bit length every path is absorbed
+    without building it.  The meta's floors, one per core size of the
+    trajectory, are strings: a practical floor's digits, and a theory floor's
+    closed form."""
     core = set(hp.core)
     paths = list(hp.paths)
     core_sizes = [len(core)]
@@ -210,6 +213,10 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
             core.update(p.all_vertices())
         core_sizes.append(len(core))
         run.trace.append({"rule": "absorb_short_paths", "count": len(short)})
+    if isinstance(policy, Theory):
+        floors = [_theory_floor(max(1, t)) for t in core_sizes]
+    else:
+        floors = [str(policy.floor)] * len(core_sizes)
     n_tidy = run.work.n
     kernel, lengths = _shorten_paths(run, paths, floor)
     meta = {
@@ -219,31 +226,9 @@ def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
         "kernel_size": kernel.n,
         "certified": run.lower >= 2,
         "shortened": kernel.n < n_tidy,
+        "floors": floors,
     }
     return kernel, meta
-
-
-def _write_floors(meta: dict, policy) -> dict:
-    """Add to a general kernel's ``meta`` the floor of each core size in its
-    trajectory, as an exact decimal string; returns ``meta``.  A theory floor
-    is built as a ``Decimal``, whose products are subquadratic and whose
-    digits the interpreter's int-to-str size guard does not limit.  Its
-    digits grow as the cube of the core size, so a solve adds the floors only
-    once its endgame has answered."""
-    trajectory = meta["core_trajectory"]
-    if not isinstance(policy, Theory):
-        meta["floors"] = [str(policy.floor)] * len(trajectory)
-        return meta
-    # on first use: most runs print no theory floor
-    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
-
-    with localcontext() as ctx:
-        # room for every digit and exponent, and an error rather than a rounded result
-        ctx.prec = MAX_PREC
-        ctx.Emax = MAX_EMAX
-        ctx.traps[Inexact] = True
-        meta["floors"] = [str(path_floor(Decimal(max(1, t)))) for t in trajectory]
-    return meta
 
 
 # -- driver ------------------------------------------------------------------------
@@ -300,7 +285,6 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     kernel, meta = _absorb_and_shorten(run, hp, policy)
     report["general_kernel"] = meta
     result = search.optimal(kernel)
-    _write_floors(meta, policy)
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
     seq = run.sequence(result.sequence.pairs())
     if result.optimal and not meta["shortened"] and run.lower >= 2:

@@ -1,9 +1,9 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
-from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ from twinwidth.errors import BudgetExceeded, Disconnected
 from twinwidth.kernel import (
     Practical,
     Theory,
-    _write_floors,
+    _theory_floor,
     general_kernel,
     path_floor,
     solve,
@@ -36,6 +36,17 @@ from twinwidth.trigraph import new_trigraph
 from conftest import bags, count_scans, make_fig3, petersen, shorten_oracle, witness
 
 CFG = SolverConfig(max_vertices=25)
+THEORY_FLOOR = re.compile(r"3\*\(3\*\*(\d+)\*(\d+)\)\*\*(\d+)\+9")
+
+
+def closed_form_value(t, text):
+    """The int value of the theory floor ``text`` reported at core size
+    ``t``, once its grammar and its three integers are checked."""
+    m = THEORY_FLOOR.fullmatch(text)
+    assert m, text
+    a, b, c = map(int, m.groups())
+    assert (a, b, c) == (t + 4, t * t, 2 * t * t)
+    return 3 * (3**a * b) ** c + 9
 
 
 @pytest.fixture
@@ -69,21 +80,20 @@ class TestGrowthBound:
     def test_exactness_is_integer(self):
         v = path_floor(5)
         assert isinstance(v, int)
-        meta = _write_floors({"core_trajectory": [5]}, Theory())
-        assert meta["floors"] == [str(v)]
+        assert closed_form_value(5, _theory_floor(5)) == v
 
-    def test_decimal_handles_towers(self):
-        v = path_floor(12)  # thousands of digits
-        (s,) = _write_floors({"core_trajectory": [12]}, Theory())["floors"]
-        assert s[0] != "0" and s.isdigit()
-        assert int(s) == v
+    def test_closed_form_of_a_tower(self):
+        # path_floor(12) has 2,821 digits; its closed form has 20 characters
+        text = _theory_floor(12)
+        assert text == "3*(3**16*144)**288+9"
+        assert closed_form_value(12, text) == path_floor(12)
 
     def test_written_floor_is_exact_for_each_core_size(self):
-        # the core sizes up to 50 and the digest's 73 (431,277 digits); a
-        # Decimal parses each floor back without the int-to-str guard
+        # the core sizes up to 50 and the digest's 73, whose floor has
+        # 431,277 digits
         sizes = list(range(1, 51)) + [73]
-        floors = _write_floors({"core_trajectory": sizes}, Theory())["floors"]
-        assert [Decimal(f) for f in floors] == [path_floor(t) for t in sizes]
+        for t in sizes:
+            assert closed_form_value(t, _theory_floor(t)) == path_floor(t)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -272,12 +282,13 @@ class TestGeneralKernel:
             assert not out.is_solved
             assert out.meta["path_lengths"] == []  # floor astronomically large
             floors = out.meta["floors"]
-            assert all(isinstance(f, str) and f.isdigit() for f in floors)
             traj = out.meta["core_trajectory"]
             trajectories.append(traj)
-            # a Decimal parses the tower back without the int-to-str guard
-            assert [Decimal(f) for f in floors] == [path_floor(max(1, t)) for t in traj]
+            assert len(floors) == len(traj)
+            for t, text in zip(traj, floors):
+                assert closed_form_value(max(1, t), text) == path_floor(max(1, t))
         assert trajectories[1] == [43, 44]
+        assert floors == ["3*(3**47*1849)**3698+9", "3*(3**48*1936)**3872+9"]
 
     def test_theory_absorb_builds_no_tower_above_the_paths(self, monkeypatch):
         # the absorb loop compares the floor with the paths by size, so it
@@ -297,57 +308,37 @@ class TestGeneralKernel:
         assert str(exc.value) == "vertices budget exceeded: 212 > 20"
         assert all(level <= g.n.bit_length() for level in levels)
 
-    def test_theory_floor_miss_writes_no_decimal(self, monkeypatch):
-        # the endgame misses on vertices, so solve never writes its tower
-        # floor's digits, which would take seconds
-        calls = []
-        real = kernel_module._write_floors
-
-        def counting(meta, policy):
-            calls.append(meta["core_trajectory"])
-            return real(meta, policy)
-
-        monkeypatch.setattr(kernel_module, "_write_floors", counting)
-        g = random_connected_graph(400, 4, random.Random(1))
-        with pytest.raises(BudgetExceeded) as exc:
-            solve(g, Theory())
-        assert exc.value.kind == "vertices"
-        assert str(exc.value) == "vertices budget exceeded: 91 > 20"
-        assert calls == []
-
-    def test_writer_keeps_the_conversion_guard(self):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)  # the interpreter's default
-        try:
-            (text,) = _write_floors({"core_trajectory": [16]}, Theory())["floors"]
-            assert sys.get_int_max_str_digits() == 4300
-            # the same digits as a conversion with no guard at all
-            sys.set_int_max_str_digits(0)
-            assert text == str(path_floor(16))
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert len(text) > 4300
-
     def test_practical_solve_loads_no_decimal(self):
         # in a fresh interpreter, since pytest and hypothesis load decimal:
         # the Petersen graph goes to the general kernel's endgame, and its
-        # practical floors are written without the decimal module
+        # practical floor, then its theory floor, are written without the
+        # decimal module
         script = (
             "import sys\n"
-            "from twinwidth.kernel import solve\n"
+            "from twinwidth.kernel import Practical, Theory, solve\n"
             "from twinwidth.trigraph import new_trigraph\n"
             "edges = [(i, (i + 1) % 5) for i in range(5)]\n"
             "edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]\n"
             "edges += [(i, i + 5) for i in range(5)]\n"
-            "_, report = solve(new_trigraph(10, edges))\n"
-            "print(report['general_kernel']['floors'], 'decimal' in sys.modules)\n"
+            "for policy in (Practical(12), Theory()):\n"
+            "    _, report = solve(new_trigraph(10, edges), policy)\n"
+            "    print(report['general_kernel']['floors'], 'decimal' in sys.modules)\n"
         )
         src = str(Path(kernel_module.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out == "['12'] False\n"
+        assert out == "['12'] False\n['3*(3**14*100)**200+9'] False\n"
+
+    def test_theory_floors_are_short_at_any_core_size(self):
+        # a core of over 200 vertices: each floor's digits would run to
+        # millions, its closed form stays a few dozen characters
+        g = random_connected_graph(2000, 16, random.Random(16000))
+        out = general_kernel(g, Theory())
+        assert not out.is_solved
+        assert max(out.meta["core_trajectory"]) > 200
+        assert all(len(f) < 64 for f in out.meta["floors"])
 
     def test_core_trajectory_grows(self):
         g = long_path_instance()

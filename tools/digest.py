@@ -47,9 +47,11 @@ trees), an induced S(2,2,2) (a C4 with trees), an induced P4 read off the
 scan (a C4 with a caterpillar) and none (a star, and K(2,20), which misses
 on vertices).  In ``theory`` each line hashes the answer, or its miss, of
 an exact-endgame seed-1 instance solved with the ``theory`` floor policy and
-its workload config, and, as in ``kernels``, ``twinwidth kernelize --target
-general --policy theory`` on ``cycle_with_trees(30, 40)`` plus its chord at
-seeds 1 and 2, so that the exact theory floors a report prints are diffed.
+its workload config, and ``twinwidth kernelize --target general --policy
+theory`` on ``cycle_with_trees(30, 40)`` and on the three cycles of
+``kernels``, each plus its chord at seeds 1 and 2, so that the theory floors
+a report prints, each the closed form ``3*(3**a*b)**c+9`` of its core size,
+are diffed.
 In ``golden`` each line hashes the answer, or its miss, with the defaults
 on one of nine small instances that between them fire every reduction rule,
 both kernels, the exact endgame and a vertex miss; in ``stages`` each line
@@ -254,15 +256,16 @@ def info_summary(output):
 
 
 # per set, cycles with dangling trees and one chord, ``(c, t)`` as in
-# ``corpus.cycle_with_trees(c, t)``, and the kernelize runs made on each; the
-# ``theory`` cycle is small enough that its exact floors print in 0.3 s
+# ``corpus.cycle_with_trees(c, t)``, and the kernelize runs made on each; a
+# theory floor prints as its closed form, so ``theory`` takes the cores of
+# ``kernels``, of up to 420 vertices, too
 KERNEL_SETS = (
     (
         "kernels",
         ((60, 100), (200, 400), (400, 1600)),
         (("tww2", "practical:12"), ("general", "practical:12"), ("general", "practical:4")),
     ),
-    ("theory", ((30, 40),), (("general", "theory"),)),
+    ("theory", ((30, 40), (60, 100), (200, 400), (400, 1600)), (("general", "theory"),)),
 )
 
 
