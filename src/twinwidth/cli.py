@@ -169,15 +169,16 @@ def _seconds(text):
 
 
 def _policy(text):
-    """``--policy``: ``theory``, ``practical`` or ``practical:<L>`` with an
-    integer floor L >= 1; anything else is a usage error."""
+    """``--policy``: ``theory``, ``practical`` or ``practical:<L>`` with a
+    floor L >= 1 in ASCII digits; anything else is a usage error."""
     if text == "theory":
         return Theory()
     if text == "practical":
         return Practical()
-    if text.startswith("practical:"):
+    floor = text.removeprefix("practical:")
+    if floor != text and _whole(floor):
         try:
-            return Practical(int(text.split(":", 1)[1]))
+            return Practical(int(floor))
         except ValueError:
             pass
     raise argparse.ArgumentTypeError(f"bad policy {text!r}")

@@ -5,19 +5,19 @@
 every tidy path to a single vertex.  ``general_kernel`` instead absorbs paths
 that are too short for the configured floor into the core and shortens the
 rest down to exactly the floor.  The theoretical floor is a tower in the
-core size, longer than every path once 2t^2 reaches the longest path's bit
-length, so the paths are absorbed by that bound, and a report prints it as
-its closed form, whose digits are never built.  ``solve`` chains the fast
-width-1 and width-2 routes, the feedback-edge-one construction, and the two
-kernels with the exact solver as endgame.  A connected plain-graph solve
-builds one reduction runner (``reduce._Reduction``) and plays every stage on
-it: the up-front width-0/1 check, prune, tidy, and then the
-feedback-edge-one walk or the kernels; the bikernel is shortened on a fork
-of the runner, and the general kernel on the runner itself.  One scan of
-every input, red edges or not, yields its components and each one's
-feedback edges, 2-core and dangling trees, and the exact search is made
-once: its deadline bounds the solve, and the endgame skips caps refuted on
-the same trigraph.  Every emitted sequence is re-verified before it is
+core size, longer than every tidy path, so every path is absorbed, and a
+report prints it as its closed form, whose digits are never built.
+``solve`` chains the fast width-1 and width-2 routes, the feedback-edge-one
+construction, and the two kernels with the exact solver as endgame.  A
+connected plain-graph solve builds one reduction runner
+(``reduce._Reduction``) and plays every stage on it: the up-front width-0/1
+check, prune, tidy, and then the feedback-edge-one walk or the kernels.
+Each kernel is a list of pairs on the tidy trigraph, replayed on its one
+frozen value, and its sequence is those pairs followed by the search's.
+One scan of every input, red edges or not, yields its components and each
+one's feedback edges, 2-core and dangling trees, and the exact search is
+made once: its deadline bounds the solve, and the endgame skips caps
+refuted on the same trigraph.  Every emitted sequence is re-verified before it is
 reported.
 
 A status rests on the runner's lower bound, set by the up-front check alone
@@ -35,7 +35,7 @@ from .errors import PreconditionViolated
 from .reduce import _Reduction, _connected_scan, _fen1, _prune, _tidy
 from .sequence import ContractionSequence, Emitter, Lift, verify
 from .solver import DEFAULT_CONFIG, SolverConfig, _Search
-from .structure import HPGraph, spanning_forest
+from .structure import HPGraph, _check, spanning_forest
 from .trigraph import Trigraph
 
 
@@ -125,20 +125,20 @@ def _shorten(ids, target: int, pairs: Emitter):
             right[w], left[x] = x, w
 
 
-def _shorten_paths(run: _Reduction, paths, target: int):
-    """Contract each path down to ``target`` vertices on the runner with
-    :func:`_shorten`; the runner's lift bound becomes at least 2.  Returns the
-    kernel and the new path lengths."""
-    pairs = Emitter(run.work.next_label)
+def _shorten_paths(paths, target: int, first: int) -> Emitter:
+    """The pairs that contract each path down to ``target`` vertices with
+    :func:`_shorten`, against a trigraph whose next fresh label is
+    ``first``."""
+    pairs = Emitter(first)
     for path in paths:
         _shorten(path.vertices, target, pairs)
-    run._play(pairs).at_least_two = True
-    return run.work._frozen(), [min(len(path), target) for path in paths]
+    return pairs
 
 
 def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
     """A public kernel: a fresh runner on ``g``, decided, pruned, tidied, and
-    shortened by ``derive(run, hp)``, which returns the kernel and its meta."""
+    shortened by the pairs of ``derive(run, hp)``, which returns them and the
+    kernel's meta; the lift's bound becomes at least 2."""
     scan = _connected_scan(g, "kernelization expects a connected graph")
     if g.has_red():
         raise PreconditionViolated("kernelization expects a plain (all-black) graph")
@@ -146,7 +146,9 @@ def _kernel(g: Trigraph, config: SolverConfig, trace, derive) -> KernelOutcome:
     run.decide()
     if run.solved is not None or (hp := _prune(run)) is None:
         return KernelOutcome(solved=run.solved, meta={"k": len(run.fes)})
-    kernel, meta = derive(run, _tidy(run, hp))
+    pairs, meta = derive(run, _tidy(run, hp))
+    run._play(pairs).at_least_two = True
+    kernel = run.work._frozen()
     return KernelOutcome(kernel=kernel, lift=run.lift(kernel), meta=meta)
 
 
@@ -166,69 +168,69 @@ def general_kernel(
     config: SolverConfig = DEFAULT_CONFIG,
     trace=None,
 ) -> KernelOutcome:
-    """Absorb paths shorter than the policy floor into the core (recomputing
-    the floor each round, since it grows with the core) and shorten the rest
-    to exactly the floor."""
+    """Absorb paths shorter than the policy floor into the core and shorten
+    the rest to exactly the floor; a theory floor absorbs every path."""
     return _kernel(g, config, trace, lambda run, hp: _absorb_and_shorten(run, hp, policy))
 
 
 def _collapse_paths(run: _Reduction, hp: HPGraph):
-    """The bikernel of a tidy decomposition: every path becomes one vertex.
-    Returns the kernel and its meta."""
+    """The bikernel of a tidy decomposition, whose trigraph is the runner's
+    working trigraph: every path becomes one vertex.  Returns the pairs that
+    build it from the tidy trigraph, and its meta."""
     k = len(run.fes)
-    kernel, _ = _shorten_paths(run, hp.paths, 1)
-    assert kernel.n <= 116 * k, f"kernel size {kernel.n} exceeds 116k = {116 * k}"
+    pairs = _shorten_paths(hp.paths, 1, run.work.next_label)
+    size = run.work.n - len(pairs)
+    _check(size <= 116 * k, f"kernel size {size} exceeds 116k = {116 * k}")
     meta = {
         "k": k,
         "core_size": len(hp.core),
         "path_lengths": [len(p) for p in hp.paths],
-        "kernel_size": kernel.n,
+        "kernel_size": size,
         "certified": run.lower >= 2,
     }
-    return kernel, meta
+    return pairs, meta
 
 
 def _absorb_and_shorten(run: _Reduction, hp: HPGraph, policy):
-    """The general kernel of a tidy decomposition under ``policy``; returns
-    the kernel and its meta.  A theory floor exceeds 2^(2t^2) at core size t,
-    so once 2t^2 reaches the longest path's bit length every path is absorbed
-    without building it.  The meta's floors, one per core size of the
-    trajectory, are strings: a practical floor's digits, and a theory floor's
-    closed form."""
+    """The general kernel of a tidy decomposition, whose trigraph is the
+    runner's working trigraph, under ``policy``: the paths shorter than the
+    floor are absorbed into the core in one pass, and the rest shortened to
+    exactly the floor.  Returns the pairs that build it from the tidy
+    trigraph, and its meta.
+
+    A practical floor is fixed, so no path is short after the pass.  A
+    theory floor exceeds 2^(2t^2) at core size t, and a tidy path is left
+    only beside at least two hubs and the six boundary vertices that
+    ``_tidy`` moves into the core, so t >= 8 and the floor exceeds 2^128,
+    more than any path's length: every path is absorbed, and no floor is
+    built.  The meta's floors, one per core size of the trajectory, are
+    strings: a practical floor's digits, and a theory floor's closed form."""
+    theory = isinstance(policy, Theory)
+    floor = float("inf") if theory else policy.floor
     core = set(hp.core)
-    paths = list(hp.paths)
     core_sizes = [len(core)]
-    floor = 1  # unused if no path is left
-    while paths:
-        t = max(1, len(core))
-        if isinstance(policy, Theory) and 2 * t * t >= max(map(len, paths)).bit_length():
-            short, paths = paths, []
-        else:
-            floor = path_floor(t) if isinstance(policy, Theory) else policy.floor
-            short = [p for p in paths if len(p) < floor]
-            if not short:
-                break
-            paths = [p for p in paths if len(p) >= floor]
+    short = [p for p in hp.paths if len(p) < floor]
+    if short:
         for p in short:
             core.update(p.all_vertices())
         core_sizes.append(len(core))
         run.trace.append({"rule": "absorb_short_paths", "count": len(short)})
-    if isinstance(policy, Theory):
+    paths = [p for p in hp.paths if len(p) >= floor]
+    pairs = _shorten_paths(paths, floor, run.work.next_label)
+    if theory:
         floors = [_theory_floor(max(1, t)) for t in core_sizes]
     else:
-        floors = [str(policy.floor)] * len(core_sizes)
-    n_tidy = run.work.n
-    kernel, lengths = _shorten_paths(run, paths, floor)
+        floors = [str(floor)] * len(core_sizes)
     meta = {
         "k": len(run.fes),
         "core_trajectory": core_sizes,
-        "path_lengths": lengths,
-        "kernel_size": kernel.n,
+        "path_lengths": [floor] * len(paths),
+        "kernel_size": run.work.n - len(pairs),
         "certified": run.lower >= 2,
-        "shortened": kernel.n < n_tidy,
+        "shortened": bool(pairs),
         "floors": floors,
     }
-    return kernel, meta
+    return pairs, meta
 
 
 # -- driver ------------------------------------------------------------------------
@@ -276,17 +278,19 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     if run.solved is not None or (hp := _prune(run)) is None:
         return run.solved, run.lower, False
     hp = _tidy(run, hp)
-    bi = run.fork()
-    bikernel, meta = _collapse_paths(bi, hp)
+    tidy = run.work._frozen()
+    pairs, meta = _collapse_paths(run, hp)
     report["bikernel"] = meta
-    if bikernel.n <= search.config.max_vertices and (found := search.first(bikernel, (2,))):
+    if meta["kernel_size"] <= search.config.max_vertices and (
+        found := search.first(tidy.replay(pairs)[0], (2,))
+    ):
         trace.append({"rule": "bikernel_width2"})
-        return bi.sequence(found[1].pairs()), run.lower, False
-    kernel, meta = _absorb_and_shorten(run, hp, policy)
+        return run.sequence(pairs + found[1].pairs()), run.lower, False
+    pairs, meta = _absorb_and_shorten(run, hp, policy)
     report["general_kernel"] = meta
-    result = search.optimal(kernel)
+    result = search.optimal(tidy.replay(pairs)[0])
     trace.append({"rule": "exact_endgame", "kernel_width": result.width})
-    seq = run.sequence(result.sequence.pairs())
+    seq = run.sequence(pairs + result.sequence.pairs())
     if result.optimal and not meta["shortened"] and run.lower >= 2:
         # the kernel is the reduced instance itself, equivalent to the input
         return seq, max(run.lower, result.width), False

@@ -42,7 +42,6 @@ about the input, so the guards certify nothing.
 from __future__ import annotations
 
 from contextlib import suppress
-from copy import copy
 from dataclasses import dataclass
 from functools import reduce as fold
 
@@ -57,6 +56,7 @@ from .structure import (
     StumpKind,
     StumpSet,
     TIDY,
+    _check,
     _stump_owner,
     feedback_edge_set,
     induced_cycle,
@@ -208,14 +208,6 @@ class _Reduction:
         self.work._play(pairs)
         self.prefix += pairs
         return self
-
-    def fork(self) -> _Reduction:
-        """An independent runner that has played the same prefix: its working
-        copy shares only frozensets with this one's."""
-        twin = copy(self)
-        twin.work = self.work._frozen()._thawed()
-        twin.prefix = list(self.prefix)
-        return twin
 
     def sequence(self, pairs) -> ContractionSequence:
         """The full sequence of ``g``: the prefix, then ``pairs`` of the
@@ -506,14 +498,14 @@ def _component_paths(g: Trigraph, core, hubs):
             continue
         run, prev = [end], None
         while nxt := [u for u in nbrs[run[-1]] if u != prev]:
-            assert len(nxt) == 1, "core leftover is not a path"
+            _check(len(nxt) == 1, "core leftover is not a path")
             prev = run[-1]
             run.append(nxt[0])
         seen.update(run)
         if (connector(run[-1]), run[-1]) < (connector(end), end):
             run.reverse()
         paths.append(tuple(run))
-    assert len(seen) == len(inner), "core leftover is not a path"
+    _check(len(seen) == len(inner), "core leftover is not a path")
     return sorted(paths)
 
 
@@ -576,17 +568,17 @@ def _prune(run: _Reduction) -> HPGraph | None:
     # assemble the decomposition; a feedback edge's endpoints are hubs, so
     # the core degree that makes the other hubs need not leave its edge out
     hubs = {v for e in fes for v in e}
-    assert hubs <= core
+    _check(hubs <= core, "hubs outside the core")
     hubs.update(v for v in core if len(g.neighbors(v) & core) > 2)
-    assert len(hubs) <= 4 * k, "hub bound violated"
+    _check(len(hubs) <= 4 * k, "hub bound violated")
     h_vertices = set(hubs)
     for u in hubs:
         for s in stumps_map.get(u, ()):
             h_vertices.update(s.vertices)
-    assert len(h_vertices) <= 16 * k, "core size bound violated"
+    _check(len(h_vertices) <= 16 * k, "core size bound violated")
 
     runs = _component_paths(g, core, hubs)
-    assert len(runs) <= 4 * k, "path count bound violated"
+    _check(len(runs) <= 4 * k, "path count bound violated")
     paths = [
         PseudoPath(
             verts,

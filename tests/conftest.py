@@ -14,7 +14,8 @@ neighbour counts (``iso_key`` is its isomorphism key of a trigraph),
 ``near_oracle`` computes every pair's red set with no filter,
 ``ordered_children_oracle`` builds every pair's child,
 ``shorten_oracle`` scans every consecutive pair of a path for the lowest
-before each merge, ``fold_oracle`` folds a black tree by a depth-first walk
+before each merge, ``absorb_and_shorten_oracle`` is the general kernel's
+absorb loop, which recomputes the floor from the core each round, ``fold_oracle`` folds a black tree by a depth-first walk
 that sorts every neighbourhood and keeps a reached set,
 ``twin_pairs_oracle`` finds twins by comparing a contraction with the two
 deletions, ``node_children_oracle`` keeps a twin node's first twin child
@@ -460,6 +461,56 @@ def shorten_oracle(ids, target, first) -> list:
         pairs.append((ids[best], ids[best + 1]))
         ids[best : best + 2] = [first + len(pairs) - 1]
     return pairs
+
+
+def absorb_and_shorten_oracle(tidy: Trigraph, hp, k, lower, policy, trace):
+    """The general kernel of the tidy decomposition ``hp`` of the trigraph
+    ``tidy`` by the absorb loop: round by round, the paths shorter than the
+    floor of the grown core are absorbed, a theory floor first compared with
+    the paths by size, until no path is short; the rest are shortened to the
+    last floor by ``shorten_oracle``.  Returns the pairs and the meta, whose
+    sizes come from ``replay_oracle``, and appends one event per round to
+    ``trace``; ``k`` and ``lower`` are the input's feedback edge number and
+    lower bound."""
+    from twinwidth.kernel import Theory, _theory_floor, path_floor
+
+    theory = isinstance(policy, Theory)
+    core = set(hp.core)
+    paths = list(hp.paths)
+    core_sizes = [len(core)]
+    floor = 1
+    while paths:
+        t = max(1, len(core))
+        if theory and 2 * t * t >= max(map(len, paths)).bit_length():
+            short, paths = paths, []
+        else:
+            floor = path_floor(t) if theory else policy.floor
+            short = [p for p in paths if len(p) < floor]
+            if not short:
+                break
+            paths = [p for p in paths if len(p) >= floor]
+        for p in short:
+            core.update(p.all_vertices())
+        core_sizes.append(len(core))
+        trace.append({"rule": "absorb_short_paths", "count": len(short)})
+    pairs = []
+    for path in paths:
+        pairs += shorten_oracle(path.vertices, floor, tidy.next_label + len(pairs))
+    kernel, _ = replay_oracle(tidy, pairs)
+    if theory:
+        floors = [_theory_floor(max(1, t)) for t in core_sizes]
+    else:
+        floors = [str(policy.floor)] * len(core_sizes)
+    meta = {
+        "k": k,
+        "core_trajectory": core_sizes,
+        "path_lengths": [min(len(p), floor) for p in paths],
+        "kernel_size": kernel.n,
+        "certified": lower >= 2,
+        "shortened": kernel.n < tidy.n,
+        "floors": floors,
+    }
+    return pairs, meta
 
 
 def _refine_oracle(cells, black, red, nverts):

@@ -336,7 +336,19 @@ class TestCommands:
         assert run(["solve"]) == 1
         assert run(["bogus"]) == 1
 
-    @pytest.mark.parametrize("policy", ["practical:x", "practical:0", "practical:", "tower"])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            "practical:x",
+            "practical:0",
+            "practical:",
+            "tower",
+            "practical:+12",
+            "practical:1_2",
+            "practical: 12",
+            "practical:\u0661\u0662",
+        ],
+    )
     def test_bad_policy_is_usage_error(self, tmp_path, capsys, policy):
         graph = tmp_path / "fig2.gr"
         graph.write_text(FIG2_TEXT)

@@ -27,13 +27,21 @@ from twinwidth.kernel import (
     tower_bound,
     tww2_bikernel,
 )
-from twinwidth.reduce import _Reduction, _prune, fen1_sequence, prune, tidy
+from twinwidth.reduce import _Reduction, _prune, _tidy, fen1_sequence, prune, tidy
 from twinwidth.sequence import Emitter, verify
 from twinwidth.solver import SolverConfig, _Search, optimal_sequence
 from twinwidth.structure import induced_spider, spanning_forest
 from twinwidth.trigraph import new_trigraph
 
-from conftest import bags, count_scans, make_fig3, petersen, shorten_oracle, witness
+from conftest import (
+    absorb_and_shorten_oracle,
+    bags,
+    count_scans,
+    make_fig3,
+    petersen,
+    shorten_oracle,
+    witness,
+)
 
 CFG = SolverConfig(max_vertices=25)
 THEORY_FLOOR = re.compile(r"3\*\(3\*\*(\d+)\*(\d+)\)\*\*(\d+)\+9")
@@ -208,7 +216,7 @@ class TestValues:
             made += [out.kernel, out.lift.child]
         assert all(self.frozen(h) for h in made)
 
-    def test_freezing_and_forking_leave_the_runner_as_it_was(self):
+    def test_freezing_and_replaying_leave_the_runner_as_it_was(self):
         g = make_fig3()
         run = _Reduction(g, _Search(CFG))
         run._play([(24, 25)])
@@ -216,7 +224,7 @@ class TestValues:
         black, red = work.adjacency()
         held = {v: (black[v], red[v]) for v in work.vertices}
         value = work._frozen()
-        twin = run.fork()
+        kernel, _ = value.replay([(26, 27)])
         # neither swaps a set of the runner, private or shared
         assert all(black[v] is b and red[v] is r for v, (b, r) in held.items())
         # the step wrote only the black sets of the pair's neighbours and the
@@ -229,11 +237,11 @@ class TestValues:
             if v != fresh:
                 assert (black[v] is not gb[v]) == (type(black[v]) is set) == (v in touched)
                 assert (red[v] is not gr[v]) == (type(red[v]) is set) == (v in red[fresh])
-        # the fork shares no mutable set with the runner, and plays on its own
-        tb, tr = twin.work.adjacency()
-        assert all(type(tb[v]) is type(tr[v]) is frozenset for v in work.vertices)
-        twin._play([(26, 27)])
-        assert work == value and twin.work != value
+        # the frozen value shares no mutable set with the runner, and a kernel
+        # replayed from it writes to neither, nor to the input
+        vb, vr = value.adjacency()
+        assert all(type(vb[v]) is type(vr[v]) is frozenset for v in work.vertices)
+        assert work == value and kernel != value and g == make_fig3()
 
 
 class TestGeneralKernel:
@@ -291,7 +299,7 @@ class TestGeneralKernel:
         assert floors == ["3*(3**47*1849)**3698+9", "3*(3**48*1936)**3872+9"]
 
     def test_theory_absorb_builds_no_tower_above_the_paths(self, monkeypatch):
-        # the absorb loop compares the floor with the paths by size, so it
+        # the one absorb pass takes every path under a theory floor, so it
         # builds no tower above the longest path's bit length, which is at
         # most the vertex count's
         levels = []
@@ -377,6 +385,80 @@ class TestGeneralKernel:
         assert checked >= 1
         for n, a, b in findings:
             print(f"CORPUS FINDING: practical-floor kernel tww {b} vs input {a} (n={n})")
+
+
+def subdivided_graph(rng):
+    """A random fen-k graph whose edges are long paths: a random connected
+    graph on 4-6 hubs with 2 or 3 feedback edges, each edge subdivided by
+    up to 30 vertices, and up to 15 tree vertices hung on random vertices."""
+    hubs = rng.randint(4, 6)
+    base = random_connected_graph(hubs, rng.randint(2, 3), rng)
+    edges, n = [], hubs
+    for u, v in base.black_edges():
+        inner = rng.randrange(31)
+        chain = [u, *range(n, n + inner), v]
+        n += inner
+        edges += zip(chain, chain[1:])
+    for _ in range(rng.randrange(16)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    return new_trigraph(n, edges)
+
+
+def tidied(g):
+    """A runner on the connected plain ``g`` that skips every search, and
+    the tidy decomposition it reaches, or None if pruning solves ``g``."""
+    (scan,) = spanning_forest(g)
+    run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), scan)
+    run.decide()
+    hp = _prune(run)
+    return run, hp and _tidy(run, hp)
+
+
+class TestAbsorbPass:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_pass_matches_the_absorb_loop(self, seed):
+        # on tidy decompositions that keep paths, the one pass gives the
+        # loop's pairs, meta and trace events at every practical floor and
+        # at the theory floor, whose loop absorbed every path in one round
+        rng = random.Random(seed)
+        kept = shortened = absorbed = 0
+        for _ in range(5):
+            run, hp = tidied(subdivided_graph(rng))
+            if hp is None or not hp.paths:
+                continue
+            kept += 1
+            tidy_value = run.work._frozen()
+            for policy in [Practical(f) for f in range(1, 31)] + [Theory()]:
+                run.trace = []
+                pairs, meta = kernel_module._absorb_and_shorten(run, hp, policy)
+                events = run.trace
+                want_events = []
+                want = absorb_and_shorten_oracle(
+                    tidy_value, hp, len(run.fes), run.lower, policy, want_events
+                )
+                assert (pairs, meta, events) == (*want, want_events)
+                shortened += meta["shortened"]
+                absorbed += bool(events)
+            assert run.work == tidy_value
+        assert kept and shortened and absorbed
+
+    def test_a_kept_path_leaves_a_core_of_at_least_eight(self):
+        # the fact the theory pass rests on: a tidy path is left only beside
+        # two hubs and the six boundary vertices tidying moves into the core,
+        # so a theory floor exceeds 2^(2*8^2) = 2^128 wherever one is left;
+        # a bare cycle of twelve reaches the bound
+        rng = random.Random(3)
+        graphs = [new_trigraph(12, [(i, (i + 1) % 12) for i in range(12)])]
+        graphs += [cycle_with_trees(c, rng.randrange(20), rng) for c in range(9, 30)]
+        graphs += [random_connected_graph(n, k, rng) for n in range(10, 60, 2) for k in (1, 2, 3)]
+        graphs += [subdivided_graph(rng) for _ in range(20)]
+        cores = []
+        for g in graphs:
+            _, hp = tidied(g)
+            if hp is not None and hp.paths:
+                cores.append(len(hp.core))
+        assert len(cores) > 40 and min(cores) == 8
 
 
 class TestSolve:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as stst
@@ -551,6 +555,24 @@ class TestPrune:
             16: ["red"],
         }
         validate_hp(hp)
+
+    def test_size_checks_survive_optimisation(self):
+        # the paper's bounds are checked with structure._check, which python
+        # -O keeps: a core leftover that branches is refused there too
+        script = (
+            "from twinwidth.reduce import _component_paths\n"
+            "from twinwidth.trigraph import new_trigraph\n"
+            "star = new_trigraph(4, [(0, 1), (0, 2), (0, 3)])\n"
+            "try:\n"
+            "    _component_paths(star, frozenset(range(4)), set())\n"
+            "except AssertionError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(reduce_module.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False core leftover is not a path\n"
 
     def test_postconditions_random(self):
         rng = random.Random(77)

@@ -392,30 +392,33 @@ class TestCopyOnWrite:
         value = self.held(g)
         g.replay(self.draw_pairs(data, g, g.vertices))
         assert self.unchanged(g, value)
-        # the runner plays and reddens on its working copy, then forks; the
-        # fork and the runner then each write on their own
+        # the runner plays and reddens on its working copy, then freezes it;
+        # a kernel replayed from the frozen value and the runner then each
+        # write on their own
         run = _Reduction(g, _Search())
         run._play(self.draw_pairs(data, run.work, run.work.vertices))
         reddened = run.work.black_edges()[: data.draw(stst.integers(0, 2))]
         run.work._redden(reddened)
         assert self.unchanged(g, value)
         runner = self.held(run.work)
-        twin = run.fork()
-        twin._play(self.draw_pairs(data, twin.work, twin.work.vertices))
-        twin.work._redden(twin.work.black_edges()[:1])
+        tidy = run.work._frozen()
+        frozen = self.held(tidy)
+        kernel, _ = tidy.replay(self.draw_pairs(data, tidy, tidy.vertices))
         assert self.unchanged(run.work, runner)
-        forked = self.held(twin.work)
+        made = self.held(kernel)
         run._play(self.draw_pairs(data, run.work, run.work.vertices))
         run.work._redden(run.work.black_edges()[:1])
-        assert self.unchanged(twin.work, forked)
+        assert self.unchanged(kernel, made)
+        assert self.unchanged(tidy, frozen)
         assert self.unchanged(g, value)
 
     @settings(max_examples=200, derandomize=True)
     @given(bridged_trees())
     def test_tree_cuts_never_reach_the_value(self, drawn):
-        # a tree cut applies its end state on the runner and on its fork,
-        # each on its own working copy; the runner folds along the scan of
-        # the bridge's component, rerooted at its core vertex
+        # a tree cut applies its end state on the runner's working copy, and
+        # the cut's pairs replayed from the input, or a kernel replayed from
+        # the frozen cut, write to neither; the runner folds along the scan
+        # of the bridge's component, rerooted at its core vertex
         from twinwidth.reduce import _Reduction
         from twinwidth.solver import SolverConfig, _Search
 
@@ -427,16 +430,15 @@ class TestCopyOnWrite:
         scan = next(s for s in spanning_forest(g) if u in s.parent)
         run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), scan)
         scan.reroot(u)
-        twin = run.fork()
-        forked = self.held(twin.work)
         run.reduce_tree(tree)
         assert self.unchanged(g, value)
-        assert self.unchanged(twin.work, forked)
         runner = self.held(run.work)
-        twin.reduce_tree(tree)
+        cut = run.work._frozen()
+        played, _ = g.replay(run.prefix)
+        cut.replay([(tree.bridge[1], cut.next_label - 1)])
         assert self.unchanged(run.work, runner)
         assert self.unchanged(g, value)
-        assert same_state(run.work._frozen(), twin.work._frozen())
+        assert same_state(cut, played)
 
 
 class TestCollapse:
