@@ -7,7 +7,7 @@ for plain graphs).  Sequence files hold one ``<u> <v>`` line per contraction,
 meaning "contract v into u; u stays the live label of the merged vertex".
 
 Exit codes: 0 success, 1 usage or file-format problems, 2 verification
-failure, 3 budget exceeded.  Machine-readable output goes to stdout,
+failure or a ``solve --cap W`` width above W, 3 budget exceeded.  Machine-readable output goes to stdout,
 diagnostics to stderr.
 """
 

@@ -261,10 +261,10 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     if g.has_red():
         # trigraph inputs (e.g. emitted kernels) skip the reduction pipeline,
         # whose rules are stated for plain graphs, and go straight to the
-        # exact solver
+        # exact solver; a sequence's width counts the input's own red degrees
         result = search.optimal(g)
         trace.append({"rule": "exact_trigraph", "width": result.width})
-        return result.sequence, result.width if result.optimal else 0, False
+        return result.sequence, result.width if result.optimal else g.max_red_degree(), False
     # one runner plays every stage; ``g`` is connected, and ``solve`` made
     # its scan, which yields its feedback edges, 2-core and dangling trees
     run = _Reduction(g, search, scan, trace)

@@ -57,7 +57,6 @@ from .structure import (
     StumpSet,
     TIDY,
     _check,
-    _stump_owner,
     feedback_edge_set,
     induced_cycle,
     induced_spider,
@@ -94,16 +93,13 @@ def _fold(kids, root, pairs: Emitter):
     One depth-first walk takes each vertex's children in order and merges a
     subtree's remnant into its parent's as the subtree returns, so siblings'
     remnants are merged as soon as both exist, which keeps every red degree
-    at 2 or below; a leaf is its own remnant.  Returns ``(remnant,
-    reached)``: the label of the final merged child (None if the root is a
-    leaf) and the vertices reached, in walk order.
+    at 2 or below; a leaf is its own remnant.  Returns the label of the
+    final merged child, None if the root is a leaf.
     """
-    reached = [root]
     frames = [[root, iter(kids.get(root, ())), None]]
     while True:
         top = frames[-1]
         for u in top[1]:
-            reached.append(u)
             if below := kids.get(u):
                 frames.append([u, iter(below), None])
                 break
@@ -111,7 +107,7 @@ def _fold(kids, root, pairs: Emitter):
         else:
             v, _, acc = frames.pop()
             if not frames:
-                return acc, reached
+                return acc
             remnant = v if acc is None else pairs.emit(acc, v)
             top = frames[-1]
             top[2] = remnant if top[2] is None else pairs.emit(top[2], remnant)
@@ -135,7 +131,7 @@ def _tree_sequence(t: Trigraph, kids, root) -> ContractionSequence:
     """The body of :func:`tree_sequence`, on the child lists ``kids`` of
     ``t`` rooted at ``root``."""
     pairs = Emitter(t.next_label)
-    acc, _ = _fold(kids, root, pairs)
+    acc = _fold(kids, root, pairs)
     if acc is not None:
         pairs.emit(root, acc)
     return ContractionSequence.build(t, pairs)
@@ -146,12 +142,6 @@ def _is_star_at_root(g: Trigraph, tree) -> bool:
     a pendant whose one edge is black and goes to the root."""
     _, v = tree.bridge
     return all(g.degree(x) == 1 and v in g.black_neighbors(x) for x in tree.vertices if x != v)
-
-
-def _reaches(reached, tree) -> bool:
-    """Whether a fold of ``tree`` reached exactly its vertices: ``reached``
-    lists each vertex once."""
-    return len(reached) == len(tree.vertices) and tree.vertices.issuperset(reached)
 
 
 # -- individual rules -------------------------------------------------------------
@@ -169,8 +159,8 @@ class _Reduction:
     (of the tree's component for a public tree rule, None for public
     ``merge_stumps`` and ``tidy``), ``fes`` and ``core`` its feedback edge
     set and 2-core, and ``trace`` the list the stages append their rule
-    events to.  ``_prune`` takes the dangling trees from the scan, and both
-    cuts fold along its child lists, which prune drops as it goes.
+    events to.  ``_prune`` takes the dangling trees from the scan, and the
+    cut folds along its child lists, which prune drops as it goes.
     ``_decide`` makes every width decision, and a sequence found becomes
     ``solved``.  ``decide``, the up-front width-0/1 check of ``g`` made once
     before the first stage, alone sets ``lower``, ``g``'s lower bound.
@@ -264,34 +254,26 @@ class _Reduction:
         cur = self.work._frozen()
         return RuleOutcome(instance=cur, lift=self.lift(cur))
 
+    def _cut(self, tree):
+        """Cut ``tree``, a black tree of three or more vertices among the
+        scan's trees, to a stump: emit its fold's pairs into the prefix and
+        apply their end state, which holds as a scan's tree dangles."""
+        v = tree.bridge[1]
+        pairs = Emitter(self.work.next_label)
+        _fold(self.scan.kids, v, pairs)
+        self.prefix += pairs
+        self.work._collapse(tree.vertices - {v}, v, len(pairs))
+        return self
+
     def reduce_star(self, tree):
-        g = self.work
-        pairs = Emitter(g.next_label)
-        _, reached = _fold(self.scan.kids, tree.bridge[1], pairs)
-        if len(tree.vertices) < 3:
-            raise PreconditionViolated("star must have at least two leaves beyond its center")
-        if not (tree.all_black and _is_star_at_root(g, tree) and _reaches(reached, tree)):
-            raise PreconditionViolated("star leaves must be black pendants of its center")
-        return self._play(pairs)
+        """Cut the star ``tree`` to a black stump: its leaves are twins."""
+        return self._cut(tree)
 
     def reduce_tree(self, tree):
-        """Cut ``tree``, one of the scan's trees, to a red stump: emit its
-        fold's pairs into the prefix and apply their end state, the tree
-        below the root merged into the fold's last label, red-adjacent to the
-        root alone, as a scan's tree dangles by construction."""
-        g = self.work
-        u, v = tree.bridge
-        pairs = Emitter(g.next_label)
-        _, reached = _fold(self.scan.kids, v, pairs)
-        if not _reaches(reached, tree):
-            raise PreconditionViolated("tree vertices are not a dangling black tree")
-        if not tree.all_black:
-            raise PreconditionViolated("dangling tree must be black")
-        if _is_star_at_root(g, tree):
-            raise PreconditionViolated("tree has no vertex at distance 2 from its root")
-        self.prefix += pairs
-        g._collapse(tree.vertices - {v}, v, len(pairs))
-        return self._guard(_stump_owner(g, v) == u)
+        """Cut the deeper ``tree`` to a red stump of its core vertex: the
+        root is left beside that vertex, of degree >= 2 in the 2-core, and
+        the fresh vertex alone, so the guard counts one more red stump."""
+        return self._cut(tree)._guard(1)
 
     def merge_stumps(self, u, stumps: StumpSet):
         """Merge one excess stump of ``u``, whose stumps are ``stumps``, and
@@ -341,18 +323,19 @@ class _Reduction:
         return self._guard(len(after.red) - len(red))
 
 
-def _public_cut(rule, g: Trigraph, tree, search: _Search) -> RuleOutcome:
-    """Apply the tree cut ``rule`` to the scan's copy of ``tree``, matched by
-    bridge and vertices among the trees of a scan of its root's component,
-    on a runner made before ``trees`` reroots the scan, since the 2-core is
-    read off the BFS rooting; the copy's black flag is the scan's."""
+def _public_cut(g: Trigraph, tree, search: _Search):
+    """The runner of a public tree rule and the scan's copy of ``tree``,
+    matched by bridge and vertices among the trees of a scan of its root's
+    component, on a runner made before ``trees`` reroots the scan, since the
+    2-core is read off the BFS rooting; the copy's black flag is the
+    scan's.  Any other vertex set is refused."""
     v = tree.bridge[1]
     g._require_live(v)
     scan = next(s for s in spanning_forest(g) if v in s.parent)
     run = _Reduction(g, search, scan)
     for own in scan.trees(run.core):
         if (own.bridge, own.vertices) == (tree.bridge, tree.vertices):
-            return rule(run, own).outcome()
+            return run, own
     raise PreconditionViolated("tree vertices are not a dangling black tree")
 
 
@@ -360,7 +343,12 @@ def reduce_star(g: Trigraph, tree) -> RuleOutcome:
     """Replace a dangling black star (>= 2 leaves) by a black stump on its
     attachment vertex.  Lift: contract the leaves (pairwise twins) first, then
     follow the reduced instance's sequence."""
-    return _public_cut(_Reduction.reduce_star, g, tree, _Search())
+    run, own = _public_cut(g, tree, _Search())
+    if len(own.vertices) < 3:
+        raise PreconditionViolated("star must have at least two leaves beyond its center")
+    if not (own.all_black and _is_star_at_root(g, own)):
+        raise PreconditionViolated("star leaves must be black pendants of its center")
+    return run.reduce_star(own).outcome()
 
 
 def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:
@@ -373,7 +361,12 @@ def reduce_tree(g: Trigraph, tree, config: SolverConfig = DEFAULT_CONFIG) -> Rul
     instead solves the input: contract the tree onto its root, then follow the
     candidate's width-1 sequence.
     """
-    return _public_cut(_Reduction.reduce_tree, g, tree, _Search(config))
+    run, own = _public_cut(g, tree, _Search(config))
+    if not own.all_black:
+        raise PreconditionViolated("dangling tree must be black")
+    if _is_star_at_root(g, own):
+        raise PreconditionViolated("tree has no vertex at distance 2 from its root")
+    return run.reduce_tree(own).outcome()
 
 
 def merge_stumps(g: Trigraph, u, config: SolverConfig = DEFAULT_CONFIG) -> RuleOutcome:

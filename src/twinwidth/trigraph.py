@@ -284,20 +284,21 @@ class Trigraph:
         """Apply the known end state of ``steps`` contractions that merge the
         vertex set ``gone``, which hangs from ``root`` alone, into one vertex,
         without playing them: on this working copy, ``gone`` gives way to the
-        fresh vertex ``next_label + steps - 1``, red to ``root`` alone, and
-        the counter moves past it, as :meth:`_play` would leave them.  Only
-        the neighbours of ``gone`` and of the fresh vertex are written.  The
-        caller vouches for the end state; a sequence's verifier replays the
-        steps themselves."""
+        fresh vertex ``next_label + steps - 1``, adjacent to ``root`` alone,
+        black iff each vertex of ``gone`` is black to it (a star's leaves),
+        and the counter moves past it, as :meth:`_play` would leave them.
+        Only the neighbours of ``gone`` and of the fresh vertex are written.
+        The caller vouches for the end state; a verifier replays the steps."""
+        edge = self._black if gone <= self._black[root] else self._red
         for adj in (self._black, self._red):
             for x in gone:
                 for y in adj.pop(x):
                     if y not in gone:
                         _private(adj, y).discard(x)
         w = self._next_label + steps - 1
-        self._black[w] = _EMPTY
-        self._red[w] = frozenset((root,))
-        _private(self._red, root).add(w)
+        self._black[w] = self._red[w] = _EMPTY
+        edge[w] = frozenset((root,))
+        _private(edge, root).add(w)
         self._next_label = w + 1
 
     def _redden(self, edges):

@@ -298,10 +298,11 @@ class TestGeneralKernel:
         assert trajectories[1] == [43, 44]
         assert floors == ["3*(3**47*1849)**3698+9", "3*(3**48*1936)**3872+9"]
 
-    def test_theory_absorb_builds_no_tower_above_the_paths(self, monkeypatch):
-        # the one absorb pass takes every path under a theory floor, so it
-        # builds no tower above the longest path's bit length, which is at
-        # most the vertex count's
+    def test_theory_kernels_build_no_tower(self, monkeypatch):
+        # the one absorb pass takes every path under a theory floor without
+        # building it, and a report writes the floor as its closed form: no
+        # tower is built, by path_floor or otherwise, in a fen-8 theory solve
+        # or in a theory kernel of a chorded cycle with paths
         levels = []
         real = kernel_module.tower_bound
 
@@ -314,7 +315,14 @@ class TestGeneralKernel:
         with pytest.raises(BudgetExceeded) as exc:
             solve(g, Theory())
         assert str(exc.value) == "vertices budget exceeded: 212 > 20"
-        assert all(level <= g.n.bit_length() for level in levels)
+        c = cycle_with_trees(30, 40, random.Random(1))
+        trace = []
+        out = general_kernel(
+            new_trigraph(c.next_label, c.black_edges() + [(0, 15)]), Theory(), CFG, trace
+        )
+        assert not out.is_solved and out.meta["path_lengths"] == []
+        assert {"rule": "absorb_short_paths", "count": 1} in trace
+        assert levels == []
 
     def test_practical_solve_loads_no_decimal(self):
         # in a fresh interpreter, since pytest and hypothesis load decimal:
@@ -568,6 +576,15 @@ class TestSolve:
         seq, report = solve(g)
         assert verify(g, seq) == report["width"]
         assert report["rules"][0]["rule"] == "exact_trigraph"
+        assert report["status"] == "optimal"
+
+    def test_trigraph_input_bounded_by_its_red_degree(self):
+        # a red star 0-{1,2,3} beside the black path 3-4-5-6-7: a one-node
+        # search misses, but a sequence's width counts the input itself, so
+        # the input's red degree 3 bounds its twin-width and width 3 is optimal
+        g = new_trigraph(8, [(3, 4), (4, 5), (5, 6), (6, 7)], [(0, 1), (0, 2), (0, 3)])
+        seq, report = solve(g, config=SolverConfig(max_nodes=1))
+        assert verify(g, seq) == report["width"] == 3
         assert report["status"] == "optimal"
 
     def test_one_pipeline_pass_when_bikernel_misses_budget(self, monkeypatch):

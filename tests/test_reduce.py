@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from twinwidth.solver import SolverConfig, _Search, optimal_sequence
 from twinwidth.structure import (
     DanglingTree,
     PseudoPath,
+    Stump,
     StumpKind,
     StumpSet,
     classify_stumps,
@@ -65,16 +67,6 @@ def chunk_at(g, root):
         if t.bridge[1] == root:
             return t
     raise AssertionError(f"no dangling tree rooted at {root}")
-
-
-def scan_runner(g):
-    """A runner of the connected ``g`` made as a public tree rule makes
-    its own: it holds ``g``'s scan, which ``trees`` reroots once the runner
-    has read the 2-core off it."""
-    (scan,) = spanning_forest(g)
-    run = _Reduction(g, _Search(CFG), scan)
-    scan.trees(run.core)
-    return run
 
 
 @pytest.fixture
@@ -147,12 +139,12 @@ class TestReduceStar:
         with pytest.raises(PreconditionViolated, match="at least two leaves beyond its center"):
             reduce_star(g, chunk_at(g, 3))
 
-    def test_deep_tree_rejected(self):
+    def test_deep_tree_rejected(self, runners):
         # a leaf of the center carries a pendant of its own
         g = new_trigraph(8, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5), (3, 6), (6, 7)])
-        run = scan_runner(g)
         with pytest.raises(PreconditionViolated, match="black pendants of its center"):
-            run.reduce_star(chunk_at(g, 3))
+            reduce_star(g, chunk_at(g, 3))
+        (run,) = runners
         assert run.work == g and not run.prefix
 
     def test_roundtrip_preserves_tww(self):
@@ -226,13 +218,13 @@ class TestReduceTree:
         with pytest.raises(PreconditionViolated):
             reduce_tree(g, chunk_at(g, 3), CFG)
 
-    def test_red_tree_rejected(self):
+    def test_red_tree_rejected(self, runners):
         # a dangling path whose last edge is red is refused before any pair
         # is played
         g = new_trigraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)], [(4, 5)])
-        run = scan_runner(g)
         with pytest.raises(PreconditionViolated, match="dangling tree must be black"):
-            run.reduce_tree(chunk_at(g, 3))
+            reduce_tree(g, chunk_at(g, 3), CFG)
+        (run,) = runners
         assert run.work == g and not run.prefix
 
     @pytest.mark.parametrize("n, edges, tree", [
@@ -327,9 +319,14 @@ class TestFold:
         for tree in trees:
             root = tree.bridge[1]
             pairs = Emitter(g.next_label)
-            acc, reached = _fold(scan.kids, root, pairs)
+            acc = _fold(scan.kids, root, pairs)
             assert (acc, pairs) == fold_oracle(g, root, tree.vertices)
-            assert sorted(reached) == sorted(tree.vertices)
+            # the fold reaches exactly the tree: each input label below the
+            # root is consumed by a pair once, or is the remnant
+            reached = [root, acc] + [x for pair in pairs for x in pair]
+            assert sorted(x for x in reached if x is not None and x < g.next_label) == sorted(
+                tree.vertices
+            )
             if len(tree.vertices) < 3:
                 continue
             if all(x == root or g.degree(x) == 1 for x in tree.vertices):
@@ -377,15 +374,16 @@ class TestFold:
         _, pairs = fold_oracle(g, root, chunk.vertices)
         assert list(out.lift.prefix) == pairs
 
-    def test_reduce_tree_rejects_unreached_vertices(self):
+    def test_reduce_tree_rejects_unreached_vertices(self, runners):
         # a vertex set with a core vertex, or without an inner tree vertex,
         # is not what the root reaches; the runner is left as it was
         g = new_trigraph(9, C5 + [(0, 5), (5, 6), (6, 7), (7, 8)])
         tree = chunk_at(g, 5)
         for vertices in (tree.vertices | {2}, tree.vertices - {6}):
-            run = scan_runner(g)
-            with pytest.raises(PreconditionViolated):
-                run.reduce_tree(DanglingTree(tree.bridge, vertices, True))
+            runners.clear()
+            with pytest.raises(PreconditionViolated, match="not a dangling black tree"):
+                reduce_tree(g, DanglingTree(tree.bridge, vertices, True), CFG)
+            (run,) = runners
             assert run.work == g and not run.prefix
 
 
@@ -740,6 +738,40 @@ class TestEndState:
             played = run.g.replay(run.prefix)[0]._thawed()
             played._redden(sorted(set(played.black_edges()) - set(work.black_edges())))
             assert same_state(played._frozen(), work)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        stst.integers(4, 8), stst.integers(1, 3), stst.integers(10, 60), stst.integers(0, 2**32)
+    )
+    def test_every_cut_leaves_a_stump_of_its_core_vertex(self, core_n, k, trees, seed):
+        # after every cut in prune the root is the inner vertex of a stump of
+        # its core vertex, black from a star and red from a deeper tree, whose
+        # outer vertex is the fold's last label, and the runner's red-stump
+        # count equals a recount
+        g = random_with_dangling_trees(core_n, k, trees, random.Random(seed))
+        cuts = []
+
+        def checked(rule, kind):
+            @functools.wraps(rule)
+            def cut(run, tree):
+                rule(run, tree)
+                u, v = tree.bridge
+                assert Stump(kind, (v, run.work.next_label - 1)) in stumps_at(run.work, u)
+                assert red_stump_count(run.work) == run.red_stumps
+                cuts.append(kind)
+                return run
+
+            return cut
+
+        (scan,) = spanning_forest(g)
+        run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), scan)
+        run.decide()
+        with pytest.MonkeyPatch.context() as patch:
+            for name, kind in (("reduce_star", StumpKind.BLACK), ("reduce_tree", StumpKind.RED)):
+                patch.setattr(_Reduction, name, checked(getattr(_Reduction, name), kind))
+            assert _prune(run) is not None
+        found = [t for t in find_dangling_trees(g) if len(t.vertices) > 2]
+        assert len(cuts) == len(found)
 
 
 def c5_owner(kinds):

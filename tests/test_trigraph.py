@@ -415,22 +415,21 @@ class TestCopyOnWrite:
     @settings(max_examples=200, derandomize=True)
     @given(bridged_trees())
     def test_tree_cuts_never_reach_the_value(self, drawn):
-        # a tree cut applies its end state on the runner's working copy, and
-        # the cut's pairs replayed from the input, or a kernel replayed from
-        # the frozen cut, write to neither; the runner folds along the scan
-        # of the bridge's component, rerooted at its core vertex
+        # a tree cut, of a star or a deeper tree, applies its end state on
+        # the runner's working copy, and the cut's pairs replayed from the
+        # input, or a kernel replayed from the frozen cut, write to neither;
+        # the runner folds along the scan of the bridge's component, rerooted
+        # at its core vertex
         from twinwidth.reduce import _Reduction
         from twinwidth.solver import SolverConfig, _Search
 
-        g, tree, kids = drawn
-        if kids.keys() == {tree.bridge[1]}:
-            return  # a star is not the tree cut's
+        g, tree, _ = drawn
         value = self.held(g)
         u = tree.bridge[0]
         scan = next(s for s in spanning_forest(g) if u in s.parent)
         run = _Reduction(g, _Search(SolverConfig(max_vertices=0)), scan)
         scan.reroot(u)
-        run.reduce_tree(tree)
+        run._cut(tree)
         assert self.unchanged(g, value)
         runner = self.held(run.work)
         cut = run.work._frozen()
@@ -443,8 +442,9 @@ class TestCopyOnWrite:
 
 class TestCollapse:
     """A tree's fold applied as its end state is the state its pairs play
-    to: the tree below the root becomes the fold's last label, red to the
-    root alone."""
+    to: the tree below the root becomes the fold's last label, adjacent to
+    the root alone, black for a star's twin leaves and red below a deeper
+    tree."""
 
     @settings(max_examples=300, derandomize=True)
     @given(bridged_trees())
@@ -453,8 +453,6 @@ class TestCollapse:
 
         g, tree, kids = drawn
         root = tree.bridge[1]
-        if kids.keys() == {root}:
-            return  # a star's fold ends black to the root
         pairs = Emitter(g.next_label)
         _fold(kids, root, pairs)
         played = g._thawed()
