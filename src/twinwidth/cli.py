@@ -25,9 +25,9 @@ from .errors import (
     IndexOutOfRange,
     TwinWidthError,
 )
-from .kernel import Practical, Theory, general_kernel, solve, tww2_bikernel
+from .kernel import DEFAULT_POLICY, Practical, Theory, general_kernel, solve, tww2_bikernel
 from .sequence import ContractionSequence, Emitter, verify
-from .solver import SolverConfig
+from .solver import DEFAULT_CONFIG, SolverConfig
 from .structure import (
     classify_stumps,
     feedback_edge_set,
@@ -292,10 +292,10 @@ def _parser() -> argparse.ArgumentParser:
 
     # the pipeline's options, shared by solve and kernelize
     pipeline = argparse.ArgumentParser(add_help=False)
-    pipeline.add_argument("--policy", type=_policy, default="practical:12")
+    pipeline.add_argument("--policy", type=_policy, default=DEFAULT_POLICY)
     pipeline.add_argument("--threads", type=_count, default=1,
                           help="accepted for compatibility; ignored")
-    pipeline.add_argument("--budget", type=_count, default=20,
+    pipeline.add_argument("--budget", type=_count, default=DEFAULT_CONFIG.max_vertices,
                           help="max vertex count of every exact width decision")
     pipeline.add_argument("--nodes", type=_count, default=None,
                           help="max search nodes per width decision")

@@ -64,7 +64,7 @@ class Practical:
             raise ValueError(f"practical floor must be an int of at least 1, got {self.floor!r}")
 
 
-DEFAULT_POLICY = Practical(12)
+DEFAULT_POLICY = Practical()
 
 
 def tower_bound(core_size: int, level: int) -> int:

@@ -287,31 +287,30 @@ class _Reduction:
         red, black, half = stumps
         if (count := len(red) + len(black) + len(half)) < 2:
             raise PreconditionViolated(f"{u} owns {count} stump(s)")
-        nxt = g.next_label
+        pairs = Emitter(g.next_label)
         twins = not red and len(half) >= 2
         if red:
             rv, rw = red[0].vertices
             victim = min(red[1:2] + black[:1] + half[:1], key=lambda s: s.vertices)
             if victim.kind is StumpKind.HALF:
-                pairs = [(victim.vertices[0], rv)]
-                made = Stump(StumpKind.RED, (nxt, rw))
+                made = Stump(StumpKind.RED, (pairs.emit(victim.vertices[0], rv), rw))
             else:
                 v0, w0 = victim.vertices
-                pairs = [(w0, rw), (v0, rv)]
-                made = Stump(StumpKind.RED, (nxt + 1, nxt))
+                w = pairs.emit(w0, rw)
+                made = Stump(StumpKind.RED, (pairs.emit(v0, rv), w))
             after = StumpSet(
                 red[1 + (victim.kind is StumpKind.RED):] + (made,),
                 black[victim.kind is StumpKind.BLACK:],
                 half[victim.kind is StumpKind.HALF:],
             )
         elif twins:
-            pairs = Emitter(nxt)
             last = fold(pairs.emit, [s.vertices[0] for s in half])
             after = StumpSet((), black, (Stump(StumpKind.HALF, (last,)),))
         elif len(black) >= 2:
             (v1, w1), (v2, w2) = black[0].vertices, black[1].vertices
-            pairs = [(w1, w2), (v1, v2)]
-            after = StumpSet((Stump(StumpKind.RED, (nxt + 1, nxt)),), black[2:], half)
+            w = pairs.emit(w1, w2)
+            made = Stump(StumpKind.RED, (pairs.emit(v1, v2), w))
+            after = StumpSet((made,), black[2:], half)
         else:
             raise PreconditionViolated(f"{u} owns only the allowed black-and-half pair")
         self._play(pairs)

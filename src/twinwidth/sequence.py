@@ -26,19 +26,18 @@ from .errors import IncompleteSequence, InstanceMismatch
 from .trigraph import Trigraph
 
 
+@dataclass(slots=True)
 class ContractionSequence:
     """An ordered list of contractions against a specific base trigraph.
 
     The sequence keeps only its ``(a, b)`` pairs, as one tuple: step ``i``
     makes the label ``base.next_label + i``, so :meth:`pairs`,
-    :func:`verify` and the text writer read the pairs alone.
+    :func:`verify` and the text writer read the pairs alone.  Equal iff its
+    base and pairs are, unhashable, slotted.
     """
 
-    __slots__ = ("base", "_pairs")
-
-    def __init__(self, base: Trigraph, pairs: tuple[tuple[int, int], ...]):
-        self.base = base
-        self._pairs = pairs
+    base: Trigraph
+    _pairs: tuple[tuple[int, int], ...]
 
     @classmethod
     def build(cls, base: Trigraph, pairs: Iterable[tuple[int, int]]):
@@ -49,13 +48,6 @@ class ContractionSequence:
 
     def pairs(self):
         return list(self._pairs)
-
-    def __eq__(self, other):
-        if not isinstance(other, ContractionSequence):
-            return NotImplemented
-        return self.base == other.base and self._pairs == other._pairs
-
-    __hash__ = None
 
     def __repr__(self):
         return f"ContractionSequence({len(self._pairs)} steps)"

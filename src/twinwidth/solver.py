@@ -477,16 +477,16 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
     <= ``d``, or None iff none.
 
     One loop walks the tree.  ``stack`` holds the current node's ancestors,
-    each as a frame of its state, near list, iterator of children left, key
-    and spread, and the labels ``la < lb`` of the child it descended into,
-    so the frames' label pairs are the current node's path.  A
-    built child becomes the current node; a node whose children run out is
-    refuted, and its parent resumes.  A success ends the search, so every
-    state met again was refuted.
+    each as a frame of its state, near list, iterator of children left, and
+    the labels ``la < lb`` of the child it descended into, so the frames'
+    label pairs are the current node's path; a node's key and spread are
+    read from its state.  A built child becomes the current node; a node
+    whose children run out is refuted, and its parent resumes.  A success
+    ends the search, so every state met again was refuted.
 
     ``refuted`` holds the partition key (see :class:`_Packed`) of each
     refuted state.  Each child tried ticks ``budget`` and is looked up by
-    its key, from the node's key and ``spread``; only on a miss is it built,
+    its key, from the node's key and spread; only on a miss is it built,
     in one step.  The root ticks itself.  A refutation that would pass
     ``_REFUTED_CAP`` entries clears the set first."""
     if g.max_red_degree() > d:
@@ -496,31 +496,31 @@ def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
     budget.tick()
     refuted, stack = set(), []
     next_id = g.next_label
-    state, key, spread = root, root.key, root.spread
+    state = root
     last = root.n_alive() == 2  # every child has one live slot: a finish
     near, children = _decide_rec(root, d)
     children = iter(children)
     while True:
         for _, la, lb, i, j in children:
             if last:
-                return ContractionSequence.build(g, [(f[5], f[6]) for f in stack] + [(la, lb)])
+                return ContractionSequence.build(g, [(f[3], f[4]) for f in stack] + [(la, lb)])
             budget.tick()
-            child_key = key + (i - j) * spread[j]  # i < j: j's part moves to i
-            if child_key in refuted:
+            # i < j: j's part moves to i
+            if state.key + (i - j) * state.spread[j] in refuted:
                 continue
             child = state.contract(i, j, next_id + len(stack))
-            stack.append((state, near, children, key, spread, la, lb))
+            stack.append((state, near, children, la, lb))
             near, children = _decide_rec(child, d, (near, state, i, j))
-            state, key, spread, last = child, child_key, child.spread, child.alive.bit_count() == 2
+            state, last = child, child.alive.bit_count() == 2
             children = iter(children)
             break
         else:
             if len(refuted) >= _REFUTED_CAP:
                 refuted.clear()
-            refuted.add(key)
+            refuted.add(state.key)
             if not stack:
                 return None
-            state, near, children, key, spread, _, _ = stack.pop()
+            state, near, children, _, _ = stack.pop()
             last = False  # it built a child, so it has three live slots or more
 
 
@@ -546,8 +546,13 @@ class _Search:
                 cap = self.config.max_nodes
                 raise BudgetExceeded(cap + 1, cap, kind="nodes")
         if self.deadline is not None and (now := time.monotonic()) > self.deadline:
+            # the seconds elapsed in whole ms, or the first ms above the limit
+            # when the overrun rounds away
             limit = self.config.time_limit
-            raise BudgetExceeded(round(now - self.deadline + limit, 3), limit, kind="time")
+            elapsed = round(now - self.deadline + limit, 3)
+            if elapsed <= limit:
+                elapsed = round(elapsed + 0.001, 3)
+            raise BudgetExceeded(elapsed, limit, kind="time")
 
     def first(self, g: Trigraph, caps):
         """``(d, sequence)`` for the first of the ascending ``caps`` that

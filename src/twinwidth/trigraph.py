@@ -26,6 +26,7 @@ other module touches them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 
@@ -55,19 +56,19 @@ class EdgeColor(Enum):
     RED = "red"
 
 
+@dataclass(slots=True)
 class Trigraph:
-    """A trigraph value.  Use :func:`new_trigraph` to build one."""
+    """A trigraph value.  Use :func:`new_trigraph` to build one.
 
-    __slots__ = ("_black", "_red", "_next_label")
+    Equal iff its maps and counter are, unhashable, slotted.  The
+    constructor is private: callers go through new_trigraph / contract /
+    replay / induce / split."""
 
-    def __init__(self, black, red, next_label):
-        # Private: callers go through new_trigraph / contract / replay / induce /
-        # split.
-        # Maps vertex -> neighbor frozenset (a set in a working copy), one map
-        # per color, in ascending insertion order so iteration is deterministic.
-        self._black = black
-        self._red = red
-        self._next_label = next_label
+    # vertex -> neighbour frozenset (a set in a working copy), one map per
+    # colour, in ascending insertion order so iteration is deterministic
+    _black: dict
+    _red: dict
+    _next_label: int
 
     # -- construction ---------------------------------------------------------
 
@@ -335,19 +336,6 @@ class Trigraph:
         """This value with its label counter at ``next_label``, which is at
         least the current counter; the neighbour maps are shared."""
         return Trigraph(self._black, self._red, next_label)
-
-    # -- value semantics --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Trigraph):
-            return NotImplemented
-        return self is other or (
-            self._next_label == other._next_label
-            and self._black == other._black
-            and self._red == other._red
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return (

@@ -22,6 +22,7 @@ from twinwidth.errors import (
     SelfLoop,
     TwinWidthError,
 )
+from twinwidth.kernel import Practical
 from twinwidth.sequence import verify
 from twinwidth.solver import SolverConfig
 from twinwidth.trigraph import EdgeColor, new_trigraph
@@ -414,6 +415,11 @@ class TestCommands:
         assert run(["solve", str(graph), "--budget", "400", "--nodes", "100"]) == 3
         assert "nodes budget exceeded: 101 > 100" in capsys.readouterr().err
 
+    def test_zero_time_budget_names_an_amount_above_it(self, tmp_fig2, capsys):
+        assert run(["solve", str(tmp_fig2), "--time", "0"]) == 3
+        amount = re.search(r"time budget exceeded: (\d+\.\d+) > 0\.0$", capsys.readouterr().err)
+        assert float(amount[1]) > 0
+
     def test_deep_search_answers(self, tmp_path, capsys):
         # the search of an 1100-vertex path with one red edge goes 1099
         # contractions deep
@@ -433,6 +439,10 @@ class TestCommands:
             assert _config(args) == SolverConfig(max_vertices=20, max_nodes=7, time_limit=2.5)
             args = _parser().parse_args([command, "g.gr"])
             assert _config(args) == SolverConfig()
+
+    def test_default_policy_is_practical_12(self):
+        for command in ("solve", "kernelize"):
+            assert _parser().parse_args([command, "g.gr"]).policy == Practical(12)
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -128,6 +128,18 @@ class TestPairStorage:
         seq = ContractionSequence.build(g, iter(FIG2_PAIRS))
         assert seq.pairs() == FIG2_PAIRS and len(seq) == 5
 
+    def test_value_semantics(self):
+        # equal iff the base and the pairs are, unhashable, slotted
+        g = make_fig2()
+        seq = ContractionSequence.build(g, FIG2_PAIRS)
+        assert seq == ContractionSequence(make_fig2(), tuple(FIG2_PAIRS))
+        assert seq != ContractionSequence.build(g._counted_from(g.next_label + 1), FIG2_PAIRS)
+        assert seq != ContractionSequence.build(g, FIG2_PAIRS[::-1])
+        assert (seq == FIG2_PAIRS) is False
+        with pytest.raises(TypeError):
+            hash(seq)
+        assert not hasattr(seq, "__dict__")
+
 
 class TestBags:
     def test_fig2_bags(self):

@@ -720,6 +720,16 @@ class TestBudgets:
             decide_width_at_most(petersen(), 2, SolverConfig(time_limit=2.5))
         assert str(exc.value) == "time budget exceeded: 100.0 > 2.5"
 
+    def test_time_miss_reports_an_amount_above_its_limit(self, monkeypatch):
+        # an overrun that rounds away to the millisecond reports the first
+        # millisecond above the limit, never the limit itself
+        readings = iter([0.0, 2.000001])
+        monkeypatch.setattr(solver_module.time, "monotonic", lambda: next(readings))
+        with pytest.raises(BudgetExceeded) as exc:
+            decide_width_at_most(petersen(), 2, SolverConfig(time_limit=2.0))
+        assert str(exc.value) == "time budget exceeded: 2.001 > 2.0"
+        assert exc.value.amount > exc.value.limit
+
     def test_one_deadline_per_solve(self, monkeypatch):
         # one search per solve: the clock passes the deadline at the first
         # component's first node, and every later component stops at its own

@@ -109,6 +109,17 @@ class TestConstruction:
             reds = [g.red_neighbors(v) for v in g.vertices if not g.red_neighbors(v)]
             assert len(reds) == empty and len(set(map(id, reds))) == 1
 
+    def test_value_semantics(self):
+        # equal iff the maps and the counter are, unhashable, slotted
+        g = make_fig2()
+        assert g._thawed() == g
+        assert g._counted_from(g.next_label + 1) != g
+        assert g.contract(0, 1) != g
+        assert (g == object()) is False
+        with pytest.raises(TypeError):
+            hash(g)
+        assert not hasattr(g, "__dict__")
+
 
 class TestContract:
     def test_fig2_first_step(self):
