@@ -281,7 +281,8 @@ def _pipeline(g: Trigraph, policy, search: _Search, report: dict, scan):
     tidy = run.work._frozen()
     pairs, meta = _collapse_paths(run, hp)
     report["bikernel"] = meta
-    if meta["kernel_size"] <= search.config.max_vertices and (
+    limit = search.config.max_vertices
+    if (limit is None or meta["kernel_size"] <= limit) and (
         found := search.first(tidy.replay(pairs)[0], (2,))
     ):
         trace.append({"rule": "bikernel_width2"})

@@ -21,17 +21,23 @@ bitmasks alone, and a state reached by contractions is named by one integer,
 its partition key, the partition of the root's vertices into merged parts,
 which a child gets from its parent in one addition.  So a child is built
 only when the search tries it, and one refuted by its key is turned away
-before its bitmasks are built.  Every node keeps a near list, the pairs whose
-merged vertex would have at most ``d`` red neighbours, built by one function:
-the root, which has no parent, computes every pair; any other node builds its
-list from its parent's, recomputing only the pairs around the contracted pair.
-A recomputed row for a vertex ``x`` with more than ``d`` neighbours tries only
-``x``'s neighbours and the vertices sharing a black neighbour with it: any
-other partner would leave all of ``x``'s neighbours red.  A node's near list is
-twin-tested and scored in one pass, and scoring a pair reads the largest red
+before its bitmasks are built.  One function, ``_decide_rec``, expands a
+node in one pass: it builds the node's near list, the pairs whose merged
+vertex would have at most ``d`` red neighbours, and twin-tests and scores
+those pairs into the node's ordered children.  The root, which has no parent,
+computes every pair; any other node builds its list from its parent's,
+recomputing only the pairs around the contracted pair.  A recomputed row for
+a vertex ``x`` with more than ``d`` neighbours tries only ``x``'s neighbours
+and the vertices sharing a black neighbour with it: any other partner would
+leave all of ``x``'s neighbours red.  Scoring a pair reads the largest red
 degree outside it from the state's red-degree buckets, which a contraction
-updates only for the vertices whose red degree it changes, so no node sorts its
-vertices.
+updates only for the vertices whose red degree it changes, so no node sorts
+its vertices.
+
+Greedy, the fallback of a node or time miss, is the search's first descent at
+cap n, walked over the same expansion under a cap that rises from the input's
+max red degree only where a node has no child, so each of its nodes scores
+only its near list.
 """
 
 from __future__ import annotations
@@ -56,12 +62,24 @@ _REFUTED_CAP = 250_000
 class SolverConfig:
     """Budget knobs.  ``max_vertices`` is a hard refusal; ``max_nodes`` caps
     each width decision and ``time_limit`` (seconds) a whole solve; None is
-    no limit.  Either miss makes ``optimal_sequence`` fall back to an
-    unproven greedy sequence."""
+    no limit.  A count is an int (not a bool) of at least 0, and the seconds
+    an int or float of at least 0, not NaN; anything else is a ValueError.
+    A node or time miss makes ``optimal_sequence`` fall back to an unproven
+    greedy sequence."""
 
-    max_vertices: int = 20
+    max_vertices: int | None = 20
     max_nodes: int | None = None
     time_limit: float | None = None
+
+    def __post_init__(self):
+        for name in ("max_vertices", "max_nodes"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 0):
+                raise ValueError(f"{name} must be None or an int of at least 0, got {value!r}")
+        limit = self.time_limit
+        if limit is not None and (type(limit) not in (int, float) or not limit >= 0):
+            # not limit >= 0 holds for NaN too
+            raise ValueError(f"time_limit must be None or a number of at least 0, got {limit!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -94,26 +112,26 @@ class _Packed:
     ``buckets`` holds the live slots by red degree, one ``n``-bit bucket per
     degree for ``n`` slots: slot ``x`` with ``r`` red neighbours is bit ``n *
     r + x``.  So the highest set bit names the state's max red degree, and a
-    contraction moves only the slots whose red degree it changes."""
+    contraction moves only the slots whose red degree it changes.
+
+    A root's ``black``, ``red``, ``ids`` and ``spread`` are tuples, so its
+    ``(ids, black, red)`` can key :attr:`_Search.refuted`; a contracted
+    state's are lists, made by :meth:`contract` without a copy into tuples."""
 
     __slots__ = ("black", "red", "alive", "ids", "key", "spread", "buckets")
 
-    def __init__(self, black, red, alive, ids, key=None, spread=None, buckets=None):
-        self.black = black  # tuple of bitmasks, index = slot
+    def __init__(self, black, red, alive, ids):
+        self.black = black  # bitmasks, index = slot
         self.red = red
         self.alive = alive  # bitmask of live slots
-        self.ids = ids  # tuple: slot -> current vertex label
-        if spread is None:
-            w = (len(black) - 1).bit_length()
-            spread = tuple(1 << w * v for v in range(len(black)))
-            key = sum(v * s for v, s in enumerate(spread))
-        self.key = key
-        self.spread = spread
-        if buckets is None:
-            n = len(black)
-            buckets = 0
-            for x in _bits(alive):
-                buckets |= 1 << x << n * red[x].bit_count()
+        self.ids = ids  # slot -> current vertex label
+        n = len(black)
+        w = (n - 1).bit_length()
+        self.spread = spread = tuple(1 << w * v for v in range(n))
+        self.key = sum(v * s for v, s in enumerate(spread))
+        buckets = 0
+        for x in _bits(alive):
+            buckets |= 1 << x << n * red[x].bit_count()
         self.buckets = buckets
 
     @classmethod
@@ -135,7 +153,8 @@ class _Packed:
 
     def contract(self, i, j, new_id):
         """Merge slots i and j; the merged vertex lands in slot min(i, j) and
-        is labeled ``new_id``."""
+        is labeled ``new_id``.  The child is filled in slot by slot, not
+        through ``__init__``, which would recompute its key and buckets."""
         k, dead = (i, j) if i < j else (j, i)
         old = self.red
         bi = self.black[i] & ~(1 << j)
@@ -184,8 +203,15 @@ class _Packed:
                 was = n * old[low.bit_length() - 1].bit_count()
                 buckets ^= low << was | low << was + step
                 xs ^= low
-        alive = self.alive & ~(1 << dead)
-        return _Packed(tuple(black), tuple(red), alive, tuple(ids), key, tuple(spread), buckets)
+        child = object.__new__(_Packed)
+        child.black = black
+        child.red = red
+        child.alive = self.alive & ~(1 << dead)
+        child.ids = ids
+        child.key = key
+        child.spread = spread
+        child.buckets = buckets
+        return child
 
 
 def _bits(mask):
@@ -313,49 +339,51 @@ def _canon_packed(state: _Packed) -> bytes:
 # -- search -----------------------------------------------------------------------
 
 
-def _near_row(out, black, red, x, ys, d):
-    """Append ``(i, j, nr)``, ``{i, j} = {x, y}`` and ``i < j``, for every
-    slot ``y`` of the mask ``ys`` whose pair with ``x`` would merge into a
-    vertex with a red set ``nr`` of at most ``d`` slots."""
-    bx = black[x]
-    nx = bx | red[x]
-    bit_x = 1 << x
-    while ys:
-        low = ys & -ys
-        y = low.bit_length() - 1
-        ys ^= low
-        by = black[y]
-        nr = (nx | by | red[y]) & ~(bx & by | bit_x | low)
-        if nr.bit_count() <= d:
-            out.append((x, y, nr) if x < y else (y, x, nr))
+def _decide_rec(state: _Packed, d: int, origin=None):
+    """Expand one node: ``(near, children)``.
 
-
-def _near(state: _Packed, d: int, origin=None):
-    """The node's near list: ``(i, j, nr)`` for the pairs of live slots
-    ``i < j`` whose merged vertex would have at most ``d`` red neighbours,
-    ``nr = (N(i) | N(j)) - (Nb(i) & Nb(j)) - {i, j}``.
-
-    A node with no parent, ``origin`` None, computes every pair afresh.
-    Otherwise ``origin = (near, parent, a, b)``, where ``state`` is
-    ``parent`` with slots ``a`` and ``b`` merged into ``k = min(a, b)`` and
-    ``near`` is the parent's near list.  With ``A = N(a) - {b}`` and ``B =
+    ``near`` is the node's near list: ``(i, j, nr)`` for the pairs of live
+    slots ``i < j`` whose merged vertex would have at most ``d`` red
+    neighbours, ``nr = (N(i) | N(j)) - (Nb(i) & Nb(j)) - {i, j}``.  A node
+    with no parent, ``origin`` None, computes every pair afresh.  Otherwise
+    ``origin = (near, parent, a, b)``, where ``state`` is ``parent`` with
+    slots ``a`` and ``b`` merged into ``k = min(a, b)`` and ``near`` is the
+    parent's near list at the same ``d``.  With ``A = N(a) - {b}`` and ``B =
     N(b) - {a}``, a pair outside ``A | B | {a, b}`` keeps its red set, and a
     pair with one end in ``A ^ B`` and the other outside keeps its size, the
     dead slot's bit replaced by ``k``'s.  Only the pairs touching ``k`` or
-    ``A & B`` and the pairs inside ``A ^ B`` are computed afresh.
+    ``A & B`` and the pairs inside ``A ^ B`` are computed afresh, by rows.
+    The row of a slot ``x`` whose pairs are all fresh (every live slot at
+    the root, ``k`` and ``A & B`` below it) pairs ``x`` with each live slot
+    whose row has not been done, but when ``|N(x)| > d`` only with those in
+    ``N(x)`` or sharing a black neighbour with ``x``: any other partner
+    would leave all of ``N(x)`` red.  The row of a slot of ``A ^ B`` pairs it
+    with the later slots of ``A ^ B``.
 
-    Fresh pairs are computed by rows.  The row of a slot ``x`` whose pairs
-    are all fresh (every live slot at the root, ``k`` and ``A & B`` below
-    it) pairs ``x`` with each live slot whose row has not been done, but
-    when ``|N(x)| > d`` only with those in ``N(x)`` or sharing a black
-    neighbour with ``x``: any other partner would leave all of ``N(x)``
-    red.  The row of a slot of ``A ^ B`` pairs it with the later slots of
-    ``A ^ B``."""
-    out = []
+    ``children`` are the pairs whose contraction keeps the max red degree
+    within ``d``, as sorted ``(max red, la, lb, i, j)`` tuples, ordered by
+    the child's max red degree, then by the pair's labels ``la < lb``; ``i``,
+    ``j`` are slots.  If ``near`` holds twins, slots ``i < j`` with the same
+    black and the same red neighbours outside ``{i, j}``, only the first
+    twin child is kept, which has a finish iff the node does.  No child is
+    built, and each pair is twin-tested and scored in one pass, once a twin
+    is found only twins: each vertex in a pair's ``nr`` ends with red degree
+    ``|red(x) - {i, j}| + 1``, and every other live vertex keeps its own, the
+    largest of which is read from the state's red-degree buckets, from its
+    own max red degree down.
+
+    Every node of the search and of greedy, the root's included, is expanded
+    through this module global, so rebinding the name sees each one:
+    ``twbench/tracing.py`` counts ``solver.nodes`` by this name, which is why
+    the search keeps it."""
+    black = state.black
+    red = state.red
+    alive = state.alive
+    near = []
     if origin is None:
-        fresh, sym = state.alive, 0
+        fresh, sym = alive, 0
     else:
-        near, parent, a, b = origin
+        inherited, parent, a, b = origin
         k, dead = (a, b) if a < b else (b, a)
         pb = parent.black
         pr = parent.red
@@ -366,110 +394,90 @@ def _near(state: _Packed, d: int, origin=None):
         drop = fresh | dead_bit
         sym = na ^ nb
         swap = dead_bit | 1 << k
-        for e in near:
+        for e in inherited:
             i, j, nr = e
             pair = 1 << i | 1 << j
             if pair & drop or pair & sym == pair:
                 continue
             if nr & dead_bit:
                 e = (i, j, nr ^ swap)
-            out.append(e)
-    black = state.black
-    red = state.red
-    rest = state.alive
-    while fresh:
-        low = fresh & -fresh
-        fresh ^= low
-        rest ^= low
-        x = low.bit_length() - 1
-        ys = rest
-        bx = black[x]
-        reach = bx | red[x]
-        if reach.bit_count() > d:
-            zs = bx
-            while zs:
-                low = zs & -zs
-                reach |= black[low.bit_length() - 1]
-                zs ^= low
-            ys &= reach
-        _near_row(out, black, red, x, ys, d)
-    while sym:
-        low = sym & -sym
-        sym ^= low
-        if sym:
-            _near_row(out, black, red, low.bit_length() - 1, sym, d)
-    return out
-
-
-def _ordered_children(state: _Packed, d: int, near):
-    """The node's children: pairs whose contraction keeps the max red degree
-    within ``d``, as sorted ``(max red, la, lb, i, j)`` tuples, ordered by
-    the child's max red degree, then by the pair's labels ``la < lb``; ``i``,
-    ``j`` are slots.  If ``near`` holds twins, slots ``i < j`` with the same
-    black and the same red neighbours outside ``{i, j}``, only the first
-    twin child is kept, which has a finish iff the node does.
-
-    ``near`` is the node's near list, or any part of it.  No child is built,
-    and each pair of ``near`` is twin-tested and scored in one pass, once a
-    twin is found only twins: each vertex in a pair's ``nr`` ends with red
-    degree ``|red(x) - {i, j}| + 1``, and every other live vertex keeps its
-    own, the largest of which is read from the state's red-degree buckets,
-    from its own max red degree down."""
+            near.append(e)
+    rest = alive
+    while fresh or sym:
+        if fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            rest ^= low
+            x = low.bit_length() - 1
+            ys = rest
+            bx = black[x]
+            nx = bx | red[x]
+            if nx.bit_count() > d:
+                reach = nx
+                zs = bx
+                while zs:
+                    low = zs & -zs
+                    reach |= black[low.bit_length() - 1]
+                    zs ^= low
+                ys &= reach
+        else:
+            low = sym & -sym
+            sym ^= low
+            x = low.bit_length() - 1
+            ys = sym
+            bx = black[x]
+            nx = bx | red[x]
+        bit_x = 1 << x
+        while ys:
+            low = ys & -ys
+            y = low.bit_length() - 1
+            ys ^= low
+            by = black[y]
+            nr = (nx | by | red[y]) & ~(bx & by | bit_x | low)
+            if nr.bit_count() <= d:
+                near.append((x, y, nr) if x < y else (y, x, nr))
     if not near:
-        return []
-    black = state.black
-    red = state.red
+        return near, []
+
     ids = state.ids
     buckets = state.buckets
     n = len(red)
     top = (buckets.bit_length() - 1) // n
-    alive = state.alive
     twin = False
-    out = []
+    children = []
     for i, j, nr in near:
         pair = 1 << i | 1 << j
         if not (black[i] ^ black[j] | red[i] ^ red[j]) & ~pair:
             if not twin:
                 twin = True
-                out = []
+                children = []
         elif twin:
             continue
         mr = nr.bit_count()
-        ok = True
         touched = nr
         while touched:
             low = touched & -touched
             rx = (red[low.bit_length() - 1] & ~pair).bit_count() + 1
-            if rx > d:
-                ok = False
-                break
             if rx > mr:
+                if rx > d:
+                    break
                 mr = rx
             touched ^= low
-        if not ok:
-            continue
-        keep = alive & ~(nr | pair)
-        for r in range(top, mr, -1):
-            if buckets >> n * r & keep:
-                mr = r
-                break
-        if mr <= d:
+        else:
+            if top > mr:
+                keep = alive & ~(nr | pair)
+                for r in range(top, mr, -1):
+                    if buckets >> n * r & keep:
+                        mr = r
+                        break
+                if mr > d:
+                    continue
             la, lb = ids[i], ids[j]
             if la > lb:
                 la, lb = lb, la
-            out.append((mr, la, lb, i, j))
-    out.sort()
-    return out[:1] if twin else out
-
-
-def _decide_rec(state: _Packed, d: int, origin=None):
-    """Expand one node: ``(near, children)``, its near list (``origin`` as
-    for :func:`_near`) and its :func:`_ordered_children`.  The search makes
-    every such call, the root's included, through this module global, so
-    rebinding the name sees each built node: ``twbench/tracing.py`` counts
-    ``solver.nodes`` by this name, which is why the search keeps it."""
-    near = _near(state, d, origin)
-    return near, _ordered_children(state, d, near)
+            children.append((mr, la, lb, i, j))
+    children.sort()
+    return near, children[:1] if twin else children
 
 
 def _search_cap(g: Trigraph, root: _Packed, d: int, budget):
@@ -558,8 +566,9 @@ class _Search:
         """``(d, sequence)`` for the first of the ascending ``caps`` that
         admits a sequence, or None.  A cap at or below one refuted on ``g`` is
         refuted, and skipped; a budget miss raises :class:`BudgetExceeded`."""
-        if g.n > self.config.max_vertices:
-            raise BudgetExceeded(g.n, self.config.max_vertices, kind="vertices")
+        limit = self.config.max_vertices
+        if limit is not None and g.n > limit:
+            raise BudgetExceeded(g.n, limit, kind="vertices")
         root = _Packed.from_trigraph(g)
         key = root.ids, root.black, root.red
         for d in caps:
@@ -597,9 +606,32 @@ def greedy_sequence(g: Trigraph) -> ContractionSequence:
     """First-descent sequence: always contract the pair minimizing the
     immediate max red degree, ties by labels, among the twin pairs if there
     are any.  Deterministic, carries no optimality proof; used as the
-    budget-exhausted fallback.  It is the search at cap ``g.n``, where the
-    first child always has a finish; its fresh search reads no clock."""
-    return _search_cap(g, _Packed.from_trigraph(g), g.n, _Search())
+    budget-exhausted fallback.  It reads no clock.
+
+    It is the search's first descent at cap ``g.n``, taken as a descent
+    under a rising cap ``d``, from ``g``'s max red degree: each node takes
+    the first of its children at cap ``d``, its near list inherited from its
+    parent, and a node with none raises ``d`` by one and is expanded again
+    from scratch.  A pair whose child has max red degree at most ``d`` has
+    at most ``d`` red neighbours after the merge, so it is in the cap-``d``
+    near list; the first child at the lowest cap that has one is the first
+    at cap ``g.n``.  Every twin pair's child is within the node's own max
+    red degree, so twins come first at every cap."""
+    state = _Packed.from_trigraph(g)
+    d = g.max_red_degree()
+    next_id = g.next_label
+    pairs = []
+    origin = None
+    while state.n_alive() > 1:
+        near, children = _decide_rec(state, d, origin)
+        while not children:
+            d += 1
+            near, children = _decide_rec(state, d)
+        _, la, lb, i, j = children[0]
+        pairs.append((la, lb))
+        origin = (near, state, i, j)
+        state = state.contract(i, j, next_id + len(pairs) - 1)
+    return ContractionSequence.build(g, pairs)
 
 
 def optimal_sequence(g: Trigraph, config: SolverConfig = DEFAULT_CONFIG) -> SolveResult:

@@ -688,7 +688,7 @@ def deleted_raw(state, gone, stay):
             y = k if x == stay else x
             black[y] = move(state.black[x])
             red[y] = move(state.red[x])
-    return move(state.alive), tuple(black), tuple(red)
+    return move(state.alive), black, red
 
 
 def node_children_oracle(state, d):

@@ -880,14 +880,11 @@ class TestSolve:
         # of the K4 a Petersen graph, whose feedback edges close induced C5s,
         # takes the same course without the up-front caps.  After the miss
         # greedy answers width 2 on the K4 graph, which meets its lower bound
-        # of 2, and width 4 on the Petersen graph, which does not.  Greedy,
-        # the search at cap n, runs for real
+        # of 2, and width 4 on the Petersen graph, which does not.  Greedy
+        # makes no width decision, so it runs for real
         caps = []
-        real = solver_module._search_cap
 
         def stand_in(g, root, d, budget):
-            if d == g.n:
-                return real(g, root, d, budget)
             caps.append(d)
             if d > 2:
                 raise BudgetExceeded(0, 0, kind="nodes")

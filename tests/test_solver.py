@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as stst
 from twinwidth import solver as solver_module
 from twinwidth.corpus import random_connected_graph
 from twinwidth.errors import BudgetExceeded
-from twinwidth.kernel import Practical, solve
+from twinwidth.kernel import Practical, general_kernel, solve
 from twinwidth.sequence import ContractionSequence, verify
 from twinwidth.solver import (
     SolveResult,
@@ -17,8 +17,7 @@ from twinwidth.solver import (
     _Search,
     _bits,
     _canon_packed,
-    _near,
-    _ordered_children,
+    _decide_rec,
     _Packed,
     _search_cap,
     decide_width_at_most,
@@ -150,26 +149,26 @@ def relabeled(state, perm):
 
 
 def checked_inherit(mp):
-    """Make the search check every near list it builds against
-    :func:`near_oracle`: a root's list must equal it, and a list inherited
-    from a parent must hold its pairs and, scored, give the children that
-    :func:`_ordered_children` finds from the oracle's list.  Returns the list
-    of inherited lists checked, as (live slots, cap)."""
+    """Make every node expansion check its lists against the oracles: a
+    root's near list must equal :func:`near_oracle`, a list inherited from a
+    parent must hold its pairs, and either node's children must be
+    :func:`node_children_oracle`'s.  Returns the list of inherited lists
+    checked, as (live slots, cap)."""
     checked = []
-    real = solver_module._near
+    real = solver_module._decide_rec
 
     def checking(state, d, origin=None):
-        near = real(state, d, origin)
+        near, children = real(state, d, origin)
         want = near_oracle(state, d)
         if origin is None:
             assert near == want
         else:
             assert sorted(near) == want
-            assert _ordered_children(state, d, near) == _ordered_children(state, d, want)
             checked.append((state.n_alive(), d))
-        return near
+        assert children == node_children_oracle(state, d)
+        return near, children
 
-    mp.setattr(solver_module, "_near", checking)
+    mp.setattr(solver_module, "_decide_rec", checking)
     return checked
 
 
@@ -201,6 +200,12 @@ def search_and_oracle(state, d):
     got = search(state, d, ours)
     want = decide_rec_oracle(state, d, max(state.ids) + 1, set(), theirs)
     return (got, ours.ticks), (want, theirs.ticks)
+
+
+def greedy_search_oracle(g):
+    """Greedy as the search's first descent at cap ``g.n``, where the first
+    child always has a finish, on a fresh search that reads no clock."""
+    return _search_cap(g, _Packed.from_trigraph(g), g.n, _Search())
 
 
 def greedy_oracle_pairs(g):
@@ -398,13 +403,11 @@ class TestPackedOracles:
     @settings(max_examples=300, derandomize=True)
     @given(packed_states())
     def test_children_match_oracle(self, state):
-        # the node's children, and every pair of a list without twins scored
-        twins = twin_pairs_oracle(state)
+        # a root's near list and children, at every cap
         for d in (0, 1, 2, 3, 4, state.n_alive()):
-            assert _ordered_children(state, d, _near(state, d)) == node_children_oracle(state, d)
-            plain = [e for e in near_oracle(state, d) if e[:2] not in twins]
-            want = [c for c in ordered_children_oracle(state, d) if c[3:] not in twins]
-            assert _ordered_children(state, d, plain) == want
+            near, children = _decide_rec(state, d)
+            assert near == near_oracle(state, d)
+            assert children == node_children_oracle(state, d)
 
     @settings(max_examples=300, derandomize=True)
     @given(packed_states())
@@ -425,18 +428,18 @@ class TestPackedOracles:
     def test_near_lists_match_oracle(self, state):
         # the root's near list, the list each of its pairs' merges inherits,
         # and every list that a search of at most 30 nodes inherits hold
-        # exactly the pairs within the cap, the first two also when the
-        # state's red degree is above it and no search starts.  The lists
-        # are made through the module global, which ``checked_inherit``
-        # rebinds to check them
+        # exactly the pairs within the cap, and each node's children are the
+        # oracle's, the first two also when the state's red degree is above
+        # the cap and no search starts.  The nodes are expanded through the
+        # module global, which ``checked_inherit`` rebinds to check them
         with pytest.MonkeyPatch.context() as mp:
             checked = checked_inherit(mp)
             for d in (0, 1, 2, 3, 4, state.n_alive()):
-                near = solver_module._near(state, d)
+                near, _ = solver_module._decide_rec(state, d)
                 inherited = len(checked)
                 for i, j, _ in near:
                     child = state.contract(i, j, -1)
-                    solver_module._near(child, d, (near, state, i, j))
+                    solver_module._decide_rec(child, d, (near, state, i, j))
                 assert len(checked) == inherited + len(near)
                 try:
                     search(state, d, CountingBudget(30))
@@ -458,6 +461,50 @@ class TestPackedOracles:
         reddened = new_trigraph(g.n, [e for e in edges if e not in red], red)
         for t in (g, reddened):
             assert greedy_sequence(t).pairs() == greedy_oracle_pairs(t)
+            assert greedy_sequence(t).pairs() == greedy_search_oracle(t).pairs()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_greedy_matches_the_search_on_fen_kernels(self, k):
+        # the general kernels of fen-k graphs on 400 vertices, 43-91
+        # vertices each, where greedy's cap rises from the kernel's max red
+        # degree, 1, to widths 2-4
+        for s in range(3):
+            kern = general_kernel(random_connected_graph(400, k, random.Random(s))).kernel
+            assert greedy_sequence(kern).pairs() == greedy_search_oracle(kern).pairs()
+
+    def test_greedy_expands_once_per_contraction_and_cap_raise(self, monkeypatch):
+        # every contraction but the last expands its child, the root is
+        # expanded first, and each raise of the cap, by one, expands its node
+        # again from scratch; the cap ends at the sequence's width
+        calls = []
+        real = solver_module._decide_rec
+
+        def counting(state, d, origin=None):
+            calls.append((d, origin is None))
+            return real(state, d, origin)
+
+        monkeypatch.setattr(solver_module, "_decide_rec", counting)
+        graphs = [
+            make_fig2(),
+            petersen(),
+            red_edge_path(30),
+            random_connected_graph(60, 30, random.Random(1)),
+            general_kernel(random_connected_graph(400, 4, random.Random(1))).kernel,
+        ]
+        raised = 0
+        for g in graphs:
+            calls.clear()
+            seq = greedy_sequence(g)
+            caps = [d for d, _ in calls]
+            raises = [d for d, fresh in calls if fresh][1:]
+            assert len(calls) == len(seq) + len(raises)
+            assert caps == sorted(caps) and caps[0] == g.max_red_degree()
+            assert raises == list(range(g.max_red_degree() + 1, verify(g, seq) + 1))
+            raised += len(raises)
+        assert raised > 0
+        for n in (0, 1):
+            calls.clear()
+            assert len(greedy_sequence(new_trigraph(n))) == 0 and calls == []
 
 
 class TestSearchOracle:
@@ -575,7 +622,7 @@ def partition_key(root, owner):
     spread = [0] * len(root.black)
     for v, s in enumerate(owner):
         spread[s] += 1 << w * v
-    return sum(s << w * v for v, s in enumerate(owner)), tuple(spread)
+    return sum(s << w * v for v, s in enumerate(owner)), spread
 
 
 class TestPartitionKey:
@@ -670,6 +717,40 @@ class TestSearchShape:
 
 
 class TestBudgets:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_nodes", True),
+            ("max_nodes", 2.5),
+            ("max_nodes", -1),
+            ("max_vertices", -3),
+            ("max_vertices", False),
+            ("time_limit", True),
+            ("time_limit", float("nan")),
+            ("time_limit", -0.5),
+            ("time_limit", "2"),
+        ],
+    )
+    def test_config_refuses_what_the_cli_refuses(self, field, value):
+        # a budget is None or a count of at least 0 (not a bool), seconds
+        # any int or float of at least 0 (not NaN); anything else would be
+        # read as some other budget
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+        for ok in (None, 0, 50):
+            assert getattr(SolverConfig(**{field: ok}), field) == ok
+        assert SolverConfig(time_limit=2.5).time_limit == 2.5
+
+    def test_no_vertex_limit(self):
+        # None refuses no trigraph: this graph's 21-vertex bikernel, a vertex
+        # miss under the default limit of 20, is decided
+        g = random_connected_graph(26, 4, random.Random(1))
+        with pytest.raises(BudgetExceeded):
+            solve(g, Practical(12), SolverConfig(max_nodes=2000))
+        seq, report = solve(g, Practical(12), SolverConfig(max_vertices=None, max_nodes=2000))
+        assert (report["status"], report["width"], verify(g, seq)) == ("optimal", 2, 2)
+        assert optimal_sequence(petersen(), SolverConfig(max_vertices=None)).width == 4
+
     def test_vertex_cap(self):
         g = new_trigraph(25, [(i, i + 1) for i in range(24)])
         with pytest.raises(BudgetExceeded) as exc:
